@@ -1,10 +1,22 @@
 """Exact rational feasibility for equality systems with 0..1 bounds.
 
 The single problem shape handled here is: find v with A v = b and
-0 <= v_j <= 1, all arithmetic over ``fractions.Fraction``.  The solver is
-a phase-one simplex on the standard form obtained by adding a slack per
-upper bound and an artificial per row, with Bland's rule throughout, so it
-terminates without any numerical tolerance.
+0 <= v_j <= 1, all arithmetic over ``fractions.Fraction``.
+:func:`solve_exact` decides it in three steps:
+
+1. Eliminate.  Sparse exact Gauss-Jordan runs over the rows in order.
+   Each kept row remembers which combination of the original rows it is.
+   A row that reduces to ``0 = 0`` is redundant and dropped; one that
+   reduces to ``0 = c`` with ``c != 0`` is already a refutation, and so is
+   a row that pins a single variable outside [0, 1].
+2. Reduced phase one.  The rows that still link a pivot variable to free
+   variables form a much smaller system over only the columns they touch.
+   A phase-one simplex decides it: one slack per upper bound, one
+   artificial per row, Bland's rule throughout, so it terminates without
+   any numerical tolerance.
+3. Lift.  A reduced point gets the pinned values added back; reduced row
+   multipliers are carried back to the original rows through the recorded
+   combinations.
 
 Outcomes are self-certifying.  A feasible point lists exact values and is
 checked against every row and bound by :func:`verify_point`.  An
@@ -17,8 +29,9 @@ infeasible system yields row multipliers ``y`` plus bound multipliers
 which refutes feasibility by three lines of arithmetic: any candidate v
 in the box would give y^T b = sum_j (w_j - z_j) v_j <= sum(w).
 :func:`verify_certificate` checks exactly that, independent of how the
-multipliers were produced.  ``solve_exact`` re-verifies its own output
-before returning, so a bug in the pivoting can not surface as a wrong
+multipliers were produced.  ``solve_exact`` re-verifies every outcome
+against the original, unreduced system before returning, so a bug in the
+elimination, the pivoting or the lifting can not surface as a wrong
 answer, only as a loud failure.
 """
 
@@ -26,7 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -99,13 +113,181 @@ def verify_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> boo
     return gap == cert.gap and gap > 0
 
 
+@dataclass
+class _PivotRow:
+    """An eliminated row: ``v[pivot] + sum(coef[j] * v[j]) = rhs``.
+
+    ``coef`` holds free columns only, never another row's pivot, and
+    ``combo`` maps original row indices to the multipliers that produce
+    this row from them.
+    """
+
+    coef: dict[int, Fraction]
+    rhs: Fraction
+    combo: dict[int, Fraction]
+
+
+def _add_scaled(
+    target: dict[int, Fraction], f: Fraction, source: Mapping[int, Fraction]
+) -> None:
+    """``target += f * source`` on sparse vectors, dropping cancelled keys."""
+    for k, c in source.items():
+        v = target.get(k, 0) + f * c
+        if v:
+            target[k] = v
+        else:
+            del target[k]
+
+
 def solve_exact(
     sys: LinearSystem,
 ) -> Union[FeasiblePoint, InfeasibilityCertificate]:
     """Decide feasibility exactly; the answer is verified before returning.
 
-    Deterministic: Bland's rule picks the smallest eligible column index
-    to enter and breaks ratio ties by the smallest basic index.
+    Eliminates the rows in order, pivoting on the largest column index of
+    each new row, then runs :func:`_phase_one` on the rows that keep free
+    columns and lifts its outcome back to ``sys``.  Deterministic
+    throughout.  Raises ``RuntimeError`` if the lifted outcome fails
+    :func:`verify_point` or :func:`verify_certificate` on ``sys``.
+    """
+    pivots: dict[int, _PivotRow] = {}
+    # free column -> pivot columns whose row holds it
+    occurs: dict[int, set[int]] = {}
+    for i, (coeffs, b) in enumerate(zip(sys.coeffs, sys.rhs)):
+        coef = {j: Fraction(c) for j, c in enumerate(coeffs) if c}
+        rhs = Fraction(b)
+        used = []
+        for p in [j for j in coef if j in pivots]:
+            f = coef.pop(p)
+            _add_scaled(coef, -f, pivots[p].coef)
+            rhs -= f * pivots[p].rhs
+            used.append((f, pivots[p]))
+        if not coef and rhs == 0:
+            continue
+        combo = {i: Fraction(1)}
+        for f, row in used:
+            _add_scaled(combo, -f, row.combo)
+        if not coef:
+            # 0 = rhs: the combination alone refutes the system
+            sign = 1 if rhs > 0 else -1
+            y = {k: sign * c for k, c in combo.items()}
+            return _checked_certificate(sys, y, {}, {}, abs(rhs))
+        q = max(coef)
+        a = coef.pop(q)
+        new = _PivotRow(
+            {j: c / a for j, c in coef.items()},
+            rhs / a,
+            {k: c / a for k, c in combo.items()},
+        )
+        for p in occurs.pop(q, ()):
+            row = pivots[p]
+            f = row.coef.pop(q)
+            _add_scaled(row.coef, -f, new.coef)
+            for j in new.coef:
+                if j in row.coef:
+                    occurs.setdefault(j, set()).add(p)
+                else:
+                    occurs[j].discard(p)
+            row.rhs -= f * new.rhs
+            _add_scaled(row.combo, -f, new.combo)
+        pivots[q] = new
+        for j in new.coef:
+            occurs.setdefault(j, set()).add(q)
+
+    values = [Fraction(0)] * sys.nvars
+    for p, row in pivots.items():
+        if row.coef:
+            continue
+        # the row pins v[p] = rhs; outside the box one bound refutes it
+        if row.rhs > 1:
+            return _checked_certificate(
+                sys, row.combo, {p: Fraction(1)}, {}, row.rhs - 1
+            )
+        if row.rhs < 0:
+            y = {k: -c for k, c in row.combo.items()}
+            return _checked_certificate(sys, y, {}, {p: Fraction(1)}, -row.rhs)
+        values[p] = row.rhs
+
+    linked = [(p, row) for p, row in pivots.items() if row.coef]
+    if linked:
+        reduced, cols, scales = _reduced_system(linked)
+        outcome = _phase_one(reduced)
+        if isinstance(outcome, InfeasibilityCertificate):
+            y = {}
+            for yr, scale, (_, row) in zip(
+                outcome.row_multipliers, scales, linked
+            ):
+                if yr:
+                    _add_scaled(y, yr * scale, row.combo)
+            w = dict(zip(cols, outcome.upper_multipliers))
+            z = dict(zip(cols, outcome.lower_multipliers))
+            return _checked_certificate(sys, y, w, z, outcome.gap)
+        for c, v in zip(cols, outcome.values):
+            values[c] = v
+
+    point = FeasiblePoint(tuple(values))
+    if not verify_point(sys, point):
+        raise RuntimeError("solver produced an invalid feasible point")
+    return point
+
+
+def _reduced_system(
+    linked: list[tuple[int, _PivotRow]],
+) -> tuple[LinearSystem, list[int], list[Fraction]]:
+    """The linked rows as a system over only the columns they touch.
+
+    Each row is scaled to coprime integer coefficients.  Returns the
+    system, the original column of each of its variables, and the scale of
+    each row, so that reduced row r is ``scales[r]`` times ``linked[r]``.
+    """
+    cols = sorted({p for p, _ in linked} | {j for _, r in linked for j in r.coef})
+    at = {c: k for k, c in enumerate(cols)}
+    coeffs: list[tuple[int, ...]] = []
+    rhs: list[Fraction] = []
+    scales: list[Fraction] = []
+    for p, row in linked:
+        full = {p: Fraction(1), **row.coef}
+        den = lcm(*(c.denominator for c in full.values()))
+        ints = {j: c.numerator * (den // c.denominator) for j, c in full.items()}
+        g = gcd(*ints.values())
+        dense = [0] * len(cols)
+        for j, c in ints.items():
+            dense[at[j]] = c // g
+        coeffs.append(tuple(dense))
+        scales.append(Fraction(den, g))
+        rhs.append(row.rhs * scales[-1])
+    return LinearSystem(len(cols), tuple(coeffs), tuple(rhs)), cols, scales
+
+
+def _checked_certificate(
+    sys: LinearSystem,
+    y: Mapping[int, Fraction],
+    w: Mapping[int, Fraction],
+    z: Mapping[int, Fraction],
+    gap: Fraction,
+) -> InfeasibilityCertificate:
+    """Densify sparse multipliers and verify them against ``sys``."""
+    zero = Fraction(0)
+    cert = InfeasibilityCertificate(
+        tuple(y.get(i, zero) for i in range(len(sys.coeffs))),
+        tuple(w.get(j, zero) for j in range(sys.nvars)),
+        tuple(z.get(j, zero) for j in range(sys.nvars)),
+        gap,
+    )
+    if not verify_certificate(sys, cert):
+        raise RuntimeError("solver produced an invalid infeasibility certificate")
+    return cert
+
+
+def _phase_one(
+    sys: LinearSystem,
+) -> Union[FeasiblePoint, InfeasibilityCertificate]:
+    """Dense phase-one simplex on the standard form of ``sys``.
+
+    Adds a slack per upper bound and an artificial per row.  Bland's rule
+    picks the smallest eligible column index to enter and breaks ratio
+    ties by the smallest basic index.  The outcome is not verified here;
+    :func:`solve_exact` checks it after lifting.
     """
     m = len(sys.coeffs)
     n = sys.nvars
@@ -167,17 +349,13 @@ def solve_exact(
         piv = rows[leave][enter]
         rows[leave] = [v / piv for v in rows[leave]]
         pivot_row = rows[leave]
-        for r in range(nrows):
-            if r != leave:
-                f = rows[r][enter]
-                if f != 0:
-                    row = rows[r]
-                    rows[r] = [
-                        row[k] - f * pivot_row[k] for k in range(ncols + 1)
-                    ]
-        f = cost[enter]
-        if f != 0:
-            cost = [cost[k] - f * pivot_row[k] for k in range(ncols + 1)]
+        # the tableau is mostly zeros: touch only the pivot row's nonzeros
+        support = [(k, v) for k, v in enumerate(pivot_row) if v != 0]
+        for row in rows + [cost]:
+            f = row[enter]
+            if f != 0 and row is not pivot_row:
+                for k, v in support:
+                    row[k] -= f * v
         basis[leave] = enter
 
     objective = -cost[ncols]
@@ -186,10 +364,7 @@ def solve_exact(
         for r in range(nrows):
             if basis[r] < n:
                 values[basis[r]] = rows[r][ncols]
-        point = FeasiblePoint(tuple(values))
-        if not verify_point(sys, point):
-            raise RuntimeError("simplex produced an invalid feasible point")
-        return point
+        return FeasiblePoint(tuple(values))
 
     # Duals from the artificial columns: the reduced cost of artificial r
     # is 1 - y_r, so y_r reads off the final cost row directly.
@@ -202,9 +377,4 @@ def solve_exact(
             (row_mult[i] * sys.coeffs[i][j] for i in range(m)), start=zero
         )
         lower.append(upper[j] - combo)
-    cert = InfeasibilityCertificate(
-        row_mult, upper, tuple(lower), objective
-    )
-    if not verify_certificate(sys, cert):
-        raise RuntimeError("simplex produced an invalid infeasibility certificate")
-    return cert
+    return InfeasibilityCertificate(row_mult, upper, tuple(lower), objective)

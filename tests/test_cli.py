@@ -7,10 +7,17 @@ tests hold the tool to those exact bytes.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from effalg import (
+    InfeasibilityCertificate,
+    bundled_fixture,
+    state_system,
+    verify_certificate,
+)
 from effalg.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "effalg" / "fixtures"
@@ -189,11 +196,29 @@ def test_states_json_certificate(capsys):
     code, out, err = run(capsys, "states", "--json", "--certify-none", EX44)
     assert code == 0
     doc = json.loads(out)
-    assert doc["certificate"]["gap"] == "1/4"
-    assert doc["certificate"]["upper"] == {"1": "3/4"}
+    assert doc["certificate"]["gap"] == "1/1"
+    assert doc["certificate"]["upper"] == {}
     assert doc["certificate"]["lower"] == {}
     rows = doc["certificate"]["rows"]
-    assert {"index": 0, "multiplier": "1/1", "label": "a + a = 2a"} in rows
+    assert {"index": 0, "multiplier": "4/1", "label": "a + a = 2a"} in rows
+    assert {"index": 12, "multiplier": "1/1", "label": "1 = 1"} in rows
+
+    # the parsed multipliers refute the table on their own
+    E = bundled_fixture("example-4.4")
+    system = state_system(E)
+    y = [Fraction(0)] * len(system.coeffs)
+    for row in rows:
+        y[row["index"]] = Fraction(row["multiplier"])
+    bounds = []
+    for side in ("upper", "lower"):
+        dense = [Fraction(0)] * E.size
+        for name, value in doc["certificate"][side].items():
+            dense[E.index(name)] = Fraction(value)
+        bounds.append(tuple(dense))
+    cert = InfeasibilityCertificate(
+        tuple(y), bounds[0], bounds[1], Fraction(doc["certificate"]["gap"])
+    )
+    assert verify_certificate(system, cert)
 
 
 def test_smear_golden_and_stability(capsys):

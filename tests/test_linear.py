@@ -1,4 +1,4 @@
-"""Exact simplex feasibility with self-verifying outcomes."""
+"""Exact feasibility by presolve and simplex, with self-verifying outcomes."""
 
 from fractions import Fraction as F
 
@@ -10,10 +10,13 @@ from effalg import (
     FeasiblePoint,
     InfeasibilityCertificate,
     LinearSystem,
+    bundled_fixture,
     solve_exact,
+    state_system,
     verify_certificate,
     verify_point,
 )
+from effalg.linear import _phase_one
 
 
 def sys_of(coeffs, rhs):
@@ -101,10 +104,88 @@ def test_empty_system_is_feasible():
     assert len(out.values) == 2
 
 
+# Each infeasible input names the shape its certificate must have:
+# "rows" uses row multipliers only, "upper"/"lower" exactly one bound
+# multiplier of that side, "bounds" at least one bound multiplier.
+INFEASIBLE = {
+    # x + y = 1/2 and x + y = 3/4: the second row reduces to 0 = 1/4
+    "inconsistent-equality": ([[1, 1], [1, 1]], [F(1, 2), F(3, 4)], "rows"),
+    # x - y = 1 and y = 1/2 pin x at 3/2
+    "forced-above-one": ([[1, -1], [0, 1]], [1, F(1, 2)], "upper"),
+    # x + y = 1/2 and y = 1 pin x at -1/2
+    "forced-below-zero": ([[1, 1], [0, 1]], [F(1, 2), 1], "lower"),
+    # x + y = 5/2 keeps a free parameter; z is pinned at 0 and the third
+    # row is the sum of the first two, so elimination drops it
+    "reduced-lp-with-free-parameter": (
+        [[1, 1, 0], [0, 0, 1], [1, 1, 1]],
+        [F(5, 2), 0, F(5, 2)],
+        "bounds",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFEASIBLE))
+def test_presolve_infeasible_outcomes(name):
+    coeffs, rhs, shape = INFEASIBLE[name]
+    s = sys_of(coeffs, rhs)
+    out = solve_exact(s)
+    assert isinstance(out, InfeasibilityCertificate)
+    assert verify_certificate(s, out)
+    uppers = [w for w in out.upper_multipliers if w != 0]
+    lowers = [z for z in out.lower_multipliers if z != 0]
+    if shape == "rows":
+        assert not uppers and not lowers
+    elif shape == "upper":
+        assert len(uppers) == 1 and not lowers
+    elif shape == "lower":
+        assert not uppers and len(lowers) == 1
+    else:
+        assert uppers or lowers
+
+
+# Feasible inputs, with the point when the rows force it.
+FEASIBLE = {
+    # a ladder pins every variable: x = 1/3, y = 2x, z = 3x
+    "no-free-parameter": (
+        [[1, 0, 0], [-2, 1, 0], [-3, 0, 1]],
+        [F(1, 3), 0, 0],
+        (F(1, 3), F(2, 3), F(1)),
+    ),
+    "several-free-parameters": (
+        [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]],
+        [F(3, 2), F(1, 2)],
+        None,
+    ),
+    "free-parameter-needs-the-box": ([[1, -1, 0], [0, 1, 1]], [F(1, 2), 1], None),
+    "duplicate-rows": ([[1, 1], [1, 1], [1, 1]], [1, 1, 1], None),
+    "redundant-rows": (
+        [[1, 1, 0], [0, 1, 1], [1, 2, 1], [2, 1, -1]],
+        [1, F(1, 2), F(3, 2), F(3, 2)],
+        None,
+    ),
+    "fully-pinned-with-redundancy": (
+        [[1, 1], [1, -1], [2, 0], [0, 2]],
+        [1, 0, 1, 1],
+        (F(1, 2), F(1, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FEASIBLE))
+def test_presolve_feasible_outcomes(name):
+    coeffs, rhs, forced = FEASIBLE[name]
+    s = sys_of(coeffs, rhs)
+    out = solve_exact(s)
+    assert isinstance(out, FeasiblePoint)
+    assert verify_point(s, out)
+    if forced is not None:
+        assert out.values == forced
+
+
 @st.composite
 def small_systems(draw):
     nvars = draw(st.integers(min_value=1, max_value=4))
-    nrows = draw(st.integers(min_value=1, max_value=4))
+    nrows = draw(st.integers(min_value=1, max_value=6))
     coeffs = tuple(
         tuple(
             draw(st.integers(min_value=-2, max_value=2)) for _ in range(nvars)
@@ -127,3 +208,23 @@ def test_every_outcome_carries_its_own_proof(s):
         assert verify_point(s, out)
     else:
         assert verify_certificate(s, out)
+
+
+def _feasible(outcome):
+    return isinstance(outcome, FeasiblePoint)
+
+
+@given(small_systems())
+@settings(max_examples=300, deadline=None)
+def test_presolve_agrees_with_phase_one_on_the_full_system(s):
+    assert _feasible(solve_exact(s)) == _feasible(_phase_one(s))
+
+
+def test_presolve_agrees_with_phase_one_on_state_systems(corpus):
+    fixtures = [
+        (name, bundled_fixture(name))
+        for name in ("example-2.5", "example-3.7", "example-4.4")
+    ]
+    for name, E in corpus + fixtures:
+        s = state_system(E)
+        assert _feasible(solve_exact(s)) == _feasible(_phase_one(s)), name

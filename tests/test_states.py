@@ -58,6 +58,17 @@ def test_boolean_state_found_and_verified():
     assert report.ok
 
 
+@pytest.mark.parametrize(
+    "E",
+    [mv_chain(60), direct_product(mv_chain(7), mv_chain(7))],
+    ids=["mv_chain(60)", "c8xc8"],
+)
+def test_states_found_beyond_sixteen_elements(E):
+    out = find_state(E)
+    assert isinstance(out, State)
+    assert verify_state(E, dict(enumerate(out.values))).ok
+
+
 def test_stateless_fixture_yields_certificate(example_44):
     out = find_state(example_44)
     assert isinstance(out, InfeasibilityCertificate)
