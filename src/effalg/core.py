@@ -22,7 +22,8 @@ re-checking them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, TYPE_CHECKING
+from functools import wraps
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar, TYPE_CHECKING
 
 from .errors import AxiomViolation, DuplicateSum, UnknownName
 
@@ -202,8 +203,10 @@ class EffectAlgebra:
     ``table[x][y]`` is the sum of ``x`` and ``y`` or ``None`` when the pair
     is not summable.  The table is closed (symmetric, zero rows present)
     and has passed :func:`verify_axioms`, so ``supplement`` is total.
-    Instances are immutable and hashable; derived structure is cached per
-    instance by the order and structure modules.
+    Instances are immutable; equality and hashing go by value.  Derived
+    data (differences, order, profile, sharp part) is computed on first use
+    into a per-instance memo, which is not a field, so it plays no part in
+    ``==``, ``hash`` or ``repr`` and is released with the algebra.
     """
 
     names: tuple[str, ...]
@@ -211,6 +214,9 @@ class EffectAlgebra:
     one: int
     table: tuple[tuple[Optional[int], ...], ...]
     supplement: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_memo", {})
 
     @property
     def size(self) -> int:
@@ -221,11 +227,7 @@ class EffectAlgebra:
 
     def diff(self, b: int, a: int) -> Optional[int]:
         """The unique c with a + c == b, or None when a is not below b."""
-        row = self.table[a]
-        for c in range(len(row)):
-            if row[c] == b:
-                return c
-        return None
+        return _difference_table(self)[a][b]
 
     def orth(self, x: int) -> int:
         return self.supplement[x]
@@ -293,6 +295,41 @@ def make_algebra(
     return EffectAlgebra(names, zero, one, matrix, tuple(supplement))
 
 
+_T = TypeVar("_T")
+
+
+def derived(fn: Callable[[EffectAlgebra], _T]) -> Callable[[EffectAlgebra], _T]:
+    """Compute ``fn(E)`` once per algebra instance and keep it on ``E``."""
+
+    @wraps(fn)
+    def once(E: EffectAlgebra) -> _T:
+        memo = E._memo  # type: ignore[attr-defined]
+        try:
+            return memo[once]
+        except KeyError:
+            value = memo[once] = fn(E)
+            return value
+
+    return once
+
+
+@derived
+def _difference_table(E: EffectAlgebra) -> tuple[tuple[Optional[int], ...], ...]:
+    """``[a][b]`` is the c with a + c == b, or None when a is not below b.
+
+    Cancellation (a + c == a + c' forces c == c') makes each entry unique.
+    """
+    n = E.size
+    out = []
+    for row in E.table:
+        diffs: list[Optional[int]] = [None] * n
+        for c, b in enumerate(row):
+            if b is not None:
+                diffs[b] = c
+        out.append(tuple(diffs))
+    return tuple(out)
+
+
 def build_effect_algebra(doc: "EafDocument") -> EffectAlgebra:
     """Build a validated algebra from a parsed document.
 
@@ -319,24 +356,20 @@ def build_effect_algebra(doc: "EafDocument") -> EffectAlgebra:
     return make_algebra(names, resolve(doc.zero), resolve(doc.one), sums)
 
 
-def partial_sum(E: EffectAlgebra, x: int, y: int) -> Optional[int]:
-    """The sum of x and y, or None when the pair is not summable."""
-    return E.table[x][y]
-
-
-def partial_difference(E: EffectAlgebra, b: int, a: int) -> Optional[int]:
-    """The unique c with a + c == b, or None; defined exactly when a <= b."""
-    return E.diff(b, a)
+def iterated_sum(E: EffectAlgebra, terms: Iterable[Optional[int]]) -> Optional[int]:
+    """zero + t1 + t2 + ..., left to right, or None as soon as a term is
+    None (undefined) or a partial sum is undefined."""
+    acc = E.zero
+    for t in terms:
+        nxt = None if t is None else E.table[acc][t]
+        if nxt is None:
+            return None
+        acc = nxt
+    return acc
 
 
 def multiple(E: EffectAlgebra, x: int, k: int) -> Optional[int]:
     """The k-fold sum of x (k >= 0), or None when it is not defined."""
     if k < 0:
         raise ValueError("multiplicity must be nonnegative")
-    acc = E.zero
-    for _ in range(k):
-        nxt = E.table[acc][x]
-        if nxt is None:
-            return None
-        acc = nxt
-    return acc
+    return iterated_sum(E, (x,) * k)

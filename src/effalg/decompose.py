@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EffectAlgebra, multiple
+from .core import EffectAlgebra, iterated_sum, multiple
 from .errors import InvalidDecomposition, NotDecomposable, PreconditionFailed
 from .order import derive_order
 from .structure import sharp_bounds, structure_profile
@@ -150,17 +150,14 @@ def split_atomic_decomposition(
     return SplitDecomposition(full, partial)
 
 
-def _iterated_sum(E: EffectAlgebra, parts: tuple[AtomMultiple, ...]) -> int:
-    acc = E.zero
-    for part in parts:
-        m = multiple(E, part.atom, part.multiplicity)
-        if m is None:
-            raise RuntimeError("validated part has an undefined multiple")
-        nxt = E.table[acc][m]
-        if nxt is None:
-            raise RuntimeError("validated parts stopped being summable")
-        acc = nxt
-    return acc
+def _reassemble(E: EffectAlgebra, parts: tuple[AtomMultiple, ...]) -> int:
+    elements = [multiple(E, p.atom, p.multiplicity) for p in parts]
+    if None in elements:
+        raise RuntimeError("validated part has an undefined multiple")
+    total = iterated_sum(E, elements)
+    if total is None:
+        raise RuntimeError("validated parts stopped being summable")
+    return total
 
 
 def basic_decomposition(E: EffectAlgebra, x: int) -> BasicDecomposition:
@@ -192,7 +189,7 @@ def basic_decomposition(E: EffectAlgebra, x: int) -> BasicDecomposition:
                 f"remainder of {x} contains atom {part.atom} at full index; "
                 "the kernel was not greatest"
             )
-    total = _iterated_sum(E, meager.parts)
+    total = _reassemble(E, meager.parts)
     if total != remainder:
         raise RuntimeError("meager parts do not reassemble the remainder")
     if total not in profile.meager:
@@ -207,7 +204,7 @@ def basic_decomposition(E: EffectAlgebra, x: int) -> BasicDecomposition:
         raise RuntimeError(
             "splitting a direct decomposition disagrees on the meager parts"
         )
-    if _iterated_sum(E, whole.full) != kernel:
+    if _reassemble(E, whole.full) != kernel:
         raise RuntimeError(
             "full parts of a direct decomposition do not sum to the kernel"
         )

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-from .core import EffectAlgebra, multiple
+from .core import EffectAlgebra, iterated_sum, multiple
 from .decompose import AtomMultiple, atomic_decomposition
 from .errors import BoundsMissing, InvalidState, PreconditionFailed
 from .linear import InfeasibilityCertificate
@@ -611,21 +611,8 @@ def _law_t41(ctx: _Ctx) -> LawResult:
     for x, parts in ctx.atom_families:
         full = [p for p in parts if p.multiplicity == iso[p.atom]]
         partial = [p for p in parts if p.multiplicity != iso[p.atom]]
-
-        def iterated(ps: list[AtomMultiple]) -> Optional[int]:
-            acc = E.zero
-            for p in ps:
-                m = multiple(E, p.atom, p.multiplicity)
-                if m is None:
-                    return None
-                nxt = E.table[acc][m]
-                if nxt is None:
-                    return None
-                acc = nxt
-            return acc
-
-        sf = iterated(full)
-        sp = iterated(partial)
+        sf = iterated_sum(E, (multiple(E, p.atom, p.multiplicity) for p in full))
+        sp = iterated_sum(E, (multiple(E, p.atom, p.multiplicity) for p in partial))
         if sf is None or sp is None:
             c.add((x,), f"a split block of {E.names[x]} has no iterated sum")
             continue

@@ -2,18 +2,18 @@
 
 The order is the one induced by the sum: ``x <= y`` exactly when some ``c``
 satisfies ``x + c == y``.  Up-sets and down-sets are kept as bitmasks so
-bound computations are subset scans.  Everything here is derived once per
-algebra and cached; :class:`~effalg.core.EffectAlgebra` is immutable, which
-makes that safe.
+bound computations are subset scans.  The order structure and the
+classification are computed once per algebra instance, kept in the
+instance's memo and released with it; :class:`~effalg.core.EffectAlgebra`
+is immutable, which makes that safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from .core import EffectAlgebra
+from .core import EffectAlgebra, derived
 from .errors import BoundsMissing
 
 
@@ -58,7 +58,7 @@ def _scan_extreme(mask: int, down: tuple[int, ...], greatest: bool) -> Optional[
     return None
 
 
-@lru_cache(maxsize=None)
+@derived
 def derive_order(E: EffectAlgebra) -> OrderStructure:
     """Compute the induced order and bound tables for an algebra."""
     n = E.size
@@ -154,7 +154,7 @@ def sharp_mask(E: EffectAlgebra, os: OrderStructure) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
+@derived
 def classify(E: EffectAlgebra) -> Classification:
     """Lattice / MV / orthomodular-image classification.
 

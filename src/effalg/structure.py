@@ -5,16 +5,17 @@ orthosupplement is zero (the usual meet condition, phrased so it also works
 when the meet does not exist), and *meager* when its only sharp lower bound
 is zero.  The isotropic index of a nonzero element is the largest number of
 times it can be summed with itself.  The sharp elements carry an induced algebra of their own,
-extracted here with an index map back to the parent.
+extracted here with an index map back to the parent.  The profile and the
+sharp subalgebra are computed once per algebra instance, kept in the
+instance's memo and released with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from .core import EffectAlgebra, make_algebra
+from .core import EffectAlgebra, derived, make_algebra
 from .errors import ZeroElement
 from .order import OrderStructure, derive_order, sharp_mask
 
@@ -63,7 +64,7 @@ def _isotropic_index(E: EffectAlgebra, x: int) -> int:
             )
 
 
-@lru_cache(maxsize=None)
+@derived
 def structure_profile(E: EffectAlgebra) -> StructureProfile:
     os = derive_order(E)
     n = E.size
@@ -72,8 +73,8 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     atoms = frozenset(
         x for x in range(n) if x != E.zero and os.down[x] == zero_bit | (1 << x)
     )
-    sharp = _mask_to_set(sharp_mask(E, os))
     smask = sharp_mask(E, os)
+    sharp = _mask_to_set(smask)
     meager = frozenset(
         x for x in range(n) if os.down[x] & smask == zero_bit
     )
@@ -171,26 +172,10 @@ def sharp_bounds(E: EffectAlgebra, x: int) -> SharpBounds:
 def is_sharply_dominating(E: EffectAlgebra) -> bool:
     """Every element has a least sharp element above it.
 
-    In lattice-ordered algebras the mirror condition (greatest sharp below)
-    holds exactly when this one does, via orthosupplements; the cross-check
-    guards the implementation.
+    In lattice-ordered algebras the mirror condition (a greatest sharp
+    element below) holds exactly when this one does, via orthosupplements.
     """
-    profile = structure_profile(E)
-    if derive_order(E).is_lattice:
-        os = derive_order(E)
-        covers_ok = all(
-            _sharp_cover(E, os, profile.sharp, x) is not None
-            for x in range(E.size)
-        )
-        kernels_ok = all(
-            _sharp_kernel(E, os, profile.sharp, x) is not None
-            for x in range(E.size)
-        )
-        if covers_ok != kernels_ok:
-            raise RuntimeError(
-                "cover/kernel existence disagrees in a lattice algebra"
-            )
-    return profile.sharply_dominating
+    return structure_profile(E).sharply_dominating
 
 
 def is_s_dominating(E: EffectAlgebra) -> bool:
@@ -226,7 +211,7 @@ class SharpSubalgebra:
     from_parent: tuple[Optional[int], ...]
 
 
-@lru_cache(maxsize=None)
+@derived
 def extract_sharp(E: EffectAlgebra) -> SharpSubalgebra:
     """Build the induced algebra on the sharp elements.
 

@@ -1,5 +1,8 @@
 """Axiom validation and the core table machinery."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +14,18 @@ from effalg import (
     SumTable,
     UnknownName,
     build_effect_algebra,
+    classify,
+    derive_order,
+    extract_sharp,
     make_algebra,
     multiple,
     mv_chain,
     parse_eaf,
-    partial_difference,
-    partial_sum,
+    run_law_suite,
+    structure_profile,
     verify_axioms,
 )
-from effalg.core import close_table
+from effalg.core import close_table, iterated_sum
 
 from oracles import oracle_axiom_errors, table_dict
 
@@ -111,13 +117,15 @@ def test_canonical_sums_are_sorted_without_zero():
     assert all(x <= y and x != E.zero and y != E.zero for x, y, _ in sums)
 
 
-def test_partial_sum_and_difference_are_inverse():
-    E = mv_chain(5)
-    for x in range(E.size):
-        for y in range(E.size):
-            s = partial_sum(E, x, y)
-            if s is not None:
-                assert partial_difference(E, s, x) == y
+def test_partial_sum_and_difference_are_inverse(corpus, example_25, example_44):
+    """E.diff agrees with a brute-force row scan, undefined cases included."""
+    for name, E in corpus + [("ex25", example_25), ("ex44", example_44)]:
+        for a in range(E.size):
+            for b in range(E.size):
+                solutions = [c for c in range(E.size) if E.sum(a, c) == b]
+                assert len(solutions) <= 1, (name, a, b)
+                expected = solutions[0] if solutions else None
+                assert E.diff(b, a) == expected, (name, a, b)
 
 
 def test_multiple_counts_repeated_sums():
@@ -129,6 +137,35 @@ def test_multiple_counts_repeated_sums():
     assert multiple(E, a, 6) is None
     with pytest.raises(ValueError):
         multiple(E, a, -1)
+
+
+def test_iterated_sum_is_undefined_from_the_first_undefined_step():
+    E = mv_chain(5)
+    a = E.index("a")
+    assert iterated_sum(E, []) == E.zero
+    assert iterated_sum(E, [a, E.index("2a")]) == E.index("3a")
+    assert iterated_sum(E, [a, None]) is None
+    assert iterated_sum(E, [E.one, a]) is None
+
+
+def test_derived_data_is_kept_per_instance():
+    E = mv_chain(3)
+    assert derive_order(E) is derive_order(E)
+    twin = mv_chain(3)
+    assert twin is not E
+    assert twin == E and hash(twin) == hash(E)
+    assert derive_order(twin) is not derive_order(E)
+    assert derive_order(twin) == derive_order(E)
+
+
+def test_derived_data_is_released_with_its_algebra():
+    E = mv_chain(3)
+    derived = (E, derive_order(E), classify(E), structure_profile(E), extract_sharp(E))
+    assert run_law_suite(E).ok  # product-closure also squares E
+    refs = [weakref.ref(obj) for obj in derived]
+    del E, derived
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_index_rejects_unknown_names():

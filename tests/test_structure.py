@@ -5,6 +5,7 @@ import pytest
 from effalg import (
     ZeroElement,
     boolean_algebra,
+    derive_order,
     extract_sharp,
     horizontal_sum,
     is_archimedean,
@@ -108,6 +109,15 @@ def test_domination_flags(corpus, example_25, example_44):
     assert is_s_dominating(example_25)
     assert is_sharply_dominating(example_44)
     assert is_s_dominating(example_44)
+
+
+def test_sharp_cover_exists_exactly_when_sharp_kernel_does(corpus):
+    lattices = [(name, E) for name, E in corpus if derive_order(E).is_lattice]
+    assert lattices
+    for name, E in lattices:
+        for x in range(E.size):
+            bounds = sharp_bounds(E, x)
+            assert (bounds.cover is None) == (bounds.kernel is None), (name, x)
 
 
 def test_extract_sharp_of_boolean_is_everything():
