@@ -45,7 +45,7 @@ from .errors import (
 )
 from .laws import LAW_IDS, run_law_suite
 from .linear import InfeasibilityCertificate
-from .order import classify, compute_bounds, derive_order
+from .order import classify, derive_order
 from .states import State, find_state, smear_state, state_row_labels
 from .structure import extract_sharp, structure_profile
 

@@ -17,6 +17,11 @@ Construction closes a declared table under commutativity and the implied
 Only tables with an empty violation report become :class:`EffectAlgebra`
 values, so every downstream module may rely on the axioms without
 re-checking them.
+
+Data derived from a table is built once per algebra instance through
+:func:`derived` and kept on the instance.  This module keeps two such
+tables: differences (behind :meth:`EffectAlgebra.diff`) and every
+element's multiples (:func:`multiples`, read by :func:`multiple`).
 """
 
 from __future__ import annotations
@@ -204,9 +209,10 @@ class EffectAlgebra:
     is not summable.  The table is closed (symmetric, zero rows present)
     and has passed :func:`verify_axioms`, so ``supplement`` is total.
     Instances are immutable; equality and hashing go by value.  Derived
-    data (differences, order, profile, sharp part) is computed on first use
-    into a per-instance memo, which is not a field, so it plays no part in
-    ``==``, ``hash`` or ``repr`` and is released with the algebra.
+    data (differences, multiples, order, compatibility, profile, sharp
+    part) is computed on first use into a per-instance memo, which is not
+    a field, so it plays no part in ``==``, ``hash`` or ``repr`` and is
+    released with the algebra.
     """
 
     names: tuple[str, ...]
@@ -368,8 +374,35 @@ def iterated_sum(E: EffectAlgebra, terms: Iterable[Optional[int]]) -> Optional[i
     return acc
 
 
+@derived
+def multiples(E: EffectAlgebra) -> tuple[tuple[int, ...], ...]:
+    """``[x]`` is ``(x, 2x, ..., ord(x)·x)``, every defined multiple of x.
+
+    The zero element's entry is empty (its index is 0).  A nonzero
+    element's multiples are distinct nonzero elements (they strictly
+    increase), so there are at most ``size - 1`` of them.
+    """
+    out = []
+    for x in range(E.size):
+        ms: list[int] = []
+        acc: Optional[int] = None if x == E.zero else x
+        while acc is not None:
+            ms.append(acc)
+            if len(ms) >= E.size:
+                raise RuntimeError(
+                    f"multiples of {x} exceed the element count; "
+                    "the table is not a valid effect algebra"
+                )
+            acc = E.table[acc][x]
+        out.append(tuple(ms))
+    return tuple(out)
+
+
 def multiple(E: EffectAlgebra, x: int, k: int) -> Optional[int]:
     """The k-fold sum of x (k >= 0), or None when it is not defined."""
     if k < 0:
         raise ValueError("multiplicity must be nonnegative")
-    return iterated_sum(E, (x,) * k)
+    if k == 0 or x == E.zero:
+        return E.zero
+    ms = multiples(E)[x]
+    return ms[k - 1] if k <= len(ms) else None

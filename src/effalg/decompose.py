@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EffectAlgebra, iterated_sum, multiple
+from .core import EffectAlgebra, iterated_sum, multiple, multiples
 from .errors import InvalidDecomposition, NotDecomposable, PreconditionFailed
 from .order import derive_order
 from .structure import sharp_bounds, structure_profile
@@ -77,16 +77,13 @@ def atomic_decomposition(E: EffectAlgebra, x: int) -> AtomicDecomposition:
             raise NotDecomposable(
                 f"residual {r} has no atom below it"
             )
+        # Multiples of an atom strictly increase, so those below r are a prefix.
+        ms = multiples(E)[atom]
         k = 1
-        acc = atom
-        while True:
-            nxt = E.table[acc][atom]
-            if nxt is None or not (os.down[r] >> nxt & 1):
-                break
-            acc = nxt
+        while k < len(ms) and os.down[r] >> ms[k] & 1:
             k += 1
         parts.append(AtomMultiple(atom, k))
-        nr = E.diff(r, acc)
+        nr = E.diff(r, ms[k - 1])
         if nr is None:
             raise NotDecomposable(
                 f"residual {r} does not absorb {k} copies of atom {atom}"
@@ -106,7 +103,6 @@ def _validate(E: EffectAlgebra, d: AtomicDecomposition) -> None:
             raise InvalidDecomposition(f"atom {part.atom} appears twice")
         seen.add(part.atom)
         ord_a = profile.isotropic[part.atom]
-        assert ord_a is not None
         if not 1 <= part.multiplicity <= ord_a:
             raise InvalidDecomposition(
                 f"multiplicity {part.multiplicity} of atom {part.atom} "

@@ -2,10 +2,11 @@
 
 The order is the one induced by the sum: ``x <= y`` exactly when some ``c``
 satisfies ``x + c == y``.  Up-sets and down-sets are kept as bitmasks so
-bound computations are subset scans.  The order structure and the
-classification are computed once per algebra instance, kept in the
-instance's memo and released with it; :class:`~effalg.core.EffectAlgebra`
-is immutable, which makes that safe.
+bound computations are subset scans.  The order structure, the
+compatibility masks (:func:`compatibility`) and the classification are
+computed once per algebra instance, kept in the instance's memo and
+released with it; :class:`~effalg.core.EffectAlgebra` is immutable, which
+makes that safe.
 """
 
 from __future__ import annotations
@@ -115,25 +116,38 @@ def leq(E: EffectAlgebra, x: int, y: int) -> bool:
     return derive_order(E).leq(x, y)
 
 
+@derived
+def compatibility(E: EffectAlgebra) -> tuple[int, ...]:
+    """``[x]`` has bit ``y`` set when x and y are compatible.
+
+    A pair is compatible when their join equals x + (y minus their meet).
+    A pair without a meet or a join has no bit set.
+    """
+    os = derive_order(E)
+    masks = []
+    for x in range(E.size):
+        mask = 0
+        for y in range(E.size):
+            m, j = os.meet[x][y], os.join[x][y]
+            if m is not None and j is not None and E.table[x][E.diff(y, m)] == j:
+                mask |= 1 << y
+        masks.append(mask)
+    return tuple(masks)
+
+
 def compatible(E: EffectAlgebra, x: int, y: int) -> bool:
-    """Whether x and y commute: x or y equals x + (y minus their meet).
+    """Whether x and y commute: their join equals x + (y minus their meet).
 
     Needs both the meet and the join of the pair to exist; raises
     :class:`BoundsMissing` otherwise.  When the defining sum is undefined
     the pair is simply incompatible.
     """
     os = derive_order(E)
-    m = os.meet[x][y]
-    j = os.join[x][y]
-    if m is None or j is None:
+    if os.meet[x][y] is None or os.join[x][y] is None:
         raise BoundsMissing(
             f"compatibility of {x} and {y} needs their meet and join"
         )
-    rest = E.diff(y, m)
-    if rest is None:
-        raise BoundsMissing(f"meet of {x} and {y} is not below {y}")
-    s = E.sum(x, rest)
-    return s is not None and s == j
+    return bool(compatibility(E)[x] >> y & 1)
 
 
 @dataclass(frozen=True)
@@ -164,13 +178,7 @@ def classify(E: EffectAlgebra) -> Classification:
     os = derive_order(E)
     if not os.is_lattice:
         return Classification(False, False, False)
-    mv = True
-    for x in range(E.size):
-        for y in range(x + 1, E.size):
-            if not compatible(E, x, y):
-                mv = False
-                break
-        if not mv:
-            break
-    all_sharp = sharp_mask(E, os) == (1 << E.size) - 1
+    full = (1 << E.size) - 1
+    mv = all(mask == full for mask in compatibility(E))
+    all_sharp = sharp_mask(E, os) == full
     return Classification(True, mv, all_sharp)

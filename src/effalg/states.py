@@ -230,7 +230,6 @@ def smear_state(E: EffectAlgebra, omega: State) -> State:
     atom_value: dict[int, Fraction] = {}
     for a in sorted(profile.atoms):
         n_a = profile.isotropic[a]
-        assert n_a is not None
         full = multiple(E, a, n_a)
         if full is None:
             raise RuntimeError("isotropic index overshoots its definition")

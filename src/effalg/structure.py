@@ -4,9 +4,11 @@ An element is *sharp* when the only common lower bound it shares with its
 orthosupplement is zero (the usual meet condition, phrased so it also works
 when the meet does not exist), and *meager* when its only sharp lower bound
 is zero.  The isotropic index of a nonzero element is the largest number of
-times it can be summed with itself.  The sharp elements carry an induced algebra of their own,
-extracted here with an index map back to the parent.  The profile and the
-sharp subalgebra are computed once per algebra instance, kept in the
+times it can be summed with itself; it is read from the per-instance table
+:func:`~effalg.core.multiples`.  The sharp elements carry an induced
+algebra of their own, extracted here with an index map back to the parent.
+The profile, which also tables every element's sharp cover and kernel, and
+the sharp subalgebra are computed once per algebra instance, kept in the
 instance's memo and released with it.
 """
 
@@ -15,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import EffectAlgebra, derived, make_algebra
+from .core import EffectAlgebra, derived, make_algebra, multiples
 from .errors import ZeroElement
-from .order import OrderStructure, derive_order, sharp_mask
+from .order import _scan_extreme, derive_order, sharp_mask
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -30,38 +32,20 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class StructureProfile:
-    """Atoms, sharp/meager split, indices, and the domination flags."""
+    """Atoms, sharp/meager split, indices, the domination flags, and each
+    element's sharp cover (least sharp element above it) and sharp kernel
+    (greatest sharp element below it), ``None`` where none exists."""
 
     atoms: frozenset[int]
     sharp: frozenset[int]
     meager: frozenset[int]
-    isotropic: tuple[Optional[int], ...]
+    isotropic: tuple[int, ...]
     atomic: bool
     archimedean: bool
     sharply_dominating: bool
     s_dominating: bool
-
-
-def _isotropic_index(E: EffectAlgebra, x: int) -> int:
-    """Largest k with the k-fold sum of x defined; x must be nonzero.
-
-    Finite effect algebras cannot sum a nonzero element with itself
-    unboundedly (the induced order would gain an infinite strictly
-    increasing chain), so the scan terminates.
-    """
-    k = 1
-    acc = x
-    while True:
-        nxt = E.table[acc][x]
-        if nxt is None:
-            return k
-        acc = nxt
-        k += 1
-        if k > E.size:
-            raise RuntimeError(
-                f"isotropic index of {x} exceeds the element count; "
-                "the table is not a valid effect algebra"
-            )
+    sharp_cover: tuple[Optional[int], ...]
+    sharp_kernel: tuple[Optional[int], ...]
 
 
 @derived
@@ -78,12 +62,7 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     meager = frozenset(
         x for x in range(n) if os.down[x] & smask == zero_bit
     )
-
-    iso: list[Optional[int]] = [None] * n
-    iso[E.zero] = 0
-    for x in range(n):
-        if x != E.zero:
-            iso[x] = _isotropic_index(E, x)
+    iso = tuple(len(ms) for ms in multiples(E))
 
     # Atomic: every nonzero element sits above an atom.
     atomic = all(
@@ -95,37 +74,20 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     # the carrier, so the flag records that no index failed to terminate.
     archimedean = True
 
-    dominating = all(
-        _sharp_cover(E, os, sharp, x) is not None for x in range(n)
+    cover = tuple(
+        _scan_extreme(os.up[x] & smask, os.down, False) for x in range(n)
     )
+    kernel = tuple(
+        _scan_extreme(os.down[x] & smask, os.down, True) for x in range(n)
+    )
+    dominating = None not in cover
     s_dom = dominating and all(
         os.meet[x][p] is not None for x in range(n) for p in sharp
     )
     return StructureProfile(
-        atoms, sharp, meager, tuple(iso), atomic, archimedean, dominating, s_dom
+        atoms, sharp, meager, iso, atomic, archimedean, dominating, s_dom,
+        cover, kernel,
     )
-
-
-def _sharp_cover(
-    E: EffectAlgebra, os: OrderStructure, sharp: frozenset[int], x: int
-) -> Optional[int]:
-    """Least sharp element above x, if one exists."""
-    candidates = [s for s in sharp if os.up[x] >> s & 1]
-    for s in candidates:
-        if all(os.up[s] >> t & 1 for t in candidates):
-            return s
-    return None
-
-
-def _sharp_kernel(
-    E: EffectAlgebra, os: OrderStructure, sharp: frozenset[int], x: int
-) -> Optional[int]:
-    """Greatest sharp element below x, if one exists."""
-    candidates = [s for s in sharp if os.down[x] >> s & 1]
-    for s in candidates:
-        if all(os.down[s] >> t & 1 for t in candidates):
-            return s
-    return None
 
 
 def atoms(E: EffectAlgebra) -> frozenset[int]:
@@ -148,9 +110,7 @@ def isotropic_index(E: EffectAlgebra, x: int) -> int:
     """Largest k with the k-fold sum of x defined; zero is rejected."""
     if x == E.zero:
         raise ZeroElement("the zero element has no isotropic index")
-    k = structure_profile(E).isotropic[x]
-    assert k is not None
-    return k
+    return structure_profile(E).isotropic[x]
 
 
 @dataclass(frozen=True)
@@ -162,11 +122,8 @@ class SharpBounds:
 
 
 def sharp_bounds(E: EffectAlgebra, x: int) -> SharpBounds:
-    os = derive_order(E)
-    sharp = structure_profile(E).sharp
-    return SharpBounds(
-        _sharp_cover(E, os, sharp, x), _sharp_kernel(E, os, sharp, x)
-    )
+    profile = structure_profile(E)
+    return SharpBounds(profile.sharp_cover[x], profile.sharp_kernel[x])
 
 
 def is_sharply_dominating(E: EffectAlgebra) -> bool:

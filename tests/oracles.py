@@ -78,6 +78,29 @@ def oracle_join(E, x, y):
     return least[0] if least else None
 
 
+def oracle_compatible(E, x, y):
+    """Compatibility in the usual sense: x = x1 + c and y = y1 + c for some
+    x1, y1, c with x1 + y1 + c defined.
+
+    Returns None when the meet or the join of the pair is missing, the case
+    in which the package raises instead of answering.
+    """
+    if oracle_meet(E, x, y) is None or oracle_join(E, x, y) is None:
+        return None
+    sums = table_dict(E)
+    for c in range(E.size):
+        for x1 in range(E.size):
+            if sums.get((x1, c)) != x:
+                continue
+            for y1 in range(E.size):
+                if sums.get((y1, c)) != y:
+                    continue
+                t = sums.get((x1, y1))
+                if t is not None and (t, c) in sums:
+                    return True
+    return False
+
+
 def oracle_sharp(E):
     """Sharp elements: only common lower bound with the supplement is 0."""
     below = oracle_leq(E)
@@ -86,6 +109,18 @@ def oracle_sharp(E):
         if below[x] & below[E.supplement[x]] == {E.zero}:
             out.add(x)
     return out
+
+
+def oracle_sharp_bounds(E, x):
+    """(least sharp element above x, greatest sharp element below x), each
+    None when it does not exist."""
+    below = oracle_leq(E)
+    sharp = oracle_sharp(E)
+    above = [s for s in sharp if x in below[s]]
+    under = [s for s in sharp if s in below[x]]
+    cover = [s for s in above if all(s in below[t] for t in above)]
+    kernel = [s for s in under if all(t in below[s] for t in under)]
+    return (cover[0] if cover else None, kernel[0] if kernel else None)
 
 
 def oracle_atoms(E):
@@ -103,6 +138,18 @@ def oracle_ord(E, x):
         acc = E.table[acc][x]
         k += 1
     return k
+
+
+def oracle_multiple(E, x, k):
+    """x summed with itself k times from zero, or None once a step is
+    undefined."""
+    sums = table_dict(E)
+    acc = E.zero
+    for _ in range(k):
+        acc = sums.get((acc, x))
+        if acc is None:
+            return None
+    return acc
 
 
 def _family_sum(E, parts):

@@ -10,8 +10,6 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from effalg import (
     InfeasibilityCertificate,
     bundled_fixture,

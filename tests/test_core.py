@@ -27,7 +27,7 @@ from effalg import (
 )
 from effalg.core import close_table, iterated_sum
 
-from oracles import oracle_axiom_errors, table_dict
+from oracles import oracle_axiom_errors, oracle_multiple, oracle_ord, table_dict
 
 
 def closed(size, zero, one, sums):
@@ -137,6 +137,14 @@ def test_multiple_counts_repeated_sums():
     assert multiple(E, a, 6) is None
     with pytest.raises(ValueError):
         multiple(E, a, -1)
+
+
+def test_multiple_against_the_oracle(corpus, example_25, example_37, example_44):
+    fixtures = [("ex25", example_25), ("ex37", example_37), ("ex44", example_44)]
+    for name, E in corpus + fixtures:
+        for x in range(E.size):
+            for k in range(oracle_ord(E, x) + 2):
+                assert multiple(E, x, k) == oracle_multiple(E, x, k), (name, x, k)
 
 
 def test_iterated_sum_is_undefined_from_the_first_undefined_step():

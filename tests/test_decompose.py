@@ -15,7 +15,6 @@ from effalg import (
     multiple,
     mv_chain,
     split_atomic_decomposition,
-    structure_profile,
 )
 from oracles import oracle_basic_decompositions
 

@@ -13,7 +13,7 @@ from effalg import (
     leq,
     mv_chain,
 )
-from oracles import oracle_join, oracle_leq, oracle_meet
+from oracles import oracle_compatible, oracle_join, oracle_leq, oracle_meet
 
 
 def test_chain_order_is_total():
@@ -52,6 +52,25 @@ def test_bounds_against_the_oracle(corpus, example_25, example_44):
                 assert b.join == oracle_join(E, x, y), (name, x, y)
                 assert os.meet[x][y] == b.meet
                 assert os.join[x][y] == b.join
+
+
+def test_compatibility_against_the_oracle(
+    corpus, example_25, example_37, example_44
+):
+    fixtures = [("ex25", example_25), ("ex37", example_37), ("ex44", example_44)]
+    for name, E in corpus + fixtures:
+        all_compatible = True
+        for x in range(E.size):
+            for y in range(E.size):
+                expected = oracle_compatible(E, x, y)
+                if expected is None:
+                    with pytest.raises(BoundsMissing):
+                        compatible(E, x, y)
+                else:
+                    assert compatible(E, x, y) == expected, (name, x, y)
+                all_compatible = all_compatible and expected is True
+        # MV: every pair has a meet and a join, and every pair commutes.
+        assert classify(E).is_mv == all_compatible, name
 
 
 def test_boolean_bounds_are_bitwise():

@@ -18,7 +18,13 @@ from effalg import (
     sharp_bounds,
     structure_profile,
 )
-from oracles import oracle_atoms, oracle_leq, oracle_ord, oracle_sharp
+from oracles import (
+    oracle_atoms,
+    oracle_leq,
+    oracle_ord,
+    oracle_sharp,
+    oracle_sharp_bounds,
+)
 
 
 def test_profile_against_the_oracle(corpus, example_25, example_44):
@@ -79,6 +85,17 @@ def test_fixture_indices(example_25, example_44):
     assert isotropic_index(F, F.index("b")) == 4
     assert isotropic_index(F, F.index("c")) == 3
     assert structure_profile(F).sharp == {F.zero, F.one}
+
+
+def test_sharp_bounds_against_the_oracle(
+    corpus, example_25, example_37, example_44
+):
+    fixtures = [("ex25", example_25), ("ex37", example_37), ("ex44", example_44)]
+    for name, E in corpus + fixtures:
+        for x in range(E.size):
+            bounds = sharp_bounds(E, x)
+            expected = oracle_sharp_bounds(E, x)
+            assert (bounds.cover, bounds.kernel) == expected, (name, x)
 
 
 def test_sharp_bounds_on_a_chain():
