@@ -43,7 +43,7 @@ from .errors import (
     SizeLimit,
     UnknownName,
 )
-from .laws import LAW_IDS, run_law_suite
+from .laws import run_law_suite
 from .linear import InfeasibilityCertificate
 from .order import classify, derive_order
 from .states import State, find_state, smear_state, state_row_labels
@@ -113,17 +113,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 }
                 for v in exc.report.violations
             ]
+            totals = dict(exc.report.totals)
         else:
             violations = [
                 {"axiom": "closure", "witnesses": [], "detail": str(exc)}
             ]
+            totals = {"closure": 1}
         if args.json:
-            _emit_json({"valid": False, "violations": violations})
+            _emit_json(
+                {"valid": False, "violations": violations, "totals": totals}
+            )
         else:
             lines = ["invalid"]
             for v in violations:
                 names = ", ".join(v["witnesses"])
                 lines.append(f"violation {v['axiom']} [{names}] {v['detail']}")
+            for axiom, total in totals.items():
+                listed = sum(1 for v in violations if v["axiom"] == axiom)
+                if total > listed:
+                    lines.append(f"more {axiom} {total - listed}")
             _emit("\n".join(lines) + "\n")
         return 1
     if args.json:
@@ -423,14 +431,14 @@ def _cmd_props(args: argparse.Namespace) -> int:
     selection = None
     if args.laws is not None:
         selection = [law.strip() for law in args.laws.split(",") if law.strip()]
-        unknown = [law for law in selection if law not in LAW_IDS]
-        if unknown:
-            raise _UsageError(f"unknown law id(s): {', '.join(unknown)}")
         if not selection:
             raise _UsageError("--laws needs at least one law id")
-    report = run_law_suite(
-        E, selection, counterexample_mode=args.counterexample_mode
-    )
+    try:
+        report = run_law_suite(
+            E, selection, counterexample_mode=args.counterexample_mode
+        )
+    except KeyError as exc:
+        raise _UsageError(exc.args[0]) from None
     if args.json:
         _emit_json(
             {

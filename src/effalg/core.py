@@ -26,7 +26,7 @@ element's multiples (:func:`multiples`, read by :func:`multiple`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import wraps
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar, TYPE_CHECKING
 
@@ -41,10 +41,13 @@ AXIOM_SUPPLEMENT = "Eiii"
 AXIOM_ZERO_ONE = "Eiv"
 AXIOM_CLOSURE = "closure"
 
+# Violations kept per axiom label, and failure witnesses kept per law.
+_WITNESS_CAP = 6
+
 
 @dataclass(frozen=True)
 class Violation:
-    """One axiom violation with up to three witness elements."""
+    """One failure: its axiom label (or law id), witness elements and detail."""
 
     axiom: str
     witnesses: tuple[int, ...]
@@ -53,7 +56,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class AxiomReport:
+    """``violations`` keeps the first ``_WITNESS_CAP`` violations of each
+    axiom label, in the order found; ``totals`` counts every violation
+    per label (a label with none is absent)."""
+
     violations: tuple[Violation, ...]
+    totals: Mapping[str, int] = field(hash=False)  # a dict is unhashable
 
     @property
     def ok(self) -> bool:
@@ -61,6 +69,25 @@ class AxiomReport:
 
     def by_axiom(self, axiom: str) -> tuple[Violation, ...]:
         return tuple(v for v in self.violations if v.axiom == axiom)
+
+
+class Witnesses:
+    """Counts every failure per label and keeps the first ``_WITNESS_CAP``
+    of each label, in the order found.  Axiom reports and law results
+    both collect through this class."""
+
+    def __init__(self) -> None:
+        self.kept: list[Violation] = []
+        self.totals: dict[str, int] = {}
+
+    def tally(self, label: str) -> bool:
+        """Count one failure of ``label``; True while it is to be kept."""
+        total = self.totals[label] = self.totals.get(label, 0) + 1
+        return total <= _WITNESS_CAP
+
+    def add(self, label: str, witnesses: tuple[int, ...], detail: str) -> None:
+        if self.tally(label):
+            self.kept.append(Violation(label, witnesses, detail))
 
 
 @dataclass
@@ -110,14 +137,17 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     """Exhaustively check the effect-algebra axioms on a sum table.
 
     The table may be unclosed; lookups treat ``(x, y)`` and ``(y, x)`` as
-    one pair and take the implied zero rows as present.  An empty report
-    means the closed table is an effect algebra.
+    one pair and take the implied zero rows as present.  Every pair and
+    triple is checked and every violation counted in the report's
+    ``totals``, but only the first ``_WITNESS_CAP`` violations of each
+    axiom are kept, so memory stays bounded however broken the table is.
+    An empty report means the closed table is an effect algebra.
     """
     n, zero, one = table.size, table.zero, table.one
-    out: list[Violation] = []
+    found = Witnesses()
 
     if zero == one:
-        out.append(Violation(AXIOM_CLOSURE, (zero,), "zero and one coincide"))
+        found.add(AXIOM_CLOSURE, (zero,), "zero and one coincide")
 
     # Effective symmetric lookup matrix, implied zero rows included.
     eff: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
@@ -129,31 +159,28 @@ def verify_axioms(table: SumTable) -> AxiomReport:
         if zero in (x, y):
             implied = y if x == zero else x
             if z != implied:
-                out.append(
-                    Violation(
-                        AXIOM_CLOSURE,
-                        (x, y, z),
-                        f"declared element {x} + element {y} = element {z} contradicts the implied zero row",
-                    )
+                found.add(
+                    AXIOM_CLOSURE,
+                    (x, y, z),
+                    f"declared element {x} + element {y} = element {z} contradicts the implied zero row",
                 )
             continue
         key = (min(x, y), max(x, y))
         prior = eff[x][y]
         if prior is not None and prior != z:
             if key not in seen_pairs:
-                out.append(
-                    Violation(
-                        AXIOM_COMMUTATIVITY,
-                        (x, y),
-                        f"element {x} + element {y} and the flipped order disagree (element {prior} vs element {z})",
-                    )
+                found.add(
+                    AXIOM_COMMUTATIVITY,
+                    (x, y),
+                    f"element {x} + element {y} and the flipped order disagree (element {prior} vs element {z})",
                 )
                 seen_pairs.add(key)
             continue
         eff[x][y] = z
         eff[y][x] = z
 
-    # Eii over every triple where either grouping is defined.
+    # Eii over every triple where either grouping is defined.  A failure
+    # past the cap is only counted: no detail string is built for it.
     for x in range(n):
         ex = eff[x]
         for y in range(n):
@@ -166,8 +193,8 @@ def verify_axioms(table: SumTable) -> AxiomReport:
                 rhs = ex[v] if v is not None else None
                 if lhs is None and rhs is None:
                     continue
-                if lhs is None or rhs is None or lhs != rhs:
-                    out.append(
+                if lhs != rhs and found.tally(AXIOM_ASSOCIATIVITY):
+                    found.kept.append(
                         Violation(
                             AXIOM_ASSOCIATIVITY,
                             (x, y, z),
@@ -181,24 +208,22 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     for a in range(n):
         mates = [b for b in range(n) if eff[a][b] == one]
         if not mates:
-            out.append(Violation(AXIOM_SUPPLEMENT, (a,), f"element {a} has no orthosupplement"))
+            found.add(AXIOM_SUPPLEMENT, (a,), f"element {a} has no orthosupplement")
         elif len(mates) > 1:
-            out.append(
-                Violation(
-                    AXIOM_SUPPLEMENT,
-                    (a, mates[0], mates[1]),
-                    f"element {a} has multiple orthosupplements",
-                )
+            found.add(
+                AXIOM_SUPPLEMENT,
+                (a, mates[0], mates[1]),
+                f"element {a} has multiple orthosupplements",
             )
 
     # Eiv: one + a defined forces a = zero.
     for a in range(n):
         if a != zero and eff[one][a] is not None:
-            out.append(
-                Violation(AXIOM_ZERO_ONE, (a,), f"one + element {a} is defined although {a} is not zero")
+            found.add(
+                AXIOM_ZERO_ONE, (a,), f"one + element {a} is defined although {a} is not zero"
             )
 
-    return AxiomReport(tuple(out))
+    return AxiomReport(tuple(found.kept), found.totals)
 
 
 @dataclass(frozen=True)

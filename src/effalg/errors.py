@@ -8,12 +8,16 @@ class EffectAlgebraError(Exception):
 
 
 class AxiomViolation(EffectAlgebraError):
-    """A table failed validation.  Carries the full axiom report."""
+    """A table failed validation.  Carries the axiom report.
+
+    The message names the first three violations found and counts the
+    rest from the report's per-axiom totals, kept witnesses or not.
+    """
 
     def __init__(self, report):
         self.report = report
         head = "; ".join(f"{v.axiom}: {v.detail}" for v in report.violations[:3])
-        rest = len(report.violations) - 3
+        rest = sum(report.totals.values()) - 3
         if rest > 0:
             head += f" (+{rest} more)"
         super().__init__(head or "axiom violations")

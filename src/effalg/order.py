@@ -101,21 +101,6 @@ def derive_order(E: EffectAlgebra) -> OrderStructure:
     )
 
 
-@dataclass(frozen=True)
-class Bounds:
-    meet: Optional[int]
-    join: Optional[int]
-
-
-def compute_bounds(E: EffectAlgebra, x: int, y: int) -> Bounds:
-    os = derive_order(E)
-    return Bounds(os.meet[x][y], os.join[x][y])
-
-
-def leq(E: EffectAlgebra, x: int, y: int) -> bool:
-    return derive_order(E).leq(x, y)
-
-
 @derived
 def compatibility(E: EffectAlgebra) -> tuple[int, ...]:
     """``[x]`` has bit ``y`` set when x and y are compatible.

@@ -72,6 +72,27 @@ def test_verify_json_lists_violations(capsys, tmp_path):
     assert doc["violations"][0]["witnesses"] == ["a"]
 
 
+def test_verify_caps_listed_violations_and_counts_the_rest(capsys, tmp_path):
+    # Ten Eii failures (the oracle's count) and one Eiii failure.
+    bad = tmp_path / "bad.eaf"
+    bad.write_text(
+        "ea v1\nelements 4\nnames 0 a b 1\nzero 0\none 1\n"
+        "sum a a = 0\nsum a b = 0\nsum b b = 1\n",
+        encoding="ascii",
+    )
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "invalid"
+    assert sum(line.startswith("violation Eii ") for line in lines) == 6
+    assert lines[-2:] == ["violation Eiii [a] element 1 has no orthosupplement", "more Eii 4"]
+    code, out, err = run(capsys, "verify", "--json", str(bad))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["totals"] == {"Eii": 10, "Eiii": 1}
+    assert [v["axiom"] for v in doc["violations"]] == ["Eii"] * 6 + ["Eiii"]
+
+
 def test_parse_errors_exit_two_even_under_verify(capsys, tmp_path):
     mangled = tmp_path / "mangled.eaf"
     mangled.write_text("ea v1\nelements two\n", encoding="ascii")

@@ -1,6 +1,8 @@
 """Axiom validation and the core table machinery."""
 
 import gc
+import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -25,7 +27,7 @@ from effalg import (
     structure_profile,
     verify_axioms,
 )
-from effalg.core import close_table, iterated_sum
+from effalg.core import _WITNESS_CAP, close_table, iterated_sum
 
 from oracles import oracle_axiom_errors, oracle_multiple, oracle_ord, table_dict
 
@@ -241,3 +243,42 @@ def test_verdict_always_matches_the_oracle(table):
         full.setdefault((x, 0), x)
     oracle_errors = oracle_axiom_errors(size, 0, size - 1, full)
     assert report.ok == (oracle_errors == [])
+    assert_capped_totals_match_the_oracle(report, oracle_errors)
+
+
+def oracle_totals(oracle_errors):
+    """Complaints per axiom label, for the labels a closed table can fail."""
+    return {
+        "Eii": sum(e.startswith("associativity") for e in oracle_errors),
+        "Eiii": sum(e.endswith(" supplements") for e in oracle_errors),
+        "Eiv": sum(e.startswith("one +") for e in oracle_errors),
+    }
+
+
+def assert_capped_totals_match_the_oracle(report, oracle_errors):
+    for axiom, expected in oracle_totals(oracle_errors).items():
+        assert report.totals.get(axiom, 0) == expected, axiom
+        assert len(report.by_axiom(axiom)) == min(expected, _WITNESS_CAP), axiom
+    assert set(report.totals) <= {"Eii", "Eiii", "Eiv"}
+
+
+def test_dense_broken_table_keeps_capped_witnesses_and_exact_totals():
+    # Every nonzero pair summed at random: tens of thousands of Eii failures.
+    n = 40
+    rng = random.Random(2016)
+    sums = {(x, y): rng.randrange(n) for x in range(1, n) for y in range(x, n)}
+    table = closed(n, 0, n - 1, sums)
+    tracemalloc.start()
+    try:
+        report = verify_axioms(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    oracle_errors = oracle_axiom_errors(n, 0, n - 1, dict(table.sums))
+    assert oracle_totals(oracle_errors)["Eii"] > 10_000
+    assert_capped_totals_match_the_oracle(report, oracle_errors)
+    # Keeping every Eii violation of this table peaks at about 16 MB; with
+    # the cap only the lookup matrix and a handful of witnesses remain.
+    assert peak < 1_000_000, peak
+    message = str(AxiomViolation(report))
+    assert message.endswith(f" (+{len(oracle_errors) - 3} more)")

@@ -7,10 +7,8 @@ from effalg import (
     boolean_algebra,
     classify,
     compatible,
-    compute_bounds,
     derive_order,
     horizontal_sum,
-    leq,
     mv_chain,
 )
 from oracles import oracle_compatible, oracle_join, oracle_leq, oracle_meet
@@ -18,16 +16,18 @@ from oracles import oracle_compatible, oracle_join, oracle_leq, oracle_meet
 
 def test_chain_order_is_total():
     E = mv_chain(5)
+    os = derive_order(E)
     for x in range(E.size):
         for y in range(E.size):
-            assert leq(E, x, y) == (x <= y)
+            assert os.leq(x, y) == (x <= y)
 
 
 def test_boolean_order_is_subset_inclusion():
     E = boolean_algebra(3)
+    os = derive_order(E)
     for x in range(E.size):
         for y in range(E.size):
-            assert leq(E, x, y) == (x & y == x)
+            assert os.leq(x, y) == (x & y == x)
 
 
 def test_order_against_the_oracle(corpus, example_25, example_44):
@@ -37,7 +37,7 @@ def test_order_against_the_oracle(corpus, example_25, example_44):
         os = derive_order(E)
         for x in range(E.size):
             for y in range(E.size):
-                assert leq(E, x, y) == (x in below[y]), (name, x, y)
+                assert os.leq(x, y) == (x in below[y]), (name, x, y)
                 assert bool(os.down[y] >> x & 1) == (x in below[y])
 
 
@@ -47,11 +47,8 @@ def test_bounds_against_the_oracle(corpus, example_25, example_44):
         os = derive_order(E)
         for x in range(E.size):
             for y in range(E.size):
-                b = compute_bounds(E, x, y)
-                assert b.meet == oracle_meet(E, x, y), (name, x, y)
-                assert b.join == oracle_join(E, x, y), (name, x, y)
-                assert os.meet[x][y] == b.meet
-                assert os.join[x][y] == b.join
+                assert os.meet[x][y] == oracle_meet(E, x, y), (name, x, y)
+                assert os.join[x][y] == oracle_join(E, x, y), (name, x, y)
 
 
 def test_compatibility_against_the_oracle(
@@ -91,8 +88,9 @@ def test_lattice_flags(corpus, example_25, example_44):
 
 def test_join_of_atoms_is_missing_in_the_small_counterexample(example_25):
     a, b = example_25.index("a"), example_25.index("b")
-    assert compute_bounds(example_25, a, b).join is None
-    assert compute_bounds(example_25, a, b).meet == example_25.zero
+    os = derive_order(example_25)
+    assert os.join[a][b] is None
+    assert os.meet[a][b] == example_25.zero
 
 
 def test_compatibility_on_chains_is_universal():
