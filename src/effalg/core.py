@@ -137,11 +137,17 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     """Exhaustively check the effect-algebra axioms on a sum table.
 
     The table may be unclosed; lookups treat ``(x, y)`` and ``(y, x)`` as
-    one pair and take the implied zero rows as present.  Every pair and
-    triple is checked and every violation counted in the report's
+    one pair and take the implied zero rows as present.  Every pair is
+    checked, and every triple (x, y, z) where either grouping of
+    x + y + z is defined.  The associativity walk skips the other triples
+    without looking at them: (x + y) + z needs z in the domain of row
+    x + y, x + (y + z) needs z in the domain of row y and y + z in the
+    domain of row x, so a skipped triple has both groupings undefined
+    and cannot violate Eii.  Every violation is counted in the report's
     ``totals``, but only the first ``_WITNESS_CAP`` violations of each
-    axiom are kept, so memory stays bounded however broken the table is.
-    An empty report means the closed table is an effect algebra.
+    axiom are kept, in (x, y, z) order, so memory stays bounded however
+    broken the table is.  An empty report means the closed table is an
+    effect algebra.
     """
     n, zero, one = table.size, table.zero, table.one
     found = Witnesses()
@@ -179,15 +185,43 @@ def verify_axioms(table: SumTable) -> AxiomReport:
         eff[x][y] = z
         eff[y][x] = z
 
-    # Eii over every triple where either grouping is defined.  A failure
-    # past the cap is only counted: no detail string is built for it.
+    # Eii.  ``dom[r]`` masks the z with r + z defined and ``img[r]`` the
+    # values of row r.  (x + y) + z needs z in dom[x + y], x + (y + z)
+    # needs z in dom[y], so z walks y's support row unless dom[x + y]
+    # reaches past dom[y] (only a non-associative table does that), and a
+    # pair with x + y undefined is skipped when no y + z lies in dom[x].
+    # A failure past the cap is only counted: no detail string is built.
+    support: list[list[int]] = []
+    dom: list[int] = []
+    img: list[int] = []
+    for row in eff:
+        zs = []
+        dom_r = img_r = 0
+        for z, v in enumerate(row):
+            if v is not None:
+                zs.append(z)
+                dom_r |= 1 << z
+                img_r |= 1 << v
+        support.append(zs)
+        dom.append(dom_r)
+        img.append(img_r)
+    every = range(n)
+    walk: Sequence[int]
     for x in range(n):
         ex = eff[x]
+        dom_x = dom[x]
         for y in range(n):
             u = ex[y]
-            row_u = eff[u] if u is not None else None
+            if u is None:
+                if dom_x & img[y] == 0:
+                    continue
+                row_u = None
+                walk = support[y]
+            else:
+                row_u = eff[u]
+                walk = every if dom[u] & ~dom[y] else support[y]
             ey = eff[y]
-            for z in range(n):
+            for z in walk:
                 lhs = row_u[z] if row_u is not None else None
                 v = ey[z]
                 rhs = ex[v] if v is not None else None

@@ -1,12 +1,12 @@
 """Partial order, bounds, and lattice/compatibility classification.
 
 The order is the one induced by the sum: ``x <= y`` exactly when some ``c``
-satisfies ``x + c == y``.  Up-sets and down-sets are kept as bitmasks so
-bound computations are subset scans.  The order structure, the
-compatibility masks (:func:`compatibility`) and the classification are
-computed once per algebra instance, kept in the instance's memo and
-released with it; :class:`~effalg.core.EffectAlgebra` is immutable, which
-makes that safe.
+satisfies ``x + c == y``.  Up-sets and down-sets are kept as bitmasks,
+and every meet and join is looked up by its down-set or up-set mask.  The
+order structure, the compatibility masks (:func:`compatibility`) and the
+classification are computed once per algebra instance, kept in the
+instance's memo and released with it; :class:`~effalg.core.EffectAlgebra`
+is immutable, which makes that safe.
 """
 
 from __future__ import annotations
@@ -37,68 +37,32 @@ class OrderStructure:
         return bool(self.up[x] >> y & 1)
 
 
-def _dominates(x: int, mask: int, down: tuple[int, ...], greatest: bool) -> bool:
-    if greatest:
-        return mask & ~down[x] == 0
-    m = mask
-    while m:
-        y = (m & -m).bit_length() - 1
-        m &= m - 1
-        if not (down[y] >> x & 1):
-            return False
-    return True
-
-
-def _scan_extreme(mask: int, down: tuple[int, ...], greatest: bool) -> Optional[int]:
-    m = mask
-    while m:
-        x = (m & -m).bit_length() - 1
-        m &= m - 1
-        if _dominates(x, mask, down, greatest):
-            return x
-    return None
-
-
 @derived
 def derive_order(E: EffectAlgebra) -> OrderStructure:
-    """Compute the induced order and bound tables for an algebra."""
+    """Compute the induced order and bound tables for an algebra.
+
+    ``down[x] & down[y]`` is down-closed, so it has a greatest element g
+    exactly when it equals ``down[g]``; antisymmetry makes that g the only
+    element with this down-set.  The meet is therefore a lookup of the
+    mask among the down-sets, and the join likewise among the up-sets.
+    """
     n = E.size
     up = [0] * n
-    for x in range(n):
-        row = E.table[x]
+    down = [0] * n
+    for x, row in enumerate(E.table):
+        bit = 1 << x
         mask = 0
-        for c in range(n):
-            z = row[c]
+        for z in row:
             if z is not None:
                 mask |= 1 << z
+                down[z] |= bit
         up[x] = mask
-    down = [0] * n
-    for x in range(n):
-        ux = up[x]
-        for y in range(n):
-            if ux >> y & 1:
-                down[y] |= 1 << x
-    up_t = tuple(up)
-    down_t = tuple(down)
-
-    meet: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-    join: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
-    lattice = True
-    for x in range(n):
-        for y in range(x, n):
-            m = _scan_extreme(down_t[x] & down_t[y], down_t, True)
-            j = _scan_extreme(up_t[x] & up_t[y], down_t, False)
-            meet[x][y] = meet[y][x] = m
-            join[x][y] = join[y][x] = j
-            if m is None or j is None:
-                lattice = False
-    return OrderStructure(
-        up_t,
-        down_t,
-        tuple(tuple(r) for r in meet),
-        tuple(tuple(r) for r in join),
-        lattice,
-    )
+    by_down = {mask: x for x, mask in enumerate(down)}
+    by_up = {mask: x for x, mask in enumerate(up)}
+    meet = tuple(tuple(by_down.get(dx & dy) for dy in down) for dx in down)
+    join = tuple(tuple(by_up.get(ux & uy) for uy in up) for ux in up)
+    lattice = not any(None in row for row in meet + join)
+    return OrderStructure(tuple(up), tuple(down), meet, join, lattice)
 
 
 @derived

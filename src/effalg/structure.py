@@ -19,7 +19,7 @@ from typing import Optional
 
 from .core import EffectAlgebra, derived, make_algebra, multiples
 from .errors import ZeroElement
-from .order import _scan_extreme, derive_order, sharp_mask
+from .order import derive_order, sharp_mask
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -28,6 +28,21 @@ def _mask_to_set(mask: int) -> frozenset[int]:
         out.add((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return frozenset(out)
+
+
+def _extreme(mask: int, rel: tuple[int, ...]) -> Optional[int]:
+    """The x in ``mask`` with the whole mask inside ``rel[x]``, or None.
+
+    With ``rel = down`` that is the greatest element of the mask, with
+    ``rel = up`` the least.
+    """
+    m = mask
+    while m:
+        x = (m & -m).bit_length() - 1
+        m &= m - 1
+        if mask & ~rel[x] == 0:
+            return x
+    return None
 
 
 @dataclass(frozen=True)
@@ -74,12 +89,8 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     # the carrier, so the flag records that no index failed to terminate.
     archimedean = True
 
-    cover = tuple(
-        _scan_extreme(os.up[x] & smask, os.down, False) for x in range(n)
-    )
-    kernel = tuple(
-        _scan_extreme(os.down[x] & smask, os.down, True) for x in range(n)
-    )
+    cover = tuple(_extreme(os.up[x] & smask, os.up) for x in range(n))
+    kernel = tuple(_extreme(os.down[x] & smask, os.down) for x in range(n))
     dominating = None not in cover
     s_dom = dominating and all(
         os.meet[x][p] is not None for x in range(n) for p in sharp

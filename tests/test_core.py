@@ -36,6 +36,14 @@ def closed(size, zero, one, sums):
     return close_table(SumTable(size, zero, one, dict(sums)))
 
 
+def with_zero_rows(table):
+    full = dict(table.sums)
+    for x in range(table.size):
+        full.setdefault((table.zero, x), x)
+        full.setdefault((x, table.zero), x)
+    return full
+
+
 def test_two_element_algebra_is_valid():
     report = verify_axioms(closed(2, 0, 1, {}))
     assert report.ok
@@ -217,8 +225,8 @@ def test_accepted_algebras_satisfy_the_oracle_axioms(corpus):
 
 @st.composite
 def random_tables(draw):
-    size = draw(st.integers(min_value=2, max_value=5))
-    n_entries = draw(st.integers(min_value=0, max_value=6))
+    size = draw(st.integers(min_value=2, max_value=8))
+    n_entries = draw(st.integers(min_value=0, max_value=20))
     sums = {}
     for _ in range(n_entries):
         x = draw(st.integers(min_value=1, max_value=size - 1))
@@ -237,11 +245,9 @@ def test_verdict_always_matches_the_oracle(table):
     except DuplicateSum:
         return
     report = verify_axioms(closed_table)
-    full = dict(closed_table.sums)
-    for x in range(size):
-        full.setdefault((0, x), x)
-        full.setdefault((x, 0), x)
-    oracle_errors = oracle_axiom_errors(size, 0, size - 1, full)
+    oracle_errors = oracle_axiom_errors(
+        size, 0, size - 1, with_zero_rows(closed_table)
+    )
     assert report.ok == (oracle_errors == [])
     assert_capped_totals_match_the_oracle(report, oracle_errors)
 
@@ -255,11 +261,43 @@ def oracle_totals(oracle_errors):
     }
 
 
+def oracle_eii_triples(oracle_errors):
+    """The oracle's failing associativity triples, in the order found."""
+    prefix = "associativity broken at "
+    return [
+        tuple(int(w) for w in e[len(prefix):].split(","))
+        for e in oracle_errors
+        if e.startswith(prefix)
+    ]
+
+
 def assert_capped_totals_match_the_oracle(report, oracle_errors):
     for axiom, expected in oracle_totals(oracle_errors).items():
         assert report.totals.get(axiom, 0) == expected, axiom
         assert len(report.by_axiom(axiom)) == min(expected, _WITNESS_CAP), axiom
     assert set(report.totals) <= {"Eii", "Eiii", "Eiv"}
+    kept = [v.witnesses for v in report.by_axiom("Eii")]
+    assert kept == oracle_eii_triples(oracle_errors)[:_WITNESS_CAP]
+
+
+@pytest.mark.parametrize(
+    "sums",
+    [
+        # x + y undefined, x + (y + z) defined: 1 + 2 is undefined while
+        # 1 + (2 + 2) = 1 + 3 = 4.
+        {(2, 2): 3, (1, 3): 4, (3, 3): 5, (3, 4): 6, (1, 4): 6},
+        # (x + y) + z defined, y + z undefined: (1 + 1) + 3 = 2 + 3 = 4
+        # while 1 + 3 is undefined, and row 2 covers all of row 1.
+        {(1, 1): 2, (1, 2): 3, (2, 2): 5, (2, 3): 4, (3, 3): 6},
+    ],
+    ids=["x+y-undefined", "row-of-x+y-wider"],
+)
+def test_eii_walk_counts_and_orders_triples_like_the_oracle(sums):
+    table = closed(8, 0, 7, sums)
+    report = verify_axioms(table)
+    oracle_errors = oracle_axiom_errors(8, 0, 7, with_zero_rows(table))
+    assert len(oracle_eii_triples(oracle_errors)) > _WITNESS_CAP
+    assert_capped_totals_match_the_oracle(report, oracle_errors)
 
 
 def test_dense_broken_table_keeps_capped_witnesses_and_exact_totals():

@@ -8,6 +8,7 @@ from effalg import (
     classify,
     compatible,
     derive_order,
+    direct_product,
     horizontal_sum,
     mv_chain,
 )
@@ -41,8 +42,20 @@ def test_order_against_the_oracle(corpus, example_25, example_44):
                 assert bool(os.down[y] >> x & 1) == (x in below[y])
 
 
-def test_bounds_against_the_oracle(corpus, example_25, example_44):
-    everything = corpus + [("ex25", example_25), ("ex44", example_44)]
+def beyond_the_corpus(example_25, example_37, example_44):
+    """The fixtures, a non-lattice sum of a fixture with a chain, and a
+    chain-by-chain product larger than the corpus's."""
+    return [
+        ("ex25", example_25),
+        ("ex37", example_37),
+        ("ex44", example_44),
+        ("ex44+chain3", horizontal_sum([example_44, mv_chain(3)])),
+        ("chain4xchain5", direct_product(mv_chain(4), mv_chain(5))),
+    ]
+
+
+def test_bounds_against_the_oracle(corpus, example_25, example_37, example_44):
+    everything = corpus + beyond_the_corpus(example_25, example_37, example_44)
     for name, E in everything:
         os = derive_order(E)
         for x in range(E.size):
@@ -79,11 +92,13 @@ def test_boolean_bounds_are_bitwise():
             assert os.join[x][y] == x | y
 
 
-def test_lattice_flags(corpus, example_25, example_44):
+def test_lattice_flags(corpus, example_25, example_37, example_44):
     for _, E in corpus:
         assert derive_order(E).is_lattice
-    assert not derive_order(example_25).is_lattice
-    assert not derive_order(example_44).is_lattice
+    beyond = dict(beyond_the_corpus(example_25, example_37, example_44))
+    assert derive_order(beyond.pop("chain4xchain5")).is_lattice
+    for name, E in beyond.items():
+        assert not derive_order(E).is_lattice, name
 
 
 def test_join_of_atoms_is_missing_in_the_small_counterexample(example_25):
