@@ -528,10 +528,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _InputError as exc:
+    except (_UsageError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

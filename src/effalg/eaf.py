@@ -118,7 +118,8 @@ def parse_eaf(text: str) -> EafDocument:
         raise ParseError(
             lineno, f"expected {count} names, found {len(names)}"
         )
-    if len(set(names)) != len(names):
+    name_set = set(names)
+    if len(name_set) != len(names):
         dup = next(n for i, n in enumerate(names) if n in names[:i])
         raise ParseError(lineno, f"duplicate element name {dup!r}")
     for name in names:
@@ -129,7 +130,7 @@ def parse_eaf(text: str) -> EafDocument:
             )
 
     def known(name: str, lineno: int) -> str:
-        if name not in names:
+        if name not in name_set:
             raise ParseError(lineno, f"unknown element name {name!r}")
         return name
 
@@ -202,14 +203,15 @@ def parse_state(text: str, E: "EffectAlgebra") -> dict[int, Fraction]:
     lineno, tokens = lines[0]
     if tokens != _STATE_HEADER.split():
         raise MissingHeader(lineno, f"expected {_STATE_HEADER!r} header")
+    index = {name: i for i, name in enumerate(E.names)}
     values: dict[int, Fraction] = {}
     for lineno, tokens in lines[1:]:
         if len(tokens) != 3 or tokens[0] != "value":
             raise ParseError(lineno, "expected 'value <name> <p>/<q>'")
         name = tokens[1]
-        if name not in E.names:
+        idx = index.get(name)
+        if idx is None:
             raise ParseError(lineno, f"unknown element name {name!r}")
-        idx = E.names.index(name)
         if idx in values:
             raise ParseError(lineno, f"duplicate value for {name!r}")
         values[idx] = _parse_rational(tokens[2], lineno)

@@ -1,8 +1,9 @@
 """Exact rational feasibility for equality systems with 0..1 bounds.
 
 The single problem shape handled here is: find v with A v = b and
-0 <= v_j <= 1, all arithmetic over ``fractions.Fraction``.
-:func:`solve_exact` decides it in three steps:
+0 <= v_j <= 1, all arithmetic over ``fractions.Fraction``.  Each row of
+A lists only its nonzero ``(column, coefficient)`` pairs, and every step
+reads them as they are.  :func:`solve_exact` decides it in three steps:
 
 1. Eliminate.  Sparse exact Gauss-Jordan runs over the rows in order.
    Each kept row remembers which combination of the original rows it is.
@@ -47,20 +48,27 @@ from typing import Mapping, Union
 class LinearSystem:
     """Equality rows over ``nvars`` variables, each bounded to [0, 1].
 
-    ``coeffs[i][j]`` is the integer coefficient of variable ``j`` in row
-    ``i``; ``rhs[i]`` is that row's right-hand side.
+    ``coeffs[i]`` lists the nonzero entries of row ``i`` as ``(column,
+    coefficient)`` pairs, integer coefficients, columns strictly
+    increasing; a column that is absent has coefficient 0.  ``rhs[i]`` is
+    that row's right-hand side.  Raises ``ValueError`` on any other shape.
     """
 
     nvars: int
-    coeffs: tuple[tuple[int, ...], ...]
+    coeffs: tuple[tuple[tuple[int, int], ...], ...]
     rhs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != len(self.rhs):
             raise ValueError("row count and rhs count differ")
         for row in self.coeffs:
-            if len(row) != self.nvars:
-                raise ValueError("row width differs from variable count")
+            last = -1
+            for j, c in row:
+                if not last < j < self.nvars:
+                    raise ValueError("row columns must increase within 0..nvars-1")
+                if c == 0:
+                    raise ValueError(f"column {j} has a zero coefficient")
+                last = j
 
 
 @dataclass(frozen=True)
@@ -86,12 +94,19 @@ def verify_point(sys: LinearSystem, point: FeasiblePoint) -> bool:
         if not 0 <= v <= 1:
             return False
     for row, b in zip(sys.coeffs, sys.rhs):
-        total = sum(
-            (c * v for c, v in zip(row, point.values)), start=Fraction(0)
-        )
-        if total != b:
+        if sum((c * point.values[j] for j, c in row), start=Fraction(0)) != b:
             return False
     return True
+
+
+def _transposed_product(sys: LinearSystem, y: tuple) -> list[Fraction]:
+    """``y^T A`` as one exact value per variable, over the nonzeros only."""
+    combo = [Fraction(0)] * sys.nvars
+    for yi, row in zip(y, sys.coeffs):
+        if yi:
+            for j, c in row:
+                combo[j] += yi * c
+    return combo
 
 
 def verify_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> bool:
@@ -101,12 +116,8 @@ def verify_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> boo
         return False
     if any(wj < 0 for wj in w) or any(zj < 0 for zj in z):
         return False
-    for j in range(sys.nvars):
-        combo = sum(
-            (yi * row[j] for yi, row in zip(y, sys.coeffs)), start=Fraction(0)
-        )
-        if combo != w[j] - z[j]:
-            return False
+    if any(c != wj - zj for c, wj, zj in zip(_transposed_product(sys, y), w, z)):
+        return False
     gap = sum((yi * bi for yi, bi in zip(y, sys.rhs)), start=Fraction(0)) - sum(
         w, start=Fraction(0)
     )
@@ -154,7 +165,7 @@ def solve_exact(
     # free column -> pivot columns whose row holds it
     occurs: dict[int, set[int]] = {}
     for i, (coeffs, b) in enumerate(zip(sys.coeffs, sys.rhs)):
-        coef = {j: Fraction(c) for j, c in enumerate(coeffs) if c}
+        coef = {j: Fraction(c) for j, c in coeffs}
         rhs = Fraction(b)
         used = []
         for p in [j for j in coef if j in pivots]:
@@ -242,7 +253,7 @@ def _reduced_system(
     """
     cols = sorted({p for p, _ in linked} | {j for _, r in linked for j in r.coef})
     at = {c: k for k, c in enumerate(cols)}
-    coeffs: list[tuple[int, ...]] = []
+    coeffs: list[tuple[tuple[int, int], ...]] = []
     rhs: list[Fraction] = []
     scales: list[Fraction] = []
     for p, row in linked:
@@ -250,10 +261,7 @@ def _reduced_system(
         den = lcm(*(c.denominator for c in full.values()))
         ints = {j: c.numerator * (den // c.denominator) for j, c in full.items()}
         g = gcd(*ints.values())
-        dense = [0] * len(cols)
-        for j, c in ints.items():
-            dense[at[j]] = c // g
-        coeffs.append(tuple(dense))
+        coeffs.append(tuple(sorted((at[j], c // g) for j, c in ints.items())))
         scales.append(Fraction(den, g))
         rhs.append(row.rhs * scales[-1])
     return LinearSystem(len(cols), tuple(coeffs), tuple(rhs)), cols, scales
@@ -284,8 +292,9 @@ def _phase_one(
 ) -> Union[FeasiblePoint, InfeasibilityCertificate]:
     """Dense phase-one simplex on the standard form of ``sys``.
 
-    Adds a slack per upper bound and an artificial per row.  Bland's rule
-    picks the smallest eligible column index to enter and breaks ratio
+    Adds a slack per upper bound and an artificial per row to a tableau
+    filled from the row pairs, the module's only n-wide structure.  Bland's
+    rule picks the smallest eligible column index to enter and breaks ratio
     ties by the smallest basic index.  The outcome is not verified here;
     :func:`solve_exact` checks it after lifting.
     """
@@ -302,8 +311,9 @@ def _phase_one(
     for i in range(m):
         b = Fraction(sys.rhs[i])
         flip = -1 if b < 0 else 1
-        coef = [flip * Fraction(c) for c in sys.coeffs[i]]
-        coef += [zero] * n
+        coef = [zero] * nstruct
+        for j, c in sys.coeffs[i]:
+            coef[j] = flip * Fraction(c)
         art = [zero] * nrows
         art[i] = one
         rows.append(coef + art + [flip * b])
@@ -371,10 +381,6 @@ def _phase_one(
     y = [one - cost[nstruct + r] for r in range(nrows)]
     row_mult = tuple(flips[i] * y[i] for i in range(m))
     upper = tuple(-y[m + j] for j in range(n))
-    lower = []
-    for j in range(n):
-        combo = sum(
-            (row_mult[i] * sys.coeffs[i][j] for i in range(m)), start=zero
-        )
-        lower.append(upper[j] - combo)
-    return InfeasibilityCertificate(row_mult, upper, tuple(lower), objective)
+    combo = _transposed_product(sys, row_mult)
+    lower = tuple(u - c for u, c in zip(upper, combo))
+    return InfeasibilityCertificate(row_mult, upper, lower, objective)

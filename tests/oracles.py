@@ -250,6 +250,17 @@ def gaussian_solve(rows, rhs):
     return values
 
 
+def dense_rows(system):
+    """The sparse ``(column, coefficient)`` rows of a system as n-wide lists."""
+    out = []
+    for row in system.coeffs:
+        dense = [0] * system.nvars
+        for j, c in row:
+            dense[j] = c
+        out.append(dense)
+    return out
+
+
 def subsets(iterable, max_size=None):
     items = list(iterable)
     top = len(items) if max_size is None else min(max_size, len(items))

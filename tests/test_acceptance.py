@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from oracles import gaussian_solve, oracle_basic_decompositions
+from oracles import dense_rows, gaussian_solve, oracle_basic_decompositions
 
 from effalg import (
     InfeasibilityCertificate,
@@ -55,7 +55,7 @@ def test_acceptance_1_stateless_table_with_checked_certificate(example_44):
 
     # independent cross-check: exact Gaussian elimination on the same
     # rows finds the full system inconsistent
-    rows = [list(r) for r in sys_.coeffs]
+    rows = dense_rows(sys_)
     rhs = list(sys_.rhs)
     assert gaussian_solve(rows, rhs) is None
 

@@ -19,11 +19,16 @@ from effalg import (
 from effalg.linear import _phase_one
 
 
+def pairs(row):
+    """A dense coefficient list as the sparse ``(column, coefficient)`` row."""
+    return tuple((j, c) for j, c in enumerate(row) if c)
+
+
 def sys_of(coeffs, rhs):
     nvars = len(coeffs[0]) if coeffs else 0
     return LinearSystem(
         nvars,
-        tuple(tuple(row) for row in coeffs),
+        tuple(pairs(row) for row in coeffs),
         tuple(F(b) for b in rhs),
     )
 
@@ -35,9 +40,28 @@ def test_single_variable_pinned():
     assert out.values == (F(1, 3),)
 
 
-def test_shapes_are_checked():
+@pytest.mark.parametrize(
+    "coeffs, rhs",
+    [
+        ((((0, 1),),), (F(0), F(1))),
+        ((((2, 1),),), (F(0),)),
+        ((((-1, 1),),), (F(0),)),
+        ((((0, 1), (0, 2)),), (F(0),)),
+        ((((1, 1), (0, 2)),), (F(0),)),
+        ((((0, 1), (1, 0)),), (F(0),)),
+    ],
+    ids=[
+        "row-count-differs-from-rhs",
+        "column-past-the-last",
+        "negative-column",
+        "repeated-column",
+        "columns-out-of-order",
+        "zero-coefficient",
+    ],
+)
+def test_shapes_are_checked(coeffs, rhs):
     with pytest.raises(ValueError):
-        LinearSystem(2, ((1,),), (F(0),))
+        LinearSystem(2, coeffs, rhs)
 
 
 def test_out_of_box_rhs_is_infeasible():
@@ -197,7 +221,7 @@ def small_systems(draw):
           draw(st.integers(min_value=1, max_value=3)))
         for _ in range(nrows)
     )
-    return LinearSystem(nvars, coeffs, rhs)
+    return LinearSystem(nvars, tuple(pairs(row) for row in coeffs), rhs)
 
 
 @given(small_systems())

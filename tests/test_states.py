@@ -21,7 +21,7 @@ from effalg import (
     state_system,
     verify_state,
 )
-from oracles import gaussian_solve
+from oracles import dense_rows, gaussian_solve
 
 
 def test_state_system_has_anchor_rows():
@@ -42,9 +42,7 @@ def test_chain_state_is_equidistant():
     assert out(E.index("a")) == F(1, 5)
     assert out(E.index("3a")) == F(3, 5)
     # forced: the whole system pins every value
-    forced = gaussian_solve(
-        [list(r) for r in state_system(E).coeffs], list(state_system(E).rhs)
-    )
+    forced = gaussian_solve(dense_rows(state_system(E)), list(state_system(E).rhs))
     assert forced is not None
     for x in range(E.size):
         assert forced[x] == out(x)
@@ -67,6 +65,22 @@ def test_states_found_beyond_sixteen_elements(E):
     out = find_state(E)
     assert isinstance(out, State)
     assert verify_state(E, dict(enumerate(out.values))).ok
+
+
+def test_sparse_rows_and_a_state_on_a_121_element_chain(corpus):
+    for name, E in corpus:
+        assert all(len(row) <= 3 for row in state_system(E).coeffs), name
+    E = mv_chain(3)
+    a, a2 = E.index("a"), E.index("2a")
+    row = state_row_labels(E).index("a + a = 2a")
+    assert state_system(E).coeffs[row] == ((a, -2), (a2, 1))
+    E = mv_chain(120)
+    out = find_state(E)
+    assert isinstance(out, State)
+    assert out(E.zero) == 0 and out(E.index("a")) == F(1, 120)
+    for k in range(2, 120):
+        assert out(E.index(f"{k}a")) == F(k, 120)
+    assert out(E.one) == 1
 
 
 def test_stateless_fixture_yields_certificate(example_44):
