@@ -14,7 +14,8 @@ reads them as they are.  :func:`solve_exact` decides it in three steps:
    variables form a much smaller system over only the columns they touch.
    A phase-one simplex decides it: one slack per upper bound, one
    artificial per row, Bland's rule throughout, so it terminates without
-   any numerical tolerance.
+   any numerical tolerance.  Its tableau holds nonzeros only, and a pivot
+   touches only the rows that hold the entering column.
 3. Lift.  A reduced point gets the pinned values added back; reduced row
    multipliers are carried back to the original rows through the recorded
    combinations.
@@ -290,97 +291,95 @@ def _checked_certificate(
 def _phase_one(
     sys: LinearSystem,
 ) -> Union[FeasiblePoint, InfeasibilityCertificate]:
-    """Dense phase-one simplex on the standard form of ``sys``.
+    """Sparse phase-one simplex on the standard form of ``sys``.
 
-    Adds a slack per upper bound and an artificial per row to a tableau
-    filled from the row pairs, the module's only n-wide structure.  Bland's
-    rule picks the smallest eligible column index to enter and breaks ratio
-    ties by the smallest basic index.  The outcome is not verified here;
-    :func:`solve_exact` checks it after lifting.
+    Adds a slack per upper bound and an artificial per row.  The tableau
+    holds nonzeros only: each row is a ``{column: value}`` dict beside its
+    right-hand side, the reduced-cost row is one too, and an index lists
+    the rows that hold each column, so a pivot reads and writes only the
+    entries it changes.  Bland's rule picks the smallest column with a
+    negative reduced cost to enter and breaks ratio ties by the smallest
+    basic index.  The outcome is not verified here; :func:`solve_exact`
+    checks it after lifting.
     """
     m = len(sys.coeffs)
     n = sys.nvars
-    nrows = m + n
     nstruct = 2 * n  # variables then their upper-bound slacks
-    ncols = nstruct + nrows  # plus one artificial per row
-    zero = Fraction(0)
     one = Fraction(1)
 
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
     flips: list[int] = []
-    for i in range(m):
-        b = Fraction(sys.rhs[i])
+    for coeffs, b in zip(sys.coeffs, sys.rhs):
         flip = -1 if b < 0 else 1
-        coef = [zero] * nstruct
-        for j, c in sys.coeffs[i]:
-            coef[j] = flip * Fraction(c)
-        art = [zero] * nrows
-        art[i] = one
-        rows.append(coef + art + [flip * b])
+        rows.append({j: Fraction(flip * c) for j, c in coeffs})
+        rhs.append(flip * Fraction(b))
         flips.append(flip)
     for j in range(n):
-        coef = [zero] * nstruct
-        coef[j] = one
-        coef[n + j] = one
-        art = [zero] * nrows
-        art[m + j] = one
-        rows.append(coef + art + [one])
+        rows.append({j: one, n + j: one})
+        rhs.append(one)
 
-    basis = [nstruct + r for r in range(nrows)]
     # Reduced-cost row for the phase-one objective (sum of artificials),
-    # relative to the all-artificial starting basis.
-    cost = [zero] * (ncols + 1)
-    for j in range(ncols + 1):
-        through_basis = sum((rows[r][j] for r in range(nrows)), start=zero)
-        direct = one if nstruct <= j < ncols else zero
-        cost[j] = direct - through_basis
+    # relative to the all-artificial starting basis: minus each column's
+    # sum.  An artificial column's own 1 cancels its unit cost, so the
+    # artificials join the rows only after this pass.
+    cost: dict[int, Fraction] = {}
+    for row in rows:
+        _add_scaled(cost, -one, row)
+    cost_rhs = -sum(rhs, start=Fraction(0))
+    holders: dict[int, set[int]] = {}
+    for r, row in enumerate(rows):
+        row[nstruct + r] = one
+        for k in row:
+            holders.setdefault(k, set()).add(r)
+    basis = [nstruct + r for r in range(len(rows))]
 
     while True:
-        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        enter = min((j for j, c in cost.items() if c < 0), default=None)
         if enter is None:
             break
-        leave = -1
-        best: Fraction | None = None
-        for r in range(nrows):
-            a = rows[r][enter]
-            if a > 0:
-                ratio = rows[r][ncols] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[r] < basis[leave])
-                ):
-                    best = ratio
-                    leave = r
-        if best is None:
+        leave = min(
+            (r for r in holders[enter] if rows[r][enter] > 0),
+            key=lambda r: (rhs[r] / rows[r][enter], basis[r]),
+            default=None,
+        )
+        if leave is None:
             raise RuntimeError(
                 "phase-one objective unbounded below; the tableau is corrupt"
             )
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
         pivot_row = rows[leave]
-        # the tableau is mostly zeros: touch only the pivot row's nonzeros
-        support = [(k, v) for k, v in enumerate(pivot_row) if v != 0]
-        for row in rows + [cost]:
+        piv = pivot_row[enter]
+        for k in pivot_row:
+            pivot_row[k] /= piv
+        rhs[leave] /= piv
+        b = rhs[leave]
+        for r in holders[enter] - {leave}:
+            row = rows[r]
             f = row[enter]
-            if f != 0 and row is not pivot_row:
-                for k, v in support:
-                    row[k] -= f * v
+            _add_scaled(row, -f, pivot_row)
+            for k in pivot_row:
+                if k in row:
+                    holders[k].add(r)
+                else:
+                    holders[k].discard(r)
+            rhs[r] -= f * b
+        f = cost[enter]
+        _add_scaled(cost, -f, pivot_row)
+        cost_rhs -= f * b
         basis[leave] = enter
 
-    objective = -cost[ncols]
-    if objective == 0:
-        values = [zero] * n
-        for r in range(nrows):
-            if basis[r] < n:
-                values[basis[r]] = rows[r][ncols]
+    if cost_rhs == 0:
+        values = [Fraction(0)] * n
+        for r, j in enumerate(basis):
+            if j < n:
+                values[j] = rhs[r]
         return FeasiblePoint(tuple(values))
 
     # Duals from the artificial columns: the reduced cost of artificial r
     # is 1 - y_r, so y_r reads off the final cost row directly.
-    y = [one - cost[nstruct + r] for r in range(nrows)]
+    y = [one - cost.get(nstruct + r, 0) for r in range(len(rows))]
     row_mult = tuple(flips[i] * y[i] for i in range(m))
     upper = tuple(-y[m + j] for j in range(n))
     combo = _transposed_product(sys, row_mult)
     lower = tuple(u - c for u, c in zip(upper, combo))
-    return InfeasibilityCertificate(row_mult, upper, lower, objective)
+    return InfeasibilityCertificate(row_mult, upper, lower, -cost_rhs)

@@ -2,11 +2,17 @@
 
 Everything here works from the raw sum table alone (dict lookups, no
 bitmasks, no imports from the package's order or structure modules) so
-test expectations do not inherit bugs from the code under test.
+test expectations do not inherit bugs from the code under test.  The
+solver reference, :func:`dense_phase_one`, keeps the full tableau that
+``effalg.linear._phase_one`` stores sparsely.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Union
+
+from effalg import FeasiblePoint, InfeasibilityCertificate, LinearSystem
+from effalg.linear import _transposed_product
 
 
 def oracle_axiom_errors(n, zero, one, sums):
@@ -266,3 +272,103 @@ def subsets(iterable, max_size=None):
     top = len(items) if max_size is None else min(max_size, len(items))
     for size in range(top + 1):
         yield from combinations(items, size)
+
+
+def dense_phase_one(
+    sys: LinearSystem,
+) -> Union[FeasiblePoint, InfeasibilityCertificate]:
+    """Dense phase-one simplex on the standard form of ``sys``.
+
+    The reference for ``effalg.linear._phase_one``: the same standard form
+    (a slack per upper bound, an artificial per row) in a full n-wide
+    tableau, zeros included.  Bland's rule picks the smallest eligible
+    column index to enter and breaks ratio ties by the smallest basic
+    index, so the sparse solver must reach the same outcome, value for
+    value and multiplier for multiplier.
+    """
+    m = len(sys.coeffs)
+    n = sys.nvars
+    nrows = m + n
+    nstruct = 2 * n  # variables then their upper-bound slacks
+    ncols = nstruct + nrows  # plus one artificial per row
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    rows: list[list[Fraction]] = []
+    flips: list[int] = []
+    for i in range(m):
+        b = Fraction(sys.rhs[i])
+        flip = -1 if b < 0 else 1
+        coef = [zero] * nstruct
+        for j, c in sys.coeffs[i]:
+            coef[j] = flip * Fraction(c)
+        art = [zero] * nrows
+        art[i] = one
+        rows.append(coef + art + [flip * b])
+        flips.append(flip)
+    for j in range(n):
+        coef = [zero] * nstruct
+        coef[j] = one
+        coef[n + j] = one
+        art = [zero] * nrows
+        art[m + j] = one
+        rows.append(coef + art + [one])
+
+    basis = [nstruct + r for r in range(nrows)]
+    # Reduced-cost row for the phase-one objective (sum of artificials),
+    # relative to the all-artificial starting basis.
+    cost = [zero] * (ncols + 1)
+    for j in range(ncols + 1):
+        through_basis = sum((rows[r][j] for r in range(nrows)), start=zero)
+        direct = one if nstruct <= j < ncols else zero
+        cost[j] = direct - through_basis
+
+    while True:
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = -1
+        best: Fraction | None = None
+        for r in range(nrows):
+            a = rows[r][enter]
+            if a > 0:
+                ratio = rows[r][ncols] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[r] < basis[leave])
+                ):
+                    best = ratio
+                    leave = r
+        if best is None:
+            raise RuntimeError(
+                "phase-one objective unbounded below; the tableau is corrupt"
+            )
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        pivot_row = rows[leave]
+        # the tableau is mostly zeros: touch only the pivot row's nonzeros
+        support = [(k, v) for k, v in enumerate(pivot_row) if v != 0]
+        for row in rows + [cost]:
+            f = row[enter]
+            if f != 0 and row is not pivot_row:
+                for k, v in support:
+                    row[k] -= f * v
+        basis[leave] = enter
+
+    objective = -cost[ncols]
+    if objective == 0:
+        values = [zero] * n
+        for r in range(nrows):
+            if basis[r] < n:
+                values[basis[r]] = rows[r][ncols]
+        return FeasiblePoint(tuple(values))
+
+    # Duals from the artificial columns: the reduced cost of artificial r
+    # is 1 - y_r, so y_r reads off the final cost row directly.
+    y = [one - cost[nstruct + r] for r in range(nrows)]
+    row_mult = tuple(flips[i] * y[i] for i in range(m))
+    upper = tuple(-y[m + j] for j in range(n))
+    combo = _transposed_product(sys, row_mult)
+    lower = tuple(u - c for u, c in zip(upper, combo))
+    return InfeasibilityCertificate(row_mult, upper, lower, objective)

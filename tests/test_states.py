@@ -58,8 +58,12 @@ def test_boolean_state_found_and_verified():
 
 @pytest.mark.parametrize(
     "E",
-    [mv_chain(60), direct_product(mv_chain(7), mv_chain(7))],
-    ids=["mv_chain(60)", "c8xc8"],
+    [
+        mv_chain(60),
+        direct_product(mv_chain(7), mv_chain(7)),
+        direct_product(mv_chain(10), mv_chain(10)),
+    ],
+    ids=["mv_chain(60)", "c8xc8", "c11xc11"],
 )
 def test_states_found_beyond_sixteen_elements(E):
     out = find_state(E)
