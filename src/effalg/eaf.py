@@ -28,14 +28,16 @@ State files (``.state``)::
     value a 1/2
 
 Every element of the intended domain gets exactly one line.  Values are
-rationals ``p/q`` with an optional sign on ``p`` and a positive ``q``;
-a bare integer abbreviates ``p/1``.  Out-of-range values parse fine and
-are reported by state verification, not here.  Canonical serialization
-lists every element in index order as explicit reduced ``p/q``.
+rationals ``p/q`` in ASCII digits, with an optional sign on ``p`` and a
+positive ``q`` (no sign, no ``_``); a bare integer abbreviates ``p/1``.
+Out-of-range values parse fine and are reported by state verification,
+not here.  Canonical serialization lists every element in index order as
+explicit reduced ``p/q``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -171,6 +173,11 @@ def serialize_eaf(E: "EffectAlgebra") -> str:
     return "\n".join(lines) + "\n"
 
 
+# a minus sign on q parses, so that it is reported as a nonpositive denominator
+_NUMERATOR = re.compile(r"[+-]?[0-9]+")
+_DENOMINATOR = re.compile(r"-?[0-9]+")
+
+
 def _parse_rational(token: str, lineno: int) -> Fraction:
     parts = token.split("/")
     if len(parts) == 1:
@@ -179,10 +186,10 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
         num, den = parts
     else:
         raise ParseError(lineno, f"value {token!r} is not of the form p/q")
-    try:
-        p, q = int(num), int(den)
-    except ValueError:
+    # int() alone would also take "1_0", "+2" and non-ASCII digits
+    if not (_NUMERATOR.fullmatch(num) and _DENOMINATOR.fullmatch(den)):
         raise ParseError(lineno, f"value {token!r} is not of the form p/q")
+    p, q = int(num), int(den)
     if q <= 0:
         raise NegativeDenominator(
             f"line {lineno}: value {token!r} has nonpositive denominator"

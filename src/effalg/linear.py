@@ -1,12 +1,18 @@
 """Exact rational feasibility for equality systems with 0..1 bounds.
 
 The single problem shape handled here is: find v with A v = b and
-0 <= v_j <= 1, all arithmetic over ``fractions.Fraction``.  Each row of
-A lists only its nonzero ``(column, coefficient)`` pairs, and every step
-reads them as they are.  :func:`solve_exact` decides it in three steps:
+0 <= v_j <= 1, exactly, with no floats and no tolerances.  Each row of A
+lists only its nonzero ``(column, coefficient)`` pairs, and every step
+reads them as they are.  Inside the solver every row is kept as integers,
+a positive multiple of the rational row it stands for, and is divided by
+the gcd of its entries after each update (fraction-free elimination);
+``fractions.Fraction`` appears only in what leaves the solver, point
+values, certificate multipliers and the gap, and in their verification.
+:func:`solve_exact` decides it in three steps:
 
-1. Eliminate.  Sparse exact Gauss-Jordan runs over the rows in order.
-   Each kept row remembers which combination of the original rows it is.
+1. Eliminate.  Sparse exact Gauss-Jordan runs over the rows in order,
+   cross-multiplying where a rational solver would divide.  Each kept row
+   remembers which integer combination of the original rows it is.
    A row that reduces to ``0 = 0`` is redundant and dropped; one that
    reduces to ``0 = c`` with ``c != 0`` is already a refutation, and so is
    a row that pins a single variable outside [0, 1].
@@ -14,8 +20,8 @@ reads them as they are.  :func:`solve_exact` decides it in three steps:
    variables form a much smaller system over only the columns they touch.
    A phase-one simplex decides it: one slack per upper bound, one
    artificial per row, Bland's rule throughout, so it terminates without
-   any numerical tolerance.  Its tableau holds nonzeros only, and a pivot
-   touches only the rows that hold the entering column.
+   any numerical tolerance.  Its tableau holds nonzero integers only, and
+   a pivot touches only the rows that hold the entering column.
 3. Lift.  A reduced point gets the pinned values added back; reduced row
    multipliers are carried back to the original rows through the recorded
    combinations.
@@ -88,16 +94,20 @@ class InfeasibilityCertificate:
 
 
 def verify_point(sys: LinearSystem, point: FeasiblePoint) -> bool:
-    """Check a candidate point against every row and bound, exactly."""
+    """Check a candidate point against every row and bound, exactly.
+
+    The values are brought to one common denominator ``D``, so every check
+    is in integers: ``0 <= v_j D <= D`` per variable and
+    ``sum(c v_j D) = b D`` per row.
+    """
     if len(point.values) != sys.nvars:
         return False
-    for v in point.values:
-        if not 0 <= v <= 1:
-            return False
-    for row, b in zip(sys.coeffs, sys.rhs):
-        if sum((c * point.values[j] for j, c in row), start=Fraction(0)) != b:
-            return False
-    return True
+    den = lcm(*(v.denominator for v in point.values))
+    nums = [v.numerator * (den // v.denominator) for v in point.values]
+    return all(0 <= v <= den for v in nums) and all(
+        sum(c * nums[j] for j, c in row) * b.denominator == b.numerator * den
+        for row, b in zip(sys.coeffs, sys.rhs)
+    )
 
 
 def _transposed_product(sys: LinearSystem, y: tuple) -> list[Fraction]:
@@ -125,30 +135,34 @@ def verify_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> boo
     return gap == cert.gap and gap > 0
 
 
-@dataclass
-class _PivotRow:
-    """An eliminated row: ``v[pivot] + sum(coef[j] * v[j]) = rhs``.
-
-    ``coef`` holds free columns only, never another row's pivot, and
-    ``combo`` maps original row indices to the multipliers that produce
-    this row from them.
-    """
-
-    coef: dict[int, Fraction]
-    rhs: Fraction
-    combo: dict[int, Fraction]
-
-
-def _add_scaled(
-    target: dict[int, Fraction], f: Fraction, source: Mapping[int, Fraction]
-) -> None:
-    """``target += f * source`` on sparse vectors, dropping cancelled keys."""
-    for k, c in source.items():
-        v = target.get(k, 0) + f * c
+def _cross(t: dict, m: int, f: int | Fraction, s: Mapping) -> None:
+    """``t := m * t - f * s`` on sparse vectors, dropping zeros."""
+    if m != 1:
+        for k in t:
+            t[k] *= m
+    for k, c in s.items():
+        v = t.get(k, 0) - f * c
         if v:
-            target[k] = v
+            t[k] = v
         else:
-            del target[k]
+            del t[k]
+
+
+def _reduce(heads: tuple[int, ...], *vectors: dict[int, int]) -> list[int]:
+    """Divide ``heads`` and ``vectors`` by the gcd of all their entries.
+
+    The gcd takes the sign of ``heads[0]``, so that entry comes out positive.
+    Returns the divided heads; the vectors are divided in place.
+    """
+    g = gcd(*heads)
+    for t in vectors:
+        g = gcd(g, *t.values()) if g > 1 else g
+    g = -g if heads[0] < 0 else g
+    if g != 1:
+        for t in vectors:
+            for k in t:
+                t[k] //= g
+    return [h // g for h in heads]
 
 
 def solve_exact(
@@ -161,76 +175,75 @@ def solve_exact(
     columns and lifts its outcome back to ``sys``.  Deterministic
     throughout.  Raises ``RuntimeError`` if the lifted outcome fails
     :func:`verify_point` or :func:`verify_certificate` on ``sys``.
+
+    ``pivots`` maps a pivot column p to ``(a, coef, rhs, combo)``, all
+    integers: the row ``a*v[p] + sum(coef[j]*v[j]) = rhs`` with ``a > 0``
+    and ``coef`` over free columns only, which is ``sum(combo[k] * row k)``
+    of ``sys``.  Eliminating a pivot cross-multiplies, ``row := a*row -
+    f*pivot_row``, and a kept row is divided by the gcd of its entries.
     """
-    pivots: dict[int, _PivotRow] = {}
+    pivots: dict[int, tuple[int, dict[int, int], int, dict[int, int]]] = {}
     # free column -> pivot columns whose row holds it
     occurs: dict[int, set[int]] = {}
     for i, (coeffs, b) in enumerate(zip(sys.coeffs, sys.rhs)):
-        coef = {j: Fraction(c) for j, c in coeffs}
-        rhs = Fraction(b)
+        d = b.denominator
+        coef = {j: d * c for j, c in coeffs}
+        rhs = b.numerator
         used = []
         for p in [j for j in coef if j in pivots]:
+            a, pcoef, prhs, pcombo = pivots[p]
             f = coef.pop(p)
-            _add_scaled(coef, -f, pivots[p].coef)
-            rhs -= f * pivots[p].rhs
-            used.append((f, pivots[p]))
+            _cross(coef, a, f, pcoef)
+            rhs = a * rhs - f * prhs
+            used.append((a, f, pcombo))
         if not coef and rhs == 0:
             continue
-        combo = {i: Fraction(1)}
-        for f, row in used:
-            _add_scaled(combo, -f, row.combo)
+        combo = {i: d}
+        for a, f, pcombo in used:
+            _cross(combo, a, f, pcombo)
         if not coef:
-            # 0 = rhs: the combination alone refutes the system
-            sign = 1 if rhs > 0 else -1
-            y = {k: sign * c for k, c in combo.items()}
-            return _checked_certificate(sys, y, {}, {}, abs(rhs))
+            # 0 = rhs: the combination alone refutes the system; over
+            # combo[i] > 0, signed as rhs, it takes row i once
+            s = combo[i] if rhs > 0 else -combo[i]
+            return _checked_certificate(sys, combo, {}, {}, rhs, s)
         q = max(coef)
-        a = coef.pop(q)
-        new = _PivotRow(
-            {j: c / a for j, c in coef.items()},
-            rhs / a,
-            {k: c / a for k, c in combo.items()},
-        )
+        a, rhs = _reduce((coef.pop(q), rhs), coef, combo)
         for p in occurs.pop(q, ()):
-            row = pivots[p]
-            f = row.coef.pop(q)
-            _add_scaled(row.coef, -f, new.coef)
-            for j in new.coef:
-                if j in row.coef:
+            pa, pcoef, prhs, pcombo = pivots[p]
+            f = pcoef.pop(q)
+            _cross(pcoef, a, f, coef)
+            for j in coef:
+                if j in pcoef:
                     occurs.setdefault(j, set()).add(p)
                 else:
                     occurs[j].discard(p)
-            row.rhs -= f * new.rhs
-            _add_scaled(row.combo, -f, new.combo)
-        pivots[q] = new
-        for j in new.coef:
+            _cross(pcombo, a, f, combo)
+            pa, prhs = _reduce((a * pa, a * prhs - f * rhs), pcoef, pcombo)
+            pivots[p] = (pa, pcoef, prhs, pcombo)
+        pivots[q] = (a, coef, rhs, combo)
+        for j in coef:
             occurs.setdefault(j, set()).add(q)
 
     values = [Fraction(0)] * sys.nvars
-    for p, row in pivots.items():
-        if row.coef:
+    for p, (a, coef, rhs, combo) in pivots.items():
+        if coef:
             continue
-        # the row pins v[p] = rhs; outside the box one bound refutes it
-        if row.rhs > 1:
-            return _checked_certificate(
-                sys, row.combo, {p: Fraction(1)}, {}, row.rhs - 1
-            )
-        if row.rhs < 0:
-            y = {k: -c for k, c in row.combo.items()}
-            return _checked_certificate(sys, y, {}, {p: Fraction(1)}, -row.rhs)
-        values[p] = row.rhs
+        # the row pins v[p] = rhs / a; outside the box one bound refutes it
+        if rhs > a:
+            return _checked_certificate(sys, combo, {p: a}, {}, rhs - a, a)
+        if rhs < 0:
+            return _checked_certificate(sys, combo, {}, {p: -a}, rhs, -a)
+        values[p] = Fraction(rhs, a)
 
-    linked = [(p, row) for p, row in pivots.items() if row.coef]
+    linked = [(p, row) for p, row in pivots.items() if row[1]]
     if linked:
-        reduced, cols, scales = _reduced_system(linked)
+        reduced, cols, divisors = _reduced_system(linked)
         outcome = _phase_one(reduced)
         if isinstance(outcome, InfeasibilityCertificate):
-            y = {}
-            for yr, scale, (_, row) in zip(
-                outcome.row_multipliers, scales, linked
-            ):
+            y: dict[int, Fraction] = {}
+            for yr, g, (_, row) in zip(outcome.row_multipliers, divisors, linked):
                 if yr:
-                    _add_scaled(y, yr * scale, row.combo)
+                    _cross(y, 1, -yr / g, row[3])
             w = dict(zip(cols, outcome.upper_multipliers))
             z = dict(zip(cols, outcome.lower_multipliers))
             return _checked_certificate(sys, y, w, z, outcome.gap)
@@ -244,44 +257,48 @@ def solve_exact(
 
 
 def _reduced_system(
-    linked: list[tuple[int, _PivotRow]],
-) -> tuple[LinearSystem, list[int], list[Fraction]]:
+    linked: list[tuple[int, tuple[int, dict[int, int], int, dict[int, int]]]],
+) -> tuple[LinearSystem, list[int], list[int]]:
     """The linked rows as a system over only the columns they touch.
 
-    Each row is scaled to coprime integer coefficients.  Returns the
-    system, the original column of each of its variables, and the scale of
-    each row, so that reduced row r is ``scales[r]`` times ``linked[r]``.
+    Each row is divided by the gcd of its coefficients, leaving coprime
+    integers with a positive pivot coefficient.  Returns the system, the
+    original column of each of its variables, and the divisor of each
+    row, so that reduced row r is ``linked[r]`` over ``divisors[r]``.
     """
-    cols = sorted({p for p, _ in linked} | {j for _, r in linked for j in r.coef})
+    cols = sorted({p for p, _ in linked} | {j for _, r in linked for j in r[1]})
     at = {c: k for k, c in enumerate(cols)}
     coeffs: list[tuple[tuple[int, int], ...]] = []
     rhs: list[Fraction] = []
-    scales: list[Fraction] = []
-    for p, row in linked:
-        full = {p: Fraction(1), **row.coef}
-        den = lcm(*(c.denominator for c in full.values()))
-        ints = {j: c.numerator * (den // c.denominator) for j, c in full.items()}
-        g = gcd(*ints.values())
-        coeffs.append(tuple(sorted((at[j], c // g) for j, c in ints.items())))
-        scales.append(Fraction(den, g))
-        rhs.append(row.rhs * scales[-1])
-    return LinearSystem(len(cols), tuple(coeffs), tuple(rhs)), cols, scales
+    divisors: list[int] = []
+    for p, (a, coef, b, _) in linked:
+        g = gcd(a, *coef.values())
+        full = [(at[p], a // g), *((at[j], c // g) for j, c in coef.items())]
+        coeffs.append(tuple(sorted(full)))
+        rhs.append(Fraction(b, g))
+        divisors.append(g)
+    return LinearSystem(len(cols), tuple(coeffs), tuple(rhs)), cols, divisors
 
 
 def _checked_certificate(
     sys: LinearSystem,
-    y: Mapping[int, Fraction],
-    w: Mapping[int, Fraction],
-    z: Mapping[int, Fraction],
-    gap: Fraction,
+    y: Mapping[int, int | Fraction],
+    w: Mapping[int, int | Fraction],
+    z: Mapping[int, int | Fraction],
+    gap: int | Fraction,
+    den: int = 1,
 ) -> InfeasibilityCertificate:
-    """Densify sparse multipliers and verify them against ``sys``."""
+    """Densify sparse multipliers, divide all by ``den``, verify on ``sys``."""
     zero = Fraction(0)
+
+    def dense(v: Mapping[int, int | Fraction], size: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v[k], den) if k in v else zero for k in range(size))
+
     cert = InfeasibilityCertificate(
-        tuple(y.get(i, zero) for i in range(len(sys.coeffs))),
-        tuple(w.get(j, zero) for j in range(sys.nvars)),
-        tuple(z.get(j, zero) for j in range(sys.nvars)),
-        gap,
+        dense(y, len(sys.coeffs)),
+        dense(w, sys.nvars),
+        dense(z, sys.nvars),
+        Fraction(gap, den),
     )
     if not verify_certificate(sys, cert):
         raise RuntimeError("solver produced an invalid infeasibility certificate")
@@ -294,42 +311,48 @@ def _phase_one(
     """Sparse phase-one simplex on the standard form of ``sys``.
 
     Adds a slack per upper bound and an artificial per row.  The tableau
-    holds nonzeros only: each row is a ``{column: value}`` dict beside its
-    right-hand side, the reduced-cost row is one too, and an index lists
-    the rows that hold each column, so a pivot reads and writes only the
-    entries it changes.  Bland's rule picks the smallest column with a
-    negative reduced cost to enter and breaks ratio ties by the smallest
-    basic index.  The outcome is not verified here; :func:`solve_exact`
-    checks it after lifting.
+    holds nonzero integers only: each row is a ``{column: value}`` dict
+    beside its right-hand side, a positive multiple of the usual row whose
+    basic coefficient is 1 (row i of ``sys`` starts as itself times its
+    rhs denominator, sign-flipped so the rhs is not negative); the
+    reduced-cost row is one too, over one positive ``scale``; and an index
+    lists the rows that hold each column, so a pivot reads and writes only
+    the rows it changes.  Bland's rule picks the smallest column with a
+    negative reduced cost to enter; the ratio test compares ``rhs/coef``
+    by cross-multiplying and breaks ties by the smallest basic index.  A
+    pivot computes ``piv*row - f*pivot_row`` and divides by the gcd.  The
+    outcome is not verified here; :func:`solve_exact` checks it after
+    lifting.
     """
     m = len(sys.coeffs)
     n = sys.nvars
     nstruct = 2 * n  # variables then their upper-bound slacks
-    one = Fraction(1)
 
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    flips: list[int] = []
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
     for coeffs, b in zip(sys.coeffs, sys.rhs):
-        flip = -1 if b < 0 else 1
-        rows.append({j: Fraction(flip * c) for j, c in coeffs})
-        rhs.append(flip * Fraction(b))
-        flips.append(flip)
+        d = -b.denominator if b < 0 else b.denominator
+        rows.append({j: d * c for j, c in coeffs})
+        rhs.append(abs(b.numerator))
     for j in range(n):
-        rows.append({j: one, n + j: one})
-        rhs.append(one)
+        rows.append({j: 1, n + j: 1})
+        rhs.append(1)
+    dens = [b.denominator for b in sys.rhs] + [1] * n
 
     # Reduced-cost row for the phase-one objective (sum of artificials),
     # relative to the all-artificial starting basis: minus each column's
-    # sum.  An artificial column's own 1 cancels its unit cost, so the
-    # artificials join the rows only after this pass.
-    cost: dict[int, Fraction] = {}
-    for row in rows:
-        _add_scaled(cost, -one, row)
-    cost_rhs = -sum(rhs, start=Fraction(0))
+    # sum, over the lcm of the rows' scales.  An artificial column's own
+    # entry cancels its unit cost, so the artificials join the rows only
+    # after this pass.
+    scale = lcm(*dens)
+    cost: dict[int, int] = {}
+    cost_rhs = 0
+    for row, b, d in zip(rows, rhs, dens):
+        _cross(cost, 1, scale // d, row)
+        cost_rhs -= scale // d * b
     holders: dict[int, set[int]] = {}
     for r, row in enumerate(rows):
-        row[nstruct + r] = one
+        row[nstruct + r] = dens[r]
         for k in row:
             holders.setdefault(k, set()).add(r)
     basis = [nstruct + r for r in range(len(rows))]
@@ -338,48 +361,45 @@ def _phase_one(
         enter = min((j for j, c in cost.items() if c < 0), default=None)
         if enter is None:
             break
-        leave = min(
-            (r for r in holders[enter] if rows[r][enter] > 0),
-            key=lambda r: (rhs[r] / rows[r][enter], basis[r]),
-            default=None,
-        )
-        if leave is None:
+        ratios = [(r, rows[r][enter]) for r in holders[enter] if rows[r][enter] > 0]
+        if not ratios:
             raise RuntimeError(
                 "phase-one objective unbounded below; the tableau is corrupt"
             )
+        leave, lc = ratios[0]
+        for r, c in ratios[1:]:
+            if (rhs[r] * lc, basis[r]) < (rhs[leave] * c, basis[leave]):
+                leave, lc = r, c
         pivot_row = rows[leave]
         piv = pivot_row[enter]
-        for k in pivot_row:
-            pivot_row[k] /= piv
-        rhs[leave] /= piv
         b = rhs[leave]
         for r in holders[enter] - {leave}:
             row = rows[r]
             f = row[enter]
-            _add_scaled(row, -f, pivot_row)
+            _cross(row, piv, f, pivot_row)
             for k in pivot_row:
                 if k in row:
                     holders[k].add(r)
                 else:
                     holders[k].discard(r)
-            rhs[r] -= f * b
+            _, rhs[r] = _reduce((row[basis[r]], piv * rhs[r] - f * b), row)
         f = cost[enter]
-        _add_scaled(cost, -f, pivot_row)
-        cost_rhs -= f * b
+        _cross(cost, piv, f, pivot_row)
+        scale, cost_rhs = _reduce((piv * scale, piv * cost_rhs - f * b), cost)
         basis[leave] = enter
 
     if cost_rhs == 0:
         values = [Fraction(0)] * n
         for r, j in enumerate(basis):
             if j < n:
-                values[j] = rhs[r]
+                values[j] = Fraction(rhs[r], rows[r][j])
         return FeasiblePoint(tuple(values))
 
     # Duals from the artificial columns: the reduced cost of artificial r
     # is 1 - y_r, so y_r reads off the final cost row directly.
-    y = [one - cost.get(nstruct + r, 0) for r in range(len(rows))]
-    row_mult = tuple(flips[i] * y[i] for i in range(m))
+    y = [1 - Fraction(cost.get(nstruct + r, 0), scale) for r in range(len(rows))]
+    row_mult = tuple(-yi if b < 0 else yi for yi, b in zip(y, sys.rhs))
     upper = tuple(-y[m + j] for j in range(n))
     combo = _transposed_product(sys, row_mult)
     lower = tuple(u - c for u, c in zip(upper, combo))
-    return InfeasibilityCertificate(row_mult, upper, lower, -cost_rhs)
+    return InfeasibilityCertificate(row_mult, upper, lower, Fraction(-cost_rhs, scale))

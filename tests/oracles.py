@@ -3,15 +3,25 @@
 Everything here works from the raw sum table alone (dict lookups, no
 bitmasks, no imports from the package's order or structure modules) so
 test expectations do not inherit bugs from the code under test.  The
-solver reference, :func:`dense_phase_one`, keeps the full tableau that
-``effalg.linear._phase_one`` stores sparsely.
+solver references work over ``Fraction`` throughout, where
+``effalg.linear`` keeps integer rows: :func:`dense_phase_one` keeps the
+full tableau that ``effalg.linear._phase_one`` stores sparsely,
+:func:`fraction_solve_exact` eliminates with ``Fraction`` rows, and
+:func:`fraction_verify_point` sums ``Fraction`` products.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Union
+from math import gcd, lcm
+from typing import Mapping, Union
 
-from effalg import FeasiblePoint, InfeasibilityCertificate, LinearSystem
+from effalg import (
+    FeasiblePoint,
+    InfeasibilityCertificate,
+    LinearSystem,
+    verify_certificate,
+)
 from effalg.linear import _transposed_product
 
 
@@ -372,3 +382,179 @@ def dense_phase_one(
     combo = _transposed_product(sys, row_mult)
     lower = tuple(u - c for u, c in zip(upper, combo))
     return InfeasibilityCertificate(row_mult, upper, lower, objective)
+
+
+def fraction_verify_point(sys: LinearSystem, point: FeasiblePoint) -> bool:
+    """The reference for ``effalg.linear.verify_point``: ``Fraction`` sums."""
+    if len(point.values) != sys.nvars:
+        return False
+    for v in point.values:
+        if not 0 <= v <= 1:
+            return False
+    for row, b in zip(sys.coeffs, sys.rhs):
+        if sum((c * point.values[j] for j, c in row), start=Fraction(0)) != b:
+            return False
+    return True
+
+
+@dataclass
+class _PivotRow:
+    """An eliminated row: ``v[pivot] + sum(coef[j] * v[j]) = rhs``.
+
+    ``coef`` holds free columns only, never another row's pivot, and
+    ``combo`` maps original row indices to the multipliers that produce
+    this row from them.
+    """
+
+    coef: dict[int, Fraction]
+    rhs: Fraction
+    combo: dict[int, Fraction]
+
+
+def _add_scaled(
+    target: dict[int, Fraction], f: Fraction, source: Mapping[int, Fraction]
+) -> None:
+    """``target += f * source`` on sparse vectors, dropping cancelled keys."""
+    for k, c in source.items():
+        v = target.get(k, 0) + f * c
+        if v:
+            target[k] = v
+        else:
+            del target[k]
+
+
+def fraction_solve_exact(
+    sys: LinearSystem,
+) -> Union[FeasiblePoint, InfeasibilityCertificate]:
+    """The reference for ``effalg.linear.solve_exact``: ``Fraction`` rows.
+
+    The same elimination order, pivot choice and lifting, with every kept
+    row normalised to pivot coefficient 1 over ``Fraction``; phase one is
+    :func:`dense_phase_one`, which reaches the sparse tableau's outcome
+    value for value.  Raises ``RuntimeError`` if an outcome fails
+    :func:`fraction_verify_point` or ``verify_certificate``.
+    """
+    pivots: dict[int, _PivotRow] = {}
+    # free column -> pivot columns whose row holds it
+    occurs: dict[int, set[int]] = {}
+    for i, (coeffs, b) in enumerate(zip(sys.coeffs, sys.rhs)):
+        coef = {j: Fraction(c) for j, c in coeffs}
+        rhs = Fraction(b)
+        used = []
+        for p in [j for j in coef if j in pivots]:
+            f = coef.pop(p)
+            _add_scaled(coef, -f, pivots[p].coef)
+            rhs -= f * pivots[p].rhs
+            used.append((f, pivots[p]))
+        if not coef and rhs == 0:
+            continue
+        combo = {i: Fraction(1)}
+        for f, row in used:
+            _add_scaled(combo, -f, row.combo)
+        if not coef:
+            # 0 = rhs: the combination alone refutes the system
+            sign = 1 if rhs > 0 else -1
+            y = {k: sign * c for k, c in combo.items()}
+            return _fraction_certificate(sys, y, {}, {}, abs(rhs))
+        q = max(coef)
+        a = coef.pop(q)
+        new = _PivotRow(
+            {j: c / a for j, c in coef.items()},
+            rhs / a,
+            {k: c / a for k, c in combo.items()},
+        )
+        for p in occurs.pop(q, ()):
+            row = pivots[p]
+            f = row.coef.pop(q)
+            _add_scaled(row.coef, -f, new.coef)
+            for j in new.coef:
+                if j in row.coef:
+                    occurs.setdefault(j, set()).add(p)
+                else:
+                    occurs[j].discard(p)
+            row.rhs -= f * new.rhs
+            _add_scaled(row.combo, -f, new.combo)
+        pivots[q] = new
+        for j in new.coef:
+            occurs.setdefault(j, set()).add(q)
+
+    values = [Fraction(0)] * sys.nvars
+    for p, row in pivots.items():
+        if row.coef:
+            continue
+        # the row pins v[p] = rhs; outside the box one bound refutes it
+        if row.rhs > 1:
+            return _fraction_certificate(
+                sys, row.combo, {p: Fraction(1)}, {}, row.rhs - 1
+            )
+        if row.rhs < 0:
+            y = {k: -c for k, c in row.combo.items()}
+            return _fraction_certificate(sys, y, {}, {p: Fraction(1)}, -row.rhs)
+        values[p] = row.rhs
+
+    linked = [(p, row) for p, row in pivots.items() if row.coef]
+    if linked:
+        reduced, cols, scales = _fraction_reduced_system(linked)
+        outcome = dense_phase_one(reduced)
+        if isinstance(outcome, InfeasibilityCertificate):
+            y = {}
+            for yr, scale, (_, row) in zip(
+                outcome.row_multipliers, scales, linked
+            ):
+                if yr:
+                    _add_scaled(y, yr * scale, row.combo)
+            w = dict(zip(cols, outcome.upper_multipliers))
+            z = dict(zip(cols, outcome.lower_multipliers))
+            return _fraction_certificate(sys, y, w, z, outcome.gap)
+        for c, v in zip(cols, outcome.values):
+            values[c] = v
+
+    point = FeasiblePoint(tuple(values))
+    if not fraction_verify_point(sys, point):
+        raise RuntimeError("solver produced an invalid feasible point")
+    return point
+
+
+def _fraction_reduced_system(
+    linked: list[tuple[int, _PivotRow]],
+) -> tuple[LinearSystem, list[int], list[Fraction]]:
+    """The linked rows as a system over only the columns they touch.
+
+    Each row is scaled to coprime integer coefficients.  Returns the
+    system, the original column of each of its variables, and the scale of
+    each row, so that reduced row r is ``scales[r]`` times ``linked[r]``.
+    """
+    cols = sorted({p for p, _ in linked} | {j for _, r in linked for j in r.coef})
+    at = {c: k for k, c in enumerate(cols)}
+    coeffs: list[tuple[tuple[int, int], ...]] = []
+    rhs: list[Fraction] = []
+    scales: list[Fraction] = []
+    for p, row in linked:
+        full = {p: Fraction(1), **row.coef}
+        den = lcm(*(c.denominator for c in full.values()))
+        ints = {j: c.numerator * (den // c.denominator) for j, c in full.items()}
+        g = gcd(*ints.values())
+        coeffs.append(tuple(sorted((at[j], c // g) for j, c in ints.items())))
+        scales.append(Fraction(den, g))
+        rhs.append(row.rhs * scales[-1])
+    return LinearSystem(len(cols), tuple(coeffs), tuple(rhs)), cols, scales
+
+
+def _fraction_certificate(
+    sys: LinearSystem,
+    y: Mapping[int, Fraction],
+    w: Mapping[int, Fraction],
+    z: Mapping[int, Fraction],
+    gap: Fraction,
+) -> InfeasibilityCertificate:
+    """Densify sparse multipliers and verify them against ``sys``."""
+    zero = Fraction(0)
+    cert = InfeasibilityCertificate(
+        tuple(y.get(i, zero) for i in range(len(sys.coeffs))),
+        tuple(w.get(j, zero) for j in range(sys.nvars)),
+        tuple(z.get(j, zero) for j in range(sys.nvars)),
+        gap,
+    )
+    if not verify_certificate(sys, cert):
+        raise RuntimeError("solver produced an invalid infeasibility certificate")
+    return cert

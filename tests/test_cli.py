@@ -255,6 +255,15 @@ def test_smear_rejects_a_state_over_the_wrong_algebra(capsys, tmp_path):
     assert code == 2
 
 
+def test_smear_rejects_a_value_outside_the_grammar(capsys, tmp_path):
+    # int() would read "1_0/10" as 1
+    bad = tmp_path / "bad.state"
+    bad.write_text("state v1\nvalue 0 0/1\nvalue 1 1_0/10\n", encoding="ascii")
+    code, out, err = run(capsys, "smear", HSUM, "--state", str(bad))
+    assert code == 2
+    assert "1_0/10" in err
+
+
 def test_smear_reports_off_hypothesis_tables(capsys, tmp_path):
     st = tmp_path / "t.state"
     st.write_text("state v1\nvalue 0 0/1\nvalue 1 1/1\n", encoding="ascii")

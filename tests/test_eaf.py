@@ -130,6 +130,19 @@ def test_state_rejects_nonpositive_denominator():
         parse_state("state v1\nvalue 0 0/0\nvalue a 1/2\nvalue 1 1/1\n", E)
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["1_0/20", "1/2_0", "1/+2", "\u0660/1", "1/\u0662", "+/2", "1/", "0x1/2"],
+    ids=["underscore-in-p", "underscore-in-q", "sign-on-q", "arabic-indic-p",
+         "arabic-indic-q", "sign-alone", "empty-q", "hex-p"],
+)
+def test_state_values_outside_the_grammar_are_parse_errors(value):
+    # p is [+-]?[0-9]+ and q is [0-9]+, ASCII digits only
+    E = mv_chain(2)
+    with pytest.raises(ParseError):
+        parse_state(f"state v1\nvalue 0 0/1\nvalue a {value}\nvalue 1 1/1\n", E)
+
+
 def test_state_requires_every_element():
     E = mv_chain(2)
     with pytest.raises(MissingElement):

@@ -20,7 +20,7 @@ from effalg import (
     verify_point,
 )
 from effalg.linear import _phase_one
-from oracles import dense_phase_one
+from oracles import dense_phase_one, fraction_solve_exact, fraction_verify_point
 
 
 def pairs(row):
@@ -102,6 +102,13 @@ def test_verify_point_checks_bounds_and_rows():
     assert verify_point(s, FeasiblePoint((F(1, 2), F(1, 2))))
     assert not verify_point(s, FeasiblePoint((F(2), F(-1))))
     assert not verify_point(s, FeasiblePoint((F(1, 4), F(1, 4))))
+    assert not verify_point(s, FeasiblePoint((F(1),)))
+    assert not verify_point(s, FeasiblePoint((F(1), F(0), F(0))))
+    # x - y = 1/2 holds at each point; only one bound breaks
+    s = sys_of([[1, -1]], [F(1, 2)])
+    assert verify_point(s, FeasiblePoint((F(1), F(1, 2))))
+    assert not verify_point(s, FeasiblePoint((F(3, 2), F(1))))
+    assert not verify_point(s, FeasiblePoint((F(0), F(-1, 2))))
 
 
 def test_tampered_certificate_is_rejected():
@@ -211,18 +218,20 @@ def test_presolve_feasible_outcomes(name):
 
 
 @st.composite
-def small_systems(draw):
+def small_systems(draw, top=2, den=3):
+    """Up to 6 rows over up to 4 variables, coefficients in -top..top and
+    rhs p/q with -3 <= p <= 3 and 1 <= q <= den."""
     nvars = draw(st.integers(min_value=1, max_value=4))
     nrows = draw(st.integers(min_value=1, max_value=6))
     coeffs = tuple(
         tuple(
-            draw(st.integers(min_value=-2, max_value=2)) for _ in range(nvars)
+            draw(st.integers(min_value=-top, max_value=top)) for _ in range(nvars)
         )
         for _ in range(nrows)
     )
     rhs = tuple(
         F(draw(st.integers(min_value=-3, max_value=3)),
-          draw(st.integers(min_value=1, max_value=3)))
+          draw(st.integers(min_value=1, max_value=den)))
         for _ in range(nrows)
     )
     return LinearSystem(nvars, tuple(pairs(row) for row in coeffs), rhs)
@@ -300,3 +309,49 @@ def test_sparse_phase_one_equals_the_dense_tableau_on_c8xc8(monkeypatch):
     out = _phase_one(s)
     assert out == dense_phase_one(s)
     assert _proves(s, out)
+
+
+# Coefficients up to 3 and rhs denominators up to 5 give pivots other than
+# 1, rows with a common factor and fractional reduced right-hand sides.
+@given(small_systems(top=3, den=5))
+@settings(max_examples=300, deadline=None)
+def test_integer_rows_equal_the_fraction_solver(s):
+    assert solve_exact(s) == fraction_solve_exact(s)
+
+
+def test_integer_rows_equal_the_fraction_solver_on_state_systems(corpus):
+    fixtures = [
+        (name, bundled_fixture(name))
+        for name in ("example-2.5", "example-3.7", "example-4.4")
+    ]
+    for name, E in corpus + fixtures:
+        s = state_system(E)
+        assert solve_exact(s) == fraction_solve_exact(s), name
+
+
+@given(small_systems(top=3, den=5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_verify_point_equals_the_fraction_check(s, data):
+    """Solver points, tampered or not, on feasible systems, and random
+    ones on the rest: out of the box, off the rows, or one value too few
+    or too many."""
+    out = solve_exact(s)
+    if _feasible(out):
+        values = list(out.values)
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(min_value=0, max_value=s.nvars - 1))
+            values[k] += F(
+                data.draw(st.integers(min_value=-2, max_value=2)),
+                data.draw(st.integers(min_value=1, max_value=5)),
+            )
+    else:
+        size = s.nvars + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+        values = [
+            F(
+                data.draw(st.integers(min_value=-3, max_value=8)),
+                data.draw(st.integers(min_value=1, max_value=5)),
+            )
+            for _ in range(size)
+        ]
+    point = FeasiblePoint(tuple(values))
+    assert verify_point(s, point) == fraction_verify_point(s, point)
