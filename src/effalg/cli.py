@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -420,10 +421,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _int_param(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
+    # int() alone would also take "1_0", "+10" and non-ASCII digits
+    if not re.fullmatch(r"[0-9]+", token):
         raise _UsageError(f"expected a number, got {token!r}")
+    return int(token)
 
 
 def _cmd_props(args: argparse.Namespace) -> int:

@@ -6,7 +6,9 @@ is the central semantic feature of these structures, so an absent value is
 always represented by ``None`` and never by a sentinel element.
 
 Construction closes a declared table under commutativity and the implied
-``zero + x = x`` rows, then checks the four defining axioms exhaustively:
+``zero + x = x`` rows, then checks the four defining axioms on every pair
+and, for associativity, on every triple that can fail (one pair's triples
+compared at a time, see :func:`verify_axioms`):
 
 * Ei   commutativity: a+b defined implies b+a defined and equal,
 * Eii  associativity: either grouping of a+b+c defined implies both are
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import wraps
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar, TYPE_CHECKING
 
 from .errors import AxiomViolation, DuplicateSum, UnknownName
@@ -134,20 +137,31 @@ def close_table(table: SumTable) -> SumTable:
 
 
 def verify_axioms(table: SumTable) -> AxiomReport:
-    """Exhaustively check the effect-algebra axioms on a sum table.
+    """Check the effect-algebra axioms on a sum table.
 
     The table may be unclosed; lookups treat ``(x, y)`` and ``(y, x)`` as
-    one pair and take the implied zero rows as present.  Every pair is
-    checked, and every triple (x, y, z) where either grouping of
-    x + y + z is defined.  The associativity walk skips the other triples
-    without looking at them: (x + y) + z needs z in the domain of row
-    x + y, x + (y + z) needs z in the domain of row y and y + z in the
-    domain of row x, so a skipped triple has both groupings undefined
-    and cannot violate Eii.  Every violation is counted in the report's
-    ``totals``, but only the first ``_WITNESS_CAP`` violations of each
-    axiom are kept, in (x, y, z) order, so memory stays bounded however
-    broken the table is.  An empty report means the closed table is an
-    effect algebra.
+    one pair and take the implied zero rows as present.  Ei, Eiii and
+    Eiv are checked on every pair.  Eii is checked one pair (x, y) at a
+    time: (x + y) + z is compared with x + (y + z) for every z with
+    y + z defined, and every z with y + z undefined is a failure exactly
+    when (x + y) + z is defined, since x + (y + z) is not; these are
+    counted from bitmasks of the rows' domains without visiting the z.
+    Together they cover every triple (x, y, z), so the report's
+    ``totals`` are exact.  Only the first ``_WITNESS_CAP`` violations
+    of each axiom are kept, in (x, y, z) order, so memory stays bounded
+    however broken the table is.  An empty report means the closed
+    table is an effect algebra.
+    """
+    return _check(table)[0]
+
+
+def _check(table: SumTable) -> tuple[AxiomReport, list[list[Optional[int]]]]:
+    """:func:`verify_axioms`' report and the lookup matrix it checked.
+
+    Row ``r`` of the matrix holds ``r + z`` at index ``z`` (``None`` when
+    undefined) plus one ``None`` at index ``n``, so that a row read at a
+    list of indices ending in ``n`` always yields a tuple.  On a closed
+    table with an empty report, its first ``n`` columns are the table.
     """
     n, zero, one = table.size, table.zero, table.one
     found = Witnesses()
@@ -156,7 +170,7 @@ def verify_axioms(table: SumTable) -> AxiomReport:
         found.add(AXIOM_CLOSURE, (zero,), "zero and one coincide")
 
     # Effective symmetric lookup matrix, implied zero rows included.
-    eff: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    eff: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(n)]
     for x in range(n):
         eff[zero][x] = x
         eff[x][zero] = x
@@ -171,9 +185,9 @@ def verify_axioms(table: SumTable) -> AxiomReport:
                     f"declared element {x} + element {y} = element {z} contradicts the implied zero row",
                 )
             continue
-        key = (min(x, y), max(x, y))
         prior = eff[x][y]
         if prior is not None and prior != z:
+            key = (min(x, y), max(x, y))
             if key not in seen_pairs:
                 found.add(
                     AXIOM_COMMUTATIVITY,
@@ -185,28 +199,35 @@ def verify_axioms(table: SumTable) -> AxiomReport:
         eff[x][y] = z
         eff[y][x] = z
 
-    # Eii.  ``dom[r]`` masks the z with r + z defined and ``img[r]`` the
-    # values of row r.  (x + y) + z needs z in dom[x + y], x + (y + z)
-    # needs z in dom[y], so z walks y's support row unless dom[x + y]
-    # reaches past dom[y] (only a non-associative table does that), and a
-    # pair with x + y undefined is skipped when no y + z lies in dom[x].
-    # A failure past the cap is only counted: no detail string is built.
+    # Eii, one pair (x, y) at a time, with u = x + y.  ``support[r]``
+    # lists the z with r + z defined, ``dom[r]`` masks them and ``img[r]``
+    # masks their values.  ``at_support[y]`` reads a row at y's support
+    # and ``at_values[y]`` at the values y + z there, both in C, so
+    # ``at_support[y](eff[u])`` holds each (x + y) + z and
+    # ``at_values[y](eff[x])`` each x + (y + z), z over y's support; the
+    # failures there are the positions where the two tuples differ.  A z
+    # outside y's support fails exactly when (x + y) + z is defined:
+    # ``dom[u] & ~dom[y]`` holds those z.  An undefined u reads as a row
+    # with nothing defined, and its pair is skipped when no y + z lies
+    # in dom[x].  Each pair's count is exact; its z are walked one at a
+    # time, in order, only to name witnesses while fewer than the cap
+    # are kept.
     support: list[list[int]] = []
     dom: list[int] = []
     img: list[int] = []
+    at_support: list[itemgetter] = []
+    at_values: list[itemgetter] = []
     for row in eff:
-        zs = []
-        dom_r = img_r = 0
-        for z, v in enumerate(row):
-            if v is not None:
-                zs.append(z)
-                dom_r |= 1 << z
-                img_r |= 1 << v
+        zs = [z for z in range(n) if row[z] is not None]
+        values = [row[z] for z in zs]
         support.append(zs)
-        dom.append(dom_r)
-        img.append(img_r)
+        dom.append(sum(1 << z for z in zs))
+        img.append(sum(1 << v for v in set(values)))
+        at_support.append(itemgetter(*zs, n))
+        at_values.append(itemgetter(*values, n))
+    undefined: list[Optional[int]] = [None] * (n + 1)
     every = range(n)
-    walk: Sequence[int]
+    eii = 0
     for x in range(n):
         ex = eff[x]
         dom_x = dom[x]
@@ -215,28 +236,37 @@ def verify_axioms(table: SumTable) -> AxiomReport:
             if u is None:
                 if dom_x & img[y] == 0:
                     continue
-                row_u = None
-                walk = support[y]
+                row_u, outside = undefined, 0
             else:
-                row_u = eff[u]
-                walk = every if dom[u] & ~dom[y] else support[y]
-            ey = eff[y]
-            for z in walk:
-                lhs = row_u[z] if row_u is not None else None
-                v = ey[z]
-                rhs = ex[v] if v is not None else None
-                if lhs is None and rhs is None:
-                    continue
-                if lhs != rhs and found.tally(AXIOM_ASSOCIATIVITY):
-                    found.kept.append(
-                        Violation(
-                            AXIOM_ASSOCIATIVITY,
-                            (x, y, z),
-                            f"groupings of elements {x}+{y}+{z} disagree "
-                            f"({'undef' if lhs is None else f'element {lhs}'} vs "
-                            f"{'undef' if rhs is None else f'element {rhs}'})",
+                row_u, outside = eff[u], dom[u] & ~dom[y]
+            lhs = at_support[y](row_u)
+            rhs = at_values[y](ex)
+            if lhs == rhs and not outside:
+                continue
+            bad = sum(map(ne, lhs, rhs)) + outside.bit_count()
+            if eii < _WITNESS_CAP:
+                ey = eff[y]
+                room = _WITNESS_CAP - eii
+                for z in every if outside else support[y]:
+                    left = row_u[z]
+                    v = ey[z]
+                    right = None if v is None else ex[v]
+                    if left != right:
+                        found.kept.append(
+                            Violation(
+                                AXIOM_ASSOCIATIVITY,
+                                (x, y, z),
+                                f"groupings of elements {x}+{y}+{z} disagree "
+                                f"({'undef' if left is None else f'element {left}'} vs "
+                                f"{'undef' if right is None else f'element {right}'})",
+                            )
                         )
-                    )
+                        room -= 1
+                        if not room:
+                            break
+            eii += bad
+    if eii:
+        found.totals[AXIOM_ASSOCIATIVITY] = eii
 
     # Eiii: exactly one orthosupplement per element.
     for a in range(n):
@@ -257,7 +287,7 @@ def verify_axioms(table: SumTable) -> AxiomReport:
                 AXIOM_ZERO_ONE, (a,), f"one + element {a} is defined although {a} is not zero"
             )
 
-    return AxiomReport(tuple(found.kept), found.totals)
+    return AxiomReport(tuple(found.kept), found.totals), eff
 
 
 @dataclass(frozen=True)
@@ -345,19 +375,13 @@ def make_algebra(
         raise ValueError("element names must be unique")
     if not (0 <= zero < len(names) and 0 <= one < len(names)):
         raise ValueError("zero/one index out of range")
-    closed = close_table(SumTable(len(names), zero, one, dict(sums)))
-    report = verify_axioms(closed)
+    n = len(names)
+    report, eff = _check(close_table(SumTable(n, zero, one, dict(sums))))
     if not report.ok:
         raise AxiomViolation(report)
-    n = len(names)
-    matrix = tuple(
-        tuple(closed.sums.get((x, y)) for y in range(n)) for x in range(n)
-    )
-    supplement = []
-    for a in range(n):
-        mate = next(b for b in range(n) if matrix[a][b] == one)
-        supplement.append(mate)
-    return EffectAlgebra(names, zero, one, matrix, tuple(supplement))
+    matrix = tuple(tuple(row[:n]) for row in eff)
+    supplement = tuple(row.index(one) for row in eff)
+    return EffectAlgebra(names, zero, one, matrix, supplement)
 
 
 _T = TypeVar("_T")

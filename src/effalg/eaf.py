@@ -50,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _EA_HEADER = "ea v1"
 _STATE_HEADER = "state v1"
+_COUNT = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,10 @@ def parse_eaf(text: str) -> EafDocument:
     lineno, tokens = take("'elements <n>'")
     if len(tokens) != 2 or tokens[0] != "elements":
         raise ParseError(lineno, "expected 'elements <n>'")
-    try:
-        count = int(tokens[1])
-    except ValueError:
+    # int() alone would also take "1_0", "+10" and non-ASCII digits
+    if not _COUNT.fullmatch(tokens[1]):
         raise ParseError(lineno, f"element count {tokens[1]!r} is not an integer")
+    count = int(tokens[1])
     if count < 2:
         raise ParseError(lineno, "an effect algebra needs at least 2 elements")
 

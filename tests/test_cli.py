@@ -358,6 +358,26 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+def test_gen_sizes_outside_the_grammar_exit_two(capsys):
+    # a size is [0-9]+, ASCII digits only; int() alone takes all four
+    for size in ("1_0", "+10", "-3", "\u0661\u0660"):
+        code, out, err = run(capsys, "gen", "mv-chain", size)
+        assert (code, out) == (2, ""), size
+        assert err.startswith("error: "), size
+    code, out, err = run(capsys, "gen", "mv-chain", "10")
+    assert code == 0
+    assert "\nelements 11\n" in out
+
+
+def test_element_count_outside_the_grammar_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.eaf"
+    run(capsys, "gen", "mv-chain", "9", "-o", str(bad))
+    bad.write_text(bad.read_text().replace("elements 10", "elements 1_0"))
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert "is not an integer" in err
+
+
 def test_non_ascii_input_is_a_clean_error(capsys, tmp_path):
     weird = tmp_path / "weird.eaf"
     weird.write_bytes("eaf 1\nelements 2\nnames 0 \xe9\n".encode("latin-1"))

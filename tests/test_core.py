@@ -320,3 +320,109 @@ def test_dense_broken_table_keeps_capped_witnesses_and_exact_totals():
     assert peak < 1_000_000, peak
     message = str(AxiomViolation(report))
     assert message.endswith(f" (+{len(oracle_errors) - 3} more)")
+
+
+def eii_pair_spans(triples):
+    """(x, y) -> (first, last) position of that pair's failing triples."""
+    spans = {}
+    for i, (x, y, _) in enumerate(triples):
+        first, _ = spans.get((x, y), (i, i))
+        spans[(x, y)] = (first, i)
+    return spans
+
+
+@pytest.mark.parametrize(
+    "size, sums",
+    [
+        # 1 + 1 = 2 while row 2 reaches 2..9 and row 1 only 1: the pair
+        # (1, 1) fails at z = 2..9, outside 1's support, eight times.
+        (12, {(1, 1): 2, **{(2, z): z + 1 for z in range(2, 10)}}),
+        # Broken at random: (4, 4) fails at z = 1, 3 and 5 after four
+        # failures of earlier pairs, so the cap falls on z = 3.
+        (7, {(3, 4): 3, (1, 4): 3, (4, 4): 5, (1, 5): 2, (5, 5): 4}),
+    ],
+    ids=["outside-support", "inside-support"],
+)
+def test_eii_cap_crossed_partway_through_one_pair(size, sums):
+    table = closed(size, 0, size - 1, sums)
+    report = verify_axioms(table)
+    oracle_errors = oracle_axiom_errors(size, 0, size - 1, dict(table.sums))
+    triples = oracle_eii_triples(oracle_errors)
+    first, last = eii_pair_spans(triples)[triples[_WITNESS_CAP - 1][:2]]
+    assert first < _WITNESS_CAP - 1 and last >= _WITNESS_CAP
+    assert_capped_totals_match_the_oracle(report, oracle_errors)
+
+
+def test_eii_pair_past_the_cap_counts_z_outside_y_support():
+    # 3 + 1 = 2 and 2 + 1 = 2, but 1 + 1 is undefined: (3, 1, 1) fails
+    # with 1 outside row 1's support, and its pair comes after the cap.
+    sums = {(3, 3): 4, (2, 2): 2, (1, 2): 2, (1, 3): 2}
+    table = closed(5, 0, 4, sums)
+    report = verify_axioms(table)
+    oracle_errors = oracle_axiom_errors(5, 0, 4, dict(table.sums))
+    triples = oracle_eii_triples(oracle_errors)
+    spans = eii_pair_spans(triples)
+    assert any(
+        spans[(x, y)][0] >= _WITNESS_CAP
+        and (x, y) in table.sums
+        and (y, z) not in table.sums
+        for x, y, z in triples
+    )
+    assert_capped_totals_match_the_oracle(report, oracle_errors)
+
+
+@pytest.mark.parametrize("sums", [{}, {(1, 1): 0}, {(1, 1): 1}])
+def test_two_element_tables_match_the_oracle(sums):
+    table = closed(2, 0, 1, sums)
+    report = verify_axioms(table)
+    oracle_errors = oracle_axiom_errors(2, 0, 1, dict(table.sums))
+    assert report.ok == (oracle_errors == [])
+    assert_capped_totals_match_the_oracle(report, oracle_errors)
+
+
+def test_row_whose_support_is_only_zero():
+    # Element 2 sums with nothing but zero, while 1 + 1 = 0: so
+    # 2 + (1 + 1) = 2 is defined and (2 + 1) + 1 is not.
+    table = closed(4, 0, 3, {(1, 1): 0})
+    assert [y for y in range(4) if (2, y) in table.sums] == [0]
+    report = verify_axioms(table)
+    oracle_errors = oracle_axiom_errors(4, 0, 3, dict(table.sums))
+    assert (2, 1, 1) in oracle_eii_triples(oracle_errors)
+    assert_capped_totals_match_the_oracle(report, oracle_errors)
+
+
+def test_dense_random_tables_match_the_oracle():
+    # Denser and larger than random_tables draws: 10-24 elements with up
+    # to 70% of the nonzero pairs summed.
+    rng = random.Random(1994)
+    for _ in range(40):
+        n = rng.randint(10, 24)
+        density = rng.choice([0.05, 0.2, 0.4, 0.7])
+        sums = {
+            (x, y): rng.randrange(n)
+            for x in range(1, n)
+            for y in range(x, n)
+            if rng.random() < density
+        }
+        table = closed(n, 0, n - 1, sums)
+        report = verify_axioms(table)
+        oracle_errors = oracle_axiom_errors(n, 0, n - 1, dict(table.sums))
+        assert report.ok == (oracle_errors == [])
+        assert_capped_totals_match_the_oracle(report, oracle_errors)
+
+
+def test_make_algebra_table_and_supplement_match_brute_force(
+    corpus, example_25, example_37, example_44
+):
+    fixtures = [("ex25", example_25), ("ex37", example_37), ("ex44", example_44)]
+    for name, E in corpus + fixtures:
+        n = E.size
+        sums = {(x, y): z for x, y, z in E.canonical_sums()}
+        full = close_table(SumTable(n, E.zero, E.one, dict(sums))).sums
+        table = tuple(tuple(full.get((x, y)) for y in range(n)) for x in range(n))
+        supplement = tuple(
+            next(b for b in range(n) if table[a][b] == E.one) for a in range(n)
+        )
+        built = make_algebra(E.names, E.zero, E.one, sums)
+        assert built.table == table == E.table, name
+        assert built.supplement == supplement == E.supplement, name

@@ -91,6 +91,20 @@ def test_too_few_elements_rejected():
         parse_eaf("ea v1\nelements 1\nnames 0\nzero 0\none 0\n")
 
 
+@pytest.mark.parametrize(
+    "count",
+    ["1_0", "+10", "-3", "\u0661\u0660"],
+    ids=["underscore", "plus-sign", "negative", "arabic-indic"],
+)
+def test_element_count_outside_the_grammar_is_a_parse_error(count):
+    # the count is [0-9]+, ASCII digits only; int() alone takes all four
+    text = serialize_eaf(mv_chain(9))
+    assert "\nelements 10\n" in text
+    assert len(parse_eaf(text).names) == 10
+    with pytest.raises(ParseError, match="is not an integer"):
+        parse_eaf(text.replace("\nelements 10\n", f"\nelements {count}\n"))
+
+
 def test_unknown_zero_or_one():
     with pytest.raises(ParseError):
         parse_eaf("ea v1\nelements 2\nnames 0 1\nzero q\none 1\n")
