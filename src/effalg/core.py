@@ -33,7 +33,7 @@ from functools import wraps
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar, TYPE_CHECKING
 
-from .errors import AxiomViolation, DuplicateSum, UnknownName
+from .errors import AxiomViolation, DuplicateSum, IndexOutOfRange, UnknownName
 
 if TYPE_CHECKING:  # pragma: no cover
     from .eaf import EafDocument
@@ -112,12 +112,13 @@ def close_table(table: SumTable) -> SumTable:
     """Close a declared table under commutativity and the implied zero rows.
 
     Raises :class:`DuplicateSum` when two declarations (or a declaration and
-    an implied zero row) disagree about the same pair.
+    an implied zero row) disagree about the same pair, and
+    :class:`IndexOutOfRange` when an entry is not an element index.
     """
     n = table.size
     for (x, y), z in table.sums.items():
         if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
-            raise ValueError(f"sum entry ({x},{y})->{z} out of range for size {n}")
+            raise _out_of_range(n, x, y, z)
     closed: dict[tuple[int, int], int] = {}
 
     def put(x: int, y: int, z: int) -> None:
@@ -136,6 +137,10 @@ def close_table(table: SumTable) -> SumTable:
     return SumTable(n, table.zero, table.one, closed)
 
 
+def _out_of_range(n: int, x: int, y: int, z: int) -> IndexOutOfRange:
+    return IndexOutOfRange(f"sum entry ({x},{y})->{z} out of range for size {n}")
+
+
 def verify_axioms(table: SumTable) -> AxiomReport:
     """Check the effect-algebra axioms on a sum table.
 
@@ -150,7 +155,8 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     ``totals`` are exact.  Only the first ``_WITNESS_CAP`` violations
     of each axiom are kept, in (x, y, z) order, so memory stays bounded
     however broken the table is.  An empty report means the closed
-    table is an effect algebra.
+    table is an effect algebra.  Raises :class:`IndexOutOfRange` when an
+    entry, ``zero`` or ``one`` is not an element index.
     """
     return _check(table)[0]
 
@@ -164,6 +170,8 @@ def _check(table: SumTable) -> tuple[AxiomReport, list[list[Optional[int]]]]:
     table with an empty report, its first ``n`` columns are the table.
     """
     n, zero, one = table.size, table.zero, table.one
+    if not (0 <= zero < n and 0 <= one < n):
+        raise IndexOutOfRange(f"zero {zero} or one {one} out of range for size {n}")
     found = Witnesses()
 
     if zero == one:
@@ -176,6 +184,8 @@ def _check(table: SumTable) -> tuple[AxiomReport, list[list[Optional[int]]]]:
         eff[x][zero] = x
     seen_pairs: set[tuple[int, int]] = set()
     for (x, y), z in sorted(table.sums.items()):
+        if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
+            raise _out_of_range(n, x, y, z)
         if zero in (x, y):
             implied = y if x == zero else x
             if z != implied:
@@ -374,7 +384,7 @@ def make_algebra(
     if len(set(names)) != len(names):
         raise ValueError("element names must be unique")
     if not (0 <= zero < len(names) and 0 <= one < len(names)):
-        raise ValueError("zero/one index out of range")
+        raise IndexOutOfRange("zero/one index out of range")
     n = len(names)
     report, eff = _check(close_table(SumTable(n, zero, one, dict(sums))))
     if not report.ok:

@@ -27,6 +27,13 @@ class DuplicateSum(EffectAlgebraError):
     """The same pair was declared with two different sums."""
 
 
+class IndexOutOfRange(EffectAlgebraError, ValueError):
+    """A sum table entry, its zero or its one is not an element index.
+
+    A ``ValueError`` too, so callers catching that keep working.
+    """
+
+
 class ParseError(EffectAlgebraError):
     """Malformed document text.  Keeps the offending line number."""
 

@@ -1,10 +1,15 @@
 """Executable law suite: structural identities run as exhaustive checks.
 
 Each law quantifies over the finite carrier (pairs, triples, atoms, or
-enumerated orthogonal families) and reports pass, fail with witnesses, or
-skipped when its structural hypothesis does not hold for the input.  A
-skip is never a pass: algebras outside a law's hypothesis contribute
-nothing.
+orthogonal families) and reports pass, fail with witnesses, or skipped
+when its structural hypothesis does not hold for the input.  A skip is
+never a pass: algebras outside a law's hypothesis contribute nothing.
+
+L2.2.iv checks every orthogonal family, of any size.  A 301-element
+chain has about 2.3e12 of them, so they are not listed one by one: one
+depth-first walk merges prefixes whose further checks are the same and
+counts the families and failures below them exactly (see
+:func:`_l22iv_walk`).
 
 Counterexample mode forces laws whose hypothesis includes lattice order to
 run their conclusion checks on non-lattice algebras anyway.  There, an
@@ -20,7 +25,7 @@ Law ids, in report order:
 L2.2.i              x + y = (x v y) + (x ^ y) for summable pairs
 L2.2.ii             (x v y) + z distributes over the join when both summable
 L2.2.iii            disjointness of x, y spreads to all defined multiples
-L2.2.iv             meets distribute over joins of orthogonal families
+L2.2.iv             meets distribute over the join of every orthogonal family
 L2.3.i              proper atom multiples are non-sharp via their supplement
 L2.3.ii             the full multiple of an atom is sharp, others are not
 L2.3.iii            elements between an atom and its multiples are multiples
@@ -40,11 +45,21 @@ product-closure     squaring preserves lattice/atomic/sharply-dominating
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, islice
+from operator import getitem, ne
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import EffectAlgebra, Witnesses, iterated_sum, multiple, multiples
+from .core import (
+    _WITNESS_CAP,
+    EffectAlgebra,
+    Witnesses,
+    iterated_sum,
+    multiple,
+    multiples,
+)
 from .decompose import AtomMultiple, atomic_decomposition
 from .errors import InvalidState, PreconditionFailed
 from .linear import InfeasibilityCertificate
@@ -111,13 +126,25 @@ class LawReport:
 # A collecting law yields one (witness, reason) pair per failing instance.
 _Failures = Iterator[tuple[tuple[int, ...], str]]
 
+# L2.2.iv's deviating x, ascending, each with its running join of meets.
+_Deviating = tuple[tuple[int, Optional[int]], ...]
 
-def _collect(law: str, failures: _Failures) -> LawResult:
-    """Pass, or fail with the capped witnesses and the first reason."""
+
+def _collect(
+    law: str, failures: _Failures, total: Optional[int] = None
+) -> LawResult:
+    """Pass, or fail with the capped witnesses and the first reason.
+
+    With ``total`` given, it is the failure count and ``failures`` is
+    read only as far as the witnesses kept.
+    """
     found = Witnesses()
+    if total is not None:
+        failures = islice(failures, _WITNESS_CAP)
     for witness, reason in failures:
         found.add(law, witness, reason)
-    total = found.totals.get(law, 0)
+    if total is None:
+        total = found.totals.get(law, 0)
     if total == 0:
         return LawResult(law, PASS)
     reason = found.kept[0].detail
@@ -160,46 +187,19 @@ class _Ctx:
         grow(0, E.zero, ())
         return out
 
-    @cached_property
-    def orthogonal_sets(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Orthogonal sets of distinct nonzero elements, size 2 or more.
+    def join_of(self, xs: Iterable[Optional[int]]) -> Optional[int]:
+        """The join of ``xs`` folded left to right, zero when empty.
 
-        Returned as (iterated sum, ascending element tuple).  Sets are
-        capped at max(2, number of atoms) members.  The cap only limits the
-        enumeration; orthogonal sets can be larger: ``mv_chain(6)`` has one
-        atom a, yet {a, 2a, 3a} sums to 1.
+        ``None`` when a term is ``None`` or a partial join is missing.
         """
-        E = self.E
-        cap = max(2, len(self.atoms))
-        nonzero = [x for x in range(E.size) if x != E.zero]
-        out: list[tuple[int, tuple[int, ...]]] = []
-
-        def grow(start: int, acc: int, members: tuple[int, ...]) -> None:
-            if len(members) >= cap:
-                return
-            for i in range(start, len(nonzero)):
-                x = nonzero[i]
-                s = E.table[acc][x]
-                if s is None:
-                    continue
-                grown = members + (x,)
-                if len(grown) >= 2:
-                    out.append((s, grown))
-                grow(i + 1, s, grown)
-
-        grow(0, E.zero, ())
-        return out
-
-    def join_of(self, xs: Iterable[int]) -> Optional[int]:
-        acc: Optional[int] = None
+        acc = self.E.zero
         for x in xs:
+            if x is None:
+                return None
+            acc = self.os.join[acc][x]
             if acc is None:
-                acc = x
-            else:
-                acc = self.os.join[acc][x]
-                if acc is None:
-                    return None
-        return acc if acc is not None else self.E.zero
+                return None
+        return acc
 
     def names(self, *xs: int) -> str:
         return ", ".join(self.E.names[x] for x in xs)
@@ -280,34 +280,185 @@ def _law_l22iii(ctx: _Ctx) -> _Failures:
                                 )
 
 
-def _law_l22iv(ctx: _Ctx) -> _Failures:
+def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
+    """L2.2.iv over every orthogonal family, as one merged depth-first walk.
+
+    Returns the exact failure total, the number of families checked and
+    the failures in report order: families in preorder, each with its
+    failing x ascending.  A family is two or more distinct nonzero
+    members in ascending index with every prefix sum defined.  Its join
+    is folded left to right; a family without one is skipped, and so is
+    every extension of it, which lacks a join too.  Per family, an x
+    compatible with every member fails when ``x ^ join`` differs from
+    the join of the ``x ^ y`` (or either is missing), and otherwise when
+    x is not compatible with the join.
+
+    A node of the walk is a family prefix: the next index, the running
+    sum and join b, the ``alive`` mask of x compatible with every member,
+    and the deviating x, whose running join of meets is not ``x ^ b``,
+    with that running value.  For every other alive x the check when y
+    joins depends only on (b, y), so one failure mask per pair covers
+    them all.  Everything below a node depends only on its state, so
+    equal states are walked once and their totals reused.  The witness
+    walk goes again without merging, but enters only subtrees with
+    failures, and is read only as far as the witnesses kept.
+    """
     E = ctx.E
-    meet = ctx.os.meet
-    for _, members in ctx.orthogonal_sets:
-        big = ctx.join_of(members)
-        if big is None:
-            continue  # hypothesis needs the join of the family
-        family = sum(1 << y for y in members)
-        for x in range(E.size):
-            # A pair without a meet or join has no compatibility bit, so an
-            # x whose hypothesis cannot be evaluated is skipped: vacuous.
-            if family & ~ctx.compat[x]:
+    n = E.size
+    table, meet, join = E.table, ctx.os.meet, ctx.os.join
+    # ``col[y]`` masks the x with ``compat[x] >> y & 1``: the transpose,
+    # since the relation is not assumed symmetric.
+    rows = [format(mask, f"0{n}b")[::-1] for mask in ctx.compat]
+    col = [int("".join(bits)[::-1], 2) for bits in zip(*rows)]
+    # ``summands[s]`` lists the nonzero y with s + y defined, ascending.
+    summands = [
+        [y for y, v in enumerate(row) if v is not None and y != E.zero]
+        for row in table
+    ]
+    # ``meet_ix[b][x]`` is ``meet[x][b]`` and ``join_ix`` is ``join``,
+    # with ``n`` for a missing bound and an all-missing row and column of
+    # joins at ``n``, so each x's join of meets is read in C.
+    meet_ix = [[n if m is None else m for m in column] for column in zip(*meet)]
+    join_ix = [[n if j is None else j for j in row] + [n] for row in join]
+    join_ix.append([n] * (n + 1))
+    # ``fail_masks[b][y]``, built on first use: the x for which
+    # ``x ^ (b v y)`` and ``(x ^ b) v (x ^ y)`` differ or one is missing.
+    fail_masks: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+
+    def fail_mask(b: int, y: int) -> int:
+        row = fail_masks[b]
+        mask = row[y]
+        if mask is None:
+            lhs = meet_ix[join[b][y]]
+            rhs = list(map(getitem, map(join_ix.__getitem__, meet_ix[b]), meet_ix[y]))
+            mask = 0
+            if rhs != lhs or n in lhs:
+                for x in compress(range(n), map(ne, rhs, lhs)):
+                    mask |= 1 << x
+                for x in compress(range(n), map(n.__eq__, lhs)):
+                    mask |= 1 << x
+            row[y] = mask
+        return mask
+
+    def join_or_none(p: Optional[int], q: Optional[int]) -> Optional[int]:
+        return None if p is None or q is None else join[p][q]
+
+    def step(
+        b: int, y: int, b2: int, alive: int, dev: _Deviating
+    ) -> tuple[_Deviating, int]:
+        """Grow a family with join b by y, to join b2.
+
+        ``alive`` masks the x compatible with every member, y included.
+        Returns the deviating x of the grown family, which are exactly
+        the x failing its meet check, and the mask of the other alive x
+        that are not compatible with b2.
+        """
+        devmask = 0
+        out = []
+        for x, rhs in dev:
+            devmask |= 1 << x
+            if alive >> x & 1:
+                rhs = join_or_none(rhs, meet[x][y])
+                if rhs is None or rhs != meet[x][b2]:
+                    out.append((x, rhs))
+        clean = alive & ~devmask
+        bad = fail_mask(b, y) & clean
+        while bad:
+            x = (bad & -bad).bit_length() - 1
+            bad &= bad - 1
+            out.append((x, join_or_none(meet[x][b], meet[x][y])))
+        out.sort()
+        for x, _ in out:
+            clean &= ~(1 << x)
+        return tuple(out), clean & ~col[b2]
+
+    memo: dict[tuple[int, int, int, int, _Deviating], tuple[int, int]] = {}
+
+    def count(i: int, s: int, b: int, alive: int, dev: _Deviating) -> tuple[int, int]:
+        """Failures and families among the extensions of one node."""
+        failures = families = 0
+        ys = summands[s]
+        row = table[s]
+        jb = join[b]
+        masks = fail_masks[b]
+        for y in ys[bisect_left(ys, i):]:
+            b2 = jb[y]
+            if b2 is None:
                 continue
-            lhs = meet[x][big]
-            rhs = ctx.join_of(meet[x][y] for y in members)
-            if lhs is None or rhs is None or lhs != rhs:
-                yield (
-                    (x,) + members,
-                    f"meet of {E.names[x]} with the join of "
-                    f"{ctx.names(*members)} breaks distribution",
-                )
+            alive2 = alive & col[y]
+            bad = 0
+            if alive2:
+                bad = masks[y]
+                if bad is None:
+                    bad = fail_mask(b, y)
+            if dev or bad & alive2:
+                dev2, odd = step(b, y, b2, alive2, dev)
+                failures += len(dev2)
+            else:
+                dev2, odd = (), alive2 & ~col[b2]
+            failures += odd.bit_count()
+            families += 1
+            s2 = row[y]
+            later = summands[s2]
+            if later and later[-1] > y:  # else no family extends this one
+                key = (y + 1, s2, b2, alive2, dev2)
+                sub = memo.get(key)
+                if sub is None:
+                    sub = memo[key] = count(*key)
+                failures += sub[0]
+                families += sub[1]
+        return failures, families
+
+    roots = summands[E.zero]
+    failures = families = 0
+    for y in roots:
+        key = (y + 1, y, y, col[y], ())
+        memo[key] = sub = count(*key)
+        failures += sub[0]
+        families += sub[1]
+
+    def witnesses(
+        i: int, s: int, b: int, alive: int, dev: _Deviating, members: tuple[int, ...]
+    ) -> _Failures:
+        ys = summands[s]
+        for y in ys[bisect_left(ys, i):]:
+            b2 = join[b][y]
+            if b2 is None:
                 continue
-            if not ctx.compat[x] >> big & 1:
-                yield (
-                    (x, big),
-                    f"{E.names[x]} fails to commute with the family join "
-                    f"{E.names[big]}",
-                )
+            alive2 = alive & col[y]
+            dev2, odd = step(b, y, b2, alive2, dev)
+            family = members + (y,)
+            deviating = dict(dev2)
+            odd_xs = [x for x in range(n) if odd >> x & 1]
+            for x in sorted([*deviating, *odd_xs]):
+                if x in deviating:
+                    yield (
+                        (x,) + family,
+                        f"meet of {E.names[x]} with the join of "
+                        f"{ctx.names(*family)} breaks distribution",
+                    )
+                else:
+                    yield (
+                        (x, b2),
+                        f"{E.names[x]} fails to commute with the family join "
+                        f"{E.names[b2]}",
+                    )
+            s2 = table[s][y]
+            # A node that no family extends has no entry.
+            if memo.get((y + 1, s2, b2, alive2, dev2), (0, 0))[0]:
+                yield from witnesses(y + 1, s2, b2, alive2, dev2, family)
+
+    def report() -> _Failures:
+        for y in roots:
+            if memo[(y + 1, y, y, col[y], ())][0]:
+                yield from witnesses(y + 1, y, y, col[y], (), (y,))
+
+    return failures, families, report()
+
+
+def _law_l22iv(ctx: _Ctx) -> LawResult:
+    total, _, failures = _l22iv_walk(ctx)
+    return _collect("L2.2.iv", failures, total)
 
 
 def _law_l23i(ctx: _Ctx) -> _Failures:
@@ -679,7 +830,6 @@ _COLLECTING_LAWS: dict[str, Callable[[_Ctx], _Failures]] = {
     "L2.2.i": _law_l22i,
     "L2.2.ii": _law_l22ii,
     "L2.2.iii": _law_l22iii,
-    "L2.2.iv": _law_l22iv,
     "L2.3.i": _law_l23i,
     "L2.3.ii": _law_l23ii,
     "L2.3.iii": _law_l23iii,
@@ -692,6 +842,13 @@ _COLLECTING_LAWS: dict[str, Callable[[_Ctx], _Failures]] = {
     "T4.1": _law_t41,
     "SE-subalgebra": _law_se_subalgebra,
     "SE-full-sublattice": _law_se_full_sublattice,
+}
+
+
+# Laws that build their result themselves.
+_RESULT_LAWS: dict[str, Callable[[_Ctx], LawResult]] = {
+    "L2.2.iv": _law_l22iv,
+    "T4.2": _law_t42,
 }
 
 
@@ -737,8 +894,8 @@ def run_law_suite(
                 LawResult(law, SKIPPED, (), "algebra is not lattice-ordered")
             )
             continue
-        if law == "T4.2":
-            results.append(_law_t42(ctx))
+        if law in _RESULT_LAWS:
+            results.append(_RESULT_LAWS[law](ctx))
         else:
             results.append(_collect(law, _COLLECTING_LAWS[law](ctx)))
     return LawReport(E, tuple(results))

@@ -224,6 +224,118 @@ def oracle_basic_decompositions(E, x):
     return out
 
 
+def oracle_bounds(E):
+    """(meet, join) as lists of rows, None where the bound is missing.
+
+    A common lower bound m is the greatest exactly when everything below
+    m is all of the common lower bounds, and dually for joins.
+    """
+    n = E.size
+    below = oracle_leq(E)
+    above = [{u for u in range(n) if x in below[u]} for x in range(n)]
+
+    def extreme(common, cone):
+        hits = [m for m in common if len(cone[m]) == len(common)]
+        return hits[0] if hits else None
+
+    meet = [[extreme(below[x] & below[y], below) for y in range(n)] for x in range(n)]
+    join = [[extreme(above[x] & above[y], above) for y in range(n)] for x in range(n)]
+    return meet, join
+
+
+def oracle_l22iv(E, meet=None, compat=None):
+    """L2.2.iv checked one orthogonal family at a time, every family.
+
+    A family is two or more distinct nonzero elements in ascending index
+    with every prefix sum defined, listed in depth-first preorder.  For
+    every x compatible with each member (join equal to x plus y minus
+    the meet, both bounds present), the meet of x with the family join
+    must be the join of the member meets, and x must be compatible with
+    the family join.  ``meet`` replaces the meet table in the checks
+    only, and ``compat`` (bitmasks, as the package keeps them) the
+    compatibility worked out from the table.
+
+    Returns (status, failure total, first six witnesses, reason, number
+    of families with a join).
+    """
+    n = E.size
+    true_meet, join = oracle_bounds(E)
+    meet = true_meet if meet is None else meet
+
+    def compatible(x, y):
+        m, j = true_meet[x][y], join[x][y]
+        if m is None or j is None:
+            return False
+        rest = [c for c in range(n) if E.table[m][c] == y]
+        return E.table[x][rest[0]] == j
+
+    if compat is None:
+        compat = [{y for y in range(n) if compatible(x, y)} for x in range(n)]
+    else:
+        compat = [{y for y in range(n) if mask >> y & 1} for mask in compat]
+
+    def join_of(xs):
+        acc = E.zero
+        for v in xs:
+            if v is None:
+                return None
+            acc = join[acc][v]
+            if acc is None:
+                return None
+        return acc
+
+    nonzero = [y for y in range(n) if y != E.zero]
+    families = []
+
+    def grow(start, acc, members):
+        for i in range(start, len(nonzero)):
+            y = nonzero[i]
+            s = E.table[acc][y]
+            if s is None:
+                continue
+            grown = members + (y,)
+            if len(grown) >= 2:
+                families.append(grown)
+            grow(i + 1, s, grown)
+
+    grow(0, E.zero, ())
+    names = E.names
+    failures = []
+    checked = 0
+    for members in families:
+        big = join_of(members)
+        if big is None:
+            continue
+        checked += 1
+        for x in range(n):
+            if not set(members) <= compat[x]:
+                continue
+            lhs = meet[x][big]
+            rhs = join_of(meet[x][y] for y in members)
+            if lhs is None or rhs is None or lhs != rhs:
+                failures.append(
+                    (
+                        (x,) + members,
+                        f"meet of {names[x]} with the join of "
+                        f"{', '.join(names[y] for y in members)} breaks distribution",
+                    )
+                )
+            elif big not in compat[x]:
+                failures.append(
+                    (
+                        (x, big),
+                        f"{names[x]} fails to commute with the family join {names[big]}",
+                    )
+                )
+    if not failures:
+        return "pass", 0, (), "", checked
+    reason = failures[0][1]
+    if len(failures) > 1:
+        reason += f" (+{len(failures) - 1} more instances)"
+    kept = tuple(w for w, _ in failures[:6])
+    return "fail", len(failures), kept, reason, checked
+
+
 def gaussian_solve(rows, rhs):
     """Solve a linear system exactly; None if inconsistent, else one map.
 

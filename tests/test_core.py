@@ -13,6 +13,7 @@ from effalg import (
     AxiomViolation,
     DuplicateSum,
     EffectAlgebra,
+    IndexOutOfRange,
     SumTable,
     UnknownName,
     build_effect_algebra,
@@ -101,6 +102,29 @@ def test_declared_zero_row_conflict_is_closure_violation():
     # Through closing, the same contradiction surfaces as a declared clash.
     with pytest.raises(DuplicateSum):
         closed(3, 0, 2, {(0, 1): 2})
+
+
+@pytest.mark.parametrize("result", [3, -1])
+def test_unclosed_entry_out_of_range_is_a_named_error(result):
+    # Unchecked, these fail deep inside the check as an IndexError (3)
+    # or a negative shift count (-1).
+    table = SumTable(3, 0, 2, {(1, 1): result})
+    with pytest.raises(IndexOutOfRange, match=r"\(1,1\)->"):
+        verify_axioms(table)
+    with pytest.raises(IndexOutOfRange):
+        close_table(table)
+
+
+@pytest.mark.parametrize("zero, one", [(0, 3), (-1, 2), (3, 0)])
+def test_zero_or_one_out_of_range_is_a_named_error(zero, one):
+    with pytest.raises(IndexOutOfRange, match="zero"):
+        verify_axioms(SumTable(3, zero, one, {}))
+
+
+def test_out_of_range_is_still_a_value_error():
+    assert issubclass(IndexOutOfRange, ValueError)
+    with pytest.raises(ValueError):
+        make_algebra(("0", "a", "1"), 0, 3, {})
 
 
 def test_make_algebra_rejects_duplicate_names():

@@ -1,15 +1,21 @@
 """The executable law suite: green on lattices, documented breakage off them."""
 
+import dataclasses
+
 import pytest
 
 from effalg import (
     LAW_IDS,
     boolean_algebra,
+    derive_order,
     direct_product,
     horizontal_sum,
     mv_chain,
     run_law_suite,
 )
+from effalg.laws import _Ctx, _l22iv_walk, _law_l22iv
+
+from oracles import oracle_l22iv
 
 # Frozen status maps for counterexample mode on the bundled non-lattice
 # tables.  Any drift, pass included, must be investigated rather than
@@ -158,3 +164,122 @@ def test_t42_vacuous_when_the_sharp_part_has_no_states():
     E = horizontal_sum([mv_chain(2), mv_chain(2)])
     report = run_law_suite(E, selection=["T4.2"])
     assert report.results[0].status == "pass"
+
+
+def test_join_of_is_none_when_any_term_is_none():
+    E = mv_chain(3)
+    ctx = _Ctx(E)
+    a, two, one = E.index("a"), E.index("2a"), E.one
+    assert ctx.join_of([None, one]) is None
+    assert ctx.join_of([one, None]) is None
+    assert ctx.join_of([a, None, two]) is None
+    assert ctx.join_of([]) == E.zero
+    assert ctx.join_of([two, a]) == two
+
+
+def l22iv_outcome(ctx, result=None):
+    """The law's result and the walk's totals, shaped as oracle_l22iv's."""
+    if result is None:
+        result = _law_l22iv(ctx)
+    total, families, _ = _l22iv_walk(ctx)
+    return result.status, total, result.witnesses, result.reason, families
+
+
+def suite_outcome(E):
+    result = run_law_suite(E, ["L2.2.iv"], counterexample_mode=True).results[0]
+    return l22iv_outcome(_Ctx(E), result)
+
+
+def test_l22iv_matches_the_oracle_on_the_corpus(corpus):
+    for name, E in corpus:
+        assert suite_outcome(E) == oracle_l22iv(E), name
+
+
+def test_l22iv_matches_the_oracle_off_lattice(example_25, example_37, example_44):
+    algebras = [
+        example_25,
+        example_37,
+        example_44,
+        direct_product(example_44, mv_chain(1)),
+        horizontal_sum([example_44, mv_chain(2)]),
+        direct_product(example_25, mv_chain(2)),
+        horizontal_sum([example_37, mv_chain(3)]),
+        direct_product(example_37, example_25),
+    ]
+    for E in algebras:
+        assert not derive_order(E).is_lattice
+        assert suite_outcome(E) == oracle_l22iv(E), E.names
+
+
+def tampered(E, meet_entries=(), compat_cleared=()):
+    """A law context whose meet table has the given entries replaced and
+    whose compatibility masks lose the given (x, y) bits."""
+    ctx = _Ctx(E)
+    meet = [list(row) for row in ctx.os.meet]
+    for (x, y), value in meet_entries:
+        meet[x][y] = value
+    ctx.os = dataclasses.replace(ctx.os, meet=tuple(map(tuple, meet)))
+    compat = list(ctx.compat)
+    for x, y in compat_cleared:
+        compat[x] &= ~(1 << y)
+    ctx.compat = tuple(compat)
+    return ctx, meet, compat
+
+
+def test_l22iv_counts_and_orders_failures_like_the_oracle():
+    # x = 0,0 has no meet with 0,a: every family holding 0,a fails the
+    # meet check for it, all the way down the walk; eleven instances.
+    E = direct_product(mv_chain(2), mv_chain(3))
+    ctx, meet, _ = tampered(E, [((0, 1), None)])
+    outcome = l22iv_outcome(ctx)
+    assert outcome == oracle_l22iv(E, meet=meet)
+    status, total, witnesses, reason, _ = outcome
+    assert (status, total, len(witnesses)) == ("fail", 11, 6)
+    assert witnesses[:2] == ((0, 1, 2), (0, 1, 2, 4))
+    assert reason.endswith(" (+10 more instances)")
+
+
+def test_l22iv_deviation_can_heal_further_down():
+    # With 3a ^ 2a read as 0, 3a deviates in {a, 2a}; adding 3a brings
+    # its join of meets back to 3a ^ 3a, so {a, 2a, 3a} passes.
+    E = mv_chain(6)
+    ctx, meet, _ = tampered(E, [((3, 2), 0)])
+    outcome = l22iv_outcome(ctx)
+    assert outcome == oracle_l22iv(E, meet=meet)
+    assert outcome[:4] == (
+        "fail",
+        1,
+        ((3, 1, 2),),
+        "meet of 3a with the join of a, 2a breaks distribution",
+    )
+
+
+def test_l22iv_interleaves_both_failure_kinds_by_x():
+    # 0,0 no longer commutes with 1,1, and a,a has no meet with itself.
+    E = direct_product(mv_chain(2), mv_chain(3))
+    ctx, meet, compat = tampered(E, [((5, 5), None)], [(E.zero, E.one)])
+    outcome = l22iv_outcome(ctx)
+    assert outcome == oracle_l22iv(E, meet=meet, compat=compat)
+    assert outcome[1] == 8
+    assert (E.zero, E.one) in outcome[2]
+
+
+@pytest.mark.parametrize(
+    "make, families",
+    [
+        (lambda: mv_chain(30), 2004),
+        (lambda: direct_product(mv_chain(7), mv_chain(7)), 4844),
+        (lambda: boolean_algebra(6), 813),
+    ],
+    ids=["chain-31", "c8xc8", "boolean-64"],
+)
+def test_l22iv_checks_every_orthogonal_family(make, families):
+    E = make()
+    outcome = l22iv_outcome(_Ctx(E))
+    assert outcome == oracle_l22iv(E)
+    assert outcome == ("pass", 0, (), "", families)
+
+
+def test_l22iv_family_count_on_a_61_element_chain():
+    # Sets of two or more distinct positive integers summing to 60 or less.
+    assert _l22iv_walk(_Ctx(mv_chain(60)))[:2] == (0, 101922)
