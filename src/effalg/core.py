@@ -7,8 +7,11 @@ always represented by ``None`` and never by a sentinel element.
 
 Construction closes a declared table under commutativity and the implied
 ``zero + x = x`` rows, then checks the four defining axioms on every pair
-and, for associativity, on every triple that can fail (one pair's triples
-compared at a time, see :func:`verify_axioms`):
+and, for associativity, on every triple (see :func:`verify_axioms`).  On
+tables of at most 255 elements the lookup rows are byte strings and one
+element's triples are checked at a time by composing rows in C; a byte
+cannot name a 256th element and also mark "undefined", so larger tables
+compare one pair's triples at a time:
 
 * Ei   commutativity: a+b defined implies b+a defined and equal,
 * Eii  associativity: either grouping of a+b+c defined implies both are
@@ -30,10 +33,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import wraps
+from itertools import islice
 from operator import itemgetter, ne
-from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar, TYPE_CHECKING
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+    TYPE_CHECKING,
+)
 
-from .errors import AxiomViolation, DuplicateSum, IndexOutOfRange, UnknownName
+from .errors import (
+    AxiomViolation,
+    DuplicateName,
+    DuplicateSum,
+    IndexOutOfRange,
+    UnknownName,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .eaf import EafDocument
@@ -46,6 +65,12 @@ AXIOM_CLOSURE = "closure"
 
 # Violations kept per axiom label, and failure witnesses kept per law.
 _WITNESS_CAP = 6
+
+# The byte marking an undefined sum in a byte row.  Tables of at most this
+# many elements keep byte rows, whose values 0..254 name every element.
+_UNDEF = 255
+# A byte row's entry as an element index, ``None`` for ``_UNDEF``.
+_BYTE_VALUE: tuple[Optional[int], ...] = (*range(_UNDEF), None)
 
 
 @dataclass(frozen=True)
@@ -146,28 +171,32 @@ def verify_axioms(table: SumTable) -> AxiomReport:
 
     The table may be unclosed; lookups treat ``(x, y)`` and ``(y, x)`` as
     one pair and take the implied zero rows as present.  Ei, Eiii and
-    Eiv are checked on every pair.  Eii is checked one pair (x, y) at a
-    time: (x + y) + z is compared with x + (y + z) for every z with
-    y + z defined, and every z with y + z undefined is a failure exactly
-    when (x + y) + z is defined, since x + (y + z) is not; these are
-    counted from bitmasks of the rows' domains without visiting the z.
-    Together they cover every triple (x, y, z), so the report's
-    ``totals`` are exact.  Only the first ``_WITNESS_CAP`` violations
-    of each axiom are kept, in (x, y, z) order, so memory stays bounded
-    however broken the table is.  An empty report means the closed
-    table is an effect algebra.  Raises :class:`IndexOutOfRange` when an
-    entry, ``zero`` or ``one`` is not an element index.
+    Eiv are checked on every pair, Eii on every triple (x, y, z), so the
+    report's ``totals`` are exact.  On tables of at most 255 elements
+    each row of the lookup matrix is a byte string and Eii composes rows
+    in C, one element x at a time: translating the whole matrix through
+    x's row gives x + (y + z) for every (y, z), and joining the rows of
+    x + y gives (x + y) + z (see :func:`_eii_bytes`).  Byte 255 marks
+    "undefined", so bytes name at most 255 elements, and larger tables
+    keep the pairwise walk of :func:`_eii_pairwise`.  Only the first
+    ``_WITNESS_CAP`` violations of each axiom are kept, in (x, y, z)
+    order, so memory stays bounded however broken the table is.  An
+    empty report means the closed table is an effect algebra.  Raises
+    :class:`IndexOutOfRange` when an entry, ``zero`` or ``one`` is not an
+    element index.
     """
     return _check(table)[0]
 
 
-def _check(table: SumTable) -> tuple[AxiomReport, list[list[Optional[int]]]]:
+def _check(table: SumTable) -> tuple[AxiomReport, list]:
     """:func:`verify_axioms`' report and the lookup matrix it checked.
 
-    Row ``r`` of the matrix holds ``r + z`` at index ``z`` (``None`` when
-    undefined) plus one ``None`` at index ``n``, so that a row read at a
-    list of indices ending in ``n`` always yields a tuple.  On a closed
-    table with an empty report, its first ``n`` columns are the table.
+    Row ``r`` of the matrix holds ``r + z`` at index ``z``.  On tables of
+    at most ``_UNDEF`` elements a row is ``bytes`` with ``_UNDEF`` where
+    the sum is undefined; on larger ones it is a list with ``None`` there
+    plus one ``None`` at index ``n`` (see :func:`_eii_pairwise`).  On a
+    closed table with an empty report, its first ``n`` columns are the
+    table.
     """
     n, zero, one = table.size, table.zero, table.one
     if not (0 <= zero < n and 0 <= one < n):
@@ -177,8 +206,16 @@ def _check(table: SumTable) -> tuple[AxiomReport, list[list[Optional[int]]]]:
     if zero == one:
         found.add(AXIOM_CLOSURE, (zero,), "zero and one coincide")
 
-    # Effective symmetric lookup matrix, implied zero rows included.
-    eff: list[list[Optional[int]]] = [[None] * (n + 1) for _ in range(n)]
+    # Effective symmetric lookup matrix, implied zero rows included.  Its
+    # rows are bytes when every element index fits below ``_UNDEF``, so
+    # that Eii can compose rows with ``bytes.translate``.
+    narrow = n <= _UNDEF
+    undef = _UNDEF if narrow else None
+    eff: list = (
+        [bytearray((_UNDEF,)) * n for _ in range(n)]
+        if narrow
+        else [[None] * (n + 1) for _ in range(n)]
+    )
     for x in range(n):
         eff[zero][x] = x
         eff[x][zero] = x
@@ -196,7 +233,7 @@ def _check(table: SumTable) -> tuple[AxiomReport, list[list[Optional[int]]]]:
                 )
             continue
         prior = eff[x][y]
-        if prior is not None and prior != z:
+        if prior != undef and prior != z:
             key = (min(x, y), max(x, y))
             if key not in seen_pairs:
                 found.add(
@@ -209,19 +246,125 @@ def _check(table: SumTable) -> tuple[AxiomReport, list[list[Optional[int]]]]:
         eff[x][y] = z
         eff[y][x] = z
 
-    # Eii, one pair (x, y) at a time, with u = x + y.  ``support[r]``
-    # lists the z with r + z defined, ``dom[r]`` masks them and ``img[r]``
-    # masks their values.  ``at_support[y]`` reads a row at y's support
-    # and ``at_values[y]`` at the values y + z there, both in C, so
-    # ``at_support[y](eff[u])`` holds each (x + y) + z and
-    # ``at_values[y](eff[x])`` each x + (y + z), z over y's support; the
-    # failures there are the positions where the two tuples differ.  A z
-    # outside y's support fails exactly when (x + y) + z is defined:
-    # ``dom[u] & ~dom[y]`` holds those z.  An undefined u reads as a row
-    # with nothing defined, and its pair is skipped when no y + z lies
-    # in dom[x].  Each pair's count is exact; its z are walked one at a
-    # time, in order, only to name witnesses while fewer than the cap
-    # are kept.
+    # Eii on every triple: byte rows one element x at a time, list rows
+    # one pair (x, y) at a time.
+    if narrow:
+        eff = [bytes(row) for row in eff]
+        _eii_bytes(eff, found)
+    else:
+        _eii_pairwise(eff, found)
+
+    # Eiii: exactly one orthosupplement per element.
+    for a, row in enumerate(eff):
+        mates = row.count(one)
+        if not mates:
+            found.add(AXIOM_SUPPLEMENT, (a,), f"element {a} has no orthosupplement")
+        elif mates > 1:
+            first = row.index(one)
+            found.add(
+                AXIOM_SUPPLEMENT,
+                (a, first, row.index(one, first + 1)),
+                f"element {a} has multiple orthosupplements",
+            )
+
+    # Eiv: one + a defined forces a = zero.
+    top = eff[one]
+    for a in range(n):
+        if a != zero and top[a] != undef:
+            found.add(
+                AXIOM_ZERO_ONE, (a,), f"one + element {a} is defined although {a} is not zero"
+            )
+
+    return AxiomReport(tuple(found.kept), found.totals), eff
+
+
+def _eii_violation(
+    x: int, y: int, z: int, left: Optional[int], right: Optional[int]
+) -> Violation:
+    """The Eii violation at (x, y, z): (x + y) + z is ``left`` and
+    x + (y + z) is ``right``, ``None`` where undefined."""
+    return Violation(
+        AXIOM_ASSOCIATIVITY,
+        (x, y, z),
+        f"groupings of elements {x}+{y}+{z} disagree "
+        f"({'undef' if left is None else f'element {left}'} vs "
+        f"{'undef' if right is None else f'element {right}'})",
+    )
+
+
+def _eii_bytes(rows: list[bytes], found: Witnesses) -> None:
+    """Count Eii failures into ``found`` from byte rows, one x at a time.
+
+    ``rows[r][z]`` is r + z, or ``_UNDEF`` when undefined, for at most
+    ``_UNDEF`` elements.  With ``flat`` the rows joined, ``flat[y·n + z]``
+    is y + z; translating it through x's row, padded to 256 bytes with
+    ``_UNDEF``, gives x + (y + z) at the same position, ``_UNDEF`` when
+    either sum is undefined.  Joining the rows of x + y in y order, an
+    all-``_UNDEF`` row where x + y is undefined, gives (x + y) + z there.
+    Both are built in C, and x is clean exactly when they are equal.
+    Otherwise its failures are the differing bytes, counted in C by
+    folding each byte of the XOR into its low bit.  Only while fewer than
+    the cap are kept are the differing positions walked, slice by slice,
+    to name witnesses in (x, y, z) order.
+    """
+    n = len(rows)
+    flat = b"".join(rows)
+    pad = bytes((_UNDEF,)) * (256 - n)
+    # The row of x + y; row_of[_UNDEF], for x + y undefined, has nothing defined.
+    row_of = rows + [bytes((_UNDEF,)) * n] * (256 - n)
+    low_bits = int.from_bytes(b"\x01" * (n * n), "little")
+    eii = 0
+    for x, row in enumerate(rows):
+        left = b"".join(map(row_of.__getitem__, row))
+        right = flat.translate(row + pad)
+        if left == right:
+            continue
+        if eii < _WITNESS_CAP:
+            for i in islice(_differing(left, right, n), _WITNESS_CAP - eii):
+                y, z = divmod(i, n)
+                found.kept.append(
+                    _eii_violation(x, y, z, _BYTE_VALUE[left[i]], _BYTE_VALUE[right[i]])
+                )
+        bits = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
+        bits |= bits >> 4
+        bits |= bits >> 2
+        bits |= bits >> 1
+        eii += (bits & low_bits).bit_count()
+    if eii:
+        found.totals[AXIOM_ASSOCIATIVITY] = eii
+
+
+def _differing(left: bytes, right: bytes, n: int) -> Iterator[int]:
+    """The positions where ``left`` and ``right`` differ, in order,
+    skipping equal slices of ``n`` bytes in C."""
+    for start in range(0, len(left), n):
+        stop = start + n
+        if left[start:stop] != right[start:stop]:
+            for i in range(start, stop):
+                if left[i] != right[i]:
+                    yield i
+
+
+def _eii_pairwise(eff: list[list[Optional[int]]], found: Witnesses) -> None:
+    """Count Eii failures into ``found`` one pair (x, y) at a time.
+
+    ``eff[r][z]`` is r + z, or ``None`` when undefined, with one more
+    ``None`` at index ``n`` so that a row read at a list of indices
+    ending in ``n`` always yields a tuple.  This walk serves tables too
+    large for byte rows.  With u = x + y, ``support[r]`` lists the z with
+    r + z defined, ``dom[r]`` masks them and ``img[r]`` masks their
+    values.  ``at_support[y]`` reads a row at y's support and
+    ``at_values[y]`` at the values y + z there, both in C, so
+    ``at_support[y](eff[u])`` holds each (x + y) + z and
+    ``at_values[y](eff[x])`` each x + (y + z), z over y's support; the
+    failures there are the positions where the two tuples differ.  A z
+    outside y's support fails exactly when (x + y) + z is defined:
+    ``dom[u] & ~dom[y]`` holds those z.  An undefined u reads as a row
+    with nothing defined, and its pair is skipped when no y + z lies in
+    dom[x].  Each pair's count is exact; its z are walked one at a time,
+    in order, only to name witnesses while fewer than the cap are kept.
+    """
+    n = len(eff)
     support: list[list[int]] = []
     dom: list[int] = []
     img: list[int] = []
@@ -262,42 +405,13 @@ def _check(table: SumTable) -> tuple[AxiomReport, list[list[Optional[int]]]]:
                     v = ey[z]
                     right = None if v is None else ex[v]
                     if left != right:
-                        found.kept.append(
-                            Violation(
-                                AXIOM_ASSOCIATIVITY,
-                                (x, y, z),
-                                f"groupings of elements {x}+{y}+{z} disagree "
-                                f"({'undef' if left is None else f'element {left}'} vs "
-                                f"{'undef' if right is None else f'element {right}'})",
-                            )
-                        )
+                        found.kept.append(_eii_violation(x, y, z, left, right))
                         room -= 1
                         if not room:
                             break
             eii += bad
     if eii:
         found.totals[AXIOM_ASSOCIATIVITY] = eii
-
-    # Eiii: exactly one orthosupplement per element.
-    for a in range(n):
-        mates = [b for b in range(n) if eff[a][b] == one]
-        if not mates:
-            found.add(AXIOM_SUPPLEMENT, (a,), f"element {a} has no orthosupplement")
-        elif len(mates) > 1:
-            found.add(
-                AXIOM_SUPPLEMENT,
-                (a, mates[0], mates[1]),
-                f"element {a} has multiple orthosupplements",
-            )
-
-    # Eiv: one + a defined forces a = zero.
-    for a in range(n):
-        if a != zero and eff[one][a] is not None:
-            found.add(
-                AXIOM_ZERO_ONE, (a,), f"one + element {a} is defined although {a} is not zero"
-            )
-
-    return AxiomReport(tuple(found.kept), found.totals), eff
 
 
 @dataclass(frozen=True)
@@ -377,19 +491,23 @@ def make_algebra(
 ) -> EffectAlgebra:
     """Close, validate, and wrap a sum table.
 
-    Raises :class:`DuplicateSum` on inconsistent declarations and
+    Raises :class:`DuplicateName` when two names coincide,
+    :class:`DuplicateSum` on inconsistent declarations and
     :class:`AxiomViolation` when the closed table is not an effect algebra.
     """
     names = tuple(names)
     if len(set(names)) != len(names):
-        raise ValueError("element names must be unique")
+        raise DuplicateName("element names must be unique")
     if not (0 <= zero < len(names) and 0 <= one < len(names)):
         raise IndexOutOfRange("zero/one index out of range")
     n = len(names)
     report, eff = _check(close_table(SumTable(n, zero, one, dict(sums))))
     if not report.ok:
         raise AxiomViolation(report)
-    matrix = tuple(tuple(row[:n]) for row in eff)
+    if n <= _UNDEF:
+        matrix = tuple(tuple(map(_BYTE_VALUE.__getitem__, row)) for row in eff)
+    else:
+        matrix = tuple(tuple(row[:n]) for row in eff)
     supplement = tuple(row.index(one) for row in eff)
     return EffectAlgebra(names, zero, one, matrix, supplement)
 

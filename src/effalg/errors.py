@@ -27,6 +27,13 @@ class DuplicateSum(EffectAlgebraError):
     """The same pair was declared with two different sums."""
 
 
+class DuplicateName(EffectAlgebraError, ValueError):
+    """Two elements were given the same name.
+
+    A ``ValueError`` too, so callers catching that keep working.
+    """
+
+
 class IndexOutOfRange(EffectAlgebraError, ValueError):
     """A sum table entry, its zero or its one is not an element index.
 

@@ -101,18 +101,6 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     )
 
 
-def atoms(E: EffectAlgebra) -> frozenset[int]:
-    return structure_profile(E).atoms
-
-
-def sharp_elements(E: EffectAlgebra) -> frozenset[int]:
-    return structure_profile(E).sharp
-
-
-def meager_elements(E: EffectAlgebra) -> frozenset[int]:
-    return structure_profile(E).meager
-
-
 def is_sharp(E: EffectAlgebra, x: int) -> bool:
     return x in structure_profile(E).sharp
 

@@ -44,11 +44,7 @@ def oracle_axiom_errors(n, zero, one, sums):
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                xy = sums.get((x, y))
-                yz = sums.get((y, z))
-                left = sums.get((xy, z)) if xy is not None else None
-                right = sums.get((x, yz)) if yz is not None else None
-                if left != right:
+                if _groupings_disagree(sums, x, y, z):
                     errors.append(f"associativity broken at {x},{y},{z}")
     for a in range(n):
         mates = [b for b in range(n) if sums.get((a, b)) == one]
@@ -58,6 +54,38 @@ def oracle_axiom_errors(n, zero, one, sums):
         if a != zero and (one, a) in sums:
             errors.append(f"one + {a} is defined")
     return errors
+
+
+def oracle_eii_failures_near(n, sums, pairs):
+    """The failing associativity triples that read one of ``pairs``, sorted.
+
+    ``sums`` has the shape :func:`oracle_axiom_errors` takes.  A triple
+    reads the pairs (x, y), (y, z), (x + y, z) and (x, y + z).  When
+    ``sums`` differs from an effect algebra's table only at ``pairs``,
+    every other triple reads what it reads there and holds, so these are
+    all of the table's failures, found in O(n²) lookups instead of n³.
+    """
+    pairs = set(pairs) | {(b, a) for a, b in pairs}
+    with_sum = {}
+    for (x, y), s in sums.items():
+        with_sum.setdefault(s, []).append((x, y))
+    candidates = set()
+    for a, b in pairs:
+        for t in range(n):
+            candidates.add((a, b, t))
+            candidates.add((t, a, b))
+        candidates.update((x, y, b) for x, y in with_sum.get(a, ()))
+        candidates.update((a, y, z) for y, z in with_sum.get(b, ()))
+    return sorted(t for t in candidates if _groupings_disagree(sums, *t))
+
+
+def _groupings_disagree(sums, x, y, z):
+    """(x + y) + z and x + (y + z) differ, undefined counting as a value."""
+    xy = sums.get((x, y))
+    yz = sums.get((y, z))
+    left = sums.get((xy, z)) if xy is not None else None
+    right = sums.get((x, yz)) if yz is not None else None
+    return left != right
 
 
 def table_dict(E):

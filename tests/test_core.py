@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from effalg import (
     AxiomViolation,
+    DuplicateName,
     DuplicateSum,
     EffectAlgebra,
+    EffectAlgebraError,
     IndexOutOfRange,
     SumTable,
     UnknownName,
@@ -28,9 +30,23 @@ from effalg import (
     structure_profile,
     verify_axioms,
 )
-from effalg.core import _WITNESS_CAP, close_table, iterated_sum
+from effalg import core
+from effalg.core import (
+    _WITNESS_CAP,
+    Witnesses,
+    _eii_bytes,
+    _eii_pairwise,
+    close_table,
+    iterated_sum,
+)
 
-from oracles import oracle_axiom_errors, oracle_multiple, oracle_ord, table_dict
+from oracles import (
+    oracle_axiom_errors,
+    oracle_eii_failures_near,
+    oracle_multiple,
+    oracle_ord,
+    table_dict,
+)
 
 
 def closed(size, zero, one, sums):
@@ -130,6 +146,12 @@ def test_out_of_range_is_still_a_value_error():
 def test_make_algebra_rejects_duplicate_names():
     with pytest.raises(ValueError):
         make_algebra(("0", "0"), 0, 1, {})
+
+
+def test_duplicate_names_raise_a_named_error():
+    assert issubclass(DuplicateName, EffectAlgebraError)
+    with pytest.raises(DuplicateName, match="unique"):
+        make_algebra(("0", "a", "a"), 0, 2, {})
 
 
 def test_make_algebra_surfaces_axiom_report():
@@ -273,7 +295,7 @@ def test_verdict_always_matches_the_oracle(table):
         size, 0, size - 1, with_zero_rows(closed_table)
     )
     assert report.ok == (oracle_errors == [])
-    assert_capped_totals_match_the_oracle(report, oracle_errors)
+    assert_capped_totals_match_the_oracle(report, oracle_errors, closed_table)
 
 
 def oracle_totals(oracle_errors):
@@ -295,13 +317,44 @@ def oracle_eii_triples(oracle_errors):
     ]
 
 
-def assert_capped_totals_match_the_oracle(report, oracle_errors):
+def assert_capped_totals_match_the_oracle(report, oracle_errors, table):
+    """``report`` is ``verify_axioms(table)``."""
     for axiom, expected in oracle_totals(oracle_errors).items():
         assert report.totals.get(axiom, 0) == expected, axiom
         assert len(report.by_axiom(axiom)) == min(expected, _WITNESS_CAP), axiom
     assert set(report.totals) <= {"Eii", "Eiii", "Eiv"}
-    kept = [v.witnesses for v in report.by_axiom("Eii")]
-    assert kept == oracle_eii_triples(oracle_errors)[:_WITNESS_CAP]
+    assert_every_eii_path_finds(report, table, oracle_eii_triples(oracle_errors))
+
+
+def assert_every_eii_path_finds(report, table, triples):
+    """``report``, from ``verify_axioms(table)``, and each Eii helper run
+    on ``table`` count ``triples`` and keep its first ones, and the two
+    helpers keep the report's very violations."""
+    assert_eii_found(report.totals, report.by_axiom("Eii"), triples)
+    for name, found in eii_by_each_helper(table).items():
+        assert_eii_found(found.totals, found.kept, triples, name)
+        assert tuple(found.kept) == report.by_axiom("Eii"), name
+
+
+def assert_eii_found(totals, kept, triples, label=None):
+    """Exact Eii total and the first ``_WITNESS_CAP`` triples, in order."""
+    assert totals.get("Eii", 0) == len(triples), label
+    assert [v.witnesses for v in kept] == triples[:_WITNESS_CAP], label
+
+
+def eii_by_each_helper(table):
+    """What each Eii helper collects on a closed table, by helper name."""
+    n = table.size
+    lists = [[table.sums.get((x, y)) for y in range(n)] + [None] for x in range(n)]
+    byte_rows = [bytes(255 if v is None else v for v in row[:-1]) for row in lists]
+    out = {}
+    for name, helper, rows in (
+        ("bytes", _eii_bytes, byte_rows),
+        ("pairwise", _eii_pairwise, lists),
+    ):
+        out[name] = found = Witnesses()
+        helper(rows, found)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -321,7 +374,7 @@ def test_eii_walk_counts_and_orders_triples_like_the_oracle(sums):
     report = verify_axioms(table)
     oracle_errors = oracle_axiom_errors(8, 0, 7, with_zero_rows(table))
     assert len(oracle_eii_triples(oracle_errors)) > _WITNESS_CAP
-    assert_capped_totals_match_the_oracle(report, oracle_errors)
+    assert_capped_totals_match_the_oracle(report, oracle_errors, table)
 
 
 def test_dense_broken_table_keeps_capped_witnesses_and_exact_totals():
@@ -338,7 +391,7 @@ def test_dense_broken_table_keeps_capped_witnesses_and_exact_totals():
         tracemalloc.stop()
     oracle_errors = oracle_axiom_errors(n, 0, n - 1, dict(table.sums))
     assert oracle_totals(oracle_errors)["Eii"] > 10_000
-    assert_capped_totals_match_the_oracle(report, oracle_errors)
+    assert_capped_totals_match_the_oracle(report, oracle_errors, table)
     # Keeping every Eii violation of this table peaks at about 16 MB; with
     # the cap only the lookup matrix and a handful of witnesses remain.
     assert peak < 1_000_000, peak
@@ -374,7 +427,7 @@ def test_eii_cap_crossed_partway_through_one_pair(size, sums):
     triples = oracle_eii_triples(oracle_errors)
     first, last = eii_pair_spans(triples)[triples[_WITNESS_CAP - 1][:2]]
     assert first < _WITNESS_CAP - 1 and last >= _WITNESS_CAP
-    assert_capped_totals_match_the_oracle(report, oracle_errors)
+    assert_capped_totals_match_the_oracle(report, oracle_errors, table)
 
 
 def test_eii_pair_past_the_cap_counts_z_outside_y_support():
@@ -392,7 +445,7 @@ def test_eii_pair_past_the_cap_counts_z_outside_y_support():
         and (y, z) not in table.sums
         for x, y, z in triples
     )
-    assert_capped_totals_match_the_oracle(report, oracle_errors)
+    assert_capped_totals_match_the_oracle(report, oracle_errors, table)
 
 
 @pytest.mark.parametrize("sums", [{}, {(1, 1): 0}, {(1, 1): 1}])
@@ -401,7 +454,7 @@ def test_two_element_tables_match_the_oracle(sums):
     report = verify_axioms(table)
     oracle_errors = oracle_axiom_errors(2, 0, 1, dict(table.sums))
     assert report.ok == (oracle_errors == [])
-    assert_capped_totals_match_the_oracle(report, oracle_errors)
+    assert_capped_totals_match_the_oracle(report, oracle_errors, table)
 
 
 def test_row_whose_support_is_only_zero():
@@ -412,7 +465,7 @@ def test_row_whose_support_is_only_zero():
     report = verify_axioms(table)
     oracle_errors = oracle_axiom_errors(4, 0, 3, dict(table.sums))
     assert (2, 1, 1) in oracle_eii_triples(oracle_errors)
-    assert_capped_totals_match_the_oracle(report, oracle_errors)
+    assert_capped_totals_match_the_oracle(report, oracle_errors, table)
 
 
 def test_dense_random_tables_match_the_oracle():
@@ -432,7 +485,7 @@ def test_dense_random_tables_match_the_oracle():
         report = verify_axioms(table)
         oracle_errors = oracle_axiom_errors(n, 0, n - 1, dict(table.sums))
         assert report.ok == (oracle_errors == [])
-        assert_capped_totals_match_the_oracle(report, oracle_errors)
+        assert_capped_totals_match_the_oracle(report, oracle_errors, table)
 
 
 def test_make_algebra_table_and_supplement_match_brute_force(
@@ -450,3 +503,62 @@ def test_make_algebra_table_and_supplement_match_brute_force(
         built = make_algebra(E.names, E.zero, E.one, sums)
         assert built.table == table == E.table, name
         assert built.supplement == supplement == E.supplement, name
+
+
+# Sums of a chain changed, removed (None) or added, away from zero and one.
+CHAIN_CORRUPTIONS = {
+    (3, 7): 11,
+    (100, 100): None,
+    (200, 100): 254,
+    (1, 253): 253,
+    (50, 60): 0,
+}
+
+
+def corrupted_chain(k, changes):
+    """``mv_chain(k)``'s closed table with ``changes`` made in both orders."""
+    E = mv_chain(k)
+    sums = table_dict(E)
+    for (a, b), z in changes.items():
+        for key in ((a, b), (b, a)):
+            if z is None:
+                sums.pop(key, None)  # (a, a) is one key
+            else:
+                sums[key] = z
+    return SumTable(E.size, E.zero, E.one, sums)
+
+
+def refuse(*args):
+    raise AssertionError("this Eii helper is for the other side of 255 elements")
+
+
+@pytest.mark.parametrize("k", [254, 255])
+def test_chain_tables_on_either_side_of_the_byte_limit(k):
+    E = mv_chain(k)
+    n = k + 1
+    assert E.table == tuple(
+        tuple(x + y if x + y <= k else None for y in range(n)) for x in range(n)
+    )
+    assert E.supplement == tuple(k - x for x in range(n))
+
+
+def test_byte_rows_match_the_pairwise_walk_at_255_elements(monkeypatch):
+    table = corrupted_chain(254, CHAIN_CORRUPTIONS)
+    assert table.size == 255
+    triples = oracle_eii_failures_near(table.size, table.sums, CHAIN_CORRUPTIONS)
+    assert len(triples) > _WITNESS_CAP
+    monkeypatch.setattr(core, "_eii_pairwise", refuse)
+    report = verify_axioms(table)
+    assert_every_eii_path_finds(report, table, triples)
+
+
+def test_256_elements_keep_the_pairwise_walk(monkeypatch):
+    monkeypatch.setattr(core, "_eii_bytes", refuse)
+    E = mv_chain(255)
+    assert E.size == 256
+    assert verify_axioms(SumTable(E.size, E.zero, E.one, table_dict(E))).ok
+    table = corrupted_chain(255, CHAIN_CORRUPTIONS)
+    triples = oracle_eii_failures_near(table.size, table.sums, CHAIN_CORRUPTIONS)
+    assert len(triples) > _WITNESS_CAP
+    report = verify_axioms(table)
+    assert_eii_found(report.totals, report.by_axiom("Eii"), triples)
