@@ -47,7 +47,6 @@ from .eaf import (
 )
 from .errors import (
     AxiomViolation,
-    BoundsMissing,
     DegenerateBlock,
     DuplicateName,
     DuplicateSum,
@@ -63,7 +62,6 @@ from .errors import (
     PreconditionFailed,
     SizeLimit,
     UnknownName,
-    ZeroElement,
 )
 from .laws import LAW_IDS, LawReport, LawResult, run_law_suite
 from .linear import (
@@ -78,7 +76,7 @@ from .order import (
     Classification,
     OrderStructure,
     classify,
-    compatible,
+    compatibility,
     derive_order,
 )
 from .states import (
@@ -93,17 +91,9 @@ from .states import (
     verify_state,
 )
 from .structure import (
-    SharpBounds,
     SharpSubalgebra,
     StructureProfile,
     extract_sharp,
-    is_archimedean,
-    is_atomic,
-    is_s_dominating,
-    is_sharp,
-    is_sharply_dominating,
-    isotropic_index,
-    sharp_bounds,
     structure_profile,
 )
 
@@ -113,7 +103,6 @@ __all__ = [
     "AxiomReport",
     "AxiomViolation",
     "BasicDecomposition",
-    "BoundsMissing",
     "Classification",
     "DegenerateBlock",
     "DuplicateName",
@@ -137,7 +126,6 @@ __all__ = [
     "OrderStructure",
     "ParseError",
     "PreconditionFailed",
-    "SharpBounds",
     "SharpSubalgebra",
     "SizeLimit",
     "SplitDecomposition",
@@ -148,24 +136,17 @@ __all__ = [
     "SumTable",
     "UnknownName",
     "Violation",
-    "ZeroElement",
     "atomic_decomposition",
     "basic_decomposition",
     "boolean_algebra",
     "build_effect_algebra",
     "classify",
-    "compatible",
+    "compatibility",
     "derive_order",
     "direct_product",
     "extract_sharp",
     "find_state",
     "horizontal_sum",
-    "is_archimedean",
-    "is_atomic",
-    "is_s_dominating",
-    "is_sharp",
-    "is_sharply_dominating",
-    "isotropic_index",
     "make_algebra",
     "multiple",
     "mv_chain",
@@ -176,7 +157,6 @@ __all__ = [
     "run_law_suite",
     "serialize_eaf",
     "serialize_state",
-    "sharp_bounds",
     "smear_state",
     "solve_exact",
     "split_atomic_decomposition",

@@ -158,12 +158,7 @@ def bundled_fixture(name: str) -> EffectAlgebra:
     if name not in FIXTURE_FILES:
         known = ", ".join(sorted(set(FIXTURE_FILES)))
         raise KeyError(f"unknown fixture {name!r}; known: {known}")
-    return build_fixture_file(FIXTURE_FILES[name])
-
-
-def build_fixture_file(filename: str) -> EffectAlgebra:
-    """Parse and validate a bundled .eaf file by filename."""
-    return build_effect_algebra(parse_eaf(fixture_text(filename)))
+    return build_effect_algebra(parse_eaf(fixture_text(FIXTURE_FILES[name])))
 
 
 def fixture_text(filename: str) -> str:

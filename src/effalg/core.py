@@ -441,15 +441,9 @@ class EffectAlgebra:
     def size(self) -> int:
         return len(self.names)
 
-    def sum(self, x: int, y: int) -> Optional[int]:
-        return self.table[x][y]
-
     def diff(self, b: int, a: int) -> Optional[int]:
         """The unique c with a + c == b, or None when a is not below b."""
         return _difference_table(self)[a][b]
-
-    def orth(self, x: int) -> int:
-        return self.supplement[x]
 
     def index(self, name: str) -> int:
         try:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .core import EffectAlgebra, iterated_sum, multiple, multiples
 from .errors import InvalidDecomposition, NotDecomposable, PreconditionFailed
 from .order import derive_order
-from .structure import sharp_bounds, structure_profile
+from .structure import structure_profile
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def atomic_decomposition(E: EffectAlgebra, x: int) -> AtomicDecomposition:
 def _validate(E: EffectAlgebra, d: AtomicDecomposition) -> None:
     profile = structure_profile(E)
     seen: set[int] = set()
-    acc = E.zero
+    terms: list[int] = []
     for part in d.parts:
         if part.atom not in profile.atoms:
             raise InvalidDecomposition(f"element {part.atom} is not an atom")
@@ -113,12 +113,10 @@ def _validate(E: EffectAlgebra, d: AtomicDecomposition) -> None:
             raise InvalidDecomposition(
                 f"{part.multiplicity}-fold sum of atom {part.atom} is undefined"
             )
-        nxt = E.table[acc][m]
-        if nxt is None:
-            raise InvalidDecomposition(
-                "parts are not summable in the given order"
-            )
-        acc = nxt
+        terms.append(m)
+    acc = iterated_sum(E, terms)
+    if acc is None:
+        raise InvalidDecomposition("parts are not summable in the given order")
     if acc != d.element:
         raise InvalidDecomposition(
             f"parts sum to {acc}, not to the decomposed element {d.element}"
@@ -170,7 +168,7 @@ def basic_decomposition(E: EffectAlgebra, x: int) -> BasicDecomposition:
             "basic decomposition needs a lattice-ordered algebra"
         )
     profile = structure_profile(E)
-    kernel = sharp_bounds(E, x).kernel
+    kernel = profile.sharp_kernel[x]
     if kernel is None:
         raise PreconditionFailed(
             f"element {x} has no greatest sharp element below it"

@@ -66,14 +66,6 @@ class NegativeDenominator(EffectAlgebraError):
     """A rational literal has a zero or negative denominator."""
 
 
-class BoundsMissing(EffectAlgebraError):
-    """A meet or join needed by the operation does not exist."""
-
-
-class ZeroElement(EffectAlgebraError):
-    """The operation is undefined at the zero element."""
-
-
 class NotDecomposable(EffectAlgebraError):
     """No atom lies below a nonzero residual (cannot happen on validated
     finite tables, kept as an explicit guard)."""

@@ -798,6 +798,17 @@ def _law_product_closure(ctx: _Ctx) -> LawResult:
     from .order import classify
 
     E = ctx.E
+    if not (
+        ctx.os.is_lattice
+        and ctx.profile.atomic
+        and ctx.profile.sharply_dominating
+    ):
+        return LawResult(
+            "product-closure",
+            SKIPPED,
+            (),
+            "hypothesis needs a lattice, atomic, sharply dominating algebra",
+        )
     if E.size > _PRODUCT_FACTOR_CAP:
         return LawResult(
             "product-closure",
@@ -849,7 +860,11 @@ _COLLECTING_LAWS: dict[str, Callable[[_Ctx], _Failures]] = {
 _RESULT_LAWS: dict[str, Callable[[_Ctx], LawResult]] = {
     "L2.2.iv": _law_l22iv,
     "T4.2": _law_t42,
+    "product-closure": _law_product_closure,
 }
+
+# Laws that check their whole hypothesis themselves, in either mode.
+_SELF_GATED_LAWS = frozenset({"product-closure"})
 
 
 def run_law_suite(
@@ -871,25 +886,10 @@ def run_law_suite(
             raise KeyError(f"unknown law id(s): {', '.join(unknown)}")
         chosen.sort(key=LAW_IDS.index)
     ctx = _Ctx(E)
-    lattice = ctx.os.is_lattice
+    off_lattice = not ctx.os.is_lattice and not counterexample_mode
     results = []
     for law in chosen:
-        if law == "product-closure":
-            prof = ctx.profile
-            if not (lattice and prof.atomic and prof.sharply_dominating):
-                results.append(
-                    LawResult(
-                        law,
-                        SKIPPED,
-                        (),
-                        "hypothesis needs a lattice, atomic, sharply "
-                        "dominating algebra",
-                    )
-                )
-            else:
-                results.append(_law_product_closure(ctx))
-            continue
-        if not lattice and not counterexample_mode:
+        if off_lattice and law not in _SELF_GATED_LAWS:
             results.append(
                 LawResult(law, SKIPPED, (), "algebra is not lattice-ordered")
             )

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import EffectAlgebra, derived
-from .errors import BoundsMissing
 
 
 @dataclass(frozen=True)
@@ -82,21 +81,6 @@ def compatibility(E: EffectAlgebra) -> tuple[int, ...]:
                 mask |= 1 << y
         masks.append(mask)
     return tuple(masks)
-
-
-def compatible(E: EffectAlgebra, x: int, y: int) -> bool:
-    """Whether x and y commute: their join equals x + (y minus their meet).
-
-    Needs both the meet and the join of the pair to exist; raises
-    :class:`BoundsMissing` otherwise.  When the defining sum is undefined
-    the pair is simply incompatible.
-    """
-    os = derive_order(E)
-    if os.meet[x][y] is None or os.join[x][y] is None:
-        raise BoundsMissing(
-            f"compatibility of {x} and {y} needs their meet and join"
-        )
-    return bool(compatibility(E)[x] >> y & 1)
 
 
 @dataclass(frozen=True)

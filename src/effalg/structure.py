@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import EffectAlgebra, derived, make_algebra, multiples
-from .errors import ZeroElement
 from .order import derive_order, sharp_mask
 
 
@@ -49,7 +48,13 @@ def _extreme(mask: int, rel: tuple[int, ...]) -> Optional[int]:
 class StructureProfile:
     """Atoms, sharp/meager split, indices, the domination flags, and each
     element's sharp cover (least sharp element above it) and sharp kernel
-    (greatest sharp element below it), ``None`` where none exists."""
+    (greatest sharp element below it), ``None`` where none exists.
+
+    ``sharply_dominating`` holds when every element has a sharp cover;
+    ``s_dominating`` asks further that every element have a meet with
+    every sharp element.  ``isotropic[x]`` is the largest k with the
+    k-fold sum of x defined.
+    """
 
     atoms: frozenset[int]
     sharp: frozenset[int]
@@ -99,58 +104,6 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
         atoms, sharp, meager, iso, atomic, archimedean, dominating, s_dom,
         cover, kernel,
     )
-
-
-def is_sharp(E: EffectAlgebra, x: int) -> bool:
-    return x in structure_profile(E).sharp
-
-
-def isotropic_index(E: EffectAlgebra, x: int) -> int:
-    """Largest k with the k-fold sum of x defined; zero is rejected."""
-    if x == E.zero:
-        raise ZeroElement("the zero element has no isotropic index")
-    return structure_profile(E).isotropic[x]
-
-
-@dataclass(frozen=True)
-class SharpBounds:
-    """Least sharp element above (cover) and greatest below (kernel)."""
-
-    cover: Optional[int]
-    kernel: Optional[int]
-
-
-def sharp_bounds(E: EffectAlgebra, x: int) -> SharpBounds:
-    profile = structure_profile(E)
-    return SharpBounds(profile.sharp_cover[x], profile.sharp_kernel[x])
-
-
-def is_sharply_dominating(E: EffectAlgebra) -> bool:
-    """Every element has a least sharp element above it.
-
-    In lattice-ordered algebras the mirror condition (a greatest sharp
-    element below) holds exactly when this one does, via orthosupplements.
-    """
-    return structure_profile(E).sharply_dominating
-
-
-def is_s_dominating(E: EffectAlgebra) -> bool:
-    """Sharply dominating, and meets with sharp elements always exist.
-
-    Strictly stronger than :func:`is_sharply_dominating`: beyond every
-    element having a least sharp element above it, the meet of any element
-    with any sharp element must exist, even when the algebra as a whole is
-    not lattice-ordered.
-    """
-    return structure_profile(E).s_dominating
-
-
-def is_atomic(E: EffectAlgebra) -> bool:
-    return structure_profile(E).atomic
-
-
-def is_archimedean(E: EffectAlgebra) -> bool:
-    return structure_profile(E).archimedean
 
 
 @dataclass(frozen=True)

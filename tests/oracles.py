@@ -127,7 +127,7 @@ def oracle_compatible(E, x, y):
     x1, y1, c with x1 + y1 + c defined.
 
     Returns None when the meet or the join of the pair is missing, the case
-    in which the package raises instead of answering.
+    in which the package leaves the pair's compatibility bit unset.
     """
     if oracle_meet(E, x, y) is None or oracle_join(E, x, y) is None:
         return None

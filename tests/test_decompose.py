@@ -22,7 +22,7 @@ from oracles import oracle_basic_decompositions
 def reassemble(E, d):
     acc = E.zero
     for p in d.parts:
-        acc = E.sum(acc, multiple(E, p.atom, p.multiplicity))
+        acc = E.table[acc][multiple(E, p.atom, p.multiplicity)]
     return acc
 
 

@@ -148,7 +148,7 @@ def test_double_of_both_atoms_is_the_same_element(example_25):
     # the uniqueness failure is genuine: two copies of either atom meet
     E = example_25
     a, b = E.index("a"), E.index("b")
-    assert E.sum(a, a) == E.sum(b, b) == E.index("2a")
+    assert E.table[a][a] == E.table[b][b] == E.index("2a")
 
 
 def test_full_suite_is_deterministic(example_25):

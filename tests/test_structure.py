@@ -1,21 +1,11 @@
 """Atoms, sharpness, isotropic indices, domination, and extraction."""
 
-import pytest
-
 from effalg import (
-    ZeroElement,
     boolean_algebra,
     derive_order,
     extract_sharp,
     horizontal_sum,
-    is_archimedean,
-    is_atomic,
-    is_s_dominating,
-    is_sharp,
-    is_sharply_dominating,
-    isotropic_index,
     mv_chain,
-    sharp_bounds,
     structure_profile,
 )
 from oracles import (
@@ -52,10 +42,10 @@ def test_chain_facts():
     prof = structure_profile(E)
     assert prof.atoms == {E.index("a")}
     assert prof.sharp == {E.zero, E.one}
-    assert isotropic_index(E, E.index("a")) == 4
-    assert isotropic_index(E, E.index("2a")) == 2
-    assert isotropic_index(E, E.index("3a")) == 1
-    assert is_atomic(E) and is_archimedean(E)
+    assert prof.isotropic[E.index("a")] == 4
+    assert prof.isotropic[E.index("2a")] == 2
+    assert prof.isotropic[E.index("3a")] == 1
+    assert prof.atomic and prof.archimedean
 
 
 def test_boolean_everything_is_sharp():
@@ -68,23 +58,23 @@ def test_boolean_everything_is_sharp():
 
 def test_zero_has_no_isotropic_index():
     E = mv_chain(2)
-    with pytest.raises(ZeroElement):
-        isotropic_index(E, E.zero)
     assert structure_profile(E).isotropic[E.zero] == 0
 
 
 def test_fixture_indices(example_25, example_44):
     E = example_25
-    assert isotropic_index(E, E.index("a")) == 2
-    assert isotropic_index(E, E.index("b")) == 3
-    assert structure_profile(E).sharp == {E.zero, E.one}
-    assert not is_sharp(E, E.index("2a"))
+    prof = structure_profile(E)
+    assert prof.isotropic[E.index("a")] == 2
+    assert prof.isotropic[E.index("b")] == 3
+    assert prof.sharp == {E.zero, E.one}
+    assert E.index("2a") not in prof.sharp
 
     F = example_44
-    assert isotropic_index(F, F.index("a")) == 3
-    assert isotropic_index(F, F.index("b")) == 4
-    assert isotropic_index(F, F.index("c")) == 3
-    assert structure_profile(F).sharp == {F.zero, F.one}
+    prof = structure_profile(F)
+    assert prof.isotropic[F.index("a")] == 3
+    assert prof.isotropic[F.index("b")] == 4
+    assert prof.isotropic[F.index("c")] == 3
+    assert prof.sharp == {F.zero, F.one}
 
 
 def test_sharp_bounds_against_the_oracle(
@@ -92,49 +82,48 @@ def test_sharp_bounds_against_the_oracle(
 ):
     fixtures = [("ex25", example_25), ("ex37", example_37), ("ex44", example_44)]
     for name, E in corpus + fixtures:
+        prof = structure_profile(E)
         for x in range(E.size):
-            bounds = sharp_bounds(E, x)
-            expected = oracle_sharp_bounds(E, x)
-            assert (bounds.cover, bounds.kernel) == expected, (name, x)
+            got = (prof.sharp_cover[x], prof.sharp_kernel[x])
+            assert got == oracle_sharp_bounds(E, x), (name, x)
 
 
 def test_sharp_bounds_on_a_chain():
     E = mv_chain(3)
     mid = E.index("a")
-    b = sharp_bounds(E, mid)
-    assert b.cover == E.one
-    assert b.kernel == E.zero
-    assert sharp_bounds(E, E.one) == sharp_bounds(E, E.one).__class__(
-        E.one, E.one
-    )
+    prof = structure_profile(E)
+    assert prof.sharp_cover[mid] == E.one
+    assert prof.sharp_kernel[mid] == E.zero
+    assert prof.sharp_cover[E.one] == prof.sharp_kernel[E.one] == E.one
 
 
 def test_sharp_bounds_in_a_boolean_are_the_element():
     E = boolean_algebra(2)
+    prof = structure_profile(E)
     for x in range(E.size):
-        b = sharp_bounds(E, x)
-        assert b.cover == x and b.kernel == x
+        assert prof.sharp_cover[x] == x and prof.sharp_kernel[x] == x
 
 
 def test_domination_flags(corpus, example_25, example_44):
     for name, E in corpus:
-        assert is_sharply_dominating(E), name
-        assert is_s_dominating(E), name
+        assert structure_profile(E).sharply_dominating, name
+        assert structure_profile(E).s_dominating, name
     # both small counterexamples have a two-element sharp part, so every
     # element is covered by one and meets with sharp elements are trivial
-    assert is_sharply_dominating(example_25)
-    assert is_s_dominating(example_25)
-    assert is_sharply_dominating(example_44)
-    assert is_s_dominating(example_44)
+    assert structure_profile(example_25).sharply_dominating
+    assert structure_profile(example_25).s_dominating
+    assert structure_profile(example_44).sharply_dominating
+    assert structure_profile(example_44).s_dominating
 
 
 def test_sharp_cover_exists_exactly_when_sharp_kernel_does(corpus):
     lattices = [(name, E) for name, E in corpus if derive_order(E).is_lattice]
     assert lattices
     for name, E in lattices:
+        prof = structure_profile(E)
         for x in range(E.size):
-            bounds = sharp_bounds(E, x)
-            assert (bounds.cover is None) == (bounds.kernel is None), (name, x)
+            cover, kernel = prof.sharp_cover[x], prof.sharp_kernel[x]
+            assert (cover is None) == (kernel is None), (name, x)
 
 
 def test_extract_sharp_of_boolean_is_everything():
@@ -159,7 +148,7 @@ def test_extract_sharp_keeps_block_structure():
     inner = [x for x in range(sub.algebra.size)
              if x not in (sub.algebra.zero, sub.algebra.one)]
     for x in inner:
-        assert sub.algebra.sum(x, sub.algebra.supplement[x]) == sub.algebra.one
+        assert sub.algebra.table[x][sub.algebra.supplement[x]] == sub.algebra.one
     # round trip through the index maps
     for i, parent in enumerate(sub.to_parent):
         assert sub.from_parent[parent] == i
