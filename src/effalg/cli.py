@@ -1,8 +1,24 @@
 """Command-line front end over EAF files.
 
 Subcommands: ``verify``, ``analyze``, ``decompose``, ``states``, ``smear``,
-``gen``, ``props``.  Output is deterministic line-oriented text (or JSON
-with ``--json``); every rational prints reduced as ``p/q``.
+``gen``, ``props``.  Output is deterministic line-oriented text; every
+rational prints reduced as ``p/q``.  Every command but ``gen`` also takes
+``--json``, which prints the same facts as one JSON object, with the same
+exit code.  Its top-level keys:
+
+- ``verify``: ``valid``, ``violations``, and ``totals`` when invalid;
+- ``analyze``: ``elements``, ``names``, ``zero``, ``one``, the flags
+  ``lattice``, ``mv``, ``orthomodular_image``, ``atomic``,
+  ``archimedean``, ``sharply_dominating`` and ``s_dominating``, then
+  ``atoms``, ``sharp``, ``meager``, ``ord`` and ``non_lattice_witness``;
+- ``decompose``: ``element``, ``kind``, then ``sharp`` (basic) or
+  ``unique`` (atomic), and ``parts``;
+- ``states``: ``values`` or ``certificate``;
+- ``smear``: ``values`` or ``error``;
+- ``props``: ``results``.
+
+Each command returns its exit code, its JSON payload and its text lines,
+the lines built from the payload's values; ``main`` prints one of the two.
 
 Exit codes are stable: 0 when the command succeeds (file valid, state
 found, certificate produced on request, laws hold), 1 when the checked
@@ -66,6 +82,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# what each command hands to main: exit code, JSON payload, text lines
+_Result = tuple[int, Optional[dict], list[str]]
+
+
 def _frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -88,15 +108,7 @@ def _load_algebra(path: str) -> EffectAlgebra:
         raise _InputError(f"{path}: {exc}")
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
-def _emit_json(payload: object) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Result:
     text = _read_text(args.file)
     try:
         doc = parse_eaf(text)
@@ -104,52 +116,41 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _InputError(f"{args.file}: {exc}")
     try:
         build_effect_algebra(doc)
-    except (AxiomViolation, DuplicateSum, UnknownName) as exc:
-        if isinstance(exc, AxiomViolation):
-            violations = [
-                {
-                    "axiom": v.axiom,
-                    "witnesses": [doc.names[w] for w in v.witnesses],
-                    "detail": v.detail,
-                }
-                for v in exc.report.violations
-            ]
-            totals = dict(exc.report.totals)
-        else:
-            violations = [
-                {"axiom": "closure", "witnesses": [], "detail": str(exc)}
-            ]
-            totals = {"closure": 1}
-        if args.json:
-            _emit_json(
-                {"valid": False, "violations": violations, "totals": totals}
-            )
-        else:
-            lines = ["invalid"]
-            for v in violations:
-                names = ", ".join(v["witnesses"])
-                lines.append(f"violation {v['axiom']} [{names}] {v['detail']}")
-            for axiom, total in totals.items():
-                listed = sum(1 for v in violations if v["axiom"] == axiom)
-                if total > listed:
-                    lines.append(f"more {axiom} {total - listed}")
-            _emit("\n".join(lines) + "\n")
-        return 1
-    if args.json:
-        _emit_json({"valid": True, "violations": []})
+    except AxiomViolation as exc:
+        violations = [
+            {
+                "axiom": v.axiom,
+                "witnesses": [doc.names[w] for w in v.witnesses],
+                "detail": v.detail,
+            }
+            for v in exc.report.violations
+        ]
+        totals = dict(exc.report.totals)
+    except (DuplicateSum, UnknownName) as exc:
+        violations = [{"axiom": "closure", "witnesses": [], "detail": str(exc)}]
+        totals = {"closure": 1}
     else:
-        _emit("valid\n")
-    return 0
+        return 0, {"valid": True, "violations": []}, ["valid"]
+    lines = ["invalid"]
+    for v in violations:
+        names = ", ".join(v["witnesses"])
+        lines.append(f"violation {v['axiom']} [{names}] {v['detail']}")
+    for axiom, total in totals.items():
+        listed = sum(1 for v in violations if v["axiom"] == axiom)
+        if total > listed:
+            lines.append(f"more {axiom} {total - listed}")
+    payload = {"valid": False, "violations": violations, "totals": totals}
+    return 1, payload, lines
 
 
-def _nonlattice_witness(E: EffectAlgebra) -> Optional[tuple[int, int, str]]:
+def _nonlattice_witness(E: EffectAlgebra) -> Optional[dict]:
     os = derive_order(E)
     for x in range(E.size):
         for y in range(x + 1, E.size):
             if os.meet[x][y] is None:
-                return (x, y, "meet")
+                return {"x": E.names[x], "y": E.names[y], "missing": "meet"}
             if os.join[x][y] is None:
-                return (x, y, "join")
+                return {"x": E.names[x], "y": E.names[y], "missing": "join"}
     return None
 
 
@@ -157,131 +158,85 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> _Result:
     E = _load_algebra(args.file)
     cls = classify(E)
     prof = structure_profile(E)
     witness = None if cls.is_lattice else _nonlattice_witness(E)
-
-    def in_order(xs) -> list[str]:
-        return [E.names[x] for x in sorted(xs)]
-
-    if args.json:
-        payload = {
-            "elements": E.size,
-            "names": list(E.names),
-            "zero": E.names[E.zero],
-            "one": E.names[E.one],
-            "lattice": cls.is_lattice,
-            "mv": cls.is_mv,
-            "orthomodular_image": cls.is_orthomodular_image,
-            "atomic": prof.atomic,
-            "archimedean": prof.archimedean,
-            "sharply_dominating": prof.sharply_dominating,
-            "s_dominating": prof.s_dominating,
-            "atoms": in_order(prof.atoms),
-            "sharp": in_order(prof.sharp),
-            "meager": in_order(prof.meager),
-            "ord": {E.names[x]: prof.isotropic[x] for x in range(E.size)},
-            "non_lattice_witness": (
-                None
-                if witness is None
-                else {
-                    "x": E.names[witness[0]],
-                    "y": E.names[witness[1]],
-                    "missing": witness[2],
-                }
-            ),
-        }
-        _emit_json(payload)
-        return 0
-    lines = [
-        f"elements {E.size}",
-        f"zero {E.names[E.zero]}",
-        f"one {E.names[E.one]}",
-        f"lattice {_yn(cls.is_lattice)}",
-    ]
-    if witness is not None:
-        x, y, kind = witness
-        lines.append(f"non-lattice-witness {E.names[x]} {E.names[y]} {kind}")
-    lines += [
-        f"mv {_yn(cls.is_mv)}",
-        f"orthomodular-image {_yn(cls.is_orthomodular_image)}",
-        f"atomic {_yn(prof.atomic)}",
-        f"archimedean {_yn(prof.archimedean)}",
-        f"sharply-dominating {_yn(prof.sharply_dominating)}",
-        f"s-dominating {_yn(prof.s_dominating)}",
-        "atoms " + " ".join(in_order(prof.atoms)),
-        "sharp " + " ".join(in_order(prof.sharp)),
-        "meager " + " ".join(in_order(prof.meager)),
-    ]
-    for x in range(E.size):
-        lines.append(f"ord {E.names[x]} {prof.isotropic[x]}")
-    _emit("\n".join(lines) + "\n")
-    return 0
+    # printed in this order, each key with "_" turned into "-"
+    flags = {
+        "lattice": cls.is_lattice,
+        "mv": cls.is_mv,
+        "orthomodular_image": cls.is_orthomodular_image,
+        "atomic": prof.atomic,
+        "archimedean": prof.archimedean,
+        "sharply_dominating": prof.sharply_dominating,
+        "s_dominating": prof.s_dominating,
+    }
+    sets = {"atoms": prof.atoms, "sharp": prof.sharp, "meager": prof.meager}
+    payload = {
+        "elements": E.size,
+        "names": list(E.names),
+        "zero": E.names[E.zero],
+        "one": E.names[E.one],
+        **flags,
+        **{key: [E.names[x] for x in sorted(xs)] for key, xs in sets.items()},
+        "ord": {E.names[x]: prof.isotropic[x] for x in range(E.size)},
+        "non_lattice_witness": witness,
+    }
+    lines = [f"{key} {payload[key]}" for key in ("elements", "zero", "one")]
+    for key in flags:
+        lines.append(f"{key.replace('_', '-')} {_yn(payload[key])}")
+        if key == "lattice" and witness is not None:
+            lines.append("non-lattice-witness {x} {y} {missing}".format(**witness))
+    lines += [f"{key} {' '.join(payload[key])}" for key in sets]
+    lines += [f"ord {name} {k}" for name, k in payload["ord"].items()]
+    return 0, payload, lines
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> _Result:
     E = _load_algebra(args.file)
     try:
         x = E.index(args.element)
     except UnknownName as exc:
         raise _InputError(f"{args.file}: {exc}")
+    # the two kinds differ only in their head fields and their parts; the
+    # text head shows the same fields, a flag as yes/no
     try:
         basic = basic_decomposition(E, x)
+        head = {"kind": "basic", "sharp": E.names[basic.sharp_part]}
+        text_head = head
+        parts = basic.meager_parts
     except PreconditionFailed:
-        basic = None
-    if basic is not None:
-        if args.json:
-            _emit_json(
-                {
-                    "element": args.element,
-                    "kind": "basic",
-                    "sharp": E.names[basic.sharp_part],
-                    "parts": [
-                        {"atom": E.names[p.atom], "multiplicity": p.multiplicity}
-                        for p in basic.meager_parts
-                    ],
-                }
-            )
-            return 0
-        lines = [
-            f"element {args.element}",
-            "kind basic",
-            f"sharp {E.names[basic.sharp_part]}",
-        ]
-        for p in basic.meager_parts:
-            lines.append(f"part {E.names[p.atom]} {p.multiplicity}")
-        _emit("\n".join(lines) + "\n")
-        return 0
-    atomic = atomic_decomposition(E, x)
-    if args.json:
-        _emit_json(
-            {
-                "element": args.element,
-                "kind": "atomic",
-                "unique": atomic.unique_guaranteed,
-                "parts": [
-                    {"atom": E.names[p.atom], "multiplicity": p.multiplicity}
-                    for p in atomic.parts
-                ],
-            }
-        )
-        return 0
-    lines = [
-        f"element {args.element}",
-        "kind atomic",
-        f"unique {_yn(atomic.unique_guaranteed)}",
-    ]
-    for p in atomic.parts:
-        lines.append(f"part {E.names[p.atom]} {p.multiplicity}")
-    _emit("\n".join(lines) + "\n")
-    return 0
+        atomic = atomic_decomposition(E, x)
+        head = {"kind": "atomic", "unique": atomic.unique_guaranteed}
+        text_head = {"kind": "atomic", "unique": _yn(atomic.unique_guaranteed)}
+        parts = atomic.parts
+    payload = {
+        "element": args.element,
+        **head,
+        "parts": [
+            {"atom": E.names[p.atom], "multiplicity": p.multiplicity}
+            for p in parts
+        ],
+    }
+    lines = [f"element {args.element}"]
+    lines += [f"{key} {value}" for key, value in text_head.items()]
+    lines += [f"part {p['atom']} {p['multiplicity']}" for p in payload["parts"]]
+    return 0, payload, lines
 
 
-def _certificate_payload(
+def _values(state: State) -> tuple[dict, list[str]]:
+    """One state's values, as the JSON payload and as a state file's lines."""
+    names = state.domain.names
+    values = {names[x]: _frac(v) for x, v in enumerate(state.values)}
+    return {"values": values}, serialize_state(state).splitlines()
+
+
+def _certificate(
     E: EffectAlgebra, cert: InfeasibilityCertificate
-) -> dict:
+) -> tuple[dict, list[str]]:
+    """A certificate that ``E`` has no state, as the JSON payload and as lines."""
     labels = state_row_labels(E)
     rows = [
         {"index": i, "label": labels[i], "multiplier": _frac(y)}
@@ -298,51 +253,29 @@ def _certificate_payload(
         for j, z in enumerate(cert.lower_multipliers)
         if z != 0
     }
-    return {
-        "rows": rows,
-        "upper": upper,
-        "lower": lower,
-        "gap": _frac(cert.gap),
-    }
-
-
-def _print_certificate(E: EffectAlgebra, cert: InfeasibilityCertificate) -> None:
-    payload = _certificate_payload(E, cert)
+    gap = _frac(cert.gap)
     lines = ["certificate"]
-    for row in payload["rows"]:
-        lines.append(f"row {row['index']} {row['multiplier']} {row['label']}")
-    for name in sorted(payload["upper"], key=E.index):
-        lines.append(f"upper {name} {payload['upper'][name]}")
-    for name in sorted(payload["lower"], key=E.index):
-        lines.append(f"lower {name} {payload['lower'][name]}")
-    lines.append(f"gap {payload['gap']}")
-    _emit("\n".join(lines) + "\n")
+    lines += [f"row {r['index']} {r['multiplier']} {r['label']}" for r in rows]
+    lines += [f"upper {name} {w}" for name, w in upper.items()]
+    lines += [f"lower {name} {z}" for name, z in lower.items()]
+    lines.append(f"gap {gap}")
+    payload = {"rows": rows, "upper": upper, "lower": lower, "gap": gap}
+    return {"certificate": payload}, lines
 
 
-def _cmd_states(args: argparse.Namespace) -> int:
+def _cmd_states(args: argparse.Namespace) -> _Result:
     E = _load_algebra(args.file)
     outcome = find_state(E)
     found = isinstance(outcome, State)
-    if args.json:
-        if found:
-            payload = {
-                "values": {
-                    E.names[x]: _frac(v) for x, v in enumerate(outcome.values)
-                }
-            }
-        else:
-            payload = {"certificate": _certificate_payload(E, outcome)}
-        _emit_json(payload)
-    elif found:
-        _emit(serialize_state(outcome))
+    if found:
+        payload, lines = _values(outcome)
     else:
-        _print_certificate(E, outcome)
-    if args.certify_none:
-        return 0 if not found else 1
-    return 0 if found else 1
+        payload, lines = _certificate(E, outcome)
+    wanted = not found if args.certify_none else found
+    return (0 if wanted else 1), payload, lines
 
 
-def _cmd_smear(args: argparse.Namespace) -> int:
+def _cmd_smear(args: argparse.Namespace) -> _Result:
     E = _load_algebra(args.file)
     sub = extract_sharp(E)
     text = _read_text(args.state)
@@ -356,25 +289,12 @@ def _cmd_smear(args: argparse.Namespace) -> int:
     try:
         smeared = smear_state(E, omega)
     except (PreconditionFailed, InvalidState) as exc:
-        if args.json:
-            _emit_json({"error": str(exc)})
-        else:
-            _emit(f"cannot smear: {exc}\n")
-        return 1
-    if args.json:
-        _emit_json(
-            {
-                "values": {
-                    E.names[x]: _frac(v) for x, v in enumerate(smeared.values)
-                }
-            }
-        )
-    else:
-        _emit(serialize_state(smeared))
-    return 0
+        return 1, {"error": str(exc)}, [f"cannot smear: {exc}"]
+    payload, lines = _values(smeared)
+    return 0, payload, lines
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> _Result:
     kind = args.kind
     params = args.params
     try:
@@ -409,15 +329,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     except (SizeLimit, EffectAlgebraError) as exc:
         raise _InputError(str(exc))
     text = serialize_eaf(E)
-    if args.output is not None:
-        try:
-            with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _InputError(f"{args.output}: {exc.strerror or exc}")
-    else:
-        _emit(text)
-    return 0
+    if args.output is None:
+        return 0, None, text.splitlines()
+    try:
+        with open(args.output, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"{args.output}: {exc.strerror or exc}")
+    return 0, None, []
 
 
 def _int_param(token: str) -> int:
@@ -427,7 +346,7 @@ def _int_param(token: str) -> int:
     return int(token)
 
 
-def _cmd_props(args: argparse.Namespace) -> int:
+def _cmd_props(args: argparse.Namespace) -> _Result:
     E = _load_algebra(args.file)
     selection = None
     if args.laws is not None:
@@ -440,36 +359,24 @@ def _cmd_props(args: argparse.Namespace) -> int:
         )
     except KeyError as exc:
         raise _UsageError(exc.args[0]) from None
-    if args.json:
-        _emit_json(
-            {
-                "results": [
-                    {
-                        "law": r.law,
-                        "status": r.status,
-                        "witnesses": [
-                            [E.names[x] for x in w] for w in r.witnesses
-                        ],
-                        "reason": r.reason,
-                    }
-                    for r in report.results
-                ]
-            }
-        )
-    else:
-        lines = []
-        for r in report.results:
-            line = f"{r.law} {r.status}"
-            if r.status == "fail" and r.witnesses:
-                groups = ";".join(
-                    ",".join(E.names[x] for x in w) for w in r.witnesses
-                )
-                line += f" {groups}"
-            elif r.status == "skipped" and r.reason:
-                line += f" {r.reason}"
-            lines.append(line)
-        _emit("\n".join(lines) + "\n")
-    return 0 if report.ok else 1
+    results = [
+        {
+            "law": r.law,
+            "status": r.status,
+            "witnesses": [[E.names[x] for x in w] for w in r.witnesses],
+            "reason": r.reason,
+        }
+        for r in report.results
+    ]
+    lines = []
+    for r in results:
+        line = f"{r['law']} {r['status']}"
+        if r["status"] == "fail" and r["witnesses"]:
+            line += " " + ";".join(",".join(w) for w in r["witnesses"])
+        elif r["status"] == "skipped" and r["reason"]:
+            line += f" {r['reason']}"
+        lines.append(line)
+    return (0 if report.ok else 1), {"results": results}, lines
 
 
 def _build_parser() -> _Parser:
@@ -528,10 +435,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code, payload, lines = args.fn(args)
     except (_UsageError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if getattr(args, "json", False):
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    return code
 
 
 def console_main() -> None:

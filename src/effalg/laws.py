@@ -874,17 +874,22 @@ def run_law_suite(
 ) -> LawReport:
     """Run the selected laws (all by default) against one algebra.
 
+    The laws run in ``LAW_IDS`` order, each once, however often and in
+    whatever order ``selection`` names them; an unknown id raises
+    ``KeyError``.
+
     ``counterexample_mode`` forces lattice-hypothesis laws to evaluate
     their conclusions on non-lattice inputs; see the module docstring.
     """
     if selection is None:
         chosen = list(LAW_IDS)
     else:
-        chosen = list(selection)
-        unknown = [law for law in chosen if law not in LAW_IDS]
+        selected = list(selection)
+        unknown = [law for law in selected if law not in LAW_IDS]
         if unknown:
             raise KeyError(f"unknown law id(s): {', '.join(unknown)}")
-        chosen.sort(key=LAW_IDS.index)
+        # LAW_IDS order, each selected law once
+        chosen = [law for law in LAW_IDS if law in selected]
     ctx = _Ctx(E)
     off_lattice = not ctx.os.is_lattice and not counterexample_mode
     results = []

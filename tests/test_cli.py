@@ -10,6 +10,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from effalg import (
     InfeasibilityCertificate,
     bundled_fixture,
@@ -137,10 +139,11 @@ def test_analyze_json_mirrors_the_text_facts(capsys):
     assert doc["s_dominating"] is True
 
 
-def test_analyze_on_a_lattice_has_no_witness_line(capsys):
-    code, out, err = run(capsys, "gen", "mv-chain", "3", "-o", "/tmp/c3.eaf")
+def test_analyze_on_a_lattice_has_no_witness_line(capsys, tmp_path):
+    c3 = tmp_path / "c3.eaf"
+    code, out, err = run(capsys, "gen", "mv-chain", "3", "-o", str(c3))
     assert code == 0
-    code, out, err = run(capsys, "analyze", "/tmp/c3.eaf")
+    code, out, err = run(capsys, "analyze", str(c3))
     assert code == 0
     assert "non-lattice-witness" not in out
     assert "lattice yes\n" in out
@@ -170,15 +173,46 @@ def test_decompose_falls_back_to_atomic_parts(capsys):
     assert any(line.startswith("part ") for line in lines)
 
 
+def test_decompose_json_basic_payload(capsys, tmp_path):
+    c4 = tmp_path / "c4.eaf"
+    run(capsys, "gen", "mv-chain", "4", "-o", str(c4))
+    code, out, err = run(capsys, "decompose", "--json", str(c4), "2a")
+    assert code == 0
+    assert json.loads(out) == {
+        "element": "2a",
+        "kind": "basic",
+        "sharp": "0",
+        "parts": [{"atom": "a", "multiplicity": 2}],
+    }
+
+
+def test_decompose_json_atomic_payload(capsys):
+    code, out, err = run(capsys, "decompose", EX25, "1")
+    assert code == 0
+    assert out == "element 1\nkind atomic\nunique no\npart a 2\npart b 1\n"
+    code, out, err = run(capsys, "decompose", "--json", EX25, "1")
+    assert code == 0
+    assert json.loads(out) == {
+        "element": "1",
+        "kind": "atomic",
+        "unique": False,
+        "parts": [
+            {"atom": "a", "multiplicity": 2},
+            {"atom": "b", "multiplicity": 1},
+        ],
+    }
+
+
 def test_decompose_unknown_element_exits_two(capsys):
     code, out, err = run(capsys, "decompose", EX44, "zz")
     assert code == 2
     assert err.startswith("error: ")
 
 
-def test_states_find_on_a_chain(capsys):
-    run(capsys, "gen", "mv-chain", "4", "-o", "/tmp/c4.eaf")
-    code, out, err = run(capsys, "states", "/tmp/c4.eaf")
+def test_states_find_on_a_chain(capsys, tmp_path):
+    c4 = tmp_path / "c4.eaf"
+    run(capsys, "gen", "mv-chain", "4", "-o", str(c4))
+    code, out, err = run(capsys, "states", str(c4))
     assert code == 0
     assert out.splitlines()[0] == "state v1"
     assert "value a 1/4" in out
@@ -246,6 +280,32 @@ def test_smear_golden_and_stability(capsys):
     assert out == golden("smear-hsum.txt")
     again = run(capsys, "smear", HSUM, "--state", TRIV)
     assert again == (code, out, err)
+
+
+def test_smear_json_values(capsys):
+    code, out, err = run(capsys, "smear", "--json", HSUM, "--state", TRIV)
+    assert code == 0
+    # the values of smear-hsum.txt
+    assert json.loads(out) == {
+        "values": {
+            "0": "0/1",
+            "a": "1/2",
+            "b": "1/3",
+            "2b": "2/3",
+            "1": "1/1",
+        }
+    }
+
+
+def test_smear_json_error_off_hypothesis(capsys):
+    code, out, err = run(capsys, "smear", "--json", EX25, "--state", TRIV)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "smearing needs a lattice-ordered algebra"
+    }
+    code, out, err = run(capsys, "smear", EX25, "--state", TRIV)
+    assert code == 1
+    assert out == "cannot smear: smearing needs a lattice-ordered algebra\n"
 
 
 def test_smear_rejects_a_state_over_the_wrong_algebra(capsys, tmp_path):
@@ -327,11 +387,27 @@ def test_props_normal_mode_skips_off_lattice(capsys):
         assert " skipped " in line or line.endswith(" skipped")
 
 
-def test_props_selection_and_exit_zero(capsys):
-    run(capsys, "gen", "mv-chain", "4", "-o", "/tmp/c4.eaf")
-    code, out, err = run(capsys, "props", "--laws", "L2.2.i,T2.6", "/tmp/c4.eaf")
+def test_props_selection_and_exit_zero(capsys, tmp_path):
+    c4 = tmp_path / "c4.eaf"
+    run(capsys, "gen", "mv-chain", "4", "-o", str(c4))
+    code, out, err = run(capsys, "props", "--laws", "L2.2.i,T2.6", str(c4))
     assert code == 0
     assert out == "L2.2.i pass\nT2.6 pass\n"
+
+
+def test_props_runs_a_repeated_law_once(capsys):
+    code, out, err = run(capsys, "props", "--laws", "T2.6,L2.2.i,T2.6", HSUM)
+    assert code == 0
+    assert out == "L2.2.i pass\nT2.6 pass\n"
+    code, out, err = run(
+        capsys, "props", "--json", "--laws", "L2.2.i,L2.2.i", HSUM
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "results": [
+            {"law": "L2.2.i", "status": "pass", "witnesses": [], "reason": ""}
+        ]
+    }
 
 
 def test_props_rejects_unknown_law_names(capsys):
@@ -384,3 +460,27 @@ def test_non_ascii_input_is_a_clean_error(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(weird))
     assert code == 2
     assert err.startswith("error: ")
+
+
+# each command's words, with the fixture put right after the first
+JSON_COMMANDS = {
+    "verify": ["verify"],
+    "analyze": ["analyze"],
+    "decompose": ["decompose", "1"],
+    "states": ["states"],
+    "states-certify-none": ["states", "--certify-none"],
+    "smear": ["smear", "--state", TRIV],
+    "props": ["props"],
+    "props-counterexample-mode": ["props", "--counterexample-mode"],
+}
+
+
+@pytest.mark.parametrize("fixture", [EX25, EX44, HSUM], ids=["ex25", "ex44", "hsum"])
+@pytest.mark.parametrize("command", JSON_COMMANDS.values(), ids=JSON_COMMANDS.keys())
+def test_json_keeps_the_exit_code(capsys, command, fixture):
+    argv = [command[0], fixture, *command[1:]]
+    text_code, _, _ = run(capsys, *argv)
+    json_code, out, err = run(capsys, *argv, "--json")
+    assert json_code == text_code
+    assert err == ""
+    json.loads(out)  # exactly one JSON document

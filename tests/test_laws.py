@@ -100,9 +100,19 @@ def test_selection_keeps_canonical_order():
     assert [r.law for r in report.results] == ["L2.2.i", "T3.5"]
 
 
+def test_a_repeated_law_id_runs_once():
+    report = run_law_suite(
+        mv_chain(3), selection=["T3.5", "L2.2.i", "T3.5", "L2.2.i"]
+    )
+    assert [r.law for r in report.results] == ["L2.2.i", "T3.5"]
+
+
 def test_unknown_law_ids_are_rejected():
     with pytest.raises(KeyError):
         run_law_suite(mv_chain(2), selection=["L9.9"])
+    # a repeated id does not hide an unknown one
+    with pytest.raises(KeyError):
+        run_law_suite(mv_chain(2), selection=["L2.2.i", "L2.2.i", "L9.9"])
 
 
 def test_nonlattice_laws_are_skipped_not_passed(example_44):
