@@ -52,6 +52,7 @@ from itertools import compress, islice
 from operator import getitem, ne
 from typing import Callable, Iterable, Iterator, Optional
 
+from .constructions import direct_product
 from .core import (
     _WITNESS_CAP,
     EffectAlgebra,
@@ -63,30 +64,9 @@ from .core import (
 from .decompose import AtomMultiple, atomic_decomposition
 from .errors import InvalidState, PreconditionFailed
 from .linear import InfeasibilityCertificate
-from .order import OrderStructure, compatibility, derive_order
+from .order import OrderStructure, classify, compatibility, derive_order
 from .states import find_state, smear_state
 from .structure import StructureProfile, extract_sharp, structure_profile
-
-LAW_IDS = (
-    "L2.2.i",
-    "L2.2.ii",
-    "L2.2.iii",
-    "L2.2.iv",
-    "L2.3.i",
-    "L2.3.ii",
-    "L2.3.iii",
-    "L2.3.iv",
-    "L2.3.v",
-    "T2.4",
-    "T2.6",
-    "T3.4",
-    "T3.5",
-    "T4.1",
-    "T4.2",
-    "SE-subalgebra",
-    "SE-full-sublattice",
-    "product-closure",
-)
 
 PASS = "pass"
 FAIL = "fail"
@@ -117,10 +97,6 @@ class LawReport:
     @property
     def ok(self) -> bool:
         return all(r.status != FAIL for r in self.results)
-
-    @property
-    def failures(self) -> tuple[LawResult, ...]:
-        return tuple(r for r in self.results if r.status == FAIL)
 
 
 # A collecting law yields one (witness, reason) pair per failing instance.
@@ -794,9 +770,6 @@ def _law_se_full_sublattice(ctx: _Ctx) -> _Failures:
 
 
 def _law_product_closure(ctx: _Ctx) -> LawResult:
-    from .constructions import direct_product
-    from .order import classify
-
     E = ctx.E
     if not (
         ctx.os.is_lattice
@@ -837,10 +810,13 @@ def _law_product_closure(ctx: _Ctx) -> LawResult:
     return LawResult("product-closure", PASS)
 
 
-_COLLECTING_LAWS: dict[str, Callable[[_Ctx], _Failures]] = {
+# Every law in report order.  A check returns its own ``LawResult`` or
+# yields (witness, reason) pairs for ``_collect``.
+_LAWS: dict[str, Callable[[_Ctx], LawResult | _Failures]] = {
     "L2.2.i": _law_l22i,
     "L2.2.ii": _law_l22ii,
     "L2.2.iii": _law_l22iii,
+    "L2.2.iv": _law_l22iv,
     "L2.3.i": _law_l23i,
     "L2.3.ii": _law_l23ii,
     "L2.3.iii": _law_l23iii,
@@ -851,17 +827,13 @@ _COLLECTING_LAWS: dict[str, Callable[[_Ctx], _Failures]] = {
     "T3.4": _law_t34,
     "T3.5": _law_t35,
     "T4.1": _law_t41,
+    "T4.2": _law_t42,
     "SE-subalgebra": _law_se_subalgebra,
     "SE-full-sublattice": _law_se_full_sublattice,
-}
-
-
-# Laws that build their result themselves.
-_RESULT_LAWS: dict[str, Callable[[_Ctx], LawResult]] = {
-    "L2.2.iv": _law_l22iv,
-    "T4.2": _law_t42,
     "product-closure": _law_product_closure,
 }
+
+LAW_IDS = tuple(_LAWS)
 
 # Laws that check their whole hypothesis themselves, in either mode.
 _SELF_GATED_LAWS = frozenset({"product-closure"})
@@ -885,7 +857,7 @@ def run_law_suite(
         chosen = list(LAW_IDS)
     else:
         selected = list(selection)
-        unknown = [law for law in selected if law not in LAW_IDS]
+        unknown = [law for law in selected if law not in _LAWS]
         if unknown:
             raise KeyError(f"unknown law id(s): {', '.join(unknown)}")
         # LAW_IDS order, each selected law once
@@ -899,8 +871,8 @@ def run_law_suite(
                 LawResult(law, SKIPPED, (), "algebra is not lattice-ordered")
             )
             continue
-        if law in _RESULT_LAWS:
-            results.append(_RESULT_LAWS[law](ctx))
-        else:
-            results.append(_collect(law, _COLLECTING_LAWS[law](ctx)))
+        outcome = _LAWS[law](ctx)
+        if not isinstance(outcome, LawResult):
+            outcome = _collect(law, outcome)
+        results.append(outcome)
     return LawReport(E, tuple(results))

@@ -74,6 +74,12 @@ def test_verify_json_lists_violations(capsys, tmp_path):
     assert doc["violations"][0]["witnesses"] == ["a"]
 
 
+def test_verify_json_on_a_valid_table_has_empty_totals(capsys):
+    code, out, err = run(capsys, "verify", "--json", HSUM)
+    assert (code, err) == (0, "")
+    assert out == '{\n  "totals": {},\n  "valid": true,\n  "violations": []\n}\n'
+
+
 def test_verify_caps_listed_violations_and_counts_the_rest(capsys, tmp_path):
     # Ten Eii failures (the oracle's count) and one Eiii failure.
     bad = tmp_path / "bad.eaf"
@@ -432,6 +438,25 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, out, err = run(capsys, "gen", "mv-chain", "zero")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("mv-chain", []),
+        ("mv-chain", ["1", "2"]),
+        ("boolean", []),
+        ("boolean", ["1", "2"]),
+        ("fixture", []),
+        ("fixture", ["example-2.5", "example-4.4"]),
+        ("product", [EX25]),
+        ("hsum", [HSUM]),
+    ],
+)
+def test_gen_with_the_wrong_parameter_count_exits_two(capsys, kind, params):
+    code, out, err = run(capsys, "gen", kind, *params)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: gen {kind} takes ")
 
 
 def test_gen_sizes_outside_the_grammar_exit_two(capsys):

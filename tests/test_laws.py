@@ -13,7 +13,7 @@ from effalg import (
     mv_chain,
     run_law_suite,
 )
-from effalg.laws import _Ctx, _l22iv_walk, _law_l22iv
+from effalg.laws import __doc__ as LAWS_DOC, _Ctx, _l22iv_walk, _law_l22iv
 
 from oracles import oracle_l22iv
 
@@ -71,6 +71,13 @@ def status_map(report):
 def test_every_law_has_a_result_in_order():
     report = run_law_suite(mv_chain(3))
     assert tuple(r.law for r in report.results) == LAW_IDS
+
+
+def test_docstring_table_lists_law_ids_in_report_order():
+    lines = LAWS_DOC[LAWS_DOC.index("Law ids, in report order:"):].splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("==")]
+    rows = lines[rules[0] + 1 : rules[1]]
+    assert tuple(row.split()[0] for row in rows) == LAW_IDS
 
 
 def test_all_laws_pass_on_small_lattices():
