@@ -49,7 +49,6 @@ from .errors import (
     AxiomViolation,
     DegenerateBlock,
     DuplicateName,
-    DuplicateSum,
     EffectAlgebraError,
     IndexOutOfRange,
     InvalidDecomposition,
@@ -106,7 +105,6 @@ __all__ = [
     "Classification",
     "DegenerateBlock",
     "DuplicateName",
-    "DuplicateSum",
     "EafDocument",
     "EffectAlgebra",
     "EffectAlgebraError",

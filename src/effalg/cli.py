@@ -7,6 +7,8 @@ rational prints reduced as ``p/q``.  Every command but ``gen`` also takes
 exit code.  Its top-level keys:
 
 - ``verify``: ``valid``, ``violations`` and ``totals`` (``{}`` when valid);
+  a pair declared with two results is an ``Ei`` violation and a sum
+  contradicting a zero row a ``closure`` one, each pair listed once;
 - ``analyze``: ``elements``, ``names``, ``zero``, ``one``, the flags
   ``lattice``, ``mv``, ``orthomodular_image``, ``atomic``,
   ``archimedean``, ``sharply_dominating`` and ``s_dominating``, then
@@ -52,7 +54,6 @@ from .decompose import atomic_decomposition, basic_decomposition
 from .eaf import parse_eaf, parse_state, serialize_eaf, serialize_state
 from .errors import (
     AxiomViolation,
-    DuplicateSum,
     EffectAlgebraError,
     InvalidState,
     ParseError,
@@ -103,7 +104,7 @@ def _load_algebra(path: str) -> EffectAlgebra:
     text = _read_text(path)
     try:
         return build_effect_algebra(parse_eaf(text))
-    except (ParseError, AxiomViolation, DuplicateSum, UnknownName) as exc:
+    except (ParseError, AxiomViolation) as exc:
         raise _InputError(f"{path}: {exc}")
 
 
@@ -125,9 +126,6 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
             for v in exc.report.violations
         ]
         totals = dict(exc.report.totals)
-    except (DuplicateSum, UnknownName) as exc:
-        violations = [{"axiom": "closure", "witnesses": [], "detail": str(exc)}]
-        totals = {"closure": 1}
     else:
         return 0, {"valid": True, "violations": [], "totals": {}}, ["valid"]
     lines = ["invalid"]

@@ -6,12 +6,15 @@ is the central semantic feature of these structures, so an absent value is
 always represented by ``None`` and never by a sentinel element.
 
 Construction closes a declared table under commutativity and the implied
-``zero + x = x`` rows, then checks the four defining axioms on every pair
-and, for associativity, on every triple (see :func:`verify_axioms`).  On
-tables of at most 255 elements the lookup rows are byte strings and one
-element's triples are checked at a time by composing rows in C; a byte
-cannot name a 256th element and also mark "undefined", so larger tables
-compare one pair's triples at a time:
+``zero + x = x`` rows, reporting a pair declared with two results as a
+violation, then checks the four defining axioms on every pair and, for
+associativity, on every triple (see :func:`verify_axioms`).  One check
+does both, for :func:`verify_axioms`, :func:`make_algebra` and
+:func:`build_effect_algebra` alike.  On tables of at most 255 elements
+the lookup rows are byte strings and one element's triples are checked
+at a time by composing rows in C; a byte cannot name a 256th element and
+also mark "undefined", so larger tables compare one pair's triples at a
+time:
 
 * Ei   commutativity: a+b defined implies b+a defined and equal,
 * Eii  associativity: either grouping of a+b+c defined implies both are
@@ -49,7 +52,6 @@ from typing import (
 from .errors import (
     AxiomViolation,
     DuplicateName,
-    DuplicateSum,
     IndexOutOfRange,
     UnknownName,
 )
@@ -123,8 +125,10 @@ class SumTable:
     """A partial sum table prior to validation.
 
     ``sums`` maps index pairs to result indices.  Entries may be stored in
-    either orientation; the rows ``(zero, x) -> x`` are implied and never
-    required in the input.
+    either orientation, or in both; the rows ``(zero, x) -> x`` are
+    implied and never required in the input.  :func:`verify_axioms`
+    reports a pair given two results as an ``Ei`` violation and an entry
+    contradicting a zero row as a ``closure`` violation.
     """
 
     size: int
@@ -133,50 +137,19 @@ class SumTable:
     sums: dict[tuple[int, int], int]
 
 
-def close_table(table: SumTable) -> SumTable:
-    """Close a declared table under commutativity and the implied zero rows.
-
-    Raises :class:`DuplicateSum` when two declarations (or a declaration and
-    an implied zero row) disagree about the same pair, and
-    :class:`IndexOutOfRange` when an entry is not an element index.
-    """
-    n = table.size
-    for (x, y), z in table.sums.items():
-        if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
-            raise _out_of_range(n, x, y, z)
-    closed: dict[tuple[int, int], int] = {}
-
-    def put(x: int, y: int, z: int) -> None:
-        for key in ((x, y), (y, x)):
-            prior = closed.get(key)
-            if prior is not None and prior != z:
-                raise DuplicateSum(
-                    f"pair ({key[0]},{key[1]}) declared as both {prior} and {z}"
-                )
-            closed[key] = z
-
-    for x in range(n):
-        put(table.zero, x, x)
-    for (x, y), z in sorted(table.sums.items()):
-        put(x, y, z)
-    return SumTable(n, table.zero, table.one, closed)
-
-
-def _out_of_range(n: int, x: int, y: int, z: int) -> IndexOutOfRange:
-    return IndexOutOfRange(f"sum entry ({x},{y})->{z} out of range for size {n}")
-
-
 def verify_axioms(table: SumTable) -> AxiomReport:
     """Check the effect-algebra axioms on a sum table.
 
     The table may be unclosed; lookups treat ``(x, y)`` and ``(y, x)`` as
-    one pair and take the implied zero rows as present.  Ei, Eiii and
-    Eiv are checked on every pair, Eii on every triple (x, y, z), so the
-    report's ``totals`` are exact.  On tables of at most 255 elements
-    each row of the lookup matrix is a byte string and Eii composes rows
-    in C, one element x at a time: translating the whole matrix through
-    x's row gives x + (y + z) for every (y, z), and joining the rows of
-    x + y gives (x + y) + z (see :func:`_eii_bytes`).  Byte 255 marks
+    one pair and take the implied zero rows as present.  A pair declared
+    with two results fails Ei and an entry contradicting a zero row fails
+    ``closure``, each such pair counted once.  Eiii and Eiv are checked
+    on every pair, Eii on every triple (x, y, z), so the report's
+    ``totals`` are exact.  On tables of at most 255 elements each row of
+    the lookup matrix is a byte string and Eii composes rows in C, one
+    element x at a time: translating the whole matrix through x's row
+    gives x + (y + z) for every (y, z), and joining the rows of x + y
+    gives (x + y) + z (see :func:`_eii_bytes`).  Byte 255 marks
     "undefined", so bytes name at most 255 elements, and larger tables
     keep the pairwise walk of :func:`_eii_pairwise`.  Only the first
     ``_WITNESS_CAP`` violations of each axiom are kept, in (x, y, z)
@@ -185,20 +158,27 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     :class:`IndexOutOfRange` when an entry, ``zero`` or ``one`` is not an
     element index.
     """
-    return _check(table)[0]
+    return _check(table.size, table.zero, table.one, table.sums.items())[0]
 
 
-def _check(table: SumTable) -> tuple[AxiomReport, list]:
+def _check(
+    n: int, zero: int, one: int, sums: Iterable[tuple[tuple[int, int], int]]
+) -> tuple[AxiomReport, list]:
     """:func:`verify_axioms`' report and the lookup matrix it checked.
+
+    ``sums`` holds ``((x, y), x + y)`` declarations in any orientation,
+    repeats included.  They are read sorted by pair, repeats of one
+    ordered pair in the order given, so a clash is reported against the
+    first result declared for the pair.  This is the one place where
+    declared sums are closed under commutativity and the zero rows, and
+    where a declaration is compared with an earlier one for the same pair.
 
     Row ``r`` of the matrix holds ``r + z`` at index ``z``.  On tables of
     at most ``_UNDEF`` elements a row is ``bytes`` with ``_UNDEF`` where
     the sum is undefined; on larger ones it is a list with ``None`` there
-    plus one ``None`` at index ``n`` (see :func:`_eii_pairwise`).  On a
-    closed table with an empty report, its first ``n`` columns are the
-    table.
+    plus one ``None`` at index ``n`` (see :func:`_eii_pairwise`).  With an
+    empty report, its first ``n`` columns are the closed table.
     """
-    n, zero, one = table.size, table.zero, table.one
     if not (0 <= zero < n and 0 <= one < n):
         raise IndexOutOfRange(f"zero {zero} or one {one} out of range for size {n}")
     found = Witnesses()
@@ -219,32 +199,30 @@ def _check(table: SumTable) -> tuple[AxiomReport, list]:
     for x in range(n):
         eff[zero][x] = x
         eff[x][zero] = x
-    seen_pairs: set[tuple[int, int]] = set()
-    for (x, y), z in sorted(table.sums.items()):
+    # Pairs already reported, so that each clashing pair counts once.
+    clashed: set[tuple[int, int]] = set()
+    for (x, y), z in sorted(sums, key=itemgetter(0)):
         if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
-            raise _out_of_range(n, x, y, z)
-        if zero in (x, y):
-            implied = y if x == zero else x
-            if z != implied:
-                found.add(
-                    AXIOM_CLOSURE,
-                    (x, y, z),
-                    f"declared element {x} + element {y} = element {z} contradicts the implied zero row",
-                )
-            continue
+            raise IndexOutOfRange(f"sum entry ({x},{y})->{z} out of range for size {n}")
         prior = eff[x][y]
-        if prior != undef and prior != z:
-            key = (min(x, y), max(x, y))
-            if key not in seen_pairs:
-                found.add(
-                    AXIOM_COMMUTATIVITY,
-                    (x, y),
-                    f"element {x} + element {y} and the flipped order disagree (element {prior} vs element {z})",
-                )
-                seen_pairs.add(key)
+        if prior == z:
             continue
-        eff[x][y] = z
-        eff[y][x] = z
+        if zero in (x, y):
+            label = AXIOM_CLOSURE
+            witnesses: tuple[int, ...] = (x, y, z)
+            detail = f"declared element {x} + element {y} = element {z} contradicts the implied zero row"
+        elif prior != undef:
+            label = AXIOM_COMMUTATIVITY
+            witnesses = (x, y)
+            detail = f"element {x} + element {y} is declared as both element {prior} and element {z}"
+        else:
+            eff[x][y] = z
+            eff[y][x] = z
+            continue
+        key = (x, y) if x <= y else (y, x)
+        if key not in clashed:
+            clashed.add(key)
+            found.add(label, witnesses, detail)
 
     # Eii on every triple: byte rows one element x at a time, list rows
     # one pair (x, y) at a time.
@@ -485,17 +463,29 @@ def make_algebra(
 ) -> EffectAlgebra:
     """Close, validate, and wrap a sum table.
 
+    ``sums`` goes as declared to the check behind :func:`verify_axioms`,
+    which closes it, so a pair given two results or an entry contradicting
+    a zero row is an ``Ei`` or ``closure`` violation like any other.
     Raises :class:`DuplicateName` when two names coincide,
-    :class:`DuplicateSum` on inconsistent declarations and
-    :class:`AxiomViolation` when the closed table is not an effect algebra.
+    :class:`IndexOutOfRange` when an entry, ``zero`` or ``one`` is not an
+    element index, and :class:`AxiomViolation`, carrying that report, when
+    the table is not an effect algebra.
     """
+    return _build(names, zero, one, sums.items())
+
+
+def _build(
+    names: Sequence[str],
+    zero: int,
+    one: int,
+    sums: Iterable[tuple[tuple[int, int], int]],
+) -> EffectAlgebra:
+    """:func:`make_algebra` on ``((x, y), z)`` declarations, repeats included."""
     names = tuple(names)
     if len(set(names)) != len(names):
         raise DuplicateName("element names must be unique")
-    if not (0 <= zero < len(names) and 0 <= one < len(names)):
-        raise IndexOutOfRange("zero/one index out of range")
     n = len(names)
-    report, eff = _check(close_table(SumTable(n, zero, one, dict(sums))))
+    report, eff = _check(n, zero, one, sums)
     if not report.ok:
         raise AxiomViolation(report)
     if n <= _UNDEF:
@@ -544,27 +534,24 @@ def _difference_table(E: EffectAlgebra) -> tuple[tuple[Optional[int], ...], ...]
 def build_effect_algebra(doc: "EafDocument") -> EffectAlgebra:
     """Build a validated algebra from a parsed document.
 
-    Declared sums are closed under commutativity and the implied zero rows
-    before validation, so a document only needs the generating entries.
+    The declared sums go, repeats included, through the same check as
+    :func:`make_algebra`'s, which closes them under commutativity and the
+    implied zero rows, so a document only needs the generating entries.
+    A pair declared with two results is an ``Ei`` violation and a sum
+    contradicting a zero row a ``closure`` violation of the
+    :class:`AxiomViolation` raised.  Raises :class:`UnknownName` for a
+    name the document does not declare, which :func:`parse_eaf` already
+    rules out.
     """
-    names = tuple(doc.names)
-    position = {name: i for i, name in enumerate(names)}
+    position = {name: i for i, name in enumerate(doc.names)}
 
     def resolve(name: str) -> int:
         if name not in position:
             raise UnknownName(f"unknown element name {name!r}")
         return position[name]
 
-    sums: dict[tuple[int, int], int] = {}
-    for xs, ys, zs in doc.sums:
-        x, y, z = resolve(xs), resolve(ys), resolve(zs)
-        prior = sums.get((x, y))
-        if prior is not None and prior != z:
-            raise DuplicateSum(
-                f"pair ({xs},{ys}) declared as both {names[prior]} and {zs}"
-            )
-        sums[(x, y)] = z
-    return make_algebra(names, resolve(doc.zero), resolve(doc.one), sums)
+    sums = [((resolve(x), resolve(y)), resolve(z)) for x, y, z in doc.sums]
+    return _build(doc.names, resolve(doc.zero), resolve(doc.one), sums)
 
 
 def iterated_sum(E: EffectAlgebra, terms: Iterable[Optional[int]]) -> Optional[int]:

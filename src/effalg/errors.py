@@ -23,10 +23,6 @@ class AxiomViolation(EffectAlgebraError):
         super().__init__(head or "axiom violations")
 
 
-class DuplicateSum(EffectAlgebraError):
-    """The same pair was declared with two different sums."""
-
-
 class DuplicateName(EffectAlgebraError, ValueError):
     """Two elements were given the same name.
 

@@ -2,7 +2,9 @@
 
 Everything here works from the raw sum table alone (dict lookups, no
 bitmasks, no imports from the package's order or structure modules) so
-test expectations do not inherit bugs from the code under test.  The
+test expectations do not inherit bugs from the code under test;
+:func:`close_table` writes out both orders of a declared table and its
+zero rows, which the package's check only fills in as it reads.  The
 solver references work over ``Fraction`` throughout, where
 ``effalg.linear`` keeps integer rows: :func:`dense_phase_one` keeps the
 full tableau that ``effalg.linear._phase_one`` stores sparsely,
@@ -20,6 +22,7 @@ from effalg import (
     FeasiblePoint,
     InfeasibilityCertificate,
     LinearSystem,
+    SumTable,
     verify_certificate,
 )
 from effalg.linear import _transposed_product
@@ -86,6 +89,20 @@ def _groupings_disagree(sums, x, y, z):
     left = sums.get((xy, z)) if xy is not None else None
     right = sums.get((x, yz)) if yz is not None else None
     return left != right
+
+
+def close_table(table):
+    """``table`` with both orientations of every entry and the zero rows.
+
+    A reference closure for tables that give each pair one result: a clash
+    is a fault in the test that builds the table, so it fails an assertion.
+    """
+    sums = {}
+    zero_rows = [((table.zero, x), x) for x in range(table.size)]
+    for (x, y), z in zero_rows + sorted(table.sums.items()):
+        for key in ((x, y), (y, x)):
+            assert sums.setdefault(key, z) == z, f"pair {key} has two results"
+    return SumTable(table.size, table.zero, table.one, sums)
 
 
 def table_dict(E):

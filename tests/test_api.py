@@ -3,7 +3,8 @@
 import effalg
 
 # Wrappers that read one field of ``structure_profile(E)`` or one bit of
-# ``compatibility(E)``, and the two errors only they raised.
+# ``compatibility(E)``, the two errors only they raised, and the error for
+# a pair declared twice, now an ``Ei`` violation of ``AxiomViolation``.
 REMOVED = (
     "atoms",
     "sharp_elements",
@@ -19,6 +20,7 @@ REMOVED = (
     "compatible",
     "ZeroElement",
     "BoundsMissing",
+    "DuplicateSum",
 )
 
 

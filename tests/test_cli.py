@@ -101,6 +101,60 @@ def test_verify_caps_listed_violations_and_counts_the_rest(capsys, tmp_path):
     assert [v["axiom"] for v in doc["violations"]] == ["Eii"] * 6 + ["Eiii"]
 
 
+CLASHES = (
+    "ea v1\nelements 4\nnames 0 a b 1\nzero 0\none 1\n"
+    "sum a a = b\nsum a a = 1\nsum a a = b\nsum a a = 0\n"
+    "sum a b = 1\nsum b a = a\n"
+    "sum 0 b = a\n"
+)
+
+
+def test_verify_lists_every_clashing_pair_with_exact_totals(capsys, tmp_path):
+    # a + a is declared three ways, a + b two ways in two orders, and
+    # 0 + b against its zero row: two Ei pairs and one closure pair.
+    bad = tmp_path / "clash.eaf"
+    bad.write_text(CLASHES, encoding="ascii")
+    code, out, err = run(capsys, "verify", str(bad))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[:4] == [
+        "invalid",
+        "violation closure [0, b, a] declared element 0 + element 2 = element 1 "
+        "contradicts the implied zero row",
+        "violation Ei [a, a] element 1 + element 1 is declared as both element 2 and element 3",
+        "violation Ei [b, a] element 2 + element 1 is declared as both element 3 and element 1",
+    ]
+    code, out, err = run(capsys, "verify", "--json", str(bad))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["totals"]["Ei"] == 2
+    assert doc["totals"]["closure"] == 1
+    assert [v["witnesses"] for v in doc["violations"][:3]] == [
+        ["0", "b", "a"],
+        ["a", "a"],
+        ["b", "a"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze"],
+        ["decompose", "a"],
+        ["states"],
+        ["smear", "--state", TRIV],
+        ["props"],
+    ],
+    ids=["analyze", "decompose", "states", "smear", "props"],
+)
+def test_commands_other_than_verify_reject_an_invalid_file(capsys, tmp_path, command):
+    bad = tmp_path / "clash.eaf"
+    bad.write_text(CLASHES, encoding="ascii")
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: closure: declared element 0 + element 2")
+
+
 def test_parse_errors_exit_two_even_under_verify(capsys, tmp_path):
     mangled = tmp_path / "mangled.eaf"
     mangled.write_text("ea v1\nelements two\n", encoding="ascii")
@@ -378,6 +432,16 @@ def test_gen_rejects_oversize_requests(capsys):
     code, out, err = run(capsys, "gen", "boolean", "7")
     assert code == 2
     assert err.startswith("error: ")
+    # refused before any table is built, naming the limit
+    code, out, err = run(capsys, "gen", "mv-chain", "20000")
+    assert (code, out) == (2, "")
+    assert err == "error: chains are provided for 1 <= n <= 600\n"
+
+
+def test_gen_into_a_directory_exits_two(capsys, tmp_path):
+    code, out, err = run(capsys, "gen", "mv-chain", "2", "-o", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tmp_path}: ")
 
 
 def test_props_counterexample_golden(capsys):
@@ -420,6 +484,9 @@ def test_props_rejects_unknown_law_names(capsys):
     code, out, err = run(capsys, "props", "--laws", "L0.0", EX25)
     assert code == 2
     assert err.startswith("error: ")
+    code, out, err = run(capsys, "props", "--laws", ",", EX25)
+    assert (code, out) == (2, "")
+    assert err == "error: --laws needs at least one law id\n"
 
 
 def test_props_json_shape(capsys):

@@ -31,6 +31,8 @@ def test_chain_is_total_addition_capped_at_n():
 def test_chain_size_limit():
     with pytest.raises(SizeLimit):
         mv_chain(0)
+    with pytest.raises(SizeLimit, match="n <= 600"):
+        mv_chain(601)
 
 
 def test_smallest_chain_is_the_two_point_algebra():

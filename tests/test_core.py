@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from effalg import (
     AxiomViolation,
     DuplicateName,
-    DuplicateSum,
+    EafDocument,
     EffectAlgebra,
     EffectAlgebraError,
     IndexOutOfRange,
@@ -36,11 +36,11 @@ from effalg.core import (
     Witnesses,
     _eii_bytes,
     _eii_pairwise,
-    close_table,
     iterated_sum,
 )
 
 from oracles import (
+    close_table,
     oracle_axiom_errors,
     oracle_eii_failures_near,
     oracle_multiple,
@@ -106,18 +106,43 @@ def test_associativity_violation_is_reported():
     )
 
 
-def test_conflicting_declarations_raise_duplicate_sum():
-    with pytest.raises(DuplicateSum):
-        closed(4, 0, 3, {(1, 2): 3, (2, 1): 0})
+def clash_report(make, *args):
+    """The report of the AxiomViolation that ``make(*args)`` raises."""
+    with pytest.raises(AxiomViolation) as err:
+        make(*args)
+    return err.value.report
+
+
+def test_conflicting_declarations_are_an_ei_violation():
+    sums = {(1, 2): 3, (2, 1): 0}
+    report = clash_report(make_algebra, ("0", "a", "b", "1"), 0, 3, sums)
+    assert report.by_axiom("Ei") == (
+        core.Violation(
+            "Ei", (2, 1), "element 2 + element 1 is declared as both element 3 and element 0"
+        ),
+    )
+    assert report.totals["Ei"] == 1
+    assert report == verify_axioms(SumTable(4, 0, 3, sums))
 
 
 def test_declared_zero_row_conflict_is_closure_violation():
-    # Straight to the checker: a raw table contradicting the zero row.
+    # Straight to the checker: a raw table contradicting the zero row in
+    # both orders, one clashing pair.
     report = verify_axioms(SumTable(3, 0, 2, {(0, 1): 2, (1, 0): 2}))
-    assert report.by_axiom("closure")
-    # Through closing, the same contradiction surfaces as a declared clash.
-    with pytest.raises(DuplicateSum):
-        closed(3, 0, 2, {(0, 1): 2})
+    assert report.by_axiom("closure") == (
+        core.Violation(
+            "closure",
+            (0, 1, 2),
+            "declared element 0 + element 1 = element 2 contradicts the implied zero row",
+        ),
+    )
+    assert report.totals["closure"] == 1
+    # Through make_algebra, the same contradiction gives the same report.
+    names = ("0", "a", "1")
+    assert clash_report(make_algebra, names, 0, 2, {(0, 1): 2}) == verify_axioms(
+        SumTable(3, 0, 2, {(0, 1): 2})
+    )
+    assert clash_report(make_algebra, names, 0, 2, {(1, 0): 2}).totals["closure"] == 1
 
 
 @pytest.mark.parametrize("result", [3, -1])
@@ -127,8 +152,8 @@ def test_unclosed_entry_out_of_range_is_a_named_error(result):
     table = SumTable(3, 0, 2, {(1, 1): result})
     with pytest.raises(IndexOutOfRange, match=r"\(1,1\)->"):
         verify_axioms(table)
-    with pytest.raises(IndexOutOfRange):
-        close_table(table)
+    with pytest.raises(IndexOutOfRange, match=r"\(1,1\)->"):
+        make_algebra(("0", "a", "1"), 0, 2, table.sums)
 
 
 @pytest.mark.parametrize("zero, one", [(0, 3), (-1, 2), (3, 0)])
@@ -250,8 +275,92 @@ def test_build_rejects_conflicting_document_sums():
         "ea v1\nelements 4\nnames 0 a b 1\nzero 0\none 1\n"
         "sum a a = b\nsum a a = 1\n"
     )
-    with pytest.raises(DuplicateSum):
+    report = clash_report(build_effect_algebra, doc)
+    assert report.by_axiom("Ei") == (
+        core.Violation(
+            "Ei", (1, 1), "element 1 + element 1 is declared as both element 2 and element 3"
+        ),
+    )
+    assert report.totals["Ei"] == 1
+
+
+def test_build_rejects_names_a_document_does_not_declare():
+    # parse_eaf rules these out, so only a hand-built document has them.
+    for zero, one, sums in [
+        ("z", "1", ()),
+        ("0", "1", (("a", "q", "1"),)),
+        ("0", "1", (("a", "a", "q"),)),
+    ]:
+        doc = EafDocument(("0", "a", "1"), zero, one, sums)
+        with pytest.raises(UnknownName, match="'[zq]'"):
+            build_effect_algebra(doc)
+
+
+def clashing_pairs(zero, decls):
+    """The pairs whose declarations clash, as (Ei pairs, closure pairs).
+
+    A pair with zero clashes when a declaration differs from the zero row;
+    any other pair when two declarations, in either order, differ.
+    """
+    results = {}
+    for x, y, z in decls:
+        results.setdefault((min(x, y), max(x, y)), set()).add(z)
+    ei, closure = set(), set()
+    for (x, y), zs in results.items():
+        if zero in (x, y):
+            if zs != {y if x == zero else x}:
+                closure.add((x, y))
+        elif len(zs) > 1:
+            ei.add((x, y))
+    return ei, closure
+
+
+@st.composite
+def clashing_documents(draw):
+    """Declarations on up to 6 elements, zero first, that repeat pairs in
+    either order with random results, and the document naming them."""
+    size = draw(st.integers(min_value=2, max_value=6))
+    element = st.integers(min_value=0, max_value=size - 1)
+    decls = draw(st.lists(st.tuples(element, element, element), max_size=24))
+    names = tuple(str(i) for i in range(size))
+    doc = EafDocument(
+        names, "0", names[-1], tuple(tuple(names[i] for i in d) for d in decls)
+    )
+    return size, decls, doc
+
+
+@given(clashing_documents())
+@settings(max_examples=200, deadline=None)
+def test_each_clashing_pair_is_one_violation_with_exact_totals(case):
+    size, decls, doc = case
+    ei, closure = clashing_pairs(0, decls)
+    try:
         build_effect_algebra(doc)
+        report = None
+    except AxiomViolation as exc:
+        report = exc.report
+    if report is None:
+        assert not ei and not closure
+        return
+    assert report.totals.get("Ei", 0) == len(ei)
+    # zero and one differ (size >= 2), so every closure violation is a
+    # clashing pair
+    assert report.totals.get("closure", 0) == len(closure)
+    kept = {tuple(sorted(v.witnesses[:2])) for v in report.by_axiom("Ei")}
+    assert len(kept) == min(len(ei), _WITNESS_CAP) and kept <= ei
+    kept = {tuple(sorted(v.witnesses[:2])) for v in report.by_axiom("closure")}
+    assert len(kept) == min(len(closure), _WITNESS_CAP) and kept <= closure
+    # The first result declared for each ordered pair, as a dict holds it,
+    # gives make_algebra the report verify_axioms gives on the same dict.
+    sums = {}
+    for x, y, z in decls:
+        sums.setdefault((x, y), z)
+    try:
+        make_algebra(doc.names, 0, size - 1, sums)
+    except AxiomViolation as exc:
+        assert exc.report == verify_axioms(SumTable(size, 0, size - 1, sums))
+    else:
+        assert verify_axioms(SumTable(size, 0, size - 1, sums)).ok
 
 
 def test_accepted_algebras_satisfy_the_oracle_axioms(corpus):
@@ -286,10 +395,7 @@ def random_tables(draw):
 @settings(max_examples=200, deadline=None)
 def test_verdict_always_matches_the_oracle(table):
     size, sums = table
-    try:
-        closed_table = closed(size, 0, size - 1, sums)
-    except DuplicateSum:
-        return
+    closed_table = closed(size, 0, size - 1, sums)
     report = verify_axioms(closed_table)
     oracle_errors = oracle_axiom_errors(
         size, 0, size - 1, with_zero_rows(closed_table)

@@ -1,5 +1,6 @@
 """Exact feasibility by presolve and simplex, with self-verifying outcomes."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -122,14 +123,39 @@ def test_tampered_certificate_is_rejected():
         cert.gap + 1,
     )
     assert not verify_certificate(s, crooked)
-    negative = InfeasibilityCertificate(
-        cert.row_multipliers,
-        tuple(-w for w in cert.upper_multipliers) or cert.upper_multipliers,
-        cert.lower_multipliers,
-        cert.gap,
-    )
-    if any(w != 0 for w in cert.upper_multipliers):
-        assert not verify_certificate(s, negative)
+    # x - y = 3/2 is out of reach: y = (1), w = (1, 0), z = (0, 1) give
+    # yA = w - z and the gap 3/2 - 1.  Each tampered copy below breaks
+    # exactly one of the checks and passes the others.
+    s = sys_of([[1, -1]], [F(3, 2)])
+    good = InfeasibilityCertificate((F(1),), (F(1), F(0)), (F(0), F(1)), F(1, 2))
+    assert verify_certificate(s, good)
+    tampered = {
+        "row multipliers of the wrong length": replace(
+            good, row_multipliers=(F(1), F(0))
+        ),
+        "upper multipliers of the wrong length": replace(
+            good, upper_multipliers=(F(1),)
+        ),
+        "lower multipliers of the wrong length": replace(
+            good, lower_multipliers=(F(0), F(1), F(0))
+        ),
+        # w - z = (1, -1) and the gap 3/2 hold; w is negative
+        "a negative w": InfeasibilityCertificate(
+            (F(1),), (F(1), F(-1)), (F(0), F(0)), F(3, 2)
+        ),
+        # w - z = (1, -1) and the gap 3/2 hold; z is negative
+        "a negative z": InfeasibilityCertificate(
+            (F(1),), (F(0), F(0)), (F(-1), F(1)), F(3, 2)
+        ),
+        # w - z = (1, 0) differs from yA = (1, -1); the gap 1/2 holds
+        "yA != w - z": replace(good, lower_multipliers=(F(0), F(0))),
+        # y = 0 and w = z = 0: yA = w - z, and the gap is 0, as stated
+        "a gap of 0": InfeasibilityCertificate(
+            (F(0),), (F(0), F(0)), (F(0), F(0)), F(0)
+        ),
+    }
+    for kind, cert in tampered.items():
+        assert not verify_certificate(s, cert), kind
 
 
 def test_empty_system_is_feasible():
