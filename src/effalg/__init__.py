@@ -56,7 +56,6 @@ from .errors import (
     MissingElement,
     MissingHeader,
     NegativeDenominator,
-    NotDecomposable,
     ParseError,
     PreconditionFailed,
     SizeLimit,
@@ -120,7 +119,6 @@ __all__ = [
     "MissingElement",
     "MissingHeader",
     "NegativeDenominator",
-    "NotDecomposable",
     "OrderStructure",
     "ParseError",
     "PreconditionFailed",

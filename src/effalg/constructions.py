@@ -15,10 +15,13 @@ from .eaf import parse_eaf
 from .errors import DegenerateBlock, SizeLimit
 
 _MAX_BOOLEAN_EXPONENT = 6
-# mv_chain(600) builds in about 4.3 s with a 39 MB peak RSS (Python 3.11,
-# 2-vCPU VM; mv_chain(300) 0.4 s, 500 2.5 s).  Above 255 elements the
-# associativity check walks pairs, so the time grows as n³ from there.
-_MAX_CHAIN_LENGTH = 600
+# The most elements a chain, product or horizontal sum may have.
+# mv_chain(600), 601 elements, builds in about 4.3 s with a 39 MB peak RSS
+# (Python 3.11, 2-vCPU VM; mv_chain(300) 0.4 s, 500 2.5 s).  Above 255
+# elements the associativity check walks pairs, so the time grows as n³
+# from there.
+_MAX_ELEMENTS = 601
+_MAX_CHAIN_LENGTH = _MAX_ELEMENTS - 1
 _MAX_BLOCKS = len(ascii_lowercase)
 
 FIXTURE_FILES = {
@@ -85,7 +88,8 @@ def horizontal_sum(parts: list[EffectAlgebra]) -> EffectAlgebra:
 
     Interior elements of block p are renamed positionally to ``a, 2a, ...``
     with the letter advancing per block, so the result is independent of
-    the parts' own labels.  A single part is returned unchanged.
+    the parts' own labels.  A single part is returned unchanged.  The
+    sum may have at most 601 elements.
     """
     if not parts:
         raise ValueError("horizontal sum needs at least one part")
@@ -98,6 +102,7 @@ def horizontal_sum(parts: list[EffectAlgebra]) -> EffectAlgebra:
             raise DegenerateBlock(
                 "every block needs an interior element (size >= 3)"
             )
+    _check_size("horizontal sums", 2 + sum(part.size - 2 for part in parts))
 
     names = ["0"]
     maps: list[dict[int, int]] = []  # per part: part index -> glued index
@@ -126,8 +131,12 @@ def horizontal_sum(parts: list[EffectAlgebra]) -> EffectAlgebra:
 
 
 def direct_product(E1: EffectAlgebra, E2: EffectAlgebra) -> EffectAlgebra:
-    """Componentwise product: a pair is summable iff both components are."""
+    """Componentwise product: a pair is summable iff both components are.
+
+    The product may have at most 601 elements.
+    """
     n1, n2 = E1.size, E2.size
+    _check_size("products", n1 * n2)
     names = [
         f"{E1.names[x1]},{E2.names[x2]}"
         for x1 in range(n1)
@@ -151,6 +160,14 @@ def direct_product(E1: EffectAlgebra, E2: EffectAlgebra) -> EffectAlgebra:
     zero = E1.zero * n2 + E2.zero
     one = E1.one * n2 + E2.one
     return make_algebra(names, zero, one, sums)
+
+
+def _check_size(kind: str, n: int) -> None:
+    """Refuse, before building it, a result of more than the cap's elements."""
+    if n > _MAX_ELEMENTS:
+        raise SizeLimit(
+            f"{kind} are provided up to {_MAX_ELEMENTS} elements, not {n}"
+        )
 
 
 def bundled_fixture(name: str) -> EffectAlgebra:

@@ -156,9 +156,33 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     order, so memory stays bounded however broken the table is.  An
     empty report means the closed table is an effect algebra.  Raises
     :class:`IndexOutOfRange` when an entry, ``zero`` or ``one`` is not an
-    element index.
+    element index, or a key is not a pair.
     """
-    return _check(table.size, table.zero, table.one, table.sums.items())[0]
+    sums = _raw_sums(table.zero, table.one, table.sums)
+    return _check(table.size, table.zero, table.one, sums)[0]
+
+
+def _raw_sums(
+    zero: object, one: object, sums: Mapping[tuple[int, int], int]
+) -> Iterable[tuple[tuple[int, int], int]]:
+    """``sums.items()``, once ``zero``, ``one`` and every entry are ints
+    and every key is a pair; raises :class:`IndexOutOfRange` otherwise.
+
+    A raw table's entry points call this; :func:`_check` then compares
+    the ints with the element count.
+    """
+    if not (isinstance(zero, int) and isinstance(one, int)):
+        raise IndexOutOfRange(f"zero {zero!r} or one {one!r} is not an element index")
+    for key, z in sums.items():
+        if not (
+            isinstance(key, tuple)
+            and len(key) == 2
+            and all(isinstance(v, int) for v in (*key, z))
+        ):
+            raise IndexOutOfRange(
+                f"sum entry {key!r}->{z!r} is not an index pair and an index"
+            )
+    return sums.items()
 
 
 def _check(
@@ -468,10 +492,10 @@ def make_algebra(
     a zero row is an ``Ei`` or ``closure`` violation like any other.
     Raises :class:`DuplicateName` when two names coincide,
     :class:`IndexOutOfRange` when an entry, ``zero`` or ``one`` is not an
-    element index, and :class:`AxiomViolation`, carrying that report, when
-    the table is not an effect algebra.
+    element index or a key is not a pair, and :class:`AxiomViolation`,
+    carrying that report, when the table is not an effect algebra.
     """
-    return _build(names, zero, one, sums.items())
+    return _build(names, zero, one, _raw_sums(zero, one, sums))
 
 
 def _build(

@@ -7,20 +7,24 @@ the same atom can never be picked twice (if the atom still fit below the
 residual, the multiplicity was not maximal), so parts carry pairwise
 distinct atoms in ascending index order.
 
-The *basic decomposition* of an element in a lattice-ordered algebra peels
-off the greatest sharp element below it and decomposes the remainder into
-atom multiples whose multiplicities all stay strictly below the atoms'
-isotropic indices; the remainder is then meager.  Outside lattice order
-that shape is not guaranteed to exist, so the operation refuses such
-algebras instead of returning something unprincipled.
+The *basic decomposition* of an element in a lattice-ordered algebra is
+its sharp kernel (the greatest sharp element below it) plus atom
+multiples whose multiplicities all stay strictly below the atoms'
+isotropic indices, which sum to a meager element.  It is read off one
+greedy decomposition: the parts at full index must sum to the kernel and
+the others to a meager element, and both are checked.  In a lattice this
+form is unique, which the law suite (T2.6, T3.4) checks.  Outside lattice
+order that shape is not guaranteed to exist, so the operation refuses
+such algebras instead of returning something unprincipled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Optional
 
-from .core import EffectAlgebra, iterated_sum, multiple, multiples
-from .errors import InvalidDecomposition, NotDecomposable, PreconditionFailed
+from .core import EffectAlgebra, iterated_sum, multiples
+from .errors import InvalidDecomposition, PreconditionFailed
 from .order import derive_order
 from .structure import structure_profile
 
@@ -72,30 +76,31 @@ def atomic_decomposition(E: EffectAlgebra, x: int) -> AtomicDecomposition:
     parts: list[AtomMultiple] = []
     r = x
     while r != E.zero:
-        atom = next((a for a in ordered_atoms if os.down[r] >> a & 1), None)
-        if atom is None:
-            raise NotDecomposable(
-                f"residual {r} has no atom below it"
-            )
+        # A nonzero residual sits above an atom (finite carrier).
+        atom = next(a for a in ordered_atoms if os.down[r] >> a & 1)
         # Multiples of an atom strictly increase, so those below r are a prefix.
         ms = multiples(E)[atom]
         k = 1
         while k < len(ms) and os.down[r] >> ms[k] & 1:
             k += 1
         parts.append(AtomMultiple(atom, k))
-        nr = E.diff(r, ms[k - 1])
-        if nr is None:
-            raise NotDecomposable(
-                f"residual {r} does not absorb {k} copies of atom {atom}"
-            )
-        r = nr
+        # ms[k - 1] is below r, so the difference is defined.
+        r = E.diff(r, ms[k - 1])
     return AtomicDecomposition(x, tuple(parts), os.is_lattice)
+
+
+def _parts_sum(E: EffectAlgebra, parts: Iterable[AtomMultiple]) -> Optional[int]:
+    """The iterated sum of the parts' multiples, None where undefined.
+
+    Every multiplicity must lie in ``1..ord`` of its atom.
+    """
+    ms = multiples(E)
+    return iterated_sum(E, (ms[p.atom][p.multiplicity - 1] for p in parts))
 
 
 def _validate(E: EffectAlgebra, d: AtomicDecomposition) -> None:
     profile = structure_profile(E)
     seen: set[int] = set()
-    terms: list[int] = []
     for part in d.parts:
         if part.atom not in profile.atoms:
             raise InvalidDecomposition(f"element {part.atom} is not an atom")
@@ -108,13 +113,7 @@ def _validate(E: EffectAlgebra, d: AtomicDecomposition) -> None:
                 f"multiplicity {part.multiplicity} of atom {part.atom} "
                 f"is outside 1..{ord_a}"
             )
-        m = multiple(E, part.atom, part.multiplicity)
-        if m is None:
-            raise InvalidDecomposition(
-                f"{part.multiplicity}-fold sum of atom {part.atom} is undefined"
-            )
-        terms.append(m)
-    acc = iterated_sum(E, terms)
+    acc = _parts_sum(E, d.parts)
     if acc is None:
         raise InvalidDecomposition("parts are not summable in the given order")
     if acc != d.element:
@@ -144,23 +143,15 @@ def split_atomic_decomposition(
     return SplitDecomposition(full, partial)
 
 
-def _reassemble(E: EffectAlgebra, parts: tuple[AtomMultiple, ...]) -> int:
-    elements = [multiple(E, p.atom, p.multiplicity) for p in parts]
-    if None in elements:
-        raise RuntimeError("validated part has an undefined multiple")
-    total = iterated_sum(E, elements)
-    if total is None:
-        raise RuntimeError("validated parts stopped being summable")
-    return total
-
-
 def basic_decomposition(E: EffectAlgebra, x: int) -> BasicDecomposition:
     """Write x as (greatest sharp element below x) + (meager remainder).
 
     Only available in lattice-ordered algebras; raises
-    :class:`PreconditionFailed` otherwise.  The remainder is decomposed
-    greedily and every multiplicity is checked to sit strictly below the
-    atom's isotropic index, which makes the remainder meager.
+    :class:`PreconditionFailed` otherwise, or when x has no sharp kernel.
+    One greedy decomposition of x is validated and split: its full
+    multiples must sum to the sharp kernel of x and its proper ones to a
+    meager element, which become the meager parts.  A failed check
+    raises ``RuntimeError``.
     """
     os = derive_order(E)
     if not os.is_lattice:
@@ -173,33 +164,10 @@ def basic_decomposition(E: EffectAlgebra, x: int) -> BasicDecomposition:
         raise PreconditionFailed(
             f"element {x} has no greatest sharp element below it"
         )
-    remainder = E.diff(x, kernel)
-    if remainder is None:
-        raise RuntimeError("sharp kernel is not below its element")
-    meager = atomic_decomposition(E, remainder)
-    for part in meager.parts:
-        if part.multiplicity == profile.isotropic[part.atom]:
-            raise RuntimeError(
-                f"remainder of {x} contains atom {part.atom} at full index; "
-                "the kernel was not greatest"
-            )
-    total = _reassemble(E, meager.parts)
-    if total != remainder:
-        raise RuntimeError("meager parts do not reassemble the remainder")
-    if total not in profile.meager:
-        raise RuntimeError(f"remainder {total} of {x} is not meager")
-    if E.table[kernel][total] != x:
-        raise RuntimeError("kernel plus remainder does not reassemble x")
-
-    # Independent cross-check: splitting a greedy decomposition of x itself
-    # must yield the same meager parts and a full block summing to the kernel.
-    whole = split_atomic_decomposition(E, atomic_decomposition(E, x))
-    if whole.partial != meager.parts:
-        raise RuntimeError(
-            "splitting a direct decomposition disagrees on the meager parts"
-        )
-    if _reassemble(E, whole.full) != kernel:
-        raise RuntimeError(
-            "full parts of a direct decomposition do not sum to the kernel"
-        )
-    return BasicDecomposition(kernel, meager.parts)
+    split = split_atomic_decomposition(E, atomic_decomposition(E, x))
+    if _parts_sum(E, split.full) != kernel:
+        raise RuntimeError(f"full parts of {x} do not sum to its sharp kernel")
+    remainder = _parts_sum(E, split.partial)
+    if remainder not in profile.meager:
+        raise RuntimeError(f"proper parts of {x} sum to non-meager {remainder}")
+    return BasicDecomposition(kernel, split.partial)

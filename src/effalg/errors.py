@@ -62,11 +62,6 @@ class NegativeDenominator(EffectAlgebraError):
     """A rational literal has a zero or negative denominator."""
 
 
-class NotDecomposable(EffectAlgebraError):
-    """No atom lies below a nonzero residual (cannot happen on validated
-    finite tables, kept as an explicit guard)."""
-
-
 class InvalidDecomposition(EffectAlgebraError):
     """A decomposition value violates its structural constraints."""
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Union
 
-from .core import EffectAlgebra, multiple
+from .core import EffectAlgebra, multiples
 from .decompose import basic_decomposition
 from .errors import InvalidState, PreconditionFailed
 from .linear import (
@@ -215,18 +215,11 @@ def smear_state(E: EffectAlgebra, omega: State) -> State:
             raise RuntimeError(f"element {parent_x} expected sharp")
         return omega.values[i]
 
-    atom_value: dict[int, Fraction] = {}
-    for a in sorted(profile.atoms):
-        n_a = profile.isotropic[a]
-        full = multiple(E, a, n_a)
-        if full is None:
-            raise RuntimeError("isotropic index overshoots its definition")
-        if full not in profile.sharp:
-            raise RuntimeError(
-                f"full multiple of atom {E.names[a]} is not sharp in a "
-                "lattice-ordered algebra"
-            )
-        atom_value[a] = sharp_value(full) / n_a
+    # An atom's full multiple is sharp in a lattice; sharp_value checks it.
+    ms = multiples(E)
+    atom_value = {
+        a: sharp_value(ms[a][-1]) / profile.isotropic[a] for a in profile.atoms
+    }
 
     values: list[Fraction] = [Fraction(0)] * E.size
     for x in range(E.size):

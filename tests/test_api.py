@@ -3,8 +3,10 @@
 import effalg
 
 # Wrappers that read one field of ``structure_profile(E)`` or one bit of
-# ``compatibility(E)``, the two errors only they raised, and the error for
-# a pair declared twice, now an ``Ei`` violation of ``AxiomViolation``.
+# ``compatibility(E)``, the two errors only they raised, the error for a
+# pair declared twice, now an ``Ei`` violation of ``AxiomViolation``, and
+# the error for an element with no atom below it, which no finite algebra
+# has.
 REMOVED = (
     "atoms",
     "sharp_elements",
@@ -21,6 +23,7 @@ REMOVED = (
     "ZeroElement",
     "BoundsMissing",
     "DuplicateSum",
+    "NotDecomposable",
 )
 
 

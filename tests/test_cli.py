@@ -438,6 +438,15 @@ def test_gen_rejects_oversize_requests(capsys):
     assert err == "error: chains are provided for 1 <= n <= 600\n"
 
 
+def test_gen_product_of_two_101_element_chains_exits_two(capsys, tmp_path):
+    c100 = tmp_path / "c100.eaf"
+    assert run(capsys, "gen", "mv-chain", "100", "-o", str(c100))[0] == 0
+    # refused from the factors' sizes, before the 10,201-element table
+    code, out, err = run(capsys, "gen", "product", str(c100), str(c100))
+    assert (code, out) == (2, "")
+    assert err == "error: products are provided up to 601 elements, not 10201\n"
+
+
 def test_gen_into_a_directory_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "gen", "mv-chain", "2", "-o", str(tmp_path))
     assert (code, out) == (2, "")

@@ -15,6 +15,7 @@ from effalg import (
     serialize_eaf,
     structure_profile,
 )
+from effalg import constructions
 from effalg.constructions import FIXTURE_FILES, fixture_text
 
 
@@ -33,6 +34,22 @@ def test_chain_size_limit():
         mv_chain(0)
     with pytest.raises(SizeLimit, match="n <= 600"):
         mv_chain(601)
+
+
+def test_products_and_horizontal_sums_share_the_chain_cap(monkeypatch):
+    # refused from the parts' sizes, before any table is built
+    with pytest.raises(SizeLimit, match="products .* 601 elements, not 625"):
+        direct_product(mv_chain(24), mv_chain(24))
+    with pytest.raises(SizeLimit, match="horizontal sums .* 601 elements, not 626"):
+        horizontal_sum([mv_chain(25)] * 26)
+    # the cap itself is allowed, one more element is not
+    monkeypatch.setattr(constructions, "_MAX_ELEMENTS", 12)
+    assert direct_product(mv_chain(2), mv_chain(3)).size == 12
+    assert horizontal_sum([mv_chain(6), mv_chain(6)]).size == 12
+    with pytest.raises(SizeLimit, match="not 13"):
+        horizontal_sum([mv_chain(6), mv_chain(7)])
+    with pytest.raises(SizeLimit, match="not 16"):
+        direct_product(mv_chain(3), mv_chain(3))
 
 
 def test_smallest_chain_is_the_two_point_algebra():

@@ -145,21 +145,33 @@ def test_declared_zero_row_conflict_is_closure_violation():
     assert clash_report(make_algebra, names, 0, 2, {(1, 0): 2}).totals["closure"] == 1
 
 
-@pytest.mark.parametrize("result", [3, -1])
-def test_unclosed_entry_out_of_range_is_a_named_error(result):
-    # Unchecked, these fail deep inside the check as an IndexError (3)
-    # or a negative shift count (-1).
-    table = SumTable(3, 0, 2, {(1, 1): result})
-    with pytest.raises(IndexOutOfRange, match=r"\(1,1\)->"):
-        verify_axioms(table)
-    with pytest.raises(IndexOutOfRange, match=r"\(1,1\)->"):
-        make_algebra(("0", "a", "1"), 0, 2, table.sums)
+@pytest.mark.parametrize(
+    "sums, message",
+    [
+        ({(1, 1): 3}, r"\(1,1\)->3 out of range"),
+        ({(1, 1): -1}, r"\(1,1\)->-1 out of range"),
+        ({(1, 1): 1.5}, r"\(1, 1\)->1\.5 is not an index pair and an index"),
+        ({(1, 1): "a"}, r"\(1, 1\)->'a' is not an index pair and an index"),
+        ({(1,): 2}, r"\(1,\)->2 is not an index pair and an index"),
+    ],
+    ids=["3", "-1", "float", "str", "short-key"],
+)
+def test_unclosed_entry_out_of_range_is_a_named_error(sums, message):
+    # Unchecked, these fail deep inside the check as an IndexError (3), a
+    # negative shift count (-1), a TypeError (1.5, "a") or a ValueError
+    # from unpacking the key (1,).
+    with pytest.raises(IndexOutOfRange, match=message):
+        verify_axioms(SumTable(3, 0, 2, sums))
+    with pytest.raises(IndexOutOfRange, match=message):
+        make_algebra(("0", "a", "1"), 0, 2, sums)
 
 
-@pytest.mark.parametrize("zero, one", [(0, 3), (-1, 2), (3, 0)])
+@pytest.mark.parametrize("zero, one", [(0, 3), (-1, 2), (3, 0), (0.0, 2), (0, "1")])
 def test_zero_or_one_out_of_range_is_a_named_error(zero, one):
     with pytest.raises(IndexOutOfRange, match="zero"):
         verify_axioms(SumTable(3, zero, one, {}))
+    with pytest.raises(IndexOutOfRange, match="zero"):
+        make_algebra(("0", "a", "1"), zero, one, {})
 
 
 def test_out_of_range_is_still_a_value_error():

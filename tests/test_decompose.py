@@ -1,7 +1,10 @@
 """Greedy atomic decomposition, splitting, and the basic decomposition."""
 
+from dataclasses import replace
+
 import pytest
 
+from effalg import decompose
 from effalg import (
     AtomicDecomposition,
     AtomMultiple,
@@ -74,14 +77,16 @@ def test_split_rejects_foreign_parts():
     bogus = AtomicDecomposition(
         E.index("2a"), (AtomMultiple(E.index("2a"), 1),), False
     )
-    with pytest.raises(InvalidDecomposition):
+    with pytest.raises(InvalidDecomposition, match="^element 2 is not an atom$"):
         split_atomic_decomposition(E, bogus)
 
 
 def test_split_rejects_wrong_total():
     E = mv_chain(4)
     bogus = AtomicDecomposition(E.one, (AtomMultiple(E.index("a"), 2),), False)
-    with pytest.raises(InvalidDecomposition):
+    with pytest.raises(
+        InvalidDecomposition, match="^parts sum to 2, not to the decomposed element 4$"
+    ):
         split_atomic_decomposition(E, bogus)
 
 
@@ -91,7 +96,28 @@ def test_split_rejects_repeated_atoms():
     bogus = AtomicDecomposition(
         E.index("2a"), (AtomMultiple(a, 1), AtomMultiple(a, 1)), False
     )
-    with pytest.raises(InvalidDecomposition):
+    with pytest.raises(InvalidDecomposition, match="^atom 1 appears twice$"):
+        split_atomic_decomposition(E, bogus)
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_split_rejects_a_multiplicity_outside_the_index(k):
+    E = mv_chain(4)
+    bogus = AtomicDecomposition(E.one, (AtomMultiple(E.index("a"), k),), False)
+    with pytest.raises(
+        InvalidDecomposition, match=f"^multiplicity {k} of atom 1 is outside 1..4$"
+    ):
+        split_atomic_decomposition(E, bogus)
+
+
+def test_split_rejects_parts_without_a_sum():
+    # a and b are atoms of different blocks, so a + b is undefined
+    E = horizontal_sum([mv_chain(2), mv_chain(3)])
+    parts = (AtomMultiple(E.index("a"), 1), AtomMultiple(E.index("b"), 1))
+    bogus = AtomicDecomposition(E.one, parts, False)
+    with pytest.raises(
+        InvalidDecomposition, match="^parts are not summable in the given order$"
+    ):
         split_atomic_decomposition(E, bogus)
 
 
@@ -115,8 +141,57 @@ def test_basic_decomposition_in_a_product():
 
 
 def test_basic_decomposition_needs_a_lattice(example_25):
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(
+        PreconditionFailed, match="^basic decomposition needs a lattice-ordered algebra$"
+    ):
         basic_decomposition(example_25, example_25.index("2a"))
+
+
+def tamper_profile(monkeypatch, E, **fields):
+    """Make ``effalg.decompose`` read E's profile with ``fields`` replaced."""
+    tampered = replace(decompose.structure_profile(E), **fields)
+    monkeypatch.setattr(decompose, "structure_profile", lambda _: tampered)
+
+
+def test_basic_decomposition_needs_a_sharp_kernel(monkeypatch):
+    E = mv_chain(4)
+    x = E.index("2a")
+    tamper_profile(monkeypatch, E, sharp_kernel=(None,) * E.size)
+    with pytest.raises(
+        PreconditionFailed, match="^element 2 has no greatest sharp element below it$"
+    ):
+        basic_decomposition(E, x)
+
+
+def test_basic_decomposition_checks_the_full_block_against_the_kernel(monkeypatch):
+    E = mv_chain(4)
+    # the full multiple 4a sums to 1, not to the tampered kernel 0
+    tamper_profile(monkeypatch, E, sharp_kernel=(E.zero,) * E.size)
+    with pytest.raises(
+        RuntimeError, match="^full parts of 4 do not sum to its sharp kernel$"
+    ):
+        basic_decomposition(E, E.one)
+
+
+def test_basic_decomposition_checks_the_proper_block_is_meager(monkeypatch):
+    E = mv_chain(4)
+    tamper_profile(monkeypatch, E, meager=frozenset({E.zero}))
+    with pytest.raises(
+        RuntimeError, match="^proper parts of 2 sum to non-meager 2$"
+    ):
+        basic_decomposition(E, E.index("2a"))
+
+
+def test_basic_decomposition_checks_the_greedy_walk(monkeypatch):
+    # a greedy walk that returned a wrong decomposition is caught: here
+    # 3a is given as the parts of 2a
+    E = mv_chain(4)
+    wrong = AtomicDecomposition(E.index("2a"), (AtomMultiple(E.index("a"), 3),), True)
+    monkeypatch.setattr(decompose, "atomic_decomposition", lambda E, x: wrong)
+    with pytest.raises(
+        InvalidDecomposition, match="^parts sum to 3, not to the decomposed element 2$"
+    ):
+        basic_decomposition(E, E.index("2a"))
 
 
 def test_basic_matches_brute_force_everywhere(corpus):

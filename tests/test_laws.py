@@ -7,12 +7,15 @@ import pytest
 from effalg import (
     LAW_IDS,
     boolean_algebra,
+    build_effect_algebra,
     derive_order,
     direct_product,
     horizontal_sum,
     mv_chain,
+    parse_eaf,
     run_law_suite,
 )
+from effalg.constructions import fixture_text
 from effalg.laws import __doc__ as LAWS_DOC, _Ctx, _l22iv_walk, _law_l22iv
 
 from oracles import oracle_l22iv
@@ -166,6 +169,31 @@ def test_double_of_both_atoms_is_the_same_element(example_25):
     E = example_25
     a, b = E.index("a"), E.index("b")
     assert E.table[a][a] == E.table[b][b] == E.index("2a")
+
+
+@pytest.mark.parametrize(
+    "names, witnesses, reason",
+    [
+        (
+            "names 0 a b ab 2a 1",
+            ["ab", "2a", "1", "1"],
+            "join of the greedy parts of ab is not ab (+3 more instances)",
+        ),
+        ("names 0 b a ab 2a 1", ["ab"], "join of the greedy parts of ab is not ab"),
+    ],
+    ids=["bundled-order", "atoms-swapped"],
+)
+def test_l23v_counterexample_count_follows_atom_order(names, witnesses, reason):
+    # a + a = b + b = 2a, so 1 decomposes greedily as 2a + b when a has
+    # the lower index and as 3b when b has it: off lattice order the
+    # law's count describes the labelling, not the algebra
+    text = fixture_text("example-2.5.eaf")
+    assert "names 0 a b ab 2a 1\n" in text
+    E = build_effect_algebra(parse_eaf(text.replace("names 0 a b ab 2a 1", names)))
+    result = run_law_suite(E, ["L2.3.v"], counterexample_mode=True).results[0]
+    assert result.status == "fail"
+    assert [E.names[x] for (x,) in result.witnesses] == witnesses
+    assert result.reason == reason
 
 
 def test_full_suite_is_deterministic(example_25):
