@@ -80,7 +80,6 @@ from .order import (
 from .states import (
     State,
     StateReport,
-    StateViolation,
     find_state,
     restrict_to_sharp,
     smear_state,
@@ -127,7 +126,6 @@ __all__ = [
     "SplitDecomposition",
     "State",
     "StateReport",
-    "StateViolation",
     "StructureProfile",
     "SumTable",
     "UnknownName",

@@ -77,7 +77,9 @@ _BYTE_VALUE: tuple[Optional[int], ...] = (*range(_UNDEF), None)
 
 @dataclass(frozen=True)
 class Violation:
-    """One failure: its axiom label (or law id), witness elements and detail."""
+    """One failure: its label, witness elements and detail.  The label is
+    an axiom (``Ei`` to ``Eiv``, ``closure``), a law id, or a state
+    condition (``missing``, ``zero``, ``one``, ``range``, ``additivity``)."""
 
     axiom: str
     witnesses: tuple[int, ...]
@@ -103,8 +105,8 @@ class AxiomReport:
 
 class Witnesses:
     """Counts every failure per label and keeps the first ``_WITNESS_CAP``
-    of each label, in the order found.  Axiom reports and law results
-    both collect through this class."""
+    of each label, in the order found.  Axiom reports, state reports and
+    law results all collect through this class."""
 
     def __init__(self) -> None:
         self.kept: list[Violation] = []
@@ -155,22 +157,25 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     ``_WITNESS_CAP`` violations of each axiom are kept, in (x, y, z)
     order, so memory stays bounded however broken the table is.  An
     empty report means the closed table is an effect algebra.  Raises
-    :class:`IndexOutOfRange` when an entry, ``zero`` or ``one`` is not an
-    element index, or a key is not a pair.
+    :class:`IndexOutOfRange` when ``size`` is not an int, an entry,
+    ``zero`` or ``one`` is not an element index, or a key is not a pair.
     """
-    sums = _raw_sums(table.zero, table.one, table.sums)
+    sums = _raw_sums(table.size, table.zero, table.one, table.sums)
     return _check(table.size, table.zero, table.one, sums)[0]
 
 
 def _raw_sums(
-    zero: object, one: object, sums: Mapping[tuple[int, int], int]
+    size: object, zero: object, one: object, sums: Mapping[tuple[int, int], int]
 ) -> Iterable[tuple[tuple[int, int], int]]:
-    """``sums.items()``, once ``zero``, ``one`` and every entry are ints
-    and every key is a pair; raises :class:`IndexOutOfRange` otherwise.
+    """``sums.items()``, once ``size``, ``zero``, ``one`` and every entry
+    are ints and every key is a pair; raises :class:`IndexOutOfRange`
+    otherwise.
 
     A raw table's entry points call this; :func:`_check` then compares
     the ints with the element count.
     """
+    if not isinstance(size, int):
+        raise IndexOutOfRange(f"size {size!r} is not an element count")
     if not (isinstance(zero, int) and isinstance(one, int)):
         raise IndexOutOfRange(f"zero {zero!r} or one {one!r} is not an element index")
     for key, z in sums.items():
@@ -495,7 +500,7 @@ def make_algebra(
     element index or a key is not a pair, and :class:`AxiomViolation`,
     carrying that report, when the table is not an effect algebra.
     """
-    return _build(names, zero, one, _raw_sums(zero, one, sums))
+    return _build(names, zero, one, _raw_sums(len(names), zero, one, sums))
 
 
 def _build(

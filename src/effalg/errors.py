@@ -31,7 +31,8 @@ class DuplicateName(EffectAlgebraError, ValueError):
 
 
 class IndexOutOfRange(EffectAlgebraError, ValueError):
-    """A sum table entry, its zero or its one is not an element index.
+    """A sum table entry, its zero or its one is not an element index,
+    or its size is not an int.
 
     A ``ValueError`` too, so callers catching that keep working.
     """

@@ -104,6 +104,14 @@ _Failures = Iterator[tuple[tuple[int, ...], str]]
 # L2.2.iv's deviating x, ascending, each with its running join of meets.
 _Deviating = tuple[tuple[int, Optional[int]], ...]
 
+# An L2.2.iv failure relative to a walk node: x, the members added below
+# the node, and ``None`` when x fails the meet check or the family join
+# when x is not compatible with it.
+_Found = tuple[int, tuple[int, ...], Optional[int]]
+
+# A walk node's failure total, family count and first failures.
+_Node = tuple[int, int, tuple[_Found, ...]]
+
 
 def _collect(
     law: str, failures: _Failures, total: Optional[int] = None
@@ -241,12 +249,8 @@ def _law_l22ii(ctx: _Ctx) -> _Failures:
 def _law_l22iii(ctx: _Ctx) -> _Failures:
     E = ctx.E
     for x in range(E.size):
-        if x == E.zero:
-            continue
-        mx = ctx.multiples[x]
+        mx = ctx.multiples[x]  # empty for zero, which adds no instance
         for y in range(x, E.size):
-            if y == E.zero:
-                continue
             if ctx.os.meet[x][y] != E.zero:
                 continue
             my = ctx.multiples[y]
@@ -276,14 +280,14 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
     """L2.2.iv over every orthogonal family, as one merged depth-first walk.
 
     Returns the exact failure total, the number of families checked and
-    the failures in report order: families in preorder, each with its
-    failing x ascending.  A family is two or more distinct nonzero
-    members in ascending index with every prefix sum defined.  Its join
-    is folded left to right; a family without one is skipped, and so is
-    every extension of it, which lacks a join too.  Per family, an x
-    compatible with every member fails when ``x ^ join`` differs from
-    the join of the ``x ^ y`` (or either is missing), and otherwise when
-    x is not compatible with the join.
+    the first ``_WITNESS_CAP`` failures in report order: families in
+    preorder, each with its failing x ascending.  A family is two or
+    more distinct nonzero members in ascending index with every prefix
+    sum defined.  Its join is folded left to right; a family without one
+    is skipped, and so is every extension of it, which lacks a join too.
+    Per family, an x compatible with every member fails when
+    ``x ^ join`` differs from the join of the ``x ^ y`` (or either is
+    missing), and otherwise when x is not compatible with the join.
 
     A node of the walk is a family prefix: the next index, the running
     sum and join b, the ``alive`` mask of x compatible with every member,
@@ -291,9 +295,9 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
     with that running value.  For every other alive x the check when y
     joins depends only on (b, y), so one failure mask per pair covers
     them all.  Everything below a node depends only on its state, so
-    equal states are walked once and their totals reused.  The witness
-    walk goes again without merging, but enters only subtrees with
-    failures, and is read only as far as the witnesses kept.
+    equal states are walked once and their totals reused, together with
+    the node's first ``_WITNESS_CAP`` failures, kept relative to it; a
+    parent prefixes them with the member it adds.
     """
     E = ctx.E
     n = E.size
@@ -364,11 +368,31 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
             clean &= ~(1 << x)
         return tuple(out), clean & ~col[b2]
 
-    memo: dict[tuple[int, int, int, int, _Deviating], tuple[int, int]] = {}
+    def own(
+        y: int, b2: int, dev2: _Deviating, odd: int, room: int
+    ) -> tuple[_Found, ...]:
+        """The first ``room`` failures of the family just grown by y, x
+        ascending: ``None`` for a deviating x, b2 for one not compatible
+        with b2."""
+        out: list[tuple[int, Optional[int]]] = [(x, None) for x, _ in dev2]
+        while odd:
+            x = (odd & -odd).bit_length() - 1
+            odd &= odd - 1
+            out.append((x, b2))
+        out.sort()
+        return tuple((x, (y,), top) for x, top in out[:room])
 
-    def count(i: int, s: int, b: int, alive: int, dev: _Deviating) -> tuple[int, int]:
-        """Failures and families among the extensions of one node."""
+    def below(y: int, found: tuple[_Found, ...], room: int) -> tuple[_Found, ...]:
+        """A child's first ``room`` failures, prefixed with the member y."""
+        return tuple((x, (y,) + members, top) for x, members, top in found[:room])
+
+    memo: dict[tuple[int, int, int, int, _Deviating], _Node] = {}
+
+    def count(i: int, s: int, b: int, alive: int, dev: _Deviating) -> _Node:
+        """Failures, families and the first failures among the extensions
+        of one node, each failure relative to the node."""
         failures = families = 0
+        found: tuple[_Found, ...] = ()
         ys = summands[s]
         row = table[s]
         jb = join[b]
@@ -385,11 +409,13 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
                     bad = fail_mask(b, y)
             if dev or bad & alive2:
                 dev2, odd = step(b, y, b2, alive2, dev)
-                failures += len(dev2)
             else:
                 dev2, odd = (), alive2 & ~col[b2]
-            failures += odd.bit_count()
             families += 1
+            if dev2 or odd:
+                failures += len(dev2) + odd.bit_count()
+                if len(found) < _WITNESS_CAP:
+                    found += own(y, b2, dev2, odd, _WITNESS_CAP - len(found))
             s2 = row[y]
             later = summands[s2]
             if later and later[-1] > y:  # else no family extends this one
@@ -397,55 +423,34 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
                 sub = memo.get(key)
                 if sub is None:
                     sub = memo[key] = count(*key)
-                failures += sub[0]
-                families += sub[1]
-        return failures, families
+                sub_failures, sub_families, sub_found = sub
+                failures += sub_failures
+                families += sub_families
+                if sub_found and len(found) < _WITNESS_CAP:
+                    found += below(y, sub_found, _WITNESS_CAP - len(found))
+        return failures, families, found
 
-    roots = summands[E.zero]
     failures = families = 0
-    for y in roots:
-        key = (y + 1, y, y, col[y], ())
-        memo[key] = sub = count(*key)
-        failures += sub[0]
-        families += sub[1]
-
-    def witnesses(
-        i: int, s: int, b: int, alive: int, dev: _Deviating, members: tuple[int, ...]
-    ) -> _Failures:
-        ys = summands[s]
-        for y in ys[bisect_left(ys, i):]:
-            b2 = join[b][y]
-            if b2 is None:
-                continue
-            alive2 = alive & col[y]
-            dev2, odd = step(b, y, b2, alive2, dev)
-            family = members + (y,)
-            deviating = dict(dev2)
-            odd_xs = [x for x in range(n) if odd >> x & 1]
-            for x in sorted([*deviating, *odd_xs]):
-                if x in deviating:
-                    yield (
-                        (x,) + family,
-                        f"meet of {E.names[x]} with the join of "
-                        f"{ctx.names(*family)} breaks distribution",
-                    )
-                else:
-                    yield (
-                        (x, b2),
-                        f"{E.names[x]} fails to commute with the family join "
-                        f"{E.names[b2]}",
-                    )
-            s2 = table[s][y]
-            # A node that no family extends has no entry.
-            if memo.get((y + 1, s2, b2, alive2, dev2), (0, 0))[0]:
-                yield from witnesses(y + 1, s2, b2, alive2, dev2, family)
-
-    def report() -> _Failures:
-        for y in roots:
-            if memo[(y + 1, y, y, col[y], ())][0]:
-                yield from witnesses(y + 1, y, y, col[y], (), (y,))
-
-    return failures, families, report()
+    found: tuple[_Found, ...] = ()
+    for y in summands[E.zero]:
+        sub_failures, sub_families, sub_found = count(y + 1, y, y, col[y], ())
+        failures += sub_failures
+        families += sub_families
+        found += below(y, sub_found, _WITNESS_CAP - len(found))
+    named = (
+        (
+            (x,) + members,
+            f"meet of {E.names[x]} with the join of "
+            f"{ctx.names(*members)} breaks distribution",
+        )
+        if top is None
+        else (
+            (x, top),
+            f"{E.names[x]} fails to commute with the family join {E.names[top]}",
+        )
+        for x, members, top in found
+    )
+    return failures, families, named
 
 
 def _law_l22iv(ctx: _Ctx) -> LawResult:

@@ -16,12 +16,12 @@ instead of propagating silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Union
 
-from .core import EffectAlgebra, multiples
+from .core import EffectAlgebra, Violation, Witnesses, multiples
 from .decompose import basic_decomposition
 from .errors import InvalidState, PreconditionFailed
 from .linear import (
@@ -84,7 +84,7 @@ def find_state(E: EffectAlgebra) -> Union[State, InfeasibilityCertificate]:
 
     The outcome is checked once, inside :func:`effalg.linear.solve_exact`
     against ``state_system(E)``: a point by ``verify_point``, over the same
-    equations and box :func:`verify_state` reads off the table, and a
+    equations and box :func:`verify_state` checks, and a
     certificate by ``verify_certificate``.  Either failing raises.
     """
     outcome = solve_exact(state_system(E))
@@ -94,16 +94,17 @@ def find_state(E: EffectAlgebra) -> Union[State, InfeasibilityCertificate]:
 
 
 @dataclass(frozen=True)
-class StateViolation:
-    kind: str  # missing | zero | one | range | additivity
-    witnesses: tuple[int, ...]
-    detail: str
-
-
-@dataclass(frozen=True)
 class StateReport:
-    violations: tuple[StateViolation, ...]
+    """``violations`` keeps the first ``_WITNESS_CAP`` violations of each
+    kind (missing, zero, one, range, additivity, in that order), each
+    labelled by its kind in ``axiom``; ``totals`` counts every violation
+    per kind (a kind with none is absent).  ``faithful`` tells whether 0
+    is attained only at the zero element; it is informational and never
+    a violation."""
+
+    violations: tuple[Violation, ...]
     faithful: bool
+    totals: Mapping[str, int] = field(hash=False)  # a dict is unhashable
 
     @property
     def ok(self) -> bool:
@@ -119,60 +120,43 @@ def _as_fraction(value: object) -> Fraction:
 
 
 def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateReport:
-    """Check a candidate value mapping against the state axioms.
+    """Check a candidate value mapping against the equations of
+    :func:`state_system`, the box [0, 1] and totality.
 
-    Additivity is checked over the whole closed sum table, not only over
-    declared generators.  Floats are rejected outright: a state that only
-    approximately satisfies additivity is not a state.  The ``faithful``
-    flag reports whether 0 is attained only at the zero element; it is
-    informational and never a violation.
+    A value is missing for each element absent from ``candidate``; zero
+    must map to 0 and one to 1; every value must lie in [0, 1]; and each
+    canonical sum x + y = z must map to an exact sum.  An equation with a
+    missing value is not checked.  The rows ``0 + y = y`` are left out,
+    as in :func:`state_system`: once zero maps to 0 they hold.  Floats
+    are rejected outright: a state that only approximately satisfies
+    additivity is not a state.
     """
-    violations: list[StateViolation] = []
+    found = Witnesses()
     values: dict[int, Fraction] = {}
     for x in range(E.size):
-        if x not in candidate:
-            violations.append(
-                StateViolation("missing", (x,), f"no value for {E.names[x]}")
-            )
-        else:
+        if x in candidate:
             values[x] = _as_fraction(candidate[x])
-
-    def have(*xs: int) -> bool:
-        return all(x in values for x in xs)
-
-    if have(E.zero) and values[E.zero] != 0:
-        violations.append(
-            StateViolation("zero", (E.zero,), f"value at zero is {values[E.zero]}")
-        )
-    if have(E.one) and values[E.one] != 1:
-        violations.append(
-            StateViolation("one", (E.one,), f"value at one is {values[E.one]}")
-        )
-    for x in range(E.size):
-        if have(x) and not 0 <= values[x] <= 1:
-            violations.append(
-                StateViolation(
-                    "range", (x,), f"value {values[x]} at {E.names[x]} is outside [0,1]"
-                )
-            )
-    for x in range(E.size):
-        for y in range(x, E.size):
-            z = E.table[x][y]
-            if z is None or not have(x, y, z):
-                continue
+        else:
+            found.add("missing", (x,), f"no value for {E.names[x]}")
+    for kind, x, target in (("zero", E.zero, 0), ("one", E.one, 1)):
+        if x in values and values[x] != target:
+            found.add(kind, (x,), f"value at {kind} is {values[x]}")
+    for x, v in values.items():
+        if not 0 <= v <= 1:
+            found.add("range", (x,), f"value {v} at {E.names[x]} is outside [0,1]")
+    for x, y, z in E.canonical_sums():
+        if x in values and y in values and z in values:
             if values[x] + values[y] != values[z]:
-                violations.append(
-                    StateViolation(
-                        "additivity",
-                        (x, y, z),
-                        f"{E.names[x]} + {E.names[y]} = {E.names[z]} maps to "
-                        f"{values[x]} + {values[y]} != {values[z]}",
-                    )
+                found.add(
+                    "additivity",
+                    (x, y, z),
+                    f"{E.names[x]} + {E.names[y]} = {E.names[z]} maps to "
+                    f"{values[x]} + {values[y]} != {values[z]}",
                 )
-    faithful = all(
-        values.get(x) != 0 for x in range(E.size) if x != E.zero
-    ) and E.zero in values and values[E.zero] == 0
-    return StateReport(tuple(violations), faithful)
+    faithful = values.get(E.zero) == 0 and all(
+        v != 0 for x, v in values.items() if x != E.zero
+    )
+    return StateReport(tuple(found.kept), faithful, found.totals)
 
 
 def restrict_to_sharp(E: EffectAlgebra, s: State) -> State:

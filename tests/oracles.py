@@ -115,6 +115,42 @@ def table_dict(E):
     }
 
 
+def oracle_is_state(E, candidate):
+    """Whether ``candidate`` maps every element into [0, 1], one to 1, and
+    each defined sum x + y = z, zero rows and both orders included, to
+    ``v[x] + v[y] == v[z]``.  Zero mapping to 0 follows from 0 + 0 = 0."""
+    if any(x not in candidate for x in range(E.size)):
+        return False
+    v = {x: Fraction(candidate[x]) for x in range(E.size)}
+    return (
+        all(0 <= value <= 1 for value in v.values())
+        and v[E.one] == 1
+        and all(v[x] + v[y] == v[z] for (x, y), z in table_dict(E).items())
+    )
+
+
+def oracle_state_totals(E, candidate):
+    """Failures per kind of the state conditions, over totality, the
+    endpoints, the box and the sums x + y = z with 0 < x <= y (index
+    order, both nonzero), where each value is given; kinds with none are
+    left out."""
+    v = {x: Fraction(candidate[x]) for x in range(E.size) if x in candidate}
+    counts = {
+        "missing": E.size - len(v),
+        "zero": int(E.zero in v and v[E.zero] != 0),
+        "one": int(E.one in v and v[E.one] != 1),
+        "range": sum(not 0 <= value <= 1 for value in v.values()),
+        "additivity": sum(
+            x <= y
+            and E.zero not in (x, y)
+            and {x, y, z} <= v.keys()
+            and v[x] + v[y] != v[z]
+            for (x, y), z in table_dict(E).items()
+        ),
+    }
+    return {kind: count for kind, count in counts.items() if count}
+
+
 def oracle_leq(E):
     """below[x] = set of elements <= x, straight from the table."""
     below = {x: set() for x in range(E.size)}

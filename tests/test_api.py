@@ -4,9 +4,9 @@ import effalg
 
 # Wrappers that read one field of ``structure_profile(E)`` or one bit of
 # ``compatibility(E)``, the two errors only they raised, the error for a
-# pair declared twice, now an ``Ei`` violation of ``AxiomViolation``, and
-# the error for an element with no atom below it, which no finite algebra
-# has.
+# pair declared twice, now an ``Ei`` violation of ``AxiomViolation``, the
+# error for an element with no atom below it, which no finite algebra has,
+# and the state report's own violation type, now ``Violation``.
 REMOVED = (
     "atoms",
     "sharp_elements",
@@ -24,6 +24,7 @@ REMOVED = (
     "BoundsMissing",
     "DuplicateSum",
     "NotDecomposable",
+    "StateViolation",
 )
 
 

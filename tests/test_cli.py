@@ -393,6 +393,19 @@ def test_smear_reports_off_hypothesis_tables(capsys, tmp_path):
     assert "lattice" in out
 
 
+def test_smear_names_a_wrong_zero_value_once(capsys, tmp_path):
+    # zero is checked once, not again through each zero row 0 + y = y
+    half = tmp_path / "half.state"
+    half.write_text("state v1\nvalue 0 1/2\nvalue 1 1/1\n", encoding="ascii")
+    code, out, err = run(capsys, "smear", HSUM, "--state", str(half))
+    assert code == 1
+    assert out == (
+        "cannot smear: the input is not a state on the sharp subalgebra: "
+        "value at zero is 1/2\n"
+    )
+    assert err == ""
+
+
 def test_gen_writes_canonical_bytes(capsys, tmp_path):
     target = tmp_path / "out.eaf"
     code, out, err = run(capsys, "gen", "fixture", "example-4.4", "-o", str(target))

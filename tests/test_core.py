@@ -174,6 +174,20 @@ def test_zero_or_one_out_of_range_is_a_named_error(zero, one):
         make_algebra(("0", "a", "1"), zero, one, {})
 
 
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        (2.5, r"^size 2\.5 is not an element count$"),
+        ("3", r"^size '3' is not an element count$"),
+    ],
+    ids=["size-float", "size-str"],
+)
+def test_a_size_that_is_not_an_int_is_a_named_error(size, message):
+    # Unchecked, both fail as a bare TypeError while building lookup rows.
+    with pytest.raises(IndexOutOfRange, match=message):
+        verify_axioms(SumTable(size, 0, 1, {}))
+
+
 def test_out_of_range_is_still_a_value_error():
     assert issubclass(IndexOutOfRange, ValueError)
     with pytest.raises(ValueError):

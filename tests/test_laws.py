@@ -11,12 +11,19 @@ from effalg import (
     derive_order,
     direct_product,
     horizontal_sum,
+    make_algebra,
     mv_chain,
     parse_eaf,
     run_law_suite,
 )
 from effalg.constructions import fixture_text
-from effalg.laws import __doc__ as LAWS_DOC, _Ctx, _l22iv_walk, _law_l22iv
+from effalg.laws import (
+    __doc__ as LAWS_DOC,
+    _Ctx,
+    _l22iv_walk,
+    _law_l22iii,
+    _law_l22iv,
+)
 
 from oracles import oracle_l22iv
 
@@ -196,6 +203,38 @@ def test_l23v_counterexample_count_follows_atom_order(names, witnesses, reason):
     assert result.reason == reason
 
 
+def zero_last(E):
+    """E, with zero at index 0, relabelled so that zero has the last
+    index and the other elements keep their order."""
+    assert E.zero == 0
+    n = E.size
+    new = [(x - 1) % n for x in range(n)]
+    names = [None] * n
+    for x in range(n):
+        names[new[x]] = E.names[x]
+    sums = {
+        (new[x], new[y]): new[z]
+        for x in range(n)
+        for y in range(n)
+        if (z := E.table[x][y]) is not None
+    }
+    return make_algebra(names, new[E.zero], new[E.one], sums)
+
+
+@pytest.mark.parametrize("mode", [False, True], ids=["lattice", "counterexample"])
+def test_l22iii_does_not_depend_on_where_zero_sits(example_25, mode):
+    for E in (mv_chain(4), example_25):
+        moved = zero_last(E)
+        assert moved.zero == moved.size - 1
+        outcomes = []
+        for A in (E, moved):
+            result = run_law_suite(A, ["L2.2.iii"], counterexample_mode=mode)
+            total = sum(1 for _ in _law_l22iii(_Ctx(A)))
+            outcomes.append((result.results[0].status, total))
+        assert outcomes[0] == outcomes[1], E.names
+    assert outcomes[0] == (("fail" if mode else "skipped"), 2)
+
+
 def test_full_suite_is_deterministic(example_25):
     one = run_law_suite(example_25, counterexample_mode=True)
     two = run_law_suite(example_25, counterexample_mode=True)
@@ -328,3 +367,25 @@ def test_l22iv_checks_every_orthogonal_family(make, families):
 def test_l22iv_family_count_on_a_61_element_chain():
     # Sets of two or more distinct positive integers summing to 60 or less.
     assert _l22iv_walk(_Ctx(mv_chain(60)))[:2] == (0, 101922)
+
+
+def test_l22iv_reuses_a_node_with_failures_under_two_prefixes():
+    # With 1 ^ 5a read as 7a, x = 1 fails exactly where 6a follows 5a:
+    # 1 ^ (5a v 6a) = 6a, but (1 ^ 5a) v (1 ^ 6a) = 7a.  {a, 4a, 5a} and
+    # {2a, 3a, 5a} reach one node of the walk (sum 10a, join 5a, next
+    # index 6), which is walked once; its failure, 6a added, is reported
+    # under both prefixes, third and fifth.
+    E = mv_chain(16)
+    ctx, meet, _ = tampered(E, [((E.one, 5), 7)])
+    outcome = l22iv_outcome(ctx)
+    assert outcome == oracle_l22iv(E, meet=meet)
+    status, total, witnesses, _, _ = outcome
+    assert (status, total) == ("fail", 9)
+    assert witnesses == (
+        (E.one, 1, 2, 5, 6),
+        (E.one, 1, 3, 5, 6),
+        (E.one, 1, 4, 5, 6),
+        (E.one, 1, 5, 6),
+        (E.one, 2, 3, 5, 6),
+        (E.one, 2, 5, 6),
+    )

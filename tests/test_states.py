@@ -1,10 +1,14 @@
 """State systems, exact solving, verification, restriction, and smearing."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effalg import (
+    BasicDecomposition,
     InfeasibilityCertificate,
     InvalidState,
     PreconditionFailed,
@@ -21,7 +25,14 @@ from effalg import (
     state_system,
     verify_state,
 )
-from oracles import dense_rows, gaussian_solve
+from effalg import states
+from conftest import full_corpus
+from oracles import (
+    dense_rows,
+    gaussian_solve,
+    oracle_is_state,
+    oracle_state_totals,
+)
 
 
 def test_state_system_has_anchor_rows():
@@ -102,24 +113,24 @@ def test_verify_state_rejects_floats():
 def test_verify_state_flags_missing_and_range():
     E = mv_chain(2)
     report = verify_state(E, {E.zero: F(0), E.one: F(1)})
-    assert any(v.kind == "missing" for v in report.violations)
+    assert any(v.axiom == "missing" for v in report.violations)
     report = verify_state(E, {0: F(0), 1: F(7, 2), 2: F(1)})
-    assert any(v.kind == "range" for v in report.violations)
+    assert any(v.axiom == "range" for v in report.violations)
 
 
 def test_verify_state_flags_broken_additivity():
     E = mv_chain(2)
     a = E.index("a")
     report = verify_state(E, {E.zero: F(0), a: F(1, 3), E.one: F(1)})
-    assert any(v.kind == "additivity" for v in report.violations)
+    assert any(v.axiom == "additivity" for v in report.violations)
 
 
 def test_verify_state_endpoint_violations():
     E = mv_chain(2)
     report = verify_state(E, {0: F(1, 2), 1: F(1, 2), 2: F(1)})
-    assert any(v.kind == "zero" for v in report.violations)
+    assert any(v.axiom == "zero" for v in report.violations)
     report = verify_state(E, {0: F(0), 1: F(1, 2), 2: F(1, 2)})
-    assert any(v.kind == "one" for v in report.violations)
+    assert any(v.axiom == "one" for v in report.violations)
 
 
 def test_faithfulness_flag():
@@ -204,3 +215,115 @@ def test_smearing_restricts_back_to_its_input(corpus):
         assert verify_state(E, dict(enumerate(smeared.values))).ok, name
         back = restrict_to_sharp(E, smeared)
         assert back.values == found.values, name
+
+
+def test_verify_state_rejects_a_value_that_is_not_a_number():
+    E = mv_chain(2)
+    with pytest.raises(TypeError, match="^state value '1/2' is not a rational number$"):
+        verify_state(E, {0: F(0), 1: "1/2", 2: F(1)})
+
+
+def test_smearing_rejects_a_state_on_another_algebra():
+    E = horizontal_sum([mv_chain(2), mv_chain(3)])
+    with pytest.raises(
+        InvalidState,
+        match="^the input state must live on the extracted sharp subalgebra$",
+    ):
+        smear_state(E, State(mv_chain(2), (F(0), F(1, 2), F(1))))
+
+
+def glued_chains_and_trivial_state():
+    E = horizontal_sum([mv_chain(2), mv_chain(3)])
+    return E, State(extract_sharp(E).algebra, (F(0), F(1)))
+
+
+def test_smearing_checks_that_a_kernel_is_sharp(monkeypatch):
+    # a decomposition whose sharp part is the element itself, here a
+    E, omega = glued_chains_and_trivial_state()
+    monkeypatch.setattr(
+        states, "basic_decomposition", lambda E, x: BasicDecomposition(x, ())
+    )
+    with pytest.raises(RuntimeError, match="^element 1 expected sharp$"):
+        smear_state(E, omega)
+
+
+def test_smearing_checks_its_result_is_a_state(monkeypatch):
+    # every non-sharp element valued as the atom b, so a = b = 2b = 1/3
+    E, omega = glued_chains_and_trivial_state()
+    real = states.basic_decomposition
+    monkeypatch.setattr(
+        states, "basic_decomposition", lambda E, x: real(E, E.index("b"))
+    )
+    with pytest.raises(RuntimeError) as err:
+        smear_state(E, omega)
+    assert str(err.value) == (
+        "smearing produced a non-state: a + a = 1 maps to 1/3 + 1/3 != 1; "
+        "b + b = 2b maps to 1/3 + 1/3 != 1/3; b + 2b = 1 maps to 1/3 + 1/3 != 1"
+    )
+
+
+def test_smearing_checks_the_restriction_back(monkeypatch):
+    E, omega = glued_chains_and_trivial_state()
+    wrong = State(omega.domain, (F(0), F(1, 2)))
+    monkeypatch.setattr(states, "restrict_to_sharp", lambda E, s: wrong)
+    with pytest.raises(
+        RuntimeError, match="^smeared state does not restrict to its input$"
+    ):
+        smear_state(E, omega)
+
+
+CORPUS = full_corpus()
+
+
+@lru_cache(maxsize=None)
+def found_values(i):
+    return find_state(CORPUS[i][1]).values
+
+
+# Values an edit may give an element: in the box, at its ends and outside.
+EDIT_VALUES = [F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(3, 2)]
+
+
+@st.composite
+def state_candidates(draw):
+    """A corpus algebra and its found state, with some values replaced
+    or dropped: zero and one may be edited like any other element."""
+    i = draw(st.integers(0, len(CORPUS) - 1))
+    E = CORPUS[i][1]
+    candidate = dict(enumerate(found_values(i)))
+    element = st.integers(0, E.size - 1)
+    for x, value in draw(
+        st.lists(st.tuples(element, st.sampled_from([None, *EDIT_VALUES])), max_size=4)
+    ):
+        if value is None:
+            candidate.pop(x, None)
+        else:
+            candidate[x] = value
+    return E, candidate
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_candidates())
+def test_verify_state_agrees_with_the_whole_table_oracle(case):
+    E, candidate = case
+    report = verify_state(E, candidate)
+    assert report.ok == oracle_is_state(E, candidate)
+    assert report.totals == oracle_state_totals(E, candidate)
+    kinds = ["missing", "zero", "one", "range", "additivity"]
+    kept = [v.axiom for v in report.violations]
+    assert kept == sorted(kept, key=kinds.index)
+    for kind, total in report.totals.items():
+        assert kept.count(kind) == min(total, 6)
+
+
+def test_verify_state_keeps_six_additivity_failures_and_counts_all():
+    # a valued 1/3 on the 9-element chain: a + ka = (k+1)a fails, k = 1..7
+    E = mv_chain(8)
+    values = dict(enumerate(find_state(E).values))
+    values[E.index("a")] = F(1, 3)
+    report = verify_state(E, values)
+    assert report.totals == {"additivity": 7}
+    assert [v.witnesses for v in report.violations] == [
+        (1, k, k + 1) for k in range(1, 7)
+    ]
+    assert report.violations[0].detail == "a + a = 2a maps to 1/3 + 1/3 != 1/4"
