@@ -112,8 +112,9 @@ class StateReport:
 
 
 def _as_fraction(value: object) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("state values must be exact rationals, not floats")
+    if isinstance(value, (bool, float)):
+        kind = type(value).__name__
+        raise TypeError(f"state values must be exact rationals, not {kind}s")
     if isinstance(value, Rational):
         return Fraction(value)
     raise TypeError(f"state value {value!r} is not a rational number")
@@ -129,7 +130,8 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
     missing value is not checked.  The rows ``0 + y = y`` are left out,
     as in :func:`state_system`: once zero maps to 0 they hold.  Floats
     are rejected outright: a state that only approximately satisfies
-    additivity is not a state.
+    additivity is not a state.  So are bools, which Python counts as
+    integers.
     """
     found = Witnesses()
     values: dict[int, Fraction] = {}

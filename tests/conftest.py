@@ -6,6 +6,7 @@ from effalg import (
     boolean_algebra,
     direct_product,
     horizontal_sum,
+    make_algebra,
     mv_chain,
     bundled_fixture,
 )
@@ -43,6 +44,24 @@ def product_corpus():
 
 def full_corpus():
     return chain_corpus() + boolean_corpus() + hsum_corpus() + product_corpus()
+
+
+def zero_last(E):
+    """E, with zero at index 0, relabelled so that zero has the last
+    index and the other elements keep their order."""
+    assert E.zero == 0
+    n = E.size
+    new = [(x - 1) % n for x in range(n)]
+    names = [None] * n
+    for x in range(n):
+        names[new[x]] = E.names[x]
+    sums = {
+        (new[x], new[y]): new[z]
+        for x in range(n)
+        for y in range(n)
+        if (z := E.table[x][y]) is not None
+    }
+    return make_algebra(names, new[E.zero], new[E.one], sums)
 
 
 @pytest.fixture(scope="session")

@@ -324,6 +324,55 @@ def oracle_bounds(E):
     return meet, join
 
 
+def oracle_l22iii(E, meet=None):
+    """L2.2.iii as a four-deep walk, each (k, l) checked once.
+
+    For a pair x <= y (by index) with meet zero, every defined sum
+    mx + ny of their multiples vouches for all the (k, l) below
+    (m, n), which are checked in first-visit order: kx and ly must meet
+    at zero and join to their sum.  ``meet`` replaces the meet table.
+
+    Returns every (witness, reason) failure in order.
+    """
+    true_meet, join = oracle_bounds(E)
+    meet = true_meet if meet is None else meet
+    names = E.names
+
+    def multiples(x):
+        return [oracle_multiple(E, x, k) for k in range(1, oracle_ord(E, x) + 1)]
+
+    failures = []
+    for x in range(E.size):
+        mx = multiples(x)
+        for y in range(x, E.size):
+            if meet[x][y] != E.zero:
+                continue
+            my = multiples(y)
+            checked = set()
+            for m in range(1, len(mx) + 1):
+                for n in range(1, len(my) + 1):
+                    if E.table[mx[m - 1]][my[n - 1]] is None:
+                        continue
+                    for k in range(1, m + 1):
+                        for l in range(1, n + 1):
+                            if (k, l) in checked:
+                                continue
+                            checked.add((k, l))
+                            kx, ly = mx[k - 1], my[l - 1]
+                            m_kl, j_kl = meet[kx][ly], join[kx][ly]
+                            s = E.table[kx][ly]
+                            if m_kl != E.zero or j_kl is None or j_kl != s:
+                                failures.append(
+                                    (
+                                        (x, y, kx, ly),
+                                        f"multiples {names[kx]}, {names[ly]} of "
+                                        f"disjoint {names[x]}, {names[y]} are not "
+                                        "disjoint-joined",
+                                    )
+                                )
+    return failures
+
+
 def oracle_l22iv(E, meet=None, compat=None):
     """L2.2.iv checked one orthogonal family at a time, every family.
 

@@ -6,6 +6,7 @@ produced by the commands they name and then reviewed line by line; the
 tests hold the tool to those exact bytes.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -15,9 +16,11 @@ import pytest
 from effalg import (
     InfeasibilityCertificate,
     bundled_fixture,
+    find_state,
     state_system,
     verify_certificate,
 )
+from effalg import cli
 from effalg.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "effalg" / "fixtures"
@@ -199,6 +202,18 @@ def test_analyze_json_mirrors_the_text_facts(capsys):
     assert doc["s_dominating"] is True
 
 
+def test_analyze_names_a_missing_meet_first_when_one_comes_first(capsys, tmp_path):
+    # listed as 0 ab 2a a b 1, the first pair without a bound is ab, 2a,
+    # whose lower bounds a and b have no greatest
+    text = Path(EX25).read_text(encoding="ascii")
+    assert "names 0 a b ab 2a 1\n" in text
+    moved = tmp_path / "moved.eaf"
+    moved.write_text(text.replace("names 0 a b ab 2a 1", "names 0 ab 2a a b 1"))
+    code, out, err = run(capsys, "analyze", str(moved))
+    assert code == 0
+    assert "non-lattice-witness ab 2a meet\n" in out
+
+
 def test_analyze_on_a_lattice_has_no_witness_line(capsys, tmp_path):
     c3 = tmp_path / "c3.eaf"
     code, out, err = run(capsys, "gen", "mv-chain", "3", "-o", str(c3))
@@ -295,6 +310,33 @@ def test_states_certify_none_fails_when_states_exist(capsys):
     code, out, err = run(capsys, "states", "--certify-none", HSUM)
     assert code == 1
     assert out.splitlines()[0] == "state v1"
+
+
+def test_states_certify_none_lists_bound_multipliers(capsys, monkeypatch):
+    # the solver's certificate for example-4.4 with w = z = 1/2 on a: the
+    # bound terms cancel in y^T A and take 1/2 off the gap
+    E = bundled_fixture("example-4.4")
+    found = find_state(E)
+    half = Fraction(1, 2)
+    bound = tuple(half if x == E.index("a") else 0 for x in range(E.size))
+    cert = dataclasses.replace(
+        found, upper_multipliers=bound, lower_multipliers=bound, gap=found.gap - half
+    )
+    assert verify_certificate(state_system(E), cert)
+    monkeypatch.setattr(cli, "find_state", lambda algebra: cert)
+
+    code, out, err = run(capsys, "states", "--certify-none", EX44)
+    assert code == 0
+    want = golden("states-certify-example-4.4.txt").replace(
+        "gap 1/1\n", "upper a 1/2\nlower a 1/2\ngap 1/2\n"
+    )
+    assert out == want
+
+    code, out, err = run(capsys, "states", "--json", "--certify-none", EX44)
+    assert code == 0
+    doc = json.loads(out)["certificate"]
+    assert doc["upper"] == doc["lower"] == {"a": "1/2"}
+    assert doc["gap"] == "1/2"
 
 
 def test_states_json_values(capsys):

@@ -100,6 +100,12 @@ def test_horizontal_sum_interior_names_are_positional():
     assert E.names == ("0", "a", "2a", "3a", "b", "1")
 
 
+def test_horizontal_sum_takes_one_block_per_letter():
+    with pytest.raises(SizeLimit) as err:
+        horizontal_sum([mv_chain(2)] * 27)
+    assert str(err.value) == "at most 26 blocks supported"
+
+
 def test_horizontal_sum_rejects_two_point_blocks():
     with pytest.raises(DegenerateBlock):
         horizontal_sum([mv_chain(1), mv_chain(3)])

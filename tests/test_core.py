@@ -39,6 +39,7 @@ from effalg.core import (
     iterated_sum,
 )
 
+from conftest import zero_last
 from oracles import (
     close_table,
     oracle_axiom_errors,
@@ -222,6 +223,8 @@ def test_canonical_sums_are_sorted_without_zero():
     sums = E.canonical_sums()
     assert sums == sorted(sums)
     assert all(x <= y and x != E.zero and y != E.zero for x, y, _ in sums)
+    # zero last (index 3): a + a = 2a and a + 2a = 1, as indices 0, 1, 2
+    assert zero_last(E).canonical_sums() == [(0, 0, 1), (0, 1, 2)]
 
 
 def test_partial_sum_and_difference_are_inverse(corpus, example_25, example_44):
@@ -252,6 +255,19 @@ def test_multiple_against_the_oracle(corpus, example_25, example_37, example_44)
         for x in range(E.size):
             for k in range(oracle_ord(E, x) + 2):
                 assert multiple(E, x, k) == oracle_multiple(E, x, k), (name, x, k)
+
+
+def test_multiples_refuse_a_table_whose_multiples_never_end():
+    # a + a = a, built without the axiom check: a's multiples would repeat
+    E = EffectAlgebra(
+        ("0", "a", "1"), 0, 2, ((0, 1, 2), (1, 1, None), (2, None, None)), (2, 1, 0)
+    )
+    with pytest.raises(RuntimeError) as err:
+        multiple(E, 1, 1)
+    assert str(err.value) == (
+        "multiples of 1 exceed the element count; the table is not a valid "
+        "effect algebra"
+    )
 
 
 def test_iterated_sum_is_undefined_from_the_first_undefined_step():

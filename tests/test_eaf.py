@@ -69,6 +69,54 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.lineno == 6
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "ea v1\nelements 2\n",
+            "line 2: unexpected end of file, expected 'names ...'",
+        ),
+        (
+            "ea v1\nelements 2\nzero 0\none 1\n",
+            "line 3: expected 'names <name...>'",
+        ),
+        ("ea v1\nelements 3\nnames 0 1\n", "line 3: expected 3 names, found 2"),
+        (
+            "ea v1\nelements 2\nnames 0 1\none 1\n",
+            "line 4: expected 'zero <name>'",
+        ),
+        (
+            "ea v1\nelements 2\nnames 0 1\nzero 0\nsum 0 0 = 0\n",
+            "line 5: expected 'one <name>'",
+        ),
+    ],
+    ids=["end-of-file", "no-names", "name-count", "no-zero", "no-one"],
+)
+def test_each_missing_section_is_named(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_eaf(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", MissingHeader, "line 1: missing 'state v1' header"),
+        ("state v1\nvalue 0\n", ParseError, "line 2: expected 'value <name> <p>/<q>'"),
+        (
+            "state v1\nvalue 0 1/2/3\n",
+            ParseError,
+            "line 2: value '1/2/3' is not of the form p/q",
+        ),
+    ],
+    ids=["empty", "short-line", "two-slashes"],
+)
+def test_each_bad_state_line_is_named(text, error, message):
+    with pytest.raises(error) as err:
+        parse_state(text, mv_chain(1))
+    assert str(err.value) == message
+
+
 def test_sections_must_come_in_order():
     shuffled = (
         "ea v1\nnames 0 1\nelements 2\nzero 0\none 1\n"

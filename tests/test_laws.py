@@ -10,22 +10,28 @@ from effalg import (
     build_effect_algebra,
     derive_order,
     direct_product,
+    find_state,
     horizontal_sum,
-    make_algebra,
     mv_chain,
     parse_eaf,
     run_law_suite,
 )
+from effalg import laws
 from effalg.constructions import fixture_text
 from effalg.laws import (
     __doc__ as LAWS_DOC,
+    _LAWS,
+    LawResult,
+    _collect,
     _Ctx,
     _l22iv_walk,
     _law_l22iii,
     _law_l22iv,
 )
+from effalg.order import Classification
 
-from oracles import oracle_l22iv
+from conftest import zero_last
+from oracles import _family_sum, oracle_l22iii, oracle_l22iv
 
 # Frozen status maps for counterexample mode on the bundled non-lattice
 # tables.  Any drift, pass included, must be investigated rather than
@@ -203,24 +209,6 @@ def test_l23v_counterexample_count_follows_atom_order(names, witnesses, reason):
     assert result.reason == reason
 
 
-def zero_last(E):
-    """E, with zero at index 0, relabelled so that zero has the last
-    index and the other elements keep their order."""
-    assert E.zero == 0
-    n = E.size
-    new = [(x - 1) % n for x in range(n)]
-    names = [None] * n
-    for x in range(n):
-        names[new[x]] = E.names[x]
-    sums = {
-        (new[x], new[y]): new[z]
-        for x in range(n)
-        for y in range(n)
-        if (z := E.table[x][y]) is not None
-    }
-    return make_algebra(names, new[E.zero], new[E.one], sums)
-
-
 @pytest.mark.parametrize("mode", [False, True], ids=["lattice", "counterexample"])
 def test_l22iii_does_not_depend_on_where_zero_sits(example_25, mode):
     for E in (mv_chain(4), example_25):
@@ -279,8 +267,9 @@ def test_l22iv_matches_the_oracle_on_the_corpus(corpus):
         assert suite_outcome(E) == oracle_l22iv(E), name
 
 
-def test_l22iv_matches_the_oracle_off_lattice(example_25, example_37, example_44):
-    algebras = [
+def off_lattice(example_25, example_37, example_44):
+    """The bundled non-lattice tables, and sums and products built on them."""
+    return [
         example_25,
         example_37,
         example_44,
@@ -290,23 +279,33 @@ def test_l22iv_matches_the_oracle_off_lattice(example_25, example_37, example_44
         horizontal_sum([example_37, mv_chain(3)]),
         direct_product(example_37, example_25),
     ]
-    for E in algebras:
+
+
+def test_l22iv_matches_the_oracle_off_lattice(example_25, example_37, example_44):
+    for E in off_lattice(example_25, example_37, example_44):
         assert not derive_order(E).is_lattice
         assert suite_outcome(E) == oracle_l22iv(E), E.names
 
 
-def tampered(E, meet_entries=(), compat_cleared=()):
-    """A law context whose meet table has the given entries replaced and
-    whose compatibility masks lose the given (x, y) bits."""
+def tampered(E, meet_entries=(), compat_cleared=(), join_entries=(), **profile):
+    """A law context whose meet and join tables have the given entries
+    replaced, whose compatibility masks lose the given (x, y) bits and
+    whose structure profile has the given fields replaced."""
     ctx = _Ctx(E)
     meet = [list(row) for row in ctx.os.meet]
     for (x, y), value in meet_entries:
         meet[x][y] = value
-    ctx.os = dataclasses.replace(ctx.os, meet=tuple(map(tuple, meet)))
+    join = [list(row) for row in ctx.os.join]
+    for (x, y), value in join_entries:
+        join[x][y] = value
+    ctx.os = dataclasses.replace(
+        ctx.os, meet=tuple(map(tuple, meet)), join=tuple(map(tuple, join))
+    )
     compat = list(ctx.compat)
     for x, y in compat_cleared:
         compat[x] &= ~(1 << y)
     ctx.compat = tuple(compat)
+    ctx.profile = dataclasses.replace(ctx.profile, **profile)
     return ctx, meet, compat
 
 
@@ -389,3 +388,278 @@ def test_l22iv_reuses_a_node_with_failures_under_two_prefixes():
         (E.one, 2, 3, 5, 6),
         (E.one, 2, 5, 6),
     )
+
+
+def test_l22iii_matches_the_oracle(corpus, example_25, example_37, example_44):
+    algebras = [E for _, E in corpus] + off_lattice(example_25, example_37, example_44)
+    algebras += [
+        direct_product(mv_chain(7), mv_chain(7)),
+        boolean_algebra(6),
+        mv_chain(40),
+    ]
+    for E in algebras:
+        assert list(_law_l22iii(_Ctx(E))) == oracle_l22iii(E), E.names
+
+
+@pytest.mark.parametrize(
+    "make, meet_entries, total",
+    [
+        # a ^ a read as 0: every defined ka + la fails
+        (lambda: mv_chain(4), [((1, 1), 0)], 6),
+        # a ^ b read as a: the only disjoint atom pair is gone
+        (lambda: boolean_algebra(2), [((1, 2), 1)], 0),
+        # 0,a read as disjoint from itself, and 0,2a ^ a,0 read as missing
+        (
+            lambda: direct_product(mv_chain(2), mv_chain(3)),
+            [((1, 1), 0), ((2, 4), None)],
+            4,
+        ),
+    ],
+    ids=["chain-5", "boolean-4", "c3xc4"],
+)
+def test_l22iii_matches_the_oracle_on_tampered_meets(make, meet_entries, total):
+    E = make()
+    ctx, meet, _ = tampered(E, meet_entries)
+    found = list(_law_l22iii(ctx))
+    assert found == oracle_l22iii(E, meet=meet)
+    assert len(found) == total
+
+
+def test_split_blocks_of_every_atom_family_re_add(
+    corpus, example_25, example_37, example_44
+):
+    # generalized associativity, which lets T4.1 leave both blocks unchecked
+    algebras = [E for _, E in corpus] + off_lattice(example_25, example_37, example_44)
+    for E in algebras:
+        ctx = _Ctx(E)
+        iso = ctx.profile.isotropic
+        for s, parts in ctx.atom_families:
+            pairs = [(p.atom, p.multiplicity) for p in parts]
+            full = _family_sum(E, [(a, k) for a, k in pairs if k == iso[a]])
+            partial = _family_sum(E, [(a, k) for a, k in pairs if k != iso[a]])
+            assert full is not None and partial is not None, (E.names, parts)
+            assert E.table[full][partial] == s, (E.names, parts)
+
+
+def law_result(ctx, law):
+    """The result ``run_law_suite`` gives ``law`` on the context."""
+    outcome = _LAWS[law](ctx)
+    return outcome if isinstance(outcome, LawResult) else _collect(law, outcome)
+
+
+def named(E, result):
+    """A result's status, its witnesses written as in the text report,
+    and its reason."""
+    witnesses = ";".join(",".join(E.names[x] for x in w) for w in result.witnesses)
+    return result.status, witnesses, result.reason
+
+
+# Every failing law on the bundled counterexamples, in counterexample mode.
+CX_FAILURES = {
+    "example-2.5": {
+        "L2.2.i": ("a,b", "a, b are summable but lack a bound"),
+        "L2.2.ii": (
+            "a,b,0;a,b,a;a,b,b",
+            "a, b have no join (+2 more instances)",
+        ),
+        "L2.2.iii": (
+            "a,b,a,b;a,b,2a,b",
+            "multiples a, b of disjoint a, b are not disjoint-joined "
+            "(+1 more instances)",
+        ),
+        "L2.3.ii": ("a,2a", "full multiple 2a of atom a is not sharp"),
+        "L2.3.iii": ("b,ab,1", "ab sits between atom b and 1 but is no multiple of it"),
+        "L2.3.iv": ("b,a,2a", "2 copies of b equal 2 copies of a"),
+        "L2.3.v": (
+            "ab;2a;1;1",
+            "join of the greedy parts of ab is not ab (+3 more instances)",
+        ),
+        "T2.4": (
+            "a,b,a,2a;a,b;a,b,2a,2a;a,b;b,a;b,a",
+            "1 copies of a fit below 2 copies of distinct atom b short of its "
+            "index (+5 more instances)",
+        ),
+        "T2.6": ("2a", "2a has an all-proper sum and another decomposition beside it"),
+        "T3.5": ("a,2a,1", "sharp cover of atom a is not its full multiple 2a"),
+        "T4.1": (
+            "2a,2a;1,2a",
+            "full block of a decomposition of 2a sums to non-sharp 2a "
+            "(+1 more instances)",
+        ),
+        "T4.2": ("0", "smearing failed: smearing needs a lattice-ordered algebra"),
+    },
+    "example-4.4": {
+        "L2.2.i": (
+            "a,b;a,c;b,c",
+            "a, b are summable but lack a bound (+2 more instances)",
+        ),
+        "L2.2.ii": (
+            "a,b,0;a,c,0;b,c,0;a,b,a;a,c,a;b,c,a",
+            "a, b have no join (+11 more instances)",
+        ),
+        "L2.2.iii": (
+            "a,b,a,b;a,c,a,c;b,c,b,c",
+            "multiples a, b of disjoint a, b are not disjoint-joined "
+            "(+2 more instances)",
+        ),
+        "L2.3.iii": (
+            "a,2c,1;a,3b,1;b,2a,1;b,2c,1;c,2a,1;c,3b,1",
+            "2c sits between atom a and 1 but is no multiple of it "
+            "(+5 more instances)",
+        ),
+        "L2.3.v": (
+            "2c;3b",
+            "join of the greedy parts of 2c is not 2c (+1 more instances)",
+        ),
+        "T2.4": (
+            "a,b,a,3b;a,b;a,b;a,b;a,c,a,2c;a,c",
+            "1 copies of a fit below 3 copies of distinct atom b short of its "
+            "index (+25 more instances)",
+        ),
+        "T2.6": (
+            "2a;2c;3b;1",
+            "2a carries two distinct all-proper atom-multiple sums "
+            "(+3 more instances)",
+        ),
+        "T3.4": (
+            "2a;2c;3b;1",
+            "2a admits 2 sharp-plus-proper forms instead of exactly one "
+            "(+3 more instances)",
+        ),
+        "T4.1": ("1,0", "full block of 1 misses its greatest sharp lower bound"),
+        "T4.2": ("0", "smearing failed: smearing needs a lattice-ordered algebra"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CX_FAILURES))
+def test_counterexample_failures_are_frozen(name, example_25, example_44):
+    E = {"example-2.5": example_25, "example-4.4": example_44}[name]
+    report = run_law_suite(E, counterexample_mode=True)
+    failed = {r.law: named(E, r)[1:] for r in report.results if r.status == "fail"}
+    assert failed == CX_FAILURES[name]
+
+
+# Each law that never fails on a valid table, and each failure branch that
+# no table in this suite reaches, fails on a context with one derived table
+# tampered.  In mv_chain(3) the elements are 0, a, 2a, 1, indices 0 to 3.
+
+
+def test_l22i_fails_when_a_sum_is_not_join_plus_meet():
+    E = mv_chain(3)
+    ctx, _, _ = tampered(E, join_entries=[((1, 1), 2)])
+    assert named(E, law_result(ctx, "L2.2.i")) == (
+        "fail",
+        "a,a",
+        "sum of a, a differs from join-plus-meet",
+    )
+
+
+def test_l22ii_fails_when_a_join_does_not_commute_with_a_sum():
+    E = mv_chain(3)
+    ctx, _, _ = tampered(E, join_entries=[((0, 1), 2)])
+    assert named(E, law_result(ctx, "L2.2.ii")) == (
+        "fail",
+        "0,a,a;0,a,2a",
+        "joining 0, a does not commute with adding a (+1 more instances)",
+    )
+
+
+def test_l23i_fails_on_a_missing_meet_and_on_a_sharp_proper_multiple():
+    E = mv_chain(4)
+    ctx, _, _ = tampered(E, [((1, 3), None), ((2, 2), E.zero)])
+    assert named(E, law_result(ctx, "L2.3.i")) == (
+        "fail",
+        "a,a;a,2a",
+        "a and its supplement have no meet (+1 more instances)",
+    )
+
+
+def test_l23ii_fails_on_a_sharp_proper_multiple():
+    E = mv_chain(3)
+    ctx, _, _ = tampered(E, sharp=frozenset({0, 2, 3}))
+    assert named(E, law_result(ctx, "L2.3.ii")) == (
+        "fail",
+        "a,2a",
+        "proper multiple 2a of atom a is sharp",
+    )
+
+
+def test_t24_fails_when_atoms_with_nested_multiples_commute():
+    E = horizontal_sum([mv_chain(2), mv_chain(2)])
+    a, b = E.index("a"), E.index("b")
+    ctx = _Ctx(E)
+    ctx.compat = tuple(m | (1 << b) if x == a else m for x, m in enumerate(ctx.compat))
+    assert named(E, law_result(ctx, "T2.4")) == (
+        "fail",
+        "a,b;a,b",
+        "distinct atoms a, b with nested multiples violate the full-index "
+        "alternative (+1 more instances)",
+    )
+
+
+def test_t41_fails_on_a_non_meager_partial_block():
+    E = mv_chain(3)
+    ctx, _, _ = tampered(E, meager=frozenset({E.zero}))
+    assert named(E, law_result(ctx, "T4.1")) == (
+        "fail",
+        "a,a;2a,2a",
+        "partial block of a sums to non-meager a (+1 more instances)",
+    )
+
+
+def test_t42_passes_vacuously_when_the_sharp_part_has_no_states(
+    monkeypatch, example_44
+):
+    certificate = find_state(example_44)
+    monkeypatch.setattr(laws, "find_state", lambda algebra: certificate)
+    result = law_result(_Ctx(mv_chain(3)), "T4.2")
+    assert result == LawResult(
+        "T4.2", "pass", (), "vacuous: the sharp subalgebra admits no states"
+    )
+
+
+def test_se_subalgebra_fails_when_a_sum_of_sharp_elements_is_not_sharp():
+    E = mv_chain(3)
+    ctx, _, _ = tampered(E, sharp=frozenset({0, 1, 3}))
+    assert named(E, law_result(ctx, "SE-subalgebra")) == (
+        "fail",
+        "a,a,2a",
+        "sum of sharp a, a lands outside the sharp set",
+    )
+
+
+def test_se_full_sublattice_fails_on_a_missing_and_a_non_sharp_bound():
+    E = mv_chain(3)
+    ctx, _, _ = tampered(E, [((0, 3), None)], join_entries=[((0, 0), 1)])
+    assert named(E, law_result(ctx, "SE-full-sublattice")) == (
+        "fail",
+        "0,0;0,1",
+        "a bound of sharp pair 0, 0 is not sharp (+1 more instances)",
+    )
+
+
+def test_product_closure_fails_when_the_square_loses_a_property(monkeypatch):
+    ctx = _Ctx(mv_chain(2))
+    profile = laws.structure_profile
+    monkeypatch.setattr(laws, "classify", lambda P: Classification(False, False, False))
+    monkeypatch.setattr(
+        laws,
+        "structure_profile",
+        lambda P: dataclasses.replace(
+            profile(P), atomic=False, sharply_dominating=False
+        ),
+    )
+    assert law_result(ctx, "product-closure") == LawResult(
+        "product-closure",
+        "fail",
+        (),
+        "the squared algebra lost: lattice, atomic, sharply dominating",
+    )
+
+
+def test_a_law_missing_from_the_report_raises_key_error():
+    report = run_law_suite(mv_chain(2), ["L2.2.i"])
+    with pytest.raises(KeyError):
+        report.result("T4.2")
+

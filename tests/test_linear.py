@@ -11,6 +11,7 @@ from effalg import (
     FeasiblePoint,
     InfeasibilityCertificate,
     LinearSystem,
+    boolean_algebra,
     bundled_fixture,
     direct_product,
     linear,
@@ -335,6 +336,38 @@ def test_sparse_phase_one_equals_the_dense_tableau_on_c8xc8(monkeypatch):
     out = _phase_one(s)
     assert out == dense_phase_one(s)
     assert _proves(s, out)
+
+
+@pytest.mark.parametrize(
+    "outcome, message",
+    [
+        (
+            lambda s: FeasiblePoint((F(0),) * s.nvars),
+            "solver produced an invalid feasible point",
+        ),
+        (
+            lambda s: InfeasibilityCertificate(
+                (F(0),) * len(s.coeffs), (F(0),) * s.nvars, (F(0),) * s.nvars, F(1)
+            ),
+            "solver produced an invalid infeasibility certificate",
+        ),
+    ],
+    ids=["point", "certificate"],
+)
+def test_a_wrong_phase_one_outcome_is_caught_after_lifting(
+    monkeypatch, outcome, message
+):
+    shapes = []
+
+    def wrong(s):
+        shapes.append((len(s.coeffs), s.nvars))
+        return outcome(s)
+
+    monkeypatch.setattr(linear, "_phase_one", wrong)
+    with pytest.raises(RuntimeError) as err:
+        solve_exact(state_system(boolean_algebra(4)))
+    assert shapes == [(11, 14)]
+    assert str(err.value) == message
 
 
 # Coefficients up to 3 and rhs denominators up to 5 give pivots other than

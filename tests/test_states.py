@@ -110,6 +110,13 @@ def test_verify_state_rejects_floats():
         verify_state(E, {0: 0.0, 1: 0.5, 2: 1.0})
 
 
+def test_verify_state_rejects_bools():
+    # bool is an int to Python, so True would otherwise pass as 1
+    with pytest.raises(TypeError) as err:
+        verify_state(mv_chain(1), {0: False, 1: True})
+    assert str(err.value) == "state values must be exact rationals, not bools"
+
+
 def test_verify_state_flags_missing_and_range():
     E = mv_chain(2)
     report = verify_state(E, {E.zero: F(0), E.one: F(1)})

@@ -8,6 +8,7 @@ from effalg import (
     mv_chain,
     structure_profile,
 )
+from effalg.structure import _extreme
 from oracles import (
     oracle_atoms,
     oracle_leq,
@@ -24,6 +25,9 @@ def test_profile_against_the_oracle(corpus, example_25, example_44):
         assert prof.sharp == oracle_sharp(E), name
         for x in range(E.size):
             assert prof.isotropic[x] == oracle_ord(E, x), (name, x)
+        # what lets the SE-subalgebra law check only closure under +
+        assert {E.zero, E.one} <= prof.sharp, name
+        assert {E.supplement[x] for x in prof.sharp} == prof.sharp, name
 
 
 def test_meager_means_no_sharp_below(corpus, example_25, example_44):
@@ -102,6 +106,14 @@ def test_sharp_bounds_in_a_boolean_are_the_element():
     prof = structure_profile(E)
     for x in range(E.size):
         assert prof.sharp_cover[x] == x and prof.sharp_kernel[x] == x
+
+
+def test_a_mask_with_two_maximal_elements_has_no_greatest():
+    E = boolean_algebra(2)
+    down = derive_order(E).down
+    a, b = E.index("s0"), E.index("s1")
+    assert _extreme(1 << a | 1 << b, down) is None
+    assert _extreme(1 << E.zero | 1 << a, down) == a
 
 
 def test_domination_flags(corpus, example_25, example_44):
