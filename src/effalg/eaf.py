@@ -93,8 +93,7 @@ def parse_eaf(text: str) -> EafDocument:
     def take(expect: str) -> tuple[int, list[str]]:
         nonlocal pos
         if pos >= len(lines):
-            last = lines[-1][0] if lines else 1
-            raise ParseError(last, f"unexpected end of file, expected {expect}")
+            raise ParseError(lines[-1][0], f"unexpected end of file, expected {expect}")
         item = lines[pos]
         pos += 1
         return item

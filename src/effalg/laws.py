@@ -9,7 +9,16 @@ L2.2.iv checks every orthogonal family, of any size.  A 301-element
 chain has about 2.3e12 of them, so they are not listed one by one: one
 depth-first walk merges prefixes whose further checks are the same and
 counts the families and failures below them exactly (see
-:func:`_l22iv_walk`).
+:func:`_l22iv_walk`).  On algebras of at most 255 elements, where the
+context's tables fit in byte rows, a precheck comes first (see
+:func:`_l22iv_fast`).  When every pair is compatible and every meet
+distributes over every join in the tables as given, as in an MV-effect
+algebra, whose lattice is distributive, no family can fail the walk:
+the law passes, and the families are counted by a recurrence instead of
+walked.  Any other input runs the walk.  L2.2.ii checks each (z, x) for
+every y at once on the same byte rows and runs its loop only where that
+check does not clear the row (see :func:`_law_l22ii`).  Neither fast path
+can pass where the loop or the walk fails, whatever the tables hold.
 
 Counterexample mode forces laws whose hypothesis includes lattice order to
 run their conclusion checks on non-lattice algebras anyway.  There, an
@@ -51,10 +60,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice
 from operator import getitem, ne
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .constructions import direct_product
 from .core import (
+    _UNDEF,
     _WITNESS_CAP,
     EffectAlgebra,
     Witnesses,
@@ -63,7 +73,7 @@ from .core import (
 from .decompose import AtomMultiple, _parts_sum, atomic_decomposition
 from .errors import InvalidState, PreconditionFailed
 from .linear import InfeasibilityCertificate
-from .order import OrderStructure, classify, compatibility, derive_order
+from .order import OrderStructure, compatibility, derive_order
 from .states import find_state, smear_state
 from .structure import StructureProfile, extract_sharp, structure_profile
 
@@ -136,6 +146,34 @@ def _collect(
     return LawResult(law, FAIL, tuple(v.witnesses for v in found.kept), reason)
 
 
+class _Rows(NamedTuple):
+    """A law context's tables as byte rows, ``_UNDEF`` where undefined.
+
+    ``table[z]``, ``meet[x]`` and ``join[x]`` hold y + z, x ^ y and x v y
+    at index y.  ``join_t[p]`` is ``join[p]`` padded with ``_UNDEF`` to
+    256 bytes, a ``bytes.translate`` table, and is all ``_UNDEF`` for
+    p >= n, so that an undefined p reads as a row with nothing defined.
+    ``pad`` pads any other row to a translate table.
+    """
+
+    table: list[bytes]
+    meet: list[bytes]
+    join: list[bytes]
+    join_t: list[bytes]
+    pad: bytes
+
+
+_AS_BYTE = {None: _UNDEF}
+
+
+def _byte_row(row: tuple[Optional[int], ...]) -> bytes:
+    """``row`` as bytes, with ``_UNDEF`` for ``None``."""
+    try:
+        return bytes(row)
+    except TypeError:  # some entry is None
+        return bytes(map(_AS_BYTE.get, row, row))
+
+
 class _Ctx:
     def __init__(self, E: EffectAlgebra) -> None:
         self.E = E
@@ -144,6 +182,23 @@ class _Ctx:
         self.atoms = sorted(self.profile.atoms)
         self.multiples = multiples(E)
         self.compat = compatibility(E)
+
+    @cached_property
+    def rows(self) -> Optional[_Rows]:
+        """The byte rows of the table and of this context's own meets and
+        joins, read on first use; ``None`` above ``_UNDEF`` elements."""
+        n = self.E.size
+        if n > _UNDEF:
+            return None
+        pad = bytes((_UNDEF,)) * (256 - n)
+        join = list(map(_byte_row, self.os.join))
+        return _Rows(
+            list(map(_byte_row, zip(*self.E.table))),
+            list(map(_byte_row, self.os.meet)),
+            join,
+            [row + pad for row in join] + [bytes((_UNDEF,)) * 256] * (256 - n),
+            pad,
+        )
 
     @cached_property
     def atom_families(self) -> list[tuple[int, tuple[AtomMultiple, ...]]]:
@@ -225,10 +280,33 @@ def _law_l22i(ctx: _Ctx) -> _Failures:
 
 
 def _law_l22ii(ctx: _Ctx) -> _Failures:
+    """For x, y summable with z, (x v y) + z = (x + z) v (y + z), y >= x.
+
+    On byte rows each (z, x) is first checked for every y at once.  With
+    sigma the row of z (y + z at index y), ``join[x].translate(sigma)``
+    holds (x v y) + z and ``sigma.translate(join_t[x + z])`` holds
+    (x + z) v (y + z), ``_UNDEF`` where a join or sum is missing.  The
+    second is ``_UNDEF`` wherever sigma is; when the two are equal and
+    the second has no other ``_UNDEF``, every y summable with z has both
+    sides defined and equal, so no y can fail for this (z, x), whatever
+    the tables.  Every other (z, x), and every one on more than
+    ``_UNDEF`` (255) elements, where there are no byte rows, runs the
+    loop below, so witnesses, their order and the total stay the loop's.
+    """
     E = ctx.E
+    rows = ctx.rows
     for z in range(E.size):
         summable = [x for x in range(E.size) if E.table[x][z] is not None]
+        if rows is not None:
+            sigma = rows.table[z]
+            through = sigma + rows.pad
+            holes = sigma.count(_UNDEF)
         for x in summable:
+            if rows is not None:
+                lhs = rows.join[x].translate(through)
+                rhs = sigma.translate(rows.join_t[sigma[x]])
+                if lhs == rhs and rhs.count(_UNDEF) == holes:
+                    continue
             for y in summable:
                 if y < x:
                     continue
@@ -453,7 +531,54 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
     return failures, families, named
 
 
+def _l22iv_fast(ctx: _Ctx) -> Optional[int]:
+    """The number of families :func:`_l22iv_walk` checks, when no family
+    can fail it; ``None`` when that is not shown.
+
+    It is shown on byte rows when every compatibility mask is full and,
+    for every x and every pair (b, y), ``b v y`` and ``x ^ (b v y)``
+    exist and equal ``(x ^ b) v (x ^ y)``.  Then the walk's ``alive``
+    mask stays full, its failure mask is empty on every pair it could
+    visit, no deviating x arises and no join is missing, so no family
+    fails and none is skipped.  This reads the tables as they are and
+    does not rely on the axioms; on a lattice effect algebra with every
+    pair compatible, an MV-effect algebra, the lattice is distributive
+    and the check always passes.  Per x, the left side is the flat join
+    matrix translated through x's meet row, and the right side joins,
+    for each b, x's meet row translated through the joins of ``x ^ b``.
+
+    The families are then every ascending run of two or more nonzero
+    members with every prefix sum defined.  With y_k the k-th nonzero
+    element, the runs from index k on that extend a running sum s number
+    g_k(s) = g_{k+1}(s) + [s + y_k defined]·(1 + g_{k+1}(s + y_k)), so
+    all runs from zero number g_0(0), of which n - 1 are single members.
+    """
+    n = ctx.E.size
+    full = (1 << n) - 1
+    if any(mask != full for mask in ctx.compat) or ctx.rows is None:
+        return None
+    rows = ctx.rows
+    flat = b"".join(rows.join)
+    for meets in rows.meet:
+        left = flat.translate(meets + rows.pad)
+        if _UNDEF in left:
+            return None
+        by_meet = {p: meets.translate(rows.join_t[p]) for p in set(meets)}
+        if left != b"".join(map(by_meet.__getitem__, meets)):
+            return None
+    runs = [0] * n
+    for y in reversed(range(n)):
+        if y != ctx.E.zero:
+            runs = [
+                g if s == _UNDEF else g + 1 + runs[s]
+                for g, s in zip(runs, rows.table[y])
+            ]
+    return runs[ctx.E.zero] - (n - 1)
+
+
 def _law_l22iv(ctx: _Ctx) -> LawResult:
+    if _l22iv_fast(ctx) is not None:
+        return LawResult("L2.2.iv", PASS)
     total, _, failures = _l22iv_walk(ctx)
     return _collect("L2.2.iv", failures, total)
 
@@ -780,10 +905,9 @@ def _law_product_closure(ctx: _Ctx) -> LawResult:
             "acceptance suite covers big factors",
         )
     P = direct_product(E, E)
-    cls = classify(P)
     prof = structure_profile(P)
     missing = []
-    if not cls.is_lattice:
+    if not derive_order(P).is_lattice:
         missing.append("lattice")
     if not prof.atomic:
         missing.append("atomic")

@@ -324,6 +324,42 @@ def oracle_bounds(E):
     return meet, join
 
 
+def oracle_l22ii(E, join=None):
+    """L2.2.ii as the loop over every (x, y, z), z outermost and y >= x.
+
+    For x and y summable with z, x v y must exist and (x v y) + z must
+    equal (x + z) v (y + z), both defined.  ``join`` replaces the join
+    table.  Returns every (witness, reason) failure in order.
+    """
+    join = oracle_bounds(E)[1] if join is None else join
+
+    def names(*xs):
+        return ", ".join(E.names[x] for x in xs)
+
+    failures = []
+    for z in range(E.size):
+        summable = [x for x in range(E.size) if E.table[x][z] is not None]
+        for x in summable:
+            for y in summable:
+                if y < x:
+                    continue
+                j = join[x][y]
+                if j is None:
+                    failures.append(((x, y, z), f"{names(x, y)} have no join"))
+                    continue
+                lhs = E.table[j][z]
+                rhs = join[E.table[x][z]][E.table[y][z]]
+                if lhs is None or rhs is None or lhs != rhs:
+                    failures.append(
+                        (
+                            (x, y, z),
+                            f"joining {names(x, y)} does not commute with "
+                            f"adding {E.names[z]}",
+                        )
+                    )
+    return failures
+
+
 def oracle_l22iii(E, meet=None):
     """L2.2.iii as a four-deep walk, each (k, l) checked once.
 

@@ -24,14 +24,15 @@ from effalg.laws import (
     LawResult,
     _collect,
     _Ctx,
+    _l22iv_fast,
     _l22iv_walk,
+    _law_l22ii,
     _law_l22iii,
     _law_l22iv,
 )
-from effalg.order import Classification
 
 from conftest import zero_last
-from oracles import _family_sum, oracle_l22iii, oracle_l22iv
+from oracles import _family_sum, oracle_l22ii, oracle_l22iii, oracle_l22iv
 
 # Frozen status maps for counterexample mode on the bundled non-lattice
 # tables.  Any drift, pass included, must be investigated rather than
@@ -327,6 +328,7 @@ def test_l22iv_deviation_can_heal_further_down():
     # its join of meets back to 3a ^ 3a, so {a, 2a, 3a} passes.
     E = mv_chain(6)
     ctx, meet, _ = tampered(E, [((3, 2), 0)])
+    assert _l22iv_fast(ctx) is None
     outcome = l22iv_outcome(ctx)
     assert outcome == oracle_l22iv(E, meet=meet)
     assert outcome[:4] == (
@@ -388,6 +390,138 @@ def test_l22iv_reuses_a_node_with_failures_under_two_prefixes():
         (E.one, 2, 3, 5, 6),
         (E.one, 2, 5, 6),
     )
+
+
+def differential_algebras(corpus, example_25, example_37, example_44):
+    """(name, algebra) for the corpus, the off-lattice algebras, each of
+    them relabelled with zero last, and three larger lattices."""
+    named_algebras = list(corpus) + [
+        (f"off-lattice-{i}", E)
+        for i, E in enumerate(off_lattice(example_25, example_37, example_44))
+    ]
+    named_algebras += [
+        (f"{name}-zero-last", zero_last(E))
+        for name, E in named_algebras
+        if E.zero == 0
+    ]
+    return named_algebras + [
+        ("product-c8-c8", direct_product(mv_chain(7), mv_chain(7))),
+        ("boolean-6", boolean_algebra(6)),
+        ("chain-40", mv_chain(40)),
+    ]
+
+
+@pytest.mark.parametrize("mode", [False, True], ids=["lattice", "counterexample"])
+def test_l22ii_matches_the_oracle(corpus, example_25, example_37, example_44, mode):
+    algebras = differential_algebras(corpus, example_25, example_37, example_44)
+    assert len(algebras) > 100
+    for name, E in algebras:
+        expected = oracle_l22ii(E)
+        assert list(_law_l22ii(_Ctx(E))) == expected, name
+        result = run_law_suite(E, ["L2.2.ii"], counterexample_mode=mode).results[0]
+        if mode or derive_order(E).is_lattice:
+            assert result == _collect("L2.2.ii", iter(expected)), name
+        else:
+            assert result.status == "skipped", name
+
+
+@pytest.mark.parametrize(
+    "make, join_entries, meet_entries, total",
+    [
+        # 0 v a read as 2a: (0 v a) + a is 1, but a v 2a is 2a
+        (lambda: mv_chain(3), [((0, 1), 2)], [], 2),
+        # 2a v 3a read as missing, on one side only
+        (lambda: mv_chain(6), [((2, 3), None)], [], 6),
+        # 0,a v 0,2a read as a,2a one way and as missing the other, which
+        # the loop never reads (y >= x) but the byte rows do
+        (
+            lambda: direct_product(mv_chain(2), mv_chain(3)),
+            [((1, 2), 6), ((2, 1), None)],
+            [],
+            6,
+        ),
+        # joins of atom pairs of a Boolean algebra read as zero
+        (lambda: boolean_algebra(3), [((1, 2), 0), ((2, 4), 0), ((4, 1), 0)], [], 2),
+        # a meet tampered: L2.2.ii reads no meet and stays clean
+        (lambda: mv_chain(6), [], [((3, 2), 0)], 0),
+    ],
+    ids=["chain-4", "chain-7", "c3xc4", "boolean-8", "meet-only"],
+)
+def test_l22ii_matches_the_oracle_on_tampered_tables(
+    make, join_entries, meet_entries, total
+):
+    E = make()
+    ctx, _, _ = tampered(E, meet_entries, join_entries=join_entries)
+    join = [list(row) for row in ctx.os.join]
+    found = list(_law_l22ii(ctx))
+    assert found == oracle_l22ii(E, join=join)
+    assert len(found) == total
+
+
+def test_l22iv_fast_path_counts_the_walks_families(
+    corpus, example_25, example_37, example_44
+):
+    for name, E in differential_algebras(corpus, example_25, example_37, example_44):
+        ctx = _Ctx(E)
+        total, families, failures = _l22iv_walk(ctx)
+        fast = _l22iv_fast(ctx)
+        assert fast is None or (total, families) == (0, fast), name
+        if name.split("-")[0] in ("chain", "boolean", "product"):
+            assert fast is not None, name
+        assert _law_l22iv(ctx) == _collect("L2.2.iv", failures, total), name
+
+
+def test_l22iv_falls_back_to_the_walk_on_a_missing_join():
+    # Every pair stays compatible, but a v 2a reads as missing: {a, 2a}
+    # is skipped, and on {a, 3a} the join of 2a ^ a and 2a ^ 3a is missing.
+    E = mv_chain(4)
+    ctx, _, _ = tampered(E, join_entries=[((1, 2), None)])
+    assert all(mask == (1 << E.size) - 1 for mask in ctx.compat)
+    assert _l22iv_fast(ctx) is None
+    total, families, failures = _l22iv_walk(ctx)
+    assert (total, families) == (1, 1)
+    assert _law_l22iv(ctx) == LawResult(
+        "L2.2.iv",
+        "fail",
+        ((2, 1, 3),),
+        "meet of 2a with the join of a, 3a breaks distribution",
+    )
+
+
+@pytest.mark.parametrize(
+    "make, meet_entries, compat_cleared, witnesses",
+    [
+        # The tables are intact, but 0,0 no longer commutes with 1,1: the
+        # one family joining to 1,1, {0,1; 1,0}, fails for x = 0,0.
+        (lambda: direct_product(mv_chain(2), mv_chain(3)), [], [(0, 11)], ((0, 11),)),
+        # 2a has no meet with 2a or 1, an up-set: where the meet of 2a with
+        # a join is missing, so is the join of the meets, and the byte rows
+        # agree there; only the missing meet itself sends this to the walk.
+        (lambda: mv_chain(3), [((2, 2), None), ((2, 3), None)], [], ((2, 1, 2),)),
+    ],
+    ids=["c3xc4-compatibility", "chain-4-meets"],
+)
+def test_l22iv_falls_back_to_the_walk_on_a_tampered_context(
+    make, meet_entries, compat_cleared, witnesses
+):
+    E = make()
+    ctx, meet, compat = tampered(E, meet_entries, compat_cleared)
+    assert _l22iv_fast(_Ctx(E)) == _l22iv_walk(ctx)[1]
+    assert _l22iv_fast(ctx) is None
+    outcome = l22iv_outcome(ctx)
+    assert outcome == oracle_l22iv(E, meet=meet, compat=compat)
+    assert outcome[:3] == ("fail", 1, witnesses)
+
+
+def test_byte_rows_stop_at_255_elements():
+    ctx = _Ctx(mv_chain(255))
+    assert ctx.E.size == 256
+    assert ctx.rows is None
+    assert _l22iv_fast(ctx) is None
+
+
+def test_l22iv_fast_path_counts_the_families_of_a_255_element_chain():
+    assert _l22iv_fast(_Ctx(mv_chain(254))) == 194_596_316_927
 
 
 def test_l22iii_matches_the_oracle(corpus, example_25, example_37, example_44):
@@ -641,8 +775,10 @@ def test_se_full_sublattice_fails_on_a_missing_and_a_non_sharp_bound():
 
 def test_product_closure_fails_when_the_square_loses_a_property(monkeypatch):
     ctx = _Ctx(mv_chain(2))
-    profile = laws.structure_profile
-    monkeypatch.setattr(laws, "classify", lambda P: Classification(False, False, False))
+    order, profile = laws.derive_order, laws.structure_profile
+    monkeypatch.setattr(
+        laws, "derive_order", lambda P: dataclasses.replace(order(P), is_lattice=False)
+    )
     monkeypatch.setattr(
         laws,
         "structure_profile",
