@@ -58,6 +58,7 @@ from .errors import (
     InvalidState,
     ParseError,
     PreconditionFailed,
+    SizeLimit,
     UnknownName,
 )
 from .laws import run_law_suite
@@ -104,7 +105,7 @@ def _load_algebra(path: str) -> EffectAlgebra:
     text = _read_text(path)
     try:
         return build_effect_algebra(parse_eaf(text))
-    except (ParseError, AxiomViolation) as exc:
+    except (ParseError, SizeLimit, AxiomViolation) as exc:
         raise _InputError(f"{path}: {exc}")
 
 
@@ -112,7 +113,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     text = _read_text(args.file)
     try:
         doc = parse_eaf(text)
-    except ParseError as exc:
+    except (ParseError, SizeLimit) as exc:
         raise _InputError(f"{args.file}: {exc}")
     try:
         build_effect_algebra(doc)

@@ -11,16 +11,10 @@ from importlib.resources import files
 from string import ascii_lowercase
 
 from .core import EffectAlgebra, build_effect_algebra, make_algebra
-from .eaf import parse_eaf
+from .eaf import _MAX_ELEMENTS, parse_eaf
 from .errors import DegenerateBlock, SizeLimit
 
 _MAX_BOOLEAN_EXPONENT = 6
-# The most elements a chain, product or horizontal sum may have.
-# mv_chain(600), 601 elements, builds in about 4.3 s with a 39 MB peak RSS
-# (Python 3.11, 2-vCPU VM; mv_chain(300) 0.4 s, 500 2.5 s).  Above 255
-# elements the associativity check walks pairs, so the time grows as n³
-# from there.
-_MAX_ELEMENTS = 601
 _MAX_CHAIN_LENGTH = _MAX_ELEMENTS - 1
 _MAX_BLOCKS = len(ascii_lowercase)
 

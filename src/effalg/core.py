@@ -27,9 +27,11 @@ values, so every downstream module may rely on the axioms without
 re-checking them.
 
 Data derived from a table is built once per algebra instance through
-:func:`derived` and kept on the instance.  This module keeps two such
-tables: differences (behind :meth:`EffectAlgebra.diff`) and every
-element's multiples (:func:`multiples`, read by :func:`multiple`).
+:func:`derived` and kept on the instance.  This module keeps three such
+tables: differences (behind :meth:`EffectAlgebra.diff`), every
+element's multiples (:func:`multiples`, read by :func:`multiple`), and
+the columns of the canonical sums (behind
+:meth:`EffectAlgebra.canonical_sums`).
 """
 
 from __future__ import annotations
@@ -464,18 +466,7 @@ class EffectAlgebra:
         Pairs are reported with the smaller index first and sorted; this is
         the serialization order and the equation order of the state engine.
         """
-        out = []
-        for x in range(self.size):
-            if x == self.zero:
-                continue
-            row = self.table[x]
-            for y in range(x, self.size):
-                if y == self.zero:
-                    continue
-                z = row[y]
-                if z is not None:
-                    out.append((x, y, z))
-        return out
+        return list(zip(*_sum_columns(self)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -558,6 +549,27 @@ def _difference_table(E: EffectAlgebra) -> tuple[tuple[Optional[int], ...], ...]
                 diffs[b] = c
         out.append(tuple(diffs))
     return tuple(out)
+
+
+@derived
+def _sum_columns(
+    E: EffectAlgebra,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The x, y and z columns of :meth:`EffectAlgebra.canonical_sums`, in
+    its order, so that a check over every sum can map over them in C."""
+    xs: list[int] = []
+    ys: list[int] = []
+    zs: list[int] = []
+    for x, row in enumerate(E.table):
+        if x == E.zero:
+            continue
+        for y in range(x, E.size):
+            z = row[y]
+            if z is not None and y != E.zero:
+                xs.append(x)
+                ys.append(y)
+                zs.append(z)
+    return tuple(xs), tuple(ys), tuple(zs)
 
 
 def build_effect_algebra(doc: "EafDocument") -> EffectAlgebra:

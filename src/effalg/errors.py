@@ -76,7 +76,8 @@ class InvalidState(EffectAlgebraError):
 
 
 class SizeLimit(EffectAlgebraError):
-    """A generator parameter is outside its supported range."""
+    """A generator parameter or a file's element count is outside its
+    supported range."""
 
 
 class DegenerateBlock(EffectAlgebraError):

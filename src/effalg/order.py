@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import EffectAlgebra, derived
+from .core import EffectAlgebra, _difference_table, derived
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,13 @@ def compatibility(E: EffectAlgebra) -> tuple[int, ...]:
     A pair without a meet or a join has no bit set.
     """
     os = derive_order(E)
+    # diff[m][y] is y minus m, defined because the meet m lies below y.
+    diff = _difference_table(E)
     masks = []
-    for x in range(E.size):
+    for row, meets, joins in zip(E.table, os.meet, os.join):
         mask = 0
-        for y in range(E.size):
-            m, j = os.meet[x][y], os.join[x][y]
-            if m is not None and j is not None and E.table[x][E.diff(y, m)] == j:
+        for y, (m, j) in enumerate(zip(meets, joins)):
+            if m is not None and j is not None and row[diff[m][y]] == j:
                 mask |= 1 << y
         masks.append(mask)
     return tuple(masks)

@@ -12,16 +12,30 @@ the value of its sharp kernel plus the weighted atom values of its meager
 remainder.  The result is verified to be a state whose restriction to the
 sharp part is the input, so a violation of the underlying theory raises
 instead of propagating silently.
+
+States are checked and smeared in integers over one common denominator,
+as :func:`effalg.linear.verify_point` checks a point: no ``Fraction`` is
+added or compared per canonical sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count
+from math import lcm
 from numbers import Rational
-from typing import Mapping, Union
+from operator import add, ne
+from typing import Mapping, Optional, Union
 
-from .core import EffectAlgebra, Violation, Witnesses, multiples
+from .core import (
+    _WITNESS_CAP,
+    EffectAlgebra,
+    Violation,
+    Witnesses,
+    _sum_columns,
+    multiples,
+)
 from .decompose import basic_decomposition
 from .errors import InvalidState, PreconditionFailed
 from .linear import (
@@ -132,32 +146,58 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
     are rejected outright: a state that only approximately satisfies
     additivity is not a state.  So are bools, which Python counts as
     integers.
+
+    As in :func:`effalg.linear.verify_point`, the given values are brought
+    to one common denominator ``D``, so every check is in integers: the
+    endpoints and ``0 <= v D <= D`` per element, and additivity over all
+    the canonical sums in one pass in C.  The sums are walked one at a
+    time only where a value is missing, and to name the failures kept.
     """
     found = Witnesses()
-    values: dict[int, Fraction] = {}
+    # The given values as they are, for the details; None where missing.
+    values: list[Optional[Rational]] = [None] * E.size
     for x in range(E.size):
         if x in candidate:
-            values[x] = _as_fraction(candidate[x])
+            v = candidate[x]
+            values[x] = v if type(v) is Fraction or type(v) is int else _as_fraction(v)
         else:
             found.add("missing", (x,), f"no value for {E.names[x]}")
-    for kind, x, target in (("zero", E.zero, 0), ("one", E.one, 1)):
-        if x in values and values[x] != target:
+    den = lcm(*(v.denominator for v in values if v is not None))
+    nums = [None if v is None else v.numerator * (den // v.denominator) for v in values]
+    for kind, x, target in (("zero", E.zero, 0), ("one", E.one, den)):
+        if nums[x] is not None and nums[x] != target:
             found.add(kind, (x,), f"value at {kind} is {values[x]}")
-    for x, v in values.items():
-        if not 0 <= v <= 1:
-            found.add("range", (x,), f"value {v} at {E.names[x]} is outside [0,1]")
-    for x, y, z in E.canonical_sums():
-        if x in values and y in values and z in values:
-            if values[x] + values[y] != values[z]:
-                found.add(
-                    "additivity",
-                    (x, y, z),
-                    f"{E.names[x]} + {E.names[y]} = {E.names[z]} maps to "
-                    f"{values[x]} + {values[y]} != {values[z]}",
-                )
-    faithful = values.get(E.zero) == 0 and all(
-        v != 0 for x, v in values.items() if x != E.zero
-    )
+    for x, v in enumerate(nums):
+        if v is not None and not 0 <= v <= den:
+            found.add(
+                "range", (x,), f"value {values[x]} at {E.names[x]} is outside [0,1]"
+            )
+    xs, ys, zs = _sum_columns(E)
+    if None in nums:
+        failing = [
+            i
+            for i, (x, y, z) in enumerate(zip(xs, ys, zs))
+            if None not in (nums[x], nums[y], nums[z])
+            and nums[x] + nums[y] != nums[z]
+        ]
+    else:
+        at = nums.__getitem__
+        failing = list(
+            compress(count(), map(ne, map(add, map(at, xs), map(at, ys)), map(at, zs)))
+        )
+    for i in failing[:_WITNESS_CAP]:
+        x, y, z = xs[i], ys[i], zs[i]
+        found.kept.append(
+            Violation(
+                "additivity",
+                (x, y, z),
+                f"{E.names[x]} + {E.names[y]} = {E.names[z]} maps to "
+                f"{values[x]} + {values[y]} != {values[z]}",
+            )
+        )
+    if failing:
+        found.totals["additivity"] = len(failing)
+    faithful = nums[E.zero] == 0 and nums.count(0) == 1
     return StateReport(tuple(found.kept), faithful, found.totals)
 
 
@@ -178,6 +218,12 @@ def smear_state(E: EffectAlgebra, omega: State) -> State:
     as sharp kernel plus weighted meager atom multiples.  Requires lattice
     order and raises :class:`InvalidState` if ``omega`` is not a valid
     state on the extracted sharp subalgebra.
+
+    Every value is computed as an integer numerator over one common
+    denominator, the lcm of omega's denominators times the lcm of the
+    atoms' isotropic indices, over which each ``omega(n·a)/n`` is exact.
+    The result is then verified by :func:`verify_state` and restricted
+    back to the sharp part, and either failing raises ``RuntimeError``.
     """
     os = derive_order(E)
     if not os.is_lattice:
@@ -194,33 +240,38 @@ def smear_state(E: EffectAlgebra, omega: State) -> State:
             + "; ".join(v.detail for v in report.violations[:3])
         )
     profile = structure_profile(E)
+    den = lcm(*(v.denominator for v in omega.values)) * lcm(
+        *(profile.isotropic[a] for a in profile.atoms)
+    )
+    sharp_nums = [v.numerator * (den // v.denominator) for v in omega.values]
 
-    def sharp_value(parent_x: int) -> Fraction:
+    def sharp_value(parent_x: int) -> int:
         i = sub.from_parent[parent_x]
         if i is None:
             raise RuntimeError(f"element {parent_x} expected sharp")
-        return omega.values[i]
+        return sharp_nums[i]
 
     # An atom's full multiple is sharp in a lattice; sharp_value checks it.
+    # Its numerator is a multiple of the atom's index, which divides den
+    # over the lcm of omega's denominators, so the share is exact.
     ms = multiples(E)
     atom_value = {
-        a: sharp_value(ms[a][-1]) / profile.isotropic[a] for a in profile.atoms
+        a: sharp_value(ms[a][-1]) // profile.isotropic[a] for a in profile.atoms
     }
 
-    values: list[Fraction] = [Fraction(0)] * E.size
+    nums = [0] * E.size
     for x in range(E.size):
         if x == E.zero:
             continue
         if x in profile.sharp:
-            values[x] = sharp_value(x)
+            nums[x] = sharp_value(x)
             continue
         basic = basic_decomposition(E, x)
-        total = sharp_value(basic.sharp_part)
-        for part in basic.meager_parts:
-            total += part.multiplicity * atom_value[part.atom]
-        values[x] = total
+        nums[x] = sharp_value(basic.sharp_part) + sum(
+            part.multiplicity * atom_value[part.atom] for part in basic.meager_parts
+        )
 
-    result = State(E, tuple(values))
+    result = State(E, tuple(Fraction(v, den) for v in nums))
     check = verify_state(E, dict(enumerate(result.values)))
     if check.violations:
         raise RuntimeError(

@@ -291,18 +291,46 @@ def oracle_basic_decompositions(E, x):
     atom-multiple family with all multiplicities below the isotropic
     index; pairs are found by brute force over both.
     """
+    return _every_basic_decomposition(E).get(x, set())
+
+
+def _every_basic_decomposition(E):
+    """:func:`oracle_basic_decompositions` for every element at once, as
+    a dict from element to its set of pairs, so that the families and the
+    sharp elements are found once."""
     families = oracle_proper_families(E)
-    out = set()
+    out = {}
     for v in oracle_sharp(E):
-        if v == x:
-            out.add((v, frozenset()))
-        rest_candidates = [
-            r for r in range(E.size) if E.table[v][r] == x
-        ]
-        for r in rest_candidates:
-            for parts in families.get(r, set()):
-                out.add((v, parts))
+        out.setdefault(v, set()).add((v, frozenset()))
+        for r in range(E.size):
+            x = E.table[v][r]
+            if x is not None:
+                for parts in families.get(r, set()):
+                    out.setdefault(x, set()).add((v, parts))
     return out
+
+
+def oracle_smear(E, omega):
+    """The smearing of ``omega`` onto E by plain ``Fraction`` arithmetic.
+
+    ``omega`` is a state on E's sharp elements, read by name.  Each
+    element of E must have exactly one basic decomposition, as in a
+    lattice; it is valued as omega at its sharp part plus
+    ``k * omega(n·a) / n`` per part (a, k), n the isotropic index of a.
+    """
+    sharp_value = {
+        E.index(name): Fraction(v) for name, v in zip(omega.domain.names, omega.values)
+    }
+    share = {}
+    for a in oracle_atoms(E):
+        n = oracle_ord(E, a)
+        share[a] = sharp_value[oracle_multiple(E, a, n)] / n
+    every = _every_basic_decomposition(E)
+    values = []
+    for x in range(E.size):
+        ((v, parts),) = every[x]
+        values.append(sharp_value[v] + sum(k * share[a] for a, k in parts))
+    return tuple(values)
 
 
 def oracle_bounds(E):

@@ -8,6 +8,7 @@ tests hold the tool to those exact bytes.
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -500,6 +501,22 @@ def test_gen_product_of_two_101_element_chains_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "gen", "product", str(c100), str(c100))
     assert (code, out) == (2, "")
     assert err == "error: products are provided up to 601 elements, not 10201\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "props"])
+def test_a_file_of_20000_elements_exits_two_naming_the_limit(
+    capsys, tmp_path, command
+):
+    big = tmp_path / "big.eaf"
+    names = " ".join(f"e{i}" for i in range(20000))
+    big.write_text(f"ea v1\nelements 20000\nnames {names}\nzero e0\none e19999\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(big))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {big}: line 2: algebras are read up to 601 elements, not 20000\n"
+    )
 
 
 def test_gen_into_a_directory_exits_two(capsys, tmp_path):

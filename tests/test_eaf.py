@@ -11,6 +11,7 @@ from effalg import (
     MissingHeader,
     NegativeDenominator,
     ParseError,
+    SizeLimit,
     State,
     boolean_algebra,
     build_effect_algebra,
@@ -151,6 +152,19 @@ def test_element_count_outside_the_grammar_is_a_parse_error(count):
     assert len(parse_eaf(text).names) == 10
     with pytest.raises(ParseError, match="is not an integer"):
         parse_eaf(text.replace("\nelements 10\n", f"\nelements {count}\n"))
+
+
+def test_element_count_above_the_cap_raises_size_limit():
+    names = " ".join(f"e{i}" for i in range(601))
+    doc = parse_eaf(f"ea v1\nelements 601\nnames {names}\nzero e0\none e600\n")
+    assert len(doc.names) == 601
+    with pytest.raises(
+        SizeLimit, match="^line 2: algebras are read up to 601 elements, not 602$"
+    ):
+        parse_eaf(f"ea v1\nelements 602\nnames {names} e601\nzero e0\none e1\n")
+    # refused from the count alone, before the names line is read
+    with pytest.raises(SizeLimit, match="not 20000$"):
+        parse_eaf("ea v1\nelements 20000\n")
 
 
 def test_unknown_zero_or_one():

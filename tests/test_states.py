@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,13 @@ from effalg import (
     PreconditionFailed,
     State,
     boolean_algebra,
+    build_effect_algebra,
     direct_product,
     extract_sharp,
     find_state,
     horizontal_sum,
     mv_chain,
+    parse_eaf,
     restrict_to_sharp,
     smear_state,
     state_row_labels,
@@ -31,6 +34,7 @@ from oracles import (
     dense_rows,
     gaussian_solve,
     oracle_is_state,
+    oracle_smear,
     oracle_state_totals,
 )
 
@@ -213,15 +217,48 @@ def test_smearing_rejects_a_non_state():
 
 
 def test_smearing_restricts_back_to_its_input(corpus):
+    # every corpus algebra is lattice ordered
     for name, E in corpus:
         sub = extract_sharp(E)
         found = find_state(sub.algebra)
         if not isinstance(found, State):
             continue
         smeared = smear_state(E, found)
+        assert smeared.values == oracle_smear(E, found), name
         assert verify_state(E, dict(enumerate(smeared.values))).ok, name
         back = restrict_to_sharp(E, smeared)
         assert back.values == found.values, name
+
+
+HSUM = Path(__file__).resolve().parent.parent / "src/effalg/fixtures/hsum-c2-c3.eaf"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_effect_algebra(parse_eaf(HSUM.read_text(encoding="ascii"))),
+        lambda: mv_chain(254),
+    ],
+    ids=["hsum-c2-c3", "mv_chain(254)"],
+)
+def test_smearing_equals_the_fraction_oracle(make):
+    E = make()
+    omega = find_state(extract_sharp(E).algebra)
+    smeared = smear_state(E, omega)
+    assert smeared.values == oracle_smear(E, omega)
+
+
+def test_verify_state_takes_any_exact_rational():
+    # a Rational that is neither a Fraction nor an int takes the slow path
+    class Exact(F):
+        pass
+
+    E = mv_chain(2)
+    assert verify_state(E, {0: 0, 1: Exact(1, 2), 2: 1}).ok
+    report = verify_state(E, {0: 0, 1: Exact(1, 3), 2: 1})
+    assert [v.detail for v in report.violations] == [
+        "a + a = 1 maps to 1/3 + 1/3 != 1"
+    ]
 
 
 def test_verify_state_rejects_a_value_that_is_not_a_number():
@@ -287,8 +324,12 @@ def found_values(i):
     return find_state(CORPUS[i][1]).values
 
 
-# Values an edit may give an element: in the box, at its ends and outside.
-EDIT_VALUES = [F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(3, 2)]
+# Values an edit may give an element: in the box, at its ends and outside,
+# with denominators other than the found state's, and as plain ints.
+EDIT_VALUES = [
+    F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(3, 2),
+    F(1, 7), F(5, 9), F(1, 254), 0, 1,
+]
 
 
 @st.composite

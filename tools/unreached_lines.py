@@ -1,17 +1,20 @@
 """List each ``src/effalg`` module's executable lines that no test reaches.
 
-An opt-in check, kept out of the test suite and CI.  It runs the tier-1
-tests in this interpreter under a standard-library ``sys.settrace`` line
-tracer, so ``coverage`` is not needed, and then prints, per module, the
-lines that its compiled code can execute but no test reached, followed
-by the counts per module.  Lines in :data:`EXEMPT`, which no test can
-reach, are counted apart and not listed.  Run it from anywhere:
+Kept out of the test suite, and run in CI as a job of its own, so that
+a new fast path cannot leave its failure branches untested.  It runs the
+tier-1 tests in this interpreter under a standard-library
+``sys.settrace`` line tracer, so ``coverage`` is not needed, and then
+prints, per module, the lines that its compiled code can execute but no
+test reached, followed by the counts per module.  Lines in
+:data:`EXEMPT`, which no test can reach, are counted apart and not
+listed.  Run it from anywhere:
 
     python tools/unreached_lines.py [extra pytest arguments]
 
 Extra arguments go to pytest after the ``tests`` directory, for example
 ``-k states``.  Tracing makes the suite several times slower.  The exit
-status is pytest's.
+status is pytest's when a test fails, else 1 when any unreached line is
+listed, else 0.
 """
 
 from __future__ import annotations
@@ -123,10 +126,11 @@ def main(argv: list[str]) -> int:
         counts.append((path.name, len(missed - exempt), len(missed & exempt)))
         for line in sorted(missed - exempt):
             print(f"src/effalg/{path.name}:{line}")
-    counts.append(("total", sum(c[1] for c in counts), sum(c[2] for c in counts)))
+    unreached = sum(c[1] for c in counts)
+    counts.append(("total", unreached, sum(c[2] for c in counts)))
     for name, count, exempt in counts:
         print(f"{name:20} {count:4} unreached {exempt:4} exempt")
-    return int(status)
+    return int(status) or int(unreached > 0)
 
 
 if __name__ == "__main__":
