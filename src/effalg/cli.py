@@ -51,7 +51,7 @@ from .constructions import (
 )
 from .core import EffectAlgebra, build_effect_algebra
 from .decompose import atomic_decomposition, basic_decomposition
-from .eaf import parse_eaf, parse_state, serialize_eaf, serialize_state
+from .eaf import _MAX_DIGITS, parse_eaf, parse_state, serialize_eaf, serialize_state
 from .errors import (
     AxiomViolation,
     EffectAlgebraError,
@@ -339,6 +339,10 @@ def _int_param(token: str) -> int:
     # int() alone would also take "1_0", "+10" and non-ASCII digits
     if not re.fullmatch(r"[0-9]+", token):
         raise _UsageError(f"expected a number, got {token!r}")
+    if len(token) > _MAX_DIGITS:
+        raise _UsageError(
+            f"numbers are read up to {_MAX_DIGITS} digits, not {len(token)}"
+        )
     return int(token)
 
 

@@ -2,7 +2,9 @@
 
 Every constructor returns a fully validated algebra: the tables go through
 the same closure and axiom checks as parsed input, so a buggy generator
-fails loudly rather than producing a quietly broken structure.
+fails loudly rather than producing a quietly broken structure.  Results
+have at most ``core._MAX_ELEMENTS`` (255) elements; a larger one raises
+:class:`SizeLimit` before its table is built.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 from importlib.resources import files
 from string import ascii_lowercase
 
-from .core import EffectAlgebra, build_effect_algebra, make_algebra
-from .eaf import _MAX_ELEMENTS, parse_eaf
+from .core import _MAX_ELEMENTS, EffectAlgebra, build_effect_algebra, make_algebra
+from .eaf import parse_eaf
 from .errors import DegenerateBlock, SizeLimit
 
 _MAX_BOOLEAN_EXPONENT = 6
@@ -30,7 +32,7 @@ def mv_chain(n: int) -> EffectAlgebra:
 
     ``k*a + l*a`` is defined exactly when ``k + l <= n``; the generator has
     isotropic index n.  ``mv_chain(1)`` is the 2-element Boolean algebra.
-    Chains are provided for ``1 <= n <= 600``.
+    Chains are provided for ``1 <= n <= 254``, up to 255 elements.
     """
     if not 1 <= n <= _MAX_CHAIN_LENGTH:
         raise SizeLimit(f"chains are provided for 1 <= n <= {_MAX_CHAIN_LENGTH}")
@@ -83,7 +85,7 @@ def horizontal_sum(parts: list[EffectAlgebra]) -> EffectAlgebra:
     Interior elements of block p are renamed positionally to ``a, 2a, ...``
     with the letter advancing per block, so the result is independent of
     the parts' own labels.  A single part is returned unchanged.  The
-    sum may have at most 601 elements.
+    sum may have at most 255 elements.
     """
     if not parts:
         raise ValueError("horizontal sum needs at least one part")
@@ -127,7 +129,7 @@ def horizontal_sum(parts: list[EffectAlgebra]) -> EffectAlgebra:
 def direct_product(E1: EffectAlgebra, E2: EffectAlgebra) -> EffectAlgebra:
     """Componentwise product: a pair is summable iff both components are.
 
-    The product may have at most 601 elements.
+    The product may have at most 255 elements.
     """
     n1, n2 = E1.size, E2.size
     _check_size("products", n1 * n2)

@@ -8,13 +8,7 @@ always represented by ``None`` and never by a sentinel element.
 Construction closes a declared table under commutativity and the implied
 ``zero + x = x`` rows, reporting a pair declared with two results as a
 violation, then checks the four defining axioms on every pair and, for
-associativity, on every triple (see :func:`verify_axioms`).  One check
-does both, for :func:`verify_axioms`, :func:`make_algebra` and
-:func:`build_effect_algebra` alike.  On tables of at most 255 elements
-the lookup rows are byte strings and one element's triples are checked
-at a time by composing rows in C; a byte cannot name a 256th element and
-also mark "undefined", so larger tables compare one pair's triples at a
-time:
+associativity, on every triple:
 
 * Ei   commutativity: a+b defined implies b+a defined and equal,
 * Eii  associativity: either grouping of a+b+c defined implies both are
@@ -22,16 +16,23 @@ time:
 * Eiii every element has exactly one orthosupplement summing to the unit,
 * Eiv  the unit admits no nonzero summand.
 
+One check does both, for :func:`verify_axioms`, :func:`make_algebra` and
+:func:`build_effect_algebra` alike.  Tables have at most
+``_MAX_ELEMENTS`` (255) elements, so that every lookup row is a byte
+string with byte 255 for "undefined", and associativity is checked one
+element's triples at a time by composing rows in C (see
+:func:`verify_axioms`).
+
 Only tables with an empty violation report become :class:`EffectAlgebra`
 values, so every downstream module may rely on the axioms without
 re-checking them.
 
 Data derived from a table is built once per algebra instance through
-:func:`derived` and kept on the instance.  This module keeps three such
-tables: differences (behind :meth:`EffectAlgebra.diff`), every
-element's multiples (:func:`multiples`, read by :func:`multiple`), and
-the columns of the canonical sums (behind
-:meth:`EffectAlgebra.canonical_sums`).
+:func:`derived` and kept on the instance.  This module keeps four such
+tables: the checked byte rows of the sums (:func:`_sum_rows`),
+differences (behind :meth:`EffectAlgebra.diff`), every element's
+multiples (:func:`multiples`, read by :func:`multiple`), and the columns
+of the canonical sums (behind :meth:`EffectAlgebra.canonical_sums`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import islice
-from operator import itemgetter, ne
+from operator import itemgetter
 from typing import (
     Callable,
     Iterable,
@@ -55,6 +56,7 @@ from .errors import (
     AxiomViolation,
     DuplicateName,
     IndexOutOfRange,
+    SizeLimit,
     UnknownName,
 )
 
@@ -70,9 +72,11 @@ AXIOM_CLOSURE = "closure"
 # Violations kept per axiom label, and failure witnesses kept per law.
 _WITNESS_CAP = 6
 
-# The byte marking an undefined sum in a byte row.  Tables of at most this
-# many elements keep byte rows, whose values 0..254 name every element.
+# The byte marking an undefined sum in a byte row.
 _UNDEF = 255
+# The most elements an algebra may have, read by every entry point: byte
+# rows name elements 0..254 and keep 255 for "undefined".
+_MAX_ELEMENTS = _UNDEF
 # A byte row's entry as an element index, ``None`` for ``_UNDEF``.
 _BYTE_VALUE: tuple[Optional[int], ...] = (*range(_UNDEF), None)
 
@@ -149,16 +153,14 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     with two results fails Ei and an entry contradicting a zero row fails
     ``closure``, each such pair counted once.  Eiii and Eiv are checked
     on every pair, Eii on every triple (x, y, z), so the report's
-    ``totals`` are exact.  On tables of at most 255 elements each row of
-    the lookup matrix is a byte string and Eii composes rows in C, one
-    element x at a time: translating the whole matrix through x's row
-    gives x + (y + z) for every (y, z), and joining the rows of x + y
-    gives (x + y) + z (see :func:`_eii_bytes`).  Byte 255 marks
-    "undefined", so bytes name at most 255 elements, and larger tables
-    keep the pairwise walk of :func:`_eii_pairwise`.  Only the first
-    ``_WITNESS_CAP`` violations of each axiom are kept, in (x, y, z)
-    order, so memory stays bounded however broken the table is.  An
-    empty report means the closed table is an effect algebra.  Raises
+    ``totals`` are exact.  Each row of the lookup matrix is a byte string
+    and Eii composes rows in C, one element x at a time: translating the
+    whole matrix through x's row gives x + (y + z) for every (y, z), and
+    joining the rows of x + y gives (x + y) + z (see :func:`_eii_bytes`).
+    Only the first ``_WITNESS_CAP`` violations of each axiom are kept, in
+    (x, y, z) order, so memory stays bounded however broken the table is.
+    An empty report means the closed table is an effect algebra.  Raises
+    :class:`SizeLimit` when ``size`` exceeds ``_MAX_ELEMENTS`` and
     :class:`IndexOutOfRange` when ``size`` is not an int, an entry,
     ``zero`` or ``one`` is not an element index, or a key is not a pair.
     """
@@ -194,7 +196,7 @@ def _raw_sums(
 
 def _check(
     n: int, zero: int, one: int, sums: Iterable[tuple[tuple[int, int], int]]
-) -> tuple[AxiomReport, list]:
+) -> tuple[AxiomReport, list[bytes]]:
     """:func:`verify_axioms`' report and the lookup matrix it checked.
 
     ``sums`` holds ``((x, y), x + y)`` declarations in any orientation,
@@ -204,12 +206,13 @@ def _check(
     declared sums are closed under commutativity and the zero rows, and
     where a declaration is compared with an earlier one for the same pair.
 
-    Row ``r`` of the matrix holds ``r + z`` at index ``z``.  On tables of
-    at most ``_UNDEF`` elements a row is ``bytes`` with ``_UNDEF`` where
-    the sum is undefined; on larger ones it is a list with ``None`` there
-    plus one ``None`` at index ``n`` (see :func:`_eii_pairwise`).  With an
-    empty report, its first ``n`` columns are the closed table.
+    Row ``r`` of the matrix holds ``r + z`` at index ``z`` as bytes, with
+    ``_UNDEF`` where the sum is undefined; with an empty report it is the
+    closed table.  Raises :class:`SizeLimit` above ``_MAX_ELEMENTS``
+    elements, before the matrix is allocated.
     """
+    if n > _MAX_ELEMENTS:
+        raise SizeLimit(f"tables are checked up to {_MAX_ELEMENTS} elements, not {n}")
     if not (0 <= zero < n and 0 <= one < n):
         raise IndexOutOfRange(f"zero {zero} or one {one} out of range for size {n}")
     found = Witnesses()
@@ -217,16 +220,8 @@ def _check(
     if zero == one:
         found.add(AXIOM_CLOSURE, (zero,), "zero and one coincide")
 
-    # Effective symmetric lookup matrix, implied zero rows included.  Its
-    # rows are bytes when every element index fits below ``_UNDEF``, so
-    # that Eii can compose rows with ``bytes.translate``.
-    narrow = n <= _UNDEF
-    undef = _UNDEF if narrow else None
-    eff: list = (
-        [bytearray((_UNDEF,)) * n for _ in range(n)]
-        if narrow
-        else [[None] * (n + 1) for _ in range(n)]
-    )
+    # Effective symmetric lookup matrix, implied zero rows included.
+    eff = [bytearray((_UNDEF,)) * n for _ in range(n)]
     for x in range(n):
         eff[zero][x] = x
         eff[x][zero] = x
@@ -242,7 +237,7 @@ def _check(
             label = AXIOM_CLOSURE
             witnesses: tuple[int, ...] = (x, y, z)
             detail = f"declared element {x} + element {y} = element {z} contradicts the implied zero row"
-        elif prior != undef:
+        elif prior != _UNDEF:
             label = AXIOM_COMMUTATIVITY
             witnesses = (x, y)
             detail = f"element {x} + element {y} is declared as both element {prior} and element {z}"
@@ -255,16 +250,11 @@ def _check(
             clashed.add(key)
             found.add(label, witnesses, detail)
 
-    # Eii on every triple: byte rows one element x at a time, list rows
-    # one pair (x, y) at a time.
-    if narrow:
-        eff = [bytes(row) for row in eff]
-        _eii_bytes(eff, found)
-    else:
-        _eii_pairwise(eff, found)
+    rows = [bytes(row) for row in eff]
+    _eii_bytes(rows, found)
 
     # Eiii: exactly one orthosupplement per element.
-    for a, row in enumerate(eff):
+    for a, row in enumerate(rows):
         mates = row.count(one)
         if not mates:
             found.add(AXIOM_SUPPLEMENT, (a,), f"element {a} has no orthosupplement")
@@ -277,36 +267,21 @@ def _check(
             )
 
     # Eiv: one + a defined forces a = zero.
-    top = eff[one]
+    top = rows[one]
     for a in range(n):
-        if a != zero and top[a] != undef:
+        if a != zero and top[a] != _UNDEF:
             found.add(
                 AXIOM_ZERO_ONE, (a,), f"one + element {a} is defined although {a} is not zero"
             )
 
-    return AxiomReport(tuple(found.kept), found.totals), eff
-
-
-def _eii_violation(
-    x: int, y: int, z: int, left: Optional[int], right: Optional[int]
-) -> Violation:
-    """The Eii violation at (x, y, z): (x + y) + z is ``left`` and
-    x + (y + z) is ``right``, ``None`` where undefined."""
-    return Violation(
-        AXIOM_ASSOCIATIVITY,
-        (x, y, z),
-        f"groupings of elements {x}+{y}+{z} disagree "
-        f"({'undef' if left is None else f'element {left}'} vs "
-        f"{'undef' if right is None else f'element {right}'})",
-    )
+    return AxiomReport(tuple(found.kept), found.totals), rows
 
 
 def _eii_bytes(rows: list[bytes], found: Witnesses) -> None:
     """Count Eii failures into ``found`` from byte rows, one x at a time.
 
-    ``rows[r][z]`` is r + z, or ``_UNDEF`` when undefined, for at most
-    ``_UNDEF`` elements.  With ``flat`` the rows joined, ``flat[y·n + z]``
-    is y + z; translating it through x's row, padded to 256 bytes with
+    ``rows[r][z]`` is r + z, or ``_UNDEF`` when undefined.  With ``flat``
+    the rows joined, ``flat[y·n + z]`` is y + z; translating it through x's row, padded to 256 bytes with
     ``_UNDEF``, gives x + (y + z) at the same position, ``_UNDEF`` when
     either sum is undefined.  Joining the rows of x + y in y order, an
     all-``_UNDEF`` row where x + y is undefined, gives (x + y) + z there.
@@ -331,8 +306,15 @@ def _eii_bytes(rows: list[bytes], found: Witnesses) -> None:
         if eii < _WITNESS_CAP:
             for i in islice(_differing(left, right, n), _WITNESS_CAP - eii):
                 y, z = divmod(i, n)
+                lhs, rhs = left[i], right[i]
                 found.kept.append(
-                    _eii_violation(x, y, z, _BYTE_VALUE[left[i]], _BYTE_VALUE[right[i]])
+                    Violation(
+                        AXIOM_ASSOCIATIVITY,
+                        (x, y, z),
+                        f"groupings of elements {x}+{y}+{z} disagree "
+                        f"({'undef' if lhs == _UNDEF else f'element {lhs}'} vs "
+                        f"{'undef' if rhs == _UNDEF else f'element {rhs}'})",
+                    )
                 )
         bits = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
         bits |= bits >> 4
@@ -352,75 +334,6 @@ def _differing(left: bytes, right: bytes, n: int) -> Iterator[int]:
             for i in range(start, stop):
                 if left[i] != right[i]:
                     yield i
-
-
-def _eii_pairwise(eff: list[list[Optional[int]]], found: Witnesses) -> None:
-    """Count Eii failures into ``found`` one pair (x, y) at a time.
-
-    ``eff[r][z]`` is r + z, or ``None`` when undefined, with one more
-    ``None`` at index ``n`` so that a row read at a list of indices
-    ending in ``n`` always yields a tuple.  This walk serves tables too
-    large for byte rows.  With u = x + y, ``support[r]`` lists the z with
-    r + z defined, ``dom[r]`` masks them and ``img[r]`` masks their
-    values.  ``at_support[y]`` reads a row at y's support and
-    ``at_values[y]`` at the values y + z there, both in C, so
-    ``at_support[y](eff[u])`` holds each (x + y) + z and
-    ``at_values[y](eff[x])`` each x + (y + z), z over y's support; the
-    failures there are the positions where the two tuples differ.  A z
-    outside y's support fails exactly when (x + y) + z is defined:
-    ``dom[u] & ~dom[y]`` holds those z.  An undefined u reads as a row
-    with nothing defined, and its pair is skipped when no y + z lies in
-    dom[x].  Each pair's count is exact; its z are walked one at a time,
-    in order, only to name witnesses while fewer than the cap are kept.
-    """
-    n = len(eff)
-    support: list[list[int]] = []
-    dom: list[int] = []
-    img: list[int] = []
-    at_support: list[itemgetter] = []
-    at_values: list[itemgetter] = []
-    for row in eff:
-        zs = [z for z in range(n) if row[z] is not None]
-        values = [row[z] for z in zs]
-        support.append(zs)
-        dom.append(sum(1 << z for z in zs))
-        img.append(sum(1 << v for v in set(values)))
-        at_support.append(itemgetter(*zs, n))
-        at_values.append(itemgetter(*values, n))
-    undefined: list[Optional[int]] = [None] * (n + 1)
-    every = range(n)
-    eii = 0
-    for x in range(n):
-        ex = eff[x]
-        dom_x = dom[x]
-        for y in range(n):
-            u = ex[y]
-            if u is None:
-                if dom_x & img[y] == 0:
-                    continue
-                row_u, outside = undefined, 0
-            else:
-                row_u, outside = eff[u], dom[u] & ~dom[y]
-            lhs = at_support[y](row_u)
-            rhs = at_values[y](ex)
-            if lhs == rhs and not outside:
-                continue
-            bad = sum(map(ne, lhs, rhs)) + outside.bit_count()
-            if eii < _WITNESS_CAP:
-                ey = eff[y]
-                room = _WITNESS_CAP - eii
-                for z in every if outside else support[y]:
-                    left = row_u[z]
-                    v = ey[z]
-                    right = None if v is None else ex[v]
-                    if left != right:
-                        found.kept.append(_eii_violation(x, y, z, left, right))
-                        room -= 1
-                        if not room:
-                            break
-            eii += bad
-    if eii:
-        found.totals[AXIOM_ASSOCIATIVITY] = eii
 
 
 @dataclass(frozen=True)
@@ -504,16 +417,14 @@ def _build(
     names = tuple(names)
     if len(set(names)) != len(names):
         raise DuplicateName("element names must be unique")
-    n = len(names)
-    report, eff = _check(n, zero, one, sums)
+    report, rows = _check(len(names), zero, one, sums)
     if not report.ok:
         raise AxiomViolation(report)
-    if n <= _UNDEF:
-        matrix = tuple(tuple(map(_BYTE_VALUE.__getitem__, row)) for row in eff)
-    else:
-        matrix = tuple(tuple(row[:n]) for row in eff)
-    supplement = tuple(row.index(one) for row in eff)
-    return EffectAlgebra(names, zero, one, matrix, supplement)
+    matrix = tuple(tuple(map(_BYTE_VALUE.__getitem__, row)) for row in rows)
+    supplement = tuple(row.index(one) for row in rows)
+    E = EffectAlgebra(names, zero, one, matrix, supplement)
+    E._memo[_sum_rows] = rows  # type: ignore[attr-defined]
+    return E
 
 
 _T = TypeVar("_T")
@@ -532,6 +443,26 @@ def derived(fn: Callable[[EffectAlgebra], _T]) -> Callable[[EffectAlgebra], _T]:
             return value
 
     return once
+
+
+@derived
+def _sum_rows(E: EffectAlgebra) -> list[bytes]:
+    """Row r of ``E.table`` as bytes: r + z at index z, ``_UNDEF`` where
+    undefined.  :func:`_build` keeps the rows its check read here, so
+    they are built once per algebra; the table is symmetric, so row z is
+    also the column of z."""
+    return list(map(_byte_row, E.table))
+
+
+_AS_BYTE = {None: _UNDEF}
+
+
+def _byte_row(row: tuple[Optional[int], ...]) -> bytes:
+    """``row`` as bytes, with ``_UNDEF`` for ``None``."""
+    try:
+        return bytes(row)
+    except TypeError:  # some entry is None
+        return bytes(map(_AS_BYTE.get, row, row))
 
 
 @derived

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .core import _MAX_ELEMENTS
 from .errors import (
     MissingElement,
     MissingHeader,
@@ -57,12 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover
 _EA_HEADER = "ea v1"
 _STATE_HEADER = "state v1"
 _COUNT = re.compile(r"[0-9]+")
-# The most elements an algebra file may declare, and a chain, product or
-# horizontal sum may have.  mv_chain(600), 601 elements, builds in about
-# 4.3 s with a 39 MB peak RSS (Python 3.11, 2-vCPU VM; mv_chain(300)
-# 0.4 s, 500 2.5 s).  Above 255 elements the associativity check walks
-# pairs, so the time grows as n³ from there.
-_MAX_ELEMENTS = 601
+# The most digits a numeral may have: CPython's default cap on int() of a
+# string, checked first so that a longer numeral raises SizeLimit.
+_MAX_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ def parse_eaf(text: str) -> EafDocument:
     # int() alone would also take "1_0", "+10" and non-ASCII digits
     if not _COUNT.fullmatch(tokens[1]):
         raise ParseError(lineno, f"element count {tokens[1]!r} is not an integer")
-    count = int(tokens[1])
+    count = _int(tokens[1], lineno)
     if count < 2:
         raise ParseError(lineno, "an effect algebra needs at least 2 elements")
     if count > _MAX_ELEMENTS:
@@ -196,6 +194,18 @@ _NUMERATOR = re.compile(r"[+-]?[0-9]+")
 _DENOMINATOR = re.compile(r"-?[0-9]+")
 
 
+def _int(numeral: str, lineno: int) -> int:
+    """``int(numeral)`` for an ASCII numeral with an optional sign, once
+    it has at most ``_MAX_DIGITS`` digits; :class:`SizeLimit` otherwise."""
+    digits = len(numeral.lstrip("+-"))
+    if digits > _MAX_DIGITS:
+        raise SizeLimit(
+            f"line {lineno}: numbers are read up to {_MAX_DIGITS} digits, "
+            f"not {digits}"
+        )
+    return int(numeral)
+
+
 def _parse_rational(token: str, lineno: int) -> Fraction:
     parts = token.split("/")
     if len(parts) == 1:
@@ -207,7 +217,7 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
     # int() alone would also take "1_0", "+2" and non-ASCII digits
     if not (_NUMERATOR.fullmatch(num) and _DENOMINATOR.fullmatch(den)):
         raise ParseError(lineno, f"value {token!r} is not of the form p/q")
-    p, q = int(num), int(den)
+    p, q = _int(num, lineno), _int(den, lineno)
     if q <= 0:
         raise NegativeDenominator(
             f"line {lineno}: value {token!r} has nonpositive denominator"

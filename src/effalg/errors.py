@@ -76,8 +76,8 @@ class InvalidState(EffectAlgebraError):
 
 
 class SizeLimit(EffectAlgebraError):
-    """A generator parameter or a file's element count is outside its
-    supported range."""
+    """A generator parameter, the element count of a table or a file, or
+    the digit count of a numeral is outside its supported range."""
 
 
 class DegenerateBlock(EffectAlgebraError):

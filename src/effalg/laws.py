@@ -5,20 +5,20 @@ orthogonal families) and reports pass, fail with witnesses, or skipped
 when its structural hypothesis does not hold for the input.  A skip is
 never a pass: algebras outside a law's hypothesis contribute nothing.
 
-L2.2.iv checks every orthogonal family, of any size.  A 301-element
-chain has about 2.3e12 of them, so they are not listed one by one: one
-depth-first walk merges prefixes whose further checks are the same and
-counts the families and failures below them exactly (see
-:func:`_l22iv_walk`).  On algebras of at most 255 elements, where the
-context's tables fit in byte rows, a precheck comes first (see
-:func:`_l22iv_fast`).  When every pair is compatible and every meet
-distributes over every join in the tables as given, as in an MV-effect
-algebra, whose lattice is distributive, no family can fail the walk:
-the law passes, and the families are counted by a recurrence instead of
-walked.  Any other input runs the walk.  L2.2.ii checks each (z, x) for
-every y at once on the same byte rows and runs its loop only where that
-check does not clear the row (see :func:`_law_l22ii`).  Neither fast path
-can pass where the loop or the walk fails, whatever the tables hold.
+L2.2.iv checks every orthogonal family, of any size.  A 255-element
+chain has 194,596,316,927 of them, so they are not listed one by one:
+one depth-first walk merges prefixes whose further checks are the same
+and counts the families and failures below them exactly (see
+:func:`_l22iv_walk`).  A precheck on the context's byte rows comes
+first (see :func:`_l22iv_fast`).  When every pair is compatible and
+every meet distributes over every join in the tables as given, as in an
+MV-effect algebra, whose lattice is distributive, no family can fail
+the walk: the law passes, and the families are counted by a recurrence
+instead of walked.  Any other input runs the walk.  L2.2.ii checks each
+(z, x) for every y at once on the same byte rows and runs its loop only
+where that check does not clear the row (see :func:`_law_l22ii`).
+Neither fast path can pass where the loop or the walk fails, whatever
+the tables hold.
 
 Counterexample mode forces laws whose hypothesis includes lattice order to
 run their conclusion checks on non-lattice algebras anyway.  There, an
@@ -68,6 +68,8 @@ from .core import (
     _WITNESS_CAP,
     EffectAlgebra,
     Witnesses,
+    _byte_row,
+    _sum_rows,
     multiples,
 )
 from .decompose import AtomMultiple, _parts_sum, atomic_decomposition
@@ -150,10 +152,11 @@ class _Rows(NamedTuple):
     """A law context's tables as byte rows, ``_UNDEF`` where undefined.
 
     ``table[z]``, ``meet[x]`` and ``join[x]`` hold y + z, x ^ y and x v y
-    at index y.  ``join_t[p]`` is ``join[p]`` padded with ``_UNDEF`` to
-    256 bytes, a ``bytes.translate`` table, and is all ``_UNDEF`` for
-    p >= n, so that an undefined p reads as a row with nothing defined.
-    ``pad`` pads any other row to a translate table.
+    at index y; ``table`` is the algebra's own, which is symmetric.
+    ``join_t[p]`` is ``join[p]`` padded with ``_UNDEF`` to 256 bytes, a
+    ``bytes.translate`` table, and is all ``_UNDEF`` for p >= n, so that
+    an undefined p reads as a row with nothing defined.  ``pad`` pads any
+    other row to a translate table.
     """
 
     table: list[bytes]
@@ -161,17 +164,6 @@ class _Rows(NamedTuple):
     join: list[bytes]
     join_t: list[bytes]
     pad: bytes
-
-
-_AS_BYTE = {None: _UNDEF}
-
-
-def _byte_row(row: tuple[Optional[int], ...]) -> bytes:
-    """``row`` as bytes, with ``_UNDEF`` for ``None``."""
-    try:
-        return bytes(row)
-    except TypeError:  # some entry is None
-        return bytes(map(_AS_BYTE.get, row, row))
 
 
 class _Ctx:
@@ -184,16 +176,14 @@ class _Ctx:
         self.compat = compatibility(E)
 
     @cached_property
-    def rows(self) -> Optional[_Rows]:
-        """The byte rows of the table and of this context's own meets and
-        joins, read on first use; ``None`` above ``_UNDEF`` elements."""
+    def rows(self) -> _Rows:
+        """The byte rows of the table, kept by the algebra, and of this
+        context's own meets and joins, read on first use."""
         n = self.E.size
-        if n > _UNDEF:
-            return None
         pad = bytes((_UNDEF,)) * (256 - n)
         join = list(map(_byte_row, self.os.join))
         return _Rows(
-            list(map(_byte_row, zip(*self.E.table))),
+            _sum_rows(self.E),
             list(map(_byte_row, self.os.meet)),
             join,
             [row + pad for row in join] + [bytes((_UNDEF,)) * 256] * (256 - n),
@@ -289,24 +279,21 @@ def _law_l22ii(ctx: _Ctx) -> _Failures:
     second is ``_UNDEF`` wherever sigma is; when the two are equal and
     the second has no other ``_UNDEF``, every y summable with z has both
     sides defined and equal, so no y can fail for this (z, x), whatever
-    the tables.  Every other (z, x), and every one on more than
-    ``_UNDEF`` (255) elements, where there are no byte rows, runs the
-    loop below, so witnesses, their order and the total stay the loop's.
+    the tables.  Every other (z, x) runs the loop below, so witnesses,
+    their order and the total stay the loop's.
     """
     E = ctx.E
     rows = ctx.rows
     for z in range(E.size):
         summable = [x for x in range(E.size) if E.table[x][z] is not None]
-        if rows is not None:
-            sigma = rows.table[z]
-            through = sigma + rows.pad
-            holes = sigma.count(_UNDEF)
+        sigma = rows.table[z]
+        through = sigma + rows.pad
+        holes = sigma.count(_UNDEF)
         for x in summable:
-            if rows is not None:
-                lhs = rows.join[x].translate(through)
-                rhs = sigma.translate(rows.join_t[sigma[x]])
-                if lhs == rhs and rhs.count(_UNDEF) == holes:
-                    continue
+            lhs = rows.join[x].translate(through)
+            rhs = sigma.translate(rows.join_t[sigma[x]])
+            if lhs == rhs and rhs.count(_UNDEF) == holes:
+                continue
             for y in summable:
                 if y < x:
                     continue
@@ -555,7 +542,7 @@ def _l22iv_fast(ctx: _Ctx) -> Optional[int]:
     """
     n = ctx.E.size
     full = (1 << n) - 1
-    if any(mask != full for mask in ctx.compat) or ctx.rows is None:
+    if any(mask != full for mask in ctx.compat):
         return None
     rows = ctx.rows
     flat = b"".join(rows.join)

@@ -491,7 +491,7 @@ def test_gen_rejects_oversize_requests(capsys):
     # refused before any table is built, naming the limit
     code, out, err = run(capsys, "gen", "mv-chain", "20000")
     assert (code, out) == (2, "")
-    assert err == "error: chains are provided for 1 <= n <= 600\n"
+    assert err == "error: chains are provided for 1 <= n <= 254\n"
 
 
 def test_gen_product_of_two_101_element_chains_exits_two(capsys, tmp_path):
@@ -500,7 +500,7 @@ def test_gen_product_of_two_101_element_chains_exits_two(capsys, tmp_path):
     # refused from the factors' sizes, before the 10,201-element table
     code, out, err = run(capsys, "gen", "product", str(c100), str(c100))
     assert (code, out) == (2, "")
-    assert err == "error: products are provided up to 601 elements, not 10201\n"
+    assert err == "error: products are provided up to 255 elements, not 10201\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze", "props"])
@@ -515,8 +515,67 @@ def test_a_file_of_20000_elements_exits_two_naming_the_limit(
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == (
-        f"error: {big}: line 2: algebras are read up to 601 elements, not 20000\n"
+        f"error: {big}: line 2: algebras are read up to 255 elements, not 20000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{}"],
+        ["analyze", "{}"],
+        ["decompose", "{}", "e1"],
+        ["states", "{}"],
+        ["smear", "{}", "--state", TRIV],
+        ["props", "{}"],
+        ["gen", "hsum", "{}", HSUM],
+        ["gen", "product", HSUM, "{}"],
+    ],
+    ids=["verify", "analyze", "decompose", "states", "smear", "props", "hsum",
+         "product"],
+)
+def test_every_command_refuses_a_256_element_file(capsys, tmp_path, argv):
+    big = tmp_path / "c256.eaf"
+    names = " ".join(f"e{i}" for i in range(256))
+    big.write_text(f"ea v1\nelements 256\nnames {names}\nzero e0\none e255\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(arg.format(big) for arg in argv))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {big}: line 2: algebras are read up to 255 elements, not 256\n"
+    )
+
+
+def test_gen_stops_at_255_elements(capsys, tmp_path):
+    c254 = tmp_path / "c254.eaf"
+    assert run(capsys, "gen", "mv-chain", "254", "-o", str(c254))[0] == 0
+    assert run(capsys, "verify", str(c254)) == (0, "valid\n", "")
+    assert run(capsys, "gen", "mv-chain", "255") == (
+        2, "", "error: chains are provided for 1 <= n <= 254\n"
+    )
+    c15 = tmp_path / "c15.eaf"
+    assert run(capsys, "gen", "mv-chain", "15", "-o", str(c15))[0] == 0
+    assert run(capsys, "gen", "product", str(c15), str(c15)) == (
+        2, "", "error: products are provided up to 255 elements, not 256\n"
+    )
+
+
+def test_numerals_past_the_digit_cap_exit_two(capsys, tmp_path):
+    # 5,000 digits, past the 4,300 that CPython's int() reads from a string
+    long = "1" + "0" * 4999
+    limit = "numbers are read up to 4300 digits, not 5000"
+    huge = tmp_path / "huge.eaf"
+    huge.write_text(f"ea v1\nelements {long}\n")
+    assert run(capsys, "verify", str(huge)) == (
+        2, "", f"error: {huge}: line 2: {limit}\n"
+    )
+    state = tmp_path / "huge.state"
+    state.write_text(f"state v1\nvalue 0 0/1\nvalue 1 {long}/{long}\n")
+    assert run(capsys, "smear", HSUM, "--state", str(state)) == (
+        2, "", f"error: {state}: line 3: {limit}\n"
+    )
+    assert run(capsys, "gen", "mv-chain", long) == (2, "", f"error: {limit}\n")
 
 
 def test_gen_into_a_directory_exits_two(capsys, tmp_path):

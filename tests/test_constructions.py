@@ -32,16 +32,23 @@ def test_chain_is_total_addition_capped_at_n():
 def test_chain_size_limit():
     with pytest.raises(SizeLimit):
         mv_chain(0)
-    with pytest.raises(SizeLimit, match="n <= 600"):
-        mv_chain(601)
+    assert mv_chain(254).size == 255
+    with pytest.raises(SizeLimit, match="^chains are provided for 1 <= n <= 254$"):
+        mv_chain(255)
 
 
 def test_products_and_horizontal_sums_share_the_chain_cap(monkeypatch):
     # refused from the parts' sizes, before any table is built
-    with pytest.raises(SizeLimit, match="products .* 601 elements, not 625"):
-        direct_product(mv_chain(24), mv_chain(24))
-    with pytest.raises(SizeLimit, match="horizontal sums .* 601 elements, not 626"):
-        horizontal_sum([mv_chain(25)] * 26)
+    with pytest.raises(
+        SizeLimit, match="^products are provided up to 255 elements, not 256$"
+    ):
+        direct_product(mv_chain(15), mv_chain(15))
+    # 2 + 127 + 126 interior elements, then 2 + 127 + 127
+    assert horizontal_sum([mv_chain(128), mv_chain(127)]).size == 255
+    with pytest.raises(
+        SizeLimit, match="^horizontal sums are provided up to 255 elements, not 256$"
+    ):
+        horizontal_sum([mv_chain(128), mv_chain(128)])
     # the cap itself is allowed, one more element is not
     monkeypatch.setattr(constructions, "_MAX_ELEMENTS", 12)
     assert direct_product(mv_chain(2), mv_chain(3)).size == 12

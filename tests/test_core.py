@@ -1,7 +1,9 @@
 """Axiom validation and the core table machinery."""
 
+import dataclasses
 import gc
 import random
+import time
 import tracemalloc
 import weakref
 
@@ -16,6 +18,7 @@ from effalg import (
     EffectAlgebra,
     EffectAlgebraError,
     IndexOutOfRange,
+    SizeLimit,
     SumTable,
     UnknownName,
     build_effect_algebra,
@@ -32,10 +35,11 @@ from effalg import (
 )
 from effalg import core
 from effalg.core import (
+    _MAX_ELEMENTS,
     _WITNESS_CAP,
     Witnesses,
     _eii_bytes,
-    _eii_pairwise,
+    _sum_rows,
     iterated_sum,
 )
 
@@ -187,6 +191,24 @@ def test_a_size_that_is_not_an_int_is_a_named_error(size, message):
     # Unchecked, both fail as a bare TypeError while building lookup rows.
     with pytest.raises(IndexOutOfRange, match=message):
         verify_axioms(SumTable(size, 0, 1, {}))
+
+
+def test_a_table_above_255_elements_is_refused_before_it_is_checked():
+    assert _MAX_ELEMENTS == 255
+    chain = mv_chain(254)
+    assert chain.size == 255
+    assert verify_axioms(SumTable(255, 0, 254, table_dict(chain))).ok
+    names = [f"e{i}" for i in range(256)]
+    message = "^tables are checked up to 255 elements, not 256$"
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match=message):
+        verify_axioms(SumTable(256, 0, 255, {}))
+    with pytest.raises(SizeLimit, match=message):
+        make_algebra(names, 0, 255, {(1, 1): 2})
+    # refused from the size, before any row of a 10**9-element matrix
+    with pytest.raises(SizeLimit, match="not 1000000000$"):
+        verify_axioms(SumTable(10**9, 0, 1, {}))
+    assert time.perf_counter() - start < 1
 
 
 def test_out_of_range_is_still_a_value_error():
@@ -475,34 +497,29 @@ def assert_capped_totals_match_the_oracle(report, oracle_errors, table):
 
 
 def assert_every_eii_path_finds(report, table, triples):
-    """``report``, from ``verify_axioms(table)``, and each Eii helper run
-    on ``table`` count ``triples`` and keep its first ones, and the two
-    helpers keep the report's very violations."""
+    """``report``, from ``verify_axioms(table)``, and the Eii helper run
+    on ``table`` count ``triples`` and keep its first ones, and the
+    helper keeps the report's very violations."""
     assert_eii_found(report.totals, report.by_axiom("Eii"), triples)
-    for name, found in eii_by_each_helper(table).items():
-        assert_eii_found(found.totals, found.kept, triples, name)
-        assert tuple(found.kept) == report.by_axiom("Eii"), name
+    found = eii_by_bytes(table)
+    assert_eii_found(found.totals, found.kept, triples)
+    assert tuple(found.kept) == report.by_axiom("Eii")
 
 
-def assert_eii_found(totals, kept, triples, label=None):
+def assert_eii_found(totals, kept, triples):
     """Exact Eii total and the first ``_WITNESS_CAP`` triples, in order."""
-    assert totals.get("Eii", 0) == len(triples), label
-    assert [v.witnesses for v in kept] == triples[:_WITNESS_CAP], label
+    assert totals.get("Eii", 0) == len(triples)
+    assert [v.witnesses for v in kept] == triples[:_WITNESS_CAP]
 
 
-def eii_by_each_helper(table):
-    """What each Eii helper collects on a closed table, by helper name."""
+def eii_by_bytes(table):
+    """What the Eii helper collects on a closed table's byte rows."""
     n = table.size
-    lists = [[table.sums.get((x, y)) for y in range(n)] + [None] for x in range(n)]
-    byte_rows = [bytes(255 if v is None else v for v in row[:-1]) for row in lists]
-    out = {}
-    for name, helper, rows in (
-        ("bytes", _eii_bytes, byte_rows),
-        ("pairwise", _eii_pairwise, lists),
-    ):
-        out[name] = found = Witnesses()
-        helper(rows, found)
-    return out
+    sums = table.sums
+    rows = [bytes(sums.get((x, y), 255) for y in range(n)) for x in range(n)]
+    found = Witnesses()
+    _eii_bytes(rows, found)
+    return found
 
 
 @pytest.mark.parametrize(
@@ -676,37 +693,33 @@ def corrupted_chain(k, changes):
     return SumTable(E.size, E.zero, E.one, sums)
 
 
-def refuse(*args):
-    raise AssertionError("this Eii helper is for the other side of 255 elements")
-
-
 @pytest.mark.parametrize("k", [254, 255])
 def test_chain_tables_on_either_side_of_the_byte_limit(k):
-    E = mv_chain(k)
     n = k + 1
+    if n > _MAX_ELEMENTS:
+        with pytest.raises(SizeLimit, match="^chains are provided for 1 <= n <= 254$"):
+            mv_chain(k)
+        return
+    E = mv_chain(k)
     assert E.table == tuple(
         tuple(x + y if x + y <= k else None for y in range(n)) for x in range(n)
     )
     assert E.supplement == tuple(k - x for x in range(n))
 
 
-def test_byte_rows_match_the_pairwise_walk_at_255_elements(monkeypatch):
+def test_byte_rows_match_the_oracle_at_255_elements():
     table = corrupted_chain(254, CHAIN_CORRUPTIONS)
     assert table.size == 255
     triples = oracle_eii_failures_near(table.size, table.sums, CHAIN_CORRUPTIONS)
     assert len(triples) > _WITNESS_CAP
-    monkeypatch.setattr(core, "_eii_pairwise", refuse)
     report = verify_axioms(table)
     assert_every_eii_path_finds(report, table, triples)
 
 
-def test_256_elements_keep_the_pairwise_walk(monkeypatch):
-    monkeypatch.setattr(core, "_eii_bytes", refuse)
-    E = mv_chain(255)
-    assert E.size == 256
-    assert verify_axioms(SumTable(E.size, E.zero, E.one, table_dict(E))).ok
-    table = corrupted_chain(255, CHAIN_CORRUPTIONS)
-    triples = oracle_eii_failures_near(table.size, table.sums, CHAIN_CORRUPTIONS)
-    assert len(triples) > _WITNESS_CAP
-    report = verify_axioms(table)
-    assert_eii_found(report.totals, report.by_axiom("Eii"), triples)
+def test_an_algebra_keeps_the_byte_rows_its_check_read(corpus):
+    for name, E in corpus + [("chain-255", mv_chain(254))]:
+        rows = _sum_rows(E)
+        assert rows is _sum_rows(E), name
+        # a copy has no memo, so its rows are read again from the table
+        assert rows == _sum_rows(dataclasses.replace(E)), name
+        assert rows == [bytes(255 if s is None else s for s in r) for r in E.table]

@@ -155,16 +155,36 @@ def test_element_count_outside_the_grammar_is_a_parse_error(count):
 
 
 def test_element_count_above_the_cap_raises_size_limit():
-    names = " ".join(f"e{i}" for i in range(601))
-    doc = parse_eaf(f"ea v1\nelements 601\nnames {names}\nzero e0\none e600\n")
-    assert len(doc.names) == 601
+    names = " ".join(f"e{i}" for i in range(255))
+    doc = parse_eaf(f"ea v1\nelements 255\nnames {names}\nzero e0\none e254\n")
+    assert len(doc.names) == 255
     with pytest.raises(
-        SizeLimit, match="^line 2: algebras are read up to 601 elements, not 602$"
+        SizeLimit, match="^line 2: algebras are read up to 255 elements, not 256$"
     ):
-        parse_eaf(f"ea v1\nelements 602\nnames {names} e601\nzero e0\none e1\n")
+        parse_eaf(f"ea v1\nelements 256\nnames {names} e255\nzero e0\none e1\n")
     # refused from the count alone, before the names line is read
     with pytest.raises(SizeLimit, match="not 20000$"):
         parse_eaf("ea v1\nelements 20000\n")
+
+
+# 5,000 digits, past the 4,300 that CPython's int() reads from a string
+LONG = "1" + "0" * 4999
+
+
+def test_numerals_past_the_digit_cap_raise_size_limit():
+    message = "^line {}: numbers are read up to 4300 digits, not 5000$"
+    with pytest.raises(SizeLimit, match=message.format(2)):
+        parse_eaf(f"ea v1\nelements {LONG}\n")
+    # 4,300 digits are read, and then meet the element cap
+    with pytest.raises(SizeLimit, match="up to 255 elements, not 256$"):
+        parse_eaf(f"ea v1\nelements {'0' * 4297}256\n")
+    E = mv_chain(2)
+    for value in (f"{LONG}/3", f"-{LONG}/3", f"1/{LONG}"):
+        with pytest.raises(SizeLimit, match=message.format(3)):
+            parse_state(f"state v1\nvalue 0 0/1\nvalue a {value}\nvalue 1 1/1\n", E)
+    q = "7" * 4300
+    values = parse_state(f"state v1\nvalue 0 0\nvalue a -1/{q}\nvalue 1 1\n", E)
+    assert values[E.index("a")] == F(-1, int(q))
 
 
 def test_unknown_zero_or_one():

@@ -513,13 +513,6 @@ def test_l22iv_falls_back_to_the_walk_on_a_tampered_context(
     assert outcome[:3] == ("fail", 1, witnesses)
 
 
-def test_byte_rows_stop_at_255_elements():
-    ctx = _Ctx(mv_chain(255))
-    assert ctx.E.size == 256
-    assert ctx.rows is None
-    assert _l22iv_fast(ctx) is None
-
-
 def test_l22iv_fast_path_counts_the_families_of_a_255_element_chain():
     assert _l22iv_fast(_Ctx(mv_chain(254))) == 194_596_316_927
 
