@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import (
     Callable,
@@ -186,7 +186,9 @@ def _raw_sums(
         if not (
             isinstance(key, tuple)
             and len(key) == 2
-            and all(isinstance(v, int) for v in (*key, z))
+            and isinstance(key[0], int)
+            and isinstance(key[1], int)
+            and isinstance(z, int)
         ):
             raise IndexOutOfRange(
                 f"sum entry {key!r}->{z!r} is not an index pair and an index"
@@ -281,22 +283,26 @@ def _eii_bytes(rows: list[bytes], found: Witnesses) -> None:
     """Count Eii failures into ``found`` from byte rows, one x at a time.
 
     ``rows[r][z]`` is r + z, or ``_UNDEF`` when undefined.  With ``flat``
-    the rows joined, ``flat[y·n + z]`` is y + z; translating it through x's row, padded to 256 bytes with
-    ``_UNDEF``, gives x + (y + z) at the same position, ``_UNDEF`` when
-    either sum is undefined.  Joining the rows of x + y in y order, an
-    all-``_UNDEF`` row where x + y is undefined, gives (x + y) + z there.
-    Both are built in C, and x is clean exactly when they are equal.
-    Otherwise its failures are the differing bytes, counted in C by
-    folding each byte of the XOR into its low bit.  Only while fewer than
-    the cap are kept are the differing positions walked, slice by slice,
-    to name witnesses in (x, y, z) order.
+    the rows joined, ``flat[y·n + z]`` is y + z; translating it through
+    x's row, padded to 256 bytes with ``_UNDEF``, gives x + (y + z) at the
+    same position, ``_UNDEF`` when either sum is undefined.  Joining the
+    rows of x + y in y order, an all-``_UNDEF`` row where x + y is
+    undefined, gives (x + y) + z there.  Both are built in C, and x is
+    clean exactly when they are equal.  Otherwise its failures are the
+    nonzero bytes of their XOR ``d``, counted in C with one mask:
+    ``((d & 0x7f…) + 0x7f…) | d`` has a byte's high bit set exactly when
+    the byte is nonzero, and no carry crosses a byte, since
+    ``(b & 0x7f) + 0x7f <= 0xfe``.  Only while fewer than the cap are kept
+    are the differing positions walked, slice by slice, to name witnesses
+    in (x, y, z) order.
     """
     n = len(rows)
     flat = b"".join(rows)
     pad = bytes((_UNDEF,)) * (256 - n)
     # The row of x + y; row_of[_UNDEF], for x + y undefined, has nothing defined.
     row_of = rows + [bytes((_UNDEF,)) * n] * (256 - n)
-    low_bits = int.from_bytes(b"\x01" * (n * n), "little")
+    low7 = int.from_bytes(b"\x7f" * (n * n), "little")
+    high = int.from_bytes(b"\x80" * (n * n), "little")
     eii = 0
     for x, row in enumerate(rows):
         left = b"".join(map(row_of.__getitem__, row))
@@ -316,11 +322,8 @@ def _eii_bytes(rows: list[bytes], found: Witnesses) -> None:
                         f"{'undef' if rhs == _UNDEF else f'element {rhs}'})",
                     )
                 )
-        bits = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
-        bits |= bits >> 4
-        bits |= bits >> 2
-        bits |= bits >> 1
-        eii += (bits & low_bits).bit_count()
+        d = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
+        eii += ((((d & low7) + low7) | d) & high).bit_count()
     if eii:
         found.totals[AXIOM_ASSOCIATIVITY] = eii
 
@@ -516,14 +519,20 @@ def build_effect_algebra(doc: "EafDocument") -> EffectAlgebra:
     rules out.
     """
     position = {name: i for i, name in enumerate(doc.names)}
-
-    def resolve(name: str) -> int:
-        if name not in position:
-            raise UnknownName(f"unknown element name {name!r}")
-        return position[name]
-
-    sums = [((resolve(x), resolve(y)), resolve(z)) for x, y, z in doc.sums]
-    return _build(doc.names, resolve(doc.zero), resolve(doc.one), sums)
+    # Resolved in C, the declarations in order and then zero and one, so
+    # that the first unknown name is the one reported.
+    try:
+        flat = list(
+            map(
+                position.__getitem__,
+                chain(chain.from_iterable(doc.sums), (doc.zero, doc.one)),
+            )
+        )
+    except KeyError as missing:
+        raise UnknownName(f"unknown element name {missing.args[0]!r}") from None
+    zero, one = flat[-2:]
+    sums = zip(zip(flat[0:-2:3], flat[1:-2:3]), flat[2:-2:3])
+    return _build(doc.names, zero, one, sums)
 
 
 def iterated_sum(E: EffectAlgebra, terms: Iterable[Optional[int]]) -> Optional[int]:

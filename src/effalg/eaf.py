@@ -13,7 +13,15 @@ Algebra files (``.eaf``)::
 Sections appear in exactly that order.  Blank lines and ``#`` comments
 (whole-line or trailing) are ignored.  Names are whitespace-free tokens and
 must be pairwise distinct; ``names`` lists all of them on one line.  Sums
-involving the zero element are legal input but redundant.
+involving the zero element are legal input but redundant.  A file of n
+elements has at most n² sum lines, one per ordered pair; a line past
+that cap can only repeat a pair, and raises :class:`SizeLimit`.
+
+The sum lines are read in bulk: one pass keeps the operands and result of
+every well-formed line and one set test checks the names they use.  Only
+a file that fails either is walked again line by line, to name its first
+error exactly as a line-by-line reader would: shape before names on each
+line, and x before y before z.
 
 Canonical serialization omits zero-involving sums, writes the smaller
 operand index first, sorts sum lines by operand index pair, writes no
@@ -40,6 +48,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from typing import TYPE_CHECKING
 
 from .core import _MAX_ELEMENTS
@@ -77,15 +86,19 @@ class EafDocument:
     sums: tuple[tuple[str, str, str], ...]
 
 
-def _logical_lines(text: str) -> list[tuple[int, list[str]]]:
-    """Non-empty lines as (1-based line number, token list), comments gone."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if tokens:
-            out.append((lineno, tokens))
-    return out
+def _logical_lines(text: str) -> tuple[list[int], list[list[str]]]:
+    """The non-empty lines, comments gone: their 1-based line numbers and,
+    in step, their token lists.
+
+    Built in C: names cannot contain ``#``, so comments are split off only
+    when the text has one.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    tokens = list(map(str.split, lines))
+    numbers = list(compress(range(1, len(tokens) + 1), tokens))
+    return numbers, list(filter(None, tokens))
 
 
 def parse_eaf(text: str) -> EafDocument:
@@ -94,9 +107,12 @@ def parse_eaf(text: str) -> EafDocument:
     Enforces the fixed section order and every lexical rule of the format;
     all errors carry the offending line number.  Raises :class:`SizeLimit`
     as soon as the element count exceeds ``_MAX_ELEMENTS``, before the
-    names are read.  Semantic validation (axiom checking) is not done here.
+    names are read, and from the first sum line past ``count * count``.
+    The sum lines are checked in one pass and one set test, and walked
+    line by line only when one is bad, to raise the first error in file
+    order.  Semantic validation (axiom checking) is not done here.
     """
-    lines = _logical_lines(text)
+    numbers, lines = _logical_lines(text)
     if not lines:
         raise MissingHeader(1, f"missing {_EA_HEADER!r} header")
     pos = 0
@@ -104,8 +120,8 @@ def parse_eaf(text: str) -> EafDocument:
     def take(expect: str) -> tuple[int, list[str]]:
         nonlocal pos
         if pos >= len(lines):
-            raise ParseError(lines[-1][0], f"unexpected end of file, expected {expect}")
-        item = lines[pos]
+            raise ParseError(numbers[-1], f"unexpected end of file, expected {expect}")
+        item = numbers[pos], lines[pos]
         pos += 1
         return item
 
@@ -162,15 +178,32 @@ def parse_eaf(text: str) -> EafDocument:
         raise ParseError(lineno, "expected 'one <name>'")
     one = known(tokens[1], lineno)
 
-    sums = []
-    while pos < len(lines):
-        lineno, tokens = take("'sum <x> <y> = <z>'")
-        if len(tokens) != 5 or tokens[0] != "sum" or tokens[3] != "=":
-            raise ParseError(lineno, "expected 'sum <x> <y> = <z>'")
-        x = known(tokens[1], lineno)
-        y = known(tokens[2], lineno)
-        z = known(tokens[4], lineno)
-        sums.append((x, y, z))
+    # Every sum line in one pass and the names they use in one set test.
+    # Lines past the cap are left out of the pass, so the count test fails
+    # for them too; a document that fails either test is walked again,
+    # only to name its first error.
+    body = lines[pos:]
+    cap = count * count
+    sums = [
+        (t[1], t[2], t[4])
+        for t in body[:cap]
+        if len(t) == 5 and t[0] == "sum" and t[3] == "="
+    ]
+    if (
+        len(sums) != len(body)
+        or not name_set.issuperset(chain.from_iterable(sums))
+    ):
+        for i, (lineno, tokens) in enumerate(zip(numbers[pos:], body)):
+            if i == cap:
+                raise SizeLimit(
+                    f"line {lineno}: sum lines are read up to {cap}, the ordered "
+                    f"pairs of {count} elements, not {len(body)}"
+                )
+            if len(tokens) != 5 or tokens[0] != "sum" or tokens[3] != "=":
+                raise ParseError(lineno, "expected 'sum <x> <y> = <z>'")
+            for name in (tokens[1], tokens[2], tokens[4]):
+                if name not in name_set:
+                    raise ParseError(lineno, f"unknown element name {name!r}")
 
     return EafDocument(names, zero, one, tuple(sums))
 
@@ -232,15 +265,14 @@ def parse_state(text: str, E: "EffectAlgebra") -> dict[int, Fraction]:
     form a state (endpoints, range, additivity) is the state engine's
     business; this only enforces the grammar and totality.
     """
-    lines = _logical_lines(text)
+    numbers, lines = _logical_lines(text)
     if not lines:
         raise MissingHeader(1, f"missing {_STATE_HEADER!r} header")
-    lineno, tokens = lines[0]
-    if tokens != _STATE_HEADER.split():
-        raise MissingHeader(lineno, f"expected {_STATE_HEADER!r} header")
+    if lines[0] != _STATE_HEADER.split():
+        raise MissingHeader(numbers[0], f"expected {_STATE_HEADER!r} header")
     index = {name: i for i, name in enumerate(E.names)}
     values: dict[int, Fraction] = {}
-    for lineno, tokens in lines[1:]:
+    for lineno, tokens in zip(numbers[1:], lines[1:]):
         if len(tokens) != 3 or tokens[0] != "value":
             raise ParseError(lineno, "expected 'value <name> <p>/<q>'")
         name = tokens[1]

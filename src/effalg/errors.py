@@ -76,8 +76,9 @@ class InvalidState(EffectAlgebraError):
 
 
 class SizeLimit(EffectAlgebraError):
-    """A generator parameter, the element count of a table or a file, or
-    the digit count of a numeral is outside its supported range."""
+    """A generator parameter, the element count of a table or a file, the
+    number of sum lines of a file, or the digit count of a numeral is
+    outside its supported range."""
 
 
 class DegenerateBlock(EffectAlgebraError):

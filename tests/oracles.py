@@ -10,6 +10,8 @@ solver references work over ``Fraction`` throughout, where
 full tableau that ``effalg.linear._phase_one`` stores sparsely,
 :func:`fraction_solve_exact` eliminates with ``Fraction`` rows, and
 :func:`fraction_verify_point` sums ``Fraction`` products.
+:func:`parse_eaf_by_line` is the ``.eaf`` reader as it was before sum
+lines were read in bulk, one line at a time.
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,9 @@ from effalg import (
     SumTable,
     verify_certificate,
 )
+from effalg.core import _MAX_ELEMENTS
+from effalg.eaf import _COUNT, _EA_HEADER, EafDocument, _int
+from effalg.errors import MissingHeader, ParseError, SizeLimit
 from effalg.linear import _transposed_product
 
 
@@ -864,3 +869,104 @@ def _fraction_certificate(
     if not verify_certificate(sys, cert):
         raise RuntimeError("solver produced an invalid infeasibility certificate")
     return cert
+
+
+def _logical_lines_by_line(text: str) -> list[tuple[int, list[str]]]:
+    """Non-empty lines as (1-based line number, token list), comments gone."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        tokens = line.split()
+        if tokens:
+            out.append((lineno, tokens))
+    return out
+
+
+def parse_eaf_by_line(text: str) -> EafDocument:
+    """``effalg.eaf.parse_eaf`` as it read sum lines before the bulk pass:
+    one line at a time, each checked for shape and then its names x, y, z.
+    Kept verbatim, for reference only, so that the bulk reader can be
+    compared with it error for error; it has no cap on the sum lines.
+
+    Enforces the fixed section order and every lexical rule of the format;
+    all errors carry the offending line number.  Raises :class:`SizeLimit`
+    as soon as the element count exceeds ``_MAX_ELEMENTS``, before the
+    names are read.  Semantic validation (axiom checking) is not done here.
+    """
+    lines = _logical_lines_by_line(text)
+    if not lines:
+        raise MissingHeader(1, f"missing {_EA_HEADER!r} header")
+    pos = 0
+
+    def take(expect: str) -> tuple[int, list[str]]:
+        nonlocal pos
+        if pos >= len(lines):
+            raise ParseError(lines[-1][0], f"unexpected end of file, expected {expect}")
+        item = lines[pos]
+        pos += 1
+        return item
+
+    lineno, tokens = take("header")
+    if tokens != [_EA_HEADER.split()[0], _EA_HEADER.split()[1]]:
+        raise MissingHeader(lineno, f"expected {_EA_HEADER!r} header")
+
+    lineno, tokens = take("'elements <n>'")
+    if len(tokens) != 2 or tokens[0] != "elements":
+        raise ParseError(lineno, "expected 'elements <n>'")
+    # int() alone would also take "1_0", "+10" and non-ASCII digits
+    if not _COUNT.fullmatch(tokens[1]):
+        raise ParseError(lineno, f"element count {tokens[1]!r} is not an integer")
+    count = _int(tokens[1], lineno)
+    if count < 2:
+        raise ParseError(lineno, "an effect algebra needs at least 2 elements")
+    if count > _MAX_ELEMENTS:
+        raise SizeLimit(
+            f"line {lineno}: algebras are read up to {_MAX_ELEMENTS} elements, "
+            f"not {count}"
+        )
+
+    lineno, tokens = take("'names ...'")
+    if not tokens or tokens[0] != "names":
+        raise ParseError(lineno, "expected 'names <name...>'")
+    names = tuple(tokens[1:])
+    if len(names) != count:
+        raise ParseError(
+            lineno, f"expected {count} names, found {len(names)}"
+        )
+    name_set = set(names)
+    if len(name_set) != len(names):
+        dup = next(n for i, n in enumerate(names) if n in names[:i])
+        raise ParseError(lineno, f"duplicate element name {dup!r}")
+    for name in names:
+        if not name.isascii() or "#" in name or "=" in name:
+            raise ParseError(
+                lineno,
+                f"element name {name!r} must be ASCII without '#' or '='",
+            )
+
+    def known(name: str, lineno: int) -> str:
+        if name not in name_set:
+            raise ParseError(lineno, f"unknown element name {name!r}")
+        return name
+
+    lineno, tokens = take("'zero <name>'")
+    if len(tokens) != 2 or tokens[0] != "zero":
+        raise ParseError(lineno, "expected 'zero <name>'")
+    zero = known(tokens[1], lineno)
+
+    lineno, tokens = take("'one <name>'")
+    if len(tokens) != 2 or tokens[0] != "one":
+        raise ParseError(lineno, "expected 'one <name>'")
+    one = known(tokens[1], lineno)
+
+    sums = []
+    while pos < len(lines):
+        lineno, tokens = take("'sum <x> <y> = <z>'")
+        if len(tokens) != 5 or tokens[0] != "sum" or tokens[3] != "=":
+            raise ParseError(lineno, "expected 'sum <x> <y> = <z>'")
+        x = known(tokens[1], lineno)
+        y = known(tokens[2], lineno)
+        z = known(tokens[4], lineno)
+        sums.append((x, y, z))
+
+    return EafDocument(names, zero, one, tuple(sums))

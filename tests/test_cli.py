@@ -519,7 +519,8 @@ def test_a_file_of_20000_elements_exits_two_naming_the_limit(
     )
 
 
-@pytest.mark.parametrize(
+# Every command that reads an .eaf file, with "{}" for the file.
+EVERY_READER = pytest.mark.parametrize(
     "argv",
     [
         ["verify", "{}"],
@@ -534,6 +535,9 @@ def test_a_file_of_20000_elements_exits_two_naming_the_limit(
     ids=["verify", "analyze", "decompose", "states", "smear", "props", "hsum",
          "product"],
 )
+
+
+@EVERY_READER
 def test_every_command_refuses_a_256_element_file(capsys, tmp_path, argv):
     big = tmp_path / "c256.eaf"
     names = " ".join(f"e{i}" for i in range(256))
@@ -544,6 +548,21 @@ def test_every_command_refuses_a_256_element_file(capsys, tmp_path, argv):
     assert (code, out) == (2, "")
     assert err == (
         f"error: {big}: line 2: algebras are read up to 255 elements, not 256\n"
+    )
+
+
+@EVERY_READER
+def test_every_command_refuses_more_sum_lines_than_ordered_pairs(
+    capsys, tmp_path, argv
+):
+    # a valid table repeated: 2 elements have 4 ordered pairs, not 5
+    repeats = tmp_path / "repeats.eaf"
+    repeats.write_text("ea v1\nelements 2\nnames 0 1\nzero 0\none 1\n" + "sum 0 0 = 0\n" * 5)
+    code, out, err = run(capsys, *(arg.format(repeats) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {repeats}: line 10: sum lines are read up to 4, "
+        "the ordered pairs of 2 elements, not 5\n"
     )
 
 

@@ -158,8 +158,10 @@ def test_declared_zero_row_conflict_is_closure_violation():
         ({(1, 1): 1.5}, r"\(1, 1\)->1\.5 is not an index pair and an index"),
         ({(1, 1): "a"}, r"\(1, 1\)->'a' is not an index pair and an index"),
         ({(1,): 2}, r"\(1,\)->2 is not an index pair and an index"),
+        ({(1.0, 1): 2}, r"\(1\.0, 1\)->2 is not an index pair and an index"),
+        ({(1, "a"): 2}, r"\(1, 'a'\)->2 is not an index pair and an index"),
     ],
-    ids=["3", "-1", "float", "str", "short-key"],
+    ids=["3", "-1", "float", "str", "short-key", "float-x", "str-y"],
 )
 def test_unclosed_entry_out_of_range_is_a_named_error(sums, message):
     # Unchecked, these fail deep inside the check as an IndexError (3), a
@@ -169,6 +171,13 @@ def test_unclosed_entry_out_of_range_is_a_named_error(sums, message):
         verify_axioms(SumTable(3, 0, 2, sums))
     with pytest.raises(IndexOutOfRange, match=message):
         make_algebra(("0", "a", "1"), 0, 2, sums)
+
+
+def test_bool_entries_are_indices():
+    # bool is a subclass of int, so True reads as element 1
+    E = make_algebra(("0", "a", "1"), 0, 2, {(True, True): 2})
+    assert E.table == ((0, 1, 2), (1, 2, None), (2, None, None))
+    assert verify_axioms(SumTable(3, 0, 2, {(1, True): 2})).ok
 
 
 @pytest.mark.parametrize("zero, one", [(0, 3), (-1, 2), (3, 0), (0.0, 2), (0, "1")])

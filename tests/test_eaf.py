@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effalg import (
+    EafDocument,
+    EffectAlgebraError,
     MissingElement,
     MissingHeader,
     NegativeDenominator,
     ParseError,
     SizeLimit,
     State,
+    UnknownName,
     boolean_algebra,
     build_effect_algebra,
     extract_sharp,
@@ -23,6 +26,9 @@ from effalg import (
     serialize_eaf,
     serialize_state,
 )
+from effalg.constructions import FIXTURE_FILES, fixture_text
+
+from oracles import parse_eaf_by_line
 
 CHAIN3 = "ea v1\nelements 4\nnames 0 a 2a 1\nzero 0\none 1\nsum a a = 2a\nsum a 2a = 1\n"
 
@@ -185,6 +191,115 @@ def test_numerals_past_the_digit_cap_raise_size_limit():
     q = "7" * 4300
     values = parse_state(f"state v1\nvalue 0 0\nvalue a -1/{q}\nvalue 1 1\n", E)
     assert values[E.index("a")] == F(-1, int(q))
+
+
+def test_sum_lines_past_the_ordered_pairs_raise_size_limit():
+    head = "ea v1\nelements 2\nnames 0 1\nzero 0\none 1\n"
+    # 2 elements have 4 ordered pairs, so a fifth sum line repeats one
+    assert len(parse_eaf(head + "sum 0 0 = 0\n" * 4).sums) == 4
+    message = "^line 10: sum lines are read up to 4, the ordered pairs of 2 elements, not 5$"
+    with pytest.raises(SizeLimit, match=message):
+        parse_eaf(head + "sum 0 0 = 0\n" * 5)
+    # named from the first sum line past the cap, here after a comment line,
+    # however many follow it; an error before the cap is named first
+    with pytest.raises(SizeLimit, match="^line 11: .*, not 7$"):
+        parse_eaf(head + "sum 0 0 = 0\n" * 4 + "# past\nsum 0 0 = 0\nbad\nsum q 0 = 0\n")
+    with pytest.raises(ParseError, match="^line 7: expected 'sum <x> <y> = <z>'$"):
+        parse_eaf(head + "sum 0 0 = 0\nbad\n" + "sum 0 0 = 0\n" * 5)
+
+
+def test_a_sum_line_error_names_its_first_fault():
+    head = "ea v1\nelements 2\nnames 0 1\nzero 0\none 1\n"
+    for sums, message in [
+        ("sum 0 0 = 0\nsum q 0 = 0\nsum 0 0 0\n", "line 7: unknown element name 'q'"),
+        ("sum 0 0 = 0\nsum 0 0 0\nsum q 0 = 0\n", "line 7: expected 'sum <x> <y> = <z>'"),
+        ("sum q r = s\n", "line 6: unknown element name 'q'"),
+        ("sum 0 r = s\n", "line 6: unknown element name 'r'"),
+        ("sum 0 0 = s\n", "line 6: unknown element name 's'"),
+        ("sum q r s\n", "line 6: expected 'sum <x> <y> = <z>'"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_eaf(head + sums)
+        assert str(err.value) == message
+
+
+def _parsed(parse, text):
+    """``parse(text)``, or the type, line number and message it raised."""
+    try:
+        return parse(text)
+    except EffectAlgebraError as err:
+        return type(err), getattr(err, "lineno", None), str(err)
+
+
+_BASES = [serialize_eaf(E) for E in (mv_chain(1), mv_chain(4), boolean_algebra(2))]
+_BASES += [fixture_text(name) for name in sorted(set(FIXTURE_FILES.values()))]
+# tokens to insert: names of the bases, keywords, a stranger and a comment
+_TOKENS = ["0", "1", "a", "b", "2a", "sum", "=", "zero", "one", "names", "q", "#", "x#y"]
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document with tokens dropped, added, swapped or replaced by
+    a stranger, blank or comment lines inserted and comments appended."""
+    lines = [line.split() for line in draw(st.sampled_from(_BASES)).splitlines()]
+    row = st.integers(min_value=0, max_value=len(lines) - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["drop", "add", "swap", "stranger", "blank",
+                                     "comment", "trailing"]))
+        tokens = lines[draw(row)]
+        spot = draw(st.integers(min_value=0, max_value=len(tokens)))
+        if kind == "drop" and tokens:
+            del tokens[min(spot, len(tokens) - 1)]
+        elif kind == "add":
+            tokens.insert(spot, draw(st.sampled_from(_TOKENS)))
+        elif kind == "swap" and len(tokens) > 1:
+            i = min(spot, len(tokens) - 2)
+            tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+        elif kind == "stranger" and tokens:
+            tokens[min(spot, len(tokens) - 1)] = "stranger"
+        elif kind == "blank":
+            lines.insert(spot % (len(lines) + 1), [])
+        elif kind == "comment":
+            lines.insert(spot % (len(lines) + 1), ["#", "sum", "a", "a", "=", "q"])
+        elif kind == "trailing":
+            tokens += ["#", "sum", "q"]
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+@st.composite
+def _two_faults(draw):
+    """A valid document with a misshapen sum line and a sum line naming a
+    stranger, in either order."""
+    text = draw(st.sampled_from([b for b in _BASES if b.count("\nsum ") >= 2]))
+    lines = text.splitlines()
+    first, second = sorted(draw(st.lists(
+        st.sampled_from([i for i, line in enumerate(lines) if line.startswith("sum ")]),
+        min_size=2, max_size=2, unique=True,
+    )))
+    if draw(st.booleans()):
+        first, second = second, first
+    lines[first] = lines[first].replace(" = ", " ")
+    tokens = lines[second].split()
+    tokens[draw(st.sampled_from([1, 2, 4]))] = "stranger"
+    lines[second] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@given(st.one_of(_mutated_documents(), _two_faults()))
+@settings(max_examples=400, deadline=None)
+def test_the_bulk_reader_agrees_with_the_line_by_line_reader(text):
+    # an equal document, or the same error type, line number and message
+    assert _parsed(parse_eaf, text) == _parsed(parse_eaf_by_line, text)
+
+
+def test_building_reports_the_first_unknown_name_in_declaration_order():
+    doc = EafDocument(("0", "a", "1"), "0", "one", (("a", "a", "1"), ("a", "p", "q")))
+    with pytest.raises(UnknownName, match="^unknown element name 'p'$"):
+        build_effect_algebra(doc)
+    # the sums come before zero and one
+    doc = EafDocument(("0", "a", "1"), "zero", "1", (("a", "q", "1"),))
+    with pytest.raises(UnknownName, match="^unknown element name 'q'$"):
+        build_effect_algebra(doc)
 
 
 def test_unknown_zero_or_one():
