@@ -348,9 +348,9 @@ class EffectAlgebra:
     and has passed :func:`verify_axioms`, so ``supplement`` is total.
     Instances are immutable; equality and hashing go by value.  Derived
     data (differences, multiples, order, compatibility, profile, sharp
-    part) is computed on first use into a per-instance memo, which is not
-    a field, so it plays no part in ``==``, ``hash`` or ``repr`` and is
-    released with the algebra.
+    part, decompositions) is computed on first use into a per-instance
+    memo, which is not a field, so it plays no part in ``==``, ``hash``
+    or ``repr`` and is released with the algebra.
     """
 
     names: tuple[str, ...]

@@ -11,19 +11,37 @@ The *basic decomposition* of an element in a lattice-ordered algebra is
 its sharp kernel (the greatest sharp element below it) plus atom
 multiples whose multiplicities all stay strictly below the atoms'
 isotropic indices, which sum to a meager element.  It is read off one
-greedy decomposition: the parts at full index must sum to the kernel and
-the others to a meager element, and both are checked.  In a lattice this
-form is unique, which the law suite (T2.6, T3.4) checks.  Outside lattice
-order that shape is not guaranteed to exist, so the operation refuses
-such algebras instead of returning something unprincipled.
+greedy decomposition: the parts must sum to the element, the parts at
+full index to the kernel and the others to a meager element, and all
+three are checked.  In a lattice this form is unique, which the law
+suite (T2.6, T3.4) checks.  Outside lattice order that shape is not
+guaranteed to exist, so the operation refuses such algebras instead of
+returning something unprincipled.
+
+Both forms are read from one table per algebra, built on first use in a
+single pass in order of down-set size: the greedy parts of x are its
+first part (a, k) followed by the greedy parts of x minus k·a, which is
+tabled already, and the three sums fold along the same recurrence.  A
+failed check is kept with its element and raised, with its type and
+message, only when that element is asked for.  :func:`_validate` and
+:func:`split_atomic_decomposition` check decompositions that a caller
+supplies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .core import EffectAlgebra, iterated_sum, multiples
+from .core import (
+    _BYTE_VALUE,
+    _UNDEF,
+    EffectAlgebra,
+    _sum_rows,
+    derived,
+    iterated_sum,
+    multiples,
+)
 from .errors import InvalidDecomposition, PreconditionFailed
 from .order import derive_order
 from .structure import structure_profile
@@ -68,25 +86,10 @@ def atomic_decomposition(E: EffectAlgebra, x: int) -> AtomicDecomposition:
     """Greedy decomposition of x into multiples of distinct atoms.
 
     Deterministic: atoms are consumed in ascending index order, each with
-    the largest multiplicity that still fits below the residual.
+    the largest multiplicity that still fits below the residual.  The
+    parts are read from the algebra's decomposition table.
     """
-    profile = structure_profile(E)
-    os = derive_order(E)
-    ordered_atoms = sorted(profile.atoms)
-    parts: list[AtomMultiple] = []
-    r = x
-    while r != E.zero:
-        # A nonzero residual sits above an atom (finite carrier).
-        atom = next(a for a in ordered_atoms if os.down[r] >> a & 1)
-        # Multiples of an atom strictly increase, so those below r are a prefix.
-        ms = multiples(E)[atom]
-        k = 1
-        while k < len(ms) and os.down[r] >> ms[k] & 1:
-            k += 1
-        parts.append(AtomMultiple(atom, k))
-        # ms[k - 1] is below r, so the difference is defined.
-        r = E.diff(r, ms[k - 1])
-    return AtomicDecomposition(x, tuple(parts), os.is_lattice)
+    return AtomicDecomposition(x, _table(E).parts[x], derive_order(E).is_lattice)
 
 
 def _parts_sum(E: EffectAlgebra, parts: Iterable[AtomMultiple]) -> Optional[int]:
@@ -148,26 +151,132 @@ def basic_decomposition(E: EffectAlgebra, x: int) -> BasicDecomposition:
 
     Only available in lattice-ordered algebras; raises
     :class:`PreconditionFailed` otherwise, or when x has no sharp kernel.
-    One greedy decomposition of x is validated and split: its full
-    multiples must sum to the sharp kernel of x and its proper ones to a
-    meager element, which become the meager parts.  A failed check
-    raises ``RuntimeError``.
+    The greedy parts of x are split: its full multiples must sum to the
+    sharp kernel of x and its proper ones to a meager element, which
+    become the meager parts.  Both checks, and the check that the parts
+    sum to x, run once per element when the algebra's decomposition table
+    is built; a failed one is raised here, for x alone, as
+    :class:`InvalidDecomposition` when the parts do not sum to x and as
+    ``RuntimeError`` otherwise.
     """
-    os = derive_order(E)
-    if not os.is_lattice:
+    if not derive_order(E).is_lattice:
         raise PreconditionFailed(
             "basic decomposition needs a lattice-ordered algebra"
         )
+    found = _table(E).basic[x]
+    if type(found) is _Failure:
+        raise found.kind(found.message)
+    return found
+
+
+class _Failure(NamedTuple):
+    """A failed check of one element's decomposition, raised on request."""
+
+    kind: type[Exception]
+    message: str
+
+
+class _Table(NamedTuple):
+    """Each element's greedy parts and, in a lattice, its checked basic
+    decomposition or the failure of its checks (``basic`` is empty off
+    lattice order)."""
+
+    parts: tuple[tuple[AtomMultiple, ...], ...]
+    basic: tuple[BasicDecomposition | _Failure, ...]
+
+
+def _greedy(
+    E: EffectAlgebra, down: tuple[int, ...], atoms: frozenset[int]
+) -> list[tuple[int, int, int]]:
+    """``[x]`` is (a, k, r): the least-indexed atom a below x, the largest
+    k with k·a below x, and the residual r = x minus k·a, for x nonzero.
+
+    Multiples of an atom strictly increase, so those below x are a prefix
+    of them and k counts them in x's down-set; r is where x stands in the
+    row of sums of k·a, found in C.
+    """
+    ms = multiples(E)
+    rows = _sum_rows(E)
+    atom_mask = sum(1 << a for a in atoms)
+    multiple_mask = {a: sum(1 << m for m in ms[a]) for a in atoms}
+    out = [(E.zero, 0, E.zero)] * E.size
+    for x, dx in enumerate(down):
+        if x != E.zero:
+            below = dx & atom_mask
+            a = (below & -below).bit_length() - 1
+            k = (dx & multiple_mask[a]).bit_count()
+            out[x] = (a, k, rows[ms[a][k - 1]].index(x))
+    return out
+
+
+@derived
+def _table(E: EffectAlgebra) -> _Table:
+    """The decomposition table, built in one pass over the elements by
+    down-set size: the greedy parts of x are (a, k) followed by those of
+    its residual x minus k·a, which lies strictly below x.
+
+    The sums of all parts, of the full ones and of the proper ones fold
+    along the same recurrence, as k·a plus the residual's sums; by
+    associativity (Eii) each equals the sum of its parts in order, and is
+    defined exactly when that is.  In a lattice each element's sums are
+    then checked: all parts against the element, the full ones against
+    its sharp kernel and the proper ones against the meager set.  A
+    failure is kept with its element.
+    """
+    os = derive_order(E)
     profile = structure_profile(E)
-    kernel = profile.sharp_kernel[x]
-    if kernel is None:
-        raise PreconditionFailed(
-            f"element {x} has no greatest sharp element below it"
-        )
-    split = split_atomic_decomposition(E, atomic_decomposition(E, x))
-    if _parts_sum(E, split.full) != kernel:
-        raise RuntimeError(f"full parts of {x} do not sum to its sharp kernel")
-    remainder = _parts_sum(E, split.partial)
-    if remainder not in profile.meager:
-        raise RuntimeError(f"proper parts of {x} sum to non-meager {remainder}")
-    return BasicDecomposition(kernel, split.partial)
+    ms = multiples(E)
+    iso = profile.isotropic
+    n = E.size
+    # Row r padded to 256 bytes, so that r + _UNDEF reads as _UNDEF.
+    pad = bytes((_UNDEF,)) * (256 - n)
+    plus = [row + pad for row in _sum_rows(E)]
+    parts: list[tuple[AtomMultiple, ...]] = [()] * n
+    meager_parts = parts.copy()
+    # the sums of each element's parts, of its full ones and of its proper ones
+    total, full, proper = [E.zero] * n, [E.zero] * n, [E.zero] * n
+    made: dict[tuple[int, int], AtomMultiple] = {}
+    sizes = [dx.bit_count() for dx in os.down]
+    steps = _greedy(E, os.down, profile.atoms)
+    for x in sorted(range(n), key=sizes.__getitem__)[1:]:  # zero first
+        a, k, r = steps[x]
+        head = made.get((a, k))
+        if head is None:
+            head = made[a, k] = AtomMultiple(a, k)
+        parts[x] = (head,) + parts[r]
+        m = plus[ms[a][k - 1]]
+        total[x] = m[total[r]]
+        if k == iso[a]:
+            full[x], proper[x] = m[full[r]], proper[r]
+            meager_parts[x] = meager_parts[r]
+        else:
+            full[x], proper[x] = full[r], m[proper[r]]
+            meager_parts[x] = (head,) + meager_parts[r]
+    if not os.is_lattice:
+        return _Table(tuple(parts), ())
+
+    basic: list[BasicDecomposition | _Failure] = []
+    for x, kernel, t, f, p, kept in zip(
+        range(n), profile.sharp_kernel, total, full, proper, meager_parts
+    ):
+        if kernel is None:
+            failure = PreconditionFailed, (
+                f"element {x} has no greatest sharp element below it"
+            )
+        elif t == _UNDEF:
+            failure = InvalidDecomposition, "parts are not summable in the given order"
+        elif t != x:
+            failure = InvalidDecomposition, (
+                f"parts sum to {t}, not to the decomposed element {x}"
+            )
+        elif f != kernel:
+            failure = RuntimeError, f"full parts of {x} do not sum to its sharp kernel"
+        elif p not in profile.meager:
+            failure = RuntimeError, (
+                f"proper parts of {x} sum to non-meager {_BYTE_VALUE[p]}"
+            )
+        else:
+            basic.append(BasicDecomposition(kernel, kept))
+            continue
+        basic.append(_Failure(*failure))
+    return _Table(tuple(parts), tuple(basic))

@@ -2,8 +2,12 @@
 
 The order is the one induced by the sum: ``x <= y`` exactly when some ``c``
 satisfies ``x + c == y``.  Up-sets and down-sets are kept as bitmasks,
-and every meet and join is looked up by its down-set or up-set mask.  The
-order structure, the compatibility masks (:func:`compatibility`) and the
+read from the byte rows of the sums in C, and every meet is looked up by
+its down-set mask, on and below the diagonal only, since meets are
+symmetric.  Joins need no lookup: the supplement reverses the order, so
+x v y = (x' ^ y')', and a join is missing exactly when that meet is; the
+algebra is therefore a lattice when no meet is missing.  The order
+structure, the compatibility masks (:func:`compatibility`) and the
 classification are computed once per algebra instance, kept in the
 instance's memo and released with it; :class:`~effalg.core.EffectAlgebra`
 is immutable, which makes that safe.
@@ -12,9 +16,18 @@ is immutable, which makes that safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_
 from typing import Optional
 
-from .core import EffectAlgebra, _difference_table, derived
+from .core import (
+    _BYTE_VALUE,
+    _UNDEF,
+    EffectAlgebra,
+    _difference_table,
+    _sum_rows,
+    derived,
+)
 
 
 @dataclass(frozen=True)
@@ -40,28 +53,66 @@ class OrderStructure:
 def derive_order(E: EffectAlgebra) -> OrderStructure:
     """Compute the induced order and bound tables for an algebra.
 
+    The up- and down-sets are read in C from the byte rows of the sums
+    (:func:`~effalg.core._sum_rows`).  Row x holds every element above x,
+    so ``bytes.maketrans`` of it marks those elements with 255; read as
+    ``0``/``1`` digits, reversed, the marks are ``up[x]`` in base 2, and
+    the marks transposed by slices are the down-sets.
+
     ``down[x] & down[y]`` is down-closed, so it has a greatest element g
     exactly when it equals ``down[g]``; antisymmetry makes that g the only
-    element with this down-set.  The meet is therefore a lookup of the
-    mask among the down-sets, and the join likewise among the up-sets.
+    element with this down-set.  A meet is therefore a lookup of the mask
+    among the down-sets.  Meets are symmetric, so they are looked up only
+    on and below the diagonal, and the rows are completed from one byte
+    transpose.
+
+    The supplement reverses the order (x <= y iff y' <= x'; Foulis and
+    Bennett 1994), so x v y = (x' ^ y')': the join table is the meet table
+    with rows and columns permuted by the supplement and its entries
+    translated through it, and a join is missing exactly when that meet
+    is.  A finite bounded poset is a lattice when every meet exists, so
+    ``is_lattice`` asks only whether a meet is missing.
     """
     n = E.size
-    up = [0] * n
-    down = [0] * n
-    for x, row in enumerate(E.table):
-        bit = 1 << x
-        mask = 0
-        for z in row:
-            if z is not None:
-                mask |= 1 << z
-                down[z] |= bit
-        up[x] = mask
-    by_down = {mask: x for x, mask in enumerate(down)}
-    by_up = {mask: x for x, mask in enumerate(up)}
-    meet = tuple(tuple(by_down.get(dx & dy) for dy in down) for dx in down)
-    join = tuple(tuple(by_up.get(ux & uy) for uy in up) for ux in up)
-    lattice = not any(None in row for row in meet + join)
-    return OrderStructure(tuple(up), tuple(down), meet, join, lattice)
+    rows = _sum_rows(E)
+    ones = b"\xff" * n
+    # 255 -> "1", every other byte -> "0"
+    digits = b"0" * 255 + b"1"
+    marks = b"".join([bytes.maketrans(row, ones)[:n] for row in rows])
+    marks = marks.translate(digits)
+    up = tuple([int(marks[x * n:(x + 1) * n][::-1], 2) for x in range(n)])
+    down = tuple([int(marks[y::n][::-1], 2) for y in range(n)])
+
+    get = dict(zip(down, range(n))).get
+    lower = [
+        bytes(map(get, map(and_, repeat(dx), down[: x + 1]), repeat(_UNDEF)))
+        for x, dx in enumerate(down)
+    ]
+    # Row x is its meets on and below the diagonal, then column x of the
+    # lower triangle below it: meet[y][x] for y > x.
+    flat = b"".join([row + bytes(n - len(row)) for row in lower])
+    meet_rows = [row + flat[x * (n + 1) + n :: n] for x, row in enumerate(lower)]
+
+    s = E.supplement
+    flip = bytes(s) + bytes((_UNDEF,)) * (256 - n)
+    # permuted[y'::n] holds x' ^ y' at index x, so translated through the
+    # supplement it is row y of the joins.
+    permuted = b"".join([meet_rows[z] for z in s])
+    join_rows = [permuted[z::n].translate(flip) for z in s]
+
+    return OrderStructure(
+        up, down, _tuples(meet_rows), _tuples(join_rows), _UNDEF not in flat
+    )
+
+
+def _tuples(rows: list[bytes]) -> tuple[tuple[Optional[int], ...], ...]:
+    """Byte rows as tuples, ``None`` for ``_UNDEF``."""
+    return tuple(
+        [
+            tuple(map(_BYTE_VALUE.__getitem__, row)) if _UNDEF in row else tuple(row)
+            for row in rows
+        ]
+    )
 
 
 @derived

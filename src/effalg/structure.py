@@ -77,6 +77,7 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     atoms = frozenset(
         x for x in range(n) if x != E.zero and os.down[x] == zero_bit | (1 << x)
     )
+    atom_mask = sum(1 << a for a in atoms)
     smask = sharp_mask(E, os)
     sharp = _mask_to_set(smask)
     meager = frozenset(
@@ -86,9 +87,7 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
 
     # Atomic: every nonzero element sits above an atom.
     atomic = all(
-        any(os.down[x] >> a & 1 for a in atoms)
-        for x in range(n)
-        if x != E.zero
+        os.down[x] & atom_mask for x in range(n) if x != E.zero
     )
     # Archimedean here is automatic: indices are finite by finiteness of
     # the carrier, so the flag records that no index failed to terminate.
@@ -97,8 +96,10 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     cover = tuple(_extreme(os.up[x] & smask, os.up) for x in range(n))
     kernel = tuple(_extreme(os.down[x] & smask, os.down) for x in range(n))
     dominating = None not in cover
-    s_dom = dominating and all(
-        os.meet[x][p] is not None for x in range(n) for p in sharp
+    # In a lattice every meet exists, so only other orders are scanned.
+    s_dom = dominating and (
+        os.is_lattice
+        or all(os.meet[x][p] is not None for x in range(n) for p in sharp)
     )
     return StructureProfile(
         atoms, sharp, meager, iso, atomic, archimedean, dominating, s_dom,

@@ -64,6 +64,50 @@ def zero_last(E):
     return make_algebra(names, new[E.zero], new[E.one], sums)
 
 
+def off_lattice(example_25, example_37, example_44):
+    """The bundled non-lattice tables, and sums and products built on them."""
+    return [
+        example_25,
+        example_37,
+        example_44,
+        direct_product(example_44, mv_chain(1)),
+        horizontal_sum([example_44, mv_chain(2)]),
+        direct_product(example_25, mv_chain(2)),
+        horizontal_sum([example_37, mv_chain(3)]),
+        direct_product(example_37, example_25),
+    ]
+
+
+def differential_algebras(corpus, example_25, example_37, example_44):
+    """(name, algebra) for the corpus, the off-lattice algebras, each of
+    them relabelled with zero last, and three larger lattices."""
+    named_algebras = list(corpus) + [
+        (f"off-lattice-{i}", E)
+        for i, E in enumerate(off_lattice(example_25, example_37, example_44))
+    ]
+    named_algebras += [
+        (f"{name}-zero-last", zero_last(E))
+        for name, E in named_algebras
+        if E.zero == 0
+    ]
+    return named_algebras + [
+        ("product-c8-c8", direct_product(mv_chain(7), mv_chain(7))),
+        ("boolean-6", boolean_algebra(6)),
+        ("chain-40", mv_chain(40)),
+    ]
+
+
+@pytest.fixture(scope="session")
+def at_the_cap():
+    """(name, algebra) for three algebras of 250 to 255 elements; a table
+    may have at most 255."""
+    return [
+        ("chain-255", mv_chain(254)),
+        ("c15xc17", direct_product(mv_chain(14), mv_chain(16))),
+        ("hsum-4-boolean-64", horizontal_sum([boolean_algebra(6)] * 4)),
+    ]
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return full_corpus()

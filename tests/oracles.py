@@ -11,7 +11,12 @@ full tableau that ``effalg.linear._phase_one`` stores sparsely,
 :func:`fraction_solve_exact` eliminates with ``Fraction`` rows, and
 :func:`fraction_verify_point` sums ``Fraction`` products.
 :func:`parse_eaf_by_line` is the ``.eaf`` reader as it was before sum
-lines were read in bulk, one line at a time.
+lines were read in bulk, one line at a time.  :func:`derive_order_by_lookup`
+is the order as it was derived before it read byte rows, and
+:func:`atomic_decomposition_by_walk` and :func:`basic_decomposition_by_walk`
+are the decompositions as they were walked, one element at a time, before
+each algebra kept a decomposition table; the two walks read the package's
+order and profile, since they serve only to compare the table with them.
 """
 
 from dataclasses import dataclass
@@ -21,13 +26,23 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 from effalg import (
+    AtomicDecomposition,
+    AtomMultiple,
+    BasicDecomposition,
+    EffectAlgebra,
     FeasiblePoint,
     InfeasibilityCertificate,
     LinearSystem,
+    OrderStructure,
+    PreconditionFailed,
     SumTable,
+    derive_order,
+    split_atomic_decomposition,
+    structure_profile,
     verify_certificate,
 )
-from effalg.core import _MAX_ELEMENTS
+from effalg.core import _MAX_ELEMENTS, multiples
+from effalg.decompose import _parts_sum
 from effalg.eaf import _COUNT, _EA_HEADER, EafDocument, _int
 from effalg.errors import MissingHeader, ParseError, SizeLimit
 from effalg.linear import _transposed_product
@@ -970,3 +985,75 @@ def parse_eaf_by_line(text: str) -> EafDocument:
         sums.append((x, y, z))
 
     return EafDocument(names, zero, one, tuple(sums))
+
+
+def derive_order_by_lookup(E: EffectAlgebra) -> OrderStructure:
+    """``effalg.order.derive_order`` as it was before it read byte rows:
+    masks built pair by pair from ``E.table``, every meet looked up among
+    the down-sets and every join among the up-sets.  Kept verbatim, apart
+    from the name and the per-algebra memo, for reference only."""
+    n = E.size
+    up = [0] * n
+    down = [0] * n
+    for x, row in enumerate(E.table):
+        bit = 1 << x
+        mask = 0
+        for z in row:
+            if z is not None:
+                mask |= 1 << z
+                down[z] |= bit
+        up[x] = mask
+    by_down = {mask: x for x, mask in enumerate(down)}
+    by_up = {mask: x for x, mask in enumerate(up)}
+    meet = tuple(tuple(by_down.get(dx & dy) for dy in down) for dx in down)
+    join = tuple(tuple(by_up.get(ux & uy) for uy in up) for ux in up)
+    lattice = not any(None in row for row in meet + join)
+    return OrderStructure(tuple(up), tuple(down), meet, join, lattice)
+
+
+def atomic_decomposition_by_walk(E: EffectAlgebra, x: int) -> AtomicDecomposition:
+    """``effalg.decompose.atomic_decomposition`` as it was before the
+    decomposition table: one greedy walk from x down to zero.  Kept
+    verbatim, apart from the name, for reference only."""
+    profile = structure_profile(E)
+    os = derive_order(E)
+    ordered_atoms = sorted(profile.atoms)
+    parts: list[AtomMultiple] = []
+    r = x
+    while r != E.zero:
+        # A nonzero residual sits above an atom (finite carrier).
+        atom = next(a for a in ordered_atoms if os.down[r] >> a & 1)
+        # Multiples of an atom strictly increase, so those below r are a prefix.
+        ms = multiples(E)[atom]
+        k = 1
+        while k < len(ms) and os.down[r] >> ms[k] & 1:
+            k += 1
+        parts.append(AtomMultiple(atom, k))
+        # ms[k - 1] is below r, so the difference is defined.
+        r = E.diff(r, ms[k - 1])
+    return AtomicDecomposition(x, tuple(parts), os.is_lattice)
+
+
+def basic_decomposition_by_walk(E: EffectAlgebra, x: int) -> BasicDecomposition:
+    """``effalg.decompose.basic_decomposition`` as it was before the
+    decomposition table: the walk of :func:`atomic_decomposition_by_walk`,
+    validated, split and checked for x alone.  Kept verbatim, apart from
+    the names, for reference only."""
+    os = derive_order(E)
+    if not os.is_lattice:
+        raise PreconditionFailed(
+            "basic decomposition needs a lattice-ordered algebra"
+        )
+    profile = structure_profile(E)
+    kernel = profile.sharp_kernel[x]
+    if kernel is None:
+        raise PreconditionFailed(
+            f"element {x} has no greatest sharp element below it"
+        )
+    split = split_atomic_decomposition(E, atomic_decomposition_by_walk(E, x))
+    if _parts_sum(E, split.full) != kernel:
+        raise RuntimeError(f"full parts of {x} do not sum to its sharp kernel")
+    remainder = _parts_sum(E, split.partial)
+    if remainder not in profile.meager:
+        raise RuntimeError(f"proper parts of {x} sum to non-meager {remainder}")
+    return BasicDecomposition(kernel, split.partial)

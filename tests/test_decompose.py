@@ -19,7 +19,12 @@ from effalg import (
     mv_chain,
     split_atomic_decomposition,
 )
-from oracles import oracle_basic_decompositions
+from conftest import differential_algebras
+from oracles import (
+    atomic_decomposition_by_walk,
+    basic_decomposition_by_walk,
+    oracle_basic_decompositions,
+)
 
 
 def reassemble(E, d):
@@ -182,16 +187,91 @@ def test_basic_decomposition_checks_the_proper_block_is_meager(monkeypatch):
         basic_decomposition(E, E.index("2a"))
 
 
+def tamper_walk(monkeypatch, E, x, step):
+    """Make the greedy walk of ``effalg.decompose`` give x the first part
+    and residual ``step``, an (atom, multiplicity, residual) triple."""
+    walk = decompose._greedy
+
+    def tampered(*args):
+        steps = walk(*args)
+        steps[x] = step
+        return steps
+
+    monkeypatch.setattr(decompose, "_greedy", tampered)
+
+
 def test_basic_decomposition_checks_the_greedy_walk(monkeypatch):
     # a greedy walk that returned a wrong decomposition is caught: here
-    # 3a is given as the parts of 2a
+    # 3a, with nothing left over, is given as the parts of 2a
     E = mv_chain(4)
-    wrong = AtomicDecomposition(E.index("2a"), (AtomMultiple(E.index("a"), 3),), True)
-    monkeypatch.setattr(decompose, "atomic_decomposition", lambda E, x: wrong)
+    a, x = E.index("a"), E.index("2a")
+    tamper_walk(monkeypatch, E, x, (a, 3, E.zero))
     with pytest.raises(
         InvalidDecomposition, match="^parts sum to 3, not to the decomposed element 2$"
     ):
-        basic_decomposition(E, E.index("2a"))
+        basic_decomposition(E, x)
+    assert atomic_decomposition(E, x).parts == (AtomMultiple(a, 3),)
+
+
+def test_basic_decomposition_checks_the_parts_are_summable(monkeypatch):
+    # 4a followed by the parts of a, given as the parts of 2a, has no sum
+    E = mv_chain(4)
+    a, x = E.index("a"), E.index("2a")
+    tamper_walk(monkeypatch, E, x, (a, 4, a))
+    with pytest.raises(
+        InvalidDecomposition, match="^parts are not summable in the given order$"
+    ):
+        basic_decomposition(E, x)
+    assert atomic_decomposition(E, x).parts == (AtomMultiple(a, 4), AtomMultiple(a, 1))
+
+
+@pytest.mark.parametrize(
+    "kernel, error, message",
+    [
+        (None, PreconditionFailed, "element 1 has no greatest sharp element below it"),
+        ("one", RuntimeError, "full parts of 1 do not sum to its sharp kernel"),
+    ],
+    ids=["no-kernel", "wrong-kernel"],
+)
+def test_a_broken_element_fails_alone(monkeypatch, kernel, error, message):
+    # 0,a is the residual of 1,a: tampering with the kernel of 0,a fails
+    # 0,a alone, and every element is still decomposed as in an
+    # untampered copy
+    E, intact = (direct_product(mv_chain(1), mv_chain(2)) for _ in range(2))
+    x = E.index("0,a")
+    assert x == 1
+    kernels = list(decompose.structure_profile(E).sharp_kernel)
+    kernels[x] = E.one if kernel == "one" else None
+    tamper_profile(monkeypatch, E, sharp_kernel=tuple(kernels))
+    with pytest.raises(error, match=f"^{message}$"):
+        basic_decomposition(E, x)
+    for y in range(E.size):
+        assert atomic_decomposition(E, y) == atomic_decomposition(intact, y)
+        if y != x:
+            assert basic_decomposition(E, y) == basic_decomposition(intact, y)
+    with pytest.raises(error, match=f"^{message}$"):
+        basic_decomposition(E, x)
+
+
+def outcome(decomposition, E, x):
+    """The decomposition of x, or the type and message it raised."""
+    try:
+        return decomposition(E, x)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_table_equals_the_walk(corpus, example_25, example_37, example_44, at_the_cap):
+    # the 107 algebras of the law differential tests and three at the cap,
+    # in atomic and basic form, raised preconditions included
+    algebras = differential_algebras(corpus, example_25, example_37, example_44)
+    assert len(algebras) == 107
+    for name, E in algebras + at_the_cap:
+        for x in range(E.size):
+            assert atomic_decomposition(E, x) == atomic_decomposition_by_walk(E, x)
+            assert outcome(basic_decomposition, E, x) == outcome(
+                basic_decomposition_by_walk, E, x
+            ), (name, x)
 
 
 def test_basic_matches_brute_force_everywhere(corpus):

@@ -31,7 +31,7 @@ from effalg.laws import (
     _law_l22iv,
 )
 
-from conftest import zero_last
+from conftest import differential_algebras, off_lattice, zero_last
 from oracles import _family_sum, oracle_l22ii, oracle_l22iii, oracle_l22iv
 
 # Frozen status maps for counterexample mode on the bundled non-lattice
@@ -268,20 +268,6 @@ def test_l22iv_matches_the_oracle_on_the_corpus(corpus):
         assert suite_outcome(E) == oracle_l22iv(E), name
 
 
-def off_lattice(example_25, example_37, example_44):
-    """The bundled non-lattice tables, and sums and products built on them."""
-    return [
-        example_25,
-        example_37,
-        example_44,
-        direct_product(example_44, mv_chain(1)),
-        horizontal_sum([example_44, mv_chain(2)]),
-        direct_product(example_25, mv_chain(2)),
-        horizontal_sum([example_37, mv_chain(3)]),
-        direct_product(example_37, example_25),
-    ]
-
-
 def test_l22iv_matches_the_oracle_off_lattice(example_25, example_37, example_44):
     for E in off_lattice(example_25, example_37, example_44):
         assert not derive_order(E).is_lattice
@@ -390,25 +376,6 @@ def test_l22iv_reuses_a_node_with_failures_under_two_prefixes():
         (E.one, 2, 3, 5, 6),
         (E.one, 2, 5, 6),
     )
-
-
-def differential_algebras(corpus, example_25, example_37, example_44):
-    """(name, algebra) for the corpus, the off-lattice algebras, each of
-    them relabelled with zero last, and three larger lattices."""
-    named_algebras = list(corpus) + [
-        (f"off-lattice-{i}", E)
-        for i, E in enumerate(off_lattice(example_25, example_37, example_44))
-    ]
-    named_algebras += [
-        (f"{name}-zero-last", zero_last(E))
-        for name, E in named_algebras
-        if E.zero == 0
-    ]
-    return named_algebras + [
-        ("product-c8-c8", direct_product(mv_chain(7), mv_chain(7))),
-        ("boolean-6", boolean_algebra(6)),
-        ("chain-40", mv_chain(40)),
-    ]
 
 
 @pytest.mark.parametrize("mode", [False, True], ids=["lattice", "counterexample"])

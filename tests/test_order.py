@@ -9,7 +9,14 @@ from effalg import (
     horizontal_sum,
     mv_chain,
 )
-from oracles import oracle_compatible, oracle_join, oracle_leq, oracle_meet
+from conftest import differential_algebras
+from oracles import (
+    derive_order_by_lookup,
+    oracle_compatible,
+    oracle_join,
+    oracle_leq,
+    oracle_meet,
+)
 
 
 def test_chain_order_is_total():
@@ -59,6 +66,38 @@ def test_bounds_against_the_oracle(corpus, example_25, example_37, example_44):
             for y in range(E.size):
                 assert os.meet[x][y] == oracle_meet(E, x, y), (name, x, y)
                 assert os.join[x][y] == oracle_join(E, x, y), (name, x, y)
+
+
+def test_order_equals_the_lookup_reference(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    # the corpus, the fixtures and the off-lattice algebras, each with its
+    # zero-last relabelling, and the three tables at the element cap
+    algebras = differential_algebras(corpus, example_25, example_37, example_44)
+    assert len(algebras) > 100
+    for name, E in algebras + at_the_cap:
+        assert derive_order(E) == derive_order_by_lookup(E), name
+
+
+def test_a_missing_join_is_a_missing_meet_of_the_supplements(example_25):
+    # x v y = (x' ^ y')', so a and b lack a join exactly as their
+    # supplements ab and 2a lack a meet
+    E = example_25
+    a, b = E.index("a"), E.index("b")
+    a_, b_ = E.supplement[a], E.supplement[b]
+    assert (E.names[a_], E.names[b_]) == ("ab", "2a")
+    os = derive_order(E)
+    assert not os.is_lattice
+    missing_joins = {
+        (x, y) for x in range(E.size) for y in range(E.size) if os.join[x][y] is None
+    }
+    missing_meets = {
+        (E.supplement[x], E.supplement[y])
+        for x in range(E.size)
+        for y in range(E.size)
+        if os.meet[x][y] is None
+    }
+    assert missing_joins == missing_meets == {(a, b), (b, a)}
 
 
 def test_compatibility_against_the_oracle(

@@ -1,5 +1,8 @@
 """Atoms, sharpness, isotropic indices, domination, and extraction."""
 
+from dataclasses import replace
+
+from effalg import structure
 from effalg import (
     boolean_algebra,
     derive_order,
@@ -126,6 +129,24 @@ def test_domination_flags(corpus, example_25, example_44):
     assert structure_profile(example_25).s_dominating
     assert structure_profile(example_44).sharply_dominating
     assert structure_profile(example_44).s_dominating
+
+
+def test_a_missing_meet_with_a_sharp_element_is_not_s_dominating(monkeypatch):
+    # off lattice order the meets with sharp elements are scanned: here
+    # every element of a Boolean algebra is sharp and covers itself, and
+    # the order is read with the meet of its two atoms missing
+    E = boolean_algebra(2)
+    a, b = E.index("s0"), E.index("s1")
+    meet = [list(row) for row in derive_order(E).meet]
+    meet[a][b] = meet[b][a] = None
+    os = replace(
+        derive_order(E), meet=tuple(map(tuple, meet)), is_lattice=False
+    )
+    monkeypatch.setattr(structure, "derive_order", lambda _: os)
+    prof = structure_profile(E)
+    assert prof.sharp == frozenset(range(E.size))
+    assert prof.sharply_dominating
+    assert not prof.s_dominating
 
 
 def test_sharp_cover_exists_exactly_when_sharp_kernel_does(corpus):
