@@ -141,15 +141,17 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     return 1, payload, lines
 
 
-def _nonlattice_witness(E: EffectAlgebra) -> Optional[dict]:
+def _nonlattice_witness(E: EffectAlgebra) -> dict:
+    """The first pair x < y missing a meet, else a join; one is, off lattice."""
     os = derive_order(E)
-    for x in range(E.size):
-        for y in range(x + 1, E.size):
-            if os.meet[x][y] is None:
-                return {"x": E.names[x], "y": E.names[y], "missing": "meet"}
-            if os.join[x][y] is None:
-                return {"x": E.names[x], "y": E.names[y], "missing": "join"}
-    return None
+    x, y, missing = next(
+        (x, y, bound)
+        for x in range(E.size)
+        for y in range(x + 1, E.size)
+        for bound, table in (("meet", os.meet), ("join", os.join))
+        if table[x][y] is None
+    )
+    return {"x": E.names[x], "y": E.names[y], "missing": missing}
 
 
 def _yn(flag: bool) -> str:

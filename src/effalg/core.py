@@ -29,10 +29,12 @@ re-checking them.
 
 Data derived from a table is built once per algebra instance through
 :func:`derived` and kept on the instance.  This module keeps four such
-tables: the checked byte rows of the sums (:func:`_sum_rows`),
-differences (behind :meth:`EffectAlgebra.diff`), every element's
-multiples (:func:`multiples`, read by :func:`multiple`), and the columns
-of the canonical sums (behind :meth:`EffectAlgebra.canonical_sums`).
+tables: the checked byte rows of the sums (:func:`_sum_rows`, of which
+``EffectAlgebra.table`` is the tuple view), differences (behind
+:meth:`EffectAlgebra.diff`), every element's multiples (:func:`multiples`,
+read by :func:`multiple`), and the columns of the canonical sums (behind
+:meth:`EffectAlgebra.canonical_sums`).  :func:`_tuples` is the one
+decoder from byte rows to tuples.
 """
 
 from __future__ import annotations
@@ -423,7 +425,7 @@ def _build(
     report, rows = _check(len(names), zero, one, sums)
     if not report.ok:
         raise AxiomViolation(report)
-    matrix = tuple(tuple(map(_BYTE_VALUE.__getitem__, row)) for row in rows)
+    matrix = _tuples(rows)
     supplement = tuple(row.index(one) for row in rows)
     E = EffectAlgebra(names, zero, one, matrix, supplement)
     E._memo[_sum_rows] = rows  # type: ignore[attr-defined]
@@ -454,18 +456,18 @@ def _sum_rows(E: EffectAlgebra) -> list[bytes]:
     undefined.  :func:`_build` keeps the rows its check read here, so
     they are built once per algebra; the table is symmetric, so row z is
     also the column of z."""
-    return list(map(_byte_row, E.table))
+    return [bytes(_UNDEF if v is None else v for v in row) for row in E.table]
 
 
-_AS_BYTE = {None: _UNDEF}
-
-
-def _byte_row(row: tuple[Optional[int], ...]) -> bytes:
-    """``row`` as bytes, with ``_UNDEF`` for ``None``."""
-    try:
-        return bytes(row)
-    except TypeError:  # some entry is None
-        return bytes(map(_AS_BYTE.get, row, row))
+def _tuples(rows: list[bytes]) -> tuple[tuple[Optional[int], ...], ...]:
+    """Byte rows as tuples, ``None`` for ``_UNDEF``: the one decoder from
+    the rows this package keeps to the tables it shows."""
+    return tuple(
+        [
+            tuple(map(_BYTE_VALUE.__getitem__, row)) if _UNDEF in row else tuple(row)
+            for row in rows
+        ]
+    )
 
 
 @derived

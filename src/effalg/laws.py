@@ -4,12 +4,15 @@ Each law quantifies over the finite carrier (pairs, triples, atoms, or
 orthogonal families) and reports pass, fail with witnesses, or skipped
 when its structural hypothesis does not hold for the input.  A skip is
 never a pass: algebras outside a law's hypothesis contribute nothing.
+Every law reads its sums, meets and joins in one encoding: the byte rows
+that the algebra and its order keep, ``_UNDEF`` where undefined (see
+:class:`_Ctx`).
 
 L2.2.iv checks every orthogonal family, of any size.  A 255-element
 chain has 194,596,316,927 of them, so they are not listed one by one:
 one depth-first walk merges prefixes whose further checks are the same
 and counts the families and failures below them exactly (see
-:func:`_l22iv_walk`).  A precheck on the context's byte rows comes
+:func:`_l22iv_walk`).  A precheck in C on the same byte rows comes
 first (see :func:`_l22iv_fast`).  When every pair is compatible and
 every meet distributes over every join in the tables as given, as in an
 MV-effect algebra, whose lattice is distributive, no family can fail
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice
 from operator import getitem, ne
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .constructions import direct_product
 from .core import (
@@ -68,14 +71,13 @@ from .core import (
     _WITNESS_CAP,
     EffectAlgebra,
     Witnesses,
-    _byte_row,
     _sum_rows,
     multiples,
 )
 from .decompose import AtomMultiple, _parts_sum, atomic_decomposition
 from .errors import InvalidState, PreconditionFailed
 from .linear import InfeasibilityCertificate
-from .order import OrderStructure, compatibility, derive_order
+from .order import OrderStructure, _order_rows, compatibility, derive_order
 from .states import find_state, smear_state
 from .structure import StructureProfile, extract_sharp, structure_profile
 
@@ -113,8 +115,9 @@ class LawReport:
 # A collecting law yields one (witness, reason) pair per failing instance.
 _Failures = Iterator[tuple[tuple[int, ...], str]]
 
-# L2.2.iv's deviating x, ascending, each with its running join of meets.
-_Deviating = tuple[tuple[int, Optional[int]], ...]
+# L2.2.iv's deviating x, ascending, each with its running join of meets,
+# ``_UNDEF`` when that is missing.
+_Deviating = tuple[tuple[int, int], ...]
 
 # An L2.2.iv failure relative to a walk node: x, the members added below
 # the node, and ``None`` when x fails the meet check or the family join
@@ -148,47 +151,47 @@ def _collect(
     return LawResult(law, FAIL, tuple(v.witnesses for v in found.kept), reason)
 
 
-class _Rows(NamedTuple):
-    """A law context's tables as byte rows, ``_UNDEF`` where undefined.
-
-    ``table[z]``, ``meet[x]`` and ``join[x]`` hold y + z, x ^ y and x v y
-    at index y; ``table`` is the algebra's own, which is symmetric.
-    ``join_t[p]`` is ``join[p]`` padded with ``_UNDEF`` to 256 bytes, a
-    ``bytes.translate`` table, and is all ``_UNDEF`` for p >= n, so that
-    an undefined p reads as a row with nothing defined.  ``pad`` pads any
-    other row to a translate table.
-    """
-
-    table: list[bytes]
-    meet: list[bytes]
-    join: list[bytes]
-    join_t: list[bytes]
-    pad: bytes
+def _padded(rows: list[bytes]) -> list[bytes]:
+    """``rows`` as ``bytes.translate`` tables: each padded with ``_UNDEF``
+    to 256 bytes, then all-``_UNDEF`` rows up to 256, so that an
+    undefined index reads as a row with nothing defined."""
+    pad = bytes((_UNDEF,)) * (256 - len(rows))
+    return [row + pad for row in rows] + [bytes((_UNDEF,)) * 256] * (256 - len(rows))
 
 
 class _Ctx:
+    """What the laws read of one algebra.
+
+    ``table[z]``, ``meet[x]`` and ``join[x]`` are the byte rows that the
+    algebra and its order keep (:func:`~effalg.core._sum_rows` and
+    :func:`~effalg.order._order_rows`): y + z, x ^ y and x v y at index
+    y, ``_UNDEF`` where undefined.  ``table`` is symmetric.  ``table_t``,
+    ``meet_t`` and ``join_t`` are the same rows as translate tables (see
+    :func:`_padded`), built on first use.  ``os`` is read only for the
+    order itself: ``up``, ``down``, ``leq`` and ``is_lattice``.
+    """
+
     def __init__(self, E: EffectAlgebra) -> None:
         self.E = E
         self.os: OrderStructure = derive_order(E)
+        self.table = _sum_rows(E)
+        _, _, self.meet, self.join = _order_rows(E)
         self.profile: StructureProfile = structure_profile(E)
         self.atoms = sorted(self.profile.atoms)
         self.multiples = multiples(E)
         self.compat = compatibility(E)
 
     @cached_property
-    def rows(self) -> _Rows:
-        """The byte rows of the table, kept by the algebra, and of this
-        context's own meets and joins, read on first use."""
-        n = self.E.size
-        pad = bytes((_UNDEF,)) * (256 - n)
-        join = list(map(_byte_row, self.os.join))
-        return _Rows(
-            _sum_rows(self.E),
-            list(map(_byte_row, self.os.meet)),
-            join,
-            [row + pad for row in join] + [bytes((_UNDEF,)) * 256] * (256 - n),
-            pad,
-        )
+    def table_t(self) -> list[bytes]:
+        return _padded(self.table)
+
+    @cached_property
+    def meet_t(self) -> list[bytes]:
+        return _padded(self.meet)
+
+    @cached_property
+    def join_t(self) -> list[bytes]:
+        return _padded(self.join)
 
     @cached_property
     def atom_families(self) -> list[tuple[int, tuple[AtomMultiple, ...]]]:
@@ -205,8 +208,8 @@ class _Ctx:
             for i in range(start, len(self.atoms)):
                 a = self.atoms[i]
                 for k, m in enumerate(self.multiples[a], start=1):
-                    s = E.table[acc][m]
-                    if s is None:
+                    s = self.table[acc][m]
+                    if s == _UNDEF:
                         break
                     grown = parts + (AtomMultiple(a, k),)
                     out.append((s, grown))
@@ -232,18 +235,14 @@ class _Ctx:
                 )
         return out
 
-    def join_of(self, xs: Iterable[Optional[int]]) -> Optional[int]:
+    def join_of(self, xs: Iterable[int]) -> int:
         """The join of ``xs`` folded left to right, zero when empty.
 
-        ``None`` when a term is ``None`` or a partial join is missing.
+        ``_UNDEF`` when a term is ``_UNDEF`` or a partial join is missing.
         """
         acc = self.E.zero
         for x in xs:
-            if x is None:
-                return None
-            acc = self.os.join[acc][x]
-            if acc is None:
-                return None
+            acc = self.join_t[acc][x]
         return acc
 
     def names(self, *xs: int) -> str:
@@ -254,15 +253,14 @@ def _law_l22i(ctx: _Ctx) -> _Failures:
     E = ctx.E
     for x in range(E.size):
         for y in range(x, E.size):
-            s = E.table[x][y]
-            if s is None:
+            s = ctx.table[x][y]
+            if s == _UNDEF:
                 continue
-            j, m = ctx.os.join[x][y], ctx.os.meet[x][y]
-            if j is None or m is None:
+            j, m = ctx.join[x][y], ctx.meet[x][y]
+            if j == _UNDEF or m == _UNDEF:
                 yield (x, y), f"{ctx.names(x, y)} are summable but lack a bound"
                 continue
-            via_bounds = E.table[j][m]
-            if via_bounds != s:
+            if ctx.table[j][m] != s:
                 yield (
                     (x, y),
                     f"sum of {ctx.names(x, y)} differs from join-plus-meet",
@@ -283,27 +281,22 @@ def _law_l22ii(ctx: _Ctx) -> _Failures:
     their order and the total stay the loop's.
     """
     E = ctx.E
-    rows = ctx.rows
-    for z in range(E.size):
-        summable = [x for x in range(E.size) if E.table[x][z] is not None]
-        sigma = rows.table[z]
-        through = sigma + rows.pad
+    table, join, join_t = ctx.table, ctx.join, ctx.join_t
+    for z, (sigma, through) in enumerate(zip(table, ctx.table_t)):
+        summable = [x for x, s in enumerate(sigma) if s != _UNDEF]
         holes = sigma.count(_UNDEF)
-        for x in summable:
-            lhs = rows.join[x].translate(through)
-            rhs = sigma.translate(rows.join_t[sigma[x]])
+        for i, x in enumerate(summable):
+            lhs = join[x].translate(through)
+            rhs = sigma.translate(join_t[sigma[x]])
             if lhs == rhs and rhs.count(_UNDEF) == holes:
                 continue
-            for y in summable:
-                if y < x:
-                    continue
-                j = ctx.os.join[x][y]
-                if j is None:
+            for y in summable[i:]:
+                j = join[x][y]
+                if j == _UNDEF:
                     yield (x, y, z), f"{ctx.names(x, y)} have no join"
                     continue
-                lhs = E.table[j][z]
-                rhs = ctx.os.join[E.table[x][z]][E.table[y][z]]
-                if lhs is None or rhs is None or lhs != rhs:
+                lhs = table[j][z]
+                if lhs == _UNDEF or lhs != join[sigma[x]][sigma[y]]:
                     yield (
                         (x, y, z),
                         f"joining {ctx.names(x, y)} does not commute with "
@@ -320,7 +313,7 @@ def _law_l22iii(ctx: _Ctx) -> _Failures:
     undefined ly ends the row of kx.
     """
     E = ctx.E
-    meet, join = ctx.os.meet, ctx.os.join
+    table, meet, join = ctx.table, ctx.meet, ctx.join
     for x in range(E.size):
         mx = ctx.multiples[x]  # empty for zero, which adds no instance
         for y in range(x, E.size):
@@ -328,10 +321,10 @@ def _law_l22iii(ctx: _Ctx) -> _Failures:
                 continue
             my = ctx.multiples[y]
             for kx in mx:
-                row = E.table[kx]
+                row = table[kx]
                 for ly in my:
                     s = row[ly]
-                    if s is None:
+                    if s == _UNDEF:
                         break
                     if meet[kx][ly] != E.zero or join[kx][ly] != s:
                         yield (
@@ -366,22 +359,20 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
     """
     E = ctx.E
     n = E.size
-    table, meet, join = E.table, ctx.os.meet, ctx.os.join
+    table, meet, join, join_t = ctx.table, ctx.meet, ctx.join, ctx.join_t
     # ``col[y]`` masks the x with ``compat[x] >> y & 1``: the transpose,
     # since the relation is not assumed symmetric.
     rows = [format(mask, f"0{n}b")[::-1] for mask in ctx.compat]
     col = [int("".join(bits)[::-1], 2) for bits in zip(*rows)]
     # ``summands[s]`` lists the nonzero y with s + y defined, ascending.
     summands = [
-        [y for y, v in enumerate(row) if v is not None and y != E.zero]
+        [y for y, v in enumerate(row) if v != _UNDEF and y != E.zero]
         for row in table
     ]
-    # ``meet_ix[b][x]`` is ``meet[x][b]`` and ``join_ix`` is ``join``,
-    # with ``n`` for a missing bound and an all-missing row and column of
-    # joins at ``n``, so each x's join of meets is read in C.
-    meet_ix = [[n if m is None else m for m in column] for column in zip(*meet)]
-    join_ix = [[n if j is None else j for j in row] + [n] for row in join]
-    join_ix.append([n] * (n + 1))
+    # ``meet_col[b][x]`` is ``meet[x][b]``, a byte transpose, so each x's
+    # join of meets is read in C through the padded joins.
+    flat = b"".join(meet)
+    meet_col = [flat[b::n] for b in range(n)]
     # ``fail_masks[b][y]``, built on first use: the x for which
     # ``x ^ (b v y)`` and ``(x ^ b) v (x ^ y)`` differ or one is missing.
     fail_masks: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
@@ -390,19 +381,16 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
         row = fail_masks[b]
         mask = row[y]
         if mask is None:
-            lhs = meet_ix[join[b][y]]
-            rhs = list(map(getitem, map(join_ix.__getitem__, meet_ix[b]), meet_ix[y]))
+            lhs = meet_col[join[b][y]]
+            rhs = bytes(map(getitem, map(join_t.__getitem__, meet_col[b]), meet_col[y]))
             mask = 0
-            if rhs != lhs or n in lhs:
+            if rhs != lhs or _UNDEF in lhs:
                 for x in compress(range(n), map(ne, rhs, lhs)):
                     mask |= 1 << x
-                for x in compress(range(n), map(n.__eq__, lhs)):
+                for x in compress(range(n), map(_UNDEF.__eq__, lhs)):
                     mask |= 1 << x
             row[y] = mask
         return mask
-
-    def join_or_none(p: Optional[int], q: Optional[int]) -> Optional[int]:
-        return None if p is None or q is None else join[p][q]
 
     def step(
         b: int, y: int, b2: int, alive: int, dev: _Deviating
@@ -419,15 +407,15 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
         for x, rhs in dev:
             devmask |= 1 << x
             if alive >> x & 1:
-                rhs = join_or_none(rhs, meet[x][y])
-                if rhs is None or rhs != meet[x][b2]:
+                rhs = join_t[rhs][meet[x][y]]
+                if rhs == _UNDEF or rhs != meet[x][b2]:
                     out.append((x, rhs))
         clean = alive & ~devmask
         bad = fail_mask(b, y) & clean
         while bad:
             x = (bad & -bad).bit_length() - 1
             bad &= bad - 1
-            out.append((x, join_or_none(meet[x][b], meet[x][y])))
+            out.append((x, join_t[meet[x][b]][meet[x][y]]))
         out.sort()
         for x, _ in out:
             clean &= ~(1 << x)
@@ -464,7 +452,7 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
         masks = fail_masks[b]
         for y in ys[bisect_left(ys, i):]:
             b2 = jb[y]
-            if b2 is None:
+            if b2 == _UNDEF:
                 continue
             alive2 = alive & col[y]
             bad = 0
@@ -544,13 +532,12 @@ def _l22iv_fast(ctx: _Ctx) -> Optional[int]:
     full = (1 << n) - 1
     if any(mask != full for mask in ctx.compat):
         return None
-    rows = ctx.rows
-    flat = b"".join(rows.join)
-    for meets in rows.meet:
-        left = flat.translate(meets + rows.pad)
+    flat = b"".join(ctx.join)
+    for meets, through in zip(ctx.meet, ctx.meet_t):
+        left = flat.translate(through)
         if _UNDEF in left:
             return None
-        by_meet = {p: meets.translate(rows.join_t[p]) for p in set(meets)}
+        by_meet = {p: meets.translate(ctx.join_t[p]) for p in set(meets)}
         if left != b"".join(map(by_meet.__getitem__, meets)):
             return None
     runs = [0] * n
@@ -558,7 +545,7 @@ def _l22iv_fast(ctx: _Ctx) -> Optional[int]:
         if y != ctx.E.zero:
             runs = [
                 g if s == _UNDEF else g + 1 + runs[s]
-                for g, s in zip(runs, rows.table[y])
+                for g, s in zip(runs, ctx.table[y])
             ]
     return runs[ctx.E.zero] - (n - 1)
 
@@ -576,8 +563,8 @@ def _law_l23i(ctx: _Ctx) -> _Failures:
         ms = ctx.multiples[a]
         for k in range(1, len(ms)):  # 1 .. ord-1
             ka = ms[k - 1]
-            m = ctx.os.meet[ka][E.supplement[ka]]
-            if m is None:
+            m = ctx.meet[ka][E.supplement[ka]]
+            if m == _UNDEF:
                 yield (
                     (a, ka),
                     f"{E.names[ka]} and its supplement have no meet",
@@ -633,14 +620,12 @@ def _law_l23iv(ctx: _Ctx) -> _Failures:
         ms_a = ctx.multiples[a]
         ord_a = len(ms_a)
         for b in ctx.atoms:
+            if a == b:
+                continue  # one atom's multiples are distinct
             ms_b = ctx.multiples[b]
-            for k in range(1, ord_a + 1):
-                if k == ord_a:
-                    continue  # hypothesis asks k != ord(a)
+            for k in range(1, ord_a):  # hypothesis asks k != ord(a)
                 for l in range(1, len(ms_b) + 1):
-                    if ms_a[k - 1] != ms_b[l - 1]:
-                        continue
-                    if a != b or k != l:
+                    if ms_a[k - 1] == ms_b[l - 1]:
                         yield (
                             (a, b, ms_a[k - 1]),
                             f"{k} copies of {E.names[a]} equal {l} copies "
@@ -690,14 +675,14 @@ def _law_t24(ctx: _Ctx) -> _Failures:
     for a in ctx.atoms:
         ms_a = ctx.multiples[a]
         for b in ctx.atoms:
+            if a == b:
+                continue  # the conclusion holds on the spot
             ms_b = ctx.multiples[b]
             ord_b = len(ms_b)
             for k in range(1, len(ms_a) + 1):
                 for l in range(1, ord_b + 1):
                     if not ctx.os.leq(ms_a[k - 1], ms_b[l - 1]):
                         continue
-                    if a == b:
-                        continue  # conclusion holds on the spot
                     if l < ord_b:
                         yield (
                             (a, b, ms_a[k - 1], ms_b[l - 1]),
@@ -706,7 +691,7 @@ def _law_t24(ctx: _Ctx) -> _Failures:
                         )
                         continue
                     full_le = ctx.os.leq(ms_a[-1], ms_b[-1])
-                    if ctx.os.meet[a][b] is None or ctx.os.join[a][b] is None:
+                    if _UNDEF in (ctx.meet[a][b], ctx.join[a][b]):
                         yield (
                             (a, b),
                             f"compatibility of atoms {ctx.names(a, b)} is not "
@@ -749,20 +734,21 @@ def _law_t26(ctx: _Ctx) -> _Failures:
 
 def _law_t34(ctx: _Ctx) -> _Failures:
     E = ctx.E
-    sharp = sorted(ctx.profile.sharp)
+    sharp = sum(1 << v for v in ctx.profile.sharp)
     proper = ctx.proper_families
     for x in range(E.size):
         if x == E.zero:
             continue
         candidates: set[tuple[int, frozenset[tuple[int, int]]]] = set()
-        for v in sharp:
+        # only a sharp v <= x leaves a rest x - v
+        below = ctx.os.down[x] & sharp
+        while below:
+            v = (below & -below).bit_length() - 1
+            below &= below - 1
             if v == x:
                 candidates.add((v, frozenset()))
                 continue
-            rest = E.diff(x, v)
-            if rest is None:
-                continue
-            for key in proper.get(rest, []):
+            for key in proper.get(E.diff(x, v), []):
                 candidates.add((v, key))
         if len(candidates) != 1:
             yield (
@@ -845,8 +831,8 @@ def _law_se_subalgebra(ctx: _Ctx) -> _Failures:
     sharp = sorted(ctx.profile.sharp)
     for i, x in enumerate(sharp):
         for y in sharp[i:]:
-            s = E.table[x][y]
-            if s is not None and s not in ctx.profile.sharp:
+            s = ctx.table[x][y]
+            if s != _UNDEF and s not in ctx.profile.sharp:
                 yield (
                     (x, y, s),
                     f"sum of sharp {ctx.names(x, y)} lands outside the "
@@ -859,8 +845,8 @@ def _law_se_full_sublattice(ctx: _Ctx) -> _Failures:
     sharp = sorted(ctx.profile.sharp)
     for i, x in enumerate(sharp):
         for y in sharp[i:]:
-            m, j = ctx.os.meet[x][y], ctx.os.join[x][y]
-            if m is None or j is None:
+            m, j = ctx.meet[x][y], ctx.join[x][y]
+            if m == _UNDEF or j == _UNDEF:
                 yield (x, y), f"sharp pair {ctx.names(x, y)} lacks a bound"
                 continue
             if m not in ctx.profile.sharp or j not in ctx.profile.sharp:

@@ -6,7 +6,10 @@ read from the byte rows of the sums in C, and every meet is looked up by
 its down-set mask, on and below the diagonal only, since meets are
 symmetric.  Joins need no lookup: the supplement reverses the order, so
 x v y = (x' ^ y')', and a join is missing exactly when that meet is; the
-algebra is therefore a lattice when no meet is missing.  The order
+algebra is therefore a lattice when no meet is missing.  The meets and
+joins are kept as byte rows (:func:`_order_rows`), ``_UNDEF`` where a
+bound is missing, which the law suite reads as they are; the tables of
+:class:`OrderStructure` are their tuple view.  The byte rows, the order
 structure, the compatibility masks (:func:`compatibility`) and the
 classification are computed once per algebra instance, kept in the
 instance's memo and released with it; :class:`~effalg.core.EffectAlgebra`
@@ -21,11 +24,11 @@ from operator import and_
 from typing import Optional
 
 from .core import (
-    _BYTE_VALUE,
     _UNDEF,
     EffectAlgebra,
     _difference_table,
     _sum_rows,
+    _tuples,
     derived,
 )
 
@@ -50,8 +53,14 @@ class OrderStructure:
 
 
 @derived
-def derive_order(E: EffectAlgebra) -> OrderStructure:
-    """Compute the induced order and bound tables for an algebra.
+def _order_rows(
+    E: EffectAlgebra,
+) -> tuple[tuple[int, ...], tuple[int, ...], list[bytes], list[bytes]]:
+    """The up- and down-set masks, and the meets and joins as byte rows.
+
+    Row x of the meets and of the joins holds x ^ y and x v y at index
+    y, ``_UNDEF`` where the bound is missing.  :func:`derive_order` shows
+    them as tuples, and the law suite reads them as they are.
 
     The up- and down-sets are read in C from the byte rows of the sums
     (:func:`~effalg.core._sum_rows`).  Row x holds every element above x,
@@ -70,8 +79,7 @@ def derive_order(E: EffectAlgebra) -> OrderStructure:
     Bennett 1994), so x v y = (x' ^ y')': the join table is the meet table
     with rows and columns permuted by the supplement and its entries
     translated through it, and a join is missing exactly when that meet
-    is.  A finite bounded poset is a lattice when every meet exists, so
-    ``is_lattice`` asks only whether a meet is missing.
+    is.
     """
     n = E.size
     rows = _sum_rows(E)
@@ -91,28 +99,26 @@ def derive_order(E: EffectAlgebra) -> OrderStructure:
     # Row x is its meets on and below the diagonal, then column x of the
     # lower triangle below it: meet[y][x] for y > x.
     flat = b"".join([row + bytes(n - len(row)) for row in lower])
-    meet_rows = [row + flat[x * (n + 1) + n :: n] for x, row in enumerate(lower)]
+    meet = [row + flat[x * (n + 1) + n :: n] for x, row in enumerate(lower)]
 
     s = E.supplement
     flip = bytes(s) + bytes((_UNDEF,)) * (256 - n)
     # permuted[y'::n] holds x' ^ y' at index x, so translated through the
     # supplement it is row y of the joins.
-    permuted = b"".join([meet_rows[z] for z in s])
-    join_rows = [permuted[z::n].translate(flip) for z in s]
-
-    return OrderStructure(
-        up, down, _tuples(meet_rows), _tuples(join_rows), _UNDEF not in flat
-    )
+    permuted = b"".join([meet[z] for z in s])
+    join = [permuted[z::n].translate(flip) for z in s]
+    return up, down, meet, join
 
 
-def _tuples(rows: list[bytes]) -> tuple[tuple[Optional[int], ...], ...]:
-    """Byte rows as tuples, ``None`` for ``_UNDEF``."""
-    return tuple(
-        [
-            tuple(map(_BYTE_VALUE.__getitem__, row)) if _UNDEF in row else tuple(row)
-            for row in rows
-        ]
-    )
+@derived
+def derive_order(E: EffectAlgebra) -> OrderStructure:
+    """The induced order, with its bound tables as the tuple view
+    (:func:`~effalg.core._tuples`) of :func:`_order_rows`.  A finite
+    bounded poset is a lattice when every meet exists, and a join is
+    missing exactly when a meet is, so ``is_lattice`` reads the meets."""
+    up, down, meet, join = _order_rows(E)
+    is_lattice = all(_UNDEF not in row for row in meet)
+    return OrderStructure(up, down, _tuples(meet), _tuples(join), is_lattice)
 
 
 @derived

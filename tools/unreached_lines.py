@@ -46,11 +46,6 @@ EXEMPT = [
     ),
     ("cli.py", "def console_main() -> None:", "runs only as a process"),
     ("cli.py", 'if __name__ == "__main__":', "runs only as a process"),
-    (
-        "cli.py",
-        "return None",
-        "_nonlattice_witness is only called off lattice, where a bound is missing",
-    ),
 ]
 
 
