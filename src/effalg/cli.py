@@ -49,7 +49,7 @@ from .constructions import (
     mv_chain,
     bundled_fixture,
 )
-from .core import EffectAlgebra, build_effect_algebra
+from .core import _UNDEF, EffectAlgebra, build_effect_algebra
 from .decompose import atomic_decomposition, basic_decomposition
 from .eaf import _MAX_DIGITS, parse_eaf, parse_state, serialize_eaf, serialize_state
 from .errors import (
@@ -148,8 +148,8 @@ def _nonlattice_witness(E: EffectAlgebra) -> dict:
         (x, y, bound)
         for x in range(E.size)
         for y in range(x + 1, E.size)
-        for bound, table in (("meet", os.meet), ("join", os.join))
-        if table[x][y] is None
+        for bound, rows in (("meet", os.meet_rows), ("join", os.join_rows))
+        if rows[x][y] == _UNDEF
     )
     return {"x": E.names[x], "y": E.names[y], "missing": missing}
 

@@ -12,7 +12,13 @@ from __future__ import annotations
 from importlib.resources import files
 from string import ascii_lowercase
 
-from .core import _MAX_ELEMENTS, EffectAlgebra, build_effect_algebra, make_algebra
+from .core import (
+    _MAX_ELEMENTS,
+    _UNDEF,
+    EffectAlgebra,
+    build_effect_algebra,
+    make_algebra,
+)
 from .eaf import parse_eaf
 from .errors import DegenerateBlock, SizeLimit
 
@@ -139,19 +145,15 @@ def direct_product(E1: EffectAlgebra, E2: EffectAlgebra) -> EffectAlgebra:
         for x2 in range(n2)
     ]
     sums: dict[tuple[int, int], int] = {}
-    for x1 in range(n1):
-        for x2 in range(n2):
+    for x1, row1 in enumerate(E1.rows):
+        for x2, row2 in enumerate(E2.rows):
             x = x1 * n2 + x2
-            for y1 in range(n1):
-                s1 = E1.table[x1][y1]
-                if s1 is None:
+            for y1, s1 in enumerate(row1):
+                if s1 == _UNDEF:
                     continue
-                for y2 in range(n2):
+                for y2, s2 in enumerate(row2):
                     y = y1 * n2 + y2
-                    if y < x:
-                        continue
-                    s2 = E2.table[x2][y2]
-                    if s2 is not None:
+                    if y >= x and s2 != _UNDEF:
                         sums[(x, y)] = s1 * n2 + s2
     zero = E1.zero * n2 + E2.zero
     one = E1.one * n2 + E2.one

@@ -1,9 +1,12 @@
 """Finite effect algebras as validated partial-sum tables.
 
 Elements are dense integer indices ``0..n-1``; the partial binary sum is
-stored as a dense matrix with ``None`` marking undefined pairs.  Partiality
-is the central semantic feature of these structures, so an absent value is
-always represented by ``None`` and never by a sentinel element.
+stored as the byte rows that the axiom check reads, row ``r`` holding
+``r + z`` at index ``z`` and byte 255 (``_UNDEF``) where the sum is
+undefined.  Every analysis reads those rows.  Results shown to a caller
+mark an undefined value with ``None``, never with a sentinel element: the
+tuple table ``EffectAlgebra.table`` is a view of the rows, decoded on
+first read.
 
 Construction closes a declared table under commutativity and the implied
 ``zero + x = x`` rows, reporting a pair declared with two results as a
@@ -28,19 +31,18 @@ values, so every downstream module may rely on the axioms without
 re-checking them.
 
 Data derived from a table is built once per algebra instance through
-:func:`derived` and kept on the instance.  This module keeps four such
-tables: the checked byte rows of the sums (:func:`_sum_rows`, of which
-``EffectAlgebra.table`` is the tuple view), differences (behind
-:meth:`EffectAlgebra.diff`), every element's multiples (:func:`multiples`,
-read by :func:`multiple`), and the columns of the canonical sums (behind
+:func:`derived` and kept on the instance.  This module keeps three such
+tables: differences as byte rows (behind :meth:`EffectAlgebra.diff`),
+every element's multiples (:func:`multiples`, read by :func:`multiple`),
+and the columns of the canonical sums (behind
 :meth:`EffectAlgebra.canonical_sums`).  :func:`_tuples` is the one
-decoder from byte rows to tuples.
+decoder from byte rows to tuples, and only the tuple views call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cached_property, wraps
 from itertools import chain, islice
 from operator import itemgetter
 from typing import (
@@ -345,10 +347,13 @@ def _differing(left: bytes, right: bytes, n: int) -> Iterator[int]:
 class EffectAlgebra:
     """A validated finite effect algebra.
 
-    ``table[x][y]`` is the sum of ``x`` and ``y`` or ``None`` when the pair
-    is not summable.  The table is closed (symmetric, zero rows present)
-    and has passed :func:`verify_axioms`, so ``supplement`` is total.
-    Instances are immutable; equality and hashing go by value.  Derived
+    ``rows[x][y]`` is the sum of ``x`` and ``y``, or ``_UNDEF`` when the
+    pair is not summable: the byte rows that :func:`verify_axioms`
+    checked.  The table is closed (symmetric, zero rows present) and has
+    passed that check, so ``supplement`` is total.  ``table`` is the same
+    table as tuples with ``None`` for undefined, decoded on first read;
+    no analysis reads it.  Instances are immutable; equality and hashing
+    go by value, and the rows determine the tuples and back.  Derived
     data (differences, multiples, order, compatibility, profile, sharp
     part, decompositions) is computed on first use into a per-instance
     memo, which is not a field, so it plays no part in ``==``, ``hash``
@@ -358,11 +363,15 @@ class EffectAlgebra:
     names: tuple[str, ...]
     zero: int
     one: int
-    table: tuple[tuple[Optional[int], ...], ...]
+    rows: tuple[bytes, ...]
     supplement: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_memo", {})
+
+    @cached_property
+    def table(self) -> tuple[tuple[Optional[int], ...], ...]:
+        return _tuples(self.rows)
 
     @property
     def size(self) -> int:
@@ -370,7 +379,7 @@ class EffectAlgebra:
 
     def diff(self, b: int, a: int) -> Optional[int]:
         """The unique c with a + c == b, or None when a is not below b."""
-        return _difference_table(self)[a][b]
+        return _BYTE_VALUE[_difference_table(self)[a][b]]
 
     def index(self, name: str) -> int:
         try:
@@ -425,11 +434,8 @@ def _build(
     report, rows = _check(len(names), zero, one, sums)
     if not report.ok:
         raise AxiomViolation(report)
-    matrix = _tuples(rows)
     supplement = tuple(row.index(one) for row in rows)
-    E = EffectAlgebra(names, zero, one, matrix, supplement)
-    E._memo[_sum_rows] = rows  # type: ignore[attr-defined]
-    return E
+    return EffectAlgebra(names, zero, one, tuple(rows), supplement)
 
 
 _T = TypeVar("_T")
@@ -450,16 +456,7 @@ def derived(fn: Callable[[EffectAlgebra], _T]) -> Callable[[EffectAlgebra], _T]:
     return once
 
 
-@derived
-def _sum_rows(E: EffectAlgebra) -> list[bytes]:
-    """Row r of ``E.table`` as bytes: r + z at index z, ``_UNDEF`` where
-    undefined.  :func:`_build` keeps the rows its check read here, so
-    they are built once per algebra; the table is symmetric, so row z is
-    also the column of z."""
-    return [bytes(_UNDEF if v is None else v for v in row) for row in E.table]
-
-
-def _tuples(rows: list[bytes]) -> tuple[tuple[Optional[int], ...], ...]:
+def _tuples(rows: Iterable[bytes]) -> tuple[tuple[Optional[int], ...], ...]:
     """Byte rows as tuples, ``None`` for ``_UNDEF``: the one decoder from
     the rows this package keeps to the tables it shows."""
     return tuple(
@@ -471,20 +468,20 @@ def _tuples(rows: list[bytes]) -> tuple[tuple[Optional[int], ...], ...]:
 
 
 @derived
-def _difference_table(E: EffectAlgebra) -> tuple[tuple[Optional[int], ...], ...]:
-    """``[a][b]`` is the c with a + c == b, or None when a is not below b.
+def _difference_table(E: EffectAlgebra) -> list[bytes]:
+    """Row a holds at index b the c with a + c == b, ``_UNDEF`` when a is
+    not below b.
 
     Cancellation (a + c == a + c' forces c == c') makes each entry unique.
     """
-    n = E.size
     out = []
-    for row in E.table:
-        diffs: list[Optional[int]] = [None] * n
+    for row in E.rows:
+        diffs = bytearray((_UNDEF,)) * E.size
         for c, b in enumerate(row):
-            if b is not None:
+            if b != _UNDEF:
                 diffs[b] = c
-        out.append(tuple(diffs))
-    return tuple(out)
+        out.append(bytes(diffs))
+    return out
 
 
 @derived
@@ -496,12 +493,12 @@ def _sum_columns(
     xs: list[int] = []
     ys: list[int] = []
     zs: list[int] = []
-    for x, row in enumerate(E.table):
+    for x, row in enumerate(E.rows):
         if x == E.zero:
             continue
         for y in range(x, E.size):
             z = row[y]
-            if z is not None and y != E.zero:
+            if z != _UNDEF and y != E.zero:
                 xs.append(x)
                 ys.append(y)
                 zs.append(z)
@@ -542,10 +539,11 @@ def iterated_sum(E: EffectAlgebra, terms: Iterable[Optional[int]]) -> Optional[i
     None (undefined) or a partial sum is undefined."""
     acc = E.zero
     for t in terms:
-        nxt = None if t is None else E.table[acc][t]
-        if nxt is None:
+        if t is None:
             return None
-        acc = nxt
+        acc = E.rows[acc][t]
+        if acc == _UNDEF:
+            return None
     return acc
 
 
@@ -560,15 +558,15 @@ def multiples(E: EffectAlgebra) -> tuple[tuple[int, ...], ...]:
     out = []
     for x in range(E.size):
         ms: list[int] = []
-        acc: Optional[int] = None if x == E.zero else x
-        while acc is not None:
+        acc = _UNDEF if x == E.zero else x
+        while acc != _UNDEF:
             ms.append(acc)
             if len(ms) >= E.size:
                 raise RuntimeError(
                     f"multiples of {x} exceed the element count; "
                     "the table is not a valid effect algebra"
                 )
-            acc = E.table[acc][x]
+            acc = E.rows[acc][x]
         out.append(tuple(ms))
     return tuple(out)
 

@@ -37,7 +37,6 @@ from .core import (
     _BYTE_VALUE,
     _UNDEF,
     EffectAlgebra,
-    _sum_rows,
     derived,
     iterated_sum,
     multiples,
@@ -196,7 +195,6 @@ def _greedy(
     row of sums of k·a, found in C.
     """
     ms = multiples(E)
-    rows = _sum_rows(E)
     atom_mask = sum(1 << a for a in atoms)
     multiple_mask = {a: sum(1 << m for m in ms[a]) for a in atoms}
     out = [(E.zero, 0, E.zero)] * E.size
@@ -205,7 +203,7 @@ def _greedy(
             below = dx & atom_mask
             a = (below & -below).bit_length() - 1
             k = (dx & multiple_mask[a]).bit_count()
-            out[x] = (a, k, rows[ms[a][k - 1]].index(x))
+            out[x] = (a, k, E.rows[ms[a][k - 1]].index(x))
     return out
 
 
@@ -230,7 +228,7 @@ def _table(E: EffectAlgebra) -> _Table:
     n = E.size
     # Row r padded to 256 bytes, so that r + _UNDEF reads as _UNDEF.
     pad = bytes((_UNDEF,)) * (256 - n)
-    plus = [row + pad for row in _sum_rows(E)]
+    plus = [row + pad for row in E.rows]
     parts: list[tuple[AtomMultiple, ...]] = [()] * n
     meager_parts = parts.copy()
     # the sums of each element's parts, of its full ones and of its proper ones

@@ -71,13 +71,12 @@ from .core import (
     _WITNESS_CAP,
     EffectAlgebra,
     Witnesses,
-    _sum_rows,
     multiples,
 )
 from .decompose import AtomMultiple, _parts_sum, atomic_decomposition
 from .errors import InvalidState, PreconditionFailed
 from .linear import InfeasibilityCertificate
-from .order import OrderStructure, _order_rows, compatibility, derive_order
+from .order import OrderStructure, compatibility, derive_order
 from .states import find_state, smear_state
 from .structure import StructureProfile, extract_sharp, structure_profile
 
@@ -163,19 +162,21 @@ class _Ctx:
     """What the laws read of one algebra.
 
     ``table[z]``, ``meet[x]`` and ``join[x]`` are the byte rows that the
-    algebra and its order keep (:func:`~effalg.core._sum_rows` and
-    :func:`~effalg.order._order_rows`): y + z, x ^ y and x v y at index
-    y, ``_UNDEF`` where undefined.  ``table`` is symmetric.  ``table_t``,
-    ``meet_t`` and ``join_t`` are the same rows as translate tables (see
-    :func:`_padded`), built on first use.  ``os`` is read only for the
-    order itself: ``up``, ``down``, ``leq`` and ``is_lattice``.
+    algebra and its order store (``EffectAlgebra.rows`` and
+    ``OrderStructure.meet_rows`` and ``join_rows``): y + z, x ^ y and
+    x v y at index y, ``_UNDEF`` where undefined.  ``table`` is
+    symmetric.  ``table_t``, ``meet_t`` and ``join_t`` are the same rows
+    as translate tables (see :func:`_padded`), built on first use.
+    ``os`` is read only for the order itself: ``up``, ``down``, ``leq``
+    and ``is_lattice``; no law reads the tuple views ``E.table``,
+    ``os.meet`` or ``os.join``.
     """
 
     def __init__(self, E: EffectAlgebra) -> None:
         self.E = E
         self.os: OrderStructure = derive_order(E)
-        self.table = _sum_rows(E)
-        _, _, self.meet, self.join = _order_rows(E)
+        self.table = E.rows
+        self.meet, self.join = self.os.meet_rows, self.os.join_rows
         self.profile: StructureProfile = structure_profile(E)
         self.atoms = sorted(self.profile.atoms)
         self.multiples = multiples(E)

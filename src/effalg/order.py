@@ -6,11 +6,11 @@ read from the byte rows of the sums in C, and every meet is looked up by
 its down-set mask, on and below the diagonal only, since meets are
 symmetric.  Joins need no lookup: the supplement reverses the order, so
 x v y = (x' ^ y')', and a join is missing exactly when that meet is; the
-algebra is therefore a lattice when no meet is missing.  The meets and
-joins are kept as byte rows (:func:`_order_rows`), ``_UNDEF`` where a
-bound is missing, which the law suite reads as they are; the tables of
-:class:`OrderStructure` are their tuple view.  The byte rows, the order
-structure, the compatibility masks (:func:`compatibility`) and the
+algebra is therefore a lattice when no meet is missing.
+:class:`OrderStructure` keeps the meets and joins as byte rows,
+``_UNDEF`` where a bound is missing, and every analysis reads those; its
+``meet`` and ``join`` tuple tables are views, decoded on first read.  The
+order structure, the compatibility masks (:func:`compatibility`) and the
 classification are computed once per algebra instance, kept in the
 instance's memo and released with it; :class:`~effalg.core.EffectAlgebra`
 is immutable, which makes that safe.
@@ -19,54 +19,54 @@ is immutable, which makes that safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import and_
 from typing import Optional
 
-from .core import (
-    _UNDEF,
-    EffectAlgebra,
-    _difference_table,
-    _sum_rows,
-    _tuples,
-    derived,
-)
+from .core import _UNDEF, EffectAlgebra, _difference_table, _tuples, derived
 
 
 @dataclass(frozen=True)
 class OrderStructure:
-    """Derived order data: relation bitmasks plus meet/join tables.
+    """Derived order data: relation bitmasks plus meet/join rows.
 
     ``up[x]`` has bit ``y`` set when ``x <= y``; ``down[x]`` when
-    ``y <= x``.  ``meet[x][y]`` / ``join[x][y]`` hold the bound's index or
-    ``None`` when the pair has no greatest lower / least upper bound.
+    ``y <= x``.  ``meet_rows[x][y]`` / ``join_rows[x][y]`` hold the
+    index of the pair's greatest lower / least upper bound, or
+    ``_UNDEF`` when it has none; both are symmetric.  ``meet`` and
+    ``join`` are the same tables as tuples with ``None`` for a missing
+    bound, decoded on first read; no analysis reads them.
     """
 
     up: tuple[int, ...]
     down: tuple[int, ...]
-    meet: tuple[tuple[Optional[int], ...], ...]
-    join: tuple[tuple[Optional[int], ...], ...]
+    meet_rows: tuple[bytes, ...]
+    join_rows: tuple[bytes, ...]
     is_lattice: bool
+
+    @cached_property
+    def meet(self) -> tuple[tuple[Optional[int], ...], ...]:
+        return _tuples(self.meet_rows)
+
+    @cached_property
+    def join(self) -> tuple[tuple[Optional[int], ...], ...]:
+        return _tuples(self.join_rows)
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
 
 
 @derived
-def _order_rows(
-    E: EffectAlgebra,
-) -> tuple[tuple[int, ...], tuple[int, ...], list[bytes], list[bytes]]:
-    """The up- and down-set masks, and the meets and joins as byte rows.
+def derive_order(E: EffectAlgebra) -> OrderStructure:
+    """The induced order: the up- and down-set masks, and the meets and
+    joins as byte rows.
 
-    Row x of the meets and of the joins holds x ^ y and x v y at index
-    y, ``_UNDEF`` where the bound is missing.  :func:`derive_order` shows
-    them as tuples, and the law suite reads them as they are.
-
-    The up- and down-sets are read in C from the byte rows of the sums
-    (:func:`~effalg.core._sum_rows`).  Row x holds every element above x,
-    so ``bytes.maketrans`` of it marks those elements with 255; read as
-    ``0``/``1`` digits, reversed, the marks are ``up[x]`` in base 2, and
-    the marks transposed by slices are the down-sets.
+    The up- and down-sets are read in C from the byte rows of the sums.
+    Row x holds every element above x, so ``bytes.maketrans`` of it marks
+    those elements with 255; read as ``0``/``1`` digits, reversed, the
+    marks are ``up[x]`` in base 2, and the marks transposed by slices are
+    the down-sets.
 
     ``down[x] & down[y]`` is down-closed, so it has a greatest element g
     exactly when it equals ``down[g]``; antisymmetry makes that g the only
@@ -79,14 +79,14 @@ def _order_rows(
     Bennett 1994), so x v y = (x' ^ y')': the join table is the meet table
     with rows and columns permuted by the supplement and its entries
     translated through it, and a join is missing exactly when that meet
-    is.
+    is.  A finite bounded poset is a lattice when every meet exists, so
+    ``is_lattice`` reads the meets.
     """
     n = E.size
-    rows = _sum_rows(E)
     ones = b"\xff" * n
     # 255 -> "1", every other byte -> "0"
     digits = b"0" * 255 + b"1"
-    marks = b"".join([bytes.maketrans(row, ones)[:n] for row in rows])
+    marks = b"".join([bytes.maketrans(row, ones)[:n] for row in E.rows])
     marks = marks.translate(digits)
     up = tuple([int(marks[x * n:(x + 1) * n][::-1], 2) for x in range(n)])
     down = tuple([int(marks[y::n][::-1], 2) for y in range(n)])
@@ -99,26 +99,16 @@ def _order_rows(
     # Row x is its meets on and below the diagonal, then column x of the
     # lower triangle below it: meet[y][x] for y > x.
     flat = b"".join([row + bytes(n - len(row)) for row in lower])
-    meet = [row + flat[x * (n + 1) + n :: n] for x, row in enumerate(lower)]
+    meet = tuple([row + flat[x * (n + 1) + n :: n] for x, row in enumerate(lower)])
 
     s = E.supplement
     flip = bytes(s) + bytes((_UNDEF,)) * (256 - n)
     # permuted[y'::n] holds x' ^ y' at index x, so translated through the
     # supplement it is row y of the joins.
     permuted = b"".join([meet[z] for z in s])
-    join = [permuted[z::n].translate(flip) for z in s]
-    return up, down, meet, join
-
-
-@derived
-def derive_order(E: EffectAlgebra) -> OrderStructure:
-    """The induced order, with its bound tables as the tuple view
-    (:func:`~effalg.core._tuples`) of :func:`_order_rows`.  A finite
-    bounded poset is a lattice when every meet exists, and a join is
-    missing exactly when a meet is, so ``is_lattice`` reads the meets."""
-    up, down, meet, join = _order_rows(E)
+    join = tuple([permuted[z::n].translate(flip) for z in s])
     is_lattice = all(_UNDEF not in row for row in meet)
-    return OrderStructure(up, down, _tuples(meet), _tuples(join), is_lattice)
+    return OrderStructure(up, down, meet, join, is_lattice)
 
 
 @derived
@@ -132,10 +122,10 @@ def compatibility(E: EffectAlgebra) -> tuple[int, ...]:
     # diff[m][y] is y minus m, defined because the meet m lies below y.
     diff = _difference_table(E)
     masks = []
-    for row, meets, joins in zip(E.table, os.meet, os.join):
+    for row, meets, joins in zip(E.rows, os.meet_rows, os.join_rows):
         mask = 0
         for y, (m, j) in enumerate(zip(meets, joins)):
-            if m is not None and j is not None and row[diff[m][y]] == j:
+            if m != _UNDEF and j != _UNDEF and row[diff[m][y]] == j:
                 mask |= 1 << y
         masks.append(mask)
     return tuple(masks)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import EffectAlgebra, derived, make_algebra, multiples
+from .core import _UNDEF, EffectAlgebra, derived, make_algebra, multiples
 from .order import derive_order, sharp_mask
 
 
@@ -54,6 +54,11 @@ class StructureProfile:
     ``s_dominating`` asks further that every element have a meet with
     every sharp element.  ``isotropic[x]`` is the largest k with the
     k-fold sum of x defined.
+
+    ``atomic`` and ``archimedean`` always hold, by finiteness of the
+    carrier.  A nonzero element's down-set is finite and holds an element
+    other than zero, so a minimal such element is an atom below it.  The
+    indices are finite, so no index fails to terminate.
     """
 
     atoms: frozenset[int]
@@ -77,7 +82,6 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     atoms = frozenset(
         x for x in range(n) if x != E.zero and os.down[x] == zero_bit | (1 << x)
     )
-    atom_mask = sum(1 << a for a in atoms)
     smask = sharp_mask(E, os)
     sharp = _mask_to_set(smask)
     meager = frozenset(
@@ -85,25 +89,17 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     )
     iso = tuple(len(ms) for ms in multiples(E))
 
-    # Atomic: every nonzero element sits above an atom.
-    atomic = all(
-        os.down[x] & atom_mask for x in range(n) if x != E.zero
-    )
-    # Archimedean here is automatic: indices are finite by finiteness of
-    # the carrier, so the flag records that no index failed to terminate.
-    archimedean = True
-
     cover = tuple(_extreme(os.up[x] & smask, os.up) for x in range(n))
     kernel = tuple(_extreme(os.down[x] & smask, os.down) for x in range(n))
     dominating = None not in cover
-    # In a lattice every meet exists, so only other orders are scanned.
+    # In a lattice every meet exists, so only other orders are scanned;
+    # meets are symmetric, so row p holds p's meet with every element.
     s_dom = dominating and (
-        os.is_lattice
-        or all(os.meet[x][p] is not None for x in range(n) for p in sharp)
+        os.is_lattice or all(_UNDEF not in os.meet_rows[p] for p in sharp)
     )
+    # atomic and archimedean hold by finiteness (see StructureProfile)
     return StructureProfile(
-        atoms, sharp, meager, iso, atomic, archimedean, dominating, s_dom,
-        cover, kernel,
+        atoms, sharp, meager, iso, True, True, dominating, s_dom, cover, kernel
     )
 
 
@@ -133,9 +129,10 @@ def extract_sharp(E: EffectAlgebra) -> SharpSubalgebra:
     pos = {x: i for i, x in enumerate(sharp)}
     sums: dict[tuple[int, int], int] = {}
     for i, x in enumerate(sharp):
+        row = E.rows[x]
         for j, y in enumerate(sharp[i:], start=i):
-            z = E.table[x][y]
-            if z is not None and z in pos:
+            z = row[y]
+            if z in pos:  # _UNDEF is no element
                 sums[(i, j)] = pos[z]
     names = tuple(E.names[x] for x in sharp)
     algebra = make_algebra(names, pos[E.zero], pos[E.one], sums)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -62,6 +63,19 @@ def zero_last(E):
         if (z := E.table[x][y]) is not None
     }
     return make_algebra(names, new[E.zero], new[E.one], sums)
+
+
+def refuse_tuple_views(monkeypatch):
+    """Make every decoding of byte rows into a tuple view raise, in each
+    loaded ``effalg`` module that names the decoder."""
+
+    def refuse(rows):
+        raise AssertionError("a tuple view was decoded")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "effalg" and hasattr(module, "_tuples"):
+            monkeypatch.setattr(module, "_tuples", refuse)
+    assert sys.modules["effalg.core"]._tuples is refuse
 
 
 def off_lattice(example_25, example_37, example_44):

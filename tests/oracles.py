@@ -17,13 +17,19 @@ is the order as it was derived before it read byte rows, and
 are the decompositions as they were walked, one element at a time, before
 each algebra kept a decomposition table; the two walks read the package's
 order and profile, since they serve only to compare the table with them.
+:func:`difference_table_by_loop` and :func:`compatibility_by_tuples` are
+the difference table and the compatibility masks as they were computed
+from the tuple tables, before the algebra and its order stored byte rows;
+the second reads the package's order, in its tuple view.
+:func:`oracle_atomic` checks by brute force that every nonzero element
+lies above an atom, which the package's profile takes from finiteness.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from effalg import (
     AtomicDecomposition,
@@ -133,6 +139,16 @@ def table_dict(E):
         for y in range(E.size)
         if E.table[x][y] is not None
     }
+
+
+def encoded(table):
+    """A table of indices and ``None`` as byte rows, 255 for ``None``."""
+    return tuple(bytes(255 if v is None else v for v in row) for row in table)
+
+
+def decoded(rows):
+    """Byte rows as a table of indices, ``None`` for 255."""
+    return tuple(tuple(None if v == 255 else v for v in row) for row in rows)
 
 
 def oracle_is_state(E, candidate):
@@ -991,7 +1007,8 @@ def derive_order_by_lookup(E: EffectAlgebra) -> OrderStructure:
     """``effalg.order.derive_order`` as it was before it read byte rows:
     masks built pair by pair from ``E.table``, every meet looked up among
     the down-sets and every join among the up-sets.  Kept verbatim, apart
-    from the name and the per-algebra memo, for reference only."""
+    from the name, the per-algebra memo and the bound tables handed to
+    :class:`OrderStructure` as byte rows, for reference only."""
     n = E.size
     up = [0] * n
     down = [0] * n
@@ -1008,7 +1025,9 @@ def derive_order_by_lookup(E: EffectAlgebra) -> OrderStructure:
     meet = tuple(tuple(by_down.get(dx & dy) for dy in down) for dx in down)
     join = tuple(tuple(by_up.get(ux & uy) for uy in up) for ux in up)
     lattice = not any(None in row for row in meet + join)
-    return OrderStructure(tuple(up), tuple(down), meet, join, lattice)
+    return OrderStructure(
+        tuple(up), tuple(down), encoded(meet), encoded(join), lattice
+    )
 
 
 def atomic_decomposition_by_walk(E: EffectAlgebra, x: int) -> AtomicDecomposition:
@@ -1057,3 +1076,52 @@ def basic_decomposition_by_walk(E: EffectAlgebra, x: int) -> BasicDecomposition:
     if remainder not in profile.meager:
         raise RuntimeError(f"proper parts of {x} sum to non-meager {remainder}")
     return BasicDecomposition(kernel, split.partial)
+
+
+def oracle_atomic(E: EffectAlgebra) -> bool:
+    """Whether every nonzero element lies above an atom, by brute force
+    over the down-sets of :func:`derive_order_by_lookup`."""
+    down = derive_order_by_lookup(E).down
+    atoms = [
+        a for a in range(E.size) if a != E.zero and down[a] == 1 << E.zero | 1 << a
+    ]
+    return all(
+        any(down[x] >> a & 1 for a in atoms) for x in range(E.size) if x != E.zero
+    )
+
+
+def difference_table_by_loop(
+    E: EffectAlgebra,
+) -> tuple[tuple[Optional[int], ...], ...]:
+    """``effalg.core._difference_table`` as it was before it kept byte
+    rows: ``[a][b]`` is the c with a + c == b, or None when a is not
+    below b, filled one entry at a time from ``E.table``.  Kept verbatim,
+    apart from the name and the per-algebra memo, for reference only."""
+    n = E.size
+    out = []
+    for row in E.table:
+        diffs: list[Optional[int]] = [None] * n
+        for c, b in enumerate(row):
+            if b is not None:
+                diffs[b] = c
+        out.append(tuple(diffs))
+    return tuple(out)
+
+
+def compatibility_by_tuples(E: EffectAlgebra) -> tuple[int, ...]:
+    """``effalg.order.compatibility`` as it was before it read byte rows:
+    every pair walked over ``E.table`` and the order's ``meet`` and
+    ``join`` tuple tables.  Kept verbatim, apart from the name, the
+    per-algebra memo and the difference table, which is
+    :func:`difference_table_by_loop`, for reference only."""
+    os = derive_order(E)
+    # diff[m][y] is y minus m, defined because the meet m lies below y.
+    diff = difference_table_by_loop(E)
+    masks = []
+    for row, meets, joins in zip(E.table, os.meet, os.join):
+        mask = 0
+        for y, (m, j) in enumerate(zip(meets, joins)):
+            if m is not None and j is not None and row[diff[m][y]] == j:
+                mask |= 1 << y
+        masks.append(mask)
+    return tuple(masks)

@@ -18,11 +18,13 @@ from effalg import (
     InfeasibilityCertificate,
     bundled_fixture,
     find_state,
+    parse_eaf,
     state_system,
     verify_certificate,
 )
 from effalg import cli
 from effalg.cli import main
+from conftest import refuse_tuple_views
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "effalg" / "fixtures"
 GOLDENS = Path(__file__).resolve().parent / "goldens"
@@ -735,3 +737,33 @@ def test_json_keeps_the_exit_code(capsys, command, fixture):
     assert json_code == text_code
     assert err == ""
     json.loads(out)  # exactly one JSON document
+
+
+def test_no_command_decodes_a_tuple_view(capsys, monkeypatch):
+    # every analysing command on the inputs of the five goldens, in text
+    # and JSON: with the decoder of the tuple views refused, the output is
+    # byte for byte what it is without
+    commands = []
+    for path in (EX25, EX44, HSUM):
+        names = parse_eaf(Path(path).read_text(encoding="utf-8")).names
+        commands += [
+            ("analyze", path),
+            ("states", "--certify-none", path),
+            ("smear", path, "--state", TRIV),
+            ("props", path),
+            ("props", "--counterexample-mode", path),
+        ] + [("decompose", path, name) for name in names]
+    commands += [argv + ("--json",) for argv in commands]
+    expected = {argv: run(capsys, *argv) for argv in commands}
+    refuse_tuple_views(monkeypatch)
+    for argv in commands:
+        assert run(capsys, *argv) == expected[argv], argv
+    goldens = {
+        ("analyze", EX25): "analyze-example-2.5.txt",
+        ("analyze", EX44): "analyze-example-4.4.txt",
+        ("props", "--counterexample-mode", EX25): "props-cx-example-2.5.txt",
+        ("smear", HSUM, "--state", TRIV): "smear-hsum.txt",
+        ("states", "--certify-none", EX44): "states-certify-example-4.4.txt",
+    }
+    for argv, name in goldens.items():
+        assert run(capsys, *argv)[1] == golden(name), argv

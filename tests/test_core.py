@@ -20,11 +20,16 @@ from effalg import (
     IndexOutOfRange,
     SizeLimit,
     SumTable,
+    State,
     UnknownName,
+    atomic_decomposition,
+    basic_decomposition,
     build_effect_algebra,
+    bundled_fixture,
     classify,
     derive_order,
     extract_sharp,
+    find_state,
     make_algebra,
     multiple,
     mv_chain,
@@ -34,18 +39,26 @@ from effalg import (
     verify_axioms,
 )
 from effalg import core
+from effalg.constructions import FIXTURE_FILES
 from effalg.core import (
     _MAX_ELEMENTS,
     _WITNESS_CAP,
     Witnesses,
+    _UNDEF,
     _eii_bytes,
-    _sum_rows,
     iterated_sum,
 )
 
-from conftest import zero_last
+from conftest import (
+    differential_algebras,
+    full_corpus,
+    refuse_tuple_views,
+    zero_last,
+)
 from oracles import (
     close_table,
+    decoded,
+    encoded,
     oracle_axiom_errors,
     oracle_eii_failures_near,
     oracle_multiple,
@@ -289,10 +302,10 @@ def test_multiple_against_the_oracle(corpus, example_25, example_37, example_44)
 
 
 def test_multiples_refuse_a_table_whose_multiples_never_end():
-    # a + a = a, built without the axiom check: a's multiples would repeat
-    E = EffectAlgebra(
-        ("0", "a", "1"), 0, 2, ((0, 1, 2), (1, 1, None), (2, None, None)), (2, 1, 0)
-    )
+    # a + a = a, built from byte rows without the axiom check: a's
+    # multiples would repeat
+    rows = (bytes((0, 1, 2)), bytes((1, 1, _UNDEF)), bytes((2, _UNDEF, _UNDEF)))
+    E = EffectAlgebra(("0", "a", "1"), 0, 2, rows, (2, 1, 0))
     with pytest.raises(RuntimeError) as err:
         multiple(E, 1, 1)
     assert str(err.value) == (
@@ -727,8 +740,52 @@ def test_byte_rows_match_the_oracle_at_255_elements():
 
 def test_an_algebra_keeps_the_byte_rows_its_check_read(corpus):
     for name, E in corpus + [("chain-255", mv_chain(254))]:
-        rows = _sum_rows(E)
-        assert rows is _sum_rows(E), name
-        # a copy has no memo, so its rows are read again from the table
-        assert rows == _sum_rows(dataclasses.replace(E)), name
-        assert rows == [bytes(255 if s is None else s for s in r) for r in E.table]
+        sums = [((x, y), z) for x, y, z in E.canonical_sums()]
+        report, rows = core._check(E.size, E.zero, E.one, sums)
+        assert report.ok, name
+        assert E.rows == tuple(rows), name
+        assert E.rows == encoded(E.table), name
+
+
+def test_the_tuple_views_decode_the_stored_rows(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    algebras = differential_algebras(corpus, example_25, example_37, example_44)
+    for name, E in algebras + at_the_cap:
+        os = derive_order(E)
+        assert E.table == decoded(E.rows), name
+        assert os.meet == decoded(os.meet_rows), name
+        assert os.join == decoded(os.join_rows), name
+        # each view is decoded once and kept
+        assert E.table is E.table and os.meet is os.meet and os.join is os.join
+
+
+def test_equality_and_hash_go_by_the_shown_fields():
+    # twins built apart, and the one table published under two fixture ids
+    first = full_corpus() + [(name, bundled_fixture(name)) for name in FIXTURE_FILES]
+    second = full_corpus() + [(name, bundled_fixture(name)) for name in FIXTURE_FILES]
+    for (name, E), (_, twin) in zip(first, second):
+        assert E is not twin and E == twin and hash(E) == hash(twin), name
+
+    def shown(E):
+        return (E.names, E.zero, E.one, E.table, E.supplement)
+
+    algebras = [E for _, E in first + second]
+    for E in algebras:
+        for F in algebras:
+            assert (E == F) == (shown(E) == shown(F))
+            assert E != F or hash(E) == hash(F)
+
+
+def test_no_analysis_decodes_a_tuple_view_at_the_cap(at_the_cap, monkeypatch):
+    refuse_tuple_views(monkeypatch)
+    for name, E in at_the_cap:
+        E = dataclasses.replace(E)  # a copy, with no view decoded yet
+        classify(E)
+        structure_profile(E)
+        extract_sharp(E)
+        for x in range(E.size):
+            atomic_decomposition(E, x)
+            basic_decomposition(E, x)
+        assert isinstance(find_state(E), State), name
+        assert run_law_suite(E).ok, name

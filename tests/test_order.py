@@ -9,9 +9,13 @@ from effalg import (
     horizontal_sum,
     mv_chain,
 )
-from conftest import differential_algebras
+from effalg.core import _difference_table
+from conftest import differential_algebras, zero_last
 from oracles import (
+    compatibility_by_tuples,
+    decoded,
     derive_order_by_lookup,
+    difference_table_by_loop,
     oracle_compatible,
     oracle_join,
     oracle_leq,
@@ -116,6 +120,24 @@ def test_compatibility_against_the_oracle(
                 all_compatible = all_compatible and expected is True
         # MV: every pair has a meet and a join, and every pair commutes.
         assert classify(E).is_mv == all_compatible, name
+
+
+def test_compatibility_and_differences_equal_the_tuple_references(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    # the byte-row masks and differences against the loops over the tuple
+    # tables that they replaced, with zero last as well at the element cap
+    algebras = differential_algebras(corpus, example_25, example_37, example_44)
+    algebras += at_the_cap
+    algebras += [(f"{name}-zero-last", zero_last(E)) for name, E in at_the_cap]
+    for name, E in algebras:
+        assert compatibility(E) == compatibility_by_tuples(E), name
+        diff = difference_table_by_loop(E)
+        assert decoded(_difference_table(E)) == diff, name
+        if E.size <= 64:
+            assert all(
+                E.diff(b, a) == diff[a][b] for a in range(E.size) for b in range(E.size)
+            ), name
 
 
 def test_boolean_bounds_are_bitwise():

@@ -11,8 +11,11 @@ from effalg import (
     mv_chain,
     structure_profile,
 )
+from effalg.core import _UNDEF
 from effalg.structure import _extreme
+from conftest import differential_algebras
 from oracles import (
+    oracle_atomic,
     oracle_atoms,
     oracle_leq,
     oracle_ord,
@@ -137,10 +140,10 @@ def test_a_missing_meet_with_a_sharp_element_is_not_s_dominating(monkeypatch):
     # the order is read with the meet of its two atoms missing
     E = boolean_algebra(2)
     a, b = E.index("s0"), E.index("s1")
-    meet = [list(row) for row in derive_order(E).meet]
-    meet[a][b] = meet[b][a] = None
+    meet = [bytearray(row) for row in derive_order(E).meet_rows]
+    meet[a][b] = meet[b][a] = _UNDEF
     os = replace(
-        derive_order(E), meet=tuple(map(tuple, meet)), is_lattice=False
+        derive_order(E), meet_rows=tuple(map(bytes, meet)), is_lattice=False
     )
     monkeypatch.setattr(structure, "derive_order", lambda _: os)
     prof = structure_profile(E)
@@ -195,3 +198,14 @@ def test_sharp_sums_stay_sharp_in_lattices(corpus):
                 s = E.table[x][y]
                 if s is not None:
                     assert s in sharp, name
+
+
+def test_every_nonzero_element_lies_above_an_atom(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    # why the profile's atomic flag is True without a scan: a finite
+    # carrier has an atom below each nonzero element
+    algebras = differential_algebras(corpus, example_25, example_37, example_44)
+    for name, E in algebras + at_the_cap:
+        assert oracle_atomic(E), name
+        assert structure_profile(E).atomic, name
