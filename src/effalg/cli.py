@@ -39,6 +39,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .constructions import (
@@ -141,17 +142,26 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     return 1, payload, lines
 
 
-def _nonlattice_witness(E: EffectAlgebra) -> dict:
-    """The first pair x < y missing a meet, else a join; one is, off lattice."""
+def _nonlattice_witness(E: EffectAlgebra) -> Optional[dict]:
+    """The first pair x < y missing a meet, else a join; ``None`` on a
+    lattice.
+
+    For x ascending, each of x's meet and join rows is searched in C from
+    index x + 1; the smaller y wins, and the meet at equal y.
+    """
     os = derive_order(E)
-    x, y, missing = next(
-        (x, y, bound)
-        for x in range(E.size)
-        for y in range(x + 1, E.size)
-        for bound, rows in (("meet", os.meet_rows), ("join", os.join_rows))
-        if rows[x][y] == _UNDEF
-    )
-    return {"x": E.names[x], "y": E.names[y], "missing": missing}
+    bounds = (("meet", os.meet_rows), ("join", os.join_rows))
+    for x in range(E.size):
+        hits = [
+            (y, bound)
+            for bound, rows in bounds
+            if (y := rows[x].find(_UNDEF, x + 1)) != -1
+        ]
+        if hits:
+            # min keeps the first of equal keys, the meet's
+            y, missing = min(hits, key=itemgetter(0))
+            return {"x": E.names[x], "y": E.names[y], "missing": missing}
+    return None
 
 
 def _yn(flag: bool) -> str:
@@ -162,7 +172,7 @@ def _cmd_analyze(args: argparse.Namespace) -> _Result:
     E = _load_algebra(args.file)
     cls = classify(E)
     prof = structure_profile(E)
-    witness = None if cls.is_lattice else _nonlattice_witness(E)
+    witness = _nonlattice_witness(E)
     # printed in this order, each key with "_" turned into "-"
     flags = {
         "lattice": cls.is_lattice,

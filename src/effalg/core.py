@@ -33,6 +33,7 @@ re-checking them.
 Data derived from a table is built once per algebra instance through
 :func:`derived` and kept on the instance.  This module keeps three such
 tables: differences as byte rows (behind :meth:`EffectAlgebra.diff`),
+each the inverse of a sum row, built by one translate table in C,
 every element's multiples (:func:`multiples`, read by :func:`multiple`),
 and the columns of the canonical sums (behind
 :meth:`EffectAlgebra.canonical_sums`).  :func:`_tuples` is the one
@@ -83,6 +84,8 @@ _UNDEF = 255
 _MAX_ELEMENTS = _UNDEF
 # A byte row's entry as an element index, ``None`` for ``_UNDEF``.
 _BYTE_VALUE: tuple[Optional[int], ...] = (*range(_UNDEF), None)
+# Every byte, in order: the identity translate table.
+_EVERY_BYTE = bytes(range(256))
 
 
 @dataclass(frozen=True)
@@ -472,16 +475,15 @@ def _difference_table(E: EffectAlgebra) -> list[bytes]:
     """Row a holds at index b the c with a + c == b, ``_UNDEF`` when a is
     not below b.
 
-    Cancellation (a + c == a + c' forces c == c') makes each entry unique.
+    Cancellation (a + c == a + c' forces c == c') makes each entry unique,
+    so row a is the inverse of sum row a: ``bytes.maketrans`` sends every
+    byte to ``_UNDEF`` and then each defined a + c back to c, in C.  Only
+    ``_UNDEF`` itself may repeat in a sum row, and it lies past the n
+    bytes kept.
     """
-    out = []
-    for row in E.rows:
-        diffs = bytearray((_UNDEF,)) * E.size
-        for c, b in enumerate(row):
-            if b != _UNDEF:
-                diffs[b] = c
-        out.append(bytes(diffs))
-    return out
+    n = E.size
+    inverse = bytes((_UNDEF,)) * 256 + _EVERY_BYTE[:n]
+    return [bytes.maketrans(_EVERY_BYTE + row, inverse)[:n] for row in E.rows]
 
 
 @derived

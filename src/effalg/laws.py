@@ -169,7 +169,9 @@ class _Ctx:
     as translate tables (see :func:`_padded`), built on first use.
     ``os`` is read only for the order itself: ``up``, ``down``, ``leq``
     and ``is_lattice``; no law reads the tuple views ``E.table``,
-    ``os.meet`` or ``os.join``.
+    ``os.meet`` or ``os.join``.  ``compat`` holds the
+    :func:`~effalg.order.compatibility` masks, also built on first use,
+    so a suite whose laws do not read them builds none.
     """
 
     def __init__(self, E: EffectAlgebra) -> None:
@@ -180,7 +182,10 @@ class _Ctx:
         self.profile: StructureProfile = structure_profile(E)
         self.atoms = sorted(self.profile.atoms)
         self.multiples = multiples(E)
-        self.compat = compatibility(E)
+
+    @cached_property
+    def compat(self) -> tuple[int, ...]:
+        return compatibility(self.E)
 
     @cached_property
     def table_t(self) -> list[bytes]:

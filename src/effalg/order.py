@@ -9,9 +9,16 @@ x v y = (x' ^ y')', and a join is missing exactly when that meet is; the
 algebra is therefore a lattice when no meet is missing.
 :class:`OrderStructure` keeps the meets and joins as byte rows,
 ``_UNDEF`` where a bound is missing, and every analysis reads those; its
-``meet`` and ``join`` tuple tables are views, decoded on first read.  The
-order structure, the compatibility masks (:func:`compatibility`) and the
-classification are computed once per algebra instance, kept in the
+``meet`` and ``join`` tuple tables are views, decoded on first read.
+
+A lattice effect algebra is an MV-effect algebra exactly when x ^ y = 0
+implies that x + y is defined (Bennett and Foulis 1995, "Phi-symmetric
+effect algebras"), so :func:`classify` reads the MV flag from the meet
+and sum rows in C and builds no compatibility masks; tier-1 checks the
+flag against the masks, computed pair by pair.  :func:`compatibility`
+builds its masks only when they are read, and on an MV algebra, where
+every mask is full, without a loop.  The order structure, the masks and
+the classification are computed once per algebra instance, kept in the
 instance's memo and released with it; :class:`~effalg.core.EffectAlgebra`
 is immutable, which makes that safe.
 """
@@ -116,8 +123,13 @@ def compatibility(E: EffectAlgebra) -> tuple[int, ...]:
     """``[x]`` has bit ``y`` set when x and y are compatible.
 
     A pair is compatible when their join equals x + (y minus their meet).
-    A pair without a meet or a join has no bit set.
+    A pair without a meet or a join has no bit set.  An MV-effect algebra
+    is a lattice with every pair compatible, so when :func:`classify`
+    finds one, every mask is full and none is built pair by pair.
     """
+    n = E.size
+    if classify(E).is_mv:
+        return ((1 << n) - 1,) * n
     os = derive_order(E)
     # diff[m][y] is y minus m, defined because the meet m lies below y.
     diff = _difference_table(E)
@@ -153,13 +165,23 @@ def sharp_mask(E: EffectAlgebra, os: OrderStructure) -> int:
 def classify(E: EffectAlgebra) -> Classification:
     """Lattice / MV / orthomodular-image classification.
 
-    MV means lattice-ordered with every pair compatible.  The orthomodular
-    image test asks for a lattice in which every element is sharp.
+    MV means lattice-ordered with every pair compatible.  On a lattice
+    effect algebra that holds exactly when x ^ y = 0 implies that x + y
+    is defined (Bennett and Foulis 1995, "Phi-symmetric effect
+    algebras"); tier-1 checks this flag against the :func:`compatibility`
+    masks, computed pair by pair.  The joined meet rows, translated to
+    ``1`` where the meet is zero, and the joined sum rows, translated to
+    ``1`` where the sum is undefined, are read as base-2 ints with pair
+    (x, y) at the same digit, so the algebra is MV when they share no
+    bit.  The orthomodular image test asks for a lattice in which every
+    element is sharp.
     """
     os = derive_order(E)
     if not os.is_lattice:
         return Classification(False, False, False)
-    full = (1 << E.size) - 1
-    mv = all(mask == full for mask in compatibility(E))
-    all_sharp = sharp_mask(E, os) == full
-    return Classification(True, mv, all_sharp)
+    is_zero = bytearray(b"0" * 256)
+    is_zero[E.zero] = ord("1")
+    disjoint = int(b"".join(os.meet_rows).translate(is_zero), 2)
+    undefined = int(b"".join(E.rows).translate(b"0" * _UNDEF + b"1"), 2)
+    all_sharp = sharp_mask(E, os) == (1 << E.size) - 1
+    return Classification(True, not disjoint & undefined, all_sharp)

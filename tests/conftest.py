@@ -47,15 +47,14 @@ def full_corpus():
     return chain_corpus() + boolean_corpus() + hsum_corpus() + product_corpus()
 
 
-def zero_last(E):
-    """E, with zero at index 0, relabelled so that zero has the last
-    index and the other elements keep their order."""
-    assert E.zero == 0
+def relabelled(E, order):
+    """E with its elements listed in ``order``, a permutation of E's
+    indices: old element ``order[i]`` becomes element i."""
     n = E.size
-    new = [(x - 1) % n for x in range(n)]
-    names = [None] * n
-    for x in range(n):
-        names[new[x]] = E.names[x]
+    new = [None] * n
+    for i, x in enumerate(order):
+        new[x] = i
+    names = [E.names[x] for x in order]
     sums = {
         (new[x], new[y]): new[z]
         for x in range(n)
@@ -65,17 +64,38 @@ def zero_last(E):
     return make_algebra(names, new[E.zero], new[E.one], sums)
 
 
+def zero_last(E):
+    """E, with zero at index 0, relabelled so that zero has the last
+    index and the other elements keep their order."""
+    assert E.zero == 0
+    return relabelled(E, [*range(1, E.size), 0])
+
+
+def _refuse(monkeypatch, attr, what):
+    """Make ``attr`` raise, naming ``what``, in each loaded ``effalg``
+    module that names it."""
+
+    def refuse(*args):
+        raise AssertionError(what)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "effalg" and hasattr(module, attr):
+            monkeypatch.setattr(module, attr, refuse)
+    return refuse
+
+
 def refuse_tuple_views(monkeypatch):
     """Make every decoding of byte rows into a tuple view raise, in each
     loaded ``effalg`` module that names the decoder."""
-
-    def refuse(rows):
-        raise AssertionError("a tuple view was decoded")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "effalg" and hasattr(module, "_tuples"):
-            monkeypatch.setattr(module, "_tuples", refuse)
+    refuse = _refuse(monkeypatch, "_tuples", "a tuple view was decoded")
     assert sys.modules["effalg.core"]._tuples is refuse
+
+
+def refuse_compatibility_masks(monkeypatch):
+    """Make every call of ``compatibility`` raise, in each loaded
+    ``effalg`` module that names it, so that no mask is built."""
+    refuse = _refuse(monkeypatch, "compatibility", "compatibility masks were built")
+    assert sys.modules["effalg.order"].compatibility is refuse
 
 
 def off_lattice(example_25, example_37, example_44):

@@ -21,6 +21,9 @@ order and profile, since they serve only to compare the table with them.
 the difference table and the compatibility masks as they were computed
 from the tuple tables, before the algebra and its order stored byte rows;
 the second reads the package's order, in its tuple view.
+:func:`nonlattice_witness_by_generator` is ``analyze``'s non-lattice
+witness as it was found before each bound row was searched with
+``bytes.find``: one pair at a time, from the package's order.
 :func:`oracle_atomic` checks by brute force that every nonzero element
 lies above an atom, which the package's profile takes from finiteness.
 """
@@ -47,7 +50,7 @@ from effalg import (
     structure_profile,
     verify_certificate,
 )
-from effalg.core import _MAX_ELEMENTS, multiples
+from effalg.core import _MAX_ELEMENTS, _UNDEF, multiples
 from effalg.decompose import _parts_sum
 from effalg.eaf import _COUNT, _EA_HEADER, EafDocument, _int
 from effalg.errors import MissingHeader, ParseError, SizeLimit
@@ -1125,3 +1128,20 @@ def compatibility_by_tuples(E: EffectAlgebra) -> tuple[int, ...]:
                 mask |= 1 << y
         masks.append(mask)
     return tuple(masks)
+
+
+def nonlattice_witness_by_generator(E: EffectAlgebra) -> dict:
+    """``effalg.cli._nonlattice_witness`` as it was before it searched
+    each meet and join row with ``bytes.find``: the pairs x < y walked
+    in order, the meet before the join of each.  Kept verbatim, apart
+    from the name, for reference only; it raises ``StopIteration`` on a
+    lattice."""
+    os = derive_order(E)
+    x, y, missing = next(
+        (x, y, bound)
+        for x in range(E.size)
+        for y in range(x + 1, E.size)
+        for bound, rows in (("meet", os.meet_rows), ("join", os.join_rows))
+        if rows[x][y] == _UNDEF
+    )
+    return {"x": E.names[x], "y": E.names[y], "missing": missing}

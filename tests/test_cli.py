@@ -17,14 +17,23 @@ import pytest
 from effalg import (
     InfeasibilityCertificate,
     bundled_fixture,
+    direct_product,
     find_state,
+    mv_chain,
     parse_eaf,
     state_system,
     verify_certificate,
 )
 from effalg import cli
 from effalg.cli import main
-from conftest import refuse_tuple_views
+from conftest import (
+    off_lattice,
+    refuse_compatibility_masks,
+    refuse_tuple_views,
+    relabelled,
+    zero_last,
+)
+from oracles import nonlattice_witness_by_generator
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "effalg" / "fixtures"
 GOLDENS = Path(__file__).resolve().parent / "goldens"
@@ -215,6 +224,45 @@ def test_analyze_names_a_missing_meet_first_when_one_comes_first(capsys, tmp_pat
     code, out, err = run(capsys, "analyze", str(moved))
     assert code == 0
     assert "non-lattice-witness ab 2a meet\n" in out
+
+
+def test_nonlattice_witness_equals_the_generator_reference(
+    example_25, example_37, example_44
+):
+    # the rows searched with bytes.find against the pair-by-pair walk they
+    # replaced, on the off-lattice tables, their zero-last relabellings
+    # (joins found first) and their reversals (meets found first)
+    algebras = off_lattice(example_25, example_37, example_44)
+    algebras += [zero_last(E) for E in algebras if E.zero == 0]
+    algebras += [relabelled(E, range(E.size)[::-1]) for E in algebras]
+    # a,ab and b,2a lack both a meet and a join: listed first, the meet wins
+    square = direct_product(example_25, example_25)
+    first = [square.index("a,ab"), square.index("b,2a")]
+    order = first + [x for x in range(square.size) if x not in first]
+    algebras.append(relabelled(square, order))
+    for E in algebras:
+        assert cli._nonlattice_witness(E) == nonlattice_witness_by_generator(E)
+    missing = {nonlattice_witness_by_generator(E)["missing"] for E in algebras}
+    assert missing == {"meet", "join"}
+    assert cli._nonlattice_witness(algebras[-1]) == {
+        "x": "a,ab",
+        "y": "b,2a",
+        "missing": "meet",
+    }
+    assert cli._nonlattice_witness(mv_chain(3)) is None
+
+
+def test_analyze_builds_no_compatibility_masks(capsys, monkeypatch):
+    # on the inputs of the goldens, in text and JSON: with every call of
+    # compatibility refused, the output is byte for byte what it is without
+    commands = [("analyze", path) for path in (EX25, EX44, HSUM)]
+    commands += [argv + ("--json",) for argv in commands]
+    expected = {argv: run(capsys, *argv) for argv in commands}
+    refuse_compatibility_masks(monkeypatch)
+    for argv in commands:
+        assert run(capsys, *argv) == expected[argv], argv
+    assert run(capsys, "analyze", EX25)[1] == golden("analyze-example-2.5.txt")
+    assert run(capsys, "analyze", EX44)[1] == golden("analyze-example-4.4.txt")
 
 
 def test_analyze_on_a_lattice_has_no_witness_line(capsys, tmp_path):

@@ -1,16 +1,22 @@
 """Induced order, bounds, compatibility, and classification."""
 
+import dataclasses
+
 from effalg import (
+    atomic_decomposition,
+    basic_decomposition,
     boolean_algebra,
     classify,
     compatibility,
     derive_order,
     direct_product,
+    extract_sharp,
     horizontal_sum,
     mv_chain,
+    structure_profile,
 )
 from effalg.core import _difference_table
-from conftest import differential_algebras, zero_last
+from conftest import differential_algebras, refuse_compatibility_masks, zero_last
 from oracles import (
     compatibility_by_tuples,
     decoded,
@@ -138,6 +144,63 @@ def test_compatibility_and_differences_equal_the_tuple_references(
             assert all(
                 E.diff(b, a) == diff[a][b] for a in range(E.size) for b in range(E.size)
             ), name
+
+
+def mixed_lattices():
+    """Products and horizontal sums mixing Boolean algebras and chains:
+    lattices, and none of them MV."""
+    return [
+        (
+            "b2x(c2+c3)",
+            direct_product(
+                boolean_algebra(2), horizontal_sum([mv_chain(2), mv_chain(3)])
+            ),
+        ),
+        (
+            "(b2+c3)xc2",
+            direct_product(
+                horizontal_sum([boolean_algebra(2), mv_chain(3)]), mv_chain(2)
+            ),
+        ),
+        ("b3+c4", horizontal_sum([boolean_algebra(3), mv_chain(4)])),
+    ]
+
+
+def test_the_mv_flag_equals_full_compatibility_masks(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    # classify reads MV as "x ^ y = 0 implies x + y defined" on a lattice;
+    # the masks, computed pair by pair from the tuple tables, say whether
+    # every pair is compatible
+    algebras = differential_algebras(corpus, example_25, example_37, example_44)
+    algebras += at_the_cap + mixed_lattices()
+    lattices_not_mv = 0
+    for name, E in algebras:
+        full = (1 << E.size) - 1
+        cls = classify(E)
+        assert cls.is_mv == all(m == full for m in compatibility_by_tuples(E)), name
+        lattices_not_mv += cls.is_lattice and not cls.is_mv
+    assert lattices_not_mv >= 30
+
+
+def test_the_analysis_path_builds_no_compatibility_masks(
+    corpus, example_25, example_37, example_44, at_the_cap, monkeypatch
+):
+    # with every call of compatibility refused, a copy of each algebra,
+    # with a memo of its own, analyses as the algebra did before
+    def analysis(E):
+        cls = classify(E)
+        parts = [atomic_decomposition(E, x) for x in range(E.size)]
+        if cls.is_lattice:
+            parts += [basic_decomposition(E, x) for x in range(E.size)]
+        return cls, structure_profile(E), extract_sharp(E), parts
+
+    algebras = differential_algebras(corpus, example_25, example_37, example_44)
+    algebras += at_the_cap
+    expected = [analysis(E) for _, E in algebras]
+    refuse_compatibility_masks(monkeypatch)
+    for (name, E), want in zip(algebras, expected):
+        assert analysis(dataclasses.replace(E)) == want, name
 
 
 def test_boolean_bounds_are_bitwise():
