@@ -1,23 +1,28 @@
 """Generators for standard finite effect algebras and bundled fixtures.
 
-Every constructor returns a fully validated algebra: the tables go through
-the same closure and axiom checks as parsed input, so a buggy generator
-fails loudly rather than producing a quietly broken structure.  Results
-have at most ``core._MAX_ELEMENTS`` (255) elements; a larger one raises
-:class:`SizeLimit` before its table is built.
+Every constructor builds its byte rows directly, with no table of declared
+sums, and hands them to the same axiom check as parsed input, which also
+tests that they are symmetric with the identity as zero row.  So a buggy
+generator fails loudly rather than producing a quietly broken structure.
+Results have at most ``core._MAX_ELEMENTS`` (255) elements; a larger one
+raises :class:`SizeLimit` before its rows are built.
 """
 
 from __future__ import annotations
 
 from importlib.resources import files
+from operator import itemgetter
 from string import ascii_lowercase
 
 from .core import (
+    _ALL_UNDEF,
+    _EVERY_BYTE,
     _MAX_ELEMENTS,
     _UNDEF,
     EffectAlgebra,
+    Witnesses,
+    _algebra,
     build_effect_algebra,
-    make_algebra,
 )
 from .eaf import parse_eaf
 from .errors import DegenerateBlock, SizeLimit
@@ -47,13 +52,9 @@ def mv_chain(n: int) -> EffectAlgebra:
         names.append("a")
         names.extend(f"{k}a" for k in range(2, n))
     names.append("1")
-    sums = {
-        (k, l): k + l
-        for k in range(1, n + 1)
-        for l in range(k, n + 1)
-        if k + l <= n
-    }
-    return make_algebra(names, 0, n, sums)
+    # row k holds k + l at index l while k + l <= n, then undefined
+    rows = [_EVERY_BYTE[k : n + 1] + _ALL_UNDEF[:k] for k in range(n + 1)]
+    return _algebra(names, 0, n, rows, Witnesses())
 
 
 def _subset_name(mask: int, k: int) -> str:
@@ -76,13 +77,8 @@ def boolean_algebra(k: int) -> EffectAlgebra:
         )
     n = 1 << k
     names = [_subset_name(m, k) for m in range(n)]
-    sums = {
-        (x, y): x | y
-        for x in range(1, n)
-        for y in range(x, n)
-        if x & y == 0
-    }
-    return make_algebra(names, 0, n - 1, sums)
+    rows = [bytes(_UNDEF if x & y else x | y for y in range(n)) for x in range(n)]
+    return _algebra(names, 0, n - 1, rows, Witnesses())
 
 
 def horizontal_sum(parts: list[EffectAlgebra]) -> EffectAlgebra:
@@ -99,65 +95,56 @@ def horizontal_sum(parts: list[EffectAlgebra]) -> EffectAlgebra:
         return parts[0]
     if len(parts) > _MAX_BLOCKS:
         raise SizeLimit(f"at most {_MAX_BLOCKS} blocks supported")
-    for part in parts:
-        if part.size < 3:
-            raise DegenerateBlock(
-                "every block needs an interior element (size >= 3)"
-            )
-    _check_size("horizontal sums", 2 + sum(part.size - 2 for part in parts))
+    if min(part.size for part in parts) < 3:
+        raise DegenerateBlock("every block needs an interior element (size >= 3)")
+    n = 2 + sum(part.size - 2 for part in parts)
+    _check_size("horizontal sums", n)
+    one = n - 1
 
     names = ["0"]
-    maps: list[dict[int, int]] = []  # per part: part index -> glued index
+    rows = [_EVERY_BYTE[:n]]
     for p, part in enumerate(parts):
         letter = ascii_lowercase[p]
-        mapping = {part.zero: 0}
-        position = 0
-        for x in range(part.size):
-            if x in (part.zero, part.one):
-                continue
-            position += 1
-            mapping[x] = len(names)
-            names.append(letter if position == 1 else f"{position}{letter}")
-        maps.append(mapping)
-    one = len(names)
+        interior = [x for x in range(part.size) if x not in (part.zero, part.one)]
+        start, stop = len(names), len(names) + len(interior)
+        names += [letter] + [f"{k}{letter}" for k in range(2, len(interior) + 1)]
+        # the part's elements as elements of the sum
+        elements = (part.zero, part.one, *interior)
+        glue = bytes.maketrans(bytes(elements), bytes((0, one, *range(start, stop))))
+        # the part's columns in the sum's order; index part.size, an _UNDEF
+        # padded onto each row, stands for the columns outside the block
+        out = [part.size]
+        pick = itemgetter(
+            part.zero, *out * (start - 1), *interior, *out * (one - stop), part.one
+        )
+        for x in interior:
+            rows.append(bytes(pick(part.rows[x] + _ALL_UNDEF[:1])).translate(glue))
     names.append("1")
-    for p, part in enumerate(parts):
-        maps[p][part.one] = one
-
-    sums: dict[tuple[int, int], int] = {}
-    for p, part in enumerate(parts):
-        mapping = maps[p]
-        for x, y, z in part.canonical_sums():
-            sums[(mapping[x], mapping[y])] = mapping[z]
-    return make_algebra(names, 0, one, sums)
+    rows.append(bytes((one,)) + _ALL_UNDEF[: n - 1])
+    return _algebra(names, 0, one, rows, Witnesses())
 
 
 def direct_product(E1: EffectAlgebra, E2: EffectAlgebra) -> EffectAlgebra:
     """Componentwise product: a pair is summable iff both components are.
 
-    The product may have at most 255 elements.
+    Row (x1, x2) joins, for each s in E1's row x1, E2's row x2 translated
+    by s·n2, or an undefined stretch where s is ``_UNDEF``.  The product
+    may have at most 255 elements.
     """
     n1, n2 = E1.size, E2.size
     _check_size("products", n1 * n2)
-    names = [
-        f"{E1.names[x1]},{E2.names[x2]}"
-        for x1 in range(n1)
-        for x2 in range(n2)
+    names = [f"{name1},{name2}" for name1 in E1.names for name2 in E2.names]
+    # shift[s] sends x2 to (s, x2), and everything to _UNDEF for s = _UNDEF
+    shift = [_EVERY_BYTE[s * n2 : (s + 1) * n2] + _ALL_UNDEF[n2:] for s in range(n1)]
+    shift += [_ALL_UNDEF] * (256 - n1)
+    rows = [
+        b"".join(map(row2.translate, map(shift.__getitem__, row1)))
+        for row1 in E1.rows
+        for row2 in E2.rows
     ]
-    sums: dict[tuple[int, int], int] = {}
-    for x1, row1 in enumerate(E1.rows):
-        for x2, row2 in enumerate(E2.rows):
-            x = x1 * n2 + x2
-            for y1, s1 in enumerate(row1):
-                if s1 == _UNDEF:
-                    continue
-                for y2, s2 in enumerate(row2):
-                    y = y1 * n2 + y2
-                    if y >= x and s2 != _UNDEF:
-                        sums[(x, y)] = s1 * n2 + s2
     zero = E1.zero * n2 + E2.zero
     one = E1.one * n2 + E2.one
-    return make_algebra(names, zero, one, sums)
+    return _algebra(names, zero, one, rows, Witnesses())
 
 
 def _check_size(kind: str, n: int) -> None:

@@ -8,10 +8,8 @@ mark an undefined value with ``None``, never with a sentinel element: the
 tuple table ``EffectAlgebra.table`` is a view of the rows, decoded on
 first read.
 
-Construction closes a declared table under commutativity and the implied
-``zero + x = x`` rows, reporting a pair declared with two results as a
-violation, then checks the four defining axioms on every pair and, for
-associativity, on every triple:
+One check of the four defining axioms (Foulis & Bennett 1994) reads
+byte rows, on every pair and, for associativity, on every triple:
 
 * Ei   commutativity: a+b defined implies b+a defined and equal,
 * Eii  associativity: either grouping of a+b+c defined implies both are
@@ -19,10 +17,15 @@ associativity, on every triple:
 * Eiii every element has exactly one orthosupplement summing to the unit,
 * Eiv  the unit admits no nonzero summand.
 
-One check does both, for :func:`verify_axioms`, :func:`make_algebra` and
-:func:`build_effect_algebra` alike.  Tables have at most
-``_MAX_ELEMENTS`` (255) elements, so that every lookup row is a byte
-string with byte 255 for "undefined", and associativity is checked one
+It has two inputs.  Declared sums, for :func:`verify_axioms`,
+:func:`make_algebra` and :func:`build_effect_algebra`, are first closed
+into rows under commutativity and the implied ``zero + x = x`` rows
+(:func:`_close_sums`), a pair declared with two results reported as a
+violation.  The constructions and the sharp subalgebra build their rows
+directly, and the check (:func:`_check_rows`) also tests those for
+symmetry and the identity zero row.  Tables have at most
+``_MAX_ELEMENTS`` (255) elements, so that every row is a byte string
+with byte 255 for "undefined", and associativity is checked one
 element's triples at a time by composing rows in C (see
 :func:`verify_axioms`).
 
@@ -86,6 +89,8 @@ _MAX_ELEMENTS = _UNDEF
 _BYTE_VALUE: tuple[Optional[int], ...] = (*range(_UNDEF), None)
 # Every byte, in order: the identity translate table.
 _EVERY_BYTE = bytes(range(256))
+# 256 undefined entries, sliced to pad rows and translate tables.
+_ALL_UNDEF = bytes((_UNDEF,)) * 256
 
 
 @dataclass(frozen=True)
@@ -125,13 +130,9 @@ class Witnesses:
         self.kept: list[Violation] = []
         self.totals: dict[str, int] = {}
 
-    def tally(self, label: str) -> bool:
-        """Count one failure of ``label``; True while it is to be kept."""
-        total = self.totals[label] = self.totals.get(label, 0) + 1
-        return total <= _WITNESS_CAP
-
     def add(self, label: str, witnesses: tuple[int, ...], detail: str) -> None:
-        if self.tally(label):
+        total = self.totals[label] = self.totals.get(label, 0) + 1
+        if total <= _WITNESS_CAP:
             self.kept.append(Violation(label, witnesses, detail))
 
 
@@ -160,19 +161,18 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     with two results fails Ei and an entry contradicting a zero row fails
     ``closure``, each such pair counted once.  Eiii and Eiv are checked
     on every pair, Eii on every triple (x, y, z), so the report's
-    ``totals`` are exact.  Each row of the lookup matrix is a byte string
-    and Eii composes rows in C, one element x at a time: translating the
-    whole matrix through x's row gives x + (y + z) for every (y, z), and
-    joining the rows of x + y gives (x + y) + z (see :func:`_eii_bytes`).
-    Only the first ``_WITNESS_CAP`` violations of each axiom are kept, in
-    (x, y, z) order, so memory stays bounded however broken the table is.
+    ``totals`` are exact.  Eii composes byte rows in C, one element x at a
+    time (see :func:`_eii_bytes`).  Only the first ``_WITNESS_CAP``
+    violations of each axiom are kept, in (x, y, z) order, so memory
+    stays bounded however broken the table is.
     An empty report means the closed table is an effect algebra.  Raises
     :class:`SizeLimit` when ``size`` exceeds ``_MAX_ELEMENTS`` and
     :class:`IndexOutOfRange` when ``size`` is not an int, an entry,
     ``zero`` or ``one`` is not an element index, or a key is not a pair.
     """
     sums = _raw_sums(table.size, table.zero, table.one, table.sums)
-    return _check(table.size, table.zero, table.one, sums)[0]
+    rows, found = _close_sums(table.size, table.zero, table.one, sums)
+    return _check_rows(rows, table.zero, table.one, found)
 
 
 def _raw_sums(
@@ -182,8 +182,8 @@ def _raw_sums(
     are ints and every key is a pair; raises :class:`IndexOutOfRange`
     otherwise.
 
-    A raw table's entry points call this; :func:`_check` then compares
-    the ints with the element count.
+    A raw table's entry points call this; :func:`_close_sums` then
+    compares the ints with the element count.
     """
     if not isinstance(size, int):
         raise IndexOutOfRange(f"size {size!r} is not an element count")
@@ -203,10 +203,10 @@ def _raw_sums(
     return sums.items()
 
 
-def _check(
+def _close_sums(
     n: int, zero: int, one: int, sums: Iterable[tuple[tuple[int, int], int]]
-) -> tuple[AxiomReport, list[bytes]]:
-    """:func:`verify_axioms`' report and the lookup matrix it checked.
+) -> tuple[list[bytes], Witnesses]:
+    """Declared sums closed into byte rows, and the clashes found on the way.
 
     ``sums`` holds ``((x, y), x + y)`` declarations in any orientation,
     repeats included.  They are read sorted by pair, repeats of one
@@ -214,11 +214,8 @@ def _check(
     first result declared for the pair.  This is the one place where
     declared sums are closed under commutativity and the zero rows, and
     where a declaration is compared with an earlier one for the same pair.
-
-    Row ``r`` of the matrix holds ``r + z`` at index ``z`` as bytes, with
-    ``_UNDEF`` where the sum is undefined; with an empty report it is the
-    closed table.  Raises :class:`SizeLimit` above ``_MAX_ELEMENTS``
-    elements, before the matrix is allocated.
+    Raises :class:`SizeLimit` above ``_MAX_ELEMENTS`` elements, before the
+    rows are allocated.
     """
     if n > _MAX_ELEMENTS:
         raise SizeLimit(f"tables are checked up to {_MAX_ELEMENTS} elements, not {n}")
@@ -259,7 +256,33 @@ def _check(
             clashed.add(key)
             found.add(label, witnesses, detail)
 
-    rows = [bytes(row) for row in eff]
+    return [bytes(row) for row in eff], found
+
+
+def _check_rows(
+    rows: list[bytes], zero: int, one: int, found: Witnesses
+) -> AxiomReport:
+    """:func:`verify_axioms`' report on byte rows ``rows[r][z] = r + z``,
+    ``_UNDEF`` where undefined, with ``found`` already holding any clashes.
+
+    Rows that :func:`_close_sums` made are symmetric with the identity as
+    zero row.  Rows that a construction built are tested for both in C,
+    each row against its column, a strided slice of the joined rows: an
+    asymmetric pair fails Ei and a wrong zero row entry ``closure``.
+    """
+    n = len(rows)
+    flat = b"".join(rows)
+    for x, row in enumerate(rows):
+        if flat[x::n] != row:
+            for y in range(x + 1, n):
+                if row[y] != rows[y][x]:
+                    detail = f"element {x} + element {y} differs from {y} + {x}"
+                    found.add(AXIOM_COMMUTATIVITY, (x, y), detail)
+    if rows[zero] != _EVERY_BYTE[:n]:
+        for a, b in enumerate(rows[zero]):
+            if a != b:
+                found.add(AXIOM_CLOSURE, (zero, a), f"zero + element {a} is not {a}")
+
     _eii_bytes(rows, found)
 
     # Eiii: exactly one orthosupplement per element.
@@ -283,7 +306,7 @@ def _check(
                 AXIOM_ZERO_ONE, (a,), f"one + element {a} is defined although {a} is not zero"
             )
 
-    return AxiomReport(tuple(found.kept), found.totals), rows
+    return AxiomReport(tuple(found.kept), found.totals)
 
 
 def _eii_bytes(rows: list[bytes], found: Witnesses) -> None:
@@ -305,9 +328,9 @@ def _eii_bytes(rows: list[bytes], found: Witnesses) -> None:
     """
     n = len(rows)
     flat = b"".join(rows)
-    pad = bytes((_UNDEF,)) * (256 - n)
+    pad = _ALL_UNDEF[n:]
     # The row of x + y; row_of[_UNDEF], for x + y undefined, has nothing defined.
-    row_of = rows + [bytes((_UNDEF,)) * n] * (256 - n)
+    row_of = rows + [_ALL_UNDEF[:n]] * (256 - n)
     low7 = int.from_bytes(b"\x7f" * (n * n), "little")
     high = int.from_bytes(b"\x80" * (n * n), "little")
     eii = 0
@@ -413,28 +436,28 @@ def make_algebra(
 ) -> EffectAlgebra:
     """Close, validate, and wrap a sum table.
 
-    ``sums`` goes as declared to the check behind :func:`verify_axioms`,
-    which closes it, so a pair given two results or an entry contradicting
-    a zero row is an ``Ei`` or ``closure`` violation like any other.
+    ``sums`` is closed as declared (:func:`_close_sums`), so a pair given
+    two results or an entry contradicting a zero row is an ``Ei`` or
+    ``closure`` violation like any other.
     Raises :class:`DuplicateName` when two names coincide,
     :class:`IndexOutOfRange` when an entry, ``zero`` or ``one`` is not an
     element index or a key is not a pair, and :class:`AxiomViolation`,
     carrying that report, when the table is not an effect algebra.
     """
-    return _build(names, zero, one, _raw_sums(len(names), zero, one, sums))
+    declared = _raw_sums(len(names), zero, one, sums)
+    return _algebra(names, zero, one, *_close_sums(len(names), zero, one, declared))
 
 
-def _build(
-    names: Sequence[str],
-    zero: int,
-    one: int,
-    sums: Iterable[tuple[tuple[int, int], int]],
+def _algebra(
+    names: Sequence[str], zero: int, one: int, rows: list[bytes], found: Witnesses
 ) -> EffectAlgebra:
-    """:func:`make_algebra` on ``((x, y), z)`` declarations, repeats included."""
+    """The algebra on ``rows`` once :func:`_check_rows` passes them; a
+    construction hands its rows straight here, with an empty ``found``.
+    Raises :class:`DuplicateName` and :class:`AxiomViolation`."""
     names = tuple(names)
     if len(set(names)) != len(names):
         raise DuplicateName("element names must be unique")
-    report, rows = _check(len(names), zero, one, sums)
+    report = _check_rows(rows, zero, one, found)
     if not report.ok:
         raise AxiomViolation(report)
     supplement = tuple(row.index(one) for row in rows)
@@ -482,39 +505,30 @@ def _difference_table(E: EffectAlgebra) -> list[bytes]:
     bytes kept.
     """
     n = E.size
-    inverse = bytes((_UNDEF,)) * 256 + _EVERY_BYTE[:n]
+    inverse = _ALL_UNDEF + _EVERY_BYTE[:n]
     return [bytes.maketrans(_EVERY_BYTE + row, inverse)[:n] for row in E.rows]
 
 
 @derived
-def _sum_columns(
-    E: EffectAlgebra,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _sum_columns(E: EffectAlgebra) -> tuple[tuple[int, ...], ...]:
     """The x, y and z columns of :meth:`EffectAlgebra.canonical_sums`, in
     its order, so that a check over every sum can map over them in C."""
-    xs: list[int] = []
-    ys: list[int] = []
-    zs: list[int] = []
-    for x, row in enumerate(E.rows):
-        if x == E.zero:
-            continue
-        for y in range(x, E.size):
-            z = row[y]
-            if z != _UNDEF and y != E.zero:
-                xs.append(x)
-                ys.append(y)
-                zs.append(z)
-    return tuple(xs), tuple(ys), tuple(zs)
+    sums = [
+        (x, y, z)
+        for x, row in enumerate(E.rows)
+        if x != E.zero
+        for y, z in enumerate(row[x:], x)
+        if z != _UNDEF and y != E.zero
+    ]
+    return tuple(zip(*sums)) if sums else ((), (), ())
 
 
 def build_effect_algebra(doc: "EafDocument") -> EffectAlgebra:
     """Build a validated algebra from a parsed document.
 
-    The declared sums go, repeats included, through the same check as
-    :func:`make_algebra`'s, which closes them under commutativity and the
-    implied zero rows, so a document only needs the generating entries.
-    A pair declared with two results is an ``Ei`` violation and a sum
-    contradicting a zero row a ``closure`` violation of the
+    The declared sums, repeats included, are closed and checked as
+    :func:`make_algebra`'s are, so a document only needs the generating
+    entries, and a clash is an ``Ei`` or ``closure`` violation of the
     :class:`AxiomViolation` raised.  Raises :class:`UnknownName` for a
     name the document does not declare, which :func:`parse_eaf` already
     rules out.
@@ -533,7 +547,7 @@ def build_effect_algebra(doc: "EafDocument") -> EffectAlgebra:
         raise UnknownName(f"unknown element name {missing.args[0]!r}") from None
     zero, one = flat[-2:]
     sums = zip(zip(flat[0:-2:3], flat[1:-2:3]), flat[2:-2:3])
-    return _build(doc.names, zero, one, sums)
+    return _algebra(doc.names, zero, one, *_close_sums(len(doc.names), zero, one, sums))
 
 
 def iterated_sum(E: EffectAlgebra, terms: Iterable[Optional[int]]) -> Optional[int]:

@@ -15,18 +15,20 @@ instance's memo and released with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
-from .core import _UNDEF, EffectAlgebra, derived, make_algebra, multiples
+from .core import (
+    _ALL_UNDEF,
+    _EVERY_BYTE,
+    _UNDEF,
+    EffectAlgebra,
+    Witnesses,
+    _algebra,
+    derived,
+    multiples,
+)
 from .order import derive_order, sharp_mask
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        out.add((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return frozenset(out)
 
 
 def _extreme(mask: int, rel: tuple[int, ...]) -> Optional[int]:
@@ -83,10 +85,8 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
         x for x in range(n) if x != E.zero and os.down[x] == zero_bit | (1 << x)
     )
     smask = sharp_mask(E, os)
-    sharp = _mask_to_set(smask)
-    meager = frozenset(
-        x for x in range(n) if os.down[x] & smask == zero_bit
-    )
+    sharp = frozenset(x for x in range(n) if smask >> x & 1)
+    meager = frozenset(x for x in range(n) if os.down[x] & smask == zero_bit)
     iso = tuple(len(ms) for ms in multiples(E))
 
     cover = tuple(_extreme(os.up[x] & smask, os.up) for x in range(n))
@@ -121,22 +121,20 @@ class SharpSubalgebra:
 def extract_sharp(E: EffectAlgebra) -> SharpSubalgebra:
     """Build the induced algebra on the sharp elements.
 
-    A sum is kept exactly when both operands and the result are sharp; the
-    result is revalidated from scratch, so a sharp set that failed to be
-    closed under the operations would be caught loudly.
+    A sum is kept exactly when both operands and the result are sharp:
+    each sharp element's row is its parent row picked at the sharp
+    columns and translated to sharp indices, a result that is not sharp
+    to undefined, in C.  The rows are checked from scratch, so a sharp set
+    that failed to be closed under the operations would be caught loudly.
     """
     sharp = sorted(structure_profile(E).sharp)
-    pos = {x: i for i, x in enumerate(sharp)}
-    sums: dict[tuple[int, int], int] = {}
-    for i, x in enumerate(sharp):
-        row = E.rows[x]
-        for j, y in enumerate(sharp[i:], start=i):
-            z = row[y]
-            if z in pos:  # _UNDEF is no element
-                sums[(i, j)] = pos[z]
-    names = tuple(E.names[x] for x in sharp)
-    algebra = make_algebra(names, pos[E.zero], pos[E.one], sums)
-    from_parent: list[Optional[int]] = [None] * E.size
-    for x, i in pos.items():
-        from_parent[x] = i
-    return SharpSubalgebra(algebra, tuple(sharp), tuple(from_parent))
+    pick = itemgetter(*sharp)  # zero and one are sharp, so it picks a tuple
+    # to_sharp[x] is parent element x's sharp index, _UNDEF if x is not sharp
+    to_sharp = bytes.maketrans(
+        _EVERY_BYTE + bytes(sharp), _ALL_UNDEF + _EVERY_BYTE[: len(sharp)]
+    )
+    rows = [bytes(pick(E.rows[x])).translate(to_sharp) for x in sharp]
+    zero, one = to_sharp[E.zero], to_sharp[E.one]
+    algebra = _algebra(pick(E.names), zero, one, rows, Witnesses())
+    from_parent = tuple(None if i == _UNDEF else i for i in to_sharp[: E.size])
+    return SharpSubalgebra(algebra, tuple(sharp), from_parent)

@@ -91,6 +91,16 @@ def refuse_tuple_views(monkeypatch):
     assert sys.modules["effalg.core"]._tuples is refuse
 
 
+def refuse_declared_sums(monkeypatch):
+    """Make every closing of declared sums into rows, and every type scan
+    of a raw sum table, raise in each loaded ``effalg`` module that names
+    them, so that only rows built directly reach the axiom check."""
+    core = sys.modules["effalg.core"]
+    for attr in ("_close_sums", "_raw_sums"):
+        refuse = _refuse(monkeypatch, attr, "declared sums were closed")
+        assert getattr(core, attr) is refuse
+
+
 def refuse_compatibility_masks(monkeypatch):
     """Make every call of ``compatibility`` raise, in each loaded
     ``effalg`` module that names it, so that no mask is built."""

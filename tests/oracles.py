@@ -24,6 +24,11 @@ the second reads the package's order, in its tuple view.
 :func:`nonlattice_witness_by_generator` is ``analyze``'s non-lattice
 witness as it was found before each bound row was searched with
 ``bytes.find``: one pair at a time, from the package's order.
+:func:`mv_chain_by_sums`, :func:`boolean_algebra_by_sums`,
+:func:`horizontal_sum_by_sums`, :func:`direct_product_by_sums` and
+:func:`extract_sharp_by_sums` are the constructions and the sharp
+subalgebra as they were built before they made byte rows: a dict of sums
+handed to ``make_algebra``; the last reads the package's profile.
 :func:`oracle_atomic` checks by brute force that every nonzero element
 lies above an atom, which the package's profile takes from finiteness.
 """
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from string import ascii_lowercase
 from typing import Mapping, Optional, Union
 
 from effalg import (
@@ -44,16 +50,25 @@ from effalg import (
     LinearSystem,
     OrderStructure,
     PreconditionFailed,
+    SharpSubalgebra,
     SumTable,
     derive_order,
+    make_algebra,
     split_atomic_decomposition,
     structure_profile,
     verify_certificate,
 )
+from effalg.constructions import (
+    _MAX_BLOCKS,
+    _MAX_BOOLEAN_EXPONENT,
+    _MAX_CHAIN_LENGTH,
+    _check_size,
+    _subset_name,
+)
 from effalg.core import _MAX_ELEMENTS, _UNDEF, multiples
 from effalg.decompose import _parts_sum
 from effalg.eaf import _COUNT, _EA_HEADER, EafDocument, _int
-from effalg.errors import MissingHeader, ParseError, SizeLimit
+from effalg.errors import DegenerateBlock, MissingHeader, ParseError, SizeLimit
 from effalg.linear import _transposed_product
 
 
@@ -1145,3 +1160,133 @@ def nonlattice_witness_by_generator(E: EffectAlgebra) -> dict:
         if rows[x][y] == _UNDEF
     )
     return {"x": E.names[x], "y": E.names[y], "missing": missing}
+
+
+def mv_chain_by_sums(n: int) -> EffectAlgebra:
+    """``effalg.mv_chain`` as it was before the constructions built byte
+    rows: a dict of sums handed to ``make_algebra``.  Kept verbatim,
+    apart from the name, for reference only."""
+    if not 1 <= n <= _MAX_CHAIN_LENGTH:
+        raise SizeLimit(f"chains are provided for 1 <= n <= {_MAX_CHAIN_LENGTH}")
+    names = ["0"]
+    if n >= 2:
+        names.append("a")
+        names.extend(f"{k}a" for k in range(2, n))
+    names.append("1")
+    sums = {
+        (k, l): k + l
+        for k in range(1, n + 1)
+        for l in range(k, n + 1)
+        if k + l <= n
+    }
+    return make_algebra(names, 0, n, sums)
+
+
+def boolean_algebra_by_sums(k: int) -> EffectAlgebra:
+    """``effalg.boolean_algebra`` as it was before the constructions built
+    byte rows.  Kept verbatim, apart from the name, for reference only."""
+    if not 1 <= k <= _MAX_BOOLEAN_EXPONENT:
+        raise SizeLimit(
+            f"subset algebras are provided for 1 <= k <= {_MAX_BOOLEAN_EXPONENT}"
+        )
+    n = 1 << k
+    names = [_subset_name(m, k) for m in range(n)]
+    sums = {
+        (x, y): x | y
+        for x in range(1, n)
+        for y in range(x, n)
+        if x & y == 0
+    }
+    return make_algebra(names, 0, n - 1, sums)
+
+
+def horizontal_sum_by_sums(parts: list[EffectAlgebra]) -> EffectAlgebra:
+    """``effalg.horizontal_sum`` as it was before the constructions built
+    byte rows: each part's canonical sums, renamed into a dict.  Kept
+    verbatim, apart from the name, for reference only."""
+    if not parts:
+        raise ValueError("horizontal sum needs at least one part")
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) > _MAX_BLOCKS:
+        raise SizeLimit(f"at most {_MAX_BLOCKS} blocks supported")
+    for part in parts:
+        if part.size < 3:
+            raise DegenerateBlock(
+                "every block needs an interior element (size >= 3)"
+            )
+    _check_size("horizontal sums", 2 + sum(part.size - 2 for part in parts))
+
+    names = ["0"]
+    maps: list[dict[int, int]] = []  # per part: part index -> glued index
+    for p, part in enumerate(parts):
+        letter = ascii_lowercase[p]
+        mapping = {part.zero: 0}
+        position = 0
+        for x in range(part.size):
+            if x in (part.zero, part.one):
+                continue
+            position += 1
+            mapping[x] = len(names)
+            names.append(letter if position == 1 else f"{position}{letter}")
+        maps.append(mapping)
+    one = len(names)
+    names.append("1")
+    for p, part in enumerate(parts):
+        maps[p][part.one] = one
+
+    sums: dict[tuple[int, int], int] = {}
+    for p, part in enumerate(parts):
+        mapping = maps[p]
+        for x, y, z in part.canonical_sums():
+            sums[(mapping[x], mapping[y])] = mapping[z]
+    return make_algebra(names, 0, one, sums)
+
+
+def direct_product_by_sums(E1: EffectAlgebra, E2: EffectAlgebra) -> EffectAlgebra:
+    """``effalg.direct_product`` as it was before the constructions built
+    byte rows: every summable pair of pairs walked into a dict.  Kept
+    verbatim, apart from the name, for reference only."""
+    n1, n2 = E1.size, E2.size
+    _check_size("products", n1 * n2)
+    names = [
+        f"{E1.names[x1]},{E2.names[x2]}"
+        for x1 in range(n1)
+        for x2 in range(n2)
+    ]
+    sums: dict[tuple[int, int], int] = {}
+    for x1, row1 in enumerate(E1.rows):
+        for x2, row2 in enumerate(E2.rows):
+            x = x1 * n2 + x2
+            for y1, s1 in enumerate(row1):
+                if s1 == _UNDEF:
+                    continue
+                for y2, s2 in enumerate(row2):
+                    y = y1 * n2 + y2
+                    if y >= x and s2 != _UNDEF:
+                        sums[(x, y)] = s1 * n2 + s2
+    zero = E1.zero * n2 + E2.zero
+    one = E1.one * n2 + E2.one
+    return make_algebra(names, zero, one, sums)
+
+
+def extract_sharp_by_sums(E: EffectAlgebra) -> SharpSubalgebra:
+    """``effalg.extract_sharp`` as it was before it built byte rows: the
+    sums among sharp elements walked into a dict.  It reads the package's
+    profile for the sharp set.  Kept verbatim, apart from the name and the
+    per-algebra memo, for reference only."""
+    sharp = sorted(structure_profile(E).sharp)
+    pos = {x: i for i, x in enumerate(sharp)}
+    sums: dict[tuple[int, int], int] = {}
+    for i, x in enumerate(sharp):
+        row = E.rows[x]
+        for j, y in enumerate(sharp[i:], start=i):
+            z = row[y]
+            if z in pos:  # _UNDEF is no element
+                sums[(i, j)] = pos[z]
+    names = tuple(E.names[x] for x in sharp)
+    algebra = make_algebra(names, pos[E.zero], pos[E.one], sums)
+    from_parent: list[Optional[int]] = [None] * E.size
+    for x, i in pos.items():
+        from_parent[x] = i
+    return SharpSubalgebra(algebra, tuple(sharp), tuple(from_parent))

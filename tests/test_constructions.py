@@ -6,6 +6,7 @@ import pytest
 
 from effalg import (
     DegenerateBlock,
+    EffectAlgebra,
     SizeLimit,
     boolean_algebra,
     direct_product,
@@ -15,8 +16,18 @@ from effalg import (
     serialize_eaf,
     structure_profile,
 )
+from effalg import EffectAlgebraError, extract_sharp
 from effalg import constructions
 from effalg.constructions import FIXTURE_FILES, fixture_text
+
+from conftest import off_lattice, zero_last
+from oracles import (
+    boolean_algebra_by_sums,
+    direct_product_by_sums,
+    extract_sharp_by_sums,
+    horizontal_sum_by_sums,
+    mv_chain_by_sums,
+)
 
 
 def test_chain_is_total_addition_capped_at_n():
@@ -178,3 +189,53 @@ def test_products_of_sharp_algebras_stay_sharp_everywhere():
     P = direct_product(boolean_algebra(2), boolean_algebra(1))
     prof = structure_profile(P)
     assert prof.sharp == set(range(P.size))
+
+
+def _outcome(build, *args):
+    """``build(*args)``, or the type and message of the error it raises."""
+    try:
+        return build(*args)
+    except EffectAlgebraError as err:
+        return type(err), str(err)
+
+
+def _assert_same(got, want, name):
+    assert got == want, name
+    if isinstance(want, EffectAlgebra):
+        assert (got.names, got.zero, got.one) == (want.names, want.zero, want.one), name
+
+
+def test_the_byte_row_builds_equal_the_dict_path_references(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    for n in [*range(1, 41), 254, 255]:
+        _assert_same(_outcome(mv_chain, n), _outcome(mv_chain_by_sums, n), n)
+    for k in range(8):
+        got, want = _outcome(boolean_algebra, k), _outcome(boolean_algebra_by_sums, k)
+        _assert_same(got, want, k)
+    algebras = [E for _, E in corpus] + off_lattice(example_25, example_37, example_44)
+    algebras += [zero_last(E) for E in algebras if E.zero == 0]
+    # each algebra with the next, the last with the first
+    pairs = list(zip(algebras, algebras[1:] + algebras[:1]))
+    built = []
+    for i, (E, F) in enumerate(pairs):
+        for got, want in (
+            (_outcome(direct_product, E, F), _outcome(direct_product_by_sums, E, F)),
+            (
+                _outcome(horizontal_sum, [E, F]),
+                _outcome(horizontal_sum_by_sums, [E, F]),
+            ),
+        ):
+            _assert_same(got, want, i)
+            if isinstance(got, EffectAlgebra):
+                built.append(got)
+    cap = dict(at_the_cap)
+    _assert_same(cap["c15xc17"], direct_product_by_sums(mv_chain(14), mv_chain(16)), 0)
+    _assert_same(
+        cap["hsum-4-boolean-64"], horizontal_sum_by_sums([boolean_algebra(6)] * 4), 1
+    )
+    for i, E in enumerate(algebras + built + list(cap.values())):
+        got, want = extract_sharp(E), extract_sharp_by_sums(E)
+        _assert_same(got, want, i)
+        _assert_same(got.algebra, want.algebra, i)
+    assert len(built) > 1.5 * len(pairs)

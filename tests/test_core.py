@@ -24,12 +24,15 @@ from effalg import (
     UnknownName,
     atomic_decomposition,
     basic_decomposition,
+    boolean_algebra,
     build_effect_algebra,
     bundled_fixture,
     classify,
     derive_order,
+    direct_product,
     extract_sharp,
     find_state,
+    horizontal_sum,
     make_algebra,
     multiple,
     mv_chain,
@@ -52,6 +55,7 @@ from effalg.core import (
 from conftest import (
     differential_algebras,
     full_corpus,
+    refuse_declared_sums,
     refuse_tuple_views,
     zero_last,
 )
@@ -741,10 +745,74 @@ def test_byte_rows_match_the_oracle_at_255_elements():
 def test_an_algebra_keeps_the_byte_rows_its_check_read(corpus):
     for name, E in corpus + [("chain-255", mv_chain(254))]:
         sums = [((x, y), z) for x, y, z in E.canonical_sums()]
-        report, rows = core._check(E.size, E.zero, E.one, sums)
+        rows, found = core._close_sums(E.size, E.zero, E.one, sums)
+        report = core._check_rows(rows, E.zero, E.one, found)
         assert report.ok, name
         assert E.rows == tuple(rows), name
         assert E.rows == encoded(E.table), name
+
+
+def _tampered(changes):
+    """The rows of the chain 0 < a < 2a < 3a < 4a = 1 with each
+    ``(x, y): z`` of ``changes`` written into row x, ``None`` for
+    undefined."""
+    rows = [bytearray(row) for row in mv_chain(4).rows]
+    for (x, y), z in changes.items():
+        rows[x][y] = _UNDEF if z is None else z
+    return [bytes(row) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "changes, label, witnesses",
+    [
+        # a + 2a defined one way round only
+        ({(1, 2): None}, "Ei", (1, 2)),
+        # zero + a = 2a, both ways round
+        ({(0, 1): 2, (1, 0): 2}, "closure", (0, 1)),
+        # a + a = 3a: then (a + a) + 2a is undefined, a + (a + 2a) is 1
+        ({(1, 1): 3}, "Eii", (1, 1, 2)),
+        # a + a = 1 as well as a + 3a = 1
+        ({(1, 1): 4}, "Eiii", (1, 1, 3)),
+        # 1 + a = 1 and a + 1 = 1
+        ({(4, 1): 4, (1, 4): 4}, "Eiv", (1,)),
+    ],
+)
+def test_the_rows_check_refuses_tampered_rows(changes, label, witnesses):
+    names = ("0", "a", "2a", "3a", "1")
+    with pytest.raises(AxiomViolation) as err:
+        core._algebra(names, 0, 4, _tampered(changes), Witnesses())
+    kept = err.value.report.by_axiom(label)
+    assert kept and kept[0].witnesses == witnesses, err.value.report
+    # untampered, the same rows make the chain
+    assert core._algebra(names, 0, 4, _tampered({}), Witnesses()) == mv_chain(4)
+
+
+def test_no_declared_sums_are_closed_for_a_construction(
+    corpus, example_25, example_37, example_44, monkeypatch
+):
+    algebras = [
+        E for _, E in differential_algebras(corpus, example_25, example_37, example_44)
+    ]
+    pairs = list(zip(algebras, reversed(algebras)))
+
+    def build():
+        fresh = [dataclasses.replace(E) for E in algebras]  # no memo yet
+        return [
+            full_corpus(),
+            mv_chain(254),
+            direct_product(mv_chain(14), mv_chain(16)),
+            horizontal_sum([boolean_algebra(6)] * 4),
+            [direct_product(E, F) for E, F in pairs if E.size * F.size <= 255],
+            [horizontal_sum([E, F]) for E, F in pairs if min(E.size, F.size) > 2],
+            [extract_sharp(E) for E in fresh],
+            [run_law_suite(E, ["T4.2", "product-closure"]) for E in fresh],
+        ]
+
+    before = build()
+    refuse_declared_sums(monkeypatch)
+    assert build() == before
+    with pytest.raises(AssertionError, match="declared sums were closed"):
+        make_algebra(("0", "1"), 0, 1, {})
 
 
 def test_the_tuple_views_decode_the_stored_rows(
