@@ -10,155 +10,65 @@ extension of a state on the sharp part to the whole algebra.  An
 executable law suite re-checks the expected structural identities on any
 given algebra, and the ``effalg`` command line exposes everything over a
 small text format for tables and states.
+
+Each public name, and each module that defines one, is imported on first
+use, so ``import effalg`` loads none of the modules and a program pays
+only for those it reaches.
 """
 
-from .constructions import (
-    boolean_algebra,
-    direct_product,
-    horizontal_sum,
-    mv_chain,
-    bundled_fixture,
-)
-from .core import (
-    AxiomReport,
-    EffectAlgebra,
-    SumTable,
-    Violation,
-    build_effect_algebra,
-    make_algebra,
-    multiple,
-    verify_axioms,
-)
-from .decompose import (
-    AtomicDecomposition,
-    AtomMultiple,
-    BasicDecomposition,
-    SplitDecomposition,
-    atomic_decomposition,
-    basic_decomposition,
-    split_atomic_decomposition,
-)
-from .eaf import (
-    EafDocument,
-    parse_eaf,
-    parse_state,
-    serialize_eaf,
-    serialize_state,
-)
-from .errors import (
-    AxiomViolation,
-    DegenerateBlock,
-    DuplicateName,
-    EffectAlgebraError,
-    IndexOutOfRange,
-    InvalidDecomposition,
-    InvalidState,
-    MissingElement,
-    MissingHeader,
-    NegativeDenominator,
-    ParseError,
-    PreconditionFailed,
-    SizeLimit,
-    UnknownName,
-)
-from .laws import LAW_IDS, LawReport, LawResult, run_law_suite
-from .linear import (
-    FeasiblePoint,
-    InfeasibilityCertificate,
-    LinearSystem,
-    solve_exact,
-    verify_certificate,
-    verify_point,
-)
-from .order import (
-    Classification,
-    OrderStructure,
-    classify,
-    compatibility,
-    derive_order,
-)
-from .states import (
-    State,
-    StateReport,
-    find_state,
-    restrict_to_sharp,
-    smear_state,
-    state_row_labels,
-    state_system,
-    verify_state,
-)
-from .structure import (
-    SharpSubalgebra,
-    StructureProfile,
-    extract_sharp,
-    structure_profile,
-)
+from importlib import import_module
 
-__all__ = [
-    "AtomMultiple",
-    "AtomicDecomposition",
-    "AxiomReport",
-    "AxiomViolation",
-    "BasicDecomposition",
-    "Classification",
-    "DegenerateBlock",
-    "DuplicateName",
-    "EafDocument",
-    "EffectAlgebra",
-    "EffectAlgebraError",
-    "FeasiblePoint",
-    "IndexOutOfRange",
-    "InfeasibilityCertificate",
-    "InvalidDecomposition",
-    "InvalidState",
-    "LAW_IDS",
-    "LawReport",
-    "LawResult",
-    "LinearSystem",
-    "MissingElement",
-    "MissingHeader",
-    "NegativeDenominator",
-    "OrderStructure",
-    "ParseError",
-    "PreconditionFailed",
-    "SharpSubalgebra",
-    "SizeLimit",
-    "SplitDecomposition",
-    "State",
-    "StateReport",
-    "StructureProfile",
-    "SumTable",
-    "UnknownName",
-    "Violation",
-    "atomic_decomposition",
-    "basic_decomposition",
-    "boolean_algebra",
-    "build_effect_algebra",
-    "classify",
-    "compatibility",
-    "derive_order",
-    "direct_product",
-    "extract_sharp",
-    "find_state",
-    "horizontal_sum",
-    "make_algebra",
-    "multiple",
-    "mv_chain",
-    "parse_eaf",
-    "parse_state",
-    "bundled_fixture",
-    "restrict_to_sharp",
-    "run_law_suite",
-    "serialize_eaf",
-    "serialize_state",
-    "smear_state",
-    "solve_exact",
-    "split_atomic_decomposition",
-    "state_row_labels",
-    "state_system",
-    "structure_profile",
-    "verify_axioms",
-    "verify_certificate",
-    "verify_point",
-    "verify_state",
-]
+# each public name, by the module that defines it
+_EXPORTS = {
+    "constructions": """
+        boolean_algebra bundled_fixture direct_product horizontal_sum mv_chain
+    """,
+    "core": """
+        AxiomReport EffectAlgebra SumTable Violation build_effect_algebra
+        make_algebra multiple verify_axioms
+    """,
+    "decompose": """
+        AtomMultiple AtomicDecomposition BasicDecomposition SplitDecomposition
+        atomic_decomposition basic_decomposition split_atomic_decomposition
+    """,
+    "eaf": "EafDocument parse_eaf parse_state serialize_eaf serialize_state",
+    "errors": """
+        AxiomViolation DegenerateBlock DuplicateName EffectAlgebraError
+        IndexOutOfRange InvalidDecomposition InvalidState MissingElement
+        MissingHeader NegativeDenominator ParseError PreconditionFailed
+        SizeLimit UnknownName
+    """,
+    "laws": "LAW_IDS LawReport LawResult run_law_suite",
+    "linear": """
+        FeasiblePoint InfeasibilityCertificate LinearSystem solve_exact
+        verify_certificate verify_point
+    """,
+    "order": "Classification OrderStructure classify compatibility derive_order",
+    "states": """
+        State StateReport find_state restrict_to_sharp smear_state
+        state_row_labels state_system verify_state
+    """,
+    "structure": """
+        SharpSubalgebra StructureProfile extract_sharp structure_profile
+    """,
+}
+_MODULE_OF = {
+    name: module for module, names in _EXPORTS.items() for name in names.split()
+}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import a public name, or one of the modules above, on first use."""
+    if name in _MODULE_OF:
+        value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

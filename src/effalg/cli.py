@@ -21,6 +21,9 @@ exit code.  Its top-level keys:
 
 Each command returns its exit code, its JSON payload and its text lines,
 the lines built from the payload's values; ``main`` prints one of the two.
+Only ``core``, ``eaf`` and ``errors`` load with this module; each command
+imports the rest of what it runs when it runs, so ``verify`` never loads
+the law suite or the solver.
 
 Exit codes are stable: 0 when the command succeeds (file valid, state
 found, certificate produced on request, laws hold), 1 when the checked
@@ -42,16 +45,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .constructions import (
-    FIXTURE_FILES,
-    boolean_algebra,
-    direct_product,
-    horizontal_sum,
-    mv_chain,
-    bundled_fixture,
-)
 from .core import _UNDEF, EffectAlgebra, build_effect_algebra
-from .decompose import atomic_decomposition, basic_decomposition
 from .eaf import _MAX_DIGITS, parse_eaf, parse_state, serialize_eaf, serialize_state
 from .errors import (
     AxiomViolation,
@@ -62,11 +56,6 @@ from .errors import (
     SizeLimit,
     UnknownName,
 )
-from .laws import run_law_suite
-from .linear import InfeasibilityCertificate
-from .order import classify, derive_order
-from .states import State, find_state, smear_state, state_row_labels
-from .structure import extract_sharp, structure_profile
 
 
 class _UsageError(Exception):
@@ -149,6 +138,8 @@ def _nonlattice_witness(E: EffectAlgebra) -> Optional[dict]:
     For x ascending, each of x's meet and join rows is searched in C from
     index x + 1; the smaller y wins, and the meet at equal y.
     """
+    from .order import derive_order
+
     os = derive_order(E)
     bounds = (("meet", os.meet_rows), ("join", os.join_rows))
     for x in range(E.size):
@@ -169,6 +160,9 @@ def _yn(flag: bool) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> _Result:
+    from .order import classify
+    from .structure import structure_profile
+
     E = _load_algebra(args.file)
     cls = classify(E)
     prof = structure_profile(E)
@@ -205,6 +199,8 @@ def _cmd_analyze(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> _Result:
+    from .decompose import atomic_decomposition, basic_decomposition
+
     E = _load_algebra(args.file)
     try:
         x = E.index(args.element)
@@ -236,17 +232,19 @@ def _cmd_decompose(args: argparse.Namespace) -> _Result:
     return 0, payload, lines
 
 
-def _values(state: State) -> tuple[dict, list[str]]:
-    """One state's values, as the JSON payload and as a state file's lines."""
+def _values(state) -> tuple[dict, list[str]]:
+    """One :class:`~effalg.states.State`'s values, as the JSON payload and
+    as a state file's lines."""
     names = state.domain.names
     values = {names[x]: _frac(v) for x, v in enumerate(state.values)}
     return {"values": values}, serialize_state(state).splitlines()
 
 
-def _certificate(
-    E: EffectAlgebra, cert: InfeasibilityCertificate
-) -> tuple[dict, list[str]]:
-    """A certificate that ``E`` has no state, as the JSON payload and as lines."""
+def _certificate(E: EffectAlgebra, cert) -> tuple[dict, list[str]]:
+    """An :class:`~effalg.linear.InfeasibilityCertificate` that ``E`` has
+    no state, as the JSON payload and as lines."""
+    from .states import state_row_labels
+
     labels = state_row_labels(E)
     rows = [
         {"index": i, "label": labels[i], "multiplier": _frac(y)}
@@ -274,6 +272,8 @@ def _certificate(
 
 
 def _cmd_states(args: argparse.Namespace) -> _Result:
+    from .states import State, find_state
+
     E = _load_algebra(args.file)
     outcome = find_state(E)
     found = isinstance(outcome, State)
@@ -286,6 +286,9 @@ def _cmd_states(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_smear(args: argparse.Namespace) -> _Result:
+    from .states import State, smear_state
+    from .structure import extract_sharp
+
     E = _load_algebra(args.file)
     sub = extract_sharp(E)
     text = _read_text(args.state)
@@ -305,6 +308,15 @@ def _cmd_smear(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_gen(args: argparse.Namespace) -> _Result:
+    from .constructions import (
+        FIXTURE_FILES,
+        boolean_algebra,
+        bundled_fixture,
+        direct_product,
+        horizontal_sum,
+        mv_chain,
+    )
+
     kind = args.kind
     params = args.params
     try:
@@ -359,6 +371,8 @@ def _int_param(token: str) -> int:
 
 
 def _cmd_props(args: argparse.Namespace) -> _Result:
+    from .laws import run_law_suite
+
     E = _load_algebra(args.file)
     selection = None
     if args.laws is not None:

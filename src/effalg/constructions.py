@@ -10,7 +10,6 @@ raises :class:`SizeLimit` before its rows are built.
 
 from __future__ import annotations
 
-from importlib.resources import files
 from operator import itemgetter
 from string import ascii_lowercase
 
@@ -170,4 +169,8 @@ def bundled_fixture(name: str) -> EffectAlgebra:
 
 def fixture_text(filename: str) -> str:
     """Raw text of a bundled fixture file."""
+    # imported here: importlib.resources pulls in pathlib, tempfile and
+    # inspect, which no construction but this one needs
+    from importlib.resources import files
+
     return (files("effalg") / "fixtures" / filename).read_text(encoding="utf-8")

@@ -1,8 +1,11 @@
+import importlib
 import itertools
+import pkgutil
 import sys
 
 import pytest
 
+import effalg
 from effalg import (
     boolean_algebra,
     direct_product,
@@ -72,29 +75,35 @@ def zero_last(E):
 
 
 def _refuse(monkeypatch, attr, what):
-    """Make ``attr`` raise, naming ``what``, in each loaded ``effalg``
-    module that names it."""
+    """Make ``attr`` raise, naming ``what``, in each ``effalg`` module that
+    names it.
+
+    Every module is imported first: one that the package would load only
+    on first use must neither escape the refusal nor bind the refusing
+    stub for good by importing ``attr`` while it is patched.
+    """
 
     def refuse(*args):
         raise AssertionError(what)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "effalg" and hasattr(module, attr):
+    for info in pkgutil.iter_modules(effalg.__path__):
+        module = importlib.import_module(f"effalg.{info.name}")
+        if hasattr(module, attr):
             monkeypatch.setattr(module, attr, refuse)
     return refuse
 
 
 def refuse_tuple_views(monkeypatch):
     """Make every decoding of byte rows into a tuple view raise, in each
-    loaded ``effalg`` module that names the decoder."""
+    ``effalg`` module that names the decoder."""
     refuse = _refuse(monkeypatch, "_tuples", "a tuple view was decoded")
     assert sys.modules["effalg.core"]._tuples is refuse
 
 
 def refuse_declared_sums(monkeypatch):
     """Make every closing of declared sums into rows, and every type scan
-    of a raw sum table, raise in each loaded ``effalg`` module that names
-    them, so that only rows built directly reach the axiom check."""
+    of a raw sum table, raise in each ``effalg`` module that names them,
+    so that only rows built directly reach the axiom check."""
     core = sys.modules["effalg.core"]
     for attr in ("_close_sums", "_raw_sums"):
         refuse = _refuse(monkeypatch, attr, "declared sums were closed")
@@ -102,8 +111,8 @@ def refuse_declared_sums(monkeypatch):
 
 
 def refuse_compatibility_masks(monkeypatch):
-    """Make every call of ``compatibility`` raise, in each loaded
-    ``effalg`` module that names it, so that no mask is built."""
+    """Make every call of ``compatibility`` raise, in each ``effalg``
+    module that names it, so that no mask is built."""
     refuse = _refuse(monkeypatch, "compatibility", "compatibility masks were built")
     assert sys.modules["effalg.order"].compatibility is refuse
 

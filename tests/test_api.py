@@ -1,5 +1,13 @@
 """The public API: one entry point per derived result."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import effalg
 
 # Wrappers that read one field of ``structure_profile(E)`` or one bit of
@@ -40,3 +48,57 @@ def test_removed_wrappers_are_gone():
         assert not hasattr(effalg, name), name
     assert not hasattr(effalg.EffectAlgebra, "sum")
     assert not hasattr(effalg.EffectAlgebra, "orth")
+
+
+# Run in a fresh interpreter, so that no import made by this session hides
+# an eager one: the effalg modules loaded after ``import effalg``, after
+# ``verify`` and after ``analyze``, then whether each public name is the
+# object its defining module holds.
+COLD_START = """
+import contextlib, importlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("effalg."))
+
+import effalg
+steps = [loaded()]
+from effalg import cli
+for command in ("verify", "analyze"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, sys.argv[1]]) == 0
+    steps.append(loaded())
+modules = effalg._MODULE_OF
+same = [
+    getattr(effalg, name)
+    is getattr(importlib.import_module(f"effalg.{modules[name]}"), name)
+    for name in effalg.__all__
+]
+print(json.dumps({"steps": steps, "same": all(same)}))
+"""
+
+
+def test_import_and_each_command_load_only_what_they_run():
+    package = Path(effalg.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(package / "fixtures" / "example-4.4.eaf")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    on_verify = ["effalg.cli", "effalg.core", "effalg.eaf", "effalg.errors"]
+    on_analyze = sorted(on_verify + ["effalg.order", "effalg.structure"])
+    assert got["steps"] == [[], on_verify, on_analyze]
+    assert got["same"]
+
+
+def test_public_names_resolve_on_first_use():
+    from effalg import laws
+
+    assert set(effalg.__all__) <= set(dir(effalg))
+    assert effalg.__getattr__("laws") is laws
+    assert effalg.__getattr__("LAW_IDS") is laws.LAW_IDS
+    with pytest.raises(AttributeError, match="'effalg' has no attribute 'nope'"):
+        effalg.nope

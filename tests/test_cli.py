@@ -24,7 +24,7 @@ from effalg import (
     state_system,
     verify_certificate,
 )
-from effalg import cli
+from effalg import cli, states
 from effalg.cli import main
 from conftest import (
     off_lattice,
@@ -374,7 +374,7 @@ def test_states_certify_none_lists_bound_multipliers(capsys, monkeypatch):
         found, upper_multipliers=bound, lower_multipliers=bound, gap=found.gap - half
     )
     assert verify_certificate(state_system(E), cert)
-    monkeypatch.setattr(cli, "find_state", lambda algebra: cert)
+    monkeypatch.setattr(states, "find_state", lambda algebra: cert)
 
     code, out, err = run(capsys, "states", "--certify-none", EX44)
     assert code == 0
