@@ -19,15 +19,17 @@ byte rows, on every pair and, for associativity, on every triple:
 
 It has two inputs.  Declared sums, for :func:`verify_axioms`,
 :func:`make_algebra` and :func:`build_effect_algebra`, are first closed
-into rows under commutativity and the implied ``zero + x = x`` rows
-(:func:`_close_sums`), a pair declared with two results reported as a
-violation.  The constructions and the sharp subalgebra build their rows
-directly, and the check (:func:`_check_rows`) also tests those for
-symmetry and the identity zero row.  Tables have at most
-``_MAX_ELEMENTS`` (255) elements, so that every row is a byte string
-with byte 255 for "undefined", and associativity is checked one
-element's triples at a time by composing rows in C (see
-:func:`verify_axioms`).
+into rows under commutativity and the implied ``zero + x = x`` rows.
+Well-formed declarations are closed in one pass in the order given
+(:func:`_scatter_sums`); only when that pass meets trouble are they
+sorted and walked (:func:`_close_sums`), to name the unknown name, the
+bad index or each pair declared with two results as a violation.  The
+constructions and the sharp subalgebra build their rows directly, and
+the check (:func:`_check_rows`) also tests those for symmetry and the
+identity zero row.  Tables have at most ``_MAX_ELEMENTS`` (255)
+elements, so that every row is a byte string with byte 255 for
+"undefined", and associativity is checked one element's triples at a
+time by composing rows in C (see :func:`verify_axioms`).
 
 Only tables with an empty violation report become :class:`EffectAlgebra`
 values, so every downstream module may rely on the axioms without
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from itertools import chain, islice
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import (
     Callable,
     Iterable,
@@ -157,11 +159,13 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     """Check the effect-algebra axioms on a sum table.
 
     The table may be unclosed; lookups treat ``(x, y)`` and ``(y, x)`` as
-    one pair and take the implied zero rows as present.  A pair declared
-    with two results fails Ei and an entry contradicting a zero row fails
-    ``closure``, each such pair counted once.  Eiii and Eiv are checked
-    on every pair, Eii on every triple (x, y, z), so the report's
-    ``totals`` are exact.  Eii composes byte rows in C, one element x at a
+    one pair and take the implied zero rows as present.  One pass closes
+    well-formed entries, and the sorted walk runs only to name what is
+    wrong (:func:`_declared_rows`): a pair declared with two results
+    fails Ei and an entry contradicting a zero row fails ``closure``,
+    each such pair counted once.  Eiii and Eiv are checked on every
+    pair, Eii on every triple (x, y, z), so the report's ``totals`` are
+    exact.  Eii composes byte rows in C, one element x at a
     time (see :func:`_eii_bytes`).  Only the first ``_WITNESS_CAP``
     violations of each axiom are kept, in (x, y, z) order, so memory
     stays bounded however broken the table is.
@@ -170,26 +174,23 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     :class:`IndexOutOfRange` when ``size`` is not an int, an entry,
     ``zero`` or ``one`` is not an element index, or a key is not a pair.
     """
-    sums = _raw_sums(table.size, table.zero, table.one, table.sums)
-    rows, found = _close_sums(table.size, table.zero, table.one, sums)
+    rows, found = _declared_rows(table.size, table.zero, table.one, table.sums)
     return _check_rows(rows, table.zero, table.one, found)
 
 
-def _raw_sums(
-    size: object, zero: object, one: object, sums: Mapping[tuple[int, int], int]
-) -> Iterable[tuple[tuple[int, int], int]]:
-    """``sums.items()``, once ``size``, ``zero``, ``one`` and every entry
-    are ints and every key is a pair; raises :class:`IndexOutOfRange`
-    otherwise.
-
-    A raw table's entry points call this; :func:`_close_sums` then
-    compares the ints with the element count.
-    """
-    if not isinstance(size, int):
-        raise IndexOutOfRange(f"size {size!r} is not an element count")
+def _declared_rows(
+    n: int, zero: int, one: int, sums: Mapping[tuple[int, int], int]
+) -> tuple[list[bytes], Witnesses]:
+    """A raw table's sums as rows and clashes: in one pass when they close
+    (:func:`_scatter_sums`), else by the walk that names the trouble.
+    Raises :class:`IndexOutOfRange` first unless ``n``, ``zero``, ``one``
+    and every entry are ints and every key is a pair."""
+    if not isinstance(n, int):
+        raise IndexOutOfRange(f"size {n!r} is not an element count")
     if not (isinstance(zero, int) and isinstance(one, int)):
         raise IndexOutOfRange(f"zero {zero!r} or one {one!r} is not an element index")
-    for key, z in sums.items():
+    declared = sums.items()
+    for key, z in declared:
         if not (
             isinstance(key, tuple)
             and len(key) == 2
@@ -197,10 +198,44 @@ def _raw_sums(
             and isinstance(key[1], int)
             and isinstance(z, int)
         ):
-            raise IndexOutOfRange(
-                f"sum entry {key!r}->{z!r} is not an index pair and an index"
-            )
-    return sums.items()
+            raise IndexOutOfRange(f"sum entry {key!r}->{z!r} is not an index pair and an index")
+    index = {i: i for i in range(min(n, _MAX_ELEMENTS))}
+    triples = ((x, y, z) for (x, y), z in declared)
+    return _scatter_sums(n, zero, one, triples, index) or _close_sums(n, zero, one, declared)
+
+
+def _scatter_sums(
+    n: int, zero: object, one: object, sums: Iterable[Sequence], index: Mapping
+) -> Optional[tuple[list[bytes], Witnesses]]:
+    """:func:`_close_sums`' result in one pass over the ``(x, y, x + y)``
+    keys of ``sums`` in the order given, each key, ``zero`` and ``one``
+    resolved through ``index``; ``None`` at an unknown key, a pair holding
+    another result, an entry against a zero row, or past the size cap.
+    Finished, it has written each pair's one result, as the sorted walk
+    would, and met nothing that the walk reports."""
+    if n > _MAX_ELEMENTS:
+        return None
+    try:
+        zero, one = index[zero], index[one]
+        rows = [bytearray(_ALL_UNDEF[:n]) for _ in range(n)]
+        rows[zero][:] = _EVERY_BYTE[:n]
+        for x, row in enumerate(rows):
+            row[zero] = x
+        for x, y, z in sums:
+            x, y, z = index[x], index[y], index[z]
+            row = rows[x]
+            prior = row[y]
+            if prior != z:
+                if prior != _UNDEF:
+                    return None
+                row[y] = z
+                rows[y][x] = z
+    except KeyError:
+        return None
+    found = Witnesses()
+    if zero == one:
+        found.add(AXIOM_CLOSURE, (zero,), "zero and one coincide")
+    return [bytes(row) for row in rows], found
 
 
 def _close_sums(
@@ -211,11 +246,10 @@ def _close_sums(
     ``sums`` holds ``((x, y), x + y)`` declarations in any orientation,
     repeats included.  They are read sorted by pair, repeats of one
     ordered pair in the order given, so a clash is reported against the
-    first result declared for the pair.  This is the one place where
-    declared sums are closed under commutativity and the zero rows, and
-    where a declaration is compared with an earlier one for the same pair.
-    Raises :class:`SizeLimit` above ``_MAX_ELEMENTS`` elements, before the
-    rows are allocated.
+    first result declared for the pair.  This sorted walk runs only when
+    :func:`_scatter_sums` meets trouble, to name it: every clash, or the
+    bad index raised.  Raises :class:`SizeLimit` above ``_MAX_ELEMENTS``
+    elements, before the rows are allocated.
     """
     if n > _MAX_ELEMENTS:
         raise SizeLimit(f"tables are checked up to {_MAX_ELEMENTS} elements, not {n}")
@@ -285,26 +319,28 @@ def _check_rows(
 
     _eii_bytes(rows, found)
 
-    # Eiii: exactly one orthosupplement per element.
-    for a, row in enumerate(rows):
-        mates = row.count(one)
-        if not mates:
-            found.add(AXIOM_SUPPLEMENT, (a,), f"element {a} has no orthosupplement")
-        elif mates > 1:
-            first = row.index(one)
-            found.add(
-                AXIOM_SUPPLEMENT,
-                (a, first, row.index(one, first + 1)),
-                f"element {a} has multiple orthosupplements",
-            )
+    # Eiii: exactly one orthosupplement per element, counted in C.
+    mates = list(map(methodcaller("count", one), rows))
+    if misfits := n - mates.count(1):
+        found.totals[AXIOM_SUPPLEMENT] = misfits
+        for a in islice((a for a, m in enumerate(mates) if m != 1), _WITNESS_CAP):
+            row = rows[a]
+            if mates[a]:
+                first = row.index(one)
+                witnesses = (a, first, row.index(one, first + 1))
+                detail = f"element {a} has multiple orthosupplements"
+            else:
+                witnesses, detail = (a,), f"element {a} has no orthosupplement"
+            found.kept.append(Violation(AXIOM_SUPPLEMENT, witnesses, detail))
 
-    # Eiv: one + a defined forces a = zero.
+    # Eiv: one + a defined forces a = zero, counted in C.
     top = rows[one]
-    for a in range(n):
-        if a != zero and top[a] != _UNDEF:
-            found.add(
-                AXIOM_ZERO_ONE, (a,), f"one + element {a} is defined although {a} is not zero"
-            )
+    if summands := n - top.count(_UNDEF) - (top[zero] != _UNDEF):
+        found.totals[AXIOM_ZERO_ONE] = summands
+        defined = (a for a, s in enumerate(top) if s != _UNDEF and a != zero)
+        for a in islice(defined, _WITNESS_CAP):
+            detail = f"one + element {a} is defined although {a} is not zero"
+            found.kept.append(Violation(AXIOM_ZERO_ONE, (a,), detail))
 
     return AxiomReport(tuple(found.kept), found.totals)
 
@@ -436,16 +472,16 @@ def make_algebra(
 ) -> EffectAlgebra:
     """Close, validate, and wrap a sum table.
 
-    ``sums`` is closed as declared (:func:`_close_sums`), so a pair given
-    two results or an entry contradicting a zero row is an ``Ei`` or
-    ``closure`` violation like any other.
+    ``sums`` is closed as declared, in one pass when well formed and by
+    the sorted walk only to name what is wrong (:func:`_declared_rows`),
+    so a pair given two results or an entry contradicting a zero row is
+    an ``Ei`` or ``closure`` violation like any other.
     Raises :class:`DuplicateName` when two names coincide,
     :class:`IndexOutOfRange` when an entry, ``zero`` or ``one`` is not an
     element index or a key is not a pair, and :class:`AxiomViolation`,
     carrying that report, when the table is not an effect algebra.
     """
-    declared = _raw_sums(len(names), zero, one, sums)
-    return _algebra(names, zero, one, *_close_sums(len(names), zero, one, declared))
+    return _algebra(names, zero, one, *_declared_rows(len(names), zero, one, sums))
 
 
 def _algebra(
@@ -529,25 +565,27 @@ def build_effect_algebra(doc: "EafDocument") -> EffectAlgebra:
     The declared sums, repeats included, are closed and checked as
     :func:`make_algebra`'s are, so a document only needs the generating
     entries, and a clash is an ``Ei`` or ``closure`` violation of the
-    :class:`AxiomViolation` raised.  Raises :class:`UnknownName` for a
-    name the document does not declare, which :func:`parse_eaf` already
-    rules out.
+    :class:`AxiomViolation` raised.  One pass resolves and closes
+    well-formed declarations (:func:`_scatter_sums`); only on trouble are
+    they resolved and sorted again and walked (:func:`_close_sums`), to
+    name it.  Raises :class:`UnknownName` for a name the document does
+    not declare, which :func:`parse_eaf` already rules out.
     """
     position = {name: i for i, name in enumerate(doc.names)}
+    n = len(doc.names)
+    closed = _scatter_sums(n, doc.zero, doc.one, doc.sums, position)
+    if closed is not None:
+        return _algebra(doc.names, position[doc.zero], position[doc.one], *closed)
     # Resolved in C, the declarations in order and then zero and one, so
     # that the first unknown name is the one reported.
+    keys = chain(chain.from_iterable(doc.sums), (doc.zero, doc.one))
     try:
-        flat = list(
-            map(
-                position.__getitem__,
-                chain(chain.from_iterable(doc.sums), (doc.zero, doc.one)),
-            )
-        )
+        flat = list(map(position.__getitem__, keys))
     except KeyError as missing:
         raise UnknownName(f"unknown element name {missing.args[0]!r}") from None
     zero, one = flat[-2:]
     sums = zip(zip(flat[0:-2:3], flat[1:-2:3]), flat[2:-2:3])
-    return _algebra(doc.names, zero, one, *_close_sums(len(doc.names), zero, one, sums))
+    return _algebra(doc.names, zero, one, *_close_sums(n, zero, one, sums))
 
 
 def iterated_sum(E: EffectAlgebra, terms: Iterable[Optional[int]]) -> Optional[int]:

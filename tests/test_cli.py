@@ -29,6 +29,7 @@ from effalg.cli import main
 from conftest import (
     off_lattice,
     refuse_compatibility_masks,
+    refuse_sorted_close,
     refuse_tuple_views,
     relabelled,
     zero_last,
@@ -263,6 +264,17 @@ def test_analyze_builds_no_compatibility_masks(capsys, monkeypatch):
         assert run(capsys, *argv) == expected[argv], argv
     assert run(capsys, "analyze", EX25)[1] == golden("analyze-example-2.5.txt")
     assert run(capsys, "analyze", EX44)[1] == golden("analyze-example-4.4.txt")
+
+
+def test_verify_closes_the_golden_inputs_without_the_sorted_walk(capsys, monkeypatch):
+    # in text and JSON: with the sorted walk over declared sums refused,
+    # the output is byte for byte what it is without
+    commands = [("verify", path) for path in (EX25, EX44, HSUM)]
+    commands += [argv + ("--json",) for argv in commands]
+    expected = {argv: run(capsys, *argv) for argv in commands}
+    refuse_sorted_close(monkeypatch)
+    for argv in commands:
+        assert run(capsys, *argv) == expected[argv], argv
 
 
 def test_analyze_on_a_lattice_has_no_witness_line(capsys, tmp_path):

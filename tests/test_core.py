@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+from itertools import chain
 import time
 import tracemalloc
 import weakref
@@ -38,6 +39,7 @@ from effalg import (
     mv_chain,
     parse_eaf,
     run_law_suite,
+    serialize_eaf,
     structure_profile,
     verify_axioms,
 )
@@ -56,18 +58,23 @@ from conftest import (
     differential_algebras,
     full_corpus,
     refuse_declared_sums,
+    refuse_sorted_close,
     refuse_tuple_views,
     zero_last,
 )
 from oracles import (
+    build_effect_algebra_by_sorted_close,
+    check_rows_by_walk,
     close_table,
     decoded,
     encoded,
+    make_algebra_by_sorted_close,
     oracle_axiom_errors,
     oracle_eii_failures_near,
     oracle_multiple,
     oracle_ord,
     table_dict,
+    verify_axioms_by_sorted_close,
 )
 
 
@@ -857,3 +864,196 @@ def test_no_analysis_decodes_a_tuple_view_at_the_cap(at_the_cap, monkeypatch):
             basic_decomposition(E, x)
         assert isinstance(find_state(E), State), name
         assert run_law_suite(E).ok, name
+
+
+# --- one pass over well-formed declarations, the sorted walk on trouble -----
+
+SMALL_ALGEBRAS = [E for _, E in full_corpus() if E.size <= 8] + [
+    bundled_fixture(name) for name in ("example-2.5", "example-4.4")
+]
+
+
+@st.composite
+def declared_documents(draw):
+    """A document of up to 8 elements: an algebra's sums or random ones,
+    in random order, some pairs in both orientations, with exact repeats,
+    consistent ``0 + x = x`` lines, dropped sums and likely clashes, and
+    the names listed in a shuffled order."""
+    if draw(st.booleans()):
+        E = draw(st.sampled_from(SMALL_ALGEBRAS))
+        n, zero, one, sums = E.size, E.zero, E.one, E.canonical_sums()
+    else:
+        n = draw(st.integers(min_value=2, max_value=8))
+        element = st.integers(min_value=0, max_value=n - 1)
+        zero, one = draw(element), draw(element)
+        sums = draw(st.lists(st.tuples(element, element, element), max_size=20))
+    element = st.integers(min_value=0, max_value=n - 1)
+    decls = []
+    for x, y, z in sums:
+        if draw(st.integers(min_value=0, max_value=9)):  # one in ten dropped
+            # one orientation, or both, or one twice
+            decls += draw(st.sampled_from(
+                [[(x, y, z)], [(y, x, z)], [(x, y, z), (y, x, z)], [(x, y, z)] * 2]
+            ))
+    decls += [
+        (zero, x, x) if draw(st.booleans()) else (x, zero, x)
+        for x in draw(st.lists(element, max_size=3))
+    ]
+    decls += draw(st.lists(st.tuples(element, element, element), max_size=2))
+    decls = draw(st.permutations(decls))
+    names = [f"e{i}" for i in range(n)]
+    listed = tuple(draw(st.permutations(names)))
+    return EafDocument(
+        listed, names[zero], names[one], tuple(tuple(names[i] for i in d) for d in decls)
+    )
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` gives: an algebra with its stored fields, or
+    the exception's type and message, and for an AxiomViolation the kept
+    violations in order and the totals in order."""
+    try:
+        E = build(*args)
+    except AxiomViolation as exc:
+        report = exc.report
+        return type(exc), str(exc), report.violations, list(report.totals.items())
+    except EffectAlgebraError as exc:
+        return type(exc), str(exc)
+    if isinstance(E, core.AxiomReport):
+        return E.violations, list(E.totals.items())
+    return E, E.rows, E.supplement
+
+
+def assert_sorted_close_agrees(doc):
+    """``build_effect_algebra``, ``make_algebra`` and ``verify_axioms`` on
+    ``doc`` give what they gave when every declaration was sorted and
+    walked."""
+    assert outcome(build_effect_algebra, doc) == outcome(
+        build_effect_algebra_by_sorted_close, doc
+    ), doc
+    position = {name: i for i, name in enumerate(doc.names)}
+    if not {doc.zero, doc.one, *chain.from_iterable(doc.sums)} <= set(position):
+        return
+    zero, one = position[doc.zero], position[doc.one]
+    sums = {(position[x], position[y]): position[z] for x, y, z in doc.sums}
+    args = (doc.names, zero, one, sums)
+    assert outcome(make_algebra, *args) == outcome(make_algebra_by_sorted_close, *args)
+    table = SumTable(len(doc.names), zero, one, sums)
+    assert outcome(verify_axioms, table) == outcome(verify_axioms_by_sorted_close, table)
+
+
+@given(declared_documents())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_agrees_with_the_sorted_walk(doc):
+    assert_sorted_close_agrees(doc)
+
+
+def names_256():
+    return tuple(f"e{i}" for i in range(256))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # an unknown name in a sum, in zero and in one
+        EafDocument(("0", "a", "1"), "0", "1", (("a", "a", "1"), ("a", "q", "1"))),
+        EafDocument(("0", "a", "1"), "0", "1", (("a", "a", "q"),)),
+        EafDocument(("0", "a", "1"), "z", "1", (("a", "a", "1"),)),
+        EafDocument(("0", "a", "1"), "0", "z", (("a", "a", "1"),)),
+        # duplicate names, with and without a clash
+        EafDocument(("0", "a", "a", "1"), "0", "1", (("a", "a", "1"),)),
+        EafDocument(("0", "a", "a", "1"), "0", "1", (("a", "a", "1"), ("a", "a", "0"))),
+        # no names and one name
+        EafDocument((), "0", "1", ()),
+        EafDocument(("0",), "0", "0", ()),
+        EafDocument(("0",), "0", "0", (("0", "0", "0"),)),
+        # 256 names, one past the cap
+        EafDocument(names_256(), "e0", "e255", ()),
+        EafDocument(names_256(), "e0", "e255", (("e1", "e254", "e255"),)),
+    ],
+)
+def test_one_pass_agrees_with_the_sorted_walk_on_hand_built_documents(doc):
+    assert_sorted_close_agrees(doc)
+
+
+@pytest.mark.parametrize(
+    "size, zero, one, sums",
+    [
+        (3, 0, 2, {(1, 1): 3}),  # an index out of range
+        (3, 0, 2, {(1, -1): 2}),
+        (3, 0, 3, {}),
+        (3, -1, 2, {}),
+        (3, 0, 2, {(True, 1): 2}),  # a bool is an int
+        (3, 0, 2, {(1, 1): 2.0}),  # not an int
+        (3, 0, 2, {1: 2}),  # not a pair
+        (3, 0, "2", {}),
+        (0, 0, 0, {}),
+        (1, 0, 0, {}),
+        (256, 0, 255, {}),
+    ],
+)
+def test_raw_tables_agree_with_the_sorted_walk(size, zero, one, sums):
+    args = (tuple(f"e{i}" for i in range(size)), zero, one, sums)
+    assert outcome(make_algebra, *args) == outcome(make_algebra_by_sorted_close, *args)
+    tables = [SumTable(size, zero, one, sums), SumTable(str(size), zero, one, sums)]
+    tables.append(SumTable(size + 10**9, zero, one, sums))
+    for table in tables:
+        assert outcome(verify_axioms, table) == outcome(
+            verify_axioms_by_sorted_close, table
+        )
+
+
+def test_well_formed_documents_skip_the_sorted_walk(
+    corpus, example_25, example_37, example_44, at_the_cap, monkeypatch
+):
+    algebras = [E for _, E in corpus + at_the_cap] + [example_25, example_37, example_44]
+    texts = [serialize_eaf(E) for E in algebras]
+    before = [build_effect_algebra(parse_eaf(text)) for text in texts]
+    refuse_sorted_close(monkeypatch)
+    assert [build_effect_algebra(parse_eaf(text)) for text in texts] == before == algebras
+
+
+def test_a_clash_and_an_unknown_name_still_reach_the_sorted_walk(monkeypatch):
+    passes = []
+
+    def spy(*args):
+        passes.append(scatter(*args))
+        return passes[-1]
+
+    scatter = core._scatter_sums
+    monkeypatch.setattr(core, "_scatter_sums", spy)
+    refuse_sorted_close(monkeypatch)
+    names = ("0", "a", "1")
+    # a pair with two results, an entry against a zero row, a bad index
+    with pytest.raises(AssertionError, match="the sorted walk ran"):
+        build_effect_algebra(EafDocument(names, "0", "1", (("a", "a", "1"), ("a", "a", "0"))))
+    with pytest.raises(AssertionError, match="the sorted walk ran"):
+        make_algebra(names, 0, 2, {(1, 1): 2, (1, 0): 2})
+    with pytest.raises(AssertionError, match="the sorted walk ran"):
+        verify_axioms(SumTable(3, 0, 2, {(1, 1): 3}))
+    # an unknown name is named while the declarations are resolved for
+    # the walk
+    with pytest.raises(UnknownName, match="'q'"):
+        build_effect_algebra(EafDocument(names, "0", "1", (("a", "q", "1"),)))
+    assert passes == [None] * 4
+
+
+@st.composite
+def any_rows(draw):
+    """Byte rows of up to 7 elements, neither symmetric nor closed, any
+    entry undefined, with zero and one anywhere, equal included."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.sampled_from([*range(n), _UNDEF])
+    rows = [bytes(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n)]
+    element = st.integers(min_value=0, max_value=n - 1)
+    return rows, draw(element), draw(element)
+
+
+@given(any_rows())
+@settings(max_examples=300, deadline=None)
+def test_the_rows_check_agrees_with_the_walk_on_any_rows(case):
+    rows, zero, one = case
+    report = core._check_rows(rows, zero, one, Witnesses())
+    walked = check_rows_by_walk(rows, zero, one, Witnesses())
+    assert report.violations == walked.violations
+    assert list(report.totals.items()) == list(walked.totals.items())
