@@ -19,17 +19,16 @@ byte rows, on every pair and, for associativity, on every triple:
 
 It has two inputs.  Declared sums, for :func:`verify_axioms`,
 :func:`make_algebra` and :func:`build_effect_algebra`, are first closed
-into rows under commutativity and the implied ``zero + x = x`` rows.
-Well-formed declarations are closed in one pass in the order given
-(:func:`_scatter_sums`); only when that pass meets trouble are they
-sorted and walked (:func:`_close_sums`), to name the unknown name, the
-bad index or each pair declared with two results as a violation.  The
-constructions and the sharp subalgebra build their rows directly, and
-the check (:func:`_check_rows`) also tests those for symmetry and the
-identity zero row.  Tables have at most ``_MAX_ELEMENTS`` (255)
-elements, so that every row is a byte string with byte 255 for
-"undefined", and associativity is checked one element's triples at a
-time by composing rows in C (see :func:`verify_axioms`).
+into rows under commutativity and the implied ``zero + x = x`` rows, in
+one pass in the order declared (:func:`_close_sums`), which names the
+first unknown name or bad index and reports each pair declared with two
+results as a violation.  The constructions and the sharp subalgebra
+build their rows directly, and the check (:func:`_check_rows`) also
+tests those for symmetry and the identity zero row.  Tables have at
+most ``_MAX_ELEMENTS`` (255) elements, so that every row is a byte
+string with byte 255 for "undefined", and associativity is checked one
+element's triples at a time by composing rows in C (see
+:func:`verify_axioms`).
 
 Only tables with an empty violation report become :class:`EffectAlgebra`
 values, so every downstream module may rely on the axioms without
@@ -49,8 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import chain, islice
-from operator import itemgetter, methodcaller
+from itertools import islice
+from operator import methodcaller
 from typing import (
     Callable,
     Iterable,
@@ -65,6 +64,7 @@ from typing import (
 from .errors import (
     AxiomViolation,
     DuplicateName,
+    EffectAlgebraError,
     IndexOutOfRange,
     SizeLimit,
     UnknownName,
@@ -93,6 +93,14 @@ _BYTE_VALUE: tuple[Optional[int], ...] = (*range(_UNDEF), None)
 _EVERY_BYTE = bytes(range(256))
 # 256 undefined entries, sliced to pad rows and translate tables.
 _ALL_UNDEF = bytes((_UNDEF,)) * 256
+
+
+def _padded(rows: Sequence[bytes]) -> list[bytes]:
+    """``rows`` as ``bytes.translate`` tables: each padded with ``_UNDEF``
+    to 256 bytes, then all-``_UNDEF`` rows up to 256, so that an
+    undefined index reads as a row with nothing defined."""
+    pad = _ALL_UNDEF[len(rows) :]
+    return [row + pad for row in rows] + [_ALL_UNDEF] * (256 - len(rows))
 
 
 @dataclass(frozen=True)
@@ -160,15 +168,15 @@ def verify_axioms(table: SumTable) -> AxiomReport:
 
     The table may be unclosed; lookups treat ``(x, y)`` and ``(y, x)`` as
     one pair and take the implied zero rows as present.  One pass closes
-    well-formed entries, and the sorted walk runs only to name what is
-    wrong (:func:`_declared_rows`): a pair declared with two results
-    fails Ei and an entry contradicting a zero row fails ``closure``,
-    each such pair counted once.  Eiii and Eiv are checked on every
-    pair, Eii on every triple (x, y, z), so the report's ``totals`` are
-    exact.  Eii composes byte rows in C, one element x at a
-    time (see :func:`_eii_bytes`).  Only the first ``_WITNESS_CAP``
-    violations of each axiom are kept, in (x, y, z) order, so memory
-    stays bounded however broken the table is.
+    the entries in the order given (:func:`_close_sums`): a pair
+    declared with two results fails Ei and an entry contradicting a zero
+    row fails ``closure``, each such pair counted once, against the
+    first result given.  Eiii and Eiv are checked on every pair, Eii on
+    every triple (x, y, z), so the report's ``totals`` are exact.  Eii
+    composes byte rows in C, one element x at a time (see
+    :func:`_eii_bytes`).  Only the first ``_WITNESS_CAP`` violations of
+    each axiom are kept, in (x, y, z) order, so memory stays bounded
+    however broken the table is.
     An empty report means the closed table is an effect algebra.  Raises
     :class:`SizeLimit` when ``size`` exceeds ``_MAX_ELEMENTS`` and
     :class:`IndexOutOfRange` when ``size`` is not an int, an entry,
@@ -181,10 +189,10 @@ def verify_axioms(table: SumTable) -> AxiomReport:
 def _declared_rows(
     n: int, zero: int, one: int, sums: Mapping[tuple[int, int], int]
 ) -> tuple[list[bytes], Witnesses]:
-    """A raw table's sums as rows and clashes: in one pass when they close
-    (:func:`_scatter_sums`), else by the walk that names the trouble.
-    Raises :class:`IndexOutOfRange` first unless ``n``, ``zero``, ``one``
-    and every entry are ints and every key is a pair."""
+    """A raw table's sums closed by :func:`_close_sums`, each index
+    standing for itself.  Raises :class:`IndexOutOfRange` first unless
+    ``n``, ``zero``, ``one`` and every entry are ints and every key is a
+    pair."""
     if not isinstance(n, int):
         raise IndexOutOfRange(f"size {n!r} is not an element count")
     if not (isinstance(zero, int) and isinstance(one, int)):
@@ -201,96 +209,71 @@ def _declared_rows(
             raise IndexOutOfRange(f"sum entry {key!r}->{z!r} is not an index pair and an index")
     index = {i: i for i in range(min(n, _MAX_ELEMENTS))}
     triples = ((x, y, z) for (x, y), z in declared)
-    return _scatter_sums(n, zero, one, triples, index) or _close_sums(n, zero, one, declared)
+    return _close_sums(n, zero, one, triples, index)
 
 
-def _scatter_sums(
+def _close_sums(
     n: int, zero: object, one: object, sums: Iterable[Sequence], index: Mapping
-) -> Optional[tuple[list[bytes], Witnesses]]:
-    """:func:`_close_sums`' result in one pass over the ``(x, y, x + y)``
-    keys of ``sums`` in the order given, each key, ``zero`` and ``one``
-    resolved through ``index``; ``None`` at an unknown key, a pair holding
-    another result, an entry against a zero row, or past the size cap.
-    Finished, it has written each pair's one result, as the sorted walk
-    would, and met nothing that the walk reports."""
+) -> tuple[list[bytes], Witnesses]:
+    """Declared sums closed into byte rows, and the clashes found on the way.
+
+    ``sums`` yields ``(x, y, x + y)`` declarations in any orientation,
+    repeats included, whose keys, like ``zero`` and ``one``, ``index``
+    maps to element indices.  Each is written, in the order given, into
+    both orientations of rows that already hold the zero rows.  A pair
+    already holding another result clashes, and the first result
+    declared stays: with zero it fails ``closure``, else ``Ei``, each
+    pair counted once.  Raises :class:`SizeLimit` above ``_MAX_ELEMENTS``
+    elements, before anything is allocated, then names the first key
+    that ``index`` lacks, ``zero`` and ``one`` first
+    (:func:`_missing_key`).
+    """
     if n > _MAX_ELEMENTS:
-        return None
+        raise SizeLimit(f"tables are checked up to {_MAX_ELEMENTS} elements, not {n}")
     try:
         zero, one = index[zero], index[one]
-        rows = [bytearray(_ALL_UNDEF[:n]) for _ in range(n)]
-        rows[zero][:] = _EVERY_BYTE[:n]
-        for x, row in enumerate(rows):
-            row[zero] = x
+    except KeyError as missing:
+        raise _missing_key(missing, f"zero {zero} or one {one}", n) from None
+    found = Witnesses()
+    if zero == one:
+        found.add(AXIOM_CLOSURE, (zero,), "zero and one coincide")
+    rows = [bytearray(_ALL_UNDEF[:n]) for _ in range(n)]
+    rows[zero][:] = _EVERY_BYTE[:n]
+    for x, row in enumerate(rows):
+        row[zero] = x
+    # The first clashing declaration of each unordered pair, in order.
+    clashes: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+    try:
         for x, y, z in sums:
             x, y, z = index[x], index[y], index[z]
             row = rows[x]
             prior = row[y]
             if prior != z:
                 if prior != _UNDEF:
-                    return None
+                    clashes.setdefault((min(x, y), max(x, y)), (x, y, prior, z))
+                    continue
                 row[y] = z
                 rows[y][x] = z
-    except KeyError:
-        return None
-    found = Witnesses()
-    if zero == one:
-        found.add(AXIOM_CLOSURE, (zero,), "zero and one coincide")
+    except KeyError as missing:
+        raise _missing_key(missing, f"sum entry ({x},{y})->{z}", n) from None
+    for x, y, prior, z in clashes.values():
+        if zero in (x, y):
+            detail = f"declared element {x} + element {y} = element {z} contradicts the implied zero row"
+            found.add(AXIOM_CLOSURE, (x, y, z), detail)
+        else:
+            detail = f"element {x} + element {y} is declared as both element {prior} and element {z}"
+            found.add(AXIOM_COMMUTATIVITY, (x, y), detail)
     return [bytes(row) for row in rows], found
 
 
-def _close_sums(
-    n: int, zero: int, one: int, sums: Iterable[tuple[tuple[int, int], int]]
-) -> tuple[list[bytes], Witnesses]:
-    """Declared sums closed into byte rows, and the clashes found on the way.
-
-    ``sums`` holds ``((x, y), x + y)`` declarations in any orientation,
-    repeats included.  They are read sorted by pair, repeats of one
-    ordered pair in the order given, so a clash is reported against the
-    first result declared for the pair.  This sorted walk runs only when
-    :func:`_scatter_sums` meets trouble, to name it: every clash, or the
-    bad index raised.  Raises :class:`SizeLimit` above ``_MAX_ELEMENTS``
-    elements, before the rows are allocated.
-    """
-    if n > _MAX_ELEMENTS:
-        raise SizeLimit(f"tables are checked up to {_MAX_ELEMENTS} elements, not {n}")
-    if not (0 <= zero < n and 0 <= one < n):
-        raise IndexOutOfRange(f"zero {zero} or one {one} out of range for size {n}")
-    found = Witnesses()
-
-    if zero == one:
-        found.add(AXIOM_CLOSURE, (zero,), "zero and one coincide")
-
-    # Effective symmetric lookup matrix, implied zero rows included.
-    eff = [bytearray((_UNDEF,)) * n for _ in range(n)]
-    for x in range(n):
-        eff[zero][x] = x
-        eff[x][zero] = x
-    # Pairs already reported, so that each clashing pair counts once.
-    clashed: set[tuple[int, int]] = set()
-    for (x, y), z in sorted(sums, key=itemgetter(0)):
-        if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
-            raise IndexOutOfRange(f"sum entry ({x},{y})->{z} out of range for size {n}")
-        prior = eff[x][y]
-        if prior == z:
-            continue
-        if zero in (x, y):
-            label = AXIOM_CLOSURE
-            witnesses: tuple[int, ...] = (x, y, z)
-            detail = f"declared element {x} + element {y} = element {z} contradicts the implied zero row"
-        elif prior != _UNDEF:
-            label = AXIOM_COMMUTATIVITY
-            witnesses = (x, y)
-            detail = f"element {x} + element {y} is declared as both element {prior} and element {z}"
-        else:
-            eff[x][y] = z
-            eff[y][x] = z
-            continue
-        key = (x, y) if x <= y else (y, x)
-        if key not in clashed:
-            clashed.add(key)
-            found.add(label, witnesses, detail)
-
-    return [bytes(row) for row in eff], found
+def _missing_key(missing: KeyError, what: str, n: int) -> EffectAlgebraError:
+    """The error naming a key that the index of :func:`_close_sums`
+    lacks: an int is an element index, out of range in ``what``; any
+    other key an element name."""
+    key = missing.args[0]
+    if isinstance(key, int):
+        return IndexOutOfRange(f"{what} out of range for size {n}")
+    return UnknownName(f"unknown element name {key!r}")
 
 
 def _check_rows(
@@ -472,10 +455,10 @@ def make_algebra(
 ) -> EffectAlgebra:
     """Close, validate, and wrap a sum table.
 
-    ``sums`` is closed as declared, in one pass when well formed and by
-    the sorted walk only to name what is wrong (:func:`_declared_rows`),
-    so a pair given two results or an entry contradicting a zero row is
-    an ``Ei`` or ``closure`` violation like any other.
+    ``sums`` is closed in one pass in the order given
+    (:func:`_close_sums`), so a pair given two results or an entry
+    contradicting a zero row is an ``Ei`` or ``closure`` violation like
+    any other, reported against the first result given.
     Raises :class:`DuplicateName` when two names coincide,
     :class:`IndexOutOfRange` when an entry, ``zero`` or ``one`` is not an
     element index or a key is not a pair, and :class:`AxiomViolation`,
@@ -565,27 +548,16 @@ def build_effect_algebra(doc: "EafDocument") -> EffectAlgebra:
     The declared sums, repeats included, are closed and checked as
     :func:`make_algebra`'s are, so a document only needs the generating
     entries, and a clash is an ``Ei`` or ``closure`` violation of the
-    :class:`AxiomViolation` raised.  One pass resolves and closes
-    well-formed declarations (:func:`_scatter_sums`); only on trouble are
-    they resolved and sorted again and walked (:func:`_close_sums`), to
-    name it.  Raises :class:`UnknownName` for a name the document does
-    not declare, which :func:`parse_eaf` already rules out.
+    :class:`AxiomViolation` raised.  One pass resolves and closes the
+    declarations in file order (:func:`_close_sums`), so clashes are
+    reported in that order, against the first result declared.  Raises
+    :class:`UnknownName` for the first name the document does not
+    declare, ``zero`` and ``one`` first, which :func:`parse_eaf` already
+    rules out.
     """
     position = {name: i for i, name in enumerate(doc.names)}
-    n = len(doc.names)
-    closed = _scatter_sums(n, doc.zero, doc.one, doc.sums, position)
-    if closed is not None:
-        return _algebra(doc.names, position[doc.zero], position[doc.one], *closed)
-    # Resolved in C, the declarations in order and then zero and one, so
-    # that the first unknown name is the one reported.
-    keys = chain(chain.from_iterable(doc.sums), (doc.zero, doc.one))
-    try:
-        flat = list(map(position.__getitem__, keys))
-    except KeyError as missing:
-        raise UnknownName(f"unknown element name {missing.args[0]!r}") from None
-    zero, one = flat[-2:]
-    sums = zip(zip(flat[0:-2:3], flat[1:-2:3]), flat[2:-2:3])
-    return _algebra(doc.names, zero, one, *_close_sums(n, zero, one, sums))
+    closed = _close_sums(len(doc.names), doc.zero, doc.one, doc.sums, position)
+    return _algebra(doc.names, position[doc.zero], position[doc.one], *closed)
 
 
 def iterated_sum(E: EffectAlgebra, terms: Iterable[Optional[int]]) -> Optional[int]:

@@ -37,6 +37,7 @@ from .core import (
     _BYTE_VALUE,
     _UNDEF,
     EffectAlgebra,
+    _padded,
     derived,
     iterated_sum,
     multiples,
@@ -227,8 +228,7 @@ def _table(E: EffectAlgebra) -> _Table:
     iso = profile.isotropic
     n = E.size
     # Row r padded to 256 bytes, so that r + _UNDEF reads as _UNDEF.
-    pad = bytes((_UNDEF,)) * (256 - n)
-    plus = [row + pad for row in E.rows]
+    plus = _padded(E.rows)
     parts: list[tuple[AtomMultiple, ...]] = [()] * n
     meager_parts = parts.copy()
     # the sums of each element's parts, of its full ones and of its proper ones

@@ -71,6 +71,7 @@ from .core import (
     _WITNESS_CAP,
     EffectAlgebra,
     Witnesses,
+    _padded,
     multiples,
 )
 from .decompose import AtomMultiple, _parts_sum, atomic_decomposition
@@ -148,14 +149,6 @@ def _collect(
     if total > 1:
         reason += f" (+{total - 1} more instances)"
     return LawResult(law, FAIL, tuple(v.witnesses for v in found.kept), reason)
-
-
-def _padded(rows: list[bytes]) -> list[bytes]:
-    """``rows`` as ``bytes.translate`` tables: each padded with ``_UNDEF``
-    to 256 bytes, then all-``_UNDEF`` rows up to 256, so that an
-    undefined index reads as a row with nothing defined."""
-    pad = bytes((_UNDEF,)) * (256 - len(rows))
-    return [row + pad for row in rows] + [bytes((_UNDEF,)) * 256] * (256 - len(rows))
 
 
 class _Ctx:

@@ -31,7 +31,7 @@ from itertools import repeat
 from operator import and_
 from typing import Optional
 
-from .core import _UNDEF, EffectAlgebra, _difference_table, _tuples, derived
+from .core import _ALL_UNDEF, _UNDEF, EffectAlgebra, _difference_table, _tuples, derived
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def derive_order(E: EffectAlgebra) -> OrderStructure:
     meet = tuple([row + flat[x * (n + 1) + n :: n] for x, row in enumerate(lower)])
 
     s = E.supplement
-    flip = bytes(s) + bytes((_UNDEF,)) * (256 - n)
+    flip = bytes(s) + _ALL_UNDEF[n:]
     # permuted[y'::n] holds x' ^ y' at index x, so translated through the
     # supplement it is row y of the joins.
     permuted = b"".join([meet[z] for z in s])

@@ -101,21 +101,14 @@ def refuse_tuple_views(monkeypatch):
 
 
 def refuse_declared_sums(monkeypatch):
-    """Make every closing of declared sums into rows, by the single pass,
-    the sorted walk or a raw sum table's entry point, raise in each
-    ``effalg`` module that names them, so that only rows built directly
-    reach the axiom check."""
+    """Make every closing of declared sums into rows, by the one pass or a
+    raw sum table's entry point to it, raise in each ``effalg`` module
+    that names them, so that only rows built directly reach the axiom
+    check."""
     core = sys.modules["effalg.core"]
-    for attr in ("_close_sums", "_scatter_sums", "_declared_rows"):
+    for attr in ("_close_sums", "_declared_rows"):
         refuse = _refuse(monkeypatch, attr, "declared sums were closed")
         assert getattr(core, attr) is refuse
-
-
-def refuse_sorted_close(monkeypatch):
-    """Make the sorted walk over declared sums raise, in each ``effalg``
-    module that names it, so that only the single pass closes them."""
-    refuse = _refuse(monkeypatch, "_close_sums", "the sorted walk ran")
-    assert sys.modules["effalg.core"]._close_sums is refuse
 
 
 def refuse_compatibility_masks(monkeypatch):

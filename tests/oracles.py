@@ -31,18 +31,13 @@ subalgebra as they were built before they made byte rows: a dict of sums
 handed to ``make_algebra``; the last reads the package's profile.
 :func:`oracle_atomic` checks by brute force that every nonzero element
 lies above an atom, which the package's profile takes from finiteness.
-:func:`build_effect_algebra_by_sorted_close`,
-:func:`make_algebra_by_sorted_close` and
-:func:`verify_axioms_by_sorted_close` close declared sums as they did
-before one pass closed well-formed declarations: every declaration
-resolved, sorted and walked by ``effalg.core._close_sums``.
 :func:`check_rows_by_walk` is the rows check as it was before Eiii and
 Eiv were counted in C: one Python step and one detail per element.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd, lcm
 from string import ascii_lowercase
 from typing import Mapping, Optional, Union
@@ -82,8 +77,6 @@ from effalg.core import (
     AXIOM_ZERO_ONE,
     AxiomReport,
     Witnesses,
-    _algebra,
-    _close_sums,
     _eii_bytes,
     multiples,
 )
@@ -91,11 +84,9 @@ from effalg.decompose import _parts_sum
 from effalg.eaf import _COUNT, _EA_HEADER, EafDocument, _int
 from effalg.errors import (
     DegenerateBlock,
-    IndexOutOfRange,
     MissingHeader,
     ParseError,
     SizeLimit,
-    UnknownName,
 )
 from effalg.linear import _transposed_product
 
@@ -1318,66 +1309,6 @@ def extract_sharp_by_sums(E: EffectAlgebra) -> SharpSubalgebra:
     for x, i in pos.items():
         from_parent[x] = i
     return SharpSubalgebra(algebra, tuple(sharp), tuple(from_parent))
-
-
-def build_effect_algebra_by_sorted_close(doc: EafDocument) -> EffectAlgebra:
-    """``effalg.build_effect_algebra`` as it was before one pass closed
-    well-formed declarations: every name resolved in C, then the
-    declarations sorted and walked.  Kept verbatim, apart from the name,
-    for reference only."""
-    position = {name: i for i, name in enumerate(doc.names)}
-    # Resolved in C, the declarations in order and then zero and one, so
-    # that the first unknown name is the one reported.
-    try:
-        flat = list(
-            map(
-                position.__getitem__,
-                chain(chain.from_iterable(doc.sums), (doc.zero, doc.one)),
-            )
-        )
-    except KeyError as missing:
-        raise UnknownName(f"unknown element name {missing.args[0]!r}") from None
-    zero, one = flat[-2:]
-    sums = zip(zip(flat[0:-2:3], flat[1:-2:3]), flat[2:-2:3])
-    return _algebra(doc.names, zero, one, *_close_sums(len(doc.names), zero, one, sums))
-
-
-def _raw_sums_by_scan(size, zero, one, sums):
-    """``sums.items()`` once every value is an int and every key a pair,
-    as ``effalg.core._raw_sums`` scanned a raw table.  Kept verbatim, apart
-    from the name and the annotations, for reference only."""
-    if not isinstance(size, int):
-        raise IndexOutOfRange(f"size {size!r} is not an element count")
-    if not (isinstance(zero, int) and isinstance(one, int)):
-        raise IndexOutOfRange(f"zero {zero!r} or one {one!r} is not an element index")
-    for key, z in sums.items():
-        if not (
-            isinstance(key, tuple)
-            and len(key) == 2
-            and isinstance(key[0], int)
-            and isinstance(key[1], int)
-            and isinstance(z, int)
-        ):
-            raise IndexOutOfRange(
-                f"sum entry {key!r}->{z!r} is not an index pair and an index"
-            )
-    return sums.items()
-
-
-def make_algebra_by_sorted_close(names, zero, one, sums) -> EffectAlgebra:
-    """``effalg.make_algebra`` as it was before one pass closed well-formed
-    declarations.  Kept verbatim, apart from the names, for reference."""
-    declared = _raw_sums_by_scan(len(names), zero, one, sums)
-    return _algebra(names, zero, one, *_close_sums(len(names), zero, one, declared))
-
-
-def verify_axioms_by_sorted_close(table: SumTable) -> AxiomReport:
-    """``effalg.verify_axioms`` as it was before one pass closed
-    well-formed declarations.  Kept verbatim, apart from the names, for
-    reference only."""
-    sums = _raw_sums_by_scan(table.size, table.zero, table.one, table.sums)
-    rows, found = _close_sums(table.size, table.zero, table.one, sums)
-    return check_rows_by_walk(rows, table.zero, table.one, found)
 
 
 def check_rows_by_walk(rows, zero, one, found: Witnesses) -> AxiomReport:

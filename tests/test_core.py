@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import random
-from itertools import chain
 import time
 import tracemalloc
 import weakref
@@ -58,23 +57,19 @@ from conftest import (
     differential_algebras,
     full_corpus,
     refuse_declared_sums,
-    refuse_sorted_close,
     refuse_tuple_views,
     zero_last,
 )
 from oracles import (
-    build_effect_algebra_by_sorted_close,
     check_rows_by_walk,
     close_table,
     decoded,
     encoded,
-    make_algebra_by_sorted_close,
     oracle_axiom_errors,
     oracle_eii_failures_near,
     oracle_multiple,
     oracle_ord,
     table_dict,
-    verify_axioms_by_sorted_close,
 )
 
 
@@ -447,6 +442,12 @@ def test_each_clashing_pair_is_one_violation_with_exact_totals(case):
     assert len(kept) == min(len(ei), _WITNESS_CAP) and kept <= ei
     kept = {tuple(sorted(v.witnesses[:2])) for v in report.by_axiom("closure")}
     assert len(kept) == min(len(closure), _WITNESS_CAP) and kept <= closure
+    # and they are the first clashing pairs in declaration order, each as
+    # its first clashing declaration gives it
+    _, expected = expected_witnesses(size, 0, size - 1, decls)
+    for label in ("Ei", "closure"):
+        kept = [v.witnesses for v in report.by_axiom(label)]
+        assert kept == expected[label][:_WITNESS_CAP], label
     # The first result declared for each ordered pair, as a dict holds it,
     # gives make_algebra the report verify_axioms gives on the same dict.
     sums = {}
@@ -751,8 +752,8 @@ def test_byte_rows_match_the_oracle_at_255_elements():
 
 def test_an_algebra_keeps_the_byte_rows_its_check_read(corpus):
     for name, E in corpus + [("chain-255", mv_chain(254))]:
-        sums = [((x, y), z) for x, y, z in E.canonical_sums()]
-        rows, found = core._close_sums(E.size, E.zero, E.one, sums)
+        index = {x: x for x in range(E.size)}
+        rows, found = core._close_sums(E.size, E.zero, E.one, E.canonical_sums(), index)
         report = core._check_rows(rows, E.zero, E.one, found)
         assert report.ok, name
         assert E.rows == tuple(rows), name
@@ -866,7 +867,7 @@ def test_no_analysis_decodes_a_tuple_view_at_the_cap(at_the_cap, monkeypatch):
         assert run_law_suite(E).ok, name
 
 
-# --- one pass over well-formed declarations, the sorted walk on trouble -----
+# --- declared sums, closed in one pass in declaration order ----------------
 
 SMALL_ALGEBRAS = [E for _, E in full_corpus() if E.size <= 8] + [
     bundled_fixture(name) for name in ("example-2.5", "example-4.4")
@@ -908,134 +909,208 @@ def declared_documents(draw):
     )
 
 
-def outcome(build, *args):
-    """What ``build(*args)`` gives: an algebra with its stored fields, or
-    the exception's type and message, and for an AxiomViolation the kept
-    violations in order and the totals in order."""
+def expected_witnesses(n, zero, one, decls):
+    """The closure of ``decls``, ``(x, y, x + y)`` triples in order, in
+    which the first result declared for a pair wins, as sums in both
+    orientations, zero rows included; and per axiom label, the witnesses
+    of its every violation, in report order: the first clashing
+    declaration of each unordered pair, in declaration order, then the
+    failures ``oracle_axiom_errors`` lists on the closure."""
+    sums = {(zero, x): x for x in range(n)} | {(x, zero): x for x in range(n)}
+    clashes = {}
+    for x, y, z in decls:
+        prior = sums.setdefault((x, y), z)
+        sums[y, x] = prior
+        if prior != z:
+            clashes.setdefault(frozenset((x, y)), (x, y, z))
+    clashes = list(clashes.values())
+    expected = {
+        "closure": [(zero,)] * (zero == one) + [c for c in clashes if zero in c[:2]],
+        "Ei": [(x, y) for x, y, _ in clashes if zero not in (x, y)],
+        "Eii": [],
+        "Eiii": [],
+        "Eiv": [],
+    }
+    for error in oracle_axiom_errors(n, zero, one, sums):
+        words = error.replace(",", " ").split()
+        if error.startswith("associativity broken at"):
+            expected["Eii"].append(tuple(map(int, words[-3:])))
+        elif error.endswith("supplements"):
+            a = int(words[0])
+            mates = [b for b in range(n) if sums.get((a, b)) == one]
+            expected["Eiii"].append((a, *mates[:2]))
+        elif error.startswith("one + "):
+            expected["Eiv"].append((int(words[2]),))
+        else:  # the closure is symmetric with zero rows
+            assert error == "zero equals one"
+    return sums, expected
+
+
+def checked(build, *args):
+    """The report that ``build(*args)`` returns or raises, and the rows of
+    the algebra it returns, ``None`` when it returns none."""
     try:
-        E = build(*args)
+        got = build(*args)
     except AxiomViolation as exc:
-        report = exc.report
-        return type(exc), str(exc), report.violations, list(report.totals.items())
-    except EffectAlgebraError as exc:
-        return type(exc), str(exc)
-    if isinstance(E, core.AxiomReport):
-        return E.violations, list(E.totals.items())
-    return E, E.rows, E.supplement
-
-
-def assert_sorted_close_agrees(doc):
-    """``build_effect_algebra``, ``make_algebra`` and ``verify_axioms`` on
-    ``doc`` give what they gave when every declaration was sorted and
-    walked."""
-    assert outcome(build_effect_algebra, doc) == outcome(
-        build_effect_algebra_by_sorted_close, doc
-    ), doc
-    position = {name: i for i, name in enumerate(doc.names)}
-    if not {doc.zero, doc.one, *chain.from_iterable(doc.sums)} <= set(position):
-        return
-    zero, one = position[doc.zero], position[doc.one]
-    sums = {(position[x], position[y]): position[z] for x, y, z in doc.sums}
-    args = (doc.names, zero, one, sums)
-    assert outcome(make_algebra, *args) == outcome(make_algebra_by_sorted_close, *args)
-    table = SumTable(len(doc.names), zero, one, sums)
-    assert outcome(verify_axioms, table) == outcome(verify_axioms_by_sorted_close, table)
+        return exc.report, None
+    if isinstance(got, core.AxiomReport):
+        return got, None
+    return core.AxiomReport((), {}), got.rows
 
 
 @given(declared_documents())
 @settings(max_examples=300, deadline=None)
-def test_one_pass_agrees_with_the_sorted_walk(doc):
-    assert_sorted_close_agrees(doc)
+def test_declared_sums_close_in_declaration_order(doc):
+    n = len(doc.names)
+    position = {name: i for i, name in enumerate(doc.names)}
+    zero, one = position[doc.zero], position[doc.one]
+    decls = [tuple(map(position.__getitem__, d)) for d in doc.sums]
+    raw = {}
+    for x, y, z in decls:
+        raw.setdefault((x, y), z)
+    raw_decls = [(x, y, z) for (x, y), z in raw.items()]
+    rows, _ = core._close_sums(n, doc.zero, doc.one, doc.sums, position)
+    from_raw = [
+        checked(make_algebra, doc.names, zero, one, raw),
+        checked(verify_axioms, SumTable(n, zero, one, raw)),
+    ]
+    for declared, results in [
+        (decls, [checked(build_effect_algebra, doc)]),
+        (raw_decls, from_raw),
+    ]:
+        sums, expected = expected_witnesses(n, zero, one, declared)
+        closure = tuple(
+            bytes(sums.get((x, y), _UNDEF) for y in range(n)) for x in range(n)
+        )
+        if declared is decls:
+            assert tuple(rows) == closure
+        ei, clashing = clashing_pairs(zero, declared)
+        assert len(expected["Ei"]) == len(ei)
+        assert len(expected["closure"]) == len(clashing) + (zero == one)
+        for report, built in results:
+            assert built in (None, closure)
+            assert set(report.totals) <= set(expected)
+            for label, witnesses in expected.items():
+                assert report.totals.get(label, 0) == len(witnesses), label
+                kept = [v.witnesses for v in report.by_axiom(label)]
+                assert kept == witnesses[:_WITNESS_CAP], label
+
+
+def raised(build, *args):
+    """What ``build(*args)`` raises, as its type and message, a report
+    with violations counting as the AxiomViolation that carries it;
+    ``None`` when it raises and reports nothing."""
+    try:
+        got = build(*args)
+    except EffectAlgebraError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, core.AxiomReport) and not got.ok:
+        return AxiomViolation, str(AxiomViolation(got))
+    return None
 
 
 def names_256():
     return tuple(f"e{i}" for i in range(256))
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        # an unknown name in a sum, in zero and in one
+COINCIDE = (AxiomViolation, "closure: zero and one coincide")
+PAST_THE_CAP = (SizeLimit, "tables are checked up to 255 elements, not 256")
+UNIQUE = (DuplicateName, "element names must be unique")
+
+HAND_BUILT_DOCUMENTS = [
+    # an unknown name in a sum, in zero and in one
+    (
         EafDocument(("0", "a", "1"), "0", "1", (("a", "a", "1"), ("a", "q", "1"))),
+        (UnknownName, "unknown element name 'q'"),
+    ),
+    (
         EafDocument(("0", "a", "1"), "0", "1", (("a", "a", "q"),)),
+        (UnknownName, "unknown element name 'q'"),
+    ),
+    (
         EafDocument(("0", "a", "1"), "z", "1", (("a", "a", "1"),)),
+        (UnknownName, "unknown element name 'z'"),
+    ),
+    (
         EafDocument(("0", "a", "1"), "0", "z", (("a", "a", "1"),)),
-        # duplicate names, with and without a clash
-        EafDocument(("0", "a", "a", "1"), "0", "1", (("a", "a", "1"),)),
+        (UnknownName, "unknown element name 'z'"),
+    ),
+    # duplicate names, with and without a clash
+    (EafDocument(("0", "a", "a", "1"), "0", "1", (("a", "a", "1"),)), UNIQUE),
+    (
         EafDocument(("0", "a", "a", "1"), "0", "1", (("a", "a", "1"), ("a", "a", "0"))),
-        # no names and one name
-        EafDocument((), "0", "1", ()),
-        EafDocument(("0",), "0", "0", ()),
-        EafDocument(("0",), "0", "0", (("0", "0", "0"),)),
-        # 256 names, one past the cap
-        EafDocument(names_256(), "e0", "e255", ()),
-        EafDocument(names_256(), "e0", "e255", (("e1", "e254", "e255"),)),
-    ],
-)
-def test_one_pass_agrees_with_the_sorted_walk_on_hand_built_documents(doc):
-    assert_sorted_close_agrees(doc)
+        UNIQUE,
+    ),
+    # no names and one name
+    (EafDocument((), "0", "1", ()), (UnknownName, "unknown element name '0'")),
+    (EafDocument(("0",), "0", "0", ()), COINCIDE),
+    (EafDocument(("0",), "0", "0", (("0", "0", "0"),)), COINCIDE),
+    # 256 names, one past the cap
+    (EafDocument(names_256(), "e0", "e255", ()), PAST_THE_CAP),
+    (EafDocument(names_256(), "e0", "e255", (("e1", "e254", "e255"),)), PAST_THE_CAP),
+]
 
 
 @pytest.mark.parametrize(
-    "size, zero, one, sums",
-    [
-        (3, 0, 2, {(1, 1): 3}),  # an index out of range
-        (3, 0, 2, {(1, -1): 2}),
-        (3, 0, 3, {}),
-        (3, -1, 2, {}),
-        (3, 0, 2, {(True, 1): 2}),  # a bool is an int
-        (3, 0, 2, {(1, 1): 2.0}),  # not an int
-        (3, 0, 2, {1: 2}),  # not a pair
-        (3, 0, "2", {}),
-        (0, 0, 0, {}),
-        (1, 0, 0, {}),
-        (256, 0, 255, {}),
-    ],
+    "doc, error",
+    HAND_BUILT_DOCUMENTS,
+    ids=[f"doc{i}" for i in range(len(HAND_BUILT_DOCUMENTS))],
 )
-def test_raw_tables_agree_with_the_sorted_walk(size, zero, one, sums):
-    args = (tuple(f"e{i}" for i in range(size)), zero, one, sums)
-    assert outcome(make_algebra, *args) == outcome(make_algebra_by_sorted_close, *args)
-    tables = [SumTable(size, zero, one, sums), SumTable(str(size), zero, one, sums)]
-    tables.append(SumTable(size + 10**9, zero, one, sums))
-    for table in tables:
-        assert outcome(verify_axioms, table) == outcome(
-            verify_axioms_by_sorted_close, table
-        )
+def test_one_pass_agrees_with_the_sorted_walk_on_hand_built_documents(doc, error):
+    # pinned as the sorted walk over declared sums gave them; none of them
+    # reports a clash, so declaration order changes nothing here
+    assert raised(build_effect_algebra, doc) == error
 
 
-def test_well_formed_documents_skip_the_sorted_walk(
-    corpus, example_25, example_37, example_44, at_the_cap, monkeypatch
+RAW_TABLES = [
+    # an index out of range
+    (3, 0, 2, {(1, 1): 3}, "sum entry (1,1)->3 out of range for size 3"),
+    (3, 0, 2, {(1, -1): 2}, "sum entry (1,-1)->2 out of range for size 3"),
+    (3, 0, 3, {}, "zero 0 or one 3 out of range for size 3"),
+    (3, -1, 2, {}, "zero -1 or one 2 out of range for size 3"),
+    (3, 0, 2, {(True, 1): 2}, None),  # a bool is an int
+    # not an int, not a pair: named by the type scan, before the size cap
+    (3, 0, 2, {(1, 1): 2.0}, "sum entry (1, 1)->2.0 is not an index pair and an index"),
+    (3, 0, 2, {1: 2}, "sum entry 1->2 is not an index pair and an index"),
+    (3, 0, "2", {}, "zero 0 or one '2' is not an element index"),
+    (0, 0, 0, {}, "zero 0 or one 0 out of range for size 0"),
+    (1, 0, 0, {}, COINCIDE),
+    (256, 0, 255, {}, PAST_THE_CAP),
+]
+
+
+@pytest.mark.parametrize(
+    "size, zero, one, sums, error",
+    RAW_TABLES,
+    ids=[f"{t[0]}-{t[1]}-{t[2]}-sums{i}" for i, t in enumerate(RAW_TABLES)],
+)
+def test_raw_tables_agree_with_the_sorted_walk(size, zero, one, sums, error):
+    # pinned as the sorted walk over declared sums gave them, in each
+    # SumTable variant; none of them reports a clash, so declaration order
+    # changes nothing here
+    if isinstance(error, str):
+        error = (IndexOutOfRange, error)
+    names = tuple(f"e{i}" for i in range(size))
+    assert raised(make_algebra, names, zero, one, sums) == error
+    assert raised(verify_axioms, SumTable(size, zero, one, sums)) == error
+    not_a_size = (IndexOutOfRange, f"size '{size}' is not an element count")
+    assert raised(verify_axioms, SumTable(str(size), zero, one, sums)) == not_a_size
+    scanned = error is not None and "is not an" in error[1]
+    huge = SizeLimit, f"tables are checked up to 255 elements, not {size + 10**9}"
+    assert raised(verify_axioms, SumTable(size + 10**9, zero, one, sums)) == (
+        error if scanned else huge
+    )
+    if error is None:
+        table = ((0, 1, 2), (1, 2, None), (2, None, None))
+        assert make_algebra(names, zero, one, sums).table == table
+
+
+def test_documents_round_trip_to_the_algebra(
+    corpus, example_25, example_37, example_44, at_the_cap
 ):
     algebras = [E for _, E in corpus + at_the_cap] + [example_25, example_37, example_44]
     texts = [serialize_eaf(E) for E in algebras]
-    before = [build_effect_algebra(parse_eaf(text)) for text in texts]
-    refuse_sorted_close(monkeypatch)
-    assert [build_effect_algebra(parse_eaf(text)) for text in texts] == before == algebras
-
-
-def test_a_clash_and_an_unknown_name_still_reach_the_sorted_walk(monkeypatch):
-    passes = []
-
-    def spy(*args):
-        passes.append(scatter(*args))
-        return passes[-1]
-
-    scatter = core._scatter_sums
-    monkeypatch.setattr(core, "_scatter_sums", spy)
-    refuse_sorted_close(monkeypatch)
-    names = ("0", "a", "1")
-    # a pair with two results, an entry against a zero row, a bad index
-    with pytest.raises(AssertionError, match="the sorted walk ran"):
-        build_effect_algebra(EafDocument(names, "0", "1", (("a", "a", "1"), ("a", "a", "0"))))
-    with pytest.raises(AssertionError, match="the sorted walk ran"):
-        make_algebra(names, 0, 2, {(1, 1): 2, (1, 0): 2})
-    with pytest.raises(AssertionError, match="the sorted walk ran"):
-        verify_axioms(SumTable(3, 0, 2, {(1, 1): 3}))
-    # an unknown name is named while the declarations are resolved for
-    # the walk
-    with pytest.raises(UnknownName, match="'q'"):
-        build_effect_algebra(EafDocument(names, "0", "1", (("a", "q", "1"),)))
-    assert passes == [None] * 4
+    assert [build_effect_algebra(parse_eaf(text)) for text in texts] == algebras
 
 
 @st.composite

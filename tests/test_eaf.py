@@ -293,12 +293,15 @@ def test_the_bulk_reader_agrees_with_the_line_by_line_reader(text):
 
 
 def test_building_reports_the_first_unknown_name_in_declaration_order():
-    doc = EafDocument(("0", "a", "1"), "0", "one", (("a", "a", "1"), ("a", "p", "q")))
+    doc = EafDocument(("0", "a", "1"), "0", "1", (("a", "a", "1"), ("a", "p", "q")))
     with pytest.raises(UnknownName, match="^unknown element name 'p'$"):
         build_effect_algebra(doc)
-    # the sums come before zero and one
+    # zero and one come before the sums
+    doc = EafDocument(("0", "a", "1"), "0", "one", (("a", "a", "1"), ("a", "p", "q")))
+    with pytest.raises(UnknownName, match="^unknown element name 'one'$"):
+        build_effect_algebra(doc)
     doc = EafDocument(("0", "a", "1"), "zero", "1", (("a", "q", "1"),))
-    with pytest.raises(UnknownName, match="^unknown element name 'q'$"):
+    with pytest.raises(UnknownName, match="^unknown element name 'zero'$"):
         build_effect_algebra(doc)
 
 
