@@ -303,6 +303,8 @@ def _cmd_smear(args: argparse.Namespace) -> _Result:
         smeared = smear_state(E, omega)
     except (PreconditionFailed, InvalidState) as exc:
         return 1, {"error": str(exc)}, [f"cannot smear: {exc}"]
+    except SizeLimit as exc:
+        raise _InputError(f"{args.state}: {exc}")
     payload, lines = _values(smeared)
     return 0, payload, lines
 

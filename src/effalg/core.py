@@ -26,9 +26,9 @@ results as a violation.  The constructions and the sharp subalgebra
 build their rows directly, and the check (:func:`_check_rows`) also
 tests those for symmetry and the identity zero row.  Tables have at
 most ``_MAX_ELEMENTS`` (255) elements, so that every row is a byte
-string with byte 255 for "undefined", and associativity is checked one
-element's triples at a time by composing rows in C (see
-:func:`verify_axioms`).
+string with byte 255 for "undefined".  Eii is proved from the atoms'
+triples where it can be (:func:`_generated`), else counted by composing
+rows in C, one element's triples at a time (see :func:`verify_axioms`).
 
 Only tables with an empty violation report become :class:`EffectAlgebra`
 values, so every downstream module may rely on the axioms without
@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from itertools import islice
-from operator import methodcaller
 from typing import (
     Callable,
     Iterable,
@@ -171,10 +170,11 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     the entries in the order given (:func:`_close_sums`): a pair
     declared with two results fails Ei and an entry contradicting a zero
     row fails ``closure``, each such pair counted once, against the
-    first result given.  Eiii and Eiv are checked on every pair, Eii on
-    every triple (x, y, z), so the report's ``totals`` are exact.  Eii
-    composes byte rows in C, one element x at a time (see
-    :func:`_eii_bytes`).  Only the first ``_WITNESS_CAP`` violations of
+    first result given.  Eiii and Eiv are checked on every pair, and Eii
+    is proved on the atoms when the zero row is the identity and every
+    element has one supplement (:func:`_generated`), else counted on
+    every triple (x, y, z) (:func:`_eii_bytes`), so the report's
+    ``totals`` are exact.  Only the first ``_WITNESS_CAP`` violations of
     each axiom are kept, in (x, y, z) order, so memory stays bounded
     however broken the table is.
     An empty report means the closed table is an effect algebra.  Raises
@@ -286,6 +286,9 @@ def _check_rows(
     zero row.  Rows that a construction built are tested for both in C,
     each row against its column, a strided slice of the joined rows: an
     asymmetric pair fails Ei and a wrong zero row entry ``closure``.
+
+    Eiii is counted first, as Eii is proved on the atoms (:func:`_generated`)
+    only where Eiii holds and the zero row is the identity, else counted.
     """
     n = len(rows)
     flat = b"".join(rows)
@@ -295,16 +298,19 @@ def _check_rows(
                 if row[y] != rows[y][x]:
                     detail = f"element {x} + element {y} differs from {y} + {x}"
                     found.add(AXIOM_COMMUTATIVITY, (x, y), detail)
-    if rows[zero] != _EVERY_BYTE[:n]:
+    identity = rows[zero] == _EVERY_BYTE[:n]
+    if not identity:
         for a, b in enumerate(rows[zero]):
             if a != b:
                 found.add(AXIOM_CLOSURE, (zero, a), f"zero + element {a} is not {a}")
 
-    _eii_bytes(rows, found)
-
     # Eiii: exactly one orthosupplement per element, counted in C.
-    mates = list(map(methodcaller("count", one), rows))
-    if misfits := n - mates.count(1):
+    mates = [row.count(one) for row in rows]
+    misfits = n - mates.count(1)
+    clean = bytearray(n)
+    if not (identity and not misfits and _generated(rows, zero, flat, clean)):
+        _eii_bytes(rows, found, clean)
+    if misfits:
         found.totals[AXIOM_SUPPLEMENT] = misfits
         for a in islice((a for a, m in enumerate(mates) if m != 1), _WITNESS_CAP):
             row = rows[a]
@@ -328,8 +334,49 @@ def _check_rows(
     return AxiomReport(tuple(found.kept), found.totals)
 
 
-def _eii_bytes(rows: list[bytes], found: Witnesses) -> None:
-    """Count Eii failures into ``found`` from byte rows, one x at a time.
+def _generated(rows: list[bytes], zero: int, flat: bytes, clean: bytearray) -> bool:
+    """Whether a generating set's triples prove ``rows`` associative,
+    marking in ``clean`` the elements whose triples were compared.
+
+    With undefined sums absorbing, the elements x with (x + y) + z =
+    x + (y + z) for all y, z include zero, whose row is the identity, and
+    are closed under the sum: ((g + r) + y) + z = g + (r + (y + z)) =
+    (g + r) + (y + z).  This is Light's associativity test (Clifford &
+    Preston 1961, *The Algebraic Theory of Semigroups*, vol. 1) in the
+    first position, which needs no commutativity.  By ascending count of
+    undefined sums, x is reached as g + r, g a generator and r walked, or
+    becomes a generator once its triples pass (as in :func:`_eii_bytes`);
+    on an effect algebra those are the atoms, |atoms|·n² comparisons in
+    all.  False at the first failing generator.
+    """
+    n = len(rows)
+    pad = _ALL_UNDEF[n:]
+    row_of = rows + [_ALL_UNDEF[:n]] * (256 - n)
+    undefined = [row.count(_UNDEF) for row in rows].__getitem__
+    walked = bytearray(n)
+    walked[zero] = 1
+    generated = b""  # the rows of the generators, joined
+    for x in sorted(range(n), key=undefined):
+        if walked[x]:
+            continue
+        # x is g + r exactly where generated holds x in g's row, at r
+        i = generated.find(x)
+        while i >= 0 and not walked[i % n]:
+            i = generated.find(x, i + 1)
+        if i < 0:
+            row = rows[x]
+            if b"".join(map(row_of.__getitem__, row)) != flat.translate(row + pad):
+                return False
+            clean[x] = 1
+            generated += row
+        walked[x] = 1
+    return True
+
+
+def _eii_bytes(rows: list[bytes], found: Witnesses, clean: bytes) -> None:
+    """Count Eii failures into ``found`` from byte rows, one x at a time,
+    skipping each x that ``clean`` marks, whose triples all associate;
+    :func:`_check_rows` counts only where :func:`_generated` proves nothing.
 
     ``rows[r][z]`` is r + z, or ``_UNDEF`` when undefined.  With ``flat``
     the rows joined, ``flat[y·n + z]`` is y + z; translating it through
@@ -354,6 +401,8 @@ def _eii_bytes(rows: list[bytes], found: Witnesses) -> None:
     high = int.from_bytes(b"\x80" * (n * n), "little")
     eii = 0
     for x, row in enumerate(rows):
+        if clean[x]:
+            continue
         left = b"".join(map(row_of.__getitem__, row))
         right = flat.translate(row + pad)
         if left == right:

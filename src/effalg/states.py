@@ -37,7 +37,7 @@ from .core import (
     multiples,
 )
 from .decompose import basic_decomposition
-from .errors import InvalidState, PreconditionFailed
+from .errors import InvalidState, PreconditionFailed, SizeLimit
 from .linear import (
     FeasiblePoint,
     InfeasibilityCertificate,
@@ -46,6 +46,9 @@ from .linear import (
 )
 from .order import derive_order
 from .structure import extract_sharp, structure_profile
+
+# Bits of verify_state's common denominator: four 4,300-digit numerals fit.
+_MAX_DENOMINATOR_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,8 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
     endpoints and ``0 <= v D <= D`` per element, and additivity over all
     the canonical sums in one pass in C.  The sums are walked one at a
     time only where a value is missing, and to name the failures kept.
+    ``D`` is taken one denominator at a time, and :class:`SizeLimit` is
+    raised once it has more than ``_MAX_DENOMINATOR_BITS`` bits.
     """
     found = Witnesses()
     # The given values as they are, for the details; None where missing.
@@ -162,7 +167,11 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
             values[x] = v if type(v) is Fraction or type(v) is int else _as_fraction(v)
         else:
             found.add("missing", (x,), f"no value for {E.names[x]}")
-    den = lcm(*(v.denominator for v in values if v is not None))
+    den = 1
+    for q in {v.denominator for v in values if v is not None}:
+        if (den := lcm(den, q)).bit_length() > _MAX_DENOMINATOR_BITS:
+            limit = f"a common denominator of up to {_MAX_DENOMINATOR_BITS} bits"
+            raise SizeLimit(f"state values are checked over {limit}")
     nums = [None if v is None else v.numerator * (den // v.denominator) for v in values]
     for kind, x, target in (("zero", E.zero, 0), ("one", E.one, den)):
         if nums[x] is not None and nums[x] != target:
@@ -217,7 +226,7 @@ def smear_state(E: EffectAlgebra, omega: State) -> State:
     every other nonzero element is valued through its basic decomposition
     as sharp kernel plus weighted meager atom multiples.  Requires lattice
     order and raises :class:`InvalidState` if ``omega`` is not a valid
-    state on the extracted sharp subalgebra.
+    state on the extracted sharp subalgebra, or :class:`SizeLimit`.
 
     Every value is computed as an integer numerator over one common
     denominator, the lcm of omega's denominators times the lcm of the

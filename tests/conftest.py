@@ -111,6 +111,14 @@ def refuse_declared_sums(monkeypatch):
         assert getattr(core, attr) is refuse
 
 
+def refuse_eii_count(monkeypatch):
+    """Make every exhaustive count of the associativity triples raise, in
+    each ``effalg`` module that names it, so that only the certificate on
+    the atoms decides Eii."""
+    refuse = _refuse(monkeypatch, "_eii_bytes", "the associativity triples were counted")
+    assert sys.modules["effalg.core"]._eii_bytes is refuse
+
+
 def refuse_compatibility_masks(monkeypatch):
     """Make every call of ``compatibility`` raise, in each ``effalg``
     module that names it, so that no mask is built."""

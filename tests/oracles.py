@@ -31,13 +31,11 @@ subalgebra as they were built before they made byte rows: a dict of sums
 handed to ``make_algebra``; the last reads the package's profile.
 :func:`oracle_atomic` checks by brute force that every nonzero element
 lies above an atom, which the package's profile takes from finiteness.
-:func:`check_rows_by_walk` is the rows check as it was before Eiii and
-Eiv were counted in C: one Python step and one detail per element.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from string import ascii_lowercase
 from typing import Mapping, Optional, Union
@@ -68,16 +66,16 @@ from effalg.constructions import (
     _subset_name,
 )
 from effalg.core import (
-    _EVERY_BYTE,
     _MAX_ELEMENTS,
     _UNDEF,
+    _WITNESS_CAP,
+    AXIOM_ASSOCIATIVITY,
     AXIOM_COMMUTATIVITY,
     AXIOM_CLOSURE,
     AXIOM_SUPPLEMENT,
     AXIOM_ZERO_ONE,
     AxiomReport,
-    Witnesses,
-    _eii_bytes,
+    Violation,
     multiples,
 )
 from effalg.decompose import _parts_sum
@@ -120,6 +118,64 @@ def oracle_axiom_errors(n, zero, one, sums):
         if a != zero and (one, a) in sums:
             errors.append(f"one + {a} is defined")
     return errors
+
+
+def oracle_check_rows(rows, zero, one) -> AxiomReport:
+    """The axiom report on byte rows ``rows[r][z] = r + z``, 255 where
+    undefined, by definition: Ei on each asymmetric pair x < y, ``closure``
+    on each zero-row entry zero + a != a, Eii on each triple (x, y, z)
+    with an undefined sum absorbing, then Eiii on each element with no or
+    several supplements and Eiv on each nonzero a with one + a defined.
+    Every failure is counted, the first ``_WITNESS_CAP`` of each label are
+    kept, and labels, witnesses and details come in the report's order."""
+    n = len(rows)
+
+    def plus(a, b):
+        return _UNDEF if _UNDEF in (a, b) else rows[a][b]
+
+    def shown(v):
+        return "undef" if v == _UNDEF else f"element {v}"
+
+    failures = {
+        AXIOM_COMMUTATIVITY: [],
+        AXIOM_CLOSURE: [],
+        AXIOM_ASSOCIATIVITY: [],
+        AXIOM_SUPPLEMENT: [],
+        AXIOM_ZERO_ONE: [],
+    }
+    for x, y in combinations(range(n), 2):
+        if rows[x][y] != rows[y][x]:
+            detail = f"element {x} + element {y} differs from {y} + {x}"
+            failures[AXIOM_COMMUTATIVITY].append(((x, y), detail))
+    for a in range(n):
+        if rows[zero][a] != a:
+            failures[AXIOM_CLOSURE].append(((zero, a), f"zero + element {a} is not {a}"))
+    for x, y, z in product(range(n), repeat=3):
+        left, right = plus(plus(x, y), z), plus(x, plus(y, z))
+        if left != right:
+            detail = (
+                f"groupings of elements {x}+{y}+{z} disagree "
+                f"({shown(left)} vs {shown(right)})"
+            )
+            failures[AXIOM_ASSOCIATIVITY].append(((x, y, z), detail))
+    for a in range(n):
+        mates = [b for b in range(n) if rows[a][b] == one]
+        if not mates:
+            failures[AXIOM_SUPPLEMENT].append(((a,), f"element {a} has no orthosupplement"))
+        elif len(mates) > 1:
+            detail = f"element {a} has multiple orthosupplements"
+            failures[AXIOM_SUPPLEMENT].append(((a, *mates[:2]), detail))
+    for a in range(n):
+        if a != zero and rows[one][a] != _UNDEF:
+            detail = f"one + element {a} is defined although {a} is not zero"
+            failures[AXIOM_ZERO_ONE].append(((a,), detail))
+    kept = tuple(
+        Violation(label, witnesses, detail)
+        for label, found in failures.items()
+        for witnesses, detail in found[:_WITNESS_CAP]
+    )
+    totals = {label: len(found) for label, found in failures.items() if found}
+    return AxiomReport(kept, totals)
 
 
 def oracle_eii_failures_near(n, sums, pairs):
@@ -1309,47 +1365,3 @@ def extract_sharp_by_sums(E: EffectAlgebra) -> SharpSubalgebra:
     for x, i in pos.items():
         from_parent[x] = i
     return SharpSubalgebra(algebra, tuple(sharp), tuple(from_parent))
-
-
-def check_rows_by_walk(rows, zero, one, found: Witnesses) -> AxiomReport:
-    """``effalg.core._check_rows`` as it was before Eiii and Eiv were
-    counted in C: every element walked in Python, a detail formatted for
-    each failure, kept or not.  Kept verbatim, apart from the name and the
-    annotations, for reference only."""
-    n = len(rows)
-    flat = b"".join(rows)
-    for x, row in enumerate(rows):
-        if flat[x::n] != row:
-            for y in range(x + 1, n):
-                if row[y] != rows[y][x]:
-                    detail = f"element {x} + element {y} differs from {y} + {x}"
-                    found.add(AXIOM_COMMUTATIVITY, (x, y), detail)
-    if rows[zero] != _EVERY_BYTE[:n]:
-        for a, b in enumerate(rows[zero]):
-            if a != b:
-                found.add(AXIOM_CLOSURE, (zero, a), f"zero + element {a} is not {a}")
-
-    _eii_bytes(rows, found)
-
-    # Eiii: exactly one orthosupplement per element.
-    for a, row in enumerate(rows):
-        mates = row.count(one)
-        if not mates:
-            found.add(AXIOM_SUPPLEMENT, (a,), f"element {a} has no orthosupplement")
-        elif mates > 1:
-            first = row.index(one)
-            found.add(
-                AXIOM_SUPPLEMENT,
-                (a, first, row.index(one, first + 1)),
-                f"element {a} has multiple orthosupplements",
-            )
-
-    # Eiv: one + a defined forces a = zero.
-    top = rows[one]
-    for a in range(n):
-        if a != zero and top[a] != _UNDEF:
-            found.add(
-                AXIOM_ZERO_ONE, (a,), f"one + element {a} is defined although {a} is not zero"
-            )
-
-    return AxiomReport(tuple(found.kept), found.totals)

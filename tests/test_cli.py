@@ -8,6 +8,7 @@ tests hold the tool to those exact bytes.
 
 import dataclasses
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -16,11 +17,14 @@ import pytest
 
 from effalg import (
     InfeasibilityCertificate,
+    boolean_algebra,
     bundled_fixture,
     direct_product,
+    horizontal_sum,
     find_state,
     mv_chain,
     parse_eaf,
+    serialize_eaf,
     state_system,
     verify_certificate,
 )
@@ -29,6 +33,7 @@ from effalg.cli import main
 from conftest import (
     off_lattice,
     refuse_compatibility_masks,
+    refuse_eii_count,
     refuse_tuple_views,
     relabelled,
     zero_last,
@@ -264,6 +269,53 @@ def test_analyze_builds_no_compatibility_masks(capsys, monkeypatch):
         assert run(capsys, *argv) == expected[argv], argv
     assert run(capsys, "analyze", EX25)[1] == golden("analyze-example-2.5.txt")
     assert run(capsys, "analyze", EX44)[1] == golden("analyze-example-4.4.txt")
+
+
+def test_no_command_counts_the_triples_of_a_valid_algebra(
+    corpus, example_25, example_37, example_44, at_the_cap, capsys, tmp_path, monkeypatch
+):
+    # every algebra that verify, analyze and props build, extract or
+    # construct passes Light's test on its atoms: with the exhaustive
+    # count refused, each output is byte for byte what it is without
+    fixtures = [("ex25", example_25), ("ex37", example_37), ("ex44", example_44)]
+    commands = []
+    for name, E in corpus + fixtures + at_the_cap:
+        path = tmp_path / f"{name}.eaf"
+        path.write_text(serialize_eaf(E), encoding="ascii")
+        commands += [(command, str(path)) for command in ("verify", "analyze", "props")]
+    expected = {argv: run(capsys, *argv) for argv in commands}
+    refuse_eii_count(monkeypatch)
+    for argv in commands:
+        assert run(capsys, *argv) == expected[argv], argv
+    # 2a + 2a = 1 as well as 2a + a: a table that fails Eiii is counted
+    broken = tmp_path / "broken.eaf"
+    broken.write_text(
+        "ea v1\nelements 4\nnames 0 a 2a 1\nzero 0\none 1\n"
+        "sum a a = 2a\nsum a 2a = 1\nsum 2a 2a = 1\n",
+        encoding="ascii",
+    )
+    with pytest.raises(AssertionError, match="the associativity triples were counted"):
+        main(["verify", str(broken)])
+
+
+def test_smear_refuses_state_values_past_the_denominator_limit(capsys, tmp_path):
+    # every element of the horizontal sum is sharp, and its 250 values have
+    # distinct odd 100-digit denominators, whose lcm passes 2**16 bits
+    E = horizontal_sum([boolean_algebra(6)] * 4)
+    algebra = tmp_path / "h250.eaf"
+    algebra.write_text(serialize_eaf(E), encoding="ascii")
+    rng = random.Random(100)
+    lines = ["state v1"] + [
+        f"value {name} 1/{rng.randrange(10**99, 10**100) | 1}" for name in E.names
+    ]
+    state = tmp_path / "hostile.state"
+    state.write_text("\n".join(lines) + "\n", encoding="ascii")
+    code, out, err = run(capsys, "smear", str(algebra), "--state", str(state))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {state}: state values are checked over a common denominator "
+        f"of up to {states._MAX_DENOMINATOR_BITS} bits\n"
+    )
 
 
 def test_analyze_on_a_lattice_has_no_witness_line(capsys, tmp_path):

@@ -61,11 +61,11 @@ from conftest import (
     zero_last,
 )
 from oracles import (
-    check_rows_by_walk,
     close_table,
     decoded,
     encoded,
     oracle_axiom_errors,
+    oracle_check_rows,
     oracle_eii_failures_near,
     oracle_multiple,
     oracle_ord,
@@ -552,7 +552,7 @@ def eii_by_bytes(table):
     sums = table.sums
     rows = [bytes(sums.get((x, y), 255) for y in range(n)) for x in range(n)]
     found = Witnesses()
-    _eii_bytes(rows, found)
+    _eii_bytes(rows, found, bytes(n))
     return found
 
 
@@ -1124,11 +1124,123 @@ def any_rows(draw):
     return rows, draw(element), draw(element)
 
 
-@given(any_rows())
+@st.composite
+def supplemented_rows(draw):
+    """Symmetric byte rows of 2 to 7 elements with the identity as zero
+    row and exactly one supplement per element, so that the check tries
+    its certificate: supplements pair up zero with one and the other
+    elements with each other or themselves, and every other entry is
+    undefined or any element but one."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    zero, one, *rest = draw(st.permutations(range(n)))
+    mate = {zero: one, one: zero}
+    while rest:
+        x = rest.pop()
+        y = rest.pop() if rest and draw(st.booleans()) else x
+        mate[x], mate[y] = y, x
+    entry = st.sampled_from([*(a for a in range(n) if a != one), _UNDEF])
+    rows = [bytearray(n) for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            if zero in (x, y):
+                z = x + y - zero
+            else:
+                z = one if mate[x] == y else draw(entry)
+            rows[x][y] = rows[y][x] = z
+    return [bytes(row) for row in rows], zero, one
+
+
+@given(any_rows(), supplemented_rows())
 @settings(max_examples=300, deadline=None)
-def test_the_rows_check_agrees_with_the_walk_on_any_rows(case):
+def test_the_rows_check_agrees_with_the_walk_on_any_rows(case, supplemented):
+    # the definitional walk over pairs and triples, on any rows and on
+    # rows on which the certificate is tried
+    for rows, zero, one in (case, supplemented):
+        report = core._check_rows(rows, zero, one, Witnesses())
+        oracle = oracle_check_rows(rows, zero, one)
+        assert report.violations == oracle.violations
+        assert list(report.totals.items()) == list(oracle.totals.items())
+    rows, zero, one = supplemented
+    assert rows[zero] == bytes(range(len(rows)))
+    assert all(row.count(one) == 1 for row in rows)
+
+
+# --- Eii certified on the atoms, counted only when that fails --------------
+
+
+def test_the_generators_of_an_algebra_are_its_atoms(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    algebras = differential_algebras(corpus, example_25, example_37, example_44)
+    for name, E in algebras + at_the_cap:
+        rows = list(E.rows)
+        clean = bytearray(E.size)
+        assert core._generated(rows, E.zero, b"".join(rows), clean), name
+        generators = {x for x in range(E.size) if clean[x]}
+        assert generators == structure_profile(E).atoms, name
+
+
+# Tables of at most five elements, each found by a search over such tables
+# for the first that tells the check from a broken variant of it.
+FALL_THROUGH = {
+    # 0 + 0 = 1 and 0 + 1 undefined: the walk, taking zero's row for the
+    # identity, would certify the rows, though zero's own triples fail
+    "zero-row-not-identity": ([[1, 255], [0, 1]], 0, 1, True),
+    # a + a = 1 as well as a + 3a = 1, in the chain 0 < a < ... < 4a = 1
+    "no-unique-supplement": (
+        [
+            [0, 1, 2, 3, 4],
+            [1, 4, 3, 4, 255],
+            [2, 3, 4, 255, 255],
+            [3, 4, 255, 255, 255],
+            [4, 255, 255, 255, 255],
+        ],
+        0,
+        4,
+        False,
+    ),
+    # the first generator fails: (1 + 1) + 2 = 0 but 1 + (1 + 2) = 1
+    "failing-generator": ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], 0, 2, False),
+    # 2 = 1 + 2 in generator 1's row, but 2 is not walked before itself:
+    # it becomes a generator, and its triples fail
+    "reached-only-through-itself": ([[0, 1, 2], [1, 1, 2], [2, 1, 1]], 0, 2, False),
+}
+
+
+@pytest.mark.parametrize("case", FALL_THROUGH.values(), ids=FALL_THROUGH)
+def test_each_fall_through_counts_every_triple(case):
+    rows, zero, one, walk_certifies = case
+    rows = [bytes(row) for row in rows]
+    report = core._check_rows(rows, zero, one, Witnesses())
+    oracle = oracle_check_rows(rows, zero, one)
+    assert report.totals["Eii"] > 0
+    assert report.violations == oracle.violations
+    assert list(report.totals.items()) == list(oracle.totals.items())
+    clean = bytearray(len(rows))
+    assert core._generated(rows, zero, b"".join(rows), clean) == walk_certifies
+
+
+CORPUS_ALGEBRAS = [E for _, E in full_corpus()]
+
+
+@st.composite
+def corpus_cells_changed(draw):
+    """A corpus algebra's rows with one to three symmetric pairs of cells
+    away from zero set to any element or undefined."""
+    E = draw(st.sampled_from(CORPUS_ALGEBRAS))
+    rows = [bytearray(row) for row in E.rows]
+    element = st.sampled_from([x for x in range(E.size) if x != E.zero])
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        x, y = draw(element), draw(element)
+        rows[x][y] = rows[y][x] = draw(st.sampled_from([*range(E.size), _UNDEF]))
+    return [bytes(row) for row in rows], E.zero, E.one
+
+
+@given(corpus_cells_changed())
+@settings(max_examples=200, deadline=None)
+def test_eii_totals_and_witnesses_match_every_triple_near_an_algebra(case):
     rows, zero, one = case
     report = core._check_rows(rows, zero, one, Witnesses())
-    walked = check_rows_by_walk(rows, zero, one, Witnesses())
-    assert report.violations == walked.violations
-    assert list(report.totals.items()) == list(walked.totals.items())
+    oracle = oracle_check_rows(rows, zero, one)
+    assert report.violations == oracle.violations
+    assert list(report.totals.items()) == list(oracle.totals.items())

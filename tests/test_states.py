@@ -1,7 +1,10 @@
 """State systems, exact solving, verification, restriction, and smearing."""
 
+import random
+import time
 from fractions import Fraction as F
 from functools import lru_cache
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from effalg import (
     InfeasibilityCertificate,
     InvalidState,
     PreconditionFailed,
+    SizeLimit,
     State,
     boolean_algebra,
     build_effect_algebra,
@@ -22,7 +26,9 @@ from effalg import (
     horizontal_sum,
     mv_chain,
     parse_eaf,
+    parse_state,
     restrict_to_sharp,
+    serialize_state,
     smear_state,
     state_row_labels,
     state_system,
@@ -100,6 +106,61 @@ def test_sparse_rows_and_a_state_on_a_121_element_chain(corpus):
     for k in range(2, 120):
         assert out(E.index(f"{k}a")) == F(k, 120)
     assert out(E.one) == 1
+
+
+def test_every_state_found_passes_the_bounded_check(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    fixtures = [("ex25", example_25), ("ex37", example_37), ("ex44", example_44)]
+    denominators = []
+    for name, E in corpus + fixtures + at_the_cap:
+        out = find_state(E)
+        if isinstance(out, InfeasibilityCertificate):
+            continue
+        values = parse_state(serialize_state(out), E)
+        assert values == dict(enumerate(out.values)), name
+        assert verify_state(E, values).ok, name
+        denominators.append(lcm(*(v.denominator for v in out.values)))
+    assert len(denominators) == len(corpus) + 2 + len(at_the_cap)
+    assert max(denominators) == 254  # chain-255's, far below the limit
+    assert max(denominators).bit_length() < states._MAX_DENOMINATOR_BITS
+
+
+LIMIT_MESSAGE = (
+    "^state values are checked over a common denominator of up to "
+    f"{states._MAX_DENOMINATOR_BITS} bits$"
+)
+
+
+def test_a_common_denominator_below_the_limit_is_checked_and_past_it_refused():
+    # values 1/q with distinct odd 4,000-digit q, about 13,300 bits each:
+    # four of them stay below 2**16 bits, five pass it
+    rng = random.Random(16)
+    for k, refused in ((5, False), (6, True)):
+        E = mv_chain(k)
+        candidate = {x: F(1, rng.randrange(10**3999, 10**4000) | 1) for x in range(1, k)}
+        candidate.update({E.zero: F(0), E.one: F(1)})
+        if refused:
+            with pytest.raises(SizeLimit, match=LIMIT_MESSAGE):
+                verify_state(E, candidate)
+        else:
+            assert verify_state(E, candidate).totals == {"additivity": 6}
+
+
+def test_hostile_denominators_are_refused_within_a_second():
+    # 250 values with distinct odd 4,000-digit denominators, on an algebra
+    # whose every element is sharp: their lcm has about 3.3 million bits,
+    # and the check stops once it passes the limit
+    E = horizontal_sum([boolean_algebra(6)] * 4)
+    rng = random.Random(4000)
+    denominators = set()
+    while len(denominators) < E.size:
+        denominators.add(rng.randrange(10**3999, 10**4000) | 1)
+    candidate = {x: F(1, q) for x, q in enumerate(sorted(denominators))}
+    started = time.perf_counter()
+    with pytest.raises(SizeLimit, match=LIMIT_MESSAGE):
+        verify_state(E, candidate)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_stateless_fixture_yields_certificate(example_44):
