@@ -26,9 +26,10 @@ results as a violation.  The constructions and the sharp subalgebra
 build their rows directly, and the check (:func:`_check_rows`) also
 tests those for symmetry and the identity zero row.  Tables have at
 most ``_MAX_ELEMENTS`` (255) elements, so that every row is a byte
-string with byte 255 for "undefined".  Eii is proved from the atoms'
-triples where it can be (:func:`_generated`), else counted by composing
-rows in C, one element's triples at a time (see :func:`verify_axioms`).
+string with byte 255 for "undefined".  Eii is counted by one walk that
+composes rows in C, one element's triples at a time, and skips each
+element that Light's test shows associative from elements already
+compared (:func:`_eii`): on an effect algebra, only the atoms.
 
 Only tables with an empty violation report become :class:`EffectAlgebra`
 values, so every downstream module may rely on the axioms without
@@ -131,9 +132,10 @@ class AxiomReport:
 
 
 class Witnesses:
-    """Counts every failure per label and keeps the first ``_WITNESS_CAP``
-    of each label, in the order found.  Axiom reports, state reports and
-    law results all collect through this class."""
+    """Counts every failure per label, or takes a total counted elsewhere,
+    and keeps the first ``_WITNESS_CAP`` of each label, in the order
+    found.  Axiom reports, state reports and law results all collect
+    through this class."""
 
     def __init__(self) -> None:
         self.kept: list[Violation] = []
@@ -143,6 +145,15 @@ class Witnesses:
         total = self.totals[label] = self.totals.get(label, 0) + 1
         if total <= _WITNESS_CAP:
             self.kept.append(Violation(label, witnesses, detail))
+
+    def counted(
+        self, label: str, total: int, failures: Iterable[tuple[tuple[int, ...], str]]
+    ) -> None:
+        """Set ``label``'s nonzero ``total``, counted elsewhere, and keep the
+        first ``_WITNESS_CAP`` (witnesses, detail) pairs of ``failures``,
+        read no further."""
+        self.totals[label] = total
+        self.kept += [Violation(label, *f) for f in islice(failures, _WITNESS_CAP)]
 
 
 @dataclass
@@ -171,12 +182,10 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     declared with two results fails Ei and an entry contradicting a zero
     row fails ``closure``, each such pair counted once, against the
     first result given.  Eiii and Eiv are checked on every pair, and Eii
-    is proved on the atoms when the zero row is the identity and every
-    element has one supplement (:func:`_generated`), else counted on
-    every triple (x, y, z) (:func:`_eii_bytes`), so the report's
-    ``totals`` are exact.  Only the first ``_WITNESS_CAP`` violations of
-    each axiom are kept, in (x, y, z) order, so memory stays bounded
-    however broken the table is.
+    on every triple (x, y, z), compared or implied by Light's test
+    (:func:`_eii`), so the report's ``totals`` are exact.  Only the
+    first ``_WITNESS_CAP`` violations of each axiom are kept, in (x, y, z)
+    order, so memory stays bounded however broken the table is.
     An empty report means the closed table is an effect algebra.  Raises
     :class:`SizeLimit` when ``size`` exceeds ``_MAX_ELEMENTS`` and
     :class:`IndexOutOfRange` when ``size`` is not an int, an entry,
@@ -286,9 +295,7 @@ def _check_rows(
     zero row.  Rows that a construction built are tested for both in C,
     each row against its column, a strided slice of the joined rows: an
     asymmetric pair fails Ei and a wrong zero row entry ``closure``.
-
-    Eiii is counted first, as Eii is proved on the atoms (:func:`_generated`)
-    only where Eiii holds and the zero row is the identity, else counted.
+    Then Eii is counted by one walk (:func:`_eii`), and Eiii and Eiv in C.
     """
     n = len(rows)
     flat = b"".join(rows)
@@ -298,132 +305,112 @@ def _check_rows(
                 if row[y] != rows[y][x]:
                     detail = f"element {x} + element {y} differs from {y} + {x}"
                     found.add(AXIOM_COMMUTATIVITY, (x, y), detail)
-    identity = rows[zero] == _EVERY_BYTE[:n]
-    if not identity:
+    if rows[zero] != _EVERY_BYTE[:n]:
         for a, b in enumerate(rows[zero]):
             if a != b:
                 found.add(AXIOM_CLOSURE, (zero, a), f"zero + element {a} is not {a}")
+    _eii(rows, zero, flat, found)
 
     # Eiii: exactly one orthosupplement per element, counted in C.
     mates = [row.count(one) for row in rows]
-    misfits = n - mates.count(1)
-    clean = bytearray(n)
-    if not (identity and not misfits and _generated(rows, zero, flat, clean)):
-        _eii_bytes(rows, found, clean)
-    if misfits:
-        found.totals[AXIOM_SUPPLEMENT] = misfits
-        for a in islice((a for a, m in enumerate(mates) if m != 1), _WITNESS_CAP):
-            row = rows[a]
-            if mates[a]:
-                first = row.index(one)
-                witnesses = (a, first, row.index(one, first + 1))
-                detail = f"element {a} has multiple orthosupplements"
-            else:
-                witnesses, detail = (a,), f"element {a} has no orthosupplement"
-            found.kept.append(Violation(AXIOM_SUPPLEMENT, witnesses, detail))
+    if misfits := n - mates.count(1):
+        failures = (_misfit(rows[a], a, one) for a, m in enumerate(mates) if m != 1)
+        found.counted(AXIOM_SUPPLEMENT, misfits, failures)
 
     # Eiv: one + a defined forces a = zero, counted in C.
     top = rows[one]
     if summands := n - top.count(_UNDEF) - (top[zero] != _UNDEF):
-        found.totals[AXIOM_ZERO_ONE] = summands
         defined = (a for a, s in enumerate(top) if s != _UNDEF and a != zero)
-        for a in islice(defined, _WITNESS_CAP):
-            detail = f"one + element {a} is defined although {a} is not zero"
-            found.kept.append(Violation(AXIOM_ZERO_ONE, (a,), detail))
-
+        detail = "one + element {0} is defined although {0} is not zero"
+        found.counted(AXIOM_ZERO_ONE, summands, (((a,), detail.format(a)) for a in defined))
     return AxiomReport(tuple(found.kept), found.totals)
 
 
-def _generated(rows: list[bytes], zero: int, flat: bytes, clean: bytearray) -> bool:
-    """Whether a generating set's triples prove ``rows`` associative,
-    marking in ``clean`` the elements whose triples were compared.
+def _misfit(row: bytes, a: int, one: int) -> tuple[tuple[int, ...], str]:
+    """Eiii's witnesses and detail for element ``a``, of sum row ``row``."""
+    if one not in row:
+        return (a,), f"element {a} has no orthosupplement"
+    first = row.index(one)
+    witnesses = (a, first, row.index(one, first + 1))
+    return witnesses, f"element {a} has multiple orthosupplements"
 
-    With undefined sums absorbing, the elements x with (x + y) + z =
-    x + (y + z) for all y, z include zero, whose row is the identity, and
-    are closed under the sum: ((g + r) + y) + z = g + (r + (y + z)) =
-    (g + r) + (y + z).  This is Light's associativity test (Clifford &
-    Preston 1961, *The Algebraic Theory of Semigroups*, vol. 1) in the
-    first position, which needs no commutativity.  By ascending count of
-    undefined sums, x is reached as g + r, g a generator and r walked, or
-    becomes a generator once its triples pass (as in :func:`_eii_bytes`);
-    on an effect algebra those are the atoms, |atoms|·n² comparisons in
-    all.  False at the first failing generator.
+
+def _eii(rows: list[bytes], zero: int, flat: bytes, found: Witnesses) -> list[int]:
+    """Count Eii failures into ``found`` from byte rows ``rows``, joined
+    in ``flat``, and return the elements whose triples were compared.
+
+    ``flat[y·n + z]`` is y + z; translating it through x's row, padded to
+    256 bytes with ``_UNDEF``, gives x + (y + z) at the same position,
+    ``_UNDEF`` when either sum is undefined, and joining the rows of x + y
+    in y order, an all-``_UNDEF`` row where x + y is undefined, gives
+    (x + y) + z.  x is good, associative in the first position, exactly
+    when the two are equal; else its failures are the nonzero bytes of
+    their XOR ``d``, counted in C: ``((d & 0x7f…) + 0x7f…) | d`` has a
+    byte's high bit set exactly when the byte is nonzero, and no carry
+    crosses a byte, since ``(b & 0x7f) + 0x7f <= 0xfe``.
+
+    With undefined sums absorbing, good elements are closed under the
+    sum on any rows: ((g + r) + y) + z = g + (r + (y + z)) = (g + r) +
+    (y + z) for good g and r (Light's test; Clifford & Preston 1961, *The
+    Algebraic Theory of Semigroups*, vol. 1).  So the elements are walked
+    by ascending count of undefined sums, zero good from the start when
+    its row is the identity.  x is skipped, as good, when it is g + r with
+    g a generator and r good; any other x is compared, and becomes a
+    generator or is counted and stays not good.  On an effect algebra the
+    generators are the atoms, |atoms|·n² comparisons in all.  The
+    witnesses are named after the walk, in (x, y, z) order.
     """
     n = len(rows)
-    pad = _ALL_UNDEF[n:]
-    row_of = rows + [_ALL_UNDEF[:n]] * (256 - n)
-    undefined = [row.count(_UNDEF) for row in rows].__getitem__
-    walked = bytearray(n)
-    walked[zero] = 1
-    generated = b""  # the rows of the generators, joined
-    for x in sorted(range(n), key=undefined):
-        if walked[x]:
-            continue
-        # x is g + r exactly where generated holds x in g's row, at r
-        i = generated.find(x)
-        while i >= 0 and not walked[i % n]:
-            i = generated.find(x, i + 1)
-        if i < 0:
-            row = rows[x]
-            if b"".join(map(row_of.__getitem__, row)) != flat.translate(row + pad):
-                return False
-            clean[x] = 1
-            generated += row
-        walked[x] = 1
-    return True
-
-
-def _eii_bytes(rows: list[bytes], found: Witnesses, clean: bytes) -> None:
-    """Count Eii failures into ``found`` from byte rows, one x at a time,
-    skipping each x that ``clean`` marks, whose triples all associate;
-    :func:`_check_rows` counts only where :func:`_generated` proves nothing.
-
-    ``rows[r][z]`` is r + z, or ``_UNDEF`` when undefined.  With ``flat``
-    the rows joined, ``flat[y·n + z]`` is y + z; translating it through
-    x's row, padded to 256 bytes with ``_UNDEF``, gives x + (y + z) at the
-    same position, ``_UNDEF`` when either sum is undefined.  Joining the
-    rows of x + y in y order, an all-``_UNDEF`` row where x + y is
-    undefined, gives (x + y) + z there.  Both are built in C, and x is
-    clean exactly when they are equal.  Otherwise its failures are the
-    nonzero bytes of their XOR ``d``, counted in C with one mask:
-    ``((d & 0x7f…) + 0x7f…) | d`` has a byte's high bit set exactly when
-    the byte is nonzero, and no carry crosses a byte, since
-    ``(b & 0x7f) + 0x7f <= 0xfe``.  Only while fewer than the cap are kept
-    are the differing positions walked, slice by slice, to name witnesses
-    in (x, y, z) order.
-    """
-    n = len(rows)
-    flat = b"".join(rows)
     pad = _ALL_UNDEF[n:]
     # The row of x + y; row_of[_UNDEF], for x + y undefined, has nothing defined.
     row_of = rows + [_ALL_UNDEF[:n]] * (256 - n)
-    low7 = int.from_bytes(b"\x7f" * (n * n), "little")
-    high = int.from_bytes(b"\x80" * (n * n), "little")
+    undefined = [row.count(_UNDEF) for row in rows].__getitem__
+
+    def groupings(x: int) -> tuple[bytes, bytes]:
+        return b"".join(map(row_of.__getitem__, rows[x])), flat.translate(rows[x] + pad)
+
+    good = bytearray(n)
+    good[zero] = rows[zero] == _EVERY_BYTE[:n]
+    generated = b""  # the rows of the generators, joined
+    compared: list[int] = []
     eii = 0
-    for x, row in enumerate(rows):
-        if clean[x]:
+    for x in sorted(range(n), key=undefined):
+        if good[x]:
             continue
-        left = b"".join(map(row_of.__getitem__, row))
-        right = flat.translate(row + pad)
-        if left == right:
-            continue
-        if eii < _WITNESS_CAP:
-            for i in islice(_differing(left, right, n), _WITNESS_CAP - eii):
+        # x is g + r exactly where generated holds x in g's row, at r
+        i = generated.find(x)
+        while i >= 0 and not good[i % n]:
+            i = generated.find(x, i + 1)
+        if i < 0:
+            compared.append(x)
+            left, right = groupings(x)
+            if left != right:
+                if not eii:  # the masks, built at the first failure
+                    low7 = int.from_bytes(b"\x7f" * (n * n), "little")
+                    high = int.from_bytes(b"\x80" * (n * n), "little")
+                d = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
+                eii += ((((d & low7) + low7) | d) & high).bit_count()
+                continue
+            generated += rows[x]
+        good[x] = 1
+
+    def failures() -> Iterator[tuple[tuple[int, int, int], str]]:
+        for x in range(n):
+            if good[x]:
+                continue
+            left, right = groupings(x)
+            for i in _differing(left, right, n):
                 y, z = divmod(i, n)
                 lhs, rhs = left[i], right[i]
-                found.kept.append(
-                    Violation(
-                        AXIOM_ASSOCIATIVITY,
-                        (x, y, z),
-                        f"groupings of elements {x}+{y}+{z} disagree "
-                        f"({'undef' if lhs == _UNDEF else f'element {lhs}'} vs "
-                        f"{'undef' if rhs == _UNDEF else f'element {rhs}'})",
-                    )
+                yield (x, y, z), (
+                    f"groupings of elements {x}+{y}+{z} disagree "
+                    f"({'undef' if lhs == _UNDEF else f'element {lhs}'} vs "
+                    f"{'undef' if rhs == _UNDEF else f'element {rhs}'})"
                 )
-        d = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
-        eii += ((((d & low7) + low7) | d) & high).bit_count()
+
     if eii:
-        found.totals[AXIOM_ASSOCIATIVITY] = eii
+        found.counted(AXIOM_ASSOCIATIVITY, eii, failures())
+    return compared
 
 
 def _differing(left: bytes, right: bytes, n: int) -> Iterator[int]:

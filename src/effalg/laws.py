@@ -61,7 +61,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress
 from operator import getitem, ne
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -137,12 +137,12 @@ def _collect(
     read only as far as the witnesses kept.
     """
     found = Witnesses()
-    if total is not None:
-        failures = islice(failures, _WITNESS_CAP)
-    for witness, reason in failures:
-        found.add(law, witness, reason)
     if total is None:
-        total = found.totals.get(law, 0)
+        for witness, reason in failures:
+            found.add(law, witness, reason)
+    elif total:
+        found.counted(law, total, failures)
+    total = found.totals.get(law, 0)
     if total == 0:
         return LawResult(law, PASS)
     reason = found.kept[0].detail

@@ -29,7 +29,6 @@ from operator import add, ne
 from typing import Mapping, Optional, Union
 
 from .core import (
-    _WITNESS_CAP,
     EffectAlgebra,
     Violation,
     Witnesses,
@@ -37,6 +36,7 @@ from .core import (
     multiples,
 )
 from .decompose import basic_decomposition
+from .eaf import _MAX_DIGITS
 from .errors import InvalidState, PreconditionFailed, SizeLimit
 from .linear import (
     FeasiblePoint,
@@ -49,6 +49,9 @@ from .structure import extract_sharp, structure_profile
 
 # Bits of verify_state's common denominator: four 4,300-digit numerals fit.
 _MAX_DENOMINATOR_BITS = 1 << 16
+# The least int with more digits than a state file's numeral may have,
+# and than Python converts to a string, so a detail could not show it.
+_DIGITS_PAST = 10**_MAX_DIGITS
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,9 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
     the canonical sums in one pass in C.  The sums are walked one at a
     time only where a value is missing, and to name the failures kept.
     ``D`` is taken one denominator at a time, and :class:`SizeLimit` is
-    raised once it has more than ``_MAX_DENOMINATOR_BITS`` bits.
+    raised once it has more than ``_MAX_DENOMINATOR_BITS`` bits.  It is
+    raised first for a value whose numerator or denominator has more than
+    ``_MAX_DIGITS`` digits, which no state file gives.
     """
     found = Witnesses()
     # The given values as they are, for the details; None where missing.
@@ -164,7 +169,10 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
     for x in range(E.size):
         if x in candidate:
             v = candidate[x]
-            values[x] = v if type(v) is Fraction or type(v) is int else _as_fraction(v)
+            values[x] = v = v if type(v) is Fraction or type(v) is int else _as_fraction(v)
+            if abs(v.numerator) >= _DIGITS_PAST or v.denominator >= _DIGITS_PAST:
+                limit = f"up to {_MAX_DIGITS} digits above and below the line"
+                raise SizeLimit(f"state values are checked {limit}, not at {E.names[x]}")
         else:
             found.add("missing", (x,), f"no value for {E.names[x]}")
     den = 1
@@ -194,18 +202,20 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
         failing = list(
             compress(count(), map(ne, map(add, map(at, xs), map(at, ys)), map(at, zs)))
         )
-    for i in failing[:_WITNESS_CAP]:
-        x, y, z = xs[i], ys[i], zs[i]
-        found.kept.append(
-            Violation(
-                "additivity",
-                (x, y, z),
-                f"{E.names[x]} + {E.names[y]} = {E.names[z]} maps to "
-                f"{values[x]} + {values[y]} != {values[z]}",
-            )
-        )
     if failing:
-        found.totals["additivity"] = len(failing)
+        sums = ((xs[i], ys[i], zs[i]) for i in failing)
+        found.counted(
+            "additivity",
+            len(failing),
+            (
+                (
+                    (x, y, z),
+                    f"{E.names[x]} + {E.names[y]} = {E.names[z]} maps to "
+                    f"{values[x]} + {values[y]} != {values[z]}",
+                )
+                for x, y, z in sums
+            ),
+        )
     faithful = nums[E.zero] == 0 and nums.count(0) == 1
     return StateReport(tuple(found.kept), faithful, found.totals)
 

@@ -111,12 +111,24 @@ def refuse_declared_sums(monkeypatch):
         assert getattr(core, attr) is refuse
 
 
-def refuse_eii_count(monkeypatch):
-    """Make every exhaustive count of the associativity triples raise, in
-    each ``effalg`` module that names it, so that only the certificate on
-    the atoms decides Eii."""
-    refuse = _refuse(monkeypatch, "_eii_bytes", "the associativity triples were counted")
-    assert sys.modules["effalg.core"]._eii_bytes is refuse
+def spy_on_eii(monkeypatch):
+    """Record, for each call of the associativity walk ``core._eii``, the
+    elements it compared and the atoms of its rows, read from the rows as
+    the nonzero elements that are not a sum of two nonzero elements.
+    Returns the list of ``(compared, atoms)`` pairs, one per call."""
+    core = importlib.import_module("effalg.core")
+    eii = core._eii
+    calls = []
+
+    def spy(rows, zero, flat, found):
+        compared = eii(rows, zero, flat, found)
+        nonzero = [x for x in range(len(rows)) if x != zero]
+        sums = set(b"".join(rows[x][:zero] + rows[x][zero + 1 :] for x in nonzero))
+        calls.append((compared, {a for a in nonzero if a not in sums}))
+        return compared
+
+    monkeypatch.setattr(core, "_eii", spy)
+    return calls
 
 
 def refuse_compatibility_masks(monkeypatch):

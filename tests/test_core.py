@@ -49,7 +49,7 @@ from effalg.core import (
     _WITNESS_CAP,
     Witnesses,
     _UNDEF,
-    _eii_bytes,
+    _eii,
     iterated_sum,
 )
 
@@ -527,13 +527,13 @@ def assert_capped_totals_match_the_oracle(report, oracle_errors, table):
         assert report.totals.get(axiom, 0) == expected, axiom
         assert len(report.by_axiom(axiom)) == min(expected, _WITNESS_CAP), axiom
     assert set(report.totals) <= {"Eii", "Eiii", "Eiv"}
-    assert_every_eii_path_finds(report, table, oracle_eii_triples(oracle_errors))
+    assert_the_eii_walk_finds(report, table, oracle_eii_triples(oracle_errors))
 
 
-def assert_every_eii_path_finds(report, table, triples):
-    """``report``, from ``verify_axioms(table)``, and the Eii helper run
-    on ``table`` count ``triples`` and keep its first ones, and the
-    helper keeps the report's very violations."""
+def assert_the_eii_walk_finds(report, table, triples):
+    """``report``, from ``verify_axioms(table)``, and the Eii walk run on
+    ``table``'s rows alone count ``triples`` and keep its first ones, and
+    the walk keeps the report's very violations."""
     assert_eii_found(report.totals, report.by_axiom("Eii"), triples)
     found = eii_by_bytes(table)
     assert_eii_found(found.totals, found.kept, triples)
@@ -547,12 +547,12 @@ def assert_eii_found(totals, kept, triples):
 
 
 def eii_by_bytes(table):
-    """What the Eii helper collects on a closed table's byte rows."""
+    """What the Eii walk collects on a closed table's byte rows."""
     n = table.size
     sums = table.sums
     rows = [bytes(sums.get((x, y), 255) for y in range(n)) for x in range(n)]
     found = Witnesses()
-    _eii_bytes(rows, found, bytes(n))
+    _eii(rows, table.zero, b"".join(rows), found)
     return found
 
 
@@ -747,7 +747,7 @@ def test_byte_rows_match_the_oracle_at_255_elements():
     triples = oracle_eii_failures_near(table.size, table.sums, CHAIN_CORRUPTIONS)
     assert len(triples) > _WITNESS_CAP
     report = verify_axioms(table)
-    assert_every_eii_path_finds(report, table, triples)
+    assert_the_eii_walk_finds(report, table, triples)
 
 
 def test_an_algebra_keeps_the_byte_rows_its_check_read(corpus):
@@ -1127,8 +1127,8 @@ def any_rows(draw):
 @st.composite
 def supplemented_rows(draw):
     """Symmetric byte rows of 2 to 7 elements with the identity as zero
-    row and exactly one supplement per element, so that the check tries
-    its certificate: supplements pair up zero with one and the other
+    row and exactly one supplement per element, the rows nearest an
+    effect algebra's: supplements pair up zero with one and the other
     elements with each other or themselves, and every other entry is
     undefined or any element but one."""
     n = draw(st.integers(min_value=2, max_value=7))
@@ -1154,7 +1154,7 @@ def supplemented_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_the_rows_check_agrees_with_the_walk_on_any_rows(case, supplemented):
     # the definitional walk over pairs and triples, on any rows and on
-    # rows on which the certificate is tried
+    # rows with the identity zero row and one supplement each
     for rows, zero, one in (case, supplemented):
         report = core._check_rows(rows, zero, one, Witnesses())
         oracle = oracle_check_rows(rows, zero, one)
@@ -1165,7 +1165,7 @@ def test_the_rows_check_agrees_with_the_walk_on_any_rows(case, supplemented):
     assert all(row.count(one) == 1 for row in rows)
 
 
-# --- Eii certified on the atoms, counted only when that fails --------------
+# --- Eii compared on the atoms, and past them only where that fails --------
 
 
 def test_the_generators_of_an_algebra_are_its_atoms(
@@ -1174,18 +1174,19 @@ def test_the_generators_of_an_algebra_are_its_atoms(
     algebras = differential_algebras(corpus, example_25, example_37, example_44)
     for name, E in algebras + at_the_cap:
         rows = list(E.rows)
-        clean = bytearray(E.size)
-        assert core._generated(rows, E.zero, b"".join(rows), clean), name
-        generators = {x for x in range(E.size) if clean[x]}
-        assert generators == structure_profile(E).atoms, name
+        found = Witnesses()
+        compared = _eii(rows, E.zero, b"".join(rows), found)
+        assert not found.totals, name
+        assert len(compared) == len(set(compared)), name
+        assert set(compared) == structure_profile(E).atoms, name
 
 
 # Tables of at most five elements, each found by a search over such tables
-# for the first that tells the check from a broken variant of it.
+# for the first that tells the walk from a broken variant of it.
 FALL_THROUGH = {
     # 0 + 0 = 1 and 0 + 1 undefined: the walk, taking zero's row for the
-    # identity, would certify the rows, though zero's own triples fail
-    "zero-row-not-identity": ([[1, 255], [0, 1]], 0, 1, True),
+    # identity, would skip zero, though zero's own triples fail
+    "zero-row-not-identity": ([[1, 255], [0, 1]], 0, 1),
     # a + a = 1 as well as a + 3a = 1, in the chain 0 < a < ... < 4a = 1
     "no-unique-supplement": (
         [
@@ -1197,27 +1198,37 @@ FALL_THROUGH = {
         ],
         0,
         4,
-        False,
     ),
     # the first generator fails: (1 + 1) + 2 = 0 but 1 + (1 + 2) = 1
-    "failing-generator": ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], 0, 2, False),
+    "failing-generator": ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], 0, 2),
     # 2 = 1 + 2 in generator 1's row, but 2 is not walked before itself:
-    # it becomes a generator, and its triples fail
-    "reached-only-through-itself": ([[0, 1, 2], [1, 1, 2], [2, 1, 1]], 0, 2, False),
+    # it is compared, and its triples fail
+    "reached-only-through-itself": ([[0, 1, 2], [1, 1, 2], [2, 1, 1]], 0, 2),
+    # 1 fails, 2 passes and 3 fails; 4 = 2 + 3, but 3 is not good, so 4 is
+    # compared, and its triples fail too
+    "sum-with-a-failing-element": (
+        [
+            [0, 1, 2, 3, 4],
+            [1, 2, 1, 4, 4],
+            [2, 1, 2, 4, 4],
+            [3, 4, 4, 2, 2],
+            [4, 4, 4, 2, 2],
+        ],
+        0,
+        4,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", FALL_THROUGH.values(), ids=FALL_THROUGH)
 def test_each_fall_through_counts_every_triple(case):
-    rows, zero, one, walk_certifies = case
+    rows, zero, one = case
     rows = [bytes(row) for row in rows]
     report = core._check_rows(rows, zero, one, Witnesses())
     oracle = oracle_check_rows(rows, zero, one)
     assert report.totals["Eii"] > 0
     assert report.violations == oracle.violations
     assert list(report.totals.items()) == list(oracle.totals.items())
-    clean = bytearray(len(rows))
-    assert core._generated(rows, zero, b"".join(rows), clean) == walk_certifies
 
 
 CORPUS_ALGEBRAS = [E for _, E in full_corpus()]

@@ -163,6 +163,31 @@ def test_hostile_denominators_are_refused_within_a_second():
     assert time.perf_counter() - started < 1.0
 
 
+def test_a_value_past_the_digit_limit_is_refused_and_at_it_reported():
+    # 2**-65535 has a 19,729-digit denominator: the common denominator
+    # is within the bit limit, but no detail could print the value
+    E = mv_chain(1)
+    past = "^state values are checked up to 4300 digits above and below the line, not at "
+    for candidate in (
+        {E.zero: F(1, 2**65535), E.one: 1},
+        {E.zero: 0, E.one: F(10**4300, 10**4300 + 1)},
+        {E.zero: 0, E.one: -(10**4300)},
+    ):
+        with pytest.raises(SizeLimit, match=past):
+            verify_state(E, candidate)
+    # 4,300 digits above and below the line, the most a state file gives
+    at = F(10**4300 - 1, 10**4300 - 2)
+    assert str(at).count("9") == 4300 + 4299
+    report = verify_state(E, {E.zero: 0, E.one: at})
+    assert [v.detail for v in report.violations] == [
+        f"value at one is {at}",
+        f"value {at} at 1 is outside [0,1]",
+    ]
+    with pytest.raises(SizeLimit, match="numbers are read up to 4300 digits, not 4301"):
+        parse_state(f"state v1\nvalue 0 0/1\nvalue 1 1/1{'0' * 4300}\n", E)
+    assert parse_state(f"state v1\nvalue 0 0/1\nvalue 1 {at}\n", E)[E.one] == at
+
+
 def test_stateless_fixture_yields_certificate(example_44):
     out = find_state(example_44)
     assert isinstance(out, InfeasibilityCertificate)
