@@ -2,9 +2,11 @@
 
 Subcommands: ``verify``, ``analyze``, ``decompose``, ``states``, ``smear``,
 ``gen``, ``props``.  Output is deterministic line-oriented text; every
-rational prints reduced as ``p/q``.  Every command but ``gen`` also takes
-``--json``, which prints the same facts as one JSON object, with the same
-exit code.  Its top-level keys:
+rational prints reduced as ``p/q``.  Every command but ``gen`` reads an
+EAF file, its first argument, and takes ``--json``; each is declared
+once, ``--json`` after each command's own options, so that its help
+lists it last.  ``--json`` prints the same facts as one JSON object,
+with the same exit code.  Its top-level keys:
 
 - ``verify``: ``valid``, ``violations`` and ``totals`` (``{}`` when valid);
   a pair declared with two results is an ``Ei`` violation and a sum
@@ -28,7 +30,8 @@ the law suite or the solver.
 Exit codes are stable: 0 when the command succeeds (file valid, state
 found, certificate produced on request, laws hold), 1 when the checked
 property fails (axioms violated, no state in ``--find`` mode, a law
-fails, smearing impossible), 2 on usage errors or unreadable input.
+fails, smearing impossible), 2 on usage errors or unreadable input, both
+raised as one refusal that ``main`` prints as ``error: REASON``.
 ``verify`` is the one command that treats an axiom-violating file as its
 subject matter rather than as bad input, so it reports and exits 1; the
 other commands require a valid algebra and exit 2 when given anything
@@ -58,19 +61,15 @@ from .errors import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _InputError(Exception):
-    pass
+class _Refused(Exception):
+    """A usage error or unreadable input: ``main`` prints it and exits 2."""
 
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that reports usage problems as exceptions."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise _Refused(message)
 
 
 # what each command hands to main: exit code, JSON payload, text lines
@@ -86,9 +85,9 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except OSError as exc:
-        raise _InputError(f"{path}: {exc.strerror or exc}")
+        raise _Refused(f"{path}: {exc.strerror or exc}")
     except UnicodeDecodeError:
-        raise _InputError(f"{path}: not an ASCII text file")
+        raise _Refused(f"{path}: not an ASCII text file")
 
 
 def _load_algebra(path: str) -> EffectAlgebra:
@@ -96,7 +95,7 @@ def _load_algebra(path: str) -> EffectAlgebra:
     try:
         return build_effect_algebra(parse_eaf(text))
     except (ParseError, SizeLimit, AxiomViolation) as exc:
-        raise _InputError(f"{path}: {exc}")
+        raise _Refused(f"{path}: {exc}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
@@ -104,7 +103,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
     try:
         doc = parse_eaf(text)
     except (ParseError, SizeLimit) as exc:
-        raise _InputError(f"{args.file}: {exc}")
+        raise _Refused(f"{args.file}: {exc}")
     try:
         build_effect_algebra(doc)
     except AxiomViolation as exc:
@@ -205,7 +204,7 @@ def _cmd_decompose(args: argparse.Namespace) -> _Result:
     try:
         x = E.index(args.element)
     except UnknownName as exc:
-        raise _InputError(f"{args.file}: {exc}")
+        raise _Refused(f"{args.file}: {exc}")
     # the two kinds differ only in their head fields and their parts; the
     # text head shows the same fields, a flag as yes/no
     try:
@@ -295,7 +294,7 @@ def _cmd_smear(args: argparse.Namespace) -> _Result:
     try:
         values = parse_state(text, sub.algebra)
     except EffectAlgebraError as exc:
-        raise _InputError(f"{args.state}: {exc}")
+        raise _Refused(f"{args.state}: {exc}")
     omega = State(
         sub.algebra, tuple(values[i] for i in range(sub.algebra.size))
     )
@@ -304,7 +303,7 @@ def _cmd_smear(args: argparse.Namespace) -> _Result:
     except (PreconditionFailed, InvalidState) as exc:
         return 1, {"error": str(exc)}, [f"cannot smear: {exc}"]
     except SizeLimit as exc:
-        raise _InputError(f"{args.state}: {exc}")
+        raise _Refused(f"{args.state}: {exc}")
     payload, lines = _values(smeared)
     return 0, payload, lines
 
@@ -324,32 +323,32 @@ def _cmd_gen(args: argparse.Namespace) -> _Result:
     try:
         if kind == "mv-chain":
             if len(params) != 1:
-                raise _UsageError("gen mv-chain takes exactly one number")
+                raise _Refused("gen mv-chain takes exactly one number")
             E = mv_chain(_int_param(params[0]))
         elif kind == "boolean":
             if len(params) != 1:
-                raise _UsageError("gen boolean takes exactly one number")
+                raise _Refused("gen boolean takes exactly one number")
             E = boolean_algebra(_int_param(params[0]))
         elif kind == "hsum":
             if len(params) < 2:
-                raise _UsageError("gen hsum takes two or more eaf files")
+                raise _Refused("gen hsum takes two or more eaf files")
             E = horizontal_sum([_load_algebra(p) for p in params])
         elif kind == "product":
             if len(params) != 2:
-                raise _UsageError("gen product takes exactly two eaf files")
+                raise _Refused("gen product takes exactly two eaf files")
             E = direct_product(_load_algebra(params[0]), _load_algebra(params[1]))
         else:  # "fixture", the last of the parser's choices
             if len(params) != 1:
-                raise _UsageError("gen fixture takes exactly one fixture name")
+                raise _Refused("gen fixture takes exactly one fixture name")
             try:
                 E = bundled_fixture(params[0])
             except KeyError:
                 known = ", ".join(sorted(FIXTURE_FILES))
-                raise _UsageError(
+                raise _Refused(
                     f"unknown fixture {params[0]!r} (known: {known})"
                 )
     except EffectAlgebraError as exc:
-        raise _InputError(str(exc))
+        raise _Refused(str(exc))
     text = serialize_eaf(E)
     if args.output is None:
         return 0, None, text.splitlines()
@@ -357,16 +356,16 @@ def _cmd_gen(args: argparse.Namespace) -> _Result:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _InputError(f"{args.output}: {exc.strerror or exc}")
+        raise _Refused(f"{args.output}: {exc.strerror or exc}")
     return 0, None, []
 
 
 def _int_param(token: str) -> int:
     # int() alone would also take "1_0", "+10" and non-ASCII digits
     if not re.fullmatch(r"[0-9]+", token):
-        raise _UsageError(f"expected a number, got {token!r}")
+        raise _Refused(f"expected a number, got {token!r}")
     if len(token) > _MAX_DIGITS:
-        raise _UsageError(
+        raise _Refused(
             f"numbers are read up to {_MAX_DIGITS} digits, not {len(token)}"
         )
     return int(token)
@@ -380,13 +379,13 @@ def _cmd_props(args: argparse.Namespace) -> _Result:
     if args.laws is not None:
         selection = [law.strip() for law in args.laws.split(",") if law.strip()]
         if not selection:
-            raise _UsageError("--laws needs at least one law id")
+            raise _Refused("--laws needs at least one law id")
     try:
         report = run_law_suite(
             E, selection, counterexample_mode=args.counterexample_mode
         )
     except KeyError as exc:
-        raise _UsageError(exc.args[0]) from None
+        raise _Refused(exc.args[0]) from None
     results = [
         {
             "law": r.law,
@@ -410,52 +409,41 @@ def _cmd_props(args: argparse.Namespace) -> _Result:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="effalg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command but gen reads an EAF file, its first positional argument
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("file")
+    commands = {}
+    for name, fn, about in (
+        ("verify", _cmd_verify, "validate an EAF file against the axioms"),
+        ("analyze", _cmd_analyze, "print structural invariants"),
+        ("decompose", _cmd_decompose, "decompose one element by name"),
+        ("states", _cmd_states, "find a state or certify none exist"),
+        ("smear", _cmd_smear, "extend a sharp-part state to the algebra"),
+        ("gen", _cmd_gen, "generate an EAF document"),
+        ("props", _cmd_props, "run the law suite"),
+    ):
+        parents = [] if name == "gen" else [reads]
+        commands[name] = sub.add_parser(name, parents=parents, help=about)
+        commands[name].set_defaults(fn=fn)
 
-    p = sub.add_parser("verify", help="validate an EAF file against the axioms")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("analyze", help="print structural invariants")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_analyze)
-
-    p = sub.add_parser("decompose", help="decompose one element by name")
-    p.add_argument("file")
-    p.add_argument("element")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("states", help="find a state or certify none exist")
-    p.add_argument("file")
-    mode = p.add_mutually_exclusive_group()
+    commands["decompose"].add_argument("element")
+    mode = commands["states"].add_mutually_exclusive_group()
     mode.add_argument("--find", action="store_true", default=True)
     mode.add_argument("--certify-none", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_states)
-
-    p = sub.add_parser("smear", help="extend a sharp-part state to the algebra")
-    p.add_argument("file")
-    p.add_argument("--state", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_smear)
-
-    p = sub.add_parser("gen", help="generate an EAF document")
-    p.add_argument(
+    commands["smear"].add_argument("--state", required=True)
+    gen = commands["gen"]
+    gen.add_argument(
         "kind", choices=["mv-chain", "boolean", "hsum", "product", "fixture"]
     )
-    p.add_argument("params", nargs="*")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_gen)
+    gen.add_argument("params", nargs="*")
+    gen.add_argument("-o", "--output")
+    commands["props"].add_argument("--counterexample-mode", action="store_true")
+    commands["props"].add_argument("--laws")
 
-    p = sub.add_parser("props", help="run the law suite")
-    p.add_argument("file")
-    p.add_argument("--counterexample-mode", action="store_true")
-    p.add_argument("--laws")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_props)
-
+    # after each command's own options, so that its help lists --json last
+    for name, p in commands.items():
+        if name != "gen":
+            p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -464,7 +452,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         code, payload, lines = args.fn(args)
-    except (_UsageError, _InputError) as exc:
+    except _Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "json", False):

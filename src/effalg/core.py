@@ -460,6 +460,8 @@ class EffectAlgebra:
 
     def diff(self, b: int, a: int) -> Optional[int]:
         """The unique c with a + c == b, or None when a is not below b."""
+        _check_index(self, b)
+        _check_index(self, a)
         return _BYTE_VALUE[_difference_table(self)[a][b]]
 
     def index(self, name: str) -> int:
@@ -481,6 +483,13 @@ class EffectAlgebra:
             f"EffectAlgebra({self.size} elements, zero={self.names[self.zero]!r}, "
             f"one={self.names[self.one]!r})"
         )
+
+
+def _check_index(E: EffectAlgebra, x: object) -> None:
+    """Raise :class:`IndexOutOfRange` naming ``x`` unless it is exactly an
+    int in ``range(E.size)``, so not a bool."""
+    if type(x) is not int or not 0 <= x < len(E.names):
+        raise IndexOutOfRange(f"element index {x!r} is not in 0..{E.size - 1}")
 
 
 def make_algebra(
@@ -635,6 +644,7 @@ def multiples(E: EffectAlgebra) -> tuple[tuple[int, ...], ...]:
 
 def multiple(E: EffectAlgebra, x: int, k: int) -> Optional[int]:
     """The k-fold sum of x (k >= 0), or None when it is not defined."""
+    _check_index(E, x)
     if k < 0:
         raise ValueError("multiplicity must be nonnegative")
     if k == 0 or x == E.zero:

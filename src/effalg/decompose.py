@@ -37,6 +37,7 @@ from .core import (
     _BYTE_VALUE,
     _UNDEF,
     EffectAlgebra,
+    _check_index,
     _padded,
     derived,
     iterated_sum,
@@ -89,6 +90,7 @@ def atomic_decomposition(E: EffectAlgebra, x: int) -> AtomicDecomposition:
     the largest multiplicity that still fits below the residual.  The
     parts are read from the algebra's decomposition table.
     """
+    _check_index(E, x)
     return AtomicDecomposition(x, _table(E).parts[x], derive_order(E).is_lattice)
 
 
@@ -159,6 +161,7 @@ def basic_decomposition(E: EffectAlgebra, x: int) -> BasicDecomposition:
     :class:`InvalidDecomposition` when the parts do not sum to x and as
     ``RuntimeError`` otherwise.
     """
+    _check_index(E, x)
     if not derive_order(E).is_lattice:
         raise PreconditionFailed(
             "basic decomposition needs a lattice-ordered algebra"

@@ -71,6 +71,7 @@ from .core import (
     _WITNESS_CAP,
     EffectAlgebra,
     Witnesses,
+    _difference_table,
     _padded,
     multiples,
 )
@@ -735,6 +736,8 @@ def _law_t34(ctx: _Ctx) -> _Failures:
     E = ctx.E
     sharp = sum(1 << v for v in ctx.profile.sharp)
     proper = ctx.proper_families
+    # rest[v][x] is x - v, defined for every v <= x
+    rest = _difference_table(E)
     for x in range(E.size):
         if x == E.zero:
             continue
@@ -747,7 +750,7 @@ def _law_t34(ctx: _Ctx) -> _Failures:
             if v == x:
                 candidates.add((v, frozenset()))
                 continue
-            for key in proper.get(E.diff(x, v), []):
+            for key in proper.get(rest[v][x], []):
                 candidates.add((v, key))
         if len(candidates) != 1:
             yield (
@@ -857,11 +860,8 @@ def _law_se_full_sublattice(ctx: _Ctx) -> _Failures:
 
 def _law_product_closure(ctx: _Ctx) -> LawResult:
     E = ctx.E
-    if not (
-        ctx.os.is_lattice
-        and ctx.profile.atomic
-        and ctx.profile.sharply_dominating
-    ):
+    # every finite algebra is atomic (StructureProfile), E and E x E alike
+    if not (ctx.os.is_lattice and ctx.profile.sharply_dominating):
         return LawResult(
             "product-closure",
             SKIPPED,
@@ -877,13 +877,10 @@ def _law_product_closure(ctx: _Ctx) -> LawResult:
             "acceptance suite covers big factors",
         )
     P = direct_product(E, E)
-    prof = structure_profile(P)
     missing = []
     if not derive_order(P).is_lattice:
         missing.append("lattice")
-    if not prof.atomic:
-        missing.append("atomic")
-    if not prof.sharply_dominating:
+    if not structure_profile(P).sharply_dominating:
         missing.append("sharply dominating")
     if missing:
         return LawResult(

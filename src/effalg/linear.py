@@ -56,9 +56,15 @@ class LinearSystem:
     """Equality rows over ``nvars`` variables, each bounded to [0, 1].
 
     ``coeffs[i]`` lists the nonzero entries of row ``i`` as ``(column,
-    coefficient)`` pairs, integer coefficients, columns strictly
-    increasing; a column that is absent has coefficient 0.  ``rhs[i]`` is
-    that row's right-hand side.  Raises ``ValueError`` on any other shape.
+    coefficient)`` pairs, int coefficients, columns strictly increasing;
+    a column that is absent has coefficient 0.  ``rhs[i]`` is that row's
+    right-hand side, an int or a ``Fraction``.  ``__post_init__`` checks
+    one right-hand side per row, increasing columns in ``range(nvars)``
+    and nonzero coefficients, raising ``ValueError`` otherwise.  No
+    entry's type is checked, as every ``state_system`` call would pay for
+    it: a float or ``Fraction`` coefficient fails in :func:`solve_exact`
+    with a ``TypeError``, a float right-hand side with an
+    ``AttributeError``.
     """
 
     nvars: int

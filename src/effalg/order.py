@@ -15,12 +15,14 @@ A lattice effect algebra is an MV-effect algebra exactly when x ^ y = 0
 implies that x + y is defined (Bennett and Foulis 1995, "Phi-symmetric
 effect algebras"), so :func:`classify` reads the MV flag from the meet
 and sum rows in C and builds no compatibility masks; tier-1 checks the
-flag against the masks, computed pair by pair.  :func:`compatibility`
-builds its masks only when they are read, and on an MV algebra, where
-every mask is full, without a loop.  The order structure, the masks and
-the classification are computed once per algebra instance, kept in the
-instance's memo and released with it; :class:`~effalg.core.EffectAlgebra`
-is immutable, which makes that safe.
+flag against the masks, computed pair by pair.  It reads the
+orthomodular-image flag from the sharp set, which
+:func:`effalg.structure.structure_profile` computes once per algebra.
+:func:`compatibility` builds its masks only when they are read, and on
+an MV algebra, where every mask is full, without a loop.  The order
+structure, the masks and the classification are computed once per
+algebra instance, kept in the instance's memo and released with it;
+:class:`~effalg.core.EffectAlgebra` is immutable, which makes that safe.
 """
 
 from __future__ import annotations
@@ -150,17 +152,6 @@ class Classification:
     is_orthomodular_image: bool
 
 
-def sharp_mask(E: EffectAlgebra, os: OrderStructure) -> int:
-    """Bitmask of elements whose only common lower bound with their
-    orthosupplement is zero."""
-    zero_bit = 1 << E.zero
-    mask = 0
-    for x in range(E.size):
-        if os.down[x] & os.down[E.supplement[x]] == zero_bit:
-            mask |= 1 << x
-    return mask
-
-
 @derived
 def classify(E: EffectAlgebra) -> Classification:
     """Lattice / MV / orthomodular-image classification.
@@ -174,8 +165,11 @@ def classify(E: EffectAlgebra) -> Classification:
     ``1`` where the sum is undefined, are read as base-2 ints with pair
     (x, y) at the same digit, so the algebra is MV when they share no
     bit.  The orthomodular image test asks for a lattice in which every
-    element is sharp.
+    element is sharp, read from :func:`~effalg.structure.structure_profile`
+    (imported on use, as that module imports this one).
     """
+    from .structure import structure_profile
+
     os = derive_order(E)
     if not os.is_lattice:
         return Classification(False, False, False)
@@ -183,5 +177,5 @@ def classify(E: EffectAlgebra) -> Classification:
     is_zero[E.zero] = ord("1")
     disjoint = int(b"".join(os.meet_rows).translate(is_zero), 2)
     undefined = int(b"".join(E.rows).translate(b"0" * _UNDEF + b"1"), 2)
-    all_sharp = sharp_mask(E, os) == (1 << E.size) - 1
+    all_sharp = len(structure_profile(E).sharp) == E.size
     return Classification(True, not disjoint & undefined, all_sharp)

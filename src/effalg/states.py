@@ -156,8 +156,9 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
     As in :func:`effalg.linear.verify_point`, the given values are brought
     to one common denominator ``D``, so every check is in integers: the
     endpoints and ``0 <= v D <= D`` per element, and additivity over all
-    the canonical sums in one pass in C.  The sums are walked one at a
-    time only where a value is missing, and to name the failures kept.
+    the canonical sums in one pass in C, a missing value read as 0 there;
+    of the sums that fail it, those with a missing value are dropped, and
+    the failures kept are named one at a time.
     ``D`` is taken one denominator at a time, and :class:`SizeLimit` is
     raised once it has more than ``_MAX_DENOMINATOR_BITS`` bits.  It is
     raised first for a value whose numerator or denominator has more than
@@ -190,18 +191,11 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
                 "range", (x,), f"value {values[x]} at {E.names[x]} is outside [0,1]"
             )
     xs, ys, zs = _sum_columns(E)
-    if None in nums:
-        failing = [
-            i
-            for i, (x, y, z) in enumerate(zip(xs, ys, zs))
-            if None not in (nums[x], nums[y], nums[z])
-            and nums[x] + nums[y] != nums[z]
-        ]
-    else:
-        at = nums.__getitem__
-        failing = list(
-            compress(count(), map(ne, map(add, map(at, xs), map(at, ys)), map(at, zs)))
-        )
+    # A missing value reads as 0 in the one pass in C, and the failing sums
+    # that touch it are dropped after.
+    at = ([v or 0 for v in nums] if "missing" in found.totals else nums).__getitem__
+    fails = compress(count(), map(ne, map(add, map(at, xs), map(at, ys)), map(at, zs)))
+    failing = [i for i in fails if None not in (nums[xs[i]], nums[ys[i]], nums[zs[i]])]
     if failing:
         sums = ((xs[i], ys[i], zs[i]) for i in failing)
         found.counted(

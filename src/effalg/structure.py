@@ -28,7 +28,7 @@ from .core import (
     derived,
     multiples,
 )
-from .order import derive_order, sharp_mask
+from .order import derive_order
 
 
 def _extreme(mask: int, rel: tuple[int, ...]) -> Optional[int]:
@@ -84,8 +84,10 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     atoms = frozenset(
         x for x in range(n) if x != E.zero and os.down[x] == zero_bit | (1 << x)
     )
-    smask = sharp_mask(E, os)
-    sharp = frozenset(x for x in range(n) if smask >> x & 1)
+    sharp = frozenset(
+        x for x, s in enumerate(E.supplement) if os.down[x] & os.down[s] == zero_bit
+    )
+    smask = sum(1 << x for x in sharp)
     meager = frozenset(x for x in range(n) if os.down[x] & smask == zero_bit)
     iso = tuple(len(ms) for ms in multiples(E))
 

@@ -288,6 +288,26 @@ def test_partial_sum_and_difference_are_inverse(corpus, example_25, example_44):
                 assert E.diff(b, a) == expected, (name, a, b)
 
 
+def test_an_index_outside_the_elements_is_refused_by_name():
+    # mv_chain(3) has elements 0, a, 2a, 1; -1 would wrap round to 1 and
+    # True would stand for a
+    E = mv_chain(3)
+    entry_points = {
+        "diff as b": lambda x: E.diff(x, 0),
+        "diff as a": lambda x: E.diff(3, x),
+        "multiple": lambda x: multiple(E, x, 1),
+        "atomic_decomposition": lambda x: atomic_decomposition(E, x),
+        "basic_decomposition": lambda x: basic_decomposition(E, x),
+    }
+    for name, call in entry_points.items():
+        for x in (-1, E.size, True):
+            with pytest.raises(IndexOutOfRange) as err:
+                call(x)
+            assert isinstance(err.value, ValueError)
+            assert str(err.value) == f"element index {x!r} is not in 0..3", name
+        assert call(1) is not None, name
+
+
 def test_multiple_counts_repeated_sums():
     E = mv_chain(5)
     a = E.index("a")

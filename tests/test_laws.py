@@ -760,15 +760,13 @@ def test_product_closure_fails_when_the_square_loses_a_property(monkeypatch):
     monkeypatch.setattr(
         laws,
         "structure_profile",
-        lambda P: dataclasses.replace(
-            profile(P), atomic=False, sharply_dominating=False
-        ),
+        lambda P: dataclasses.replace(profile(P), sharply_dominating=False),
     )
     assert law_result(ctx, "product-closure") == LawResult(
         "product-closure",
         "fail",
         (),
-        "the squared algebra lost: lattice, atomic, sharply dominating",
+        "the squared algebra lost: lattice, sharply dominating",
     )
 
 

@@ -26,6 +26,7 @@ from oracles import (
     oracle_join,
     oracle_leq,
     oracle_meet,
+    oracle_sharp,
 )
 
 
@@ -201,6 +202,22 @@ def test_the_analysis_path_builds_no_compatibility_masks(
     refuse_compatibility_masks(monkeypatch)
     for (name, E), want in zip(algebras, expected):
         assert analysis(dataclasses.replace(E)) == want, name
+
+
+def test_the_orthomodular_image_flag_is_a_lattice_of_sharp_elements(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    # classify reads the sharp set from structure_profile; the oracle
+    # tests each element against its supplement from the table
+    algebras = differential_algebras(corpus, example_25, example_37, example_44)
+    images = lattices_not_images = 0
+    for name, E in algebras + at_the_cap:
+        lattice = derive_order(E).is_lattice
+        image = lattice and oracle_sharp(E) == set(range(E.size))
+        assert classify(E).is_orthomodular_image == image, name
+        images += image
+        lattices_not_images += lattice and not image
+    assert images >= 20 and lattices_not_images >= 70
 
 
 def test_boolean_bounds_are_bitwise():

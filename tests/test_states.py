@@ -215,6 +215,17 @@ def test_verify_state_flags_missing_and_range():
     assert any(v.axiom == "range" for v in report.violations)
 
 
+def test_a_sum_with_a_missing_value_is_not_checked():
+    # 0 < a < 2a < 3a < 1 with 2a missing: read as 0, it would fail
+    # a + a = 2a, a + 2a = 3a and 2a + 2a = 1; only a + 3a = 1 is checked
+    E = mv_chain(4)
+    a, a3 = E.index("a"), E.index("3a")
+    report = verify_state(E, {E.zero: F(0), a: F(1, 4), a3: F(1, 2), E.one: F(1)})
+    assert report.totals == {"missing": 1, "additivity": 1}
+    assert [v.witnesses for v in report.violations] == [(2,), (a, a3, E.one)]
+    assert report.violations[1].detail == "a + 3a = 1 maps to 1/4 + 1/2 != 1"
+
+
 def test_verify_state_flags_broken_additivity():
     E = mv_chain(2)
     a = E.index("a")
