@@ -605,19 +605,6 @@ def build_effect_algebra(doc: "EafDocument") -> EffectAlgebra:
     return _algebra(doc.names, position[doc.zero], position[doc.one], *closed)
 
 
-def iterated_sum(E: EffectAlgebra, terms: Iterable[Optional[int]]) -> Optional[int]:
-    """zero + t1 + t2 + ..., left to right, or None as soon as a term is
-    None (undefined) or a partial sum is undefined."""
-    acc = E.zero
-    for t in terms:
-        if t is None:
-            return None
-        acc = E.rows[acc][t]
-        if acc == _UNDEF:
-            return None
-    return acc
-
-
 @derived
 def multiples(E: EffectAlgebra) -> tuple[tuple[int, ...], ...]:
     """``[x]`` is ``(x, 2x, ..., ord(x)·x)``, every defined multiple of x.
@@ -643,10 +630,14 @@ def multiples(E: EffectAlgebra) -> tuple[tuple[int, ...], ...]:
 
 
 def multiple(E: EffectAlgebra, x: int, k: int) -> Optional[int]:
-    """The k-fold sum of x (k >= 0), or None when it is not defined."""
+    """The k-fold sum of x, or None when it is not defined.
+
+    Raises ``ValueError`` naming k unless it is exactly an int >= 0, so
+    not a bool or a float.
+    """
     _check_index(E, x)
-    if k < 0:
-        raise ValueError("multiplicity must be nonnegative")
+    if type(k) is not int or k < 0:
+        raise ValueError(f"multiplicity {k!r} is not an int >= 0")
     if k == 0 or x == E.zero:
         return E.zero
     ms = multiples(E)[x]

@@ -21,17 +21,17 @@ returning something unprincipled.
 Both forms are read from one table per algebra, built on first use in a
 single pass in order of down-set size: the greedy parts of x are its
 first part (a, k) followed by the greedy parts of x minus k·a, which is
-tabled already, and the three sums fold along the same recurrence.  A
-failed check is kept with its element and raised, with its type and
-message, only when that element is asked for.  :func:`_validate` and
-:func:`split_atomic_decomposition` check decompositions that a caller
-supplies.
+tabled already, and the three sums fold along the same recurrence.  The
+table stores the sums; x's checks run on them when x is asked for, so a
+broken element fails alone and nothing is stored for a failure.
+:func:`_validate` and :func:`split_atomic_decomposition` check
+decompositions that a caller supplies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .core import (
     _BYTE_VALUE,
@@ -40,7 +40,6 @@ from .core import (
     _check_index,
     _padded,
     derived,
-    iterated_sum,
     multiples,
 )
 from .errors import InvalidDecomposition, PreconditionFailed
@@ -94,18 +93,13 @@ def atomic_decomposition(E: EffectAlgebra, x: int) -> AtomicDecomposition:
     return AtomicDecomposition(x, _table(E).parts[x], derive_order(E).is_lattice)
 
 
-def _parts_sum(E: EffectAlgebra, parts: Iterable[AtomMultiple]) -> Optional[int]:
-    """The iterated sum of the parts' multiples, None where undefined.
-
-    Every multiplicity must lie in ``1..ord`` of its atom.
-    """
-    ms = multiples(E)
-    return iterated_sum(E, (ms[p.atom][p.multiplicity - 1] for p in parts))
-
-
 def _validate(E: EffectAlgebra, d: AtomicDecomposition) -> None:
+    """Check the parts of ``d`` one at a time, summing them as they go,
+    then check that their sum is defined and is the element."""
     profile = structure_profile(E)
+    ms = multiples(E)
     seen: set[int] = set()
+    acc = E.zero
     for part in d.parts:
         if part.atom not in profile.atoms:
             raise InvalidDecomposition(f"element {part.atom} is not an atom")
@@ -118,8 +112,9 @@ def _validate(E: EffectAlgebra, d: AtomicDecomposition) -> None:
                 f"multiplicity {part.multiplicity} of atom {part.atom} "
                 f"is outside 1..{ord_a}"
             )
-    acc = _parts_sum(E, d.parts)
-    if acc is None:
+        if acc != _UNDEF:
+            acc = E.rows[acc][ms[part.atom][part.multiplicity - 1]]
+    if acc == _UNDEF:
         raise InvalidDecomposition("parts are not summable in the given order")
     if acc != d.element:
         raise InvalidDecomposition(
@@ -155,37 +150,49 @@ def basic_decomposition(E: EffectAlgebra, x: int) -> BasicDecomposition:
     :class:`PreconditionFailed` otherwise, or when x has no sharp kernel.
     The greedy parts of x are split: its full multiples must sum to the
     sharp kernel of x and its proper ones to a meager element, which
-    become the meager parts.  Both checks, and the check that the parts
-    sum to x, run once per element when the algebra's decomposition table
-    is built; a failed one is raised here, for x alone, as
-    :class:`InvalidDecomposition` when the parts do not sum to x and as
-    ``RuntimeError`` otherwise.
+    become the meager parts.  The sums are read from the algebra's
+    decomposition table and checked here, for x alone, on each call:
+    :class:`InvalidDecomposition` when the parts do not sum to x, and
+    ``RuntimeError`` when a block misses its kernel or the meager set.
     """
     _check_index(E, x)
     if not derive_order(E).is_lattice:
         raise PreconditionFailed(
             "basic decomposition needs a lattice-ordered algebra"
         )
-    found = _table(E).basic[x]
-    if type(found) is _Failure:
-        raise found.kind(found.message)
-    return found
-
-
-class _Failure(NamedTuple):
-    """A failed check of one element's decomposition, raised on request."""
-
-    kind: type[Exception]
-    message: str
+    profile = structure_profile(E)
+    kernel = profile.sharp_kernel[x]
+    if kernel is None:
+        raise PreconditionFailed(
+            f"element {x} has no greatest sharp element below it"
+        )
+    table = _table(E)
+    total, proper = table.total[x], table.proper[x]
+    if total == _UNDEF:
+        raise InvalidDecomposition("parts are not summable in the given order")
+    if total != x:
+        raise InvalidDecomposition(
+            f"parts sum to {total}, not to the decomposed element {x}"
+        )
+    if table.full[x] != kernel:
+        raise RuntimeError(f"full parts of {x} do not sum to its sharp kernel")
+    if proper not in profile.meager:
+        raise RuntimeError(
+            f"proper parts of {x} sum to non-meager {_BYTE_VALUE[proper]}"
+        )
+    return BasicDecomposition(kernel, table.proper_parts[x])
 
 
 class _Table(NamedTuple):
-    """Each element's greedy parts and, in a lattice, its checked basic
-    decomposition or the failure of its checks (``basic`` is empty off
-    lattice order)."""
+    """Each element's greedy parts; the sums of all of them, of its full
+    ones and of its proper ones, ``_UNDEF`` where undefined; and its
+    proper parts."""
 
-    parts: tuple[tuple[AtomMultiple, ...], ...]
-    basic: tuple[BasicDecomposition | _Failure, ...]
+    parts: list[tuple[AtomMultiple, ...]]
+    total: list[int]
+    full: list[int]
+    proper: list[int]
+    proper_parts: list[tuple[AtomMultiple, ...]]
 
 
 def _greedy(
@@ -220,10 +227,9 @@ def _table(E: EffectAlgebra) -> _Table:
     The sums of all parts, of the full ones and of the proper ones fold
     along the same recurrence, as k·a plus the residual's sums; by
     associativity (Eii) each equals the sum of its parts in order, and is
-    defined exactly when that is.  In a lattice each element's sums are
-    then checked: all parts against the element, the full ones against
-    its sharp kernel and the proper ones against the meager set.  A
-    failure is kept with its element.
+    defined exactly when that is.  No sum is checked here:
+    :func:`basic_decomposition` checks those of the element it is asked
+    for.
     """
     os = derive_order(E)
     profile = structure_profile(E)
@@ -233,8 +239,7 @@ def _table(E: EffectAlgebra) -> _Table:
     # Row r padded to 256 bytes, so that r + _UNDEF reads as _UNDEF.
     plus = _padded(E.rows)
     parts: list[tuple[AtomMultiple, ...]] = [()] * n
-    meager_parts = parts.copy()
-    # the sums of each element's parts, of its full ones and of its proper ones
+    proper_parts = parts.copy()
     total, full, proper = [E.zero] * n, [E.zero] * n, [E.zero] * n
     made: dict[tuple[int, int], AtomMultiple] = {}
     sizes = [dx.bit_count() for dx in os.down]
@@ -249,35 +254,8 @@ def _table(E: EffectAlgebra) -> _Table:
         total[x] = m[total[r]]
         if k == iso[a]:
             full[x], proper[x] = m[full[r]], proper[r]
-            meager_parts[x] = meager_parts[r]
+            proper_parts[x] = proper_parts[r]
         else:
             full[x], proper[x] = full[r], m[proper[r]]
-            meager_parts[x] = (head,) + meager_parts[r]
-    if not os.is_lattice:
-        return _Table(tuple(parts), ())
-
-    basic: list[BasicDecomposition | _Failure] = []
-    for x, kernel, t, f, p, kept in zip(
-        range(n), profile.sharp_kernel, total, full, proper, meager_parts
-    ):
-        if kernel is None:
-            failure = PreconditionFailed, (
-                f"element {x} has no greatest sharp element below it"
-            )
-        elif t == _UNDEF:
-            failure = InvalidDecomposition, "parts are not summable in the given order"
-        elif t != x:
-            failure = InvalidDecomposition, (
-                f"parts sum to {t}, not to the decomposed element {x}"
-            )
-        elif f != kernel:
-            failure = RuntimeError, f"full parts of {x} do not sum to its sharp kernel"
-        elif p not in profile.meager:
-            failure = RuntimeError, (
-                f"proper parts of {x} sum to non-meager {_BYTE_VALUE[p]}"
-            )
-        else:
-            basic.append(BasicDecomposition(kernel, kept))
-            continue
-        basic.append(_Failure(*failure))
-    return _Table(tuple(parts), tuple(basic))
+            proper_parts[x] = (head,) + proper_parts[r]
+    return _Table(parts, total, full, proper, proper_parts)

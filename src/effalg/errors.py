@@ -34,8 +34,8 @@ class IndexOutOfRange(EffectAlgebraError, ValueError):
     """A sum table entry, its zero or its one is not an element index,
     or its size is not an int; or an element index given to
     ``EffectAlgebra.diff``, ``multiple``, ``atomic_decomposition`` or
-    ``basic_decomposition`` is not an int in ``range(E.size)``, a bool
-    included.
+    ``basic_decomposition``, or a key of ``verify_state``'s candidate, is
+    not an int in ``range(E.size)``, a bool included.
 
     A ``ValueError`` too, so callers catching that keep working.
     """

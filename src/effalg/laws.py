@@ -75,7 +75,7 @@ from .core import (
     _padded,
     multiples,
 )
-from .decompose import AtomMultiple, _parts_sum, atomic_decomposition
+from .decompose import atomic_decomposition
 from .errors import InvalidState, PreconditionFailed
 from .linear import InfeasibilityCertificate
 from .order import OrderStructure, compatibility, derive_order
@@ -165,7 +165,9 @@ class _Ctx:
     and ``is_lattice``; no law reads the tuple views ``E.table``,
     ``os.meet`` or ``os.join``.  ``compat`` holds the
     :func:`~effalg.order.compatibility` masks, also built on first use,
-    so a suite whose laws do not read them builds none.
+    so a suite whose laws do not read them builds none.  The atom
+    families and their block sums are folded once, on first use, for
+    T2.6, T3.4 and T4.1 to read.
     """
 
     def __init__(self, E: EffectAlgebra) -> None:
@@ -194,46 +196,47 @@ class _Ctx:
         return _padded(self.join)
 
     @cached_property
-    def atom_families(self) -> list[tuple[int, tuple[AtomMultiple, ...]]]:
-        """All orthogonal atom-multiple families, as (iterated sum, parts).
+    def atom_families(self) -> list[tuple[int, int, int]]:
+        """All orthogonal atom-multiple families, as (sum, full-block sum,
+        proper-block sum), each before the families that extend it.
 
-        Parts use strictly ascending atom indices, one multiple per atom,
-        and every prefix sum is defined, matching how iterated sums are
-        built everywhere else.
+        Atoms ascend, one multiple each, every prefix sum defined; the full
+        block holds the multiples at their atom's isotropic index.  The
+        sums fold through ``table_t`` as a family grows; by generalized
+        associativity (Foulis and Bennett 1994) both block sums exist and
+        re-add to the family's sum.
         """
-        E = self.E
-        out: list[tuple[int, tuple[AtomMultiple, ...]]] = []
+        iso = self.profile.isotropic
+        plus = self.table_t
+        out: list[tuple[int, int, int]] = []
 
-        def grow(start: int, acc: int, parts: tuple[AtomMultiple, ...]) -> None:
+        def grow(start: int, acc: int, full: int, proper: int) -> None:
             for i in range(start, len(self.atoms)):
                 a = self.atoms[i]
                 for k, m in enumerate(self.multiples[a], start=1):
-                    s = self.table[acc][m]
+                    s = plus[acc][m]
                     if s == _UNDEF:
                         break
-                    grown = parts + (AtomMultiple(a, k),)
-                    out.append((s, grown))
-                    grow(i + 1, s, grown)
+                    if k == iso[a]:
+                        family = s, plus[full][m], proper
+                    else:
+                        family = s, full, plus[proper][m]
+                    out.append(family)
+                    grow(i + 1, *family)
 
-        grow(0, E.zero, ())
+        grow(0, self.E.zero, self.E.zero, self.E.zero)
         return out
 
     @cached_property
-    def proper_families(self) -> dict[int, list[frozenset[tuple[int, int]]]]:
-        """The all-proper atom families by sum, as (atom, multiplicity) sets.
+    def proper_families(self) -> Counter[int]:
+        """The number of all-proper atom families with each sum.
 
         A family is all-proper when every multiplicity stays below its
-        atom's isotropic index.  Sums and families keep the order of
-        :attr:`atom_families`.
+        atom's isotropic index, that is when its full block is empty and
+        sums to zero: a sum of nonzero elements is nonzero.
         """
-        iso = self.profile.isotropic
-        out: dict[int, list[frozenset[tuple[int, int]]]] = {}
-        for s, parts in self.atom_families:
-            if all(p.multiplicity != iso[p.atom] for p in parts):
-                out.setdefault(s, []).append(
-                    frozenset((p.atom, p.multiplicity) for p in parts)
-                )
-        return out
+        zero = self.E.zero
+        return Counter(s for s, full, _ in self.atom_families if full == zero)
 
     def join_of(self, xs: Iterable[int]) -> int:
         """The join of ``xs`` folded left to right, zero when empty.
@@ -716,9 +719,9 @@ def _law_t26(ctx: _Ctx) -> _Failures:
     multiple stack of different atoms.
     """
     E = ctx.E
-    family_count = Counter(s for s, _ in ctx.atom_families)
-    for s, keys in sorted(ctx.proper_families.items()):
-        if len(keys) > 1:
+    family_count = Counter(s for s, _, _ in ctx.atom_families)
+    for s, count in sorted(ctx.proper_families.items()):
+        if count > 1:
             yield (
                 (s,),
                 f"{E.names[s]} carries two distinct all-proper "
@@ -741,21 +744,18 @@ def _law_t34(ctx: _Ctx) -> _Failures:
     for x in range(E.size):
         if x == E.zero:
             continue
-        candidates: set[tuple[int, frozenset[tuple[int, int]]]] = set()
-        # only a sharp v <= x leaves a rest x - v
+        # one form for a sharp x, and one per all-proper family summing to
+        # x - v for each sharp v < x; none sums to x - x = 0
+        forms = sharp >> x & 1
         below = ctx.os.down[x] & sharp
         while below:
             v = (below & -below).bit_length() - 1
             below &= below - 1
-            if v == x:
-                candidates.add((v, frozenset()))
-                continue
-            for key in proper.get(rest[v][x], []):
-                candidates.add((v, key))
-        if len(candidates) != 1:
+            forms += proper[rest[v][x]]
+        if forms != 1:
             yield (
                 (x,),
-                f"{E.names[x]} admits {len(candidates)} sharp-plus-proper "
+                f"{E.names[x]} admits {forms} sharp-plus-proper "
                 "forms instead of exactly one",
             )
 
@@ -777,15 +777,13 @@ def _law_t41(ctx: _Ctx) -> _Failures:
     """Each atom family's full block sums to the sharp kernel of its sum
     x, and its partial block to a meager element.
 
-    Both blocks are sub-families of an orthogonal family, so their sums
-    are defined and re-add to x (generalized associativity, Foulis and
-    Bennett 1994); neither needs a check.
+    Both blocks are sub-families of an orthogonal family, so the sums
+    that :attr:`_Ctx.atom_families` folds are defined and re-add to x
+    (generalized associativity, Foulis and Bennett 1994); neither needs
+    a check.
     """
     E = ctx.E
-    iso = ctx.profile.isotropic
-    for x, parts in ctx.atom_families:
-        sf = _parts_sum(E, [p for p in parts if p.multiplicity == iso[p.atom]])
-        sp = _parts_sum(E, [p for p in parts if p.multiplicity != iso[p.atom]])
+    for x, sf, sp in ctx.atom_families:
         if sf not in ctx.profile.sharp:
             yield (
                 (x, sf),
@@ -918,7 +916,7 @@ _LAWS: dict[str, Callable[[_Ctx], LawResult | _Failures]] = {
 LAW_IDS = tuple(_LAWS)
 
 # Laws that check their whole hypothesis themselves, in either mode.
-_SELF_GATED_LAWS = frozenset({"product-closure"})
+_SELF_GATED_LAWS = ("product-closure",)
 
 
 def run_law_suite(

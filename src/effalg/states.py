@@ -32,6 +32,7 @@ from .core import (
     EffectAlgebra,
     Violation,
     Witnesses,
+    _check_index,
     _sum_columns,
     multiples,
 )
@@ -144,6 +145,8 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
     """Check a candidate value mapping against the equations of
     :func:`state_system`, the box [0, 1] and totality.
 
+    Each key of ``candidate`` must be exactly an int in ``range(E.size)``,
+    so not a bool: any other raises :class:`IndexOutOfRange` naming it.
     A value is missing for each element absent from ``candidate``; zero
     must map to 0 and one to 1; every value must lie in [0, 1]; and each
     canonical sum x + y = z must map to an exact sum.  An equation with a
@@ -164,6 +167,8 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
     raised first for a value whose numerator or denominator has more than
     ``_MAX_DIGITS`` digits, which no state file gives.
     """
+    for x in candidate:
+        _check_index(E, x)
     found = Witnesses()
     # The given values as they are, for the details; None where missing.
     values: list[Optional[Rational]] = [None] * E.size

@@ -31,8 +31,12 @@ subalgebra as they were built before they made byte rows: a dict of sums
 handed to ``make_algebra``; the last reads the package's profile.
 :func:`oracle_atomic` checks by brute force that every nonzero element
 lies above an atom, which the package's profile takes from finiteness.
+:func:`oracle_atom_families` lists every orthogonal atom-multiple family
+with the sums of its parts and of its two blocks, added one atom at a
+time, and :func:`oracle_family_laws` checks T2.6, T3.4 and T4.1 from it.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -78,7 +82,6 @@ from effalg.core import (
     Violation,
     multiples,
 )
-from effalg.decompose import _parts_sum
 from effalg.eaf import _COUNT, _EA_HEADER, EafDocument, _int
 from effalg.errors import (
     DegenerateBlock,
@@ -389,28 +392,123 @@ def _family_sum(E, parts):
     return acc
 
 
+def oracle_atom_families(E):
+    """Every orthogonal atom-multiple family, as (parts, sum, full-block
+    sum, proper-block sum).
+
+    A family takes atoms in ascending index, one multiple k·a with k in
+    1..ord(a) per atom, and has every prefix sum defined; families are
+    listed depth first, each before the families that extend it, and the
+    multiples of one atom in ascending k.  The parts are (atom, k) pairs;
+    the full block holds those with k = ord(a), the proper block the
+    others, and each of the three sums is taken by :func:`_family_sum`,
+    None where it is undefined.
+    """
+    atoms = sorted(oracle_atoms(E))
+    iso = {a: oracle_ord(E, a) for a in atoms}
+    found = []
+
+    def grow(idx, parts):
+        for i in range(idx, len(atoms)):
+            a = atoms[i]
+            for k in range(1, iso[a] + 1):
+                grown = parts + [(a, k)]
+                total = _family_sum(E, grown)
+                if total is None:
+                    continue
+                full = _family_sum(E, [(b, j) for b, j in grown if j == iso[b]])
+                proper = _family_sum(E, [(b, j) for b, j in grown if j != iso[b]])
+                found.append((grown, total, full, proper))
+                grow(i + 1, grown)
+
+    grow(0, [])
+    return found
+
+
 def oracle_proper_families(E):
     """All orthogonal atom-multiple families with every k below the index.
 
     Returns a dict mapping each reachable sum to the set of frozenset
-    part-multisets that produce it.
+    part-multisets that produce it, read from :func:`oracle_atom_families`.
     """
-    atoms = sorted(oracle_atoms(E))
     found = {}
-
-    def grow(idx, parts):
-        total = _family_sum(E, parts)
-        if total is None:
-            return
-        if parts:
+    for parts, total, _, _ in oracle_atom_families(E):
+        if all(k < oracle_ord(E, a) for a, k in parts):
             found.setdefault(total, set()).add(frozenset(parts))
-        for i in range(idx, len(atoms)):
-            a = atoms[i]
-            for k in range(1, oracle_ord(E, a)):
-                grow(i + 1, parts + [(a, k)])
-
-    grow(0, [])
     return found
+
+
+def oracle_family_laws(E):
+    """T2.6, T3.4 and T4.1 by brute force, as a dict from law id to the
+    list of (witness, reason) failures in the order the suite reports.
+
+    T2.6 fails a sum of two all-proper families, or of one and another
+    family; T3.4 a nonzero element with other than one (sharp element,
+    all-proper family) pair reassembling it; T4.1 a family whose full
+    block does not sum to the greatest sharp element below its sum, or
+    whose proper block sums to an element above a nonzero sharp one.
+    """
+    names = E.names
+    families = oracle_atom_families(E)
+    every = Counter(total for _, total, _, _ in families)
+    proper = Counter(
+        total
+        for parts, total, _, _ in families
+        if all(k < oracle_ord(E, a) for a, k in parts)
+    )
+    t26 = []
+    for s in sorted(proper):
+        if proper[s] > 1:
+            t26.append(
+                ((s,), f"{names[s]} carries two distinct all-proper atom-multiple sums")
+            )
+        elif every[s] > 1:
+            t26.append(
+                (
+                    (s,),
+                    f"{names[s]} has an all-proper sum and another "
+                    "decomposition beside it",
+                )
+            )
+    forms = _every_basic_decomposition(E)
+    t34 = [
+        (
+            (x,),
+            f"{names[x]} admits {len(forms.get(x, ()))} sharp-plus-proper "
+            "forms instead of exactly one",
+        )
+        for x in range(E.size)
+        if x != E.zero and len(forms.get(x, ())) != 1
+    ]
+    below = oracle_leq(E)
+    sharp = oracle_sharp(E)
+    meager = {x for x in range(E.size) if below[x] & sharp == {E.zero}}
+    kernel = {x: oracle_sharp_bounds(E, x)[1] for _, x, _, _ in families}
+    t41 = []
+    for _, x, full, partial in families:
+        if full not in sharp:
+            t41.append(
+                (
+                    (x, full),
+                    f"full block of a decomposition of {names[x]} sums to "
+                    f"non-sharp {names[full]}",
+                )
+            )
+        elif full != kernel[x]:
+            t41.append(
+                (
+                    (x, full),
+                    f"full block of {names[x]} misses its greatest sharp lower bound",
+                )
+            )
+        elif partial not in meager:
+            t41.append(
+                (
+                    (x, partial),
+                    f"partial block of {names[x]} sums to non-meager {names[partial]}",
+                )
+            )
+    return {"T2.6": t26, "T3.4": t34, "T4.1": t41}
 
 
 def oracle_basic_decompositions(E, x):
@@ -1150,7 +1248,8 @@ def basic_decomposition_by_walk(E: EffectAlgebra, x: int) -> BasicDecomposition:
     """``effalg.decompose.basic_decomposition`` as it was before the
     decomposition table: the walk of :func:`atomic_decomposition_by_walk`,
     validated, split and checked for x alone.  Kept verbatim, apart from
-    the names, for reference only."""
+    the names and the block sums, taken by :func:`_family_sum`, for
+    reference only."""
     os = derive_order(E)
     if not os.is_lattice:
         raise PreconditionFailed(
@@ -1163,9 +1262,9 @@ def basic_decomposition_by_walk(E: EffectAlgebra, x: int) -> BasicDecomposition:
             f"element {x} has no greatest sharp element below it"
         )
     split = split_atomic_decomposition(E, atomic_decomposition_by_walk(E, x))
-    if _parts_sum(E, split.full) != kernel:
+    if _family_sum(E, [(p.atom, p.multiplicity) for p in split.full]) != kernel:
         raise RuntimeError(f"full parts of {x} do not sum to its sharp kernel")
-    remainder = _parts_sum(E, split.partial)
+    remainder = _family_sum(E, [(p.atom, p.multiplicity) for p in split.partial])
     if remainder not in profile.meager:
         raise RuntimeError(f"proper parts of {x} sum to non-meager {remainder}")
     return BasicDecomposition(kernel, split.partial)

@@ -50,7 +50,6 @@ from effalg.core import (
     Witnesses,
     _UNDEF,
     _eii,
-    iterated_sum,
 )
 
 from conftest import (
@@ -315,8 +314,11 @@ def test_multiple_counts_repeated_sums():
     assert multiple(E, a, 3) == E.index("3a")
     assert multiple(E, a, 5) == E.one
     assert multiple(E, a, 6) is None
-    with pytest.raises(ValueError):
-        multiple(E, a, -1)
+    # a bool or a float is refused by name, as a negative count is
+    for k in (True, 1.0, -1):
+        with pytest.raises(ValueError) as err:
+            multiple(E, a, k)
+        assert str(err.value) == f"multiplicity {k!r} is not an int >= 0"
 
 
 def test_multiple_against_the_oracle(corpus, example_25, example_37, example_44):
@@ -338,15 +340,6 @@ def test_multiples_refuse_a_table_whose_multiples_never_end():
         "multiples of 1 exceed the element count; the table is not a valid "
         "effect algebra"
     )
-
-
-def test_iterated_sum_is_undefined_from_the_first_undefined_step():
-    E = mv_chain(5)
-    a = E.index("a")
-    assert iterated_sum(E, []) == E.zero
-    assert iterated_sum(E, [a, E.index("2a")]) == E.index("3a")
-    assert iterated_sum(E, [a, None]) is None
-    assert iterated_sum(E, [E.one, a]) is None
 
 
 def test_derived_data_is_kept_per_instance():

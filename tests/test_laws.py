@@ -18,7 +18,7 @@ from effalg import (
 )
 from effalg import laws
 from effalg.constructions import fixture_text
-from effalg.core import _UNDEF, _tuples
+from effalg.core import _UNDEF, _WITNESS_CAP, _tuples
 from effalg.laws import (
     __doc__ as LAWS_DOC,
     _LAWS,
@@ -33,7 +33,14 @@ from effalg.laws import (
 )
 
 from conftest import differential_algebras, off_lattice, zero_last
-from oracles import _family_sum, oracle_l22ii, oracle_l22iii, oracle_l22iv
+from oracles import (
+    oracle_atom_families,
+    oracle_bounds,
+    oracle_family_laws,
+    oracle_l22ii,
+    oracle_l22iii,
+    oracle_l22iv,
+)
 
 # Frozen status maps for counterexample mode on the bundled non-lattice
 # tables.  Any drift, pass included, must be investigated rather than
@@ -540,17 +547,44 @@ def test_l22iii_matches_the_oracle_on_tampered_meets(make, meet_entries, total):
 def test_split_blocks_of_every_atom_family_re_add(
     corpus, example_25, example_37, example_44
 ):
-    # generalized associativity, which lets T4.1 leave both blocks unchecked
+    # generalized associativity, which lets T4.1 read both block sums
+    # unchecked
     algebras = [E for _, E in corpus] + off_lattice(example_25, example_37, example_44)
     for E in algebras:
-        ctx = _Ctx(E)
-        iso = ctx.profile.isotropic
-        for s, parts in ctx.atom_families:
-            pairs = [(p.atom, p.multiplicity) for p in parts]
-            full = _family_sum(E, [(a, k) for a, k in pairs if k == iso[a]])
-            partial = _family_sum(E, [(a, k) for a, k in pairs if k != iso[a]])
-            assert full is not None and partial is not None, (E.names, parts)
-            assert E.table[full][partial] == s, (E.names, parts)
+        families = oracle_atom_families(E)
+        for parts, s, full, proper in families:
+            assert full is not None and proper is not None, (E.names, parts)
+            assert E.table[full][proper] == s, (E.names, parts)
+        assert _Ctx(E).atom_families == [(s, f, p) for _, s, f, p in families]
+
+
+def test_family_laws_match_the_oracle(corpus, example_25, example_37, example_44):
+    # statuses, witnesses, reasons and every failure of T2.6, T3.4 and
+    # T4.1, in both modes
+    laws_read = ["T2.6", "T3.4", "T4.1"]
+    for name, E in differential_algebras(corpus, example_25, example_37, example_44):
+        expected = oracle_family_laws(E)
+        meet, join = oracle_bounds(E)
+        lattice = None not in [v for row in meet + join for v in row]
+        for law in laws_read:
+            assert list(_LAWS[law](_Ctx(E))) == expected[law], (name, law)
+        for mode in (False, True):
+            report = run_law_suite(E, laws_read, counterexample_mode=mode)
+            for result in report.results:
+                failures = expected[result.law]
+                if not lattice and not mode:
+                    want = LawResult(
+                        result.law, "skipped", (), "algebra is not lattice-ordered"
+                    )
+                elif not failures:
+                    want = LawResult(result.law, "pass")
+                else:
+                    reason = failures[0][1]
+                    if len(failures) > 1:
+                        reason += f" (+{len(failures) - 1} more instances)"
+                    witnesses = tuple(w for w, _ in failures[:_WITNESS_CAP])
+                    want = LawResult(result.law, "fail", witnesses, reason)
+                assert result == want, (name, mode)
 
 
 def law_result(ctx, law):

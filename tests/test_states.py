@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from effalg import (
     BasicDecomposition,
+    IndexOutOfRange,
     InfeasibilityCertificate,
     InvalidState,
     PreconditionFailed,
@@ -205,6 +206,20 @@ def test_verify_state_rejects_bools():
     with pytest.raises(TypeError) as err:
         verify_state(mv_chain(1), {0: False, 1: True})
     assert str(err.value) == "state values must be exact rationals, not bools"
+
+
+def test_verify_state_refuses_a_key_that_is_not_an_element():
+    # True would stand for element 1, and keys outside 0..1 would be
+    # passed over whatever they carry
+    E = mv_chain(1)
+    for candidate, key in [
+        ({0: F(0), True: F(1)}, "True"),
+        ({0: 0, 1: 1, 7: 5, -1: "x"}, "7"),
+        ({0: 0, 1: 1, -1: "x"}, "-1"),
+    ]:
+        with pytest.raises(IndexOutOfRange) as err:
+            verify_state(E, candidate)
+        assert str(err.value) == f"element index {key} is not in 0..1"
 
 
 def test_verify_state_flags_missing_and_range():
