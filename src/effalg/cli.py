@@ -310,7 +310,6 @@ def _cmd_smear(args: argparse.Namespace) -> _Result:
 
 def _cmd_gen(args: argparse.Namespace) -> _Result:
     from .constructions import (
-        FIXTURE_FILES,
         boolean_algebra,
         bundled_fixture,
         direct_product,
@@ -342,11 +341,8 @@ def _cmd_gen(args: argparse.Namespace) -> _Result:
                 raise _Refused("gen fixture takes exactly one fixture name")
             try:
                 E = bundled_fixture(params[0])
-            except KeyError:
-                known = ", ".join(sorted(FIXTURE_FILES))
-                raise _Refused(
-                    f"unknown fixture {params[0]!r} (known: {known})"
-                )
+            except KeyError as exc:
+                raise _Refused(exc.args[0]) from None
     except EffectAlgebraError as exc:
         raise _Refused(str(exc))
     text = serialize_eaf(E)

@@ -162,8 +162,8 @@ def bundled_fixture(name: str) -> EffectAlgebra:
     ``example-4.4`` is the 9-element algebra admitting no states.
     """
     if name not in FIXTURE_FILES:
-        known = ", ".join(sorted(set(FIXTURE_FILES)))
-        raise KeyError(f"unknown fixture {name!r}; known: {known}")
+        known = ", ".join(sorted(FIXTURE_FILES))
+        raise KeyError(f"unknown fixture {name!r} (known: {known})")
     return build_effect_algebra(parse_eaf(fixture_text(FIXTURE_FILES[name])))
 
 

@@ -200,20 +200,18 @@ def _declared_rows(
 ) -> tuple[list[bytes], Witnesses]:
     """A raw table's sums closed by :func:`_close_sums`, each index
     standing for itself.  Raises :class:`IndexOutOfRange` first unless
-    ``n``, ``zero``, ``one`` and every entry are ints and every key is a
-    pair."""
-    if not isinstance(n, int):
+    ``n``, ``zero``, ``one`` and every entry are exactly ints, so not
+    bools, as :func:`_check_index` reads them, and every key is a pair."""
+    if type(n) is not int:
         raise IndexOutOfRange(f"size {n!r} is not an element count")
-    if not (isinstance(zero, int) and isinstance(one, int)):
+    if not (type(zero) is int and type(one) is int):
         raise IndexOutOfRange(f"zero {zero!r} or one {one!r} is not an element index")
     declared = sums.items()
     for key, z in declared:
         if not (
             isinstance(key, tuple)
             and len(key) == 2
-            and isinstance(key[0], int)
-            and isinstance(key[1], int)
-            and isinstance(z, int)
+            and type(key[0]) is type(key[1]) is type(z) is int
         ):
             raise IndexOutOfRange(f"sum entry {key!r}->{z!r} is not an index pair and an index")
     index = {i: i for i in range(min(n, _MAX_ELEMENTS))}

@@ -94,13 +94,17 @@ def atomic_decomposition(E: EffectAlgebra, x: int) -> AtomicDecomposition:
 
 
 def _validate(E: EffectAlgebra, d: AtomicDecomposition) -> None:
-    """Check the parts of ``d`` one at a time, summing them as they go,
-    then check that their sum is defined and is the element."""
+    """Check the element of ``d`` (:func:`_check_index`), then its parts
+    one at a time, summing them as they go, then check that their sum is
+    defined and is the element."""
+    _check_index(E, d.element)
     profile = structure_profile(E)
     ms = multiples(E)
     seen: set[int] = set()
     acc = E.zero
     for part in d.parts:
+        if type(part.atom) is not int or type(part.multiplicity) is not int:
+            raise InvalidDecomposition(f"{part!r} does not hold two ints")
         if part.atom not in profile.atoms:
             raise InvalidDecomposition(f"element {part.atom} is not an atom")
         if part.atom in seen:
@@ -127,7 +131,9 @@ def split_atomic_decomposition(
 ) -> SplitDecomposition:
     """Split parts into those at full isotropic index and the rest.
 
-    Validates the decomposition first.  In lattice-ordered algebras the
+    Validates the decomposition first: :class:`IndexOutOfRange` when its
+    element is not an index, :class:`InvalidDecomposition` when a part is
+    not two ints or the parts are wrong.  In lattice-ordered algebras the
     full parts sum to the greatest sharp element below the decomposed
     element and the partial parts sum to a meager one; the law suite
     asserts that and this function does not depend on it.

@@ -3,18 +3,24 @@
 Everything runs through ``effalg.cli.main`` in-process so exit codes and
 output bytes are asserted directly.  The files under tests/goldens/ were
 produced by the commands they name and then reviewed line by line; the
-tests hold the tool to those exact bytes.
+tests hold the tool to those exact bytes.  Every row of the contract
+table in ``cli_contract.py`` runs here too, in-process, and three of
+them as a process.
 """
 
 import dataclasses
+import io
 import json
+import os
 import random
-import time
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import effalg
 from effalg import (
     InfeasibilityCertificate,
     boolean_algebra,
@@ -38,10 +44,10 @@ from conftest import (
     spy_on_eii,
     zero_last,
 )
+from cli_contract import ROWS, Contract, golden, process
 from oracles import nonlattice_witness_by_generator
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "effalg" / "fixtures"
-GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 EX25 = str(FIXTURES / "example-2.5.eaf")
 EX44 = str(FIXTURES / "example-4.4.eaf")
@@ -53,10 +59,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def golden(name):
-    return (GOLDENS / name).read_text(encoding="ascii")
 
 
 def test_verify_accepts_the_bundled_files(capsys):
@@ -92,12 +94,6 @@ def test_verify_json_lists_violations(capsys, tmp_path):
     assert doc["valid"] is False
     assert doc["violations"][0]["axiom"] == "Eiii"
     assert doc["violations"][0]["witnesses"] == ["a"]
-
-
-def test_verify_json_on_a_valid_table_has_empty_totals(capsys):
-    code, out, err = run(capsys, "verify", "--json", HSUM)
-    assert (code, err) == (0, "")
-    assert out == '{\n  "totals": {},\n  "valid": true,\n  "violations": []\n}\n'
 
 
 def test_verify_caps_listed_violations_and_counts_the_rest(capsys, tmp_path):
@@ -407,12 +403,6 @@ def test_states_find_fails_on_the_stateless_table(capsys):
     assert out.splitlines()[0] == "certificate"
 
 
-def test_states_certify_none_golden(capsys):
-    code, out, err = run(capsys, "states", "--certify-none", EX44)
-    assert code == 0
-    assert out == golden("states-certify-example-4.4.txt")
-
-
 def test_states_certify_none_fails_when_states_exist(capsys):
     code, out, err = run(capsys, "states", "--certify-none", HSUM)
     assert code == 1
@@ -542,19 +532,6 @@ def test_smear_reports_off_hypothesis_tables(capsys, tmp_path):
     assert "lattice" in out
 
 
-def test_smear_names_a_wrong_zero_value_once(capsys, tmp_path):
-    # zero is checked once, not again through each zero row 0 + y = y
-    half = tmp_path / "half.state"
-    half.write_text("state v1\nvalue 0 1/2\nvalue 1 1/1\n", encoding="ascii")
-    code, out, err = run(capsys, "smear", HSUM, "--state", str(half))
-    assert code == 1
-    assert out == (
-        "cannot smear: the input is not a state on the sharp subalgebra: "
-        "value at zero is 1/2\n"
-    )
-    assert err == ""
-
-
 def test_gen_writes_canonical_bytes(capsys, tmp_path):
     target = tmp_path / "out.eaf"
     code, out, err = run(capsys, "gen", "fixture", "example-4.4", "-o", str(target))
@@ -584,108 +561,6 @@ def test_gen_hsum_and_product_consume_files(capsys, tmp_path):
     assert "elements 12" in out
 
 
-def test_gen_rejects_unknown_fixture_names(capsys):
-    code, out, err = run(capsys, "gen", "fixture", "example-9.9")
-    assert code == 2
-    assert "example-2.5" in err
-
-
-def test_gen_rejects_oversize_requests(capsys):
-    code, out, err = run(capsys, "gen", "boolean", "7")
-    assert code == 2
-    assert err.startswith("error: ")
-    # refused before any table is built, naming the limit
-    code, out, err = run(capsys, "gen", "mv-chain", "20000")
-    assert (code, out) == (2, "")
-    assert err == "error: chains are provided for 1 <= n <= 254\n"
-
-
-def test_gen_product_of_two_101_element_chains_exits_two(capsys, tmp_path):
-    c100 = tmp_path / "c100.eaf"
-    assert run(capsys, "gen", "mv-chain", "100", "-o", str(c100))[0] == 0
-    # refused from the factors' sizes, before the 10,201-element table
-    code, out, err = run(capsys, "gen", "product", str(c100), str(c100))
-    assert (code, out) == (2, "")
-    assert err == "error: products are provided up to 255 elements, not 10201\n"
-
-
-@pytest.mark.parametrize("command", ["verify", "analyze", "props"])
-def test_a_file_of_20000_elements_exits_two_naming_the_limit(
-    capsys, tmp_path, command
-):
-    big = tmp_path / "big.eaf"
-    names = " ".join(f"e{i}" for i in range(20000))
-    big.write_text(f"ea v1\nelements 20000\nnames {names}\nzero e0\none e19999\n")
-    start = time.perf_counter()
-    code, out, err = run(capsys, command, str(big))
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert err == (
-        f"error: {big}: line 2: algebras are read up to 255 elements, not 20000\n"
-    )
-
-
-# Every command that reads an .eaf file, with "{}" for the file.
-EVERY_READER = pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "{}"],
-        ["analyze", "{}"],
-        ["decompose", "{}", "e1"],
-        ["states", "{}"],
-        ["smear", "{}", "--state", TRIV],
-        ["props", "{}"],
-        ["gen", "hsum", "{}", HSUM],
-        ["gen", "product", HSUM, "{}"],
-    ],
-    ids=["verify", "analyze", "decompose", "states", "smear", "props", "hsum",
-         "product"],
-)
-
-
-@EVERY_READER
-def test_every_command_refuses_a_256_element_file(capsys, tmp_path, argv):
-    big = tmp_path / "c256.eaf"
-    names = " ".join(f"e{i}" for i in range(256))
-    big.write_text(f"ea v1\nelements 256\nnames {names}\nzero e0\none e255\n")
-    start = time.perf_counter()
-    code, out, err = run(capsys, *(arg.format(big) for arg in argv))
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert err == (
-        f"error: {big}: line 2: algebras are read up to 255 elements, not 256\n"
-    )
-
-
-@EVERY_READER
-def test_every_command_refuses_more_sum_lines_than_ordered_pairs(
-    capsys, tmp_path, argv
-):
-    # a valid table repeated: 2 elements have 4 ordered pairs, not 5
-    repeats = tmp_path / "repeats.eaf"
-    repeats.write_text("ea v1\nelements 2\nnames 0 1\nzero 0\none 1\n" + "sum 0 0 = 0\n" * 5)
-    code, out, err = run(capsys, *(arg.format(repeats) for arg in argv))
-    assert (code, out) == (2, "")
-    assert err == (
-        f"error: {repeats}: line 10: sum lines are read up to 4, "
-        "the ordered pairs of 2 elements, not 5\n"
-    )
-
-
-def test_gen_stops_at_255_elements(capsys, tmp_path):
-    c254 = tmp_path / "c254.eaf"
-    assert run(capsys, "gen", "mv-chain", "254", "-o", str(c254))[0] == 0
-    assert run(capsys, "verify", str(c254)) == (0, "valid\n", "")
-    assert run(capsys, "gen", "mv-chain", "255") == (
-        2, "", "error: chains are provided for 1 <= n <= 254\n"
-    )
-    c15 = tmp_path / "c15.eaf"
-    assert run(capsys, "gen", "mv-chain", "15", "-o", str(c15))[0] == 0
-    assert run(capsys, "gen", "product", str(c15), str(c15)) == (
-        2, "", "error: products are provided up to 255 elements, not 256\n"
-    )
-
-
 def test_numerals_past_the_digit_cap_exit_two(capsys, tmp_path):
     # 5,000 digits, past the 4,300 that CPython's int() reads from a string
     long = "1" + "0" * 4999
@@ -707,12 +582,6 @@ def test_gen_into_a_directory_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "gen", "mv-chain", "2", "-o", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {tmp_path}: ")
-
-
-def test_props_counterexample_golden(capsys):
-    code, out, err = run(capsys, "props", "--counterexample-mode", EX25)
-    assert code == 1
-    assert out == golden("props-cx-example-2.5.txt")
 
 
 def test_props_normal_mode_skips_off_lattice(capsys):
@@ -763,32 +632,6 @@ def test_props_json_shape(capsys):
     assert ["2a"] in by_law["T2.6"]["witnesses"]
     assert by_law["product-closure"]["status"] == "skipped"
     assert by_law["product-closure"]["reason"]
-
-
-def test_usage_errors_exit_two(capsys):
-    code, out, err = run(capsys, "states", "--find", "--certify-none", EX44)
-    assert code == 2
-    code, out, err = run(capsys, "gen", "mv-chain", "zero")
-    assert code == 2
-
-
-@pytest.mark.parametrize(
-    "kind, params",
-    [
-        ("mv-chain", []),
-        ("mv-chain", ["1", "2"]),
-        ("boolean", []),
-        ("boolean", ["1", "2"]),
-        ("fixture", []),
-        ("fixture", ["example-2.5", "example-4.4"]),
-        ("product", [EX25]),
-        ("hsum", [HSUM]),
-    ],
-)
-def test_gen_with_the_wrong_parameter_count_exits_two(capsys, kind, params):
-    code, out, err = run(capsys, "gen", kind, *params)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: gen {kind} takes ")
 
 
 def test_gen_sizes_outside_the_grammar_exit_two(capsys):
@@ -871,3 +714,37 @@ def test_no_command_decodes_a_tuple_view(capsys, monkeypatch):
     }
     for argv, name in goldens.items():
         assert run(capsys, *argv)[1] == golden(name), argv
+
+
+def in_process(argv, within):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def in_process_contract(tmp_path_factory):
+    # one directory for every row, so that each file is made once
+    return tmp_path_factory.mktemp("contract"), Contract(in_process)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.argv.replace(" ", "_") for row in ROWS])
+def test_contract_row(in_process_contract, row, monkeypatch):
+    directory, contract = in_process_contract
+    monkeypatch.chdir(directory)
+    assert contract.check(row) == []
+
+
+def test_contract_rows_through_a_process(tmp_path, monkeypatch):
+    # console_main turns main's return value into the exit code: one row
+    # of each code, on literal files
+    src = Path(effalg.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    monkeypatch.chdir(tmp_path)
+    contract = Contract(process([sys.executable, "-m", "effalg.cli"], env))
+    by_argv = {row.argv: row for row in ROWS}
+    picked = [by_argv[a] for a in ("verify b4.eaf", "verify --json clash.eaf", "gen mv-chain")]
+    assert [row.code for row in picked] == [0, 1, 2]
+    for row in picked:
+        assert contract.check(row) == [], row.argv

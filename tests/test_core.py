@@ -191,11 +191,14 @@ def test_unclosed_entry_out_of_range_is_a_named_error(sums, message):
         make_algebra(("0", "a", "1"), 0, 2, sums)
 
 
-def test_bool_entries_are_indices():
-    # bool is a subclass of int, so True reads as element 1
-    E = make_algebra(("0", "a", "1"), 0, 2, {(True, True): 2})
-    assert E.table == ((0, 1, 2), (1, 2, None), (2, None, None))
-    assert verify_axioms(SumTable(3, 0, 2, {(1, True): 2})).ok
+def test_bool_entries_are_not_indices():
+    # bool is a subclass of int, but True is refused rather than read as 1
+    message = r"\(True, True\)->2 is not an index pair and an index"
+    with pytest.raises(IndexOutOfRange, match=message):
+        make_algebra(("0", "a", "1"), 0, 2, {(True, True): 2})
+    message = r"\(1, True\)->2 is not an index pair and an index"
+    with pytest.raises(IndexOutOfRange, match=message):
+        verify_axioms(SumTable(3, 0, 2, {(1, True): 2}))
 
 
 @pytest.mark.parametrize("zero, one", [(0, 3), (-1, 2), (3, 0), (0.0, 2), (0, "1")])
@@ -211,11 +214,13 @@ def test_zero_or_one_out_of_range_is_a_named_error(zero, one):
     [
         (2.5, r"^size 2\.5 is not an element count$"),
         ("3", r"^size '3' is not an element count$"),
+        (True, r"^size True is not an element count$"),
     ],
-    ids=["size-float", "size-str"],
+    ids=["size-float", "size-str", "size-bool"],
 )
 def test_a_size_that_is_not_an_int_is_a_named_error(size, message):
-    # Unchecked, both fail as a bare TypeError while building lookup rows.
+    # Unchecked, a float or a str fails as a bare TypeError while building
+    # lookup rows, and True is read as 1.
     with pytest.raises(IndexOutOfRange, match=message):
         verify_axioms(SumTable(size, 0, 1, {}))
 
@@ -1081,7 +1086,8 @@ RAW_TABLES = [
     (3, 0, 2, {(1, -1): 2}, "sum entry (1,-1)->2 out of range for size 3"),
     (3, 0, 3, {}, "zero 0 or one 3 out of range for size 3"),
     (3, -1, 2, {}, "zero -1 or one 2 out of range for size 3"),
-    (3, 0, 2, {(True, 1): 2}, None),  # a bool is an int
+    # a bool is not an index, as in _check_index; one in each place
+    (3, 0, 2, {(True, 1): 2}, "sum entry (True, 1)->2 is not an index pair and an index"),
     # not an int, not a pair: named by the type scan, before the size cap
     (3, 0, 2, {(1, 1): 2.0}, "sum entry (1, 1)->2.0 is not an index pair and an index"),
     (3, 0, 2, {1: 2}, "sum entry 1->2 is not an index pair and an index"),
@@ -1089,6 +1095,10 @@ RAW_TABLES = [
     (0, 0, 0, {}, "zero 0 or one 0 out of range for size 0"),
     (1, 0, 0, {}, COINCIDE),
     (256, 0, 255, {}, PAST_THE_CAP),
+    (3, False, 2, {}, "zero False or one 2 is not an element index"),
+    (3, 0, True, {}, "zero 0 or one True is not an element index"),
+    (3, 0, 2, {(1, True): 2}, "sum entry (1, True)->2 is not an index pair and an index"),
+    (3, 0, 2, {(1, 1): True}, "sum entry (1, 1)->True is not an index pair and an index"),
 ]
 
 

@@ -8,6 +8,7 @@ from effalg import decompose
 from effalg import (
     AtomicDecomposition,
     AtomMultiple,
+    IndexOutOfRange,
     InvalidDecomposition,
     PreconditionFailed,
     atomic_decomposition,
@@ -124,6 +125,28 @@ def test_split_rejects_parts_without_a_sum():
         InvalidDecomposition, match="^parts are not summable in the given order$"
     ):
         split_atomic_decomposition(E, bogus)
+
+
+NOT_INTS = "does not hold two ints"
+
+
+@pytest.mark.parametrize(
+    "x, part, error, message",
+    [
+        (True, (1, True), IndexOutOfRange, "element index True is not in 0..4"),
+        (7, (1, 2), IndexOutOfRange, "element index 7 is not in 0..4"),
+        (2, (1, 2.0), InvalidDecomposition, f"AtomMultiple(atom=1, multiplicity=2.0) {NOT_INTS}"),
+        (1, (True, 1), InvalidDecomposition, f"AtomMultiple(atom=True, multiplicity=1) {NOT_INTS}"),
+    ],
+    ids=["bool-element", "element-7", "float-multiplicity", "bool-atom"],
+)
+def test_split_checks_the_element_and_the_types_of_the_parts(x, part, error, message):
+    # checked as every other entry point checks an element, and a part of
+    # another type named, not a bare TypeError or a wrong sum
+    d = AtomicDecomposition(x, (AtomMultiple(*part),), False)
+    with pytest.raises(error) as err:
+        split_atomic_decomposition(mv_chain(4), d)
+    assert str(err.value) == message
 
 
 def test_basic_decomposition_on_chains():
