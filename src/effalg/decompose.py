@@ -94,15 +94,20 @@ def atomic_decomposition(E: EffectAlgebra, x: int) -> AtomicDecomposition:
 
 
 def _validate(E: EffectAlgebra, d: AtomicDecomposition) -> None:
-    """Check the element of ``d`` (:func:`_check_index`), then its parts
-    one at a time, summing them as they go, then check that their sum is
-    defined and is the element."""
+    """Check the element of ``d`` (:func:`_check_index`), that its parts
+    are a tuple or list of :class:`AtomMultiple`, then the parts one at a
+    time, summing them as they go, then check that their sum is defined
+    and is the element."""
     _check_index(E, d.element)
+    if not isinstance(d.parts, (tuple, list)):
+        raise InvalidDecomposition(f"parts {d.parts!r} are not a tuple or list")
     profile = structure_profile(E)
     ms = multiples(E)
     seen: set[int] = set()
     acc = E.zero
     for part in d.parts:
+        if type(part) is not AtomMultiple:
+            raise InvalidDecomposition(f"part {part!r} is not an AtomMultiple")
         if type(part.atom) is not int or type(part.multiplicity) is not int:
             raise InvalidDecomposition(f"{part!r} does not hold two ints")
         if part.atom not in profile.atoms:

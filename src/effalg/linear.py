@@ -7,7 +7,8 @@ reads them as they are.  Inside the solver every row is kept as integers,
 a positive multiple of the rational row it stands for, and is divided by
 the gcd of its entries after each update (fraction-free elimination);
 ``fractions.Fraction`` appears only in what leaves the solver, point
-values, certificate multipliers and the gap, and in their verification.
+values, certificate multipliers and the gap.  Their verification brings
+them to one common denominator and checks in integers.
 :func:`solve_exact` decides it in three steps:
 
 1. Eliminate.  Sparse exact Gauss-Jordan runs over the rows in order,
@@ -36,11 +37,11 @@ infeasible system yields row multipliers ``y`` plus bound multipliers
 
 which refutes feasibility by three lines of arithmetic: any candidate v
 in the box would give y^T b = sum_j (w_j - z_j) v_j <= sum(w).
-:func:`verify_certificate` checks exactly that, independent of how the
-multipliers were produced.  ``solve_exact`` re-verifies every outcome
-against the original, unreduced system before returning, so a bug in the
-elimination, the pivoting or the lifting can not surface as a wrong
-answer, only as a loud failure.
+:func:`verify_certificate` checks exactly that, in integers, independent
+of how the multipliers were produced.  ``solve_exact`` re-verifies every
+outcome against the original, unreduced system before returning, so a
+bug in the elimination, the pivoting or the lifting can not surface as a
+wrong answer, only as a loud failure.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import sub
 from typing import Mapping, Union
 
 
@@ -127,18 +129,43 @@ def _transposed_product(sys: LinearSystem, y: tuple) -> list[Fraction]:
 
 
 def verify_certificate(sys: LinearSystem, cert: InfeasibilityCertificate) -> bool:
-    """Check an infeasibility certificate by direct arithmetic."""
+    """Check an infeasibility certificate by direct arithmetic, in integers.
+
+    Every multiplier and the gap must be exactly an int or a ``Fraction``,
+    so not a bool or a float; anything else fails the check.  As in
+    :func:`verify_point`, they are brought to one common denominator
+    ``D``, and the right-hand sides to their own, ``B``, so every check is
+    in integers: ``w D, z D >= 0``, ``(y^T A D)_j = w_j D - z_j D`` per
+    variable, ``gap D > 0`` and ``(y^T b D) B = (gap D + sum(w D)) B``.
+    """
     y, w, z = cert.row_multipliers, cert.upper_multipliers, cert.lower_multipliers
     if len(y) != len(sys.coeffs) or len(w) != sys.nvars or len(z) != sys.nvars:
         return False
-    if any(wj < 0 for wj in w) or any(zj < 0 for zj in z):
+    given = (*y, *w, *z, cert.gap)
+    if not {*map(type, given)} <= {int, Fraction}:
         return False
-    if any(c != wj - zj for c, wj, zj in zip(_transposed_product(sys, y), w, z)):
+    den = lcm(*{q.denominator for q in given})
+
+    def scaled(v: int | Fraction) -> int:
+        return v.numerator * (den // v.denominator)
+
+    ws, zs = [*map(scaled, w)], [*map(scaled, z)]
+    if any(v < 0 for v in ws) or any(v < 0 for v in zs):
         return False
-    gap = sum((yi * bi for yi, bi in zip(y, sys.rhs)), start=Fraction(0)) - sum(
-        w, start=Fraction(0)
+    scaled_y = [(scaled(yi), i) for i, yi in enumerate(y) if yi]
+    combo = [0] * sys.nvars
+    for yi, i in scaled_y:
+        for j, c in sys.coeffs[i]:
+            combo[j] += yi * c
+    if combo != [*map(sub, ws, zs)]:
+        return False
+    gap = scaled(cert.gap)
+    rhs_den = lcm(*{b.denominator for b in sys.rhs})
+    yb = sum(
+        yi * sys.rhs[i].numerator * (rhs_den // sys.rhs[i].denominator)
+        for yi, i in scaled_y
     )
-    return gap == cert.gap and gap > 0
+    return gap > 0 and yb == (gap + sum(ws)) * rhs_den
 
 
 def _cross(t: dict, m: int, f: int | Fraction, s: Mapping) -> None:

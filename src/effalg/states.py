@@ -2,8 +2,13 @@
 
 A state assigns 0 to zero, 1 to one, values in [0, 1] everywhere, and is
 additive across every defined sum.  On a finite algebra that is exactly a
-feasibility problem over the canonical sum rows, solved exactly in
-:mod:`effalg.linear`; no floating point enters at any stage.
+feasibility problem over the canonical sum rows, :func:`state_system`,
+solved exactly in :mod:`effalg.linear`; no floating point enters at any
+stage.  Every element is a sum of atoms, so a state is fixed by its atom
+values: :func:`find_state` solves the smaller system on atom coordinates,
+one column per atom, and checks the state it lifts from there on every
+element with :func:`verify_state`.  Only when that system has no point
+does it solve :func:`state_system`, whose certificate it returns.
 
 Smearing extends a state given only on the sharp elements to the whole of
 a lattice-ordered algebra: an atom with isotropic index n gets one n-th of
@@ -25,15 +30,17 @@ from fractions import Fraction
 from itertools import compress, count
 from math import lcm
 from numbers import Rational
-from operator import add, ne
-from typing import Mapping, Optional, Union
+from operator import add, ne, sub
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .core import (
+    _UNDEF,
     EffectAlgebra,
     Violation,
     Witnesses,
     _check_index,
     _sum_columns,
+    derived,
     multiples,
 )
 from .decompose import basic_decomposition
@@ -100,18 +107,130 @@ def state_row_labels(E: EffectAlgebra) -> tuple[str, ...]:
     return tuple(labels)
 
 
+# Bits per atom in a packed class.  An element is a sum of at most 254
+# atoms, so a component of class(x) + class(y) - class(z) lies in
+# [-254, 508]: a signed 10-bit field, [-512, 511], holds it; 9 would not.
+_FIELD = 10
+_HALF = 1 << (_FIELD - 1)
+_MASK = (1 << _FIELD) - 1
+
+
+class _Classes(NamedTuple):
+    """Each element of an algebra as a sum of its atoms.
+
+    ``atoms`` lists the atoms in walk order; atom k is column k of
+    :func:`_atom_system`.  ``packed[x]`` is the class of x, how many times
+    x's sum takes each atom, as one int holding component k in bits
+    ``_FIELD·k`` up.  ``splits`` lists ``(x, g, r)`` with x = g + r and
+    g an atom, in walk order, once per element neither zero nor an atom.
+    """
+
+    atoms: tuple[int, ...]
+    packed: tuple[int, ...]
+    splits: tuple[tuple[int, int, int], ...]
+
+
+@derived
+def _classes(E: EffectAlgebra) -> _Classes:
+    """One walk over the rows, by ascending count of undefined sums.
+
+    That is a linear extension of the order, as in :func:`effalg.core._eii`:
+    x < y means x has strictly more defined sums.  Zero gets the empty
+    class.  Any other x is g + r at the first place ``find`` meets x in the
+    joined rows of the atoms found so far, and gets class(g) + class(r),
+    both below x and so already walked; where no atom's row holds x, x is
+    the next atom.
+    """
+    n = E.size
+    undefined = [row.count(_UNDEF) for row in E.rows]
+    atoms: list[int] = []
+    packed = [0] * n
+    splits = []
+    generated = bytearray()  # the rows of the atoms found so far, joined
+    for x in sorted(range(n), key=undefined.__getitem__):
+        if x == E.zero:
+            continue
+        i = generated.find(x)
+        if i < 0:
+            packed[x] = 1 << _FIELD * len(atoms)
+            atoms.append(x)
+            generated += E.rows[x]
+        else:
+            g, r = atoms[i // n], i % n
+            packed[x] = packed[g] + packed[r]
+            splits.append((x, g, r))
+    return _Classes(tuple(atoms), tuple(packed), tuple(splits))
+
+
+def _unpacked(d: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero components of a packed class, or of a difference of
+    packed classes, as ``(column, coefficient)`` pairs."""
+    row = []
+    k = 0
+    while d:
+        c = ((d + _HALF) & _MASK) - _HALF  # the low field, read signed
+        if c:
+            row.append((k, c))
+        d = (d - c) >> _FIELD
+        k += 1
+    return tuple(row)
+
+
+def _atom_system(E: EffectAlgebra) -> LinearSystem:
+    """The state system on atom coordinates: one column per atom.
+
+    A state v is fixed by its atom values u, v(x) = class(x)·u, so each
+    canonical sum x + y = z becomes the relation class(x) + class(y) -
+    class(z) among atom values.  The rows are class(1)·u = 1 and then the
+    distinct nonzero relations, each signed so that its last nonzero entry
+    is positive, in ascending order of packed value.  Where class(1) is a
+    multiple of one atom, as on a chain or a horizontal sum of chains, the
+    first row pins that atom at once.  The box
+    needs no rows: u >= 0 gives v >= 0, and v(x) + v(x') = v(1) = 1 gives
+    v <= 1.  So the feasible points are exactly the states' atom values.
+    """
+    classes = _classes(E)
+    at = classes.packed.__getitem__
+    xs, ys, zs = _sum_columns(E)
+    differences = map(sub, map(add, map(at, xs), map(at, ys)), map(at, zs))
+    relations = sorted({*map(abs, differences)} - {0})
+    rows = (_unpacked(at(E.one)), *map(_unpacked, relations))
+    return LinearSystem(len(classes.atoms), rows, (1,) + (0,) * len(relations))
+
+
 def find_state(E: EffectAlgebra) -> Union[State, InfeasibilityCertificate]:
     """Find a state or certify that none exists.
 
-    The outcome is checked once, inside :func:`effalg.linear.solve_exact`
-    against ``state_system(E)``: a point by ``verify_point``, over the same
-    equations and box :func:`verify_state` checks, and a
-    certificate by ``verify_certificate``.  Either failing raises.
+    :func:`effalg.linear.solve_exact` decides :func:`_atom_system`, with
+    one column per atom.  A point u is lifted to v(x) = class(x)·u over one
+    common denominator, and the result is checked on all of E by
+    :func:`verify_state`: every canonical sum, the endpoints and the box.
+    When the atom system has no point, the certificate returned is
+    ``solve_exact(state_system(E))``'s, checked there by
+    ``verify_certificate``.  ``RuntimeError`` is raised if the lifted
+    values are not a state, or if the two systems disagree.
     """
-    outcome = solve_exact(state_system(E))
-    if isinstance(outcome, FeasiblePoint):
-        return State(E, outcome.values)
-    return outcome
+    outcome = solve_exact(_atom_system(E))
+    if isinstance(outcome, InfeasibilityCertificate):
+        full = solve_exact(state_system(E))
+        if isinstance(full, FeasiblePoint):
+            raise RuntimeError("the state system has a point the atom system lacks")
+        return full
+    classes = _classes(E)
+    den = lcm(*(u.denominator for u in outcome.values))
+    nums = [0] * E.size
+    for a, u in zip(classes.atoms, outcome.values):
+        nums[a] = u.numerator * (den // u.denominator)
+    for x, g, r in classes.splits:
+        nums[x] = nums[g] + nums[r]
+    state = State(E, tuple(Fraction(v, den) for v in nums))
+    report = verify_state(E, dict(enumerate(state.values)))
+    if not report.ok:
+        raise RuntimeError(
+            "the lifted atom values are not a state: "
+            + "; ".join(v.detail for v in report.violations[:3])
+        )
+    return state
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,7 @@ FILES = {
     "p.eaf": ("product", "c10.eaf", "c10.eaf"),
     "p255.eaf": ("product", "c14.eaf", "c16.eaf"),
     "h250.eaf": ("hsum", "b6.eaf", "b6.eaf", "b6.eaf", "b6.eaf"),
+    "xc3.eaf": ("hsum", "x.eaf", "c3.eaf"),
     "e25c3.eaf": ("product", "e25.eaf", "c3.eaf"),
     "hsum.eaf": bundled("hsum-c2-c3.eaf"),
     "trivial.state": bundled("trivial-01.state"),
@@ -193,6 +194,15 @@ ROWS = [
     ),
     Row("states c.eaf", 0, within=120),
     Row("states p.eaf", 0),
+    # states on atom coordinates at the element cap: one atom, two atoms,
+    # and 24 atoms under 3 relations
+    Row("states --json c255.eaf", 0, json=(lambda d: d["values"]["a"], "1/254"), within=10),
+    Row("states p255.eaf", 0, within=10),
+    Row("states h250.eaf", 0, within=10),
+    # example-4.4 glued to a 3-chain has no state; the certificate is the
+    # full system's
+    Row("states xc3.eaf", 1),
+    Row("states --certify-none xc3.eaf", 0),
     Row("props p.eaf", 0),
     Row("decompose p.eaf 1,5a", 0, out="element 1,5a\nkind basic\nsharp 1,0\npart 0,a 5\n"),
     # every algebra gen built on byte rows, re-read and re-checked through

@@ -55,10 +55,13 @@ from effalg import (
     OrderStructure,
     PreconditionFailed,
     SharpSubalgebra,
+    State,
     SumTable,
     derive_order,
     make_algebra,
+    solve_exact,
     split_atomic_decomposition,
+    state_system,
     structure_profile,
     verify_certificate,
 )
@@ -259,6 +262,16 @@ def oracle_is_state(E, candidate):
         and v[E.one] == 1
         and all(v[x] + v[y] == v[z] for (x, y), z in table_dict(E).items())
     )
+
+
+def find_state_by_full_system(E):
+    """A state or a certificate from ``solve_exact`` on the whole
+    ``state_system(E)``, one column per element, as ``find_state`` found
+    them before it solved on atom coordinates."""
+    outcome = solve_exact(state_system(E))
+    if isinstance(outcome, FeasiblePoint):
+        return State(E, outcome.values)
+    return outcome
 
 
 def oracle_state_totals(E, candidate):
@@ -799,6 +812,23 @@ def gaussian_solve(rows, rhs):
     return values
 
 
+def oracle_rank(system):
+    """The rank of a system's coefficient rows, by dense ``Fraction``
+    elimination."""
+    rows = [[Fraction(c) for c in row] for row in dense_rows(system)]
+    rank = 0
+    for col in range(system.nvars):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [u - f * v for u, v in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def dense_rows(system):
     """The sparse ``(column, coefficient)`` rows of a system as n-wide lists."""
     out = []
@@ -928,6 +958,27 @@ def fraction_verify_point(sys: LinearSystem, point: FeasiblePoint) -> bool:
         if sum((c * point.values[j] for j, c in row), start=Fraction(0)) != b:
             return False
     return True
+
+
+def fraction_verify_certificate(
+    sys: LinearSystem, cert: InfeasibilityCertificate
+) -> bool:
+    """The reference for ``effalg.linear.verify_certificate``, from its
+    definition in ``Fraction`` arithmetic: y, w, z and the gap are exact
+    rationals, not bools; w, z >= 0; y^T A = w - z; and y^T b - sum(w) is
+    the gap, which is positive."""
+    y, w, z = cert.row_multipliers, cert.upper_multipliers, cert.lower_multipliers
+    given = (*y, *w, *z, cert.gap)
+    if len(y) != len(sys.coeffs) or len(w) != sys.nvars or len(z) != sys.nvars:
+        return False
+    if any(type(v) not in (int, Fraction) for v in given):
+        return False
+    if any(v < 0 for v in (*w, *z)):
+        return False
+    if _transposed_product(sys, y) != [wj - zj for wj, zj in zip(w, z)]:
+        return False
+    gap = sum(yi * Fraction(bi) for yi, bi in zip(y, sys.rhs)) - sum(w)
+    return gap == cert.gap and gap > 0
 
 
 @dataclass

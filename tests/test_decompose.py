@@ -149,6 +149,22 @@ def test_split_checks_the_element_and_the_types_of_the_parts(x, part, error, mes
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (((1, 2),), "part (1, 2) is not an AtomMultiple"),
+        (None, "parts None are not a tuple or list"),
+    ],
+    ids=["bare-pair", "none"],
+)
+def test_split_refuses_parts_that_are_not_atom_multiples(parts, message):
+    # named as a bad decomposition, not a bare AttributeError or TypeError
+    d = AtomicDecomposition(2, parts, False)
+    with pytest.raises(InvalidDecomposition) as err:
+        split_atomic_decomposition(mv_chain(4), d)
+    assert str(err.value) == message
+
+
 def test_basic_decomposition_on_chains():
     E = mv_chain(4)
     b = basic_decomposition(E, E.index("2a"))

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from effalg import (
     boolean_algebra,
     bundled_fixture,
     direct_product,
+    horizontal_sum,
     linear,
     mv_chain,
     solve_exact,
@@ -22,7 +24,12 @@ from effalg import (
     verify_point,
 )
 from effalg.linear import _phase_one
-from oracles import dense_phase_one, fraction_solve_exact, fraction_verify_point
+from oracles import (
+    dense_phase_one,
+    fraction_solve_exact,
+    fraction_verify_certificate,
+    fraction_verify_point,
+)
 
 
 def pairs(row):
@@ -157,6 +164,26 @@ def test_tampered_certificate_is_rejected():
     }
     for kind, cert in tampered.items():
         assert not verify_certificate(s, cert), kind
+
+
+def test_multipliers_that_are_not_exact_rationals_fail_the_check():
+    # the certificate of x - y = 3/2 above, with one entry a float or a
+    # bool of the same value each time; before, a float gap compared equal
+    # and a bool was read as an int
+    s = sys_of([[1, -1]], [F(3, 2)])
+    good = InfeasibilityCertificate((F(1),), (F(1), F(0)), (F(0), F(1)), F(1, 2))
+    assert verify_certificate(s, good)
+    assert verify_certificate(s, InfeasibilityCertificate((1,), (1, 0), (0, 1), F(1, 2)))
+    inexact = {
+        "a float row multiplier": replace(good, row_multipliers=(1.0,)),
+        "a bool upper multiplier": replace(good, upper_multipliers=(True, F(0))),
+        "a bool lower multiplier": replace(good, lower_multipliers=(False, 1)),
+        "a float gap": replace(good, gap=0.5),
+        "a string gap": replace(good, gap="1/2"),
+    }
+    for kind, cert in inexact.items():
+        assert not verify_certificate(s, cert), kind
+        assert not fraction_verify_certificate(s, cert), kind
 
 
 def test_empty_system_is_feasible():
@@ -414,3 +441,53 @@ def test_verify_point_equals_the_fraction_check(s, data):
         ]
     point = FeasiblePoint(tuple(values))
     assert verify_point(s, point) == fraction_verify_point(s, point)
+
+
+def tampered(cert, kind, k, by):
+    """``cert`` with entry ``k`` of its multipliers (y, then w, then z)
+    moved by ``by``, or its sign flipped, or its gap moved by 1/D, over
+    the common denominator D of all its entries."""
+    entries = [*cert.row_multipliers, *cert.upper_multipliers, *cert.lower_multipliers]
+    if kind == "gap":
+        den = lcm(*(F(v).denominator for v in (*entries, cert.gap)))
+        return replace(cert, gap=cert.gap + F(1 if by > 0 else -1, den))
+    entries[k] = entries[k] + by if kind == "perturb" else -entries[k]
+    m, n = len(cert.row_multipliers), len(cert.upper_multipliers)
+    return InfeasibilityCertificate(
+        tuple(entries[:m]), tuple(entries[m:m + n]), tuple(entries[m + n:]), cert.gap
+    )
+
+
+@given(small_systems(top=3, den=5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_verify_certificate_equals_the_fraction_check(s, data):
+    out = solve_exact(s)
+    if _feasible(out):
+        return
+    assert verify_certificate(s, out) and fraction_verify_certificate(s, out)
+    size = len(s.coeffs) + 2 * s.nvars
+    kind = data.draw(st.sampled_from(["perturb", "flip", "gap"]))
+    k = data.draw(st.integers(0, size - 1))
+    by = F(data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 5)))
+    cert = tampered(out, kind, k, by)
+    assert verify_certificate(s, cert) == fraction_verify_certificate(s, cert)
+
+
+def test_verify_certificate_equals_the_fraction_check_on_state_systems():
+    ex44 = bundled_fixture("example-4.4")
+    for E in (ex44, horizontal_sum([ex44, mv_chain(3)]), horizontal_sum([ex44, ex44])):
+        s = state_system(E)
+        cert = solve_exact(s)
+        assert verify_certificate(s, cert) and fraction_verify_certificate(s, cert)
+        size = len(s.coeffs) + 2 * s.nvars
+        for kind, k, by in [
+            *(("perturb", k, F(1, 3)) for k in range(size)),
+            *(("flip", k, 0) for k in range(size)),
+            ("gap", 0, 1),
+            ("gap", 0, -1),
+        ]:
+            crooked = tampered(cert, kind, k, by)
+            expected = fraction_verify_certificate(s, crooked)
+            assert verify_certificate(s, crooked) == expected, (kind, k)
+            # only a flipped zero leaves the certificate as it was and valid
+            assert expected == (crooked == cert), (kind, k)

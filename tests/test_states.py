@@ -8,7 +8,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effalg import (
@@ -16,6 +16,7 @@ from effalg import (
     IndexOutOfRange,
     InfeasibilityCertificate,
     InvalidState,
+    LinearSystem,
     PreconditionFailed,
     SizeLimit,
     State,
@@ -36,11 +37,13 @@ from effalg import (
     verify_state,
 )
 from effalg import states
-from conftest import full_corpus
+from conftest import full_corpus, relabelled, zero_last
 from oracles import (
     dense_rows,
+    find_state_by_full_system,
     gaussian_solve,
     oracle_is_state,
+    oracle_rank,
     oracle_smear,
     oracle_state_totals,
 )
@@ -487,3 +490,157 @@ def test_verify_state_keeps_six_additivity_failures_and_counts_all():
         (1, k, k + 1) for k in range(1, 7)
     ]
     assert report.violations[0].detail == "a + a = 2a maps to 1/3 + 1/3 != 1/4"
+
+
+def shuffles(named, seed):
+    """Each (name, algebra) with its elements in a seeded random order."""
+    rng = random.Random(seed)
+    return [
+        (f"{name}-shuffled", relabelled(E, rng.sample(range(E.size), E.size)))
+        for name, E in named
+    ]
+
+
+def stateless_sums(example_44):
+    """The stateless horizontal sums with example-4.4 that the states-solve
+    benchmark runs, by their ids there."""
+    blocks = {
+        "hsum-ex44-4": [mv_chain(3)],
+        "hsum-ex44-5": [mv_chain(4)],
+        "hsum-ex44-6-3": [mv_chain(5), mv_chain(2)],
+        "hsum-ex44-ex44": [example_44],
+        "hsum-ex44-ex44-ex44": [example_44, example_44],
+    }
+    return [(name, horizontal_sum([example_44, *rest])) for name, rest in blocks.items()]
+
+
+def test_states_exist_on_atom_coordinates_exactly_where_on_the_full_system(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    named = corpus + [("ex25", example_25), ("ex37", example_37), ("ex44", example_44)]
+    named += [(f"{name}-zero-last", zero_last(E)) for name, E in corpus]
+    named += at_the_cap + stateless_sums(example_44)
+    certificates = 0
+    for name, E in named + shuffles(named, 38):
+        got, want = find_state(E), find_state_by_full_system(E)
+        assert type(got) is type(want), name
+        if isinstance(got, State):
+            assert oracle_is_state(E, dict(enumerate(got.values))), name
+        else:
+            # the certificate is the full system's, value for value
+            assert got == want, name
+            certificates += 1
+    assert certificates == 2 * 6
+
+
+def test_a_state_found_needs_no_full_system(monkeypatch, at_the_cap):
+    def refused(E):
+        raise AssertionError("state_system called on an algebra with states")
+
+    monkeypatch.setattr(states, "state_system", refused)
+    for name, E in at_the_cap:
+        assert isinstance(find_state(E), State), name
+
+
+def free_parameters(system):
+    return system.nvars - oracle_rank(system)
+
+
+def test_atom_rows_are_the_distinct_relations_up_to_sign(
+    corpus, example_25, example_37, example_44
+):
+    named = corpus + [("ex25", example_25), ("ex37", example_37), ("ex44", example_44)]
+    for name, E in named + stateless_sums(example_44):
+        classes = states._classes(E)
+        k = len(classes.atoms)
+        dense = [
+            [dict(states._unpacked(p)).get(j, 0) for j in range(k)]
+            for p in classes.packed
+        ]
+        want = set()
+        for x, y, z in E.canonical_sums():
+            r = tuple(a + b - c for a, b, c in zip(dense[x], dense[y], dense[z]))
+            if any(r):
+                last = next(v for v in reversed(r) if v)
+                want.add(r if last > 0 else tuple(-v for v in r))
+        s = states._atom_system(E)
+        got = [tuple(dict(row).get(j, 0) for j in range(k)) for row in s.coeffs[1:]]
+        assert len(got) == len(want) and set(got) == want, name
+        assert s.coeffs[0] == states._unpacked(classes.packed[E.one]), name
+        assert s.rhs == (1,) + (0,) * len(want), name
+
+
+def test_atoms_relations_and_free_parameters_at_the_cap(at_the_cap):
+    # (atoms, distinct relations, free parameters) of the atom system
+    expected = {
+        "chain-255": (1, 0, 0),
+        "c15xc17": (2, 0, 1),
+        "hsum-4-boolean-64": (24, 3, 20),
+    }
+    for name, E in at_the_cap:
+        s = states._atom_system(E)
+        got = (s.nvars, len(s.coeffs) - 1, free_parameters(s))
+        assert got == expected[name], name
+
+
+def test_example_44_is_stateless_by_its_relations_alone(example_44):
+    # Three atoms, three distinct relations of rank 3: the only solution of
+    # R u = 0 is u = 0, so class(1)·u = 1 fails with no box at all.
+    # Classes read from the decomposition table (least-indexed atom first,
+    # at its greatest multiple) write 3b as a + c and 1 as 3a, where the
+    # walk, which takes the first atom it found, writes 3b and 4b; those
+    # classes give four distinct relations, also of rank 3.
+    s = states._atom_system(example_44)
+    relations = LinearSystem(s.nvars, s.coeffs[1:], s.rhs[1:])
+    assert (s.nvars, len(relations.coeffs)) == (3, 3)
+    assert oracle_rank(relations) == oracle_rank(s) == 3
+    assert [example_44.names[a] for a in states._classes(example_44).atoms] == [
+        "b", "a", "c"
+    ]
+    assert s.coeffs[0] == ((0, 4),)  # 1 = 4b
+
+
+def test_free_parameters_equal_the_full_systems(
+    corpus, example_25, example_37, example_44
+):
+    # v = class·u and u = v on the atoms map the solutions of the two
+    # systems, box aside, onto each other, so their dimensions agree
+    for name, E in corpus + [("ex25", example_25), ("ex37", example_37)]:
+        atom, full = states._atom_system(E), state_system(E)
+        assert free_parameters(atom) == free_parameters(full), name
+
+
+# A class component lies in 0..254, so a component of class(x) + class(y)
+# - class(z) lies in [-254, 508]; 9 bits, [-256, 255], would not hold it.
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-254, 508), max_size=40))
+@example([508, -254, 508, -254])
+@example([-254, 508, -254, 508])
+@example([0, 0, 508, 0, -254])
+@example([255, 256, -255, -256, 511 - 3])
+def test_a_packed_class_difference_decodes_exactly(components):
+    packed = sum(c << states._FIELD * k for k, c in enumerate(components))
+    want = tuple((k, c) for k, c in enumerate(components) if c)
+    assert states._unpacked(packed) == want
+
+
+def test_a_lifted_point_that_is_not_a_state_raises(monkeypatch):
+    # u = 1 at the 3-chain's one atom a lifts to 2 at 2a, its one
+    monkeypatch.setattr(
+        states, "_atom_system", lambda E: LinearSystem(1, (((0, 1),),), (1,))
+    )
+    with pytest.raises(RuntimeError) as err:
+        find_state(mv_chain(2))
+    assert str(err.value) == (
+        "the lifted atom values are not a state: "
+        "value at one is 2; value 2 at 1 is outside [0,1]"
+    )
+
+
+def test_an_atom_system_without_a_point_where_states_exist_raises(monkeypatch):
+    monkeypatch.setattr(
+        states, "_atom_system", lambda E: LinearSystem(1, (((0, 1),),), (2,))
+    )
+    with pytest.raises(RuntimeError) as err:
+        find_state(mv_chain(2))
+    assert str(err.value) == "the state system has a point the atom system lacks"
