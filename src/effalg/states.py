@@ -6,9 +6,10 @@ feasibility problem over the canonical sum rows, :func:`state_system`,
 solved exactly in :mod:`effalg.linear`; no floating point enters at any
 stage.  Every element is a sum of atoms, so a state is fixed by its atom
 values: :func:`find_state` solves the smaller system on atom coordinates,
-one column per atom, and checks the state it lifts from there on every
-element with :func:`verify_state`.  Only when that system has no point
-does it solve :func:`state_system`, whose certificate it returns.
+one column per atom, once, and checks the state it lifts from there on
+every element.  When that system has no point, each of its rows is a
+known integer combination of the rows of :func:`state_system`, so its
+certificate lifts to one for the state system, which is checked there.
 
 Smearing extends a state given only on the sharp elements to the whole of
 a lattice-ordered algebra: an atom with isotropic index n gets one n-th of
@@ -20,18 +21,20 @@ instead of propagating silently.
 
 States are checked and smeared in integers over one common denominator,
 as :func:`effalg.linear.verify_point` checks a point: no ``Fraction`` is
-added or compared per canonical sum.
+added or compared per canonical sum, and a state found or smeared is
+checked on its numerators, with no ``Fraction`` round trip.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
 from math import lcm
 from numbers import Rational
 from operator import add, ne, sub
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     _UNDEF,
@@ -47,10 +50,10 @@ from .decompose import basic_decomposition
 from .eaf import _MAX_DIGITS
 from .errors import InvalidState, PreconditionFailed, SizeLimit
 from .linear import (
-    FeasiblePoint,
     InfeasibilityCertificate,
     LinearSystem,
     solve_exact,
+    verify_certificate,
 )
 from .order import derive_order
 from .structure import extract_sharp, structure_profile
@@ -76,24 +79,32 @@ class State:
         return self.values[self.domain.index(name)]
 
 
+def _sum_row(x: int, y: int, z: int) -> tuple[tuple[int, int], ...]:
+    """The row ``v[z] - v[x] - v[y] = 0`` of a canonical sum, x <= y.
+
+    z is neither x nor y, as x + y = x forces y = 0, so only ``x == y``
+    merges, into one ``-2`` entry; the entries are placed by comparing z.
+    """
+    if x == y:
+        return ((x, -2), (z, 1)) if x < z else ((z, 1), (x, -2))
+    if z < x:
+        return ((z, 1), (x, -1), (y, -1))
+    if z < y:
+        return ((x, -1), (z, 1), (y, -1))
+    return ((x, -1), (y, -1), (z, 1))
+
+
 def state_system(E: EffectAlgebra) -> LinearSystem:
     """The equality system whose box-bounded solutions are the states.
 
     One row ``v[z] - v[x] - v[y] = 0`` per canonical sum x + y = z, then
     the two endpoint rows pinning zero to 0 and one to 1.  A row holds only
-    its nonzero ``(column, coefficient)`` pairs, at most three: ``x == y``
-    merges into one ``-2`` entry, and entries that cancel are dropped.
+    its nonzero ``(column, coefficient)`` pairs, at most three
+    (:func:`_sum_row`).
     """
-    rows: list[tuple[tuple[int, int], ...]] = []
-    for x, y, z in E.canonical_sums():
-        entry = {z: 1}
-        entry[x] = entry.get(x, 0) - 1
-        entry[y] = entry.get(y, 0) - 1
-        rows.append(tuple(sorted((j, c) for j, c in entry.items() if c)))
-    rows.append(((E.zero, 1),))
-    rows.append(((E.one, 1),))
-    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
-    return LinearSystem(E.size, tuple(rows), tuple(rhs))
+    rows = (*map(_sum_row, *_sum_columns(E)), ((E.zero, 1),), ((E.one, 1),))
+    rhs = (Fraction(0),) * (len(rows) - 1) + (Fraction(1),)
+    return LinearSystem(E.size, rows, rhs)
 
 
 def state_row_labels(E: EffectAlgebra) -> tuple[str, ...]:
@@ -176,6 +187,15 @@ def _unpacked(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(row)
 
 
+@derived
+def _differences(E: EffectAlgebra) -> tuple[int, ...]:
+    """class(x) + class(y) - class(z) per canonical sum, packed, in the
+    order of :func:`effalg.core._sum_columns`, found in one pass in C."""
+    at = _classes(E).packed.__getitem__
+    xs, ys, zs = _sum_columns(E)
+    return tuple(map(sub, map(add, map(at, xs), map(at, ys)), map(at, zs)))
+
+
 def _atom_system(E: EffectAlgebra) -> LinearSystem:
     """The state system on atom coordinates: one column per atom.
 
@@ -190,32 +210,90 @@ def _atom_system(E: EffectAlgebra) -> LinearSystem:
     v <= 1.  So the feasible points are exactly the states' atom values.
     """
     classes = _classes(E)
-    at = classes.packed.__getitem__
-    xs, ys, zs = _sum_columns(E)
-    differences = map(sub, map(add, map(at, xs), map(at, ys)), map(at, zs))
-    relations = sorted({*map(abs, differences)} - {0})
-    rows = (_unpacked(at(E.one)), *map(_unpacked, relations))
+    relations = sorted({*map(abs, _differences(E))} - {0})
+    rows = (_unpacked(classes.packed[E.one]), *map(_unpacked, relations))
     return LinearSystem(len(classes.atoms), rows, (1,) + (0,) * len(relations))
+
+
+def _lifted_certificate(
+    E: EffectAlgebra, cert: InfeasibilityCertificate
+) -> InfeasibilityCertificate:
+    """An atom-system certificate as one for :func:`state_system`, gap 1.
+
+    Write F(x, y, z) for the full row v[z] - v[x] - v[y] = 0 and D_x for
+    a combination of full rows equal to v[x] - class(x)·u, where u is v
+    on the atoms: D_atom = 0 and D_x = F(g, r, x) + D_g + D_r for each
+    split x = g + r.  Atom row 0 is then the ``one = 1`` row minus D_1,
+    and the relation first met at the sum (x, y, z), of sign s, is
+    s·(-F(x, y, z) - D_x - D_y + D_z).  So y is the combination the
+    atom multipliers take of those, w and z stay on the atom columns, and
+    the gap is unchanged; all of them are divided by the gap.
+
+    In integers over one common denominator: each D_x taken is owed to
+    ``owed[x]``, paid off over the splits in reverse walk order, so once
+    per element.  The result is checked by ``verify_certificate`` on
+    ``state_system(E)``, and ``RuntimeError`` is raised if it fails.
+    """
+    classes = _classes(E)
+    xs, ys, zs = _sum_columns(E)
+    differences = _differences(E)
+    last = len(differences) - 1
+    # each relation's first source sum: a later sum is overwritten
+    first = dict(zip(map(abs, reversed(differences)), range(last, -1, -1)))
+    relations = sorted(first.keys() - {0})
+    den = lcm(cert.gap.denominator, *{q.denominator for q in cert.row_multipliers})
+    gap = cert.gap.numerator * (den // cert.gap.denominator)
+    y_atom = [q.numerator * (den // q.denominator) for q in cert.row_multipliers]
+    y = [0] * (last + 3)  # the canonical sums, then zero = 0 and one = 1
+    owed = [0] * E.size
+    y[-1], owed[E.one] = y_atom[0], -y_atom[0]
+    for t, relation in zip(y_atom[1:], relations):
+        if t:
+            i = first[relation]
+            t = t if differences[i] > 0 else -t
+            y[i] -= t
+            owed[xs[i]] -= t
+            owed[ys[i]] -= t
+            owed[zs[i]] += t
+    for x, g, r in reversed(classes.splits):
+        if t := owed[x]:
+            a, b = sorted((g, r))
+            start = bisect_left(xs, a)
+            y[bisect_left(ys, b, start, bisect_right(xs, a, start))] += t
+            owed[g] += t
+            owed[r] += t
+    zero = Fraction(0)
+    bounds = []
+    for multipliers in (cert.upper_multipliers, cert.lower_multipliers):
+        dense = [zero] * E.size
+        for a, q in zip(classes.atoms, multipliers):
+            if q:
+                dense[a] = q / cert.gap
+        bounds.append(tuple(dense))
+    lifted = InfeasibilityCertificate(
+        tuple(Fraction(v, gap) if v else zero for v in y), *bounds, Fraction(1)
+    )
+    if not verify_certificate(state_system(E), lifted):
+        raise RuntimeError("the lifted certificate does not refute the state system")
+    return lifted
 
 
 def find_state(E: EffectAlgebra) -> Union[State, InfeasibilityCertificate]:
     """Find a state or certify that none exists.
 
     :func:`effalg.linear.solve_exact` decides :func:`_atom_system`, with
-    one column per atom.  A point u is lifted to v(x) = class(x)·u over one
-    common denominator, and the result is checked on all of E by
-    :func:`verify_state`: every canonical sum, the endpoints and the box.
-    When the atom system has no point, the certificate returned is
-    ``solve_exact(state_system(E))``'s, checked there by
-    ``verify_certificate``.  ``RuntimeError`` is raised if the lifted
-    values are not a state, or if the two systems disagree.
+    one column per atom, once.  A point u is lifted to v(x) = class(x)·u
+    over one common denominator, and checked on all of E in integers, as
+    :func:`verify_state` checks: every canonical sum, the endpoints and
+    the box.  When the atom system has no point, its certificate is lifted
+    to one for ``state_system(E)`` with gap 1 by
+    :func:`_lifted_certificate`, checked there by ``verify_certificate``.
+    ``RuntimeError`` is raised if the lifted values are not a state, or
+    the lifted certificate does not refute the state system.
     """
     outcome = solve_exact(_atom_system(E))
     if isinstance(outcome, InfeasibilityCertificate):
-        full = solve_exact(state_system(E))
-        if isinstance(full, FeasiblePoint):
-            raise RuntimeError("the state system has a point the atom system lacks")
-        return full
+        return _lifted_certificate(E, outcome)
     classes = _classes(E)
     den = lcm(*(u.denominator for u in outcome.values))
     nums = [0] * E.size
@@ -223,14 +301,10 @@ def find_state(E: EffectAlgebra) -> Union[State, InfeasibilityCertificate]:
         nums[a] = u.numerator * (den // u.denominator)
     for x, g, r in classes.splits:
         nums[x] = nums[g] + nums[r]
-    state = State(E, tuple(Fraction(v, den) for v in nums))
-    report = verify_state(E, dict(enumerate(state.values)))
-    if not report.ok:
-        raise RuntimeError(
-            "the lifted atom values are not a state: "
-            + "; ".join(v.detail for v in report.violations[:3])
-        )
-    return state
+    failures = _check_numerators(E, nums, den, Witnesses()).kept
+    if failures:
+        raise RuntimeError("the lifted atom values are not a state: " + _first(failures))
+    return State(E, tuple(Fraction(v, den) for v in nums))
 
 
 @dataclass(frozen=True)
@@ -276,11 +350,9 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
     integers.
 
     As in :func:`effalg.linear.verify_point`, the given values are brought
-    to one common denominator ``D``, so every check is in integers: the
-    endpoints and ``0 <= v D <= D`` per element, and additivity over all
-    the canonical sums in one pass in C, a missing value read as 0 there;
-    of the sums that fail it, those with a missing value are dropped, and
-    the failures kept are named one at a time.
+    to one common denominator ``D``, so every check is in integers; they
+    are made by :func:`_check_numerators`, the check :func:`find_state`
+    and :func:`smear_state` make of their own results.
     ``D`` is taken one denominator at a time, and :class:`SizeLimit` is
     raised once it has more than ``_MAX_DENOMINATOR_BITS`` bits.  It is
     raised first for a value whose numerator or denominator has more than
@@ -289,7 +361,7 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
     for x in candidate:
         _check_index(E, x)
     found = Witnesses()
-    # The given values as they are, for the details; None where missing.
+    # The given values as exact rationals; None where missing.
     values: list[Optional[Rational]] = [None] * E.size
     for x in range(E.size):
         if x in candidate:
@@ -306,18 +378,38 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
             limit = f"a common denominator of up to {_MAX_DENOMINATOR_BITS} bits"
             raise SizeLimit(f"state values are checked over {limit}")
     nums = [None if v is None else v.numerator * (den // v.denominator) for v in values]
+    _check_numerators(E, nums, den, found)
+    faithful = nums[E.zero] == 0 and nums.count(0) == 1
+    return StateReport(tuple(found.kept), faithful, found.totals)
+
+
+def _check_numerators(
+    E: EffectAlgebra, nums: list[Optional[int]], den: int, found: Witnesses
+) -> Witnesses:
+    """Check the values ``nums[x] / den`` in integers and return ``found``
+    with their failures added: the endpoints, ``0 <= v D <= D`` per
+    element, then additivity over all the canonical sums in one pass in C.
+    A ``None`` in ``nums`` is a missing value: it reads as 0 in that
+    pass, and the failing sums that touch it are dropped after.  Only the
+    failures kept are named, each value as the ``Fraction`` it is.
+    """
+
+    def shown(x: int) -> Fraction:
+        return Fraction(nums[x], den)
+
+    filled = [v or 0 for v in nums] if None in nums else nums
     for kind, x, target in (("zero", E.zero, 0), ("one", E.one, den)):
         if nums[x] is not None and nums[x] != target:
-            found.add(kind, (x,), f"value at {kind} is {values[x]}")
-    for x, v in enumerate(nums):
-        if v is not None and not 0 <= v <= den:
-            found.add(
-                "range", (x,), f"value {values[x]} at {E.names[x]} is outside [0,1]"
-            )
+            found.add(kind, (x,), f"value at {kind} is {shown(x)}")
+    if min(filled) < 0 or max(filled) > den:
+        outside = [x for x, v in enumerate(filled) if not 0 <= v <= den]
+        found.counted(
+            "range",
+            len(outside),
+            (((x,), f"value {shown(x)} at {E.names[x]} is outside [0,1]") for x in outside),
+        )
     xs, ys, zs = _sum_columns(E)
-    # A missing value reads as 0 in the one pass in C, and the failing sums
-    # that touch it are dropped after.
-    at = ([v or 0 for v in nums] if "missing" in found.totals else nums).__getitem__
+    at = filled.__getitem__
     fails = compress(count(), map(ne, map(add, map(at, xs), map(at, ys)), map(at, zs)))
     failing = [i for i in fails if None not in (nums[xs[i]], nums[ys[i]], nums[zs[i]])]
     if failing:
@@ -329,13 +421,17 @@ def verify_state(E: EffectAlgebra, candidate: Mapping[int, object]) -> StateRepo
                 (
                     (x, y, z),
                     f"{E.names[x]} + {E.names[y]} = {E.names[z]} maps to "
-                    f"{values[x]} + {values[y]} != {values[z]}",
+                    f"{shown(x)} + {shown(y)} != {shown(z)}",
                 )
                 for x, y, z in sums
             ),
         )
-    faithful = nums[E.zero] == 0 and nums.count(0) == 1
-    return StateReport(tuple(found.kept), faithful, found.totals)
+    return found
+
+
+def _first(failures: Sequence[Violation]) -> str:
+    """The details of the first three failures, for a message."""
+    return "; ".join(v.detail for v in failures[:3])
 
 
 def restrict_to_sharp(E: EffectAlgebra, s: State) -> State:
@@ -359,8 +455,9 @@ def smear_state(E: EffectAlgebra, omega: State) -> State:
     Every value is computed as an integer numerator over one common
     denominator, the lcm of omega's denominators times the lcm of the
     atoms' isotropic indices, over which each ``omega(n·a)/n`` is exact.
-    The result is then verified by :func:`verify_state` and restricted
-    back to the sharp part, and either failing raises ``RuntimeError``.
+    The result is then checked in integers, as :func:`verify_state`
+    checks, and restricted back to the sharp part, and either failing
+    raises ``RuntimeError``.
     """
     os = derive_order(E)
     if not os.is_lattice:
@@ -374,7 +471,7 @@ def smear_state(E: EffectAlgebra, omega: State) -> State:
     if report.violations:
         raise InvalidState(
             "the input is not a state on the sharp subalgebra: "
-            + "; ".join(v.detail for v in report.violations[:3])
+            + _first(report.violations)
         )
     profile = structure_profile(E)
     den = lcm(*(v.denominator for v in omega.values)) * lcm(
@@ -408,13 +505,10 @@ def smear_state(E: EffectAlgebra, omega: State) -> State:
             part.multiplicity * atom_value[part.atom] for part in basic.meager_parts
         )
 
+    failures = _check_numerators(E, nums, den, Witnesses()).kept
+    if failures:
+        raise RuntimeError("smearing produced a non-state: " + _first(failures))
     result = State(E, tuple(Fraction(v, den) for v in nums))
-    check = verify_state(E, dict(enumerate(result.values)))
-    if check.violations:
-        raise RuntimeError(
-            "smearing produced a non-state: "
-            + "; ".join(v.detail for v in check.violations[:3])
-        )
     back = restrict_to_sharp(E, result)
     if back.values != omega.values:
         raise RuntimeError("smeared state does not restrict to its input")

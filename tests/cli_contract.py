@@ -92,7 +92,7 @@ FILES = {
     "x.eaf": ("fixture", "example-4.4"),
     "e25.eaf": ("fixture", "example-2.5"),
     "c.eaf": ("mv-chain", "120"),
-    **{f"c{n}.eaf": ("mv-chain", str(n)) for n in (10, 14, 15, 16, 100)},
+    **{f"c{n}.eaf": ("mv-chain", str(n)) for n in (10, 14, 15, 16, 60, 100)},
     "c3.eaf": ("mv-chain", "2"),
     "c255.eaf": ("mv-chain", "254"),
     "b6.eaf": ("boolean", "6"),
@@ -100,6 +100,7 @@ FILES = {
     "p255.eaf": ("product", "c14.eaf", "c16.eaf"),
     "h250.eaf": ("hsum", "b6.eaf", "b6.eaf", "b6.eaf", "b6.eaf"),
     "xc3.eaf": ("hsum", "x.eaf", "c3.eaf"),
+    "s245.eaf": ("hsum", "x.eaf", "c60.eaf", "c60.eaf", "c60.eaf", "c60.eaf"),
     "e25c3.eaf": ("product", "e25.eaf", "c3.eaf"),
     "hsum.eaf": bundled("hsum-c2-c3.eaf"),
     "trivial.state": bundled("trivial-01.state"),
@@ -199,10 +200,18 @@ ROWS = [
     Row("states --json c255.eaf", 0, json=(lambda d: d["values"]["a"], "1/254"), within=10),
     Row("states p255.eaf", 0, within=10),
     Row("states h250.eaf", 0, within=10),
-    # example-4.4 glued to a 3-chain has no state; the certificate is the
-    # full system's
+    # example-4.4 glued to a 3-chain has no state; the certificate is
+    # lifted from atom coordinates to the algebra's own sum rows
     Row("states xc3.eaf", 1),
     Row("states --certify-none xc3.eaf", 0),
+    # and glued to four 61-element chains, 245 elements, the same
+    Row("states s245.eaf", 1),
+    Row(
+        "states --certify-none --json s245.eaf",
+        0,
+        json=(lambda d: d["certificate"]["gap"], "1/1"),
+        within=10,
+    ),
     Row("props p.eaf", 0),
     Row("decompose p.eaf 1,5a", 0, out="element 1,5a\nkind basic\nsharp 1,0\npart 0,a 5\n"),
     # every algebra gen built on byte rows, re-read and re-checked through

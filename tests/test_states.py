@@ -32,8 +32,10 @@ from effalg import (
     restrict_to_sharp,
     serialize_state,
     smear_state,
+    solve_exact,
     state_row_labels,
     state_system,
+    verify_certificate,
     verify_state,
 )
 from effalg import states
@@ -41,6 +43,7 @@ from conftest import full_corpus, relabelled, zero_last
 from oracles import (
     dense_rows,
     find_state_by_full_system,
+    fraction_verify_certificate,
     gaussian_solve,
     oracle_is_state,
     oracle_rank,
@@ -96,9 +99,19 @@ def test_states_found_beyond_sixteen_elements(E):
     assert verify_state(E, dict(enumerate(out.values))).ok
 
 
-def test_sparse_rows_and_a_state_on_a_121_element_chain(corpus):
-    for name, E in corpus:
-        assert all(len(row) <= 3 for row in state_system(E).coeffs), name
+def test_sparse_rows_and_a_state_on_a_121_element_chain(corpus, example_44):
+    # each row is v[z] - v[x] - v[y] = 0 by its definition, in any order
+    # of the elements
+    for name, E in corpus + [("ex44", example_44)] + shuffles(corpus, 39):
+        s = state_system(E)
+        for (x, y, z), row in zip(E.canonical_sums(), s.coeffs):
+            want = [0] * E.size
+            want[z] += 1
+            want[x] -= 1
+            want[y] -= 1
+            assert row == tuple((j, c) for j, c in enumerate(want) if c), name
+            assert len(row) <= 3, name
+        assert s.coeffs[-2:] == (((E.zero, 1),), ((E.one, 1),)), name
     E = mv_chain(3)
     a, a2 = E.index("a"), E.index("2a")
     row = state_row_labels(E).index("a + a = 2a")
@@ -514,12 +527,18 @@ def stateless_sums(example_44):
     return [(name, horizontal_sum([example_44, *rest])) for name, rest in blocks.items()]
 
 
+def stateless_245(example_44):
+    """example-4.4 glued to four 61-element chains: 245 elements."""
+    return horizontal_sum([example_44] + [mv_chain(60)] * 4)
+
+
 def test_states_exist_on_atom_coordinates_exactly_where_on_the_full_system(
     corpus, example_25, example_37, example_44, at_the_cap
 ):
     named = corpus + [("ex25", example_25), ("ex37", example_37), ("ex44", example_44)]
     named += [(f"{name}-zero-last", zero_last(E)) for name, E in corpus]
     named += at_the_cap + stateless_sums(example_44)
+    named += [("hsum-ex44-4x61", stateless_245(example_44))]
     certificates = 0
     for name, E in named + shuffles(named, 38):
         got, want = find_state(E), find_state_by_full_system(E)
@@ -527,10 +546,31 @@ def test_states_exist_on_atom_coordinates_exactly_where_on_the_full_system(
         if isinstance(got, State):
             assert oracle_is_state(E, dict(enumerate(got.values))), name
         else:
-            # the certificate is the full system's, value for value
-            assert got == want, name
+            # lifted from atom coordinates: it refutes E's own sum rows
+            assert fraction_verify_certificate(state_system(E), got), name
+            assert got.gap == 1, name
+            atoms = set(states._classes(E).atoms)
+            for x in set(range(E.size)) - atoms:
+                assert got.upper_multipliers[x] == got.lower_multipliers[x] == 0, name
             certificates += 1
-    assert certificates == 2 * 6
+    # example-4.4, its five stateless sums and the 245-element one, each
+    # also shuffled
+    assert certificates == 2 * 7
+
+
+def test_a_stateless_algebra_takes_one_solve(monkeypatch, example_44):
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return solve_exact(system)
+
+    monkeypatch.setattr(states, "solve_exact", counted)
+    named = [("ex44", example_44), *stateless_sums(example_44)]
+    for name, E in named + [("hsum-ex44-4x61", stateless_245(example_44))]:
+        calls.clear()
+        assert isinstance(find_state(E), InfeasibilityCertificate), name
+        assert len(calls) == 1, name
 
 
 def test_a_state_found_needs_no_full_system(monkeypatch, at_the_cap):
@@ -637,10 +677,30 @@ def test_a_lifted_point_that_is_not_a_state_raises(monkeypatch):
     )
 
 
-def test_an_atom_system_without_a_point_where_states_exist_raises(monkeypatch):
+def test_bound_multipliers_lift_to_the_atom_columns(example_44):
+    # example-4.4's atom certificate with w = z = half its gap on its first
+    # atom: the bound terms cancel in y^T A and take that half off the gap,
+    # so over the halved gap they lift to w = z = 1 at that atom
+    found = solve_exact(states._atom_system(example_44))
+    half = found.gap / 2
+    bound = (half, F(0), F(0))
+    cert = InfeasibilityCertificate(found.row_multipliers, bound, bound, half)
+    assert verify_certificate(states._atom_system(example_44), cert)
+    lifted = states._lifted_certificate(example_44, cert)
+    assert fraction_verify_certificate(state_system(example_44), lifted)
+    assert lifted.gap == 1
+    b = example_44.index("b")  # the walk's first atom
+    want = tuple(int(x == b) for x in range(example_44.size))
+    assert lifted.upper_multipliers == lifted.lower_multipliers == want
+
+
+def test_a_lifted_certificate_that_does_not_refute_raises(monkeypatch):
+    # u = 2 at the 3-chain's one atom a lies outside the box, so there is
+    # no point; but the lift reads row 0 as class(1)·u = 1, and class(1) is
+    # 2a, so the lifted y^T A is 2·y_0 at a where w - z is y_0
     monkeypatch.setattr(
         states, "_atom_system", lambda E: LinearSystem(1, (((0, 1),),), (2,))
     )
     with pytest.raises(RuntimeError) as err:
         find_state(mv_chain(2))
-    assert str(err.value) == "the state system has a point the atom system lacks"
+    assert str(err.value) == "the lifted certificate does not refute the state system"
