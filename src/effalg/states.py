@@ -12,12 +12,16 @@ known integer combination of the rows of :func:`state_system`, so its
 certificate lifts to one for the state system, which is checked there.
 
 Smearing extends a state given only on the sharp elements to the whole of
-a lattice-ordered algebra: an atom with isotropic index n gets one n-th of
-the value of its n-fold sum (which is sharp), and a general element gets
-the value of its sharp kernel plus the weighted atom values of its meager
-remainder.  The result is verified to be a state whose restriction to the
-sharp part is the input, so a violation of the underlying theory raises
-instead of propagating silently.
+a lattice-ordered algebra.  The paper's formula gives an atom of
+isotropic index n one n-th of the value of its n-fold sum (which is
+sharp), and any other element the value of its sharp kernel plus the
+shares of the atoms in its meager remainder.  :func:`smear_state` takes
+only the atoms' shares and lifts them as :func:`find_state` lifts its
+atom values.  That is the formula: a state is the lift of its atom
+values, and a lift that is a state restricting to the input is additive
+over each basic decomposition.  The result is verified to be a state
+whose restriction to the sharp part is the input, so a violation of the
+underlying theory raises instead of propagating silently.
 
 States are checked and smeared in integers over one common denominator,
 as :func:`effalg.linear.verify_point` checks a point: no ``Fraction`` is
@@ -46,7 +50,6 @@ from .core import (
     derived,
     multiples,
 )
-from .decompose import basic_decomposition
 from .eaf import _MAX_DIGITS
 from .errors import InvalidState, PreconditionFailed, SizeLimit
 from .linear import (
@@ -56,7 +59,7 @@ from .linear import (
     verify_certificate,
 )
 from .order import derive_order
-from .structure import extract_sharp, structure_profile
+from .structure import extract_sharp
 
 # Bits of verify_state's common denominator: four 4,300-digit numerals fit.
 _MAX_DENOMINATOR_BITS = 1 << 16
@@ -283,10 +286,9 @@ def find_state(E: EffectAlgebra) -> Union[State, InfeasibilityCertificate]:
 
     :func:`effalg.linear.solve_exact` decides :func:`_atom_system`, with
     one column per atom, once.  A point u is lifted to v(x) = class(x)·u
-    over one common denominator, and checked on all of E in integers, as
-    :func:`verify_state` checks: every canonical sum, the endpoints and
-    the box.  When the atom system has no point, its certificate is lifted
-    to one for ``state_system(E)`` with gap 1 by
+    and checked on all of E by :func:`_lifted_state`, as smearing lifts
+    its atom shares.  When the atom system has no point, its certificate
+    is lifted to one for ``state_system(E)`` with gap 1 by
     :func:`_lifted_certificate`, checked there by ``verify_certificate``.
     ``RuntimeError`` is raised if the lifted values are not a state, or
     the lifted certificate does not refute the state system.
@@ -294,16 +296,29 @@ def find_state(E: EffectAlgebra) -> Union[State, InfeasibilityCertificate]:
     outcome = solve_exact(_atom_system(E))
     if isinstance(outcome, InfeasibilityCertificate):
         return _lifted_certificate(E, outcome)
+    return _lifted_state(E, outcome.values, "the lifted atom values are not a state")
+
+
+def _lifted_state(E: EffectAlgebra, atom_values: Sequence[Fraction], what: str) -> State:
+    """The state v(x) = class(x)·u lifted from the atom values u, given
+    in walk order, checked on all of E.
+
+    Over one common denominator the atoms' numerators are set and added
+    along the splits x = g + r, in walk order.  The values are checked in
+    integers, as :func:`verify_state` checks: every canonical sum, the
+    endpoints and the box.  ``RuntimeError`` led by ``what`` is raised if
+    they are not a state.
+    """
     classes = _classes(E)
-    den = lcm(*(u.denominator for u in outcome.values))
+    den = lcm(*(u.denominator for u in atom_values))
     nums = [0] * E.size
-    for a, u in zip(classes.atoms, outcome.values):
+    for a, u in zip(classes.atoms, atom_values):
         nums[a] = u.numerator * (den // u.denominator)
     for x, g, r in classes.splits:
         nums[x] = nums[g] + nums[r]
     failures = _check_numerators(E, nums, den, Witnesses()).kept
     if failures:
-        raise RuntimeError("the lifted atom values are not a state: " + _first(failures))
+        raise RuntimeError(f"{what}: " + _first(failures))
     return State(E, tuple(Fraction(v, den) for v in nums))
 
 
@@ -446,21 +461,20 @@ def restrict_to_sharp(E: EffectAlgebra, s: State) -> State:
 def smear_state(E: EffectAlgebra, omega: State) -> State:
     """Extend a state on the sharp subalgebra to all of E.
 
-    Atoms get ``omega(n·a)/n`` where ``n`` is the atom's isotropic index;
-    every other nonzero element is valued through its basic decomposition
-    as sharp kernel plus weighted meager atom multiples.  Requires lattice
-    order and raises :class:`InvalidState` if ``omega`` is not a valid
-    state on the extracted sharp subalgebra, or :class:`SizeLimit`.
+    Atoms get ``omega(n·a)/n`` where ``n`` is the atom's isotropic index,
+    and every other element the lift of those shares over its class, as
+    in :func:`find_state`.  Where the result is a state restricting to
+    ``omega``, that is the paper's value: omega at the element's sharp
+    kernel plus its meager atom multiples times their shares, by
+    additivity over its basic decomposition.  Requires lattice order and
+    raises :class:`InvalidState` if ``omega`` is not a valid state on the
+    extracted sharp subalgebra, or :class:`SizeLimit`.
 
-    Every value is computed as an integer numerator over one common
-    denominator, the lcm of omega's denominators times the lcm of the
-    atoms' isotropic indices, over which each ``omega(n·a)/n`` is exact.
-    The result is then checked in integers, as :func:`verify_state`
-    checks, and restricted back to the sharp part, and either failing
-    raises ``RuntimeError``.
+    The lift is checked in integers, as :func:`verify_state` checks, and
+    restricted back to the sharp part, and either failing raises
+    ``RuntimeError``; so does an atom's last multiple that is not sharp.
     """
-    os = derive_order(E)
-    if not os.is_lattice:
+    if not derive_order(E).is_lattice:
         raise PreconditionFailed("smearing needs a lattice-ordered algebra")
     sub = extract_sharp(E)
     if omega.domain != sub.algebra:
@@ -473,42 +487,16 @@ def smear_state(E: EffectAlgebra, omega: State) -> State:
             "the input is not a state on the sharp subalgebra: "
             + _first(report.violations)
         )
-    profile = structure_profile(E)
-    den = lcm(*(v.denominator for v in omega.values)) * lcm(
-        *(profile.isotropic[a] for a in profile.atoms)
-    )
-    sharp_nums = [v.numerator * (den // v.denominator) for v in omega.values]
-
-    def sharp_value(parent_x: int) -> int:
-        i = sub.from_parent[parent_x]
-        if i is None:
-            raise RuntimeError(f"element {parent_x} expected sharp")
-        return sharp_nums[i]
-
-    # An atom's full multiple is sharp in a lattice; sharp_value checks it.
-    # Its numerator is a multiple of the atom's index, which divides den
-    # over the lcm of omega's denominators, so the share is exact.
+    # An atom's full multiple is sharp in a lattice; its share is exact
+    # as a Fraction even where omega's values are ints.
     ms = multiples(E)
-    atom_value = {
-        a: sharp_value(ms[a][-1]) // profile.isotropic[a] for a in profile.atoms
-    }
-
-    nums = [0] * E.size
-    for x in range(E.size):
-        if x == E.zero:
-            continue
-        if x in profile.sharp:
-            nums[x] = sharp_value(x)
-            continue
-        basic = basic_decomposition(E, x)
-        nums[x] = sharp_value(basic.sharp_part) + sum(
-            part.multiplicity * atom_value[part.atom] for part in basic.meager_parts
-        )
-
-    failures = _check_numerators(E, nums, den, Witnesses()).kept
-    if failures:
-        raise RuntimeError("smearing produced a non-state: " + _first(failures))
-    result = State(E, tuple(Fraction(v, den) for v in nums))
+    shares = []
+    for a in _classes(E).atoms:
+        i = sub.from_parent[ms[a][-1]]
+        if i is None:
+            raise RuntimeError(f"element {ms[a][-1]} expected sharp")
+        shares.append(Fraction(omega.values[i], len(ms[a])))
+    result = _lifted_state(E, shares, "smearing produced a non-state")
     back = restrict_to_sharp(E, result)
     if back.values != omega.values:
         raise RuntimeError("smeared state does not restrict to its input")

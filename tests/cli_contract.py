@@ -200,6 +200,13 @@ ROWS = [
     Row("states --json c255.eaf", 0, json=(lambda d: d["values"]["a"], "1/254"), within=10),
     Row("states p255.eaf", 0, within=10),
     Row("states h250.eaf", 0, within=10),
+    # smearing at the element cap lifts the one atom's share, 1/254
+    Row(
+        "smear --json c255.eaf --state trivial.state",
+        0,
+        json=(lambda d: d["values"]["a"], "1/254"),
+        within=10,
+    ),
     # example-4.4 glued to a 3-chain has no state; the certificate is
     # lifted from atom coordinates to the algebra's own sum rows
     Row("states xc3.eaf", 1),

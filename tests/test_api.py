@@ -51,9 +51,9 @@ def test_removed_wrappers_are_gone():
 
 
 # Run in a fresh interpreter, so that no import made by this session hides
-# an eager one: the effalg modules loaded after ``import effalg``, after
-# ``verify`` and after ``analyze``, then whether each public name is the
-# object its defining module holds.
+# an eager one: the effalg modules loaded after ``import effalg`` and after
+# each command given as JSON, then whether each public name is the object
+# its defining module holds.
 COLD_START = """
 import contextlib, importlib, io, json, sys
 
@@ -63,9 +63,9 @@ def loaded():
 import effalg
 steps = [loaded()]
 from effalg import cli
-for command in ("verify", "analyze"):
+for command in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([command, sys.argv[1]]) == 0
+        assert cli.main(command) == 0, command
     steps.append(loaded())
 modules = effalg._MODULE_OF
 same = [
@@ -79,9 +79,17 @@ print(json.dumps({"steps": steps, "same": all(same)}))
 
 def test_import_and_each_command_load_only_what_they_run():
     package = Path(effalg.__file__).resolve().parent
+    fixtures = package / "fixtures"
+    e44, hsum = str(fixtures / "example-4.4.eaf"), str(fixtures / "hsum-c2-c3.eaf")
+    commands = [
+        ["verify", e44],
+        ["analyze", e44],
+        ["states", hsum],
+        ["smear", hsum, "--state", str(fixtures / "trivial-01.state")],
+    ]
     env = dict(os.environ, PYTHONPATH=str(package.parent))
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(package / "fixtures" / "example-4.4.eaf")],
+        [sys.executable, "-c", COLD_START, json.dumps(commands)],
         env=env,
         capture_output=True,
         text=True,
@@ -90,7 +98,9 @@ def test_import_and_each_command_load_only_what_they_run():
     got = json.loads(proc.stdout)
     on_verify = ["effalg.cli", "effalg.core", "effalg.eaf", "effalg.errors"]
     on_analyze = sorted(on_verify + ["effalg.order", "effalg.structure"])
-    assert got["steps"] == [[], on_verify, on_analyze]
+    # states and smear lift from atom values and read no decomposition
+    on_states = sorted(on_analyze + ["effalg.linear", "effalg.states"])
+    assert got["steps"] == [[], on_verify, on_analyze, on_states, on_states]
     assert got["same"]
 
 

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effalg import (
-    BasicDecomposition,
     IndexOutOfRange,
     InfeasibilityCertificate,
     InvalidState,
@@ -22,6 +21,7 @@ from effalg import (
     State,
     boolean_algebra,
     build_effect_algebra,
+    derive_order,
     direct_product,
     extract_sharp,
     find_state,
@@ -39,7 +39,7 @@ from effalg import (
     verify_state,
 )
 from effalg import states
-from conftest import full_corpus, relabelled, zero_last
+from conftest import differential_algebras, full_corpus, relabelled, zero_last
 from oracles import (
     dense_rows,
     find_state_by_full_system,
@@ -344,18 +344,31 @@ def test_smearing_rejects_a_non_state():
         smear_state(E, State(sub.algebra, (F(1, 2), F(1))))
 
 
-def test_smearing_restricts_back_to_its_input(corpus):
-    # every corpus algebra is lattice ordered
-    for name, E in corpus:
+def test_smearing_restricts_back_to_its_input(
+    corpus, example_25, example_37, example_44
+):
+    # the corpus, the off-lattice algebras, their zero-last copies, three
+    # larger lattices, and the corpus shuffled
+    named = differential_algebras(corpus, example_25, example_37, example_44)
+    refused = []
+    for name, E in named + shuffles(corpus, 40):
         sub = extract_sharp(E)
         found = find_state(sub.algebra)
         if not isinstance(found, State):
+            continue
+        if not derive_order(E).is_lattice:
+            with pytest.raises(
+                PreconditionFailed, match="^smearing needs a lattice-ordered algebra$"
+            ):
+                smear_state(E, found)
+            refused.append(name)
             continue
         smeared = smear_state(E, found)
         assert smeared.values == oracle_smear(E, found), name
         assert verify_state(E, dict(enumerate(smeared.values))).ok, name
         back = restrict_to_sharp(E, smeared)
         assert back.values == found.values, name
+    assert refused == [name for name, _ in named if name.startswith("off-lattice")]
 
 
 HSUM = Path(__file__).resolve().parent.parent / "src/effalg/fixtures/hsum-c2-c3.eaf"
@@ -366,8 +379,10 @@ HSUM = Path(__file__).resolve().parent.parent / "src/effalg/fixtures/hsum-c2-c3.
     [
         lambda: build_effect_algebra(parse_eaf(HSUM.read_text(encoding="ascii"))),
         lambda: mv_chain(254),
+        lambda: direct_product(mv_chain(14), mv_chain(16)),
+        lambda: horizontal_sum([boolean_algebra(6)] * 4),
     ],
-    ids=["hsum-c2-c3", "mv_chain(254)"],
+    ids=["hsum-c2-c3", "mv_chain(254)", "c15xc17", "h250"],
 )
 def test_smearing_equals_the_fraction_oracle(make):
     E = make()
@@ -409,29 +424,43 @@ def glued_chains_and_trivial_state():
     return E, State(extract_sharp(E).algebra, (F(0), F(1)))
 
 
-def test_smearing_checks_that_a_kernel_is_sharp(monkeypatch):
-    # a decomposition whose sharp part is the element itself, here a
-    E, omega = glued_chains_and_trivial_state()
+def multiples_of_a_read_as(monkeypatch, E, edit):
+    """Make smearing read the multiples of E's atom a as ``edit`` of them."""
+    real = states.multiples
+    a = E.index("a")
     monkeypatch.setattr(
-        states, "basic_decomposition", lambda E, x: BasicDecomposition(x, ())
+        states,
+        "multiples",
+        lambda E: tuple(edit(m) if m[:1] == (a,) else m for m in real(E)),
     )
+
+
+def test_smearing_checks_that_a_kernel_is_sharp(monkeypatch):
+    # a's multiples cut to (a,), so its last multiple, the sharp element
+    # its share is read from, is a itself
+    E, omega = glued_chains_and_trivial_state()
+    multiples_of_a_read_as(monkeypatch, E, lambda m: m[:1])
     with pytest.raises(RuntimeError, match="^element 1 expected sharp$"):
         smear_state(E, omega)
 
 
 def test_smearing_checks_its_result_is_a_state(monkeypatch):
-    # every non-sharp element valued as the atom b, so a = b = 2b = 1/3
+    # a's multiples read (a, 1, 1), so its index reads 3 and its share 1/3
     E, omega = glued_chains_and_trivial_state()
-    real = states.basic_decomposition
-    monkeypatch.setattr(
-        states, "basic_decomposition", lambda E, x: real(E, E.index("b"))
-    )
+    multiples_of_a_read_as(monkeypatch, E, lambda m: m + m[-1:])
     with pytest.raises(RuntimeError) as err:
         smear_state(E, omega)
     assert str(err.value) == (
-        "smearing produced a non-state: a + a = 1 maps to 1/3 + 1/3 != 1; "
-        "b + b = 2b maps to 1/3 + 1/3 != 1/3; b + 2b = 1 maps to 1/3 + 1/3 != 1"
+        "smearing produced a non-state: a + a = 1 maps to 1/3 + 1/3 != 1"
     )
+
+
+def test_smearing_an_int_valued_state_equals_the_fraction_one():
+    # a State does not check its value types; each share is still exact
+    E, omega = glued_chains_and_trivial_state()
+    smeared = smear_state(E, State(omega.domain, (0, 1)))
+    assert smeared.values == smear_state(E, omega).values
+    assert {type(v) for v in smeared.values} == {F}
 
 
 def test_smearing_checks_the_restriction_back(monkeypatch):
