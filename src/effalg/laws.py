@@ -8,20 +8,24 @@ Every law reads its sums, meets and joins in one encoding: the byte rows
 that the algebra and its order keep, ``_UNDEF`` where undefined (see
 :class:`_Ctx`).
 
-L2.2.iv checks every orthogonal family, of any size.  A 255-element
-chain has 194,596,316,927 of them, so they are not listed one by one:
-one depth-first walk merges prefixes whose further checks are the same
-and counts the families and failures below them exactly (see
-:func:`_l22iv_walk`).  A precheck in C on the same byte rows comes
-first (see :func:`_l22iv_fast`).  When every pair is compatible and
-every meet distributes over every join in the tables as given, as in an
-MV-effect algebra, whose lattice is distributive, no family can fail
-the walk: the law passes, and the families are counted by a recurrence
-instead of walked.  Any other input runs the walk.  L2.2.ii checks each
-(z, x) for every y at once on the same byte rows and runs its loop only
-where that check does not clear the row (see :func:`_law_l22ii`).
-Neither fast path can pass where the loop or the walk fails, whatever
-the tables hold.
+Most laws pick their instances in C from those rows, or clear a whole
+family of instances with one exact mask test, and run their loop only
+where a failure is possible.  The loop stays each law's only failure
+path, so witnesses, their order and totals are its own, and no test in C
+passes where its loop fails, whatever the tables hold.  L2.2.i to
+L2.2.iii pick summable or disjoint pairs with ``compress`` over a
+translated row, and L2.2.ii checks each (z, x) for every y at once;
+L2.3.iii, L2.3.iv and T2.4 test masks of atom multiples against the
+order (see each law).  L2.2.iv checks every orthogonal family, of any
+size.  A 255-element chain has 194,596,316,927 of them, so they are not
+listed one by one: one depth-first walk merges prefixes whose further
+checks are the same and counts the families and failures below them
+exactly (see :func:`_l22iv_walk`).  A check in C comes first (see
+:func:`_l22iv_fast`).  When every pair is compatible and every meet
+distributes over every join in the tables as given, as in an MV-effect
+algebra, whose lattice is distributive, no family can fail the walk: the
+law passes, and the families are counted by a recurrence instead of
+walked.  Any other input runs the walk.
 
 Counterexample mode forces laws whose hypothesis includes lattice order to
 run their conclusion checks on non-lattice algebras anyway.  There, an
@@ -75,7 +79,7 @@ from .core import (
     _padded,
     multiples,
 )
-from .decompose import atomic_decomposition
+from .decompose import _table
 from .errors import InvalidState, PreconditionFailed
 from .linear import InfeasibilityCertificate
 from .order import OrderStructure, compatibility, derive_order
@@ -87,6 +91,10 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 _PRODUCT_FACTOR_CAP = 8
+
+# A translate table: 1 for a defined byte, 0 for ``_UNDEF``, so that
+# ``compress`` over a translated row picks the indices where it is defined.
+_DEFINED = b"\x01" * _UNDEF + b"\x00"
 
 
 @dataclass(frozen=True)
@@ -238,27 +246,23 @@ class _Ctx:
         zero = self.E.zero
         return Counter(s for s, full, _ in self.atom_families if full == zero)
 
-    def join_of(self, xs: Iterable[int]) -> int:
-        """The join of ``xs`` folded left to right, zero when empty.
-
-        ``_UNDEF`` when a term is ``_UNDEF`` or a partial join is missing.
-        """
-        acc = self.E.zero
-        for x in xs:
-            acc = self.join_t[acc][x]
-        return acc
+    @cached_property
+    def multiple_masks(self) -> dict[int, int]:
+        """Each atom's multiples as one mask."""
+        return {a: sum(1 << m for m in self.multiples[a]) for a in self.atoms}
 
     def names(self, *xs: int) -> str:
         return ", ".join(self.E.names[x] for x in xs)
 
 
 def _law_l22i(ctx: _Ctx) -> _Failures:
+    """x + y = (x v y) + (x ^ y) for each summable x <= y (by index), the
+    y picked from the row of x in C."""
     E = ctx.E
-    for x in range(E.size):
-        for y in range(x, E.size):
-            s = ctx.table[x][y]
-            if s == _UNDEF:
-                continue
+    n = E.size
+    for x, row in enumerate(ctx.table):
+        for y in compress(range(x, n), row[x:].translate(_DEFINED)):
+            s = row[y]
             j, m = ctx.join[x][y], ctx.meet[x][y]
             if j == _UNDEF or m == _UNDEF:
                 yield (x, y), f"{ctx.names(x, y)} are summable but lack a bound"
@@ -281,12 +285,13 @@ def _law_l22ii(ctx: _Ctx) -> _Failures:
     the second has no other ``_UNDEF``, every y summable with z has both
     sides defined and equal, so no y can fail for this (z, x), whatever
     the tables.  Every other (z, x) runs the loop below, so witnesses,
-    their order and the total stay the loop's.
+    their order and the total stay the loop's.  The summable x are
+    picked from sigma in C.
     """
     E = ctx.E
     table, join, join_t = ctx.table, ctx.join, ctx.join_t
     for z, (sigma, through) in enumerate(zip(table, ctx.table_t)):
-        summable = [x for x, s in enumerate(sigma) if s != _UNDEF]
+        summable = list(compress(range(E.size), sigma.translate(_DEFINED)))
         holes = sigma.count(_UNDEF)
         for i, x in enumerate(summable):
             lhs = join[x].translate(through)
@@ -313,15 +318,16 @@ def _law_l22iii(ctx: _Ctx) -> _Failures:
     Each defined sum is visited once, k then l ascending.  Definedness is
     down-closed in k and l: a smaller multiple lies below a larger one,
     and an element below a summand is still summable.  So the first
-    undefined ly ends the row of kx.
+    undefined ly ends the row of kx.  The y disjoint from x are picked
+    from the meet row of x in C.
     """
     E = ctx.E
     table, meet, join = ctx.table, ctx.meet, ctx.join
+    disjoint = bytearray(256)  # translates zero to 1, every other byte to 0
+    disjoint[E.zero] = 1
     for x in range(E.size):
         mx = ctx.multiples[x]  # empty for zero, which adds no instance
-        for y in range(x, E.size):
-            if meet[x][y] != E.zero:
-                continue
+        for y in compress(range(x, E.size), meet[x][x:].translate(disjoint)):
             my = ctx.multiples[y]
             for kx in mx:
                 row = table[kx]
@@ -540,8 +546,8 @@ def _l22iv_fast(ctx: _Ctx) -> Optional[int]:
         left = flat.translate(through)
         if _UNDEF in left:
             return None
-        by_meet = {p: meets.translate(ctx.join_t[p]) for p in set(meets)}
-        if left != b"".join(map(by_meet.__getitem__, meets)):
+        right = b"".join(map(meets.translate, map(ctx.join_t.__getitem__, meets)))
+        if left != right:
             return None
     runs = [0] * n
     for y in reversed(range(n)):
@@ -600,31 +606,36 @@ def _law_l23ii(ctx: _Ctx) -> _Failures:
 
 
 def _law_l23iii(ctx: _Ctx) -> _Failures:
+    """One mask per (a, k·a) holds the x between them that are no
+    multiple of a, so the walk visits only those, each a failure."""
     E = ctx.E
+    up, down = ctx.os.up, ctx.os.down
     for a in ctx.atoms:
-        ms = ctx.multiples[a]
-        allowed = set(ms)
-        for k, ka in enumerate(ms, start=1):
-            between = ctx.os.up[a] & ctx.os.down[ka]
-            while between:
-                x = (between & -between).bit_length() - 1
-                between &= between - 1
-                if x not in allowed:
-                    yield (
-                        (a, x, ka),
-                        f"{E.names[x]} sits between atom {E.names[a]} and "
-                        f"{E.names[ka]} but is no multiple of it",
-                    )
+        others = up[a] & ~ctx.multiple_masks[a]
+        for ka in ctx.multiples[a]:
+            stray = others & down[ka]
+            while stray:
+                x = (stray & -stray).bit_length() - 1
+                stray &= stray - 1
+                yield (
+                    (a, x, ka),
+                    f"{E.names[x]} sits between atom {E.names[a]} and "
+                    f"{E.names[ka]} but is no multiple of it",
+                )
 
 
 def _law_l23iv(ctx: _Ctx) -> _Failures:
+    """A pair (a, b) whose proper multiples of a miss every multiple of b,
+    one mask test, cannot fail; the loop runs for the other pairs."""
     E = ctx.E
+    masks = ctx.multiple_masks
     for a in ctx.atoms:
         ms_a = ctx.multiples[a]
         ord_a = len(ms_a)
+        proper = masks[a] & ~(1 << ms_a[-1])
         for b in ctx.atoms:
-            if a == b:
-                continue  # one atom's multiples are distinct
+            if a == b or not proper & masks[b]:
+                continue  # for a == b: one atom's multiples are distinct
             ms_b = ctx.multiples[b]
             for k in range(1, ord_a):  # hypothesis asks k != ord(a)
                 for l in range(1, len(ms_b) + 1):
@@ -639,28 +650,29 @@ def _law_l23iv(ctx: _Ctx) -> _Failures:
 def _law_l23v(ctx: _Ctx) -> _Failures:
     """The greedy parts of each nonzero x join to x, all full iff x is sharp.
 
-    The parts are those of :func:`atomic_decomposition`, which takes atoms
-    in ascending index order.  Off lattice order an element may have
-    several decompositions, so the counterexample-mode count follows the
-    atom order as the greedy decomposition does: example-2.5, where
-    a + a = b + b, fails 4 instances in its bundled order and 1 with a
-    and b swapped.
+    The parts are those of :func:`~effalg.decompose.atomic_decomposition`,
+    which takes atoms in ascending index order, read from its table in
+    one pass; each element's join is folded left to right through the
+    padded joins.  Off lattice order an element may have several
+    decompositions, so the counterexample-mode count follows the atom
+    order as the greedy decomposition does: example-2.5, where a + a =
+    b + b, fails 4 instances in its bundled order and 1 with a and b
+    swapped.
     """
     E = ctx.E
-    sharp = ctx.profile.sharp
-    for x in range(E.size):
+    sharp, iso = ctx.profile.sharp, ctx.profile.isotropic
+    for x, parts in enumerate(_table(E).parts):
         if x == E.zero:
             continue
-        d = atomic_decomposition(E, x)
-        j = ctx.join_of(ctx.multiples[p.atom][p.multiplicity - 1] for p in d.parts)
+        j, all_full = E.zero, True
+        for p in parts:
+            j = ctx.join_t[j][ctx.multiples[p.atom][p.multiplicity - 1]]
+            all_full = all_full and p.multiplicity == iso[p.atom]
         if j != x:
             yield (
                 (x,),
                 f"join of the greedy parts of {E.names[x]} is not {E.names[x]}",
             )
-        all_full = all(
-            p.multiplicity == ctx.profile.isotropic[p.atom] for p in d.parts
-        )
         if (x in sharp) != all_full:
             if x in sharp:
                 reason = (
@@ -674,7 +686,14 @@ def _law_l23v(ctx: _Ctx) -> _Failures:
 
 
 def _law_t24(ctx: _Ctx) -> _Failures:
+    """Every multiple of atom a lies above a, so a pair (a, b) can fail
+    only where ``up[a]`` meets b's multiples.  It cannot where it meets
+    none, or only b's full multiple and the full-index conditions hold:
+    both bounds of a and b defined, a and b not compatible, and the full
+    multiples nested.  Neither test depends on k; the loop runs for the
+    other pairs."""
     E = ctx.E
+    up = ctx.os.up
     for a in ctx.atoms:
         ms_a = ctx.multiples[a]
         for b in ctx.atoms:
@@ -682,6 +701,14 @@ def _law_t24(ctx: _Ctx) -> _Failures:
                 continue  # the conclusion holds on the spot
             ms_b = ctx.multiples[b]
             ord_b = len(ms_b)
+            above = up[a] & ctx.multiple_masks[b]
+            if not above or (
+                above == 1 << ms_b[-1]
+                and _UNDEF not in (ctx.meet[a][b], ctx.join[a][b])
+                and up[ms_a[-1]] >> ms_b[-1] & 1
+                and not ctx.compat[a] >> b & 1
+            ):
+                continue
             for k in range(1, len(ms_a) + 1):
                 for l in range(1, ord_b + 1):
                     if not ctx.os.leq(ms_a[k - 1], ms_b[l - 1]):

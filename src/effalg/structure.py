@@ -7,8 +7,9 @@ is zero.  The isotropic index of a nonzero element is the largest number of
 times it can be summed with itself; it is read from the per-instance table
 :func:`~effalg.core.multiples`.  The sharp elements carry an induced
 algebra of their own, extracted here with an index map back to the parent.
-The profile, which also tables every element's sharp cover and kernel, and
-the sharp subalgebra are computed once per algebra instance, kept in the
+The profile, which also tables every element's sharp cover and kernel,
+each one dict lookup of the sharp part of its up- or down-set, and the
+sharp subalgebra are computed once per algebra instance, kept in the
 instance's memo and released with it.
 """
 
@@ -29,21 +30,6 @@ from .core import (
     multiples,
 )
 from .order import derive_order
-
-
-def _extreme(mask: int, rel: tuple[int, ...]) -> Optional[int]:
-    """The x in ``mask`` with the whole mask inside ``rel[x]``, or None.
-
-    With ``rel = down`` that is the greatest element of the mask, with
-    ``rel = up`` the least.
-    """
-    m = mask
-    while m:
-        x = (m & -m).bit_length() - 1
-        m &= m - 1
-        if mask & ~rel[x] == 0:
-            return x
-    return None
 
 
 @dataclass(frozen=True)
@@ -91,8 +77,13 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     meager = frozenset(x for x in range(n) if os.down[x] & smask == zero_bit)
     iso = tuple(len(ms) for ms in multiples(E))
 
-    cover = tuple(_extreme(os.up[x] & smask, os.up) for x in range(n))
-    kernel = tuple(_extreme(os.down[x] & smask, os.down) for x in range(n))
+    # The least sharp element above x is the sharp g whose sharp up-set
+    # is x's, and the greatest below x dually; on an antisymmetric order
+    # no two sharp elements share one, so each is one lookup.
+    least = {os.up[g] & smask: g for g in sharp}
+    greatest = {os.down[g] & smask: g for g in sharp}
+    cover = tuple([least.get(u & smask) for u in os.up])
+    kernel = tuple([greatest.get(d & smask) for d in os.down])
     dominating = None not in cover
     # In a lattice every meet exists, so only other orders are scanned;
     # meets are symmetric, so row p holds p's meet with every element.

@@ -12,6 +12,10 @@ when any row fails:
 
     python tests/cli_contract.py effalg
 
+Some rows read the fixtures that the ``effalg`` package ships, so the
+script needs it importable too; where it is not, the script says so once
+and exits 1 before it runs a row.
+
 A new check of the command is a new row.
 """
 
@@ -26,6 +30,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from importlib.resources import files
+from importlib.util import find_spec
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Optional
@@ -380,9 +385,17 @@ def process(command: list[str], env: Optional[dict] = None) -> Callable:
     return run
 
 
+NOT_IMPORTABLE = (
+    "error: effalg is not importable by this script, which reads the fixtures "
+    "it ships; install it or put its src directory on PYTHONPATH"
+)
+
+
 def main(command: list[str]) -> int:
     if not command:
         sys.exit("usage: python tests/cli_contract.py COMMAND...")
+    if find_spec("effalg") is None:
+        sys.exit(NOT_IMPORTABLE)
     failed = 0
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)

@@ -152,6 +152,21 @@ def off_lattice(example_25, example_37, example_44):
     ]
 
 
+def interval_4_5_6():
+    """The interval algebra of the numerical semigroup <4, 5, 6> with unit
+    15: the integers 0, 4, 5, 6, 9, 10, 11 and 15, each named by its value,
+    with x + y defined when the integer sum is one of them.  It is not a
+    lattice, and 5 has no sharp cover and 10 no sharp kernel."""
+    values = [0, 4, 5, 6, 9, 10, 11, 15]
+    sums = {
+        (i, j): values.index(x + y)
+        for i, x in enumerate(values)
+        for j, y in enumerate(values)
+        if x + y in values
+    }
+    return make_algebra([str(v) for v in values], 0, len(values) - 1, sums)
+
+
 def differential_algebras(corpus, example_25, example_37, example_44):
     """(name, algebra) for the corpus, the off-lattice algebras, each of
     them relabelled with zero last, and three larger lattices."""

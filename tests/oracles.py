@@ -34,6 +34,10 @@ lies above an atom, which the package's profile takes from finiteness.
 :func:`oracle_atom_families` lists every orthogonal atom-multiple family
 with the sums of its parts and of its two blocks, added one atom at a
 time, and :func:`oracle_family_laws` checks T2.6, T3.4 and T4.1 from it.
+:func:`oracle_l22i`, :func:`oracle_l23iii`, :func:`oracle_l23iv`,
+:func:`oracle_l23v` and :func:`oracle_t24` check the laws whose
+instances the package selects or clears by masks, each from the law's
+statement, instance by instance, in the order the suite reports.
 """
 
 from collections import Counter
@@ -768,6 +772,179 @@ def oracle_l22iv(E, meet=None, compat=None):
         reason += f" (+{len(failures) - 1} more instances)"
     kept = tuple(w for w, _ in failures[:6])
     return "fail", len(failures), kept, reason, checked
+
+
+def oracle_l22i(E, meet=None, join=None):
+    """L2.2.i over every pair x <= y (by index) with x + y defined: both
+    bounds must exist and the sum must be the join plus the meet.  ``meet``
+    and ``join`` replace the bound tables.  Returns every (witness, reason)
+    failure in order."""
+    true_meet, true_join = oracle_bounds(E)
+    meet = true_meet if meet is None else meet
+    join = true_join if join is None else join
+    failures = []
+    for x in range(E.size):
+        for y in range(x, E.size):
+            s = E.table[x][y]
+            if s is None:
+                continue
+            pair = f"{E.names[x]}, {E.names[y]}"
+            j, m = join[x][y], meet[x][y]
+            if j is None or m is None:
+                failures.append(((x, y), f"{pair} are summable but lack a bound"))
+            elif E.table[j][m] != s:
+                failures.append(((x, y), f"sum of {pair} differs from join-plus-meet"))
+    return failures
+
+
+def _atom_multiples(E):
+    """Each atom in ascending index, with its multiples a, 2a, ..., ord(a)·a."""
+    return {
+        a: [oracle_multiple(E, a, k) for k in range(1, oracle_ord(E, a) + 1)]
+        for a in sorted(oracle_atoms(E))
+    }
+
+
+def oracle_l23iii(E):
+    """L2.3.iii over every atom a, multiple ka and element x, in that
+    order: an x with a <= x <= ka must be a multiple of a.  Returns every
+    (witness, reason) failure in order."""
+    below = oracle_leq(E)
+    names = E.names
+    failures = []
+    for a, ms in _atom_multiples(E).items():
+        for ka in ms:
+            for x in range(E.size):
+                if a in below[x] and x in below[ka] and x not in ms:
+                    failures.append(
+                        (
+                            (a, x, ka),
+                            f"{names[x]} sits between atom {names[a]} and "
+                            f"{names[ka]} but is no multiple of it",
+                        )
+                    )
+    return failures
+
+
+def oracle_l23iv(E):
+    """L2.3.iv over every pair of distinct atoms a, b, each k < ord(a) and
+    each l <= ord(b): ka and lb must differ.  Returns every (witness,
+    reason) failure in order."""
+    names = E.names
+    multiples = _atom_multiples(E)
+    failures = []
+    for a, ms_a in multiples.items():
+        for b, ms_b in multiples.items():
+            if a == b:
+                continue
+            for k, ka in enumerate(ms_a[:-1], start=1):
+                for l, lb in enumerate(ms_b, start=1):
+                    if ka == lb:
+                        failures.append(
+                            (
+                                (a, b, ka),
+                                f"{k} copies of {names[a]} equal {l} copies "
+                                f"of {names[b]}",
+                            )
+                        )
+    return failures
+
+
+def oracle_l23v(E, join=None, sharp=None):
+    """L2.3.v over every nonzero x: its greedy parts, taken one at a time
+    as the least-indexed atom below the rest of x with the largest
+    multiple below it, joined left to right from zero, must give x, and
+    they must all be full multiples exactly when x is sharp.  ``join``
+    replaces the join table and ``sharp`` the sharp set.  Returns every
+    (witness, reason) failure in order."""
+    below = oracle_leq(E)
+    join = oracle_bounds(E)[1] if join is None else join
+    sharp = oracle_sharp(E) if sharp is None else sharp
+    names = E.names
+    multiples = _atom_multiples(E)
+    failures = []
+    for x in range(E.size):
+        if x == E.zero:
+            continue
+        parts, rest = [], x
+        while rest != E.zero:
+            a = min(a for a in multiples if a in below[rest])
+            ka = [m for m in multiples[a] if m in below[rest]][-1]
+            parts.append((a, ka))
+            (rest,) = [c for c in range(E.size) if E.table[ka][c] == rest]
+        j = E.zero
+        for _, ka in parts:
+            j = None if j is None else join[j][ka]
+        if j != x:
+            failures.append(
+                ((x,), f"join of the greedy parts of {names[x]} is not {names[x]}")
+            )
+        all_full = all(ka == multiples[a][-1] for a, ka in parts)
+        if x in sharp and not all_full:
+            failures.append(
+                ((x,), f"sharp {names[x]} decomposes with a proper multiple")
+            )
+        elif x not in sharp and all_full:
+            failures.append(
+                ((x,), f"non-sharp {names[x]} decomposes into full multiples only")
+            )
+    return failures
+
+
+def oracle_t24(E, meet=None, join=None, compat=None):
+    """T2.4 over every pair of distinct atoms a, b and every k and l, in
+    that order: ka <= lb fails unless l = ord(b), the bounds of a and b
+    exist, a and b are not compatible (:func:`oracle_compatible`) and
+    ord(a)·a <= ord(b)·b.  ``meet`` and ``join`` replace the bound tables
+    and ``compat`` (bitmasks, as the package keeps them) the
+    compatibility.  Returns every (witness, reason) failure in order."""
+    below = oracle_leq(E)
+    true_meet, true_join = oracle_bounds(E)
+    meet = true_meet if meet is None else meet
+    join = true_join if join is None else join
+    names = E.names
+
+    def compatible(a, b):
+        if compat is None:
+            return bool(oracle_compatible(E, a, b))
+        return bool(compat[a] >> b & 1)
+
+    multiples = _atom_multiples(E)
+    failures = []
+    for a, ms_a in multiples.items():
+        for b, ms_b in multiples.items():
+            if a == b:
+                continue
+            for k, ka in enumerate(ms_a, start=1):
+                for l, lb in enumerate(ms_b, start=1):
+                    if ka not in below[lb]:
+                        continue
+                    if l < len(ms_b):
+                        failures.append(
+                            (
+                                (a, b, ka, lb),
+                                f"{k} copies of {names[a]} fit below {l} copies "
+                                f"of distinct atom {names[b]} short of its index",
+                            )
+                        )
+                    elif meet[a][b] is None or join[a][b] is None:
+                        failures.append(
+                            (
+                                (a, b),
+                                f"compatibility of atoms {names[a]}, {names[b]} "
+                                "is not evaluable (missing bounds)",
+                            )
+                        )
+                    elif compatible(a, b) or ms_a[-1] not in below[ms_b[-1]]:
+                        failures.append(
+                            (
+                                (a, b),
+                                f"distinct atoms {names[a]}, {names[b]} with "
+                                "nested multiples violate the full-index "
+                                "alternative",
+                            )
+                        )
+    return failures
 
 
 def gaussian_solve(rows, rhs):

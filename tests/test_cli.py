@@ -13,6 +13,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -44,7 +45,7 @@ from conftest import (
     spy_on_eii,
     zero_last,
 )
-from cli_contract import ROWS, Contract, golden, process
+from cli_contract import NOT_IMPORTABLE, ROWS, Contract, golden, process
 from oracles import nonlattice_witness_by_generator
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "effalg" / "fixtures"
@@ -748,3 +749,18 @@ def test_contract_rows_through_a_process(tmp_path, monkeypatch):
     assert [row.code for row in picked] == [0, 1, 2]
     for row in picked:
         assert contract.check(row) == [], row.argv
+
+
+def test_the_contract_script_refuses_once_where_effalg_is_not_importable():
+    # -I ignores PYTHONPATH and the user's site directory, and -S every
+    # site directory, so the script cannot import effalg: it says so once
+    # and runs no row, whatever the command would do
+    script = Path(__file__).resolve().parent / "cli_contract.py"
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", str(script), sys.executable, "-m", "effalg.cli"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == NOT_IMPORTABLE + "\n"

@@ -30,16 +30,24 @@ from effalg.laws import (
     _law_l22ii,
     _law_l22iii,
     _law_l22iv,
+    _law_l23v,
 )
 
-from conftest import differential_algebras, off_lattice, zero_last
+from effalg.order import OrderStructure
+
+from conftest import differential_algebras, interval_4_5_6, off_lattice, zero_last
 from oracles import (
     oracle_atom_families,
     oracle_bounds,
     oracle_family_laws,
+    oracle_l22i,
     oracle_l22ii,
     oracle_l22iii,
     oracle_l22iv,
+    oracle_l23iii,
+    oracle_l23iv,
+    oracle_l23v,
+    oracle_t24,
 )
 
 # Frozen status maps for counterexample mode on the bundled non-lattice
@@ -247,15 +255,18 @@ def test_t42_vacuous_when_the_sharp_part_has_no_states():
     assert report.results[0].status == "pass"
 
 
-def test_join_of_is_undefined_when_any_term_is_undefined():
-    E = mv_chain(3)
-    ctx = _Ctx(E)
-    a, two, one = E.index("a"), E.index("2a"), E.one
-    assert ctx.join_of([_UNDEF, one]) == _UNDEF
-    assert ctx.join_of([one, _UNDEF]) == _UNDEF
-    assert ctx.join_of([a, _UNDEF, two]) == _UNDEF
-    assert ctx.join_of([]) == E.zero
-    assert ctx.join_of([two, a]) == two
+def test_l23v_folds_the_joins_of_the_greedy_parts_left_to_right():
+    # The greedy parts of 1 are s0, s1 and s2.  With s01 v s2 read as
+    # missing, the left fold (s0 v s1) v s2 is missing too, while a fold
+    # from the right, s0 v (s1 v s2), would still reach 1.
+    E = boolean_algebra(3)
+    ctx, _, _ = tampered(E, join_entries=[((3, 4), None)])
+    assert list(_law_l23v(ctx)) == oracle_l23v(E, join=_tuples(ctx.join))
+    assert named(E, law_result(ctx, "L2.3.v")) == (
+        "fail",
+        "1",
+        "join of the greedy parts of 1 is not 1",
+    )
 
 
 def l22iv_outcome(ctx, result=None):
@@ -809,3 +820,207 @@ def test_a_law_missing_from_the_report_raises_key_error():
     with pytest.raises(KeyError):
         report.result("T4.2")
 
+
+
+# The laws whose instances a mask test or a selection in C clears, each
+# with its definitional oracle: a brute force over tuple tables, in the
+# loop's witness order.
+PRECHECKED_ORACLES = {
+    "L2.2.i": oracle_l22i,
+    "L2.3.iii": oracle_l23iii,
+    "L2.3.iv": oracle_l23iv,
+    "L2.3.v": oracle_l23v,
+    "T2.4": oracle_t24,
+}
+
+
+@pytest.mark.parametrize("law", list(PRECHECKED_ORACLES))
+def test_prechecked_laws_match_their_oracles(
+    law, corpus, example_25, example_37, example_44
+):
+    algebras = differential_algebras(corpus, example_25, example_37, example_44)
+    algebras.append(("interval-4-5-6", interval_4_5_6()))
+    for name, E in algebras:
+        expected = PRECHECKED_ORACLES[law](E)
+        assert list(_LAWS[law](_Ctx(E))) == expected, name
+        for mode in (False, True):
+            result = run_law_suite(E, [law], counterexample_mode=mode).results[0]
+            if mode or derive_order(E).is_lattice:
+                assert result == _collect(law, iter(expected)), (name, mode)
+            else:
+                assert result.status == "skipped", name
+
+
+@pytest.mark.parametrize(
+    "law, make, meet_entries, join_entries, compat_set, profile, total",
+    [
+        # a v a read as 2a, and a ^ 2a as missing
+        ("L2.2.i", lambda: mv_chain(3), [((1, 2), None)], [((1, 1), 2)], [], {}, 2),
+        # s0 v s1 read as s0: the folds of s01 and of 1 miss them, and s1
+        # read as not sharp though its one part is full
+        (
+            "L2.3.v",
+            lambda: boolean_algebra(3),
+            [],
+            [((1, 2), 1)],
+            [],
+            {"sharp": frozenset({0, 1, 3, 4, 5, 6, 7})},
+            3,
+        ),
+        # 2a read as sharp, though its part is proper
+        ("L2.3.v", lambda: mv_chain(3), [], [], [], {"sharp": frozenset({0, 2, 3})}, 1),
+        # a ^ b read as missing one way: the loop runs for (a, b), and
+        # both multiples of a lie below 3b, the unit, with the bounds missing
+        (
+            "T2.4",
+            lambda: horizontal_sum([mv_chain(2), mv_chain(3)]),
+            [((1, 2), None)],
+            [],
+            [],
+            {},
+            2,
+        ),
+        # a v b read as missing one way, and b read as compatible with a:
+        # the loop runs for (a, b) and for (b, a), whose three multiples
+        # of b lie below 2a, the unit
+        (
+            "T2.4",
+            lambda: horizontal_sum([mv_chain(2), mv_chain(3)]),
+            [],
+            [((1, 2), None)],
+            [(2, 1)],
+            {},
+            5,
+        ),
+    ],
+    ids=["L2.2.i-chain-4", "L2.3.v-boolean-8", "L2.3.v-chain-4", "T2.4-meet", "T2.4-compat"],
+)
+def test_prechecked_laws_match_their_oracles_on_tampered_contexts(
+    law, make, meet_entries, join_entries, compat_set, profile, total
+):
+    E = make()
+    ctx, meet, compat = tampered(E, meet_entries, (), join_entries, **profile)
+    for x, y in compat_set:
+        compat[x] |= 1 << y
+    ctx.compat = tuple(compat)
+    oracle = {
+        "L2.2.i": lambda: oracle_l22i(E, meet=meet, join=_tuples(ctx.join)),
+        "L2.3.v": lambda: oracle_l23v(
+            E, join=_tuples(ctx.join), sharp=ctx.profile.sharp
+        ),
+        "T2.4": lambda: oracle_t24(
+            E, meet=meet, join=_tuples(ctx.join), compat=compat
+        ),
+    }[law]
+    expected = oracle()
+    assert list(_LAWS[law](ctx)) == expected
+    assert len(expected) == total
+    assert law_result(ctx, law) == _collect(law, iter(expected))
+
+
+def test_t24_clears_the_atom_pairs_of_a_horizontal_sum_by_masks(monkeypatch):
+    # Every atom lies below every other atom's full multiple, the unit,
+    # and no two atoms of different blocks are compatible: the full-index
+    # conditions clear each pair, and no pair is read from the order one
+    # multiple at a time.
+    def refuse(*args):
+        raise AssertionError("T2.4 walked the multiples of a pair")
+
+    E = horizontal_sum([mv_chain(2), mv_chain(3), mv_chain(4)])
+    ctx = _Ctx(E)
+    monkeypatch.setattr(OrderStructure, "leq", refuse)
+    assert law_result(ctx, "T2.4") == LawResult("T2.4", "pass")
+
+
+def test_l23iv_clears_the_atom_pairs_of_a_horizontal_sum_by_masks():
+    # The multiples of two atoms meet only in the unit, the full multiple
+    # of each: every pair is cleared by one mask test, and each atom's
+    # multiples are read once, as the first atom of its pairs.
+    class Spy(tuple):
+        def __getitem__(self, x):
+            read.append(x)
+            return tuple.__getitem__(self, x)
+
+    E = horizontal_sum([mv_chain(2), mv_chain(3), mv_chain(4)])
+    ctx = _Ctx(E)
+    assert len(ctx.multiple_masks) == 3
+    read = []
+    ctx.multiples = Spy(ctx.multiples)
+    assert law_result(ctx, "L2.3.iv") == LawResult("L2.3.iv", "pass")
+    assert read == ctx.atoms
+
+
+# The full counterexample-mode report on the interval algebra of <4, 5, 6>
+# with unit 15, each witness written as in the text report.
+INTERVAL_REPORT = {
+    "L2.2.i": (
+        "fail",
+        "4,5;5,6",
+        "4, 5 are summable but lack a bound (+1 more instances)",
+    ),
+    "L2.2.ii": (
+        "fail",
+        "4,5,0;5,6,0;5,6,4;4,5,5;5,6,5;4,5,6",
+        "4, 5 have no join (+5 more instances)",
+    ),
+    "L2.2.iii": (
+        "fail",
+        "4,5,4,5;5,6,5,6",
+        "multiples 4, 5 of disjoint 4, 5 are not disjoint-joined (+1 more instances)",
+    ),
+    "L2.2.iv": (
+        "fail",
+        "9,4,6;11,4,6;9,4,11;11,6,9",
+        "meet of 9 with the join of 4, 6 breaks distribution (+3 more instances)",
+    ),
+    "L2.3.i": ("pass", "", ""),
+    "L2.3.ii": ("pass", "", ""),
+    "L2.3.iii": (
+        "fail",
+        "5,9,15;5,11,15",
+        "9 sits between atom 5 and 15 but is no multiple of it (+1 more instances)",
+    ),
+    "L2.3.iv": ("pass", "", ""),
+    "L2.3.v": (
+        "fail",
+        "9;9;10;11;11;15",
+        "join of the greedy parts of 9 is not 9 (+6 more instances)",
+    ),
+    "T2.4": (
+        "fail",
+        "4,5,4,10;4,5;6,5,6,10;6,5",
+        "1 copies of 4 fit below 2 copies of distinct atom 5 short of its index "
+        "(+3 more instances)",
+    ),
+    "T2.6": ("fail", "10", "10 has an all-proper sum and another decomposition beside it"),
+    "T3.4": (
+        "fail",
+        "9;11",
+        "9 admits 2 sharp-plus-proper forms instead of exactly one (+1 more instances)",
+    ),
+    "T3.5": ("fail", "5,15", "sharp cover of atom 5 is not its full multiple 15"),
+    "T4.1": (
+        "fail",
+        "9,4;15,10;10,10;11,6;10,0",
+        "full block of 9 misses its greatest sharp lower bound (+4 more instances)",
+    ),
+    "T4.2": ("fail", "0", "smearing failed: smearing needs a lattice-ordered algebra"),
+    "SE-subalgebra": ("fail", "4,6,10", "sum of sharp 4, 6 lands outside the sharp set"),
+    "SE-full-sublattice": (
+        "fail",
+        "4,6;9,11",
+        "a bound of sharp pair 4, 6 is not sharp (+1 more instances)",
+    ),
+    "product-closure": (
+        "skipped",
+        "",
+        "hypothesis needs a lattice, atomic, sharply dominating algebra",
+    ),
+}
+
+
+def test_the_interval_algebra_report_is_frozen():
+    E = interval_4_5_6()
+    report = run_law_suite(E, counterexample_mode=True)
+    assert {r.law: named(E, r) for r in report.results} == INTERVAL_REPORT
+    assert sum(r.status == "fail" for r in report.results) == 14

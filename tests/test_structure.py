@@ -12,8 +12,7 @@ from effalg import (
     structure_profile,
 )
 from effalg.core import _UNDEF
-from effalg.structure import _extreme
-from conftest import differential_algebras
+from conftest import differential_algebras, interval_4_5_6
 from oracles import (
     oracle_atomic,
     oracle_atoms,
@@ -114,12 +113,22 @@ def test_sharp_bounds_in_a_boolean_are_the_element():
         assert prof.sharp_cover[x] == x and prof.sharp_kernel[x] == x
 
 
-def test_a_mask_with_two_maximal_elements_has_no_greatest():
-    E = boolean_algebra(2)
-    down = derive_order(E).down
-    a, b = E.index("s0"), E.index("s1")
-    assert _extreme(1 << a | 1 << b, down) is None
-    assert _extreme(1 << E.zero | 1 << a, down) == a
+def test_an_interval_algebra_has_no_sharp_cover_of_5_and_no_sharp_kernel_of_10():
+    # The sharp elements above 5 are 9, 11 and 15, and 9 and 11 are not
+    # comparable; those below 10 are 0, 4 and 6, and 4 and 6 are not
+    # comparable.  So one set of sharp bounds has two minimal elements
+    # and the other two maximal ones, and neither has a least or greatest.
+    E = interval_4_5_6()
+    prof = structure_profile(E)
+    assert not derive_order(E).is_lattice
+    assert {E.names[x] for x in prof.sharp} == {"0", "4", "6", "9", "11", "15"}
+    assert not prof.sharply_dominating
+    assert not prof.s_dominating
+    assert prof.sharp_cover[E.index("5")] is None
+    assert prof.sharp_kernel[E.index("10")] is None
+    for x in range(E.size):
+        got = (prof.sharp_cover[x], prof.sharp_kernel[x])
+        assert got == oracle_sharp_bounds(E, x), E.names[x]
 
 
 def test_domination_flags(corpus, example_25, example_44):
