@@ -36,13 +36,14 @@ values, so every downstream module may rely on the axioms without
 re-checking them.
 
 Data derived from a table is built once per algebra instance through
-:func:`derived` and kept on the instance.  This module keeps three such
-tables: differences as byte rows (behind :meth:`EffectAlgebra.diff`),
-each the inverse of a sum row, built by one translate table in C,
-every element's multiples (:func:`multiples`, read by :func:`multiple`),
-and the columns of the canonical sums (behind
-:meth:`EffectAlgebra.canonical_sums`).  :func:`_tuples` is the one
-decoder from byte rows to tuples, and only the tuple views call it.
+:func:`derived` and kept on the instance.  This module keeps five such
+tables: the axiom check's walk (:func:`_walk`), differences as byte rows
+(behind :meth:`EffectAlgebra.diff`), each the inverse of a sum row,
+built by one translate table in C, every element's multiples
+(:func:`multiples`, read by :func:`multiple`) and each atom's as one
+mask (:func:`_multiple_masks`), and the columns of the canonical sums
+(behind :meth:`EffectAlgebra.canonical_sums`).  :func:`_tuples` is the
+one decoder from byte rows to tuples, and only the tuple views call it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from typing import (
     Iterable,
     Iterator,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     TypeVar,
@@ -192,7 +194,7 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     ``zero`` or ``one`` is not an element index, or a key is not a pair.
     """
     rows, found = _declared_rows(table.size, table.zero, table.one, table.sums)
-    return _check_rows(rows, table.zero, table.one, found)
+    return _check_rows(rows, table.zero, table.one, found)[0]
 
 
 def _declared_rows(
@@ -285,9 +287,10 @@ def _missing_key(missing: KeyError, what: str, n: int) -> EffectAlgebraError:
 
 def _check_rows(
     rows: list[bytes], zero: int, one: int, found: Witnesses
-) -> AxiomReport:
+) -> tuple[AxiomReport, _Walk]:
     """:func:`verify_axioms`' report on byte rows ``rows[r][z] = r + z``,
-    ``_UNDEF`` where undefined, with ``found`` already holding any clashes.
+    ``_UNDEF`` where undefined, with ``found`` already holding any clashes,
+    and the walk that counted Eii.
 
     Rows that :func:`_close_sums` made are symmetric with the identity as
     zero row.  Rows that a construction built are tested for both in C,
@@ -307,7 +310,7 @@ def _check_rows(
         for a, b in enumerate(rows[zero]):
             if a != b:
                 found.add(AXIOM_CLOSURE, (zero, a), f"zero + element {a} is not {a}")
-    _eii(rows, zero, flat, found)
+    walk = _eii(rows, zero, flat, found)
 
     # Eiii: exactly one orthosupplement per element, counted in C.
     mates = [row.count(one) for row in rows]
@@ -321,7 +324,7 @@ def _check_rows(
         defined = (a for a, s in enumerate(top) if s != _UNDEF and a != zero)
         detail = "one + element {0} is defined although {0} is not zero"
         found.counted(AXIOM_ZERO_ONE, summands, (((a,), detail.format(a)) for a in defined))
-    return AxiomReport(tuple(found.kept), found.totals)
+    return AxiomReport(tuple(found.kept), found.totals), walk
 
 
 def _misfit(row: bytes, a: int, one: int) -> tuple[tuple[int, ...], str]:
@@ -333,9 +336,22 @@ def _misfit(row: bytes, a: int, one: int) -> tuple[tuple[int, ...], str]:
     return witnesses, f"element {a} has multiple orthosupplements"
 
 
-def _eii(rows: list[bytes], zero: int, flat: bytes, found: Witnesses) -> list[int]:
+class _Walk(NamedTuple):
+    """The walk of :func:`_eii`, each field in walk order.  ``order`` is
+    every element by ascending count of undefined sums: on an effect
+    algebra a linear extension of the order, zero first, as x < y leaves
+    x strictly more sums.  ``atoms`` are the elements compared, on an
+    effect algebra its atoms.  ``splits`` holds ``(x, g, r)``, x = g + r
+    with g an atom and r earlier, for each element skipped."""
+
+    order: tuple[int, ...]
+    atoms: tuple[int, ...]
+    splits: tuple[tuple[int, int, int], ...]
+
+
+def _eii(rows: list[bytes], zero: int, flat: bytes, found: Witnesses) -> _Walk:
     """Count Eii failures into ``found`` from byte rows ``rows``, joined
-    in ``flat``, and return the elements whose triples were compared.
+    in ``flat``, and return the walk that counted them.
 
     ``flat[y·n + z]`` is y + z; translating it through x's row, padded to
     256 bytes with ``_UNDEF``, gives x + (y + z) at the same position,
@@ -353,10 +369,11 @@ def _eii(rows: list[bytes], zero: int, flat: bytes, found: Witnesses) -> list[in
     Algebraic Theory of Semigroups*, vol. 1).  So the elements are walked
     by ascending count of undefined sums, zero good from the start when
     its row is the identity.  x is skipped, as good, when it is g + r with
-    g a generator and r good; any other x is compared, and becomes a
-    generator or is counted and stays not good.  On an effect algebra the
-    generators are the atoms, |atoms|·n² comparisons in all.  The
-    witnesses are named after the walk, in (x, y, z) order.
+    g a generator and r good, first met in the generators' joined rows;
+    any other x is compared, and becomes a generator or is counted and
+    stays not good.  On an effect algebra the generators are the atoms,
+    |atoms|·n² comparisons in all.  The witnesses are named after the
+    walk, in (x, y, z) order.
     """
     n = len(rows)
     pad = _ALL_UNDEF[n:]
@@ -369,17 +386,22 @@ def _eii(rows: list[bytes], zero: int, flat: bytes, found: Witnesses) -> list[in
 
     good = bytearray(n)
     good[zero] = rows[zero] == _EVERY_BYTE[:n]
+    generators: list[int] = []
     generated = b""  # the rows of the generators, joined
     compared: list[int] = []
+    splits = []
+    order = tuple(sorted(range(n), key=undefined))
     eii = 0
-    for x in sorted(range(n), key=undefined):
+    for x in order:
         if good[x]:
             continue
         # x is g + r exactly where generated holds x in g's row, at r
         i = generated.find(x)
         while i >= 0 and not good[i % n]:
             i = generated.find(x, i + 1)
-        if i < 0:
+        if i >= 0:
+            splits.append((x, generators[i // n], i % n))
+        else:
             compared.append(x)
             left, right = groupings(x)
             if left != right:
@@ -389,6 +411,7 @@ def _eii(rows: list[bytes], zero: int, flat: bytes, found: Witnesses) -> list[in
                 d = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
                 eii += ((((d & low7) + low7) | d) & high).bit_count()
                 continue
+            generators.append(x)
             generated += rows[x]
         good[x] = 1
 
@@ -408,7 +431,7 @@ def _eii(rows: list[bytes], zero: int, flat: bytes, found: Witnesses) -> list[in
 
     if eii:
         found.counted(AXIOM_ASSOCIATIVITY, eii, failures())
-    return compared
+    return _Walk(order, tuple(compared), tuple(splits))
 
 
 def _differing(left: bytes, right: bytes, n: int) -> Iterator[int]:
@@ -513,17 +536,19 @@ def make_algebra(
 def _algebra(
     names: Sequence[str], zero: int, one: int, rows: list[bytes], found: Witnesses
 ) -> EffectAlgebra:
-    """The algebra on ``rows`` once :func:`_check_rows` passes them; a
-    construction hands its rows straight here, with an empty ``found``.
-    Raises :class:`DuplicateName` and :class:`AxiomViolation`."""
+    """The algebra on ``rows`` once :func:`_check_rows` passes them, keeping
+    the check's walk; a construction hands its rows straight here, with an
+    empty ``found``.  Raises :class:`DuplicateName` and :class:`AxiomViolation`."""
     names = tuple(names)
     if len(set(names)) != len(names):
         raise DuplicateName("element names must be unique")
-    report = _check_rows(rows, zero, one, found)
+    report, walk = _check_rows(rows, zero, one, found)
     if not report.ok:
         raise AxiomViolation(report)
     supplement = tuple(row.index(one) for row in rows)
-    return EffectAlgebra(names, zero, one, tuple(rows), supplement)
+    E = EffectAlgebra(names, zero, one, tuple(rows), supplement)
+    E._memo[_walk] = walk  # type: ignore[attr-defined]
+    return E
 
 
 _T = TypeVar("_T")
@@ -553,6 +578,12 @@ def _tuples(rows: Iterable[bytes]) -> tuple[tuple[Optional[int], ...], ...]:
             for row in rows
         ]
     )
+
+
+@derived
+def _walk(E: EffectAlgebra) -> _Walk:
+    """The :func:`_eii` walk of E's rows; :func:`_algebra` keeps its check's."""
+    return _eii(list(E.rows), E.zero, b"".join(E.rows), Witnesses())
 
 
 @derived
@@ -625,6 +656,12 @@ def multiples(E: EffectAlgebra) -> tuple[tuple[int, ...], ...]:
             acc = E.rows[acc][x]
         out.append(tuple(ms))
     return tuple(out)
+
+
+@derived
+def _multiple_masks(E: EffectAlgebra) -> dict[int, int]:
+    """Each atom's :func:`multiples` as one mask, keyed by the atom."""
+    return {a: sum(1 << m for m in multiples(E)[a]) for a in _walk(E).atoms}
 
 
 def multiple(E: EffectAlgebra, x: int, k: int) -> Optional[int]:

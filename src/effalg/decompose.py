@@ -19,9 +19,9 @@ guaranteed to exist, so the operation refuses such algebras instead of
 returning something unprincipled.
 
 Both forms are read from one table per algebra, built on first use in a
-single pass in order of down-set size: the greedy parts of x are its
-first part (a, k) followed by the greedy parts of x minus k·a, which is
-tabled already, and the three sums fold along the same recurrence.  The
+single pass by walk order (:func:`~effalg.core._walk`): the greedy parts
+of x are its first part (a, k) followed by those of x minus k·a, which
+is tabled already, and the three sums fold along the same recurrence.  The
 table stores the sums; x's checks run on them when x is asked for, so a
 broken element fails alone and nothing is stored for a failure.
 :func:`_validate` and :func:`split_atomic_decomposition` check
@@ -38,7 +38,9 @@ from .core import (
     _UNDEF,
     EffectAlgebra,
     _check_index,
+    _multiple_masks,
     _padded,
+    _walk,
     derived,
     multiples,
 )
@@ -206,9 +208,7 @@ class _Table(NamedTuple):
     proper_parts: list[tuple[AtomMultiple, ...]]
 
 
-def _greedy(
-    E: EffectAlgebra, down: tuple[int, ...], atoms: frozenset[int]
-) -> list[tuple[int, int, int]]:
+def _greedy(E: EffectAlgebra) -> list[tuple[int, int, int]]:
     """``[x]`` is (a, k, r): the least-indexed atom a below x, the largest
     k with k·a below x, and the residual r = x minus k·a, for x nonzero.
 
@@ -217,10 +217,10 @@ def _greedy(
     row of sums of k·a, found in C.
     """
     ms = multiples(E)
-    atom_mask = sum(1 << a for a in atoms)
-    multiple_mask = {a: sum(1 << m for m in ms[a]) for a in atoms}
+    multiple_mask = _multiple_masks(E)
+    atom_mask = sum(1 << a for a in multiple_mask)
     out = [(E.zero, 0, E.zero)] * E.size
-    for x, dx in enumerate(down):
+    for x, dx in enumerate(derive_order(E).down):
         if x != E.zero:
             below = dx & atom_mask
             a = (below & -below).bit_length() - 1
@@ -232,8 +232,9 @@ def _greedy(
 @derived
 def _table(E: EffectAlgebra) -> _Table:
     """The decomposition table, built in one pass over the elements by
-    down-set size: the greedy parts of x are (a, k) followed by those of
-    its residual x minus k·a, which lies strictly below x.
+    walk order: the greedy parts of x are (a, k) followed by those of its
+    residual x minus k·a, which lies strictly below x and so comes before
+    it in the walk.
 
     The sums of all parts, of the full ones and of the proper ones fold
     along the same recurrence, as k·a plus the residual's sums; by
@@ -242,10 +243,8 @@ def _table(E: EffectAlgebra) -> _Table:
     :func:`basic_decomposition` checks those of the element it is asked
     for.
     """
-    os = derive_order(E)
-    profile = structure_profile(E)
     ms = multiples(E)
-    iso = profile.isotropic
+    iso = structure_profile(E).isotropic
     n = E.size
     # Row r padded to 256 bytes, so that r + _UNDEF reads as _UNDEF.
     plus = _padded(E.rows)
@@ -253,9 +252,8 @@ def _table(E: EffectAlgebra) -> _Table:
     proper_parts = parts.copy()
     total, full, proper = [E.zero] * n, [E.zero] * n, [E.zero] * n
     made: dict[tuple[int, int], AtomMultiple] = {}
-    sizes = [dx.bit_count() for dx in os.down]
-    steps = _greedy(E, os.down, profile.atoms)
-    for x in sorted(range(n), key=sizes.__getitem__)[1:]:  # zero first
+    steps = _greedy(E)
+    for x in _walk(E).order[1:]:  # zero first
         a, k, r = steps[x]
         head = made.get((a, k))
         if head is None:

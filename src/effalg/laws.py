@@ -76,6 +76,7 @@ from .core import (
     EffectAlgebra,
     Witnesses,
     _difference_table,
+    _multiple_masks,
     _padded,
     multiples,
 )
@@ -186,6 +187,7 @@ class _Ctx:
         self.profile: StructureProfile = structure_profile(E)
         self.atoms = sorted(self.profile.atoms)
         self.multiples = multiples(E)
+        self.multiple_masks = _multiple_masks(E)
 
     @cached_property
     def compat(self) -> tuple[int, ...]:
@@ -245,11 +247,6 @@ class _Ctx:
         """
         zero = self.E.zero
         return Counter(s for s, full, _ in self.atom_families if full == zero)
-
-    @cached_property
-    def multiple_masks(self) -> dict[int, int]:
-        """Each atom's multiples as one mask."""
-        return {a: sum(1 << m for m in self.multiples[a]) for a in self.atoms}
 
     def names(self, *xs: int) -> str:
         return ", ".join(self.E.names[x] for x in xs)

@@ -7,9 +7,12 @@ solved exactly in :mod:`effalg.linear`; no floating point enters at any
 stage.  Every element is a sum of atoms, so a state is fixed by its atom
 values: :func:`find_state` solves the smaller system on atom coordinates,
 one column per atom, once, and checks the state it lifts from there on
-every element.  When that system has no point, each of its rows is a
-known integer combination of the rows of :func:`state_system`, so its
-certificate lifts to one for the state system, which is checked there.
+every element.  The atoms, and each element split as an atom plus an
+earlier element, are the walk kept from the axiom check
+(:func:`effalg.core._walk`).  When that system has no point, each of
+its rows is a known integer combination of the rows of
+:func:`state_system`, so its certificate lifts to one for the state
+system, which is checked there.
 
 Smearing extends a state given only on the sharp elements to the whole of
 a lattice-ordered algebra.  The paper's formula gives an atom of
@@ -38,15 +41,15 @@ from itertools import compress, count
 from math import lcm
 from numbers import Rational
 from operator import add, ne, sub
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
-    _UNDEF,
     EffectAlgebra,
     Violation,
     Witnesses,
     _check_index,
     _sum_columns,
+    _walk,
     derived,
     multiples,
 )
@@ -129,51 +132,18 @@ _HALF = 1 << (_FIELD - 1)
 _MASK = (1 << _FIELD) - 1
 
 
-class _Classes(NamedTuple):
-    """Each element of an algebra as a sum of its atoms.
-
-    ``atoms`` lists the atoms in walk order; atom k is column k of
-    :func:`_atom_system`.  ``packed[x]`` is the class of x, how many times
-    x's sum takes each atom, as one int holding component k in bits
-    ``_FIELD·k`` up.  ``splits`` lists ``(x, g, r)`` with x = g + r and
-    g an atom, in walk order, once per element neither zero nor an atom.
-    """
-
-    atoms: tuple[int, ...]
-    packed: tuple[int, ...]
-    splits: tuple[tuple[int, int, int], ...]
-
-
 @derived
-def _classes(E: EffectAlgebra) -> _Classes:
-    """One walk over the rows, by ascending count of undefined sums.
-
-    That is a linear extension of the order, as in :func:`effalg.core._eii`:
-    x < y means x has strictly more defined sums.  Zero gets the empty
-    class.  Any other x is g + r at the first place ``find`` meets x in the
-    joined rows of the atoms found so far, and gets class(g) + class(r),
-    both below x and so already walked; where no atom's row holds x, x is
-    the next atom.
-    """
-    n = E.size
-    undefined = [row.count(_UNDEF) for row in E.rows]
-    atoms: list[int] = []
-    packed = [0] * n
-    splits = []
-    generated = bytearray()  # the rows of the atoms found so far, joined
-    for x in sorted(range(n), key=undefined.__getitem__):
-        if x == E.zero:
-            continue
-        i = generated.find(x)
-        if i < 0:
-            packed[x] = 1 << _FIELD * len(atoms)
-            atoms.append(x)
-            generated += E.rows[x]
-        else:
-            g, r = atoms[i // n], i % n
-            packed[x] = packed[g] + packed[r]
-            splits.append((x, g, r))
-    return _Classes(tuple(atoms), tuple(packed), tuple(splits))
+def _classes(E: EffectAlgebra) -> tuple[int, ...]:
+    """``[x]`` packs how many times x's sum takes each atom, atom k (column
+    k of :func:`_atom_system`) in bits ``_FIELD·k`` up: each atom of the
+    walk (:func:`effalg.core._walk`) its own field, zero none, and each
+    split x = g + r class(g) + class(r), both packed by then."""
+    packed = [0] * E.size
+    for k, a in enumerate(_walk(E).atoms):
+        packed[a] = 1 << _FIELD * k
+    for x, g, r in _walk(E).splits:
+        packed[x] = packed[g] + packed[r]
+    return tuple(packed)
 
 
 def _unpacked(d: int) -> tuple[tuple[int, int], ...]:
@@ -194,7 +164,7 @@ def _unpacked(d: int) -> tuple[tuple[int, int], ...]:
 def _differences(E: EffectAlgebra) -> tuple[int, ...]:
     """class(x) + class(y) - class(z) per canonical sum, packed, in the
     order of :func:`effalg.core._sum_columns`, found in one pass in C."""
-    at = _classes(E).packed.__getitem__
+    at = _classes(E).__getitem__
     xs, ys, zs = _sum_columns(E)
     return tuple(map(sub, map(add, map(at, xs), map(at, ys)), map(at, zs)))
 
@@ -212,10 +182,9 @@ def _atom_system(E: EffectAlgebra) -> LinearSystem:
     needs no rows: u >= 0 gives v >= 0, and v(x) + v(x') = v(1) = 1 gives
     v <= 1.  So the feasible points are exactly the states' atom values.
     """
-    classes = _classes(E)
     relations = sorted({*map(abs, _differences(E))} - {0})
-    rows = (_unpacked(classes.packed[E.one]), *map(_unpacked, relations))
-    return LinearSystem(len(classes.atoms), rows, (1,) + (0,) * len(relations))
+    rows = (_unpacked(_classes(E)[E.one]), *map(_unpacked, relations))
+    return LinearSystem(len(_walk(E).atoms), rows, (1,) + (0,) * len(relations))
 
 
 def _lifted_certificate(
@@ -237,7 +206,6 @@ def _lifted_certificate(
     per element.  The result is checked by ``verify_certificate`` on
     ``state_system(E)``, and ``RuntimeError`` is raised if it fails.
     """
-    classes = _classes(E)
     xs, ys, zs = _sum_columns(E)
     differences = _differences(E)
     last = len(differences) - 1
@@ -258,7 +226,7 @@ def _lifted_certificate(
             owed[xs[i]] -= t
             owed[ys[i]] -= t
             owed[zs[i]] += t
-    for x, g, r in reversed(classes.splits):
+    for x, g, r in reversed(_walk(E).splits):
         if t := owed[x]:
             a, b = sorted((g, r))
             start = bisect_left(xs, a)
@@ -269,7 +237,7 @@ def _lifted_certificate(
     bounds = []
     for multipliers in (cert.upper_multipliers, cert.lower_multipliers):
         dense = [zero] * E.size
-        for a, q in zip(classes.atoms, multipliers):
+        for a, q in zip(_walk(E).atoms, multipliers):
             if q:
                 dense[a] = q / cert.gap
         bounds.append(tuple(dense))
@@ -309,12 +277,11 @@ def _lifted_state(E: EffectAlgebra, atom_values: Sequence[Fraction], what: str) 
     endpoints and the box.  ``RuntimeError`` led by ``what`` is raised if
     they are not a state.
     """
-    classes = _classes(E)
     den = lcm(*(u.denominator for u in atom_values))
     nums = [0] * E.size
-    for a, u in zip(classes.atoms, atom_values):
+    for a, u in zip(_walk(E).atoms, atom_values):
         nums[a] = u.numerator * (den // u.denominator)
-    for x, g, r in classes.splits:
+    for x, g, r in _walk(E).splits:
         nums[x] = nums[g] + nums[r]
     failures = _check_numerators(E, nums, den, Witnesses()).kept
     if failures:
@@ -477,7 +444,7 @@ def smear_state(E: EffectAlgebra, omega: State) -> State:
     if not derive_order(E).is_lattice:
         raise PreconditionFailed("smearing needs a lattice-ordered algebra")
     sub = extract_sharp(E)
-    if omega.domain != sub.algebra:
+    if omega.domain != sub.algebra or len(omega.values) != sub.algebra.size:
         raise InvalidState(
             "the input state must live on the extracted sharp subalgebra"
         )
@@ -491,7 +458,7 @@ def smear_state(E: EffectAlgebra, omega: State) -> State:
     # as a Fraction even where omega's values are ints.
     ms = multiples(E)
     shares = []
-    for a in _classes(E).atoms:
+    for a in _walk(E).atoms:
         i = sub.from_parent[ms[a][-1]]
         if i is None:
             raise RuntimeError(f"element {ms[a][-1]} expected sharp")

@@ -26,6 +26,7 @@ from .core import (
     EffectAlgebra,
     Witnesses,
     _algebra,
+    _walk,
     derived,
     multiples,
 )
@@ -67,9 +68,8 @@ def structure_profile(E: EffectAlgebra) -> StructureProfile:
     n = E.size
     zero_bit = 1 << E.zero
 
-    atoms = frozenset(
-        x for x in range(n) if x != E.zero and os.down[x] == zero_bit | (1 << x)
-    )
+    # sorted: where hashes collide, a set iterates in insertion order
+    atoms = frozenset(sorted(_walk(E).atoms))
     sharp = frozenset(
         x for x, s in enumerate(E.supplement) if os.down[x] & os.down[s] == zero_bit
     )

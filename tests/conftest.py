@@ -121,11 +121,11 @@ def spy_on_eii(monkeypatch):
     calls = []
 
     def spy(rows, zero, flat, found):
-        compared = eii(rows, zero, flat, found)
+        walk = eii(rows, zero, flat, found)
         nonzero = [x for x in range(len(rows)) if x != zero]
         sums = set(b"".join(rows[x][:zero] + rows[x][zero + 1 :] for x in nonzero))
-        calls.append((compared, {a for a in nonzero if a not in sums}))
-        return compared
+        calls.append((list(walk.atoms), {a for a in nonzero if a not in sums}))
+        return walk
 
     monkeypatch.setattr(core, "_eii", spy)
     return calls

@@ -57,15 +57,19 @@ from conftest import (
     full_corpus,
     refuse_declared_sums,
     refuse_tuple_views,
+    relabelled,
+    spy_on_eii,
     zero_last,
 )
 from oracles import (
     close_table,
     decoded,
     encoded,
+    oracle_atoms,
     oracle_axiom_errors,
     oracle_check_rows,
     oracle_eii_failures_near,
+    oracle_leq,
     oracle_multiple,
     oracle_ord,
     table_dict,
@@ -772,7 +776,7 @@ def test_an_algebra_keeps_the_byte_rows_its_check_read(corpus):
     for name, E in corpus + [("chain-255", mv_chain(254))]:
         index = {x: x for x in range(E.size)}
         rows, found = core._close_sums(E.size, E.zero, E.one, E.canonical_sums(), index)
-        report = core._check_rows(rows, E.zero, E.one, found)
+        report, _ = core._check_rows(rows, E.zero, E.one, found)
         assert report.ok, name
         assert E.rows == tuple(rows), name
         assert E.rows == encoded(E.table), name
@@ -1179,7 +1183,7 @@ def test_the_rows_check_agrees_with_the_walk_on_any_rows(case, supplemented):
     # the definitional walk over pairs and triples, on any rows and on
     # rows with the identity zero row and one supplement each
     for rows, zero, one in (case, supplemented):
-        report = core._check_rows(rows, zero, one, Witnesses())
+        report, _ = core._check_rows(rows, zero, one, Witnesses())
         oracle = oracle_check_rows(rows, zero, one)
         assert report.violations == oracle.violations
         assert list(report.totals.items()) == list(oracle.totals.items())
@@ -1198,10 +1202,61 @@ def test_the_generators_of_an_algebra_are_its_atoms(
     for name, E in algebras + at_the_cap:
         rows = list(E.rows)
         found = Witnesses()
-        compared = _eii(rows, E.zero, b"".join(rows), found)
+        compared = _eii(rows, E.zero, b"".join(rows), found).atoms
         assert not found.totals, name
         assert len(compared) == len(set(compared)), name
-        assert set(compared) == structure_profile(E).atoms, name
+        assert set(compared) == oracle_atoms(E), name
+
+
+def test_the_walk_an_algebra_keeps_orders_splits_and_finds_its_atoms(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    # the walk kept from the axiom check, read against the definitions: a
+    # linear extension, the atoms in its order, and each other nonzero
+    # element split once as an atom plus an element before it; a
+    # dataclasses.replace copy keeps no walk and makes the same one
+    named = differential_algebras(corpus, example_25, example_37, example_44)
+    named += at_the_cap + [(f"{name}-zero-last", zero_last(E)) for name, E in at_the_cap]
+    rng = random.Random(43)
+    named += [
+        (f"{name}-shuffled", relabelled(E, rng.sample(range(E.size), E.size)))
+        for name, E in named
+    ]
+    for name, E in named:
+        walk = core._walk(E)
+        at = {x: i for i, x in enumerate(walk.order)}
+        assert sorted(walk.order) == list(range(E.size)), name
+        for x, below in oracle_leq(E).items():
+            assert all(at[y] <= at[x] for y in below), name
+        assert set(walk.atoms) == oracle_atoms(E), name
+        assert sorted(walk.atoms, key=at.__getitem__) == list(walk.atoms), name
+        others = set(range(E.size)) - {E.zero, *walk.atoms}
+        assert sorted(x for x, _, _ in walk.splits) == sorted(others), name
+        assert sorted(walk.splits, key=lambda s: at[s[0]]) == list(walk.splits), name
+        for x, g, r in walk.splits:
+            assert E.rows[g][r] == x, name
+            assert g in walk.atoms and at[g] < at[x] and at[r] < at[x], name
+        copy = dataclasses.replace(E)
+        assert core._walk not in copy._memo, name
+        assert core._walk(copy) == walk, name
+
+
+def test_the_state_solver_profile_and_decompositions_make_no_second_walk(
+    monkeypatch, example_44
+):
+    # each algebra is walked once, by the check that builds it: here the
+    # horizontal sum, and then its sharp subalgebra
+    blocks = [example_44, mv_chain(3), boolean_algebra(2)]
+    calls = spy_on_eii(monkeypatch)
+    E = horizontal_sum(blocks)
+    structure_profile(E)
+    find_state(E)
+    for x in range(E.size):
+        atomic_decomposition(E, x)
+    assert len(calls) == 1
+    extract_sharp(E)
+    run_law_suite(E, counterexample_mode=True)
+    assert len(calls) == 2
 
 
 # Tables of at most five elements, each found by a search over such tables
@@ -1247,7 +1302,7 @@ FALL_THROUGH = {
 def test_each_fall_through_counts_every_triple(case):
     rows, zero, one = case
     rows = [bytes(row) for row in rows]
-    report = core._check_rows(rows, zero, one, Witnesses())
+    report, _ = core._check_rows(rows, zero, one, Witnesses())
     oracle = oracle_check_rows(rows, zero, one)
     assert report.totals["Eii"] > 0
     assert report.violations == oracle.violations
@@ -1274,7 +1329,7 @@ def corpus_cells_changed(draw):
 @settings(max_examples=200, deadline=None)
 def test_eii_totals_and_witnesses_match_every_triple_near_an_algebra(case):
     rows, zero, one = case
-    report = core._check_rows(rows, zero, one, Witnesses())
+    report, _ = core._check_rows(rows, zero, one, Witnesses())
     oracle = oracle_check_rows(rows, zero, one)
     assert report.violations == oracle.violations
     assert list(report.totals.items()) == list(oracle.totals.items())

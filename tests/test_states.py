@@ -38,7 +38,7 @@ from effalg import (
     verify_certificate,
     verify_state,
 )
-from effalg import states
+from effalg import core, states
 from conftest import differential_algebras, full_corpus, relabelled, zero_last
 from oracles import (
     dense_rows,
@@ -344,6 +344,16 @@ def test_smearing_rejects_a_non_state():
         smear_state(E, State(sub.algebra, (F(1, 2), F(1))))
 
 
+def test_smearing_rejects_more_values_than_sharp_elements():
+    E = mv_chain(3)
+    sub = extract_sharp(E)
+    assert sub.algebra.size == 2
+    with pytest.raises(
+        InvalidState, match="^the input state must live on the extracted sharp subalgebra$"
+    ):
+        smear_state(E, State(sub.algebra, (F(0), F(1), F(1))))
+
+
 def test_smearing_restricts_back_to_its_input(
     corpus, example_25, example_37, example_44
 ):
@@ -578,7 +588,7 @@ def test_states_exist_on_atom_coordinates_exactly_where_on_the_full_system(
             # lifted from atom coordinates: it refutes E's own sum rows
             assert fraction_verify_certificate(state_system(E), got), name
             assert got.gap == 1, name
-            atoms = set(states._classes(E).atoms)
+            atoms = set(core._walk(E).atoms)
             for x in set(range(E.size)) - atoms:
                 assert got.upper_multipliers[x] == got.lower_multipliers[x] == 0, name
             certificates += 1
@@ -620,11 +630,11 @@ def test_atom_rows_are_the_distinct_relations_up_to_sign(
 ):
     named = corpus + [("ex25", example_25), ("ex37", example_37), ("ex44", example_44)]
     for name, E in named + stateless_sums(example_44):
-        classes = states._classes(E)
-        k = len(classes.atoms)
+        packed = states._classes(E)
+        k = len(core._walk(E).atoms)
         dense = [
             [dict(states._unpacked(p)).get(j, 0) for j in range(k)]
-            for p in classes.packed
+            for p in packed
         ]
         want = set()
         for x, y, z in E.canonical_sums():
@@ -635,7 +645,7 @@ def test_atom_rows_are_the_distinct_relations_up_to_sign(
         s = states._atom_system(E)
         got = [tuple(dict(row).get(j, 0) for j in range(k)) for row in s.coeffs[1:]]
         assert len(got) == len(want) and set(got) == want, name
-        assert s.coeffs[0] == states._unpacked(classes.packed[E.one]), name
+        assert s.coeffs[0] == states._unpacked(packed[E.one]), name
         assert s.rhs == (1,) + (0,) * len(want), name
 
 
@@ -663,7 +673,7 @@ def test_example_44_is_stateless_by_its_relations_alone(example_44):
     relations = LinearSystem(s.nvars, s.coeffs[1:], s.rhs[1:])
     assert (s.nvars, len(relations.coeffs)) == (3, 3)
     assert oracle_rank(relations) == oracle_rank(s) == 3
-    assert [example_44.names[a] for a in states._classes(example_44).atoms] == [
+    assert [example_44.names[a] for a in core._walk(example_44).atoms] == [
         "b", "a", "c"
     ]
     assert s.coeffs[0] == ((0, 4),)  # 1 = 4b
