@@ -20,12 +20,14 @@ order (see each law).  L2.2.iv checks every orthogonal family, of any
 size.  A 255-element chain has 194,596,316,927 of them, so they are not
 listed one by one: one depth-first walk merges prefixes whose further
 checks are the same and counts the families and failures below them
-exactly (see :func:`_l22iv_walk`).  A check in C comes first (see
-:func:`_l22iv_fast`).  When every pair is compatible and every meet
-distributes over every join in the tables as given, as in an MV-effect
-algebra, whose lattice is distributive, no family can fail the walk: the
-law passes, and the families are counted by a recurrence instead of
-walked.  Any other input runs the walk.
+exactly (see :func:`_l22iv_walk`).  A test on the order comes first (see
+:func:`_l22iv_clear`).  A finite lattice is distributive exactly when
+each join-irreducible element is join-prime (Birkhoff), and the up- and
+down-set masks test that with one set lookup per element.  When every
+pair is compatible, the meet and join rows are the order's own, which
+hold exact bounds, and the lattice is distributive, as in an MV-effect
+algebra, no family can fail the walk, and the law passes unwalked.  Any
+other input runs the walk.
 
 Counterexample mode forces laws whose hypothesis includes lattice order to
 run their conclusion checks on non-lattice algebras anyway.  There, an
@@ -168,11 +170,11 @@ class _Ctx:
     algebra and its order store (``EffectAlgebra.rows`` and
     ``OrderStructure.meet_rows`` and ``join_rows``): y + z, x ^ y and
     x v y at index y, ``_UNDEF`` where undefined.  ``table`` is
-    symmetric.  ``table_t``, ``meet_t`` and ``join_t`` are the same rows
-    as translate tables (see :func:`_padded`), built on first use.
-    ``os`` is read only for the order itself: ``up``, ``down``, ``leq``
-    and ``is_lattice``; no law reads the tuple views ``E.table``,
-    ``os.meet`` or ``os.join``.  ``compat`` holds the
+    symmetric.  ``table_t`` and ``join_t`` are the same rows as
+    translate tables (see :func:`_padded`), built on first use.
+    ``os`` is read for the order itself (``up``, ``down``, ``leq``,
+    ``is_lattice``) and its own rows; no law reads the tuple views
+    ``E.table``, ``os.meet`` or ``os.join``.  ``compat`` holds the
     :func:`~effalg.order.compatibility` masks, also built on first use,
     so a suite whose laws do not read them builds none.  The atom
     families and their block sums are folded once, on first use, for
@@ -196,10 +198,6 @@ class _Ctx:
     @cached_property
     def table_t(self) -> list[bytes]:
         return _padded(self.table)
-
-    @cached_property
-    def meet_t(self) -> list[bytes]:
-        return _padded(self.meet)
 
     @cached_property
     def join_t(self) -> list[bytes]:
@@ -512,52 +510,48 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
     return failures, families, named
 
 
-def _l22iv_fast(ctx: _Ctx) -> Optional[int]:
-    """The number of families :func:`_l22iv_walk` checks, when no family
-    can fail it; ``None`` when that is not shown.
+def _distributive(os: OrderStructure) -> bool:
+    """Whether the order is a distributive lattice.
 
-    It is shown on byte rows when every compatibility mask is full and,
-    for every x and every pair (b, y), ``b v y`` and ``x ^ (b v y)``
-    exist and equal ``(x ^ b) v (x ^ y)``.  Then the walk's ``alive``
-    mask stays full, its failure mask is empty on every pair it could
-    visit, no deviating x arises and no join is missing, so no family
-    fails and none is skipped.  This reads the tables as they are and
-    does not rely on the axioms; on a lattice effect algebra with every
-    pair compatible, an MV-effect algebra, the lattice is distributive
-    and the check always passes.  Per x, the left side is the flat join
-    matrix translated through x's meet row, and the right side joins,
-    for each b, x's meet row translated through the joins of ``x ^ b``.
-
-    The families are then every ascending run of two or more nonzero
-    members with every prefix sum defined.  With y_k the k-th nonzero
-    element, the runs from index k on that extend a running sum s number
-    g_k(s) = g_{k+1}(s) + [s + y_k defined]·(1 + g_{k+1}(s + y_k)), so
-    all runs from zero number g_0(0), of which n - 1 are single members.
+    A finite lattice is distributive exactly when each join-irreducible
+    j is join-prime (Birkhoff; Davey and Priestley 2002, ch. 5).  j is
+    join-irreducible when it has one lower cover, that is when its
+    strict down-set is some element's down-set (never so for zero), and
+    join-prime when what lies outside its up-set is an ideal, in a finite
+    lattice again some element's down-set.
     """
-    n = ctx.E.size
-    full = (1 << n) - 1
-    if any(mask != full for mask in ctx.compat):
-        return None
-    flat = b"".join(ctx.join)
-    for meets, through in zip(ctx.meet, ctx.meet_t):
-        left = flat.translate(through)
-        if _UNDEF in left:
-            return None
-        right = b"".join(map(meets.translate, map(ctx.join_t.__getitem__, meets)))
-        if left != right:
-            return None
-    runs = [0] * n
-    for y in reversed(range(n)):
-        if y != ctx.E.zero:
-            runs = [
-                g if s == _UNDEF else g + 1 + runs[s]
-                for g, s in zip(runs, ctx.table[y])
-            ]
-    return runs[ctx.E.zero] - (n - 1)
+    if not os.is_lattice:
+        return False
+    principal = set(os.down)
+    full = (1 << len(os.down)) - 1
+    for j, (up, down) in enumerate(zip(os.up, os.down)):
+        if down ^ 1 << j in principal and full & ~up not in principal:
+            return False
+    return True
+
+
+def _l22iv_clear(ctx: _Ctx) -> bool:
+    """Whether no family can fail :func:`_l22iv_walk`: every compatibility
+    mask is full, the meet and join rows are the order's own and the
+    order is a distributive lattice, as in an MV-effect algebra.
+
+    The order's rows hold exact greatest lower and least upper bounds, so
+    then every x ^ (b v y) exists and equals (x ^ b) v (x ^ y): the walk's
+    ``alive`` mask stays full, no failure mask has a bit, no x deviates
+    and no join is missing, so no family fails and none is skipped.  Rows
+    edited by hand go to the walk, whatever they hold.
+    """
+    full = (1 << ctx.E.size) - 1
+    return (
+        all(mask == full for mask in ctx.compat)
+        and tuple(ctx.meet) == ctx.os.meet_rows
+        and tuple(ctx.join) == ctx.os.join_rows
+        and _distributive(ctx.os)
+    )
 
 
 def _law_l22iv(ctx: _Ctx) -> LawResult:
-    if _l22iv_fast(ctx) is not None:
+    if _l22iv_clear(ctx):
         return LawResult("L2.2.iv", PASS)
     total, _, failures = _l22iv_walk(ctx)
     return _collect("L2.2.iv", failures, total)

@@ -418,8 +418,8 @@ def _first(failures: Sequence[Violation]) -> str:
 
 def restrict_to_sharp(E: EffectAlgebra, s: State) -> State:
     """Restrict a state on E to the extracted sharp subalgebra."""
-    if s.domain is not E and s.domain != E:
-        raise InvalidState("state domain is not the given algebra")
+    if (s.domain is not E and s.domain != E) or len(s.values) != E.size:
+        raise InvalidState("the input state must live on the given algebra")
     sub = extract_sharp(E)
     values = tuple(s.values[x] for x in sub.to_parent)
     return State(sub.algebra, values)

@@ -231,7 +231,7 @@ ROWS = [
     *(Row(f"verify {f}.eaf", 0, out="valid\n") for f in ("p", "c255", "p255", "h250")),
     Row("analyze c255.eaf", 0),
     # L2.2.ii and L2.2.iv on byte rows, at the element cap
-    Row("props c255.eaf", 0, within=30),
+    Row("props c255.eaf", 0, within=10),
     # the order and the decomposition table at the element cap: a
     # 255-element product and a 250-element horizontal sum
     Row("analyze p255.eaf", 0),
@@ -282,7 +282,7 @@ ROWS = [
     Row("decompose --json x.eaf 2a", 0, json=(type, dict)),
     Row("states --certify-none --json x.eaf", 0, json=(type, dict)),
     Row("props --json x.eaf", 0, json=(type, dict)),
-    Row("props --json c255.eaf", 0, json=L22IV_PASSES, within=30),
+    Row("props --json c255.eaf", 0, json=L22IV_PASSES, within=10),
     Row("props --json h250.eaf", 0, json=L22IV_PASSES),
     # the chain and the product of chains are MV, the four glued Boolean
     # blocks a lattice that is not

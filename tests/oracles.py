@@ -38,6 +38,10 @@ time, and :func:`oracle_family_laws` checks T2.6, T3.4 and T4.1 from it.
 :func:`oracle_l23v` and :func:`oracle_t24` check the laws whose
 instances the package selects or clears by masks, each from the law's
 statement, instance by instance, in the order the suite reports.
+:func:`l22iv_clear_by_rows` and :func:`l22iv_family_count` are how the
+suite cleared L2.2.iv and counted its families before it tested the
+order for distributivity: an identity over every triple of the law
+context's byte rows, and a recurrence over its sum rows.
 """
 
 from collections import Counter
@@ -87,6 +91,7 @@ from effalg.core import (
     AXIOM_ZERO_ONE,
     AxiomReport,
     Violation,
+    _padded,
     multiples,
 )
 from effalg.eaf import _COUNT, _EA_HEADER, EafDocument, _int
@@ -772,6 +777,66 @@ def oracle_l22iv(E, meet=None, compat=None):
         reason += f" (+{len(failures) - 1} more instances)"
     kept = tuple(w for w, _ in failures[:6])
     return "fail", len(failures), kept, reason, checked
+
+
+def rows_distribute(meet, join):
+    """Whether, for every x and every pair (b, y), ``b v y`` and
+    ``x ^ (b v y)`` exist and equal ``(x ^ b) v (x ^ y)``, on byte rows.
+
+    This reads the tables as given and does not rely on the axioms or
+    on any order, where ``laws._distributive`` reads only the order's
+    masks.  Per x, the left side is the flat join matrix translated
+    through x's meet row, and the right side joins, for each b, x's meet
+    row translated through the joins of ``x ^ b``.
+    """
+    flat = b"".join(join)
+    join_t = _padded(join)
+    for meets, through in zip(meet, _padded(meet)):
+        left = flat.translate(through)
+        if _UNDEF in left:
+            return False
+        right = b"".join(map(meets.translate, map(join_t.__getitem__, meets)))
+        if left != right:
+            return False
+    return True
+
+
+def l22iv_clear_by_rows(ctx):
+    """Whether no family can fail ``laws._l22iv_walk``, shown on the law
+    context's byte rows as the suite showed it before it tested the
+    order: every compatibility mask is full and :func:`rows_distribute`
+    holds.  Then the walk's ``alive`` mask stays full, its failure mask
+    is empty on every pair it could visit, no deviating x arises and no
+    join is missing, so no family fails and none is skipped.
+    """
+    full = (1 << ctx.E.size) - 1
+    if any(mask != full for mask in ctx.compat):
+        return False
+    return rows_distribute(ctx.meet, ctx.join)
+
+
+def l22iv_family_count(ctx):
+    """The number of families ``laws._l22iv_walk`` checks when every join
+    exists, by a take-or-skip recurrence over the sum rows.
+
+    The families are every ascending run of two or more nonzero members
+    with every prefix sum defined.  With y_k the k-th nonzero element,
+    the runs from index k on that extend a running sum s number
+    g_k(s) = g_{k+1}(s) + [s + y_k defined]·(1 + g_{k+1}(s + y_k)), so
+    all runs from zero number g_0(0), of which n - 1 are single members.
+    It is the only count that reaches the 194,596,316,927 families of a
+    255-element chain, which neither the walk nor oracle_l22iv can list
+    in a test's time.
+    """
+    n = ctx.E.size
+    runs = [0] * n
+    for y in reversed(range(n)):
+        if y != ctx.E.zero:
+            runs = [
+                g if s == _UNDEF else g + 1 + runs[s]
+                for g, s in zip(runs, ctx.table[y])
+            ]
+    return runs[ctx.E.zero] - (n - 1)
 
 
 def oracle_l22i(E, meet=None, join=None):

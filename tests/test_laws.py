@@ -1,6 +1,7 @@
 """The executable law suite: green on lattices, documented breakage off them."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -25,7 +26,8 @@ from effalg.laws import (
     LawResult,
     _collect,
     _Ctx,
-    _l22iv_fast,
+    _distributive,
+    _l22iv_clear,
     _l22iv_walk,
     _law_l22ii,
     _law_l22iii,
@@ -35,8 +37,17 @@ from effalg.laws import (
 
 from effalg.order import OrderStructure
 
-from conftest import differential_algebras, interval_4_5_6, off_lattice, zero_last
+from conftest import (
+    differential_algebras,
+    hsum_corpus,
+    interval_4_5_6,
+    off_lattice,
+    relabelled,
+    zero_last,
+)
 from oracles import (
+    l22iv_clear_by_rows,
+    l22iv_family_count,
     oracle_atom_families,
     oracle_bounds,
     oracle_family_laws,
@@ -48,6 +59,7 @@ from oracles import (
     oracle_l23iv,
     oracle_l23v,
     oracle_t24,
+    rows_distribute,
 )
 
 # Frozen status maps for counterexample mode on the bundled non-lattice
@@ -336,7 +348,7 @@ def test_l22iv_deviation_can_heal_further_down():
     # its join of meets back to 3a ^ 3a, so {a, 2a, 3a} passes.
     E = mv_chain(6)
     ctx, meet, _ = tampered(E, [((3, 2), 0)])
-    assert _l22iv_fast(ctx) is None
+    assert not _l22iv_clear(ctx)
     outcome = l22iv_outcome(ctx)
     assert outcome == oracle_l22iv(E, meet=meet)
     assert outcome[:4] == (
@@ -452,10 +464,10 @@ def test_l22iv_fast_path_counts_the_walks_families(
     for name, E in differential_algebras(corpus, example_25, example_37, example_44):
         ctx = _Ctx(E)
         total, families, failures = _l22iv_walk(ctx)
-        fast = _l22iv_fast(ctx)
-        assert fast is None or (total, families) == (0, fast), name
+        clear = _l22iv_clear(ctx)
+        assert not clear or (total, families) == (0, l22iv_family_count(ctx)), name
         if name.split("-")[0] in ("chain", "boolean", "product"):
-            assert fast is not None, name
+            assert clear, name
         assert _law_l22iv(ctx) == _collect("L2.2.iv", failures, total), name
 
 
@@ -465,7 +477,7 @@ def test_l22iv_falls_back_to_the_walk_on_a_missing_join():
     E = mv_chain(4)
     ctx, _, _ = tampered(E, join_entries=[((1, 2), None)])
     assert all(mask == (1 << E.size) - 1 for mask in ctx.compat)
-    assert _l22iv_fast(ctx) is None
+    assert not _l22iv_clear(ctx)
     total, families, failures = _l22iv_walk(ctx)
     assert (total, families) == (1, 1)
     assert _law_l22iv(ctx) == LawResult(
@@ -494,15 +506,63 @@ def test_l22iv_falls_back_to_the_walk_on_a_tampered_context(
 ):
     E = make()
     ctx, meet, compat = tampered(E, meet_entries, compat_cleared)
-    assert _l22iv_fast(_Ctx(E)) == _l22iv_walk(ctx)[1]
-    assert _l22iv_fast(ctx) is None
+    assert l22iv_family_count(_Ctx(E)) == _l22iv_walk(ctx)[1]
+    assert not _l22iv_clear(ctx)
     outcome = l22iv_outcome(ctx)
     assert outcome == oracle_l22iv(E, meet=meet, compat=compat)
     assert outcome[:3] == ("fail", 1, witnesses)
 
 
 def test_l22iv_fast_path_counts_the_families_of_a_255_element_chain():
-    assert _l22iv_fast(_Ctx(mv_chain(254))) == 194_596_316_927
+    assert l22iv_family_count(_Ctx(mv_chain(254))) == 194_596_316_927
+
+
+# The hand-edited contexts of the L2.2.iv tests above, as ``tampered``
+# takes them.
+L22IV_TAMPERED = [
+    (lambda: direct_product(mv_chain(2), mv_chain(3)), [((0, 1), None)], [], []),
+    (lambda: mv_chain(6), [((3, 2), 0)], [], []),
+    (lambda: direct_product(mv_chain(2), mv_chain(3)), [((5, 5), None)], [(0, 11)], []),
+    (lambda: mv_chain(16), [((16, 5), 7)], [], []),
+    (lambda: mv_chain(4), [], [], [((1, 2), None)]),
+    (lambda: direct_product(mv_chain(2), mv_chain(3)), [], [(0, 11)], []),
+    (lambda: mv_chain(3), [((2, 2), None), ((2, 3), None)], [], []),
+]
+
+
+def test_l22iv_clears_exactly_where_the_rows_distribute(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    # The test on the order against the identity over every triple of
+    # the byte rows: on intact contexts, where Birkhoff's test on the
+    # masks and the identity must agree on every lattice, and on the
+    # hand-edited ones, which only the rows check can tell apart.
+    named = differential_algebras(corpus, example_25, example_37, example_44)
+    named += at_the_cap
+    rng = random.Random(44)
+    named += [
+        (f"{name}-shuffled", relabelled(E, rng.sample(range(E.size), E.size)))
+        for name, E in named
+    ]
+    not_distributive = set()
+    for name, E in named:
+        ctx = _Ctx(E)
+        assert _l22iv_clear(ctx) == l22iv_clear_by_rows(ctx), name
+        os = ctx.os
+        distributive = _distributive(os)
+        assert distributive == rows_distribute(os.meet_rows, os.join_rows), name
+        if os.is_lattice and not distributive:
+            not_distributive.add(name)
+    three_chains = {name for name, _ in hsum_corpus() if name.count("-") == 3}
+    assert len(three_chains) == 10
+    assert three_chains | {"hsum-4-boolean-64"} <= not_distributive
+    # 30 of the differential algebras, the horizontal sum and their copies
+    assert len(not_distributive) == 2 * 31
+    for make, meet_entries, compat_cleared, join_entries in L22IV_TAMPERED:
+        E = make()
+        ctx, _, _ = tampered(E, meet_entries, compat_cleared, join_entries)
+        assert l22iv_clear_by_rows(_Ctx(E)) and _l22iv_clear(_Ctx(E))
+        assert not _l22iv_clear(ctx) and not l22iv_clear_by_rows(ctx)
 
 
 def test_the_law_suite_at_the_cap(at_the_cap):
@@ -516,7 +576,7 @@ def test_the_law_suite_at_the_cap(at_the_cap):
     # The horizontal sum is not MV, so the walk runs there: no family
     # crosses a block, and each block holds boolean-64's 813 families.
     ctx = _Ctx(dict(at_the_cap)["hsum-4-boolean-64"])
-    assert _l22iv_fast(ctx) is None
+    assert not _l22iv_clear(ctx)
     assert _l22iv_walk(ctx)[:2] == (0, 4 * 813)
 
 

@@ -302,6 +302,16 @@ def test_restriction_rejects_foreign_state():
         restrict_to_sharp(E, out)
 
 
+@pytest.mark.parametrize("size", [2, 5], ids=["short", "long"])
+def test_restriction_rejects_a_state_without_one_value_per_element(size):
+    E = mv_chain(3)
+    s = State(E, tuple(F(k, size - 1) for k in range(size)))
+    with pytest.raises(
+        InvalidState, match="^the input state must live on the given algebra$"
+    ):
+        restrict_to_sharp(E, s)
+
+
 def test_smearing_the_glued_chains():
     E = horizontal_sum([mv_chain(2), mv_chain(3)])
     sub = extract_sharp(E)
