@@ -2,8 +2,9 @@
 
 Every constructor builds its byte rows directly, with no table of declared
 sums, and hands them to the same axiom check as parsed input, which also
-tests that they are symmetric with the identity as zero row.  So a buggy
-generator fails loudly rather than producing a quietly broken structure.
+tests these rows, unlike rows closed from declared sums, for symmetry
+and the identity as zero row.  So a buggy generator fails loudly rather
+than producing a quietly broken structure.
 Results have at most ``core._MAX_ELEMENTS`` (255) elements; a larger one
 raises :class:`SizeLimit` before its rows are built.
 """

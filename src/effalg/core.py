@@ -22,14 +22,15 @@ It has two inputs.  Declared sums, for :func:`verify_axioms`,
 into rows under commutativity and the implied ``zero + x = x`` rows, in
 one pass in the order declared (:func:`_close_sums`), which names the
 first unknown name or bad index and reports each pair declared with two
-results as a violation.  The constructions and the sharp subalgebra
-build their rows directly, and the check (:func:`_check_rows`) also
-tests those for symmetry and the identity zero row.  Tables have at
-most ``_MAX_ELEMENTS`` (255) elements, so that every row is a byte
-string with byte 255 for "undefined".  Eii is counted by one walk that
-composes rows in C, one element's triples at a time, and skips each
-element that Light's test shows associative from elements already
-compared (:func:`_eii`): on an effect algebra, only the atoms.
+results as a violation; such rows are symmetric with the identity zero
+row by construction.  The constructions and the sharp subalgebra build
+their rows directly, and the check (:func:`_check_rows`) also tests
+those for both.  Tables have at most ``_MAX_ELEMENTS`` (255) elements,
+so that every row is a byte string with byte 255 for "undefined".  Eii
+is counted by one walk that composes rows in C, one element's triples
+at a time, and skips each element that Light's test shows associative
+from elements already compared (:func:`_eii`): on an effect algebra,
+only the atoms.
 
 Only tables with an empty violation report become :class:`EffectAlgebra`
 values, so every downstream module may rely on the axioms without
@@ -194,7 +195,7 @@ def verify_axioms(table: SumTable) -> AxiomReport:
     ``zero`` or ``one`` is not an element index, or a key is not a pair.
     """
     rows, found = _declared_rows(table.size, table.zero, table.one, table.sums)
-    return _check_rows(rows, table.zero, table.one, found)[0]
+    return _check_closed(rows, table.zero, table.one, found)[0]
 
 
 def _declared_rows(
@@ -292,11 +293,11 @@ def _check_rows(
     ``_UNDEF`` where undefined, with ``found`` already holding any clashes,
     and the walk that counted Eii.
 
-    Rows that :func:`_close_sums` made are symmetric with the identity as
-    zero row.  Rows that a construction built are tested for both in C,
-    each row against its column, a strided slice of the joined rows: an
-    asymmetric pair fails Ei and a wrong zero row entry ``closure``.
-    Then Eii is counted by one walk (:func:`_eii`), and Eiii and Eiv in C.
+    The rows are first tested for symmetry and the identity zero row in
+    C, each row against its column, a strided slice of the joined rows:
+    an asymmetric pair fails Ei and a wrong zero row entry ``closure``.
+    The rest is :func:`_check_closed`, which rows that :func:`_close_sums`
+    made go to directly: they have both properties by construction.
     """
     n = len(rows)
     flat = b"".join(rows)
@@ -310,7 +311,16 @@ def _check_rows(
         for a, b in enumerate(rows[zero]):
             if a != b:
                 found.add(AXIOM_CLOSURE, (zero, a), f"zero + element {a} is not {a}")
-    walk = _eii(rows, zero, flat, found)
+    return _check_closed(rows, zero, one, found)
+
+
+def _check_closed(
+    rows: list[bytes], zero: int, one: int, found: Witnesses
+) -> tuple[AxiomReport, _Walk]:
+    """:func:`_check_rows` past its symmetry and zero-row test: Eii counted
+    by one walk (:func:`_eii`), and Eiii and Eiv in C."""
+    n = len(rows)
+    walk = _eii(rows, zero, b"".join(rows), found)
 
     # Eiii: exactly one orthosupplement per element, counted in C.
     mates = [row.count(one) for row in rows]
@@ -530,19 +540,29 @@ def make_algebra(
     element index or a key is not a pair, and :class:`AxiomViolation`,
     carrying that report, when the table is not an effect algebra.
     """
-    return _algebra(names, zero, one, *_declared_rows(len(names), zero, one, sums))
+    rows, found = _declared_rows(len(names), zero, one, sums)
+    return _algebra(names, zero, one, rows, found, _check_closed)
 
 
 def _algebra(
-    names: Sequence[str], zero: int, one: int, rows: list[bytes], found: Witnesses
+    names: Sequence[str],
+    zero: int,
+    one: int,
+    rows: list[bytes],
+    found: Witnesses,
+    check: Callable[..., tuple[AxiomReport, _Walk]] = _check_rows,
 ) -> EffectAlgebra:
-    """The algebra on ``rows`` once :func:`_check_rows` passes them, keeping
-    the check's walk; a construction hands its rows straight here, with an
-    empty ``found``.  Raises :class:`DuplicateName` and :class:`AxiomViolation`."""
+    """The algebra on ``rows`` once ``check`` passes them, keeping its walk.
+
+    A construction hands its rows straight here, with an empty ``found``,
+    and :func:`_check_rows` also tests them for symmetry and the identity
+    zero row.  Rows that :func:`_close_sums` closed have both by
+    construction and come with its clashes, for :func:`_check_closed`.
+    Raises :class:`DuplicateName` and :class:`AxiomViolation`."""
     names = tuple(names)
     if len(set(names)) != len(names):
         raise DuplicateName("element names must be unique")
-    report, walk = _check_rows(rows, zero, one, found)
+    report, walk = check(rows, zero, one, found)
     if not report.ok:
         raise AxiomViolation(report)
     supplement = tuple(row.index(one) for row in rows)
@@ -630,8 +650,9 @@ def build_effect_algebra(doc: "EafDocument") -> EffectAlgebra:
     rules out.
     """
     position = {name: i for i, name in enumerate(doc.names)}
-    closed = _close_sums(len(doc.names), doc.zero, doc.one, doc.sums, position)
-    return _algebra(doc.names, position[doc.zero], position[doc.one], *closed)
+    rows, found = _close_sums(len(doc.names), doc.zero, doc.one, doc.sums, position)
+    zero, one = position[doc.zero], position[doc.one]
+    return _algebra(doc.names, zero, one, rows, found, _check_closed)
 
 
 @derived

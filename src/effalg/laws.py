@@ -16,18 +16,34 @@ passes where its loop fails, whatever the tables hold.  L2.2.i to
 L2.2.iii pick summable or disjoint pairs with ``compress`` over a
 translated row, and L2.2.ii checks each (z, x) for every y at once;
 L2.3.iii, L2.3.iv and T2.4 test masks of atom multiples against the
-order (see each law).  L2.2.iv checks every orthogonal family, of any
-size.  A 255-element chain has 194,596,316,927 of them, so they are not
-listed one by one: one depth-first walk merges prefixes whose further
-checks are the same and counts the families and failures below them
-exactly (see :func:`_l22iv_walk`).  A test on the order comes first (see
-:func:`_l22iv_clear`).  A finite lattice is distributive exactly when
-each join-irreducible element is join-prime (Birkhoff), and the up- and
-down-set masks test that with one set lookup per element.  When every
-pair is compatible, the meet and join rows are the order's own, which
-hold exact bounds, and the lattice is distributive, as in an MV-effect
-algebra, no family can fail the walk, and the law passes unwalked.  Any
-other input runs the walk.
+order (see each law).
+
+L2.2.ii is cleared from its generators.  Its row check runs first for
+z = zero and for each atom only.  The z that pass it are closed under +
+by associativity (Eii) on the verified sum rows, whatever the join rows
+hold, and the atoms generate every nonzero element, the argument behind
+Light's test in :func:`~effalg.core._eii` (Clifford and Preston 1961).
+So when zero and the atoms pass, the law passes with no loop (see
+:func:`_law_l22ii`).
+
+L2.2.iv checks every orthogonal family, of any size.  A 255-element
+chain has 194,596,316,927 of them, so they are not listed one by one:
+one depth-first walk merges prefixes whose further checks are the same
+and counts the families and failures below them exactly (see
+:func:`_l22iv_walk`).  A test on the order comes first, block by block
+(see :func:`_l22iv_clear`).  The elements other than zero and one split
+into blocks, two linked when summable or compatible.  A family's members
+are pairwise summable, so they lie in one block, and so does every x
+compatible with them all, bar zero and one.  When the meet and join rows
+are the order's own, which hold exact bounds, and each block with zero
+and one is closed under them, pairwise compatible and distributive, no
+family can fail the walk, and the law passes unwalked.  A finite lattice
+is distributive exactly when each join-irreducible element is
+join-prime (Birkhoff), and the up- and down-set masks, cut to a block,
+test that with one set lookup per element.  With one block, as in an
+MV-effect algebra, this is the whole order; a horizontal sum is never
+distributive as a whole, but its blocks may be.  Any other input runs
+the walk.
 
 Counterexample mode forces laws whose hypothesis includes lattice order to
 run their conclusion checks on non-lattice algebras anyway.  There, an
@@ -80,6 +96,7 @@ from .core import (
     _difference_table,
     _multiple_masks,
     _padded,
+    _walk,
     multiples,
 )
 from .decompose import _table
@@ -269,31 +286,59 @@ def _law_l22i(ctx: _Ctx) -> _Failures:
                 )
 
 
+def _l22ii_open(ctx: _Ctx, z: int) -> Iterator[tuple[int, list[int]]]:
+    """Each x summable with z, ascending, that L2.2.ii's row check leaves
+    open, with the y summable with z from x on.
+
+    With sigma the row of z (y + z at index y), ``join[x].translate``
+    through sigma holds (x v y) + z and ``sigma.translate(join_t[x + z])``
+    holds (x + z) v (y + z), ``_UNDEF`` where a join or sum is missing.
+    The second is ``_UNDEF`` wherever sigma is; when the two are equal
+    and the second has no other ``_UNDEF``, every y summable with z has
+    both sides defined and equal, so no y can fail for this (z, x),
+    whatever the join rows.  The summable x are picked from sigma in C.
+    """
+    sigma = ctx.table[z]
+    through = ctx.table_t[z]
+    join, join_t = ctx.join, ctx.join_t
+    summable = list(compress(range(ctx.E.size), sigma.translate(_DEFINED)))
+    holes = sigma.count(_UNDEF)
+    for i, x in enumerate(summable):
+        rhs = sigma.translate(join_t[sigma[x]])
+        if join[x].translate(through) != rhs or rhs.count(_UNDEF) != holes:
+            yield x, summable[i:]
+
+
 def _law_l22ii(ctx: _Ctx) -> _Failures:
     """For x, y summable with z, (x v y) + z = (x + z) v (y + z), y >= x.
 
-    On byte rows each (z, x) is first checked for every y at once.  With
-    sigma the row of z (y + z at index y), ``join[x].translate(sigma)``
-    holds (x v y) + z and ``sigma.translate(join_t[x + z])`` holds
-    (x + z) v (y + z), ``_UNDEF`` where a join or sum is missing.  The
-    second is ``_UNDEF`` wherever sigma is; when the two are equal and
-    the second has no other ``_UNDEF``, every y summable with z has both
-    sides defined and equal, so no y can fail for this (z, x), whatever
-    the tables.  Every other (z, x) runs the loop below, so witnesses,
-    their order and the total stay the loop's.  The summable x are
-    picked from sigma in C.
+    The row check of :func:`_l22ii_open` runs first for z = zero and for
+    each atom, the elements that the axiom check's walk compared
+    (:func:`~effalg.core._walk`).  When it leaves no x open there, the
+    law passes with no loop.  The z that it clears are closed under +,
+    whatever the join rows, by associativity (Eii) on the verified sum
+    rows: for x, y summable with z + w,
+
+        (x v y) + (z + w) = ((x + z) v (y + z)) + w
+                          = (x + (z + w)) v (y + (z + w)),
+
+    as x + z and y + z are summable with w.  The atoms generate every
+    nonzero element, as Light's test in :func:`~effalg.core._eii` uses
+    (Clifford and Preston 1961), so no z can fail.  Zero is checked as
+    a generator of its own: a missing join such as 0 v 1 shows at
+    z = zero only.
+    Otherwise the loop runs over every z, and every (z, x) that the row
+    check leaves open checks each y, so witnesses, their order and the
+    total stay the loop's.
     """
     E = ctx.E
-    table, join, join_t = ctx.table, ctx.join, ctx.join_t
-    for z, (sigma, through) in enumerate(zip(table, ctx.table_t)):
-        summable = list(compress(range(E.size), sigma.translate(_DEFINED)))
-        holes = sigma.count(_UNDEF)
-        for i, x in enumerate(summable):
-            lhs = join[x].translate(through)
-            rhs = sigma.translate(join_t[sigma[x]])
-            if lhs == rhs and rhs.count(_UNDEF) == holes:
-                continue
-            for y in summable[i:]:
+    generators = (E.zero, *_walk(E).atoms)
+    if all(next(_l22ii_open(ctx, z), None) is None for z in generators):
+        return
+    table, join = ctx.table, ctx.join
+    for z, sigma in enumerate(table):
+        for x, ys in _l22ii_open(ctx, z):
+            for y in ys:
                 j = join[x][y]
                 if j == _UNDEF:
                     yield (x, y, z), f"{ctx.names(x, y)} have no join"
@@ -510,44 +555,91 @@ def _l22iv_walk(ctx: _Ctx) -> tuple[int, int, _Failures]:
     return failures, families, named
 
 
-def _distributive(os: OrderStructure) -> bool:
-    """Whether the order is a distributive lattice.
+def _distributive(os: OrderStructure, block: int) -> bool:
+    """Whether the elements of mask ``block``, which the order's meets and
+    joins keep inside it, form a distributive lattice.
 
     A finite lattice is distributive exactly when each join-irreducible
-    j is join-prime (Birkhoff; Davey and Priestley 2002, ch. 5).  j is
-    join-irreducible when it has one lower cover, that is when its
-    strict down-set is some element's down-set (never so for zero), and
-    join-prime when what lies outside its up-set is an ideal, in a finite
-    lattice again some element's down-set.
+    j is join-prime (Birkhoff; Davey and Priestley 2002, ch. 5).  In the
+    block, j is join-irreducible when it has one lower cover, that is
+    when its strict down-set is some element's down-set (never so for
+    zero), and join-prime when what lies outside its up-set is an ideal,
+    in a finite lattice again some element's down-set.  Each set is the
+    order's mask cut to the block.
     """
-    if not os.is_lattice:
-        return False
-    principal = set(os.down)
-    full = (1 << len(os.down)) - 1
-    for j, (up, down) in enumerate(zip(os.up, os.down)):
-        if down ^ 1 << j in principal and full & ~up not in principal:
+    elements = []
+    rest = block
+    while rest:
+        elements.append((rest & -rest).bit_length() - 1)
+        rest &= rest - 1
+    principal = {os.down[j] & block for j in elements}
+    for j in elements:
+        below = os.down[j] & block ^ 1 << j
+        if below in principal and block & ~os.up[j] not in principal:
             return False
     return True
 
 
 def _l22iv_clear(ctx: _Ctx) -> bool:
-    """Whether no family can fail :func:`_l22iv_walk`: every compatibility
-    mask is full, the meet and join rows are the order's own and the
-    order is a distributive lattice, as in an MV-effect algebra.
+    """Whether no family can fail :func:`_l22iv_walk`, tested block by
+    block on the order.
 
-    The order's rows hold exact greatest lower and least upper bounds, so
-    then every x ^ (b v y) exists and equals (x ^ b) v (x ^ y): the walk's
-    ``alive`` mask stays full, no failure mask has a bit, no x deviates
-    and no join is missing, so no family fails and none is skipped.  Rows
-    edited by hand go to the walk, whatever they hold.
+    The meet and join rows must be the order's own, and zero and one
+    compatible with everything.  The blocks split the other elements
+    into components, two elements linked when they are summable or
+    compatible either way round.  Each block, with zero and one, must be
+    closed under the meet and join rows, pairwise compatible and a
+    distributive lattice (:func:`_distributive`).  On masks: each inner
+    x's compatibility mask holds zero, one and every y summable with x,
+    that is every y <= x', and is met by no inner element with another
+    mask.  These masks are then the blocks, and x' is in x's block, so
+    joins stay in a block that meets keep, as x v y = (x' ^ y')'.
+
+    That is exact.  A family's members are pairwise summable, so they
+    lie in one block, and an x compatible with every member lies in that
+    block or is zero or one.  The family's join and every meet with x
+    stay in the block, where the order's rows hold exact bounds, so
+    every x ^ (b v y) exists and equals (x ^ b) v (x ^ y) and x is
+    compatible with the join: no x deviates, no join is missing and no
+    family fails or is skipped.  With one block this is the test for an
+    MV-effect algebra.  Rows edited by hand go to the walk, whatever
+    they hold.
     """
-    full = (1 << ctx.E.size) - 1
-    return (
-        all(mask == full for mask in ctx.compat)
-        and tuple(ctx.meet) == ctx.os.meet_rows
-        and tuple(ctx.join) == ctx.os.join_rows
-        and _distributive(ctx.os)
-    )
+    E, os, compat = ctx.E, ctx.os, ctx.compat
+    n = E.size
+    full = (1 << n) - 1
+    ends = 1 << E.zero | 1 << E.one
+    if not (
+        compat[E.zero] == compat[E.one] == full
+        and tuple(ctx.meet) == os.meet_rows
+        and tuple(ctx.join) == os.join_rows
+    ):
+        return False
+    blocks: dict[int, list[int]] = {}
+    for x, block in enumerate(compat):
+        if ends >> x & 1:
+            continue
+        if ends & ~block or os.down[E.supplement[x]] & ~block:
+            return False
+        blocks.setdefault(block, []).append(x)
+    for block, members in blocks.items():
+        # Its inner elements must be its members.  Then the mask holds
+        # each member's x', inner too, whose mask, this one, holds x
+        # (x <= x''), and the masks split the inner elements into blocks.
+        if (block & ~ends).bit_count() != len(members):
+            return False
+        # the rows of zero and one keep the block; each member's meet row
+        # must hold a block element at every block index
+        inside = bytearray(256)
+        for x in (E.zero, E.one, *members):
+            inside[x] = 1
+        at = int.from_bytes(inside[:n] * len(members), "little")
+        meets = b"".join([ctx.meet[x] for x in members]).translate(inside)
+        if int.from_bytes(meets, "little") & at != at:
+            return False
+        if not _distributive(os, block):
+            return False
+    return True
 
 
 def _law_l22iv(ctx: _Ctx) -> LawResult:
@@ -946,13 +1038,19 @@ def run_law_suite(
 
     The laws run in ``LAW_IDS`` order, each once, however often and in
     whatever order ``selection`` names them; an unknown id raises
-    ``KeyError``.
+    ``KeyError``, and a bare ``str`` in place of an iterable of ids
+    raises ``TypeError``.
 
     ``counterexample_mode`` forces lattice-hypothesis laws to evaluate
     their conclusions on non-lattice inputs; see the module docstring.
     """
     if selection is None:
         chosen = list(LAW_IDS)
+    elif isinstance(selection, str):
+        raise TypeError(
+            "the law selection must be an iterable of law ids, "
+            f"not a str: {selection!r}"
+        )
     else:
         selected = list(selection)
         unknown = [law for law in selected if law not in _LAWS]

@@ -38,10 +38,14 @@ time, and :func:`oracle_family_laws` checks T2.6, T3.4 and T4.1 from it.
 :func:`oracle_l23v` and :func:`oracle_t24` check the laws whose
 instances the package selects or clears by masks, each from the law's
 statement, instance by instance, in the order the suite reports.
-:func:`l22iv_clear_by_rows` and :func:`l22iv_family_count` are how the
-suite cleared L2.2.iv and counted its families before it tested the
-order for distributivity: an identity over every triple of the law
-context's byte rows, and a recurrence over its sum rows.
+:func:`l22iv_family_count` is how the suite counted L2.2.iv's families
+before it tested the order for distributivity, a recurrence over the law
+context's sum rows, and :func:`l22iv_clear_by_blocks` clears the law
+block by block with the identity that the suite tested on the byte rows
+of the whole context then (:func:`rows_distribute`).
+:func:`l22ii_by_rows` is L2.2.ii's loop as it ran before the law was
+cleared from its generators: the row check, and the loop past it, for
+every z.
 """
 
 from collections import Counter
@@ -801,18 +805,90 @@ def rows_distribute(meet, join):
     return True
 
 
-def l22iv_clear_by_rows(ctx):
-    """Whether no family can fail ``laws._l22iv_walk``, shown on the law
-    context's byte rows as the suite showed it before it tested the
-    order: every compatibility mask is full and :func:`rows_distribute`
-    holds.  Then the walk's ``alive`` mask stays full, its failure mask
-    is empty on every pair it could visit, no deviating x arises and no
-    join is missing, so no family fails and none is skipped.
+def l22iv_clear_by_blocks(ctx):
+    """Whether no family can fail ``laws._l22iv_walk``, shown block by
+    block on the law context's tables as given.
+
+    The elements other than zero and one split into components, two
+    linked when their sum is defined or either one's compatibility mask
+    holds the other.  For each component with zero and one added, every
+    pair must be compatible, the meet and join rows must keep it, and
+    :func:`rows_distribute` must hold on its rows, renumbered.  A
+    family's members are pairwise summable, and an x compatible with
+    all of them lies in their block or is zero or one, so then the
+    walk's failure mask is empty on every pair it could visit, no
+    deviating x arises and no join is missing.
     """
-    full = (1 << ctx.E.size) - 1
-    if any(mask != full for mask in ctx.compat):
-        return False
-    return rows_distribute(ctx.meet, ctx.join)
+    ends = {ctx.E.zero, ctx.E.one}
+    inner = [x for x in range(ctx.E.size) if x not in ends]
+
+    def linked(x, y):
+        return (
+            ctx.table[x][y] != _UNDEF
+            or ctx.compat[x] >> y & 1
+            or ctx.compat[y] >> x & 1
+        )
+
+    blocks, seen = [], set()
+    for x in inner:
+        if x in seen:
+            continue
+        component, todo = {x}, [x]
+        while todo:
+            u = todo.pop()
+            for v in inner:
+                if v not in component and linked(u, v):
+                    component.add(v)
+                    todo.append(v)
+        seen |= component
+        blocks.append(sorted(component | ends))
+    for block in blocks:
+        if any(not ctx.compat[x] >> y & 1 for x in block for y in block):
+            return False
+        index = {x: i for i, x in enumerate(block)}
+        try:
+            meet, join = (
+                [bytes(index[rows[x][y]] for y in block) for x in block]
+                for rows in (ctx.meet, ctx.join)
+            )
+        except KeyError:  # a bound outside the block, or missing
+            return False
+        if not rows_distribute(meet, join):
+            return False
+    return True
+
+
+def l22ii_by_rows(ctx):
+    """L2.2.ii's failures as ``laws._law_l22ii`` found them before it
+    cleared the law from its generators, in order: for every z, each
+    (z, x) checked for every y at once on the byte rows, and the loop
+    over y wherever that check fails."""
+    table, join, join_t = ctx.table, ctx.join, _padded(ctx.join)
+    defined = b"\x01" * _UNDEF + b"\x00"
+    failures = []
+    for z, (sigma, through) in enumerate(zip(table, _padded(table))):
+        summable = [x for x, v in enumerate(sigma.translate(defined)) if v]
+        holes = sigma.count(_UNDEF)
+        for i, x in enumerate(summable):
+            lhs = join[x].translate(through)
+            rhs = sigma.translate(join_t[sigma[x]])
+            if lhs == rhs and rhs.count(_UNDEF) == holes:
+                continue
+            for y in summable[i:]:
+                j = join[x][y]
+                if j == _UNDEF:
+                    failures.append(((x, y, z), f"{ctx.names(x, y)} have no join"))
+                    continue
+                lhs = table[j][z]
+                if lhs == _UNDEF or lhs != join[sigma[x]][sigma[y]]:
+                    failures.append(
+                        (
+                            (x, y, z),
+                            f"joining {ctx.names(x, y)} does not commute with "
+                            f"adding {ctx.E.names[z]}",
+                        )
+                    )
+    return failures
 
 
 def l22iv_family_count(ctx):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -38,6 +39,7 @@ from effalg.laws import (
 from effalg.order import OrderStructure
 
 from conftest import (
+    bundled_fixture,
     differential_algebras,
     hsum_corpus,
     interval_4_5_6,
@@ -46,7 +48,8 @@ from conftest import (
     zero_last,
 )
 from oracles import (
-    l22iv_clear_by_rows,
+    l22ii_by_rows,
+    l22iv_clear_by_blocks,
     l22iv_family_count,
     oracle_atom_families,
     oracle_bounds,
@@ -165,6 +168,14 @@ def test_unknown_law_ids_are_rejected():
     # a repeated id does not hide an unknown one
     with pytest.raises(KeyError):
         run_law_suite(mv_chain(2), selection=["L2.2.i", "L2.2.i", "L9.9"])
+
+
+def test_a_bare_str_selection_is_refused():
+    # A str is an iterable of characters, not of law ids.
+    with pytest.raises(TypeError, match="iterable of law ids, not a str"):
+        run_law_suite(mv_chain(2), "L2.2.ii")
+    report = run_law_suite(mv_chain(2), ("L2.2.ii",))
+    assert [r.law for r in report.results] == ["L2.2.ii"]
 
 
 def test_nonlattice_laws_are_skipped_not_passed(example_44):
@@ -458,6 +469,84 @@ def test_l22ii_matches_the_oracle_on_tampered_tables(
     assert len(found) == total
 
 
+def test_l22ii_clears_where_the_full_loop_finds_nothing(
+    corpus, example_25, example_37, example_44, at_the_cap
+):
+    # The law, cleared from zero and the atoms, against the row check and
+    # loop over every z: at the cap, and on one seeded relabelling of each
+    # algebra, so that zero and the atoms sit at other indices.
+    named = differential_algebras(corpus, example_25, example_37, example_44)
+    named += at_the_cap
+    rng = random.Random(45)
+    shuffled = [
+        (f"{name}-shuffled", relabelled(E, rng.sample(range(E.size), E.size)))
+        for name, E in named
+    ]
+    failing = 0
+    for name, E in at_the_cap + shuffled:
+        ctx = _Ctx(E)
+        found = list(_law_l22ii(ctx))
+        assert found == l22ii_by_rows(ctx), name
+        failing += bool(found)
+    # the off-lattice tables fail the law, as in counterexample mode
+    assert failing == len(off_lattice(example_25, example_37, example_44)) * 2
+
+
+def test_l22ii_matches_the_full_loop_on_edited_joins(corpus):
+    # One or two join entries edited at random, to another element or to
+    # missing, on every corpus algebra: the generators clear exactly where
+    # neither the full loop nor the oracle finds a failure.
+    rng = random.Random(45)
+    outcomes = Counter()
+    for name, E in corpus:
+        for _ in range(8):
+            entries = [
+                (
+                    (rng.randrange(E.size), rng.randrange(E.size)),
+                    rng.choice([None, *range(E.size)]),
+                )
+                for _ in range(rng.choice((1, 2)))
+            ]
+            ctx, _, _ = tampered(E, join_entries=entries)
+            found = list(_law_l22ii(ctx))
+            assert found == l22ii_by_rows(ctx), (name, entries)
+            assert found == oracle_l22ii(E, join=_tuples(ctx.join)), (name, entries)
+            outcomes[bool(found)] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 20, outcomes
+
+
+@pytest.mark.parametrize(
+    "join_entries, witnesses, reason",
+    [
+        # 0 v a read as 0: only z = a, the atom, fails, since (0 v a) + a
+        # is a but a v 1 is 1; the zero row check sees every join defined
+        (
+            [((0, 1), 0)],
+            ((0, 1, 1),),
+            "joining 0, a does not commute with adding a",
+        ),
+        # 0 v 1 read as missing: 1 is summable with zero alone and no
+        # x + z is 0 for a nonzero z, so only z = zero reads it
+        ([((0, 2), None)], ((0, 2, 0),), "0, 1 have no join"),
+    ],
+    ids=["atom", "zero"],
+)
+def test_l22ii_generators_are_zero_and_the_walks_atoms(
+    join_entries, witnesses, reason
+):
+    # In the three-element chain 0 < a < 1 each edit fails at one
+    # generator only.  The atoms come from the axiom check's walk: a
+    # context whose atoms and profile were replaced still checks a.
+    E = mv_chain(2)
+    ctx, _, _ = tampered(E, join_entries=join_entries, atoms=frozenset())
+    ctx.atoms = []
+    found = list(_law_l22ii(ctx))
+    assert found == oracle_l22ii(E, join=_tuples(ctx.join))
+    assert _collect("L2.2.ii", iter(found)) == LawResult(
+        "L2.2.ii", "fail", witnesses, reason
+    )
+
+
 def test_l22iv_fast_path_counts_the_walks_families(
     corpus, example_25, example_37, example_44
 ):
@@ -466,7 +555,7 @@ def test_l22iv_fast_path_counts_the_walks_families(
         total, families, failures = _l22iv_walk(ctx)
         clear = _l22iv_clear(ctx)
         assert not clear or (total, families) == (0, l22iv_family_count(ctx)), name
-        if name.split("-")[0] in ("chain", "boolean", "product"):
+        if name.split("-")[0] in ("chain", "boolean", "product", "hsum"):
             assert clear, name
         assert _law_l22iv(ctx) == _collect("L2.2.iv", failures, total), name
 
@@ -534,8 +623,8 @@ def test_l22iv_clears_exactly_where_the_rows_distribute(
     corpus, example_25, example_37, example_44, at_the_cap
 ):
     # The test on the order against the identity over every triple of
-    # the byte rows: on intact contexts, where Birkhoff's test on the
-    # masks and the identity must agree on every lattice, and on the
+    # each block's byte rows: on intact contexts, where Birkhoff's test on
+    # the masks and the identity must agree on every lattice, and on the
     # hand-edited ones, which only the rows check can tell apart.
     named = differential_algebras(corpus, example_25, example_37, example_44)
     named += at_the_cap
@@ -544,12 +633,15 @@ def test_l22iv_clears_exactly_where_the_rows_distribute(
         (f"{name}-shuffled", relabelled(E, rng.sample(range(E.size), E.size)))
         for name, E in named
     ]
-    not_distributive = set()
+    not_distributive, cleared = set(), set()
     for name, E in named:
         ctx = _Ctx(E)
-        assert _l22iv_clear(ctx) == l22iv_clear_by_rows(ctx), name
+        clear = _l22iv_clear(ctx)
+        assert clear == l22iv_clear_by_blocks(ctx), name
+        if clear:
+            cleared.add(name)
         os = ctx.os
-        distributive = _distributive(os)
+        distributive = os.is_lattice and _distributive(os, (1 << E.size) - 1)
         assert distributive == rows_distribute(os.meet_rows, os.join_rows), name
         if os.is_lattice and not distributive:
             not_distributive.add(name)
@@ -558,11 +650,47 @@ def test_l22iv_clears_exactly_where_the_rows_distribute(
     assert three_chains | {"hsum-4-boolean-64"} <= not_distributive
     # 30 of the differential algebras, the horizontal sum and their copies
     assert len(not_distributive) == 2 * 31
+    # Every block of a horizontal sum of chains or Boolean algebras is
+    # distributive, so each such sum clears block by block.
+    assert three_chains | {"hsum-4-boolean-64"} <= cleared
     for make, meet_entries, compat_cleared, join_entries in L22IV_TAMPERED:
         E = make()
         ctx, _, _ = tampered(E, meet_entries, compat_cleared, join_entries)
-        assert l22iv_clear_by_rows(_Ctx(E)) and _l22iv_clear(_Ctx(E))
-        assert not _l22iv_clear(ctx) and not l22iv_clear_by_rows(ctx)
+        assert l22iv_clear_by_blocks(_Ctx(E)) and _l22iv_clear(_Ctx(E))
+        assert not _l22iv_clear(ctx) and not l22iv_clear_by_blocks(ctx)
+
+
+@pytest.mark.parametrize(
+    "make, compat_cleared, total",
+    [
+        # a and b summable but read as not compatible, both ways round:
+        # their masks alone would split them into two blocks
+        (lambda: boolean_algebra(2), [(1, 2), (2, 1)], 0),
+        # 2a read as not compatible with 3a, one way round only
+        (lambda: mv_chain(4), [(2, 3)], 0),
+        # a and b read as not compatible with 1, which is their join
+        (lambda: boolean_algebra(2), [(1, 3), (2, 3)], 2),
+        # every pair read as compatible: one block, not distributive, in
+        # a horizontal sum of two Boolean algebras, and not closed under
+        # the meets off lattice order
+        (lambda: horizontal_sum([boolean_algebra(2)] * 2), None, 4),
+        (lambda: bundled_fixture("example-2.5"), None, 2),
+    ],
+    ids=["boolean-4-summable", "chain-5-one-way", "boolean-4-one", "mo2", "example-2.5"],
+)
+def test_l22iv_block_test_on_edited_compatibility(make, compat_cleared, total):
+    # Each edit breaks one condition of the block test, which then leaves
+    # the law to the walk, whether or not a family fails there.
+    E = make()
+    if compat_cleared is None:
+        ctx, _, _ = tampered(E)
+        ctx.compat = ((1 << E.size) - 1,) * E.size
+    else:
+        ctx, _, _ = tampered(E, compat_cleared=compat_cleared)
+    assert not _l22iv_clear(ctx) and not l22iv_clear_by_blocks(ctx)
+    outcome = l22iv_outcome(ctx)
+    assert outcome == oracle_l22iv(E, compat=list(ctx.compat))
+    assert outcome[1] == total
 
 
 def test_the_law_suite_at_the_cap(at_the_cap):
@@ -573,10 +701,11 @@ def test_the_law_suite_at_the_cap(at_the_cap):
         assert status_map(run_law_suite(E)) == {
             law: "skipped" if law == "product-closure" else "pass" for law in LAW_IDS
         }, name
-    # The horizontal sum is not MV, so the walk runs there: no family
-    # crosses a block, and each block holds boolean-64's 813 families.
+    # The horizontal sum is not distributive, but each of its blocks is,
+    # so it clears block by block; the walk agrees: no family crosses a
+    # block, and each block holds boolean-64's 813 families.
     ctx = _Ctx(dict(at_the_cap)["hsum-4-boolean-64"])
-    assert not _l22iv_clear(ctx)
+    assert _l22iv_clear(ctx)
     assert _l22iv_walk(ctx)[:2] == (0, 4 * 813)
 
 
